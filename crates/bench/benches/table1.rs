@@ -1,7 +1,8 @@
 //! Table 1 of the paper: construction time and routing time T of the
 //! (ε, D, T)-decomposition across the four (Δ, ε) regimes, on simulated minor-free
 //! networks. The measured table is printed before the criterion timing loop so that
-//! `cargo bench` output contains it (EXPERIMENTS.md records the shape check).
+//! `cargo bench` output contains it (the `report` bin's `table1` section prints the
+//! same rows).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mfd_bench::{f3, Table};

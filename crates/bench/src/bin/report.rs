@@ -81,7 +81,7 @@ fn main() {
         |section: &str| sections.is_empty() || sections.iter().any(|a| a == section || a == "all");
 
     println!("# Measured reproduction report\n");
-    println!("All round counts are CONGEST rounds measured by the simulator; see EXPERIMENTS.md for the paper-vs-measured discussion.\n");
+    println!("All round counts are CONGEST rounds measured by the simulator; README.md (\"Benchmarks and reports\") says what each section measures.\n");
 
     if want("table1") {
         table1();

@@ -12,15 +12,16 @@ use mfd_congest::{CongestError, Message};
 use mfd_graph::Graph;
 use rayon::prelude::*;
 
-use crate::program::{Envelope, NodeCtx, NodeProgram, Outbox};
+use crate::program::{Envelope, NodeCtx, NodeProgram, Outbox, SendBuf};
 
 /// Everything one vertex produced in one executed round: its queued sends
 /// (destination, payload, size in words), whether it halted, and any model
 /// violation its [`crate::Outbox`] recorded at send time.
 #[derive(Debug)]
 pub struct VertexRound<M> {
-    /// Messages queued this round, in send order.
-    pub sends: Vec<(usize, M, usize)>,
+    /// Messages queued this round, in send order, in the storage the caller
+    /// supplied.
+    pub sends: SendBuf<M>,
     /// Whether the vertex reports halted after this round.
     pub halted: bool,
     /// First model violation recorded at send time (a non-edge send), if any.
@@ -33,17 +34,21 @@ pub struct VertexRound<M> {
 /// Engines differ in *when* they call this (lockstep sweeps vs. event-driven
 /// pulses) and in how they deliver the resulting sends; the per-vertex
 /// semantics are identical by construction.
+///
+/// `sends` is the storage the step fills (emptied first) and hands back in
+/// [`VertexRound::sends`] — see [`SendBuf`] for who recycles it.
 pub fn step_vertex<P: NodeProgram>(
     program: &P,
     ctx: &NodeCtx<'_>,
     state: &mut P::State,
     inbox: &[Envelope<P::Msg>],
+    sends: SendBuf<P::Msg>,
 ) -> VertexRound<P::Msg> {
-    let mut out = Outbox::new(ctx.id, ctx.neighbors);
+    let mut out = Outbox::with_buf(ctx.id, ctx.neighbors, sends);
     program.round(ctx, state, inbox, &mut out);
     let halted = program.halted(ctx, state);
     VertexRound {
-        sends: out.msgs,
+        sends: out.buf,
         halted,
         violation: out.violation,
     }

@@ -12,7 +12,7 @@ use crate::driver::{self, VertexRound};
 use crate::profile::{
     NoProfiler, Profiler, RoundSample, PHASE_COMMIT, PHASE_DELIVER, PHASE_SCAN, PHASE_STEP,
 };
-use crate::program::{Envelope, NodeCtx, NodeProgram};
+use crate::program::{Envelope, NodeCtx, NodeProgram, SendBuf};
 
 /// The executor's complete loop state at a round boundary, as plain data.
 ///
@@ -625,7 +625,7 @@ where
         // *delivers* them, in vertex order — same values, same order as
         // hashing at the sequential point, but off the serialized path.
         let want_digests = O::ENABLED && self.observer.wants_digests();
-        let outs: Vec<Option<(VertexRound<P::Msg>, u64)>> = self
+        let outs: Vec<_> = self
             .states
             .par_iter_mut()
             .enumerate()
@@ -634,13 +634,19 @@ where
                     return None;
                 }
                 let ctx = NodeCtx::new(v, n, round, &adj[v], seed);
-                let out = driver::step_vertex(program, &ctx, state, &inbox_ref[v]);
+                // Only the messages are kept: one result slot per vertex is
+                // written every round, so its size is paid n times over.
+                let VertexRound {
+                    sends,
+                    halted,
+                    violation,
+                } = driver::step_vertex(program, &ctx, state, &inbox_ref[v], SendBuf::new());
                 let digest = if want_digests {
                     O::state_digest(state)
                 } else {
                     0
                 };
-                Some((out, digest))
+                Some((sends.msgs, halted, violation, digest))
             })
             .collect();
         if PR::ENABLED {
@@ -657,15 +663,7 @@ where
         let mut round_msgs: Vec<Message> = Vec::new();
         let mut send_violation: Option<CongestError> = None;
         for (v, out) in outs.into_iter().enumerate() {
-            let Some((
-                VertexRound {
-                    sends,
-                    halted: now_halted,
-                    violation,
-                },
-                digest,
-            )) = out
-            else {
+            let Some((sends, now_halted, violation, digest)) = out else {
                 continue;
             };
             if let (None, Some(err)) = (&send_violation, violation) {
@@ -751,7 +749,7 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::program::{Outbox, RuntimeMessage};
     use mfd_graph::generators;
@@ -979,13 +977,13 @@ mod tests {
     /// A wave: vertex 0 floods a token, everyone else waits for it, forwards
     /// it once and halts. With `frontier` set, waiting vertices declare
     /// themselves quiescent so the executor skips them.
-    struct Wave {
-        frontier: bool,
+    pub(crate) struct Wave {
+        pub(crate) frontier: bool,
     }
 
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    struct WaveState {
-        hop: Option<u64>,
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    pub(crate) struct WaveState {
+        pub(crate) hop: Option<u64>,
         announced: bool,
     }
 
@@ -1072,9 +1070,11 @@ mod tests {
         assert_eq!(run.rounds, 4);
     }
 
-    /// Broadcasts a folded accumulator (Clone state, so checkpointable).
-    struct Mixer {
-        rounds: u64,
+    /// Broadcasts a folded accumulator (Clone state, so checkpointable): the
+    /// state evolution depends on inbox order, per-vertex RNG, and round
+    /// count — a determinism probe, shared with the sharded engine's tests.
+    pub(crate) struct Mixer {
+        pub(crate) rounds: u64,
     }
 
     impl NodeProgram for Mixer {

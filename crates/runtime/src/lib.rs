@@ -101,5 +101,5 @@ pub use cluster::{run_on_clusters, ClusterExecution};
 pub use driver::VertexRound;
 pub use executor::{ExecCheckpoint, Execution, Executor, ExecutorConfig, RuntimeError};
 pub use profile::{NoProfiler, Profiler, RoundSample, PHASES, PHASE_NAMES};
-pub use program::{Envelope, NodeCtx, NodeProgram, NodeRng, Outbox, RuntimeMessage};
+pub use program::{Envelope, NodeCtx, NodeProgram, NodeRng, Outbox, RuntimeMessage, SendBuf};
 pub use sharded::{ArenaStats, ShardedConfig, ShardedExecution, ShardedExecutor};

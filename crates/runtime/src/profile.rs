@@ -33,15 +33,17 @@ pub const PHASES: usize = 6;
 
 /// Phase names, indexed by the `PHASE_*` constants. For the sharded engine:
 ///
-/// * `scan` — parallel frontier scan (per-shard busy times).
+/// * `scan` — parallel drain of each shard's wake set into its active list
+///   (per-shard busy times).
 /// * `step` — parallel shard sweep: program execution, send bucketing, and
 ///   bandwidth accounting (per-shard busy times).
 /// * `route` — sequential staging of every shard's outgoing buckets into the
 ///   transfer matrix and handing each destination its column (pointer moves).
 /// * `exchange` — sequential return of the drained buckets to their owning
 ///   shards for next-round reuse (pointer moves).
-/// * `deliver` — parallel drain of staged buckets into the next-round
-///   mailboxes and the double-buffer swap (per-shard busy times).
+/// * `deliver` — parallel clear of the mailboxes the round read, drain of
+///   staged buckets into the next-round mailboxes (waking their vertices),
+///   and the double-buffer swap (per-shard busy times).
 /// * `commit` — the sequential resolution point: violation scan, meter seal,
 ///   and the delivery of every observer hook of the round. Per-vertex
 ///   digests are *computed* inside the parallel sweep (`step`); commit only

@@ -148,6 +148,49 @@ pub struct Envelope<M> {
     pub msg: M,
 }
 
+/// The storage one vertex step queues its sends into, handed to
+/// `driver::step_vertex` and back by value: an engine that steps vertices one
+/// after another passes the previous step's drained buffer and never
+/// allocates; any other caller passes [`SendBuf::new`].
+#[derive(Debug)]
+pub struct SendBuf<M> {
+    /// Queued messages, in send order: `(destination, payload, words)`.
+    pub msgs: Vec<(usize, M, usize)>,
+    /// Position of each message's destination in the sender's neighbor slice,
+    /// aligned with `msgs` — the index [`Outbox::send`] / [`Outbox::broadcast`]
+    /// resolved anyway, kept so per-edge accounting downstream need not search
+    /// for it again. Filled only by a buffer from [`SendBuf::with_slots`]; a
+    /// second allocation per step is a measurable cost to an engine that
+    /// cannot recycle it.
+    pub slots: Vec<usize>,
+    keep_slots: bool,
+}
+
+impl<M> SendBuf<M> {
+    /// An empty buffer that records messages only.
+    pub fn new() -> Self {
+        SendBuf {
+            msgs: Vec::new(),
+            slots: Vec::new(),
+            keep_slots: false,
+        }
+    }
+
+    /// An empty buffer that also records each message's neighbor slot.
+    pub fn with_slots() -> Self {
+        SendBuf {
+            keep_slots: true,
+            ..Self::new()
+        }
+    }
+}
+
+impl<M> Default for SendBuf<M> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// Per-round send buffer for one vertex.
 ///
 /// Sends are validated **at send time**: a message to a non-neighbor is
@@ -158,7 +201,7 @@ pub struct Envelope<M> {
 pub struct Outbox<'a, M> {
     src: usize,
     neighbors: &'a [usize],
-    pub(crate) msgs: Vec<(usize, M, usize)>,
+    pub(crate) buf: SendBuf<M>,
     pub(crate) violation: Option<CongestError>,
 }
 
@@ -170,42 +213,56 @@ impl<'a, M: RuntimeMessage> Outbox<'a, M> {
     /// the same validated send path and then forward the collected sends
     /// through their own envelopes ([`Outbox::into_sends`]).
     pub fn new(src: usize, neighbors: &'a [usize]) -> Self {
+        Self::with_buf(src, neighbors, SendBuf::new())
+    }
+
+    /// [`Outbox::new`] over recycled storage (emptied here), so an engine
+    /// that pools its buffers steps a vertex without allocating.
+    pub(crate) fn with_buf(src: usize, neighbors: &'a [usize], mut buf: SendBuf<M>) -> Self {
+        buf.msgs.clear();
+        buf.slots.clear();
         Outbox {
             src,
             neighbors,
-            msgs: Vec::new(),
+            buf,
             violation: None,
         }
     }
 
     /// Queues `msg` for delivery to `dst` at the start of the next round.
     pub fn send(&mut self, dst: usize, msg: M) {
-        if self.neighbors.binary_search(&dst).is_err() {
+        let Ok(slot) = self.neighbors.binary_search(&dst) else {
             if self.violation.is_none() {
                 self.violation = Some(CongestError::NotAnEdge { src: self.src, dst });
             }
             return;
-        }
+        };
         let words = msg.words();
-        self.msgs.push((dst, msg, words));
+        self.buf.msgs.push((dst, msg, words));
+        if self.buf.keep_slots {
+            self.buf.slots.push(slot);
+        }
     }
 
     /// Sends `msg` to every neighbor.
     pub fn broadcast(&mut self, msg: M) {
         for &u in self.neighbors {
             let words = msg.words();
-            self.msgs.push((u, msg.clone(), words));
+            self.buf.msgs.push((u, msg.clone(), words));
+        }
+        if self.buf.keep_slots {
+            self.buf.slots.extend(0..self.neighbors.len());
         }
     }
 
     /// Number of messages queued this round.
     pub fn len(&self) -> usize {
-        self.msgs.len()
+        self.buf.msgs.len()
     }
 
     /// Returns `true` if nothing has been queued.
     pub fn is_empty(&self) -> bool {
-        self.msgs.is_empty()
+        self.buf.msgs.is_empty()
     }
 
     /// The first model violation recorded at send time, if any.
@@ -217,7 +274,7 @@ impl<'a, M: RuntimeMessage> Outbox<'a, M> {
     /// `(destination, message, size in words)` — the adapter-visible message
     /// envelopes an embedding program re-packages into its own payloads.
     pub fn into_sends(self) -> Vec<(usize, M, usize)> {
-        self.msgs
+        self.buf.msgs
     }
 }
 
@@ -272,19 +329,31 @@ pub trait NodeProgram: Sync {
     /// Declares that running this vertex with an **empty inbox** would be a
     /// no-op: no state change, no sends, no halting transition.
     ///
-    /// The synchronous [`crate::Executor`] uses this for frontier-aware
-    /// scheduling: quiescent vertices with nothing to read are skipped, so a
-    /// wave-style program (BFS, Voronoi flooding) pays per round only for its
-    /// frontier. When *every* live vertex is skipped the system has reached a
+    /// Both synchronous engines use this for frontier-aware scheduling:
+    /// quiescent vertices with nothing to read are skipped, so a wave-style
+    /// program (BFS, Voronoi flooding) pays per round only for its frontier.
+    /// When *every* live vertex is skipped the system has reached a
     /// fixpoint — nothing is in flight and no state can ever change — and the
-    /// executor ends the run there.
+    /// engine ends the run there.
+    ///
+    /// **The answer must be round-stable:** for a vertex that has not been
+    /// stepped since the last evaluation (its state is unchanged) and whose
+    /// inbox is empty, the result may not depend on `ctx.round`. The
+    /// [`crate::Executor`] re-asks every live vertex every round; the
+    /// [`crate::ShardedExecutor`] asks **once, right after each step** (with
+    /// the context of the following round, and once per vertex at start-up)
+    /// and keeps the answer until mail or the next step reaches the vertex.
+    /// A round-dependent answer would make the two engines schedule
+    /// differently; debug builds of the sharded engine assert that they do
+    /// not. Derive the answer from `state` alone, as every program in this
+    /// workspace does.
     ///
     /// The default (`false`) schedules every non-halted vertex every round,
     /// which is always correct. Programs overriding this must either
     /// guarantee the no-op property for every round at which they return
     /// `true`, or knowingly accept that a round-triggered transition on an
     /// empty inbox (a timeout such as "halt once `round > n`") may never
-    /// fire because the executor ends the run at the fixpoint first. The
+    /// fire because the engine ends the run at the fixpoint first. The
     /// latter is a deliberate semantic trade and only acceptable when the
     /// skipped transition cannot change public outputs — the BFS/Voronoi
     /// unreachability timeouts are the canonical example — and it makes

@@ -13,10 +13,32 @@
 //! Because shards are ascending vertex ranges and every shard commits its
 //! vertices in ascending order, each destination mailbox receives messages in
 //! ascending sender order — exactly the inbox ordering the unsharded
-//! executor's sequential commit produces. All mailbox and bucket `Vec`s are
-//! pooled across rounds (cleared, never dropped), so a steady-state round
-//! allocates nothing; [`ArenaStats`] reports the pools' high-water marks as a
-//! peak-memory proxy.
+//! executor's sequential commit produces. All mailbox, bucket and send
+//! `Vec`s are pooled across rounds (cleared, never dropped), so a
+//! steady-state round allocates nothing; [`ArenaStats`] reports the pools'
+//! high-water marks as a peak-memory proxy.
+//!
+//! # Scheduling: a round costs O(frontier + messages)
+//!
+//! A round schedules exactly the vertices the unsharded engine does — every
+//! live vertex that has mail or is not [`NodeProgram::quiescent`] — but never
+//! visits the rest to find them. Each shard keeps a **wake set** (one bit per
+//! local vertex) that is written only where the work already happens: the
+//! sweep sets a vertex's bit right after stepping it iff it is neither halted
+//! nor quiescent at the next round, and delivery sets the bit of every live
+//! vertex on the first envelope pushed into its mailbox. The scan phase just
+//! drains the words in order (ascending vertex order for free) and calls no
+//! program code. Delivery likewise remembers which mailboxes it filled and
+//! clears only those next round; and the run is over when the drained wake
+//! sets are all empty, which covers "every vertex has halted" because only
+//! live vertices are ever woken. What remains per round is one pass over
+//! `n / 64` words.
+//!
+//! The wake set is exact because a vertex's state changes only when it is
+//! stepped, and `quiescent`'s contract makes its answer for an unstepped
+//! vertex independent of the round. Debug builds check this instead of
+//! trusting it: every shard recomputes the full-scan predicate each round and
+//! asserts it equal to the drained wake set.
 //!
 //! # Determinism
 //!
@@ -50,7 +72,7 @@ use crate::profile::{
     NoProfiler, Profiler, RoundSample, PHASE_COMMIT, PHASE_DELIVER, PHASE_EXCHANGE, PHASE_ROUTE,
     PHASE_SCAN, PHASE_STEP,
 };
-use crate::program::{Envelope, NodeCtx, NodeProgram};
+use crate::program::{Envelope, NodeCtx, NodeProgram, SendBuf};
 
 /// Configuration for a [`ShardedExecutor`].
 #[derive(Debug, Clone)]
@@ -231,6 +253,15 @@ impl ShardedExecutor {
     }
 }
 
+/// Sets local vertex `local`'s bit in a shard's wake set: schedules it for the
+/// next round. Called at the only two places a vertex can become schedulable
+/// — right after it was stepped and is neither halted nor quiescent, and when
+/// the first envelope lands in a live vertex's mailbox — so the set costs
+/// nothing for the vertices a round does not touch.
+fn wake_vertex(wake: &mut [u64], local: usize) {
+    wake[local / 64] |= 1 << (local % 64);
+}
+
 /// One destination-shard bucket: `(destination vertex, envelope)` in send
 /// order.
 type Bucket<M> = Vec<(usize, Envelope<M>)>;
@@ -244,7 +275,15 @@ struct ShardState<S, M> {
     halted: Vec<bool>,
     inbox: Vec<Vec<Envelope<M>>>,
     next_inbox: Vec<Vec<Envelope<M>>>,
-    /// This round's active vertices (local indices), pooled.
+    /// Local indices whose `inbox` mailbox is non-empty, in first-envelope
+    /// order: the only mailboxes the next delivery has to clear.
+    filled: Vec<usize>,
+    /// The same for `next_inbox`; empty between rounds, pooled.
+    filled_next: Vec<usize>,
+    /// The wake set, one bit per local vertex: exactly the vertices the next
+    /// round schedules (see [`wake_vertex`] for who sets a bit).
+    wake: Vec<u64>,
+    /// This round's active vertices (ascending local indices), pooled.
     active: Vec<usize>,
     /// Outgoing buckets, one per destination shard, pooled.
     out: Vec<Bucket<M>>,
@@ -255,6 +294,9 @@ struct ShardState<S, M> {
     scratch: Vec<usize>,
     /// Accumulator positions touched for the current vertex, pooled.
     touched: Vec<usize>,
+    /// The send storage every vertex step of this shard fills in turn
+    /// (messages and their neighbor slots), pooled.
+    sends: SendBuf<M>,
     /// `(local vertex, inbox length, sends)` per active vertex, recorded
     /// only when tracing is enabled.
     meta: Vec<(usize, usize, usize)>,
@@ -274,37 +316,59 @@ struct ShardState<S, M> {
 }
 
 impl<S: Send + Sync, M: Send + Sync> ShardState<S, M> {
-    /// Scans this shard's slice of the frontier: records active local
-    /// vertices and reports `(every vertex halted, active count)`.
-    fn scan<P>(
-        &mut self,
+    /// Drains the wake set into this round's active list (ascending local
+    /// index, by word and bit order) and reports the active count.
+    fn scan(&mut self) -> usize {
+        self.active.clear();
+        for (w, word) in self.wake.iter_mut().enumerate() {
+            let mut bits = *word;
+            if bits == 0 {
+                continue;
+            }
+            *word = 0;
+            while bits != 0 {
+                self.active.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        self.active.len()
+    }
+
+    /// The reference the wake set is maintained against: recomputes the
+    /// active list by the full scan — every live vertex with mail or a
+    /// non-quiescent state — and asserts it equal to what
+    /// [`ShardState::scan`] just produced. Debug builds run
+    /// it on every shard of every round, so the test suite checks the
+    /// equivalence (and [`NodeProgram::quiescent`]'s round-stability
+    /// contract) on every sharded run.
+    #[cfg(debug_assertions)]
+    fn assert_scan_matches_full_scan<P>(
+        &self,
         program: &P,
         g: &CsrGraph,
         n: usize,
         round: u64,
         seed: u64,
-    ) -> (bool, usize)
-    where
+    ) where
         P: NodeProgram<State = S, Msg = M>,
     {
-        self.active.clear();
-        let mut all_halted = true;
-        for local in 0..self.end - self.start {
-            if self.halted[local] {
-                continue;
-            }
-            all_halted = false;
-            let v = self.start + local;
-            if !self.inbox[local].is_empty()
-                || !program.quiescent(
-                    &NodeCtx::new(v, n, round, g.neighbors(v), seed),
-                    &self.states[local],
-                )
-            {
-                self.active.push(local);
-            }
-        }
-        (all_halted, self.active.len())
+        let full_scan: Vec<usize> = (0..self.end - self.start)
+            .filter(|&local| {
+                let v = self.start + local;
+                !self.halted[local]
+                    && (!self.inbox[local].is_empty()
+                        || !program.quiescent(
+                            &NodeCtx::new(v, n, round, g.neighbors(v), seed),
+                            &self.states[local],
+                        ))
+            })
+            .collect();
+        assert_eq!(
+            self.active, full_scan,
+            "round {round}, shard at {}: wake set != full scan (a `quiescent` whose answer \
+             for an unstepped vertex depends on the round breaks the engine's contract)",
+            self.start
+        );
     }
 
     /// Runs one round on this shard's active vertices, bucketing sends by
@@ -336,17 +400,29 @@ impl<S: Send + Sync, M: Send + Sync> ShardState<S, M> {
             let neighbors = g.neighbors(v);
             let ctx = NodeCtx::new(v, n, round, neighbors, seed);
             let VertexRound {
-                sends,
+                mut sends,
                 halted,
                 violation,
-            } = driver::step_vertex(program, &ctx, &mut self.states[local], &self.inbox[local]);
-            self.halted[local] = halted;
+            } = driver::step_vertex(
+                program,
+                &ctx,
+                &mut self.states[local],
+                &self.inbox[local],
+                std::mem::take(&mut self.sends),
+            );
+            // The one place this vertex's scheduling is decided until mail
+            // next reaches it: its state cannot change before then.
+            if halted {
+                self.halted[local] = true;
+            } else if !program.quiescent(&ctx.at_round(round + 1), &self.states[local]) {
+                wake_vertex(&mut self.wake, local);
+            }
             if let (None, Some(err)) = (&self.send_violation, violation) {
                 self.send_violation = Some(err);
             }
             if trace {
                 self.meta
-                    .push((local, self.inbox[local].len(), sends.len()));
+                    .push((local, self.inbox[local].len(), sends.msgs.len()));
                 if let Some(digest) = digest_of {
                     self.digests.push(digest(&self.states[local]));
                 }
@@ -358,11 +434,9 @@ impl<S: Send + Sync, M: Send + Sync> ShardState<S, M> {
                 self.scratch.resize(neighbors.len(), 0);
             }
             self.touched.clear();
-            self.msgs += sends.len() as u64;
-            for &(dst, _, words) in &sends {
-                let idx = neighbors
-                    .binary_search(&dst)
-                    .expect("outbox only admits neighbor sends");
+            self.msgs += sends.msgs.len() as u64;
+            debug_assert_eq!(sends.slots.len(), sends.msgs.len());
+            for (&(_, _, words), &idx) in sends.msgs.iter().zip(&sends.slots) {
                 if self.scratch[idx] == 0 {
                     self.touched.push(idx);
                 }
@@ -381,9 +455,10 @@ impl<S: Send + Sync, M: Send + Sync> ShardState<S, M> {
                     });
                 }
             }
-            for (dst, msg, _) in sends {
+            for (dst, msg, _) in sends.msgs.drain(..) {
                 self.out[dst / chunk].push((dst, Envelope { src: v, msg }));
             }
+            self.sends = sends;
         }
     }
 
@@ -392,28 +467,46 @@ impl<S: Send + Sync, M: Send + Sync> ShardState<S, M> {
         self.out.iter().map(Vec::len).sum()
     }
 
-    /// Drains the staged incoming buckets (ascending source shard, so
-    /// ascending sender order) into the next-round mailboxes, then swaps the
-    /// double buffer. Returns the envelopes now resident in the readable
-    /// mailboxes.
+    /// Clears the mailboxes the last round read (only the `filled` ones can
+    /// hold anything), drains the staged incoming buckets (ascending source
+    /// shard, so ascending sender order) into the next-round mailboxes —
+    /// noting each mailbox it makes non-empty and waking its vertex unless
+    /// halted (mail to a halted vertex is resident, counted, and dropped by
+    /// the next clear) — then swaps the double buffer. Returns the envelopes
+    /// now resident in the readable mailboxes.
     fn deliver(&mut self) -> usize {
         let ShardState {
             start,
             in_buckets,
             inbox,
             next_inbox,
+            filled,
+            filled_next,
+            halted,
+            wake,
             ..
         } = self;
+        for local in filled.drain(..) {
+            inbox[local].clear();
+        }
+        let mut resident = 0;
         for bucket in in_buckets.iter_mut() {
+            resident += bucket.len();
             for (dst, env) in bucket.drain(..) {
-                next_inbox[dst - *start].push(env);
+                let local = dst - *start;
+                let mailbox = &mut next_inbox[local];
+                if mailbox.is_empty() {
+                    filled_next.push(local);
+                    if !halted[local] {
+                        wake_vertex(wake, local);
+                    }
+                }
+                mailbox.push(env);
             }
         }
-        for mailbox in inbox.iter_mut() {
-            mailbox.clear();
-        }
         std::mem::swap(inbox, next_inbox);
-        inbox.iter().map(Vec::len).sum()
+        std::mem::swap(filled, filled_next);
+        resident
     }
 }
 
@@ -475,11 +568,15 @@ where
                     halted: Vec::new(),
                     inbox: (start..end).map(|_| Vec::new()).collect(),
                     next_inbox: (start..end).map(|_| Vec::new()).collect(),
+                    filled: Vec::new(),
+                    filled_next: Vec::new(),
+                    wake: vec![0; (end - start).div_ceil(64)],
                     active: Vec::new(),
                     out: (0..num_shards).map(|_| Vec::new()).collect(),
                     in_buckets: Vec::new(),
                     scratch: Vec::new(),
                     touched: Vec::new(),
+                    sends: SendBuf::with_slots(),
                     meta: Vec::new(),
                     digests: Vec::new(),
                     msgs: 0,
@@ -489,7 +586,8 @@ where
                 }
             })
             .collect();
-        // Parallel init of states and halted flags, shard by shard.
+        // Parallel init of states, halted flags and the round-1 wake set (no
+        // mail yet: the live non-quiescent vertices), shard by shard.
         let _: Vec<()> = shards
             .par_iter_mut()
             .enumerate()
@@ -505,6 +603,16 @@ where
                         )
                     })
                     .collect();
+                for v in shard.start..shard.end {
+                    let local = v - shard.start;
+                    if shard.halted[local] {
+                        continue;
+                    }
+                    let ctx = NodeCtx::new(v, n, 1, g.neighbors(v), seed);
+                    if !program.quiescent(&ctx, &shard.states[local]) {
+                        wake_vertex(&mut shard.wake, local);
+                    }
+                }
             })
             .collect();
 
@@ -581,7 +689,7 @@ where
         }
     }
 
-    /// Executes one full round: parallel frontier scan, parallel shard sweep,
+    /// Executes one full round: parallel wake-set drain, parallel shard sweep,
     /// sequential violation/observer/meter resolution, parallel exchange
     /// delivery, buffer swap.
     fn step(&mut self) -> Result<Stepped, RuntimeError> {
@@ -595,22 +703,20 @@ where
             self.sample.start_ns = now;
             self.sample.phase_start_ns[PHASE_SCAN] = now;
         }
-        // Frontier scan (parallel over shards): active vertices per shard.
-        // The per-shard busy timestamp rides in that shard's result slot, so
-        // profiling adds no shared state to the parallel pass.
-        let scans: Vec<(bool, usize, u64)> = self
+        // Scan (parallel over shards): each shard drains its wake set into
+        // its active list. The per-shard busy timestamp rides in that
+        // shard's result slot, so profiling adds no shared state to the
+        // parallel pass.
+        let scans: Vec<(usize, u64)> = self
             .shards
             .par_iter_mut()
             .enumerate()
             .map(|(_, shard)| {
-                if PR::ENABLED {
-                    let busy = Instant::now();
-                    let (all_halted, active) = shard.scan(program, g, n, round, seed);
-                    (all_halted, active, busy.elapsed().as_nanos() as u64)
-                } else {
-                    let (all_halted, active) = shard.scan(program, g, n, round, seed);
-                    (all_halted, active, 0)
-                }
+                let busy = PR::ENABLED.then(Instant::now);
+                let active = shard.scan();
+                #[cfg(debug_assertions)]
+                shard.assert_scan_matches_full_scan(program, g, n, round, seed);
+                (active, busy.map_or(0, |b| b.elapsed().as_nanos() as u64))
             })
             .collect();
         if PR::ENABLED {
@@ -618,15 +724,13 @@ where
                 self.offset_ns() - self.sample.phase_start_ns[PHASE_SCAN];
             self.sample
                 .shard_scan_ns
-                .extend(scans.iter().map(|&(_, _, ns)| ns));
-            self.sample
-                .frontier
-                .extend(scans.iter().map(|&(_, a, _)| a));
+                .extend(scans.iter().map(|&(_, ns)| ns));
+            self.sample.frontier.extend(scans.iter().map(|&(a, _)| a));
         }
-        if scans.iter().all(|&(all_halted, _, _)| all_halted) {
-            return Ok(Stepped::Done);
-        }
-        let active: usize = scans.iter().map(|&(_, a, _)| a).sum();
+        // Done when nothing is scheduled: every vertex has halted (only live
+        // vertices are ever woken), or the fixpoint — live vertices remain
+        // but none has mail or anything left to do.
+        let active: usize = scans.iter().map(|&(a, _)| a).sum();
         if active == 0 {
             return Ok(Stepped::Done);
         }
@@ -855,74 +959,229 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::tests::{Mixer, Wave};
     use crate::executor::Executor;
     use crate::program::Outbox;
     use mfd_graph::generators;
     use mfd_trace::DigestSink;
 
-    /// Mixer from the unsharded tests: state evolution depends on inbox
-    /// order, per-vertex RNG, and round count — a determinism probe.
-    struct Mixer {
-        rounds: u64,
+    /// Records every profiled round's total frontier (active vertices).
+    #[derive(Default)]
+    struct FrontierLog(Vec<usize>);
+
+    impl Profiler for FrontierLog {
+        fn record_round(&mut self, sample: &RoundSample) {
+            self.0.push(sample.frontier.iter().sum());
+        }
     }
 
-    impl NodeProgram for Mixer {
-        type State = u64;
-        type Msg = u64;
-
-        fn init(&self, ctx: &NodeCtx) -> u64 {
-            ctx.id as u64
-        }
-
-        fn round(
-            &self,
-            ctx: &NodeCtx,
-            state: &mut u64,
-            inbox: &[Envelope<u64>],
-            out: &mut Outbox<'_, u64>,
-        ) {
-            for env in inbox {
-                *state = state.wrapping_mul(31).wrapping_add(env.msg);
+    /// Runs `program` on the unsharded executor and on the sharded one over
+    /// shards {1, 2, 3, 8, 64} × threads {1, 4}, and asserts every sharded run
+    /// bit-identical to the reference: states, meter, digest chain, and the
+    /// per-round frontier series (so not only the outputs but the schedule
+    /// itself). Returns the reference states and the (configuration-
+    /// invariant) arena marks for case-specific assertions.
+    fn assert_matches_executor<P>(
+        case: &str,
+        g: &mfd_graph::Graph,
+        program: &P,
+    ) -> (crate::Execution<P::State>, ArenaStats)
+    where
+        P: NodeProgram,
+        P::State: PartialEq + std::fmt::Debug + std::hash::Hash,
+    {
+        let csr = CsrGraph::from_graph(g);
+        let exec_cfg = ExecutorConfig::default();
+        let mut reference_sink = DigestSink::new();
+        let mut reference_log = FrontierLog::default();
+        let reference = Executor::new(exec_cfg.clone())
+            .run_profiled(g, program, &mut reference_sink, &mut reference_log)
+            .unwrap();
+        let mut arenas = Vec::new();
+        for shards in [1, 2, 3, 8, 64] {
+            for threads in [1, 4] {
+                let at = format!("{case}: shards={shards} threads={threads}");
+                let mut cfg = ShardedConfig::matching(&exec_cfg, shards);
+                cfg.threads = threads;
+                let mut sink = DigestSink::new();
+                let mut log = FrontierLog::default();
+                let run = ShardedExecutor::new(cfg)
+                    .run_profiled(&csr, program, &mut sink, &mut log)
+                    .unwrap();
+                assert_eq!(run.states, reference.states, "{at}");
+                assert_eq!(run.rounds, reference.rounds, "{at}");
+                assert_eq!(run.messages, reference.messages, "{at}");
+                assert_eq!(
+                    run.meter.max_words_on_edge(),
+                    reference.meter.max_words_on_edge(),
+                    "{at}"
+                );
+                assert_eq!(sink.heads(), reference_sink.heads(), "{at}: digest chains");
+                assert_eq!(log.0, reference_log.0, "{at}: frontier series");
+                arenas.push(run.arena);
             }
-            *state = state.wrapping_add(ctx.rng().next_u64());
-            if ctx.round < self.rounds {
-                out.broadcast(*state);
-            }
         }
-
-        fn halted(&self, ctx: &NodeCtx, _state: &u64) -> bool {
-            ctx.round >= self.rounds
-        }
+        assert!(arenas.iter().all(|a| *a == arenas[0]), "{case}: arena");
+        (reference, arenas[0])
     }
 
     #[test]
     fn matches_unsharded_states_meter_and_digests_across_shards_and_threads() {
         let g = generators::triangulated_grid(9, 7);
-        let csr = CsrGraph::from_graph(&g);
-        let program = Mixer { rounds: 6 };
-        let exec_cfg = ExecutorConfig::default();
-        let mut reference_sink = DigestSink::new();
-        let reference = Executor::new(exec_cfg.clone())
-            .run_traced(&g, &program, &mut reference_sink)
-            .unwrap();
-        for shards in [1, 2, 3, 8, 64] {
-            for threads in [1, 4] {
-                let mut cfg = ShardedConfig::matching(&exec_cfg, shards);
-                cfg.threads = threads;
-                let mut sink = DigestSink::new();
-                let run = ShardedExecutor::new(cfg)
-                    .run_traced(&csr, &program, &mut sink)
-                    .unwrap();
-                assert_eq!(run.states, reference.states, "s={shards} t={threads}");
-                assert_eq!(run.rounds, reference.rounds);
-                assert_eq!(run.messages, reference.messages);
-                assert_eq!(
-                    run.meter.max_words_on_edge(),
-                    reference.meter.max_words_on_edge()
-                );
-                assert_eq!(sink.heads(), reference_sink.heads(), "digest chains");
+        assert_matches_executor("mixer", &g, &Mixer { rounds: 6 });
+        // 400 vertices: up to seven wake-set words per shard.
+        let wide = generators::grid(20, 20);
+        assert_matches_executor("mixer, wide shards", &wide, &Mixer { rounds: 4 });
+    }
+
+    /// Default `quiescent`: every live vertex is scheduled every round.
+    /// Vertex `v` halts at round `1 + v % period`, and broadcasts a fold of
+    /// what it heard at every round after `quiet` — so neighbours halt at
+    /// different rounds and keep being sent to after they did.
+    struct Staggered {
+        period: u64,
+        quiet: u64,
+    }
+
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    struct StaggeredState {
+        steps: u64,
+        fold: u64,
+    }
+
+    impl NodeProgram for Staggered {
+        type State = StaggeredState;
+        type Msg = u64;
+
+        fn init(&self, ctx: &NodeCtx) -> StaggeredState {
+            StaggeredState {
+                steps: 0,
+                fold: ctx.id as u64,
             }
         }
+
+        fn round(
+            &self,
+            ctx: &NodeCtx,
+            state: &mut StaggeredState,
+            inbox: &[Envelope<u64>],
+            out: &mut Outbox<'_, u64>,
+        ) {
+            state.steps += 1;
+            for env in inbox {
+                state.fold = state.fold.wrapping_mul(31).wrapping_add(env.msg);
+            }
+            if ctx.round > self.quiet {
+                out.broadcast(state.fold);
+            }
+        }
+
+        fn halted(&self, ctx: &NodeCtx, _state: &StaggeredState) -> bool {
+            ctx.round > ctx.id as u64 % self.period
+        }
+    }
+
+    /// A wave whose vertices sit on the token: a vertex that hears it counts
+    /// down `1 + v % 3` rounds — not quiescent, inbox mostly empty — and only
+    /// then forwards it and halts.
+    struct SlowWave;
+
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    struct SlowWaveState {
+        timer: Option<u64>,
+        steps: u64,
+        done: bool,
+    }
+
+    impl NodeProgram for SlowWave {
+        type State = SlowWaveState;
+        type Msg = u64;
+
+        fn init(&self, ctx: &NodeCtx) -> SlowWaveState {
+            SlowWaveState {
+                timer: (ctx.id == 0).then_some(2),
+                steps: 0,
+                done: false,
+            }
+        }
+
+        fn round(
+            &self,
+            ctx: &NodeCtx,
+            state: &mut SlowWaveState,
+            inbox: &[Envelope<u64>],
+            out: &mut Outbox<'_, u64>,
+        ) {
+            state.steps += 1;
+            match state.timer {
+                None if !inbox.is_empty() => state.timer = Some(1 + ctx.id as u64 % 3),
+                None => {}
+                Some(0) => {
+                    out.broadcast(state.steps);
+                    state.done = true;
+                }
+                Some(t) => state.timer = Some(t - 1),
+            }
+        }
+
+        fn halted(&self, _ctx: &NodeCtx, state: &SlowWaveState) -> bool {
+            state.done
+        }
+
+        fn quiescent(&self, _ctx: &NodeCtx, state: &SlowWaveState) -> bool {
+            state.timer.is_none()
+        }
+    }
+
+    #[test]
+    fn wake_set_schedules_exactly_what_the_executor_schedules() {
+        // (i) Default `quiescent`, vertices halting at different rounds.
+        let grid = generators::triangulated_grid(9, 7);
+        let staggered = Staggered {
+            period: 5,
+            quiet: 0,
+        };
+        let (run, _) = assert_matches_executor("staggered", &grid, &staggered);
+        assert_eq!(run.rounds, 5);
+        assert!(run
+            .states
+            .iter()
+            .enumerate()
+            .all(|(v, s)| s.steps == 1 + v as u64 % 5));
+
+        // (ii) Fixpoint exit with live vertices left: the wave never reaches
+        // the second component, whose vertices neither halt nor wake.
+        let islands = generators::path(4).disjoint_union(&generators::path(3));
+        let (run, _) = assert_matches_executor("islands", &islands, &Wave { frontier: true });
+        assert_eq!(run.rounds, 4);
+        assert!(run.states[4..].iter().all(|s| s.hop.is_none()));
+
+        // (iii) Mail to halted vertices only: on a path, even vertices halt
+        // in the silent round 1 and the odd ones broadcast at round 2. The
+        // mail is resident (the arena counts it), wakes nobody, and is
+        // dropped: round 2 is the last and no even vertex is stepped again.
+        let path = generators::path(9);
+        let to_the_halted = Staggered {
+            period: 2,
+            quiet: 1,
+        };
+        let (run, arena) = assert_matches_executor("to the halted", &path, &to_the_halted);
+        assert_eq!((run.rounds, run.messages), (2, 8));
+        assert_eq!(arena.mailbox_slots_hwm, 8);
+        assert!(run.states.iter().step_by(2).all(|s| s.steps == 1));
+
+        // (iv) Non-quiescent on an empty inbox for several rounds running.
+        let (run, _) = assert_matches_executor("slow wave", &grid, &SlowWave);
+        assert!(run.states.iter().all(|s| s.done && s.steps >= 3));
+
+        // The same two waves over shards wider than one wake-set word (400
+        // vertices: seven words at one shard), so the drain crosses word
+        // boundaries and skips all-zero words behind the wavefront.
+        let wide = generators::grid(20, 20);
+        let (run, _) = assert_matches_executor("wide wave", &wide, &Wave { frontier: true });
+        assert_eq!(run.states[399].hop, Some(38));
+        let (run, _) = assert_matches_executor("wide slow wave", &wide, &SlowWave);
+        assert!(run.states.iter().all(|s| s.done));
     }
 
     #[test]

@@ -36,7 +36,7 @@ use mfd_congest::{Message, MeterParts, RoundMeter};
 use mfd_graph::Graph;
 use mfd_runtime::driver::{self, VertexRound};
 use mfd_runtime::{
-    Envelope, Execution, Executor, ExecutorConfig, NodeCtx, NodeProgram, RuntimeError,
+    Envelope, Execution, Executor, ExecutorConfig, NodeCtx, NodeProgram, RuntimeError, SendBuf,
 };
 use mfd_trace::{EngineKind, Event, FateKind, NullSink, RunObserver};
 
@@ -1295,7 +1295,7 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         let program = self.program;
         let ctx = NodeCtx::new(v, self.n, r, &adj[v], self.config.seed);
         let out: VertexRound<P::Msg> =
-            driver::step_vertex(program, &ctx, &mut self.states[v], &inbox);
+            driver::step_vertex(program, &ctx, &mut self.states[v], &inbox, SendBuf::new());
         if let Some(err) = out.violation {
             return Err(RuntimeError::Model(err));
         }
@@ -1305,7 +1305,7 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
                 round: r,
                 vertex: v,
                 inbox: inbox.len(),
-                sent: out.sends.len(),
+                sent: out.sends.msgs.len(),
             });
             self.observer
                 .vertex_state(EngineKind::Sim, r, v, &self.states[v]);
@@ -1315,7 +1315,7 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         if self.per_round.len() < r as usize {
             self.per_round.resize_with(r as usize, Vec::new);
         }
-        self.per_round[(r - 1) as usize].extend(driver::to_messages(v, &out.sends));
+        self.per_round[(r - 1) as usize].extend(driver::to_messages(v, &out.sends.msgs));
 
         // Group this round's sends by destination, preserving send order,
         // with the fault hook ruling on every message *after* it was metered
@@ -1324,7 +1324,7 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         let mut by_nbr: HashMap<usize, Vec<(P::Msg, usize, u64)>> = HashMap::new();
         let mut sent_to: HashMap<usize, usize> = HashMap::new();
         let seed = self.config.seed;
-        for (dst, msg, words) in out.sends {
+        for (dst, msg, words) in out.sends.msgs {
             let counter = sent_to.entry(dst).or_insert(0);
             let index = *counter;
             *counter += 1;

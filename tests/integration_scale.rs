@@ -10,12 +10,17 @@
 //! (3) the `*_csr` entry points of `mfd-core` are a pure representation
 //! boundary, returning exactly what their adjacency-map twins return.
 
+use mfd_congest::{primitives, RoundMeter};
 use mfd_core::clustering::Clustering;
 use mfd_core::edt::{build_edt, build_edt_csr, EdtConfig};
-use mfd_core::programs::{run_bfs, run_bfs_csr, run_voronoi_ldd, run_voronoi_ldd_csr, BfsProgram};
+use mfd_core::programs::{
+    run_bfs, run_bfs_csr, run_voronoi_ldd, run_voronoi_ldd_csr, BfsProgram, ColeVishkinProgram,
+    VoronoiLddProgram,
+};
+use mfd_graph::properties::splitmix64;
 use mfd_graph::{gen, generators, CsrGraph, Graph};
 use mfd_routing::backend::Metered;
-use mfd_runtime::{Executor, ExecutorConfig, ShardedConfig, ShardedExecutor};
+use mfd_runtime::{Executor, ExecutorConfig, NodeProgram, ShardedConfig, ShardedExecutor};
 use mfd_trace::DigestSink;
 use proptest::prelude::*;
 
@@ -103,26 +108,58 @@ proptest! {
     }
 
     /// The sharded executor is bit-identical to the unsharded engine on
-    /// arbitrary graphs, whatever the shard count.
+    /// arbitrary graphs (sparse enough to be disconnected about as often as
+    /// not), whatever the shard count — for a dense program that schedules
+    /// every live vertex every round (Cole–Vishkin on a BFS forest, default
+    /// `quiescent`), and for the two wave programs, whose thin frontiers and
+    /// fixpoint exit (unreached components never halt) exercise the sharded
+    /// engine's wake-set scheduling.
     #[test]
     fn sharded_executor_matches_unsharded_on_random_graphs(
         n in 2usize..40,
-        extra in 0usize..40,
+        edges in 0usize..80,
         seed in 0u64..1000,
         shards in 1usize..9,
+        program in 0usize..3,
     ) {
-        let g = generators::random_gnm(n, n + extra, seed);
-        let reference = Executor::new(ExecutorConfig::default())
-            .run(&g, &BfsProgram { root: 0 })
-            .unwrap();
-        let run = ShardedExecutor::new(ShardedConfig::with_shards_threads(shards, 2))
-            .run(&CsrGraph::from_graph(&g), &BfsProgram { root: 0 })
-            .unwrap();
-        prop_assert_eq!(run.states, reference.states);
-        prop_assert_eq!(run.rounds, reference.rounds);
-        prop_assert_eq!(run.messages, reference.messages);
-        prop_assert_eq!(run.meter.max_words_on_edge(), reference.meter.max_words_on_edge());
+        let g = generators::random_gnm(n, edges, seed);
+        let root = seed as usize % n;
+        match program {
+            0 => {
+                let forest = primitives::build_bfs_tree(&g, None, root, &mut RoundMeter::new());
+                let id = (0..n as u64).map(splitmix64).collect();
+                let cv = ColeVishkinProgram::new(forest.parent, id);
+                sharded_matches_unsharded(&g, &cv, shards);
+            }
+            1 => sharded_matches_unsharded(&g, &BfsProgram { root }, shards),
+            _ => {
+                let centers = [root, (seed / 7) as usize % n];
+                sharded_matches_unsharded(&g, &VoronoiLddProgram::new(n, &centers), shards);
+            }
+        }
     }
+}
+
+/// One differential run: `program` on the unsharded executor against the
+/// sharded one at `shards` shards and 2 threads.
+fn sharded_matches_unsharded<P>(g: &Graph, program: &P, shards: usize)
+where
+    P: NodeProgram,
+    P::State: PartialEq + std::fmt::Debug,
+{
+    let reference = Executor::new(ExecutorConfig::default())
+        .run(g, program)
+        .unwrap();
+    let run = ShardedExecutor::new(ShardedConfig::with_shards_threads(shards, 2))
+        .run(&CsrGraph::from_graph(g), program)
+        .unwrap();
+    assert_eq!(run.states, reference.states);
+    assert_eq!(run.rounds, reference.rounds);
+    assert_eq!(run.messages, reference.messages);
+    assert_eq!(
+        run.meter.max_words_on_edge(),
+        reference.meter.max_words_on_edge()
+    );
 }
 
 /// The mesh family, pinned against a hand-built adjacency construction.
