@@ -1969,8 +1969,10 @@ fn scale_report(heavy: bool) {
     }
 
     // --- Executed (ε, D, T) at a million vertices, through the CSR
-    // representation boundary (the construction pipeline itself runs on the
-    // unsharded engine — see `build_edt_csr`). The mesh family: power-law
+    // representation boundary (see `build_edt_csr`; the gathers and cluster
+    // rounds run on the sharded engine, one shard per thread — the row's
+    // `executor` label is part of its gated series key and stays). The mesh
+    // family: power-law
     // EDT is dominated by the hub clusters' gathers and does not finish in
     // CI time past n ≈ 2^14.
     let (name, g) = &flagship[0];

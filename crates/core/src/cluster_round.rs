@@ -226,14 +226,18 @@ impl NodeProgram for ClusterRoundProgram {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mfd_graph::generators;
     use mfd_runtime::{Executor, ExecutorConfig};
     use mfd_sim::{SimConfig, Simulator};
 
     /// A 2x-blocks clustering of a grid with per-cluster max-degree leaders.
-    fn blocks(g: &Graph, cols: usize, block: usize) -> (Clustering, Vec<usize>, Vec<u64>) {
+    pub(crate) fn blocks(
+        g: &Graph,
+        cols: usize,
+        block: usize,
+    ) -> (Clustering, Vec<usize>, Vec<u64>) {
         let labels: Vec<usize> = (0..g.n())
             .map(|v| (v / cols / block) * cols.div_ceil(block) + (v % cols) / block)
             .collect();

@@ -36,9 +36,12 @@
 //! * [`Executed`] ([`build_edt_with`]): every gather runs as a real
 //!   [`mfd_runtime::NodeProgram`] — strategy selection at the program level
 //!   via [`mfd_routing::programs::select_strategy_program`], batched across
-//!   clusters with [`mfd_runtime::run_on_clusters`] or run on the `mfd-sim`
+//!   clusters with [`mfd_runtime::run_on_induced`] or run on the `mfd-sim`
 //!   event engine — and each cluster-graph round executes a
-//!   [`ClusterRoundProgram`] on the whole graph. No
+//!   [`ClusterRoundProgram`] on the whole graph. The synchronous engine
+//!   under both is the sharded CSR one ([`mfd_runtime::ShardedExecutor`]):
+//!   the construction keeps its [`AmbientGraph`] in both representations,
+//!   converting at most once per build. No
 //!   [`RoundMeter::charge_rounds`] call remains on this path: rounds come
 //!   from the engines' meters, and (with `check_charge`, on by default)
 //!   every executed figure is asserted `≤` the metered charge, demoting the
@@ -54,10 +57,14 @@
 //! the benchmark harness can report the construction-time/routing-time split of
 //! Table 1.
 
+use std::borrow::Cow;
+use std::cell::OnceCell;
+
 use mfd_congest::RoundMeter;
 use mfd_graph::{CsrGraph, Graph};
 use mfd_routing::backend::{Executed, GatherBackend, GatherEngine, GatherJob, Metered};
 use mfd_routing::gather::GatherStrategy;
+use mfd_runtime::{ShardedConfig, ShardedExecutor};
 use mfd_trace::TraceSink;
 
 use crate::cluster_round::ClusterRoundProgram;
@@ -148,6 +155,57 @@ pub struct ClusterRoundSpec<'a> {
     pub max_diam: u64,
 }
 
+/// The graph a construction runs on, in both representations: the
+/// adjacency-map [`Graph`] the decomposition machinery (clusterings, merge
+/// steps, refinement) operates on, and the [`CsrGraph`] whole-graph programs
+/// execute on. The two describe the same graph with the same vertex
+/// numbering; the CSR side is whatever the caller already had
+/// ([`build_edt_csr`]) or is converted on first use and kept, so one build
+/// converts at most once — and a backend that executes nothing, never.
+#[derive(Debug)]
+pub struct AmbientGraph<'a> {
+    graph: &'a Graph,
+    csr: OnceCell<Cow<'a, CsrGraph>>,
+}
+
+impl<'a> AmbientGraph<'a> {
+    /// The ambient graph of a construction that starts from a [`Graph`].
+    pub fn new(graph: &'a Graph) -> Self {
+        AmbientGraph {
+            graph,
+            csr: OnceCell::new(),
+        }
+    }
+
+    /// The ambient graph of a construction that has both representations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two disagree on the vertex or edge count.
+    pub fn with_csr(graph: &'a Graph, csr: &'a CsrGraph) -> Self {
+        assert_eq!(
+            (graph.n(), graph.m()),
+            (csr.n(), csr.m()),
+            "two representations of one graph"
+        );
+        AmbientGraph {
+            graph,
+            csr: OnceCell::from(Cow::Borrowed(csr)),
+        }
+    }
+
+    /// The adjacency-map representation.
+    pub fn graph(&self) -> &'a Graph {
+        self.graph
+    }
+
+    /// The CSR representation.
+    pub fn csr(&self) -> &CsrGraph {
+        self.csr
+            .get_or_init(|| Cow::Owned(CsrGraph::from_graph(self.graph)))
+    }
+}
+
 /// A gather backend that can also account the merging phase's cluster-graph
 /// rounds — everything [`build_edt_with`] needs to obtain rounds.
 pub trait EdtBackend: GatherBackend {
@@ -155,7 +213,7 @@ pub trait EdtBackend: GatherBackend {
     /// exchange, aggregate up — see [`ClusterRoundProgram`]) on `meter`.
     fn cluster_graph_rounds(
         &self,
-        g: &Graph,
+        g: &AmbientGraph<'_>,
         spec: &ClusterRoundSpec<'_>,
         cg_rounds: u64,
         meter: &mut RoundMeter,
@@ -165,7 +223,7 @@ pub trait EdtBackend: GatherBackend {
 impl EdtBackend for Metered {
     fn cluster_graph_rounds(
         &self,
-        _g: &Graph,
+        _g: &AmbientGraph<'_>,
         spec: &ClusterRoundSpec<'_>,
         cg_rounds: u64,
         meter: &mut RoundMeter,
@@ -177,7 +235,7 @@ impl EdtBackend for Metered {
 impl EdtBackend for Executed {
     fn cluster_graph_rounds(
         &self,
-        g: &Graph,
+        g: &AmbientGraph<'_>,
         spec: &ClusterRoundSpec<'_>,
         cg_rounds: u64,
         meter: &mut RoundMeter,
@@ -185,17 +243,18 @@ impl EdtBackend for Executed {
         if cg_rounds == 0 {
             return;
         }
-        let program = ClusterRoundProgram::new(g, spec.clustering, spec.leaders, spec.words);
+        let program =
+            ClusterRoundProgram::new(g.graph(), spec.clustering, spec.leaders, spec.words);
         let run_meter = match &self.engine {
             GatherEngine::Executor(config) => {
-                mfd_runtime::Executor::new(config.clone())
-                    .run(g, &program)
+                ShardedExecutor::new(ShardedConfig::per_thread(config))
+                    .run(g.csr(), &program)
                     .expect("the cluster-round realization is model-compliant")
                     .meter
             }
             GatherEngine::Sim(config) => {
                 mfd_sim::Simulator::new(config.clone())
-                    .run(g, &program)
+                    .run(g.graph(), &program)
                     .expect("the cluster-round realization is model-compliant")
                     .meter
             }
@@ -312,15 +371,18 @@ pub fn build_edt_with<B: EdtBackend>(
 /// here — an O(n + m) copy that is negligible against the construction
 /// itself — and everything downstream, including the returned
 /// [`EdtDecomposition`], refers to the converted graph's (identical) vertex
-/// numbering. Conversion is lossless, so the decomposition and meter are
-/// bit-identical to calling [`build_edt_with`] on
-/// [`CsrGraph::to_graph`]'s result directly.
+/// numbering. The CSR input itself is kept as the other half of the
+/// construction's [`AmbientGraph`]: an [`Executed`] backend runs its
+/// whole-graph cluster rounds on it as it stands. Conversion is lossless, so
+/// the decomposition and meter are bit-identical to calling
+/// [`build_edt_with`] on [`CsrGraph::to_graph`]'s result directly.
 pub fn build_edt_csr<B: EdtBackend>(
     g: &CsrGraph,
     config: &EdtConfig,
     backend: &B,
 ) -> (EdtDecomposition, RoundMeter) {
-    build_edt_with(&g.to_graph(), config, backend)
+    let graph = g.to_graph();
+    build_edt_on(&AmbientGraph::with_csr(&graph, g), config, backend, &mut ())
 }
 
 /// [`build_edt_with`] with phase observability: every merge iteration,
@@ -338,6 +400,17 @@ pub fn build_edt_traced<B: EdtBackend>(
     backend: &B,
     sink: &mut dyn TraceSink,
 ) -> (EdtDecomposition, RoundMeter) {
+    build_edt_on(&AmbientGraph::new(g), config, backend, sink)
+}
+
+/// The construction behind every `build_edt*` entry point.
+fn build_edt_on<B: EdtBackend>(
+    ambient: &AmbientGraph<'_>,
+    config: &EdtConfig,
+    backend: &B,
+    sink: &mut dyn TraceSink,
+) -> (EdtDecomposition, RoundMeter) {
+    let g = ambient.graph();
     let mut meter = RoundMeter::new();
     let eps = config.epsilon;
     let merge_target = eps / 2.0;
@@ -360,7 +433,7 @@ pub fn build_edt_traced<B: EdtBackend>(
             sink.span_open("merge");
             let spent = (meter.rounds(), meter.messages());
             let before = clustering.inter_cluster_edges(g);
-            clustering = merge_step(g, &clustering, fraction, config, backend, &mut meter);
+            clustering = merge_step(ambient, &clustering, fraction, config, backend, &mut meter);
             let after = clustering.inter_cluster_edges(g);
             meter.end_phase();
             sink.span_close(
@@ -496,13 +569,14 @@ pub fn build_edt_traced<B: EdtBackend>(
 /// runs heavy-stars on the cluster graph, drops light links and merges. The gathers
 /// and the cluster-graph rounds all go through `backend`.
 fn merge_step<B: EdtBackend>(
-    g: &Graph,
+    ambient: &AmbientGraph<'_>,
     clustering: &Clustering,
     fraction: f64,
     config: &EdtConfig,
     backend: &B,
     meter: &mut RoundMeter,
 ) -> Clustering {
+    let g = ambient.graph();
     let alpha = config.alpha.max(1) as f64;
     // Information gathering inside every non-singleton cluster so its leader can pick
     // the heaviest incident cluster (step 1 of heavy-stars). Runs in parallel. The
@@ -548,7 +622,7 @@ fn merge_step<B: EdtBackend>(
         words: &words,
         max_diam,
     };
-    backend.cluster_graph_rounds(g, &spec, hs.cluster_graph_rounds + 1, meter);
+    backend.cluster_graph_rounds(ambient, &spec, hs.cluster_graph_rounds + 1, meter);
 
     // Light-link filtering (Lemma 5.3, step 3): a leaf joins its star center only if
     // the connection is heavier than (ε'/32α)·vol(S).
@@ -775,6 +849,102 @@ mod tests {
         assert_eq!(a.routing_rounds, b.routing_rounds);
         assert_eq!(a.construction_rounds, b.construction_rounds);
         assert_eq!(a.min_delivered_fraction, b.min_delivered_fraction);
+    }
+
+    /// The fixtures of `cluster_round.rs`: (graph, columns, block side).
+    fn cluster_round_fixtures() -> Vec<(Graph, usize, usize)> {
+        vec![
+            (generators::triangulated_grid(8, 8), 8, 2),
+            (generators::grid(6, 9), 9, 3),
+            (generators::triangulated_grid(6, 6), 6, 2),
+        ]
+    }
+
+    #[test]
+    fn executed_cluster_graph_rounds_meter_what_either_reference_engine_meters() {
+        use mfd_runtime::{Executor, ExecutorConfig};
+        use mfd_sim::{LatencyModel, SimConfig, Simulator};
+        for (g, cols, block) in cluster_round_fixtures() {
+            let (clustering, leaders, words) = crate::cluster_round::tests::blocks(&g, cols, block);
+            let program = ClusterRoundProgram::new(&g, &clustering, &leaders, &words);
+            let reference = Executor::new(ExecutorConfig::default())
+                .run(&g, &program)
+                .unwrap()
+                .meter;
+            let sim_config =
+                SimConfig::matching(&ExecutorConfig::default(), LatencyModel::Fixed(1));
+            let simulated = Simulator::new(sim_config.clone())
+                .run(&g, &program)
+                .unwrap()
+                .meter;
+            let figures = |m: &RoundMeter| (m.rounds(), m.messages(), m.max_words_on_edge());
+            assert_eq!(figures(&reference), figures(&simulated));
+
+            let spec = ClusterRoundSpec {
+                clustering: &clustering,
+                leaders: &leaders,
+                words: &words,
+                max_diam: clustering.max_cluster_diameter(&g).unwrap() as u64,
+            };
+            let csr = CsrGraph::from_graph(&g);
+            for backend in [
+                Executed::default(),
+                Executed::executor(ExecutorConfig::with_threads(1)),
+                Executed::executor(ExecutorConfig::with_threads(4)),
+                Executed::sim(sim_config.clone()),
+            ] {
+                // Converted on demand, and handed through by `build_edt_csr`.
+                for ambient in [AmbientGraph::new(&g), AmbientGraph::with_csr(&g, &csr)] {
+                    let mut once = RoundMeter::new();
+                    backend.cluster_graph_rounds(&ambient, &spec, 1, &mut once);
+                    assert_eq!(figures(&once), figures(&reference));
+                    // Further rounds replay the one execution's accounting.
+                    let mut thrice = RoundMeter::new();
+                    backend.cluster_graph_rounds(&ambient, &spec, 3, &mut thrice);
+                    assert_eq!(
+                        figures(&thrice),
+                        (
+                            3 * reference.rounds(),
+                            3 * reference.messages(),
+                            reference.max_words_on_edge()
+                        )
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the charge")]
+    fn a_too_small_diameter_bound_trips_the_cluster_round_charge_check() {
+        let g = generators::triangulated_grid(8, 8);
+        let (clustering, leaders, words) = crate::cluster_round::tests::blocks(&g, 8, 2);
+        // 2x2 blocks have diameter 1 and run 2E + 2 = 4 rounds; a claimed
+        // diameter of 0 charges only 2.
+        let spec = ClusterRoundSpec {
+            clustering: &clustering,
+            leaders: &leaders,
+            words: &words,
+            max_diam: 0,
+        };
+        Executed::default().cluster_graph_rounds(
+            &AmbientGraph::new(&g),
+            &spec,
+            1,
+            &mut RoundMeter::new(),
+        );
+    }
+
+    #[test]
+    fn the_ambient_csr_is_the_given_one_or_converted_once() {
+        let g = generators::wheel(12);
+        let csr = CsrGraph::from_graph(&g);
+        let given = AmbientGraph::with_csr(&g, &csr);
+        assert!(std::ptr::eq(given.csr(), &csr));
+        let lazy = AmbientGraph::new(&g);
+        assert!(lazy.csr.get().is_none());
+        assert_eq!(lazy.csr(), &csr);
+        assert!(std::ptr::eq(lazy.csr(), lazy.csr()));
     }
 
     use mfd_graph::Graph;

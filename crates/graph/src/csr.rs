@@ -123,6 +123,64 @@ impl CsrGraph {
         CsrGraph { offsets, targets }
     }
 
+    /// Induced subgraph on the given vertices, in CSR form.
+    ///
+    /// The numbering contract is [`Graph::induced_subgraph`]'s: vertex `i` of
+    /// the subgraph is `vertices[i]`, and the second component maps new
+    /// indices back to original ones. The result equals
+    /// `CsrGraph::from_graph(&g.induced_subgraph(vertices).0)` for the
+    /// [`Graph`] with the same edge set, without building that graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vertices` contains duplicates or out-of-range indices.
+    pub fn induced_subgraph(&self, vertices: &[usize]) -> (CsrGraph, Vec<usize>) {
+        let n = self.n();
+        // As in `Graph::induced_subgraph`: a dense index costs O(n) per call,
+        // which callers inducing many small clusters cannot afford.
+        let sub = if vertices.len().saturating_mul(8) < n {
+            let mut new_index: std::collections::HashMap<usize, usize> =
+                std::collections::HashMap::with_capacity(vertices.len());
+            for (i, &v) in vertices.iter().enumerate() {
+                assert!(v < n, "vertex out of range");
+                assert!(
+                    new_index.insert(v, i).is_none(),
+                    "duplicate vertex in induced_subgraph"
+                );
+            }
+            self.induce(vertices, |w| new_index.get(&w).copied())
+        } else {
+            let mut new_index = vec![usize::MAX; n];
+            for (i, &v) in vertices.iter().enumerate() {
+                assert!(v < n, "vertex out of range");
+                assert!(
+                    new_index[v] == usize::MAX,
+                    "duplicate vertex in induced_subgraph"
+                );
+                new_index[v] = i;
+            }
+            self.induce(vertices, |w| {
+                Some(new_index[w]).filter(|&j| j != usize::MAX)
+            })
+        };
+        (sub, vertices.to_vec())
+    }
+
+    /// Rows of the subgraph induced on `vertices`, given the original → new
+    /// index lookup. Member order is arbitrary, so each row is re-sorted.
+    fn induce(&self, vertices: &[usize], new_index: impl Fn(usize) -> Option<usize>) -> CsrGraph {
+        let mut offsets = Vec::with_capacity(vertices.len() + 1);
+        offsets.push(0);
+        let mut targets = Vec::new();
+        for &v in vertices {
+            let row_start = targets.len();
+            targets.extend(self.neighbors(v).iter().filter_map(|&w| new_index(w)));
+            targets[row_start..].sort_unstable();
+            offsets.push(targets.len());
+        }
+        CsrGraph { offsets, targets }
+    }
+
     /// Converts back to the adjacency-map representation; the exact inverse
     /// of [`CsrGraph::from_graph`] up to neighbor order.
     pub fn to_graph(&self) -> Graph {
@@ -265,6 +323,43 @@ mod tests {
         for v in 0..g.n() {
             assert_eq!(csr.bfs_distances(v), g.bfs_distances(v));
         }
+    }
+
+    #[test]
+    fn induced_subgraph_follows_the_graph_numbering_contract() {
+        let g = generators::triangulated_grid(6, 6);
+        let csr = CsrGraph::from_graph(&g);
+        // Unsorted member lists on the hash-map path (|S|·8 < n) and the
+        // dense one, plus the empty and the full set.
+        for members in [
+            vec![14, 2, 8, 7],
+            vec![35, 0, 1, 6, 7, 30, 29, 28, 22, 21, 3],
+            vec![],
+            (0..g.n()).rev().collect(),
+        ] {
+            let (sub, map) = csr.induced_subgraph(&members);
+            let (expected, expected_map) = g.induced_subgraph(&members);
+            assert_eq!(sub, CsrGraph::from_graph(&expected));
+            assert_eq!(map, expected_map);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate vertex in induced_subgraph")]
+    fn induced_subgraph_rejects_duplicates_on_the_hash_path() {
+        CsrGraph::from_graph(&generators::path(64)).induced_subgraph(&[3, 4, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate vertex in induced_subgraph")]
+    fn induced_subgraph_rejects_duplicates_on_the_dense_path() {
+        CsrGraph::from_graph(&generators::path(4)).induced_subgraph(&[1, 2, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex out of range")]
+    fn induced_subgraph_rejects_out_of_range_vertices() {
+        CsrGraph::from_graph(&generators::path(4)).induced_subgraph(&[1, 4]);
     }
 
     #[test]

@@ -15,9 +15,13 @@
 //! * [`Executed`] — program-level strategy selection
 //!   ([`crate::programs::select_strategy_program`]: tree pipeline, Lemma 2.2
 //!   balancer with conductance routing, walk schedule with tree fallback)
-//!   run for real on the synchronous executor (batched across clusters via
-//!   [`mfd_runtime::run_on_clusters`]) or on the `mfd-sim` discrete-event
-//!   engine. Rounds and messages come from the engines' meters; with
+//!   run for real on the synchronous engine or on the `mfd-sim`
+//!   discrete-event engine. The synchronous engine is the sharded CSR one
+//!   ([`mfd_runtime::ShardedExecutor`]): each cluster is induced once, its
+//!   CSR view is derived from that, and a batch of clusters runs on one
+//!   engine through [`mfd_runtime::run_on_induced`]; no adjacency-map
+//!   `Executor` is built on this path. Rounds and messages come from the
+//!   engines' meters; with
 //!   [`Executed::check_charge`] (on by default) every cluster's executed
 //!   round count is asserted `≤` the metered charge of the same effective
 //!   strategy, so the charged path is demoted from product to cross-checked
@@ -29,8 +33,8 @@
 //! rounds are obtained, never how they compose.
 
 use mfd_congest::RoundMeter;
-use mfd_graph::Graph;
-use mfd_runtime::{run_on_clusters, ExecutorConfig};
+use mfd_graph::{CsrGraph, Graph};
+use mfd_runtime::{run_on_induced, ExecutorConfig, ShardedConfig, ShardedExecutor};
 use mfd_sim::{SimConfig, Simulator};
 use mfd_trace::{Event, TraceSink};
 
@@ -177,8 +181,10 @@ impl GatherBackend for Metered {
 /// The engine an [`Executed`] backend runs its programs on.
 #[derive(Debug, Clone)]
 pub enum GatherEngine {
-    /// The synchronous `mfd-runtime` executor; cluster batches run in
-    /// parallel through [`mfd_runtime::run_on_clusters`].
+    /// The synchronous `mfd-runtime` engine, configured like an `Executor`
+    /// (seed, capacity, budget, thread count) and run on the sharded CSR
+    /// engine; cluster batches run in parallel through
+    /// [`mfd_runtime::run_on_induced`].
     Executor(ExecutorConfig),
     /// The `mfd-sim` discrete-event engine (any latency model; the round
     /// accounting is latency-invariant).
@@ -204,7 +210,8 @@ impl Default for Executed {
 }
 
 impl Executed {
-    /// Executed backend on the synchronous executor.
+    /// Executed backend on the synchronous engine (see
+    /// [`GatherEngine::Executor`]).
     pub fn executor(config: ExecutorConfig) -> Self {
         Executed {
             engine: GatherEngine::Executor(config),
@@ -272,8 +279,8 @@ impl Executed {
     ) -> (GatherReport, RoundMeter) {
         let (states, rounds, messages, engine_meter) = match &self.engine {
             GatherEngine::Executor(config) => {
-                let run = mfd_runtime::Executor::new(config.clone())
-                    .run(cluster, selected)
+                let run = ShardedExecutor::new(ShardedConfig::per_thread(config))
+                    .run(&CsrGraph::from_graph(cluster), selected)
                     .expect("selected gather program is model-compliant");
                 (run.states, run.rounds, run.messages, run.meter)
             }
@@ -358,29 +365,27 @@ impl GatherBackend for Executed {
             // runs with parallel meter folding are equivalent.
             return gather_all_sequential(self, g, jobs, f, strategy, meter, sink);
         };
-        // Select once per cluster up front (planning is deterministic but
-        // not free), then batch the heterogeneous programs through
-        // `run_on_clusters` — `SelectedGather` is itself a `NodeProgram`.
-        let prepared: Vec<(Graph, usize, SelectedGather, SelectionPlans)> = jobs
-            .iter()
-            .map(|job| {
-                let (sub, map) = g.induced_subgraph(&job.members);
-                let leader_local = local_leader(&map, job.leader);
-                let (selected, plans) =
-                    select_strategy_program_with_plans(&sub, leader_local, f, strategy);
-                (sub, leader_local, selected, plans)
-            })
-            .collect();
+        // Induce and select once per cluster up front (planning is
+        // deterministic but not free), then batch the heterogeneous programs
+        // — `SelectedGather` is itself a `NodeProgram` — on the CSR views of
+        // the subgraphs the selection planned on.
+        let mut prepared: Vec<(Graph, usize, SelectionPlans)> = Vec::with_capacity(jobs.len());
+        let mut clusters: Vec<(CsrGraph, SelectedGather)> = Vec::with_capacity(jobs.len());
+        for job in jobs {
+            let (sub, map) = g.induced_subgraph(&job.members);
+            let leader_local = local_leader(&map, job.leader);
+            let (selected, plans) =
+                select_strategy_program_with_plans(&sub, leader_local, f, strategy);
+            clusters.push((CsrGraph::from_graph(&sub), selected));
+            prepared.push((sub, leader_local, plans));
+        }
         let members: Vec<Vec<usize>> = jobs.iter().map(|j| j.members.clone()).collect();
-        let run = run_on_clusters(
-            g,
-            &members,
-            |idx, _sub, _map| prepared[idx].2.clone(),
-            config,
-        )
-        .expect("selected gather programs are model-compliant");
+        let run = run_on_induced(&clusters, members, config)
+            .expect("selected gather programs are model-compliant");
         let mut reports = Vec::with_capacity(jobs.len());
-        for (idx, (sub, leader_local, selected, plans)) in prepared.iter().enumerate() {
+        for (idx, ((sub, leader_local, plans), (_, selected))) in
+            prepared.iter().zip(&clusters).enumerate()
+        {
             let executed = selected.executed_report(
                 &run.cluster_states[idx],
                 run.cluster_rounds[idx],

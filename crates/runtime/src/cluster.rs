@@ -1,13 +1,24 @@
 //! Cluster-scoped execution: run a node program independently on
 //! vertex-disjoint clusters, in parallel, with the paper's parallel-composition
 //! accounting (rounds = max over clusters, messages = sum).
+//!
+//! Every cluster runs on the sharded CSR engine ([`ShardedExecutor`]): one
+//! engine is built per call and shared by all clusters, each cluster is a
+//! [`CsrGraph`] view induced from the ambient graph
+//! ([`CsrGraph::induced_subgraph`]) or handed in already induced
+//! ([`run_on_induced`]), and a round of a cluster costs its frontier and its
+//! messages, not its size. The engine enforces the CONGEST model per cluster
+//! exactly as it does on a whole graph, and is bit-identical to
+//! [`crate::Executor`] on the induced adjacency-map subgraph — the oracle the
+//! tests below compare against.
 
 use mfd_congest::RoundMeter;
-use mfd_graph::Graph;
+use mfd_graph::CsrGraph;
 use rayon::prelude::*;
 
-use crate::executor::{Executor, ExecutorConfig, RuntimeError};
+use crate::executor::{ExecutorConfig, RuntimeError};
 use crate::program::NodeProgram;
+use crate::sharded::{ShardedConfig, ShardedExecution, ShardedExecutor};
 
 /// Result of running a program on every cluster of a partition.
 #[derive(Debug)]
@@ -50,14 +61,16 @@ impl<S> ClusterExecution<S> {
 }
 
 /// Runs one program per cluster on the induced subgraphs of vertex-disjoint
-/// clusters, in parallel across clusters.
+/// clusters of `g`, in parallel across clusters.
 ///
 /// `make_program` receives `(cluster index, induced subgraph, original ids)`
 /// and returns the program for that cluster; vertex `i` of the subgraph is
-/// original vertex `members[i]`. When there are at least as many clusters as
-/// worker threads, each per-cluster executor runs single-threaded (the
-/// cluster-level parallelism already saturates the machine); otherwise the
-/// configured thread count is used inside each cluster.
+/// original vertex `members[i]`. The configured worker threads are shared out
+/// among the clusters: with at least as many clusters as threads every
+/// cluster runs single-threaded on one shard (the cluster-level parallelism
+/// already saturates the machine); with fewer, each cluster gets
+/// `threads / clusters` workers and as many shards, so no more than `threads`
+/// workers ever run. The outputs do not depend on the thread count.
 ///
 /// # Errors
 ///
@@ -66,70 +79,281 @@ impl<S> ClusterExecution<S> {
 ///
 /// # Panics
 ///
-/// Panics if clusters overlap or contain out-of-range vertices (via
-/// [`Graph::induced_subgraph`] on each cluster).
+/// Panics, before anything runs, if a cluster contains an out-of-range vertex
+/// or a vertex appears twice — in one cluster or in two; the message names
+/// the vertex and the clusters.
 pub fn run_on_clusters<P, F>(
-    g: &Graph,
+    g: &CsrGraph,
     clusters: &[Vec<usize>],
     make_program: F,
     config: &ExecutorConfig,
 ) -> Result<ClusterExecution<P::State>, RuntimeError>
 where
     P: NodeProgram,
-    F: Fn(usize, &Graph, &[usize]) -> P + Sync,
+    F: Fn(usize, &CsrGraph, &[usize]) -> P + Sync,
+{
+    assert_disjoint(g.n(), clusters);
+    run_each(clusters.to_vec(), config, |idx, engine| {
+        let (sub, members) = g.induced_subgraph(&clusters[idx]);
+        engine.run(&sub, &make_program(idx, &sub, &members))
+    })
+}
+
+/// [`run_on_clusters`] for callers that have already induced their clusters:
+/// runs `clusters[c].1` on the view `clusters[c].0`, whose vertex `i` is
+/// original vertex `members[c][i]`. Nothing is induced or copied here, and
+/// disjointness of the member lists is the caller's to guarantee.
+///
+/// # Errors
+///
+/// Exactly as [`run_on_clusters`].
+///
+/// # Panics
+///
+/// Panics if `members` is not one list per cluster, each as long as its
+/// view has vertices.
+pub fn run_on_induced<P: NodeProgram>(
+    clusters: &[(CsrGraph, P)],
+    members: Vec<Vec<usize>>,
+    config: &ExecutorConfig,
+) -> Result<ClusterExecution<P::State>, RuntimeError> {
+    assert_eq!(members.len(), clusters.len(), "one member list per cluster");
+    for (c, ((view, _), ids)) in clusters.iter().zip(&members).enumerate() {
+        assert_eq!(ids.len(), view.n(), "cluster {c}: one member per vertex");
+    }
+    run_each(members, config, |idx, engine| {
+        let (view, program) = &clusters[idx];
+        engine.run(view, program)
+    })
+}
+
+/// One pass over all member lists: every vertex in range and listed once.
+fn assert_disjoint(n: usize, clusters: &[Vec<usize>]) {
+    // `owner[v]` is 1 + the cluster that listed `v`, 0 while nobody has.
+    let mut owner = vec![0usize; n];
+    for (idx, cluster) in clusters.iter().enumerate() {
+        for &v in cluster {
+            assert!(
+                v < n,
+                "cluster {idx} contains vertex {v}, out of range for a graph on {n} vertices"
+            );
+            assert!(
+                owner[v] == 0,
+                "clusters must be vertex-disjoint: vertex {v} is in cluster {} and again in \
+                 cluster {idx}",
+                owner[v] - 1
+            );
+            owner[v] = idx + 1;
+        }
+    }
+}
+
+/// Each cluster's share of `threads` workers: all of them for a single
+/// cluster, 1 once there are as many clusters as threads.
+fn threads_per_cluster(threads: usize, clusters: usize) -> usize {
+    (threads / clusters.max(1)).max(1)
+}
+
+/// The shared runner: `run_one(c, engine)` executes cluster `c` on the one
+/// engine built for this call; the per-cluster meters fold in parallel
+/// composition.
+fn run_each<S, F>(
+    members: Vec<Vec<usize>>,
+    config: &ExecutorConfig,
+    run_one: F,
+) -> Result<ClusterExecution<S>, RuntimeError>
+where
+    S: Send,
+    F: Fn(usize, &ShardedExecutor) -> Result<ShardedExecution<S>, RuntimeError> + Sync,
 {
     let threads = if config.threads > 0 {
         config.threads
     } else {
         rayon::current_num_threads()
     };
-    let inner_threads = if clusters.len() >= threads {
-        1
-    } else {
-        threads
-    };
-    let inner_config = ExecutorConfig {
-        threads: inner_threads,
-        ..config.clone()
-    };
+    let per_cluster = threads_per_cluster(threads, members.len());
+    let engine = ShardedExecutor::new(ShardedConfig::matching(
+        &ExecutorConfig {
+            threads: per_cluster,
+            ..config.clone()
+        },
+        per_cluster,
+    ));
 
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
         .expect("thread pool construction cannot fail");
-    type ClusterRun<S> = Result<(Vec<S>, RoundMeter), RuntimeError>;
-    let runs: Vec<ClusterRun<P::State>> = pool.install(|| {
-        (0..clusters.len())
+    let runs: Vec<Result<ShardedExecution<S>, RuntimeError>> = pool.install(|| {
+        (0..members.len())
             .into_par_iter()
-            .map(|idx| {
-                let (sub, members) = g.induced_subgraph(&clusters[idx]);
-                let program = make_program(idx, &sub, &members);
-                let executor = Executor::new(inner_config.clone());
-                executor
-                    .run(&sub, &program)
-                    .map(|exec| (exec.states, exec.meter))
-            })
+            .map(|idx| run_one(idx, &engine))
             .collect()
     });
 
     let mut meter = RoundMeter::with_capacity(config.capacity_words);
-    let mut cluster_states = Vec::with_capacity(clusters.len());
-    let mut cluster_meters = Vec::with_capacity(clusters.len());
+    let mut cluster_states = Vec::with_capacity(members.len());
+    let mut cluster_meters = Vec::with_capacity(members.len());
     for run in runs {
-        let (states, cluster_meter) = run?;
-        cluster_states.push(states);
-        cluster_meters.push(cluster_meter);
+        let run = run?;
+        cluster_states.push(run.states);
+        cluster_meters.push(run.meter);
     }
     let cluster_rounds: Vec<u64> = cluster_meters.iter().map(RoundMeter::rounds).collect();
     let cluster_messages: Vec<u64> = cluster_meters.iter().map(RoundMeter::messages).collect();
     meter.merge_parallel(cluster_meters.iter());
 
     Ok(ClusterExecution {
-        members: clusters.to_vec(),
+        members,
         cluster_states,
         max_rounds: meter.rounds(),
         meter,
         cluster_rounds,
         cluster_messages,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::executor::tests::Mixer;
+    use crate::executor::Executor;
+    use mfd_graph::generators;
+
+    #[test]
+    fn workers_are_shared_out_among_the_clusters() {
+        for (threads, clusters, share) in [
+            (4, 1, 4),
+            (4, 2, 2),
+            (4, 3, 1),
+            (4, 4, 1),
+            (4, 100, 1),
+            (8, 3, 2),
+            (1, 0, 1),
+        ] {
+            assert_eq!(threads_per_cluster(threads, clusters), share);
+            // Never more workers than configured while clusters are scarce.
+            assert!(clusters >= threads || clusters * share <= threads);
+        }
+    }
+
+    /// `parts` vertex-disjoint clusters of the 8x8 triangulated grid (column
+    /// strips), each listed in a scrambled order.
+    fn strips(parts: usize) -> Vec<Vec<usize>> {
+        (0..parts)
+            .map(|p| {
+                let mut members: Vec<usize> = (0..64).filter(|v| v % 8 * parts / 8 == p).collect();
+                members.reverse();
+                members.rotate_left(p + 1);
+                members
+            })
+            .collect()
+    }
+
+    #[test]
+    fn clusters_match_per_cluster_executor_runs_at_every_thread_count() {
+        let g = generators::triangulated_grid(8, 8);
+        let csr = CsrGraph::from_graph(&g);
+        // `Mixer` folds its inbox in order and draws from the per-vertex RNG,
+        // so states pin sender order, local numbering, seed and round count.
+        let program = Mixer { rounds: 7 };
+        // 1 and 2 clusters leave threads to spare at 2 and 4 threads (inner
+        // shards > 1); 8 clusters are the one-shard-per-cluster branch.
+        for parts in [1, 2, 8] {
+            let clusters = strips(parts);
+            let expected: Vec<_> = clusters
+                .iter()
+                .map(|members| {
+                    let (sub, _) = g.induced_subgraph(members);
+                    Executor::new(ExecutorConfig::default())
+                        .run(&sub, &program)
+                        .unwrap()
+                })
+                .collect();
+            for threads in [1, 2, 4] {
+                let config = ExecutorConfig::with_threads(threads);
+                let run = run_on_clusters(&csr, &clusters, |_, _, _| Mixer { rounds: 7 }, &config)
+                    .unwrap();
+                let case = format!("{parts} clusters, {threads} threads");
+                assert_eq!(run.members, clusters, "{case}");
+                for (c, reference) in expected.iter().enumerate() {
+                    assert_eq!(
+                        run.cluster_states[c], reference.states,
+                        "{case}, cluster {c}"
+                    );
+                    assert_eq!(
+                        run.cluster_rounds[c], reference.rounds,
+                        "{case}, cluster {c}"
+                    );
+                    assert_eq!(
+                        run.cluster_messages[c], reference.messages,
+                        "{case}, cluster {c}"
+                    );
+                }
+                let mut folded = RoundMeter::new();
+                folded.merge_parallel(expected.iter().map(|e| &e.meter));
+                assert_eq!(run.meter.rounds(), folded.rounds(), "{case}");
+                assert_eq!(run.max_rounds, folded.rounds(), "{case}");
+                assert_eq!(run.meter.messages(), folded.messages(), "{case}");
+                assert_eq!(
+                    run.meter.max_words_on_edge(),
+                    folded.max_words_on_edge(),
+                    "{case}"
+                );
+
+                // Already-induced views take the same path from there on.
+                let induced: Vec<(CsrGraph, Mixer)> = clusters
+                    .iter()
+                    .map(|m| (csr.induced_subgraph(m).0, Mixer { rounds: 7 }))
+                    .collect();
+                let again = run_on_induced(&induced, clusters.clone(), &config).unwrap();
+                assert_eq!(again.cluster_states, run.cluster_states, "{case}");
+                assert_eq!(again.cluster_rounds, run.cluster_rounds, "{case}");
+                assert_eq!(again.cluster_messages, run.cluster_messages, "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn no_clusters_is_an_empty_run() {
+        let csr = CsrGraph::from_graph(&generators::path(4));
+        let run = run_on_clusters(
+            &csr,
+            &[],
+            |_, _, _| Mixer { rounds: 3 },
+            &ExecutorConfig::default(),
+        )
+        .unwrap();
+        assert!(run.cluster_states.is_empty());
+        assert_eq!((run.max_rounds, run.meter.messages()), (0, 0));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "clusters must be vertex-disjoint: vertex 5 is in cluster 0 and again in cluster 2"
+    )]
+    fn a_vertex_shared_by_two_clusters_is_rejected_up_front() {
+        let csr = CsrGraph::from_graph(&generators::path(12));
+        let clusters = [vec![4, 5, 6], vec![0, 1], vec![7, 5]];
+        let _ = run_on_clusters(
+            &csr,
+            &clusters,
+            |_, _, _| Mixer { rounds: 1 },
+            &ExecutorConfig::default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "cluster 1 contains vertex 12, out of range for a graph on 12 vertices"
+    )]
+    fn an_out_of_range_member_is_rejected_up_front() {
+        let csr = CsrGraph::from_graph(&generators::path(12));
+        let _ = run_on_clusters(
+            &csr,
+            &[vec![0, 1], vec![11, 12]],
+            |_, _, _| Mixer { rounds: 1 },
+            &ExecutorConfig::default(),
+        );
+    }
 }

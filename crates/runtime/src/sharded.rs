@@ -118,6 +118,20 @@ impl ShardedConfig {
         }
     }
 
+    /// [`ShardedConfig::matching`] with one shard per worker thread
+    /// (`exec.threads`, or every available thread when that is 0): the
+    /// layout under which this engine stands in for an [`crate::Executor`]
+    /// built from `exec` — a single shard, and no parallel pass at all, on
+    /// one thread.
+    pub fn per_thread(exec: &ExecutorConfig) -> Self {
+        let shards = if exec.threads > 0 {
+            exec.threads
+        } else {
+            rayon::current_num_threads()
+        };
+        Self::matching(exec, shards)
+    }
+
     /// Config with explicit shard and thread counts, defaults elsewhere.
     pub fn with_shards_threads(shards: usize, threads: usize) -> Self {
         ShardedConfig {

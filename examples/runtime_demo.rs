@@ -9,8 +9,8 @@ use mfd_congest::{primitives, RoundMeter};
 use mfd_core::cole_vishkin::{color_rooted_forest_scheduled, cv_schedule_len, is_proper_coloring};
 use mfd_core::ldd::voronoi_ldd;
 use mfd_core::programs::{run_bfs, run_cole_vishkin, run_voronoi_ldd, BfsProgram};
-use mfd_graph::generators;
 use mfd_graph::properties::splitmix64;
+use mfd_graph::{generators, CsrGraph};
 use mfd_runtime::{run_on_clusters, Executor, ExecutorConfig};
 
 fn main() {
@@ -71,11 +71,11 @@ fn main() {
         clustering.edge_fraction(&g),
     );
 
-    // 4. Cluster-scoped execution: BFS inside every Voronoi cell in parallel,
-    //    with max-round (merge_parallel) accounting.
+    // 4. Cluster-scoped execution: BFS inside every Voronoi cell in parallel
+    //    on the sharded CSR engine, with max-round (merge_parallel) accounting.
     let clusters: Vec<Vec<usize>> = clustering.clusters().map(|c| c.to_vec()).collect();
     let run = run_on_clusters(
-        &g,
+        &CsrGraph::from_graph(&g),
         &clusters,
         |_idx, _sub, _members| BfsProgram { root: 0 },
         &ExecutorConfig::default(),

@@ -3,14 +3,15 @@
 //! differentially validated against the metered implementations.
 
 use mfd_congest::RoundMeter;
-use mfd_graph::{generators, Graph};
+use mfd_graph::{generators, CsrGraph, Graph};
 use mfd_routing::gather::{gather_to_leader, tree_gather, GatherStrategy};
 use mfd_routing::load_balance::{LoadBalanceParams, LoadBalancePlan};
 use mfd_routing::programs::{
-    execute_gather, GatherProgram, LoadBalanceProgram, TreeGatherProgram, WalkScheduleProgram,
+    execute_gather, select_strategy_program, GatherProgram, LoadBalanceProgram, SelectedGather,
+    TreeGatherProgram, WalkScheduleProgram,
 };
 use mfd_routing::walks::{plan_walk_schedule, WalkParams, WalkPlan};
-use mfd_runtime::ExecutorConfig;
+use mfd_runtime::{run_on_clusters, run_on_induced, Executor, ExecutorConfig};
 use mfd_sim::{run_both, LatencyModel, SimConfig, Simulator};
 use proptest::prelude::*;
 
@@ -188,6 +189,117 @@ fn executed_rounds_within_charged_bound_on_acceptance_families() {
             charged.rounds
         );
         assert_eq!(executed.per_vertex_delivered, charged.per_vertex_delivered);
+    }
+}
+
+/// The migration oracle of the cluster runner: a heterogeneous batch — tree
+/// pipeline, token balancer, walk schedule and the walk's tree fallback, one
+/// per cluster — run on the sharded CSR engine reports, cluster by cluster,
+/// exactly what `Executor::run` reports on `Graph::induced_subgraph`, at
+/// every thread count and on both sides of the clusters-vs-threads split.
+#[test]
+fn cluster_runner_matches_per_cluster_executor_runs_on_heterogeneous_batches() {
+    let walk = GatherStrategy::WalkSchedule(test_walk_params());
+    let balancer = GatherStrategy::LoadBalance(LoadBalanceParams::default());
+    let mut parts: Vec<(Graph, GatherStrategy)> = acceptance_families()
+        .into_iter()
+        .map(|(_, g)| g)
+        .zip([GatherStrategy::TreePipeline, walk.clone(), balancer])
+        .collect();
+    // The 64-spoke wheel's plan misses the failure budget under the test
+    // caps (the fallback); the 32-spoke one's does not.
+    parts.push((generators::wheel(32), walk));
+
+    // One ambient graph holding the parts side by side, consecutive parts
+    // joined by an edge the induced views must drop; members are listed in a
+    // scrambled order, so local numbering differs from the ambient one.
+    let total: usize = parts.iter().map(|(g, _)| g.n()).sum();
+    let mut ambient = Graph::new(total);
+    let mut clusters: Vec<Vec<usize>> = Vec::new();
+    let mut offset = 0;
+    for (i, (g, _)) in parts.iter().enumerate() {
+        for (u, v) in g.edges() {
+            ambient.add_edge(offset + u, offset + v);
+        }
+        if offset > 0 {
+            ambient.add_edge(offset - 1, offset);
+        }
+        let mut members: Vec<usize> = (offset..offset + g.n()).rev().collect();
+        members.rotate_left(3 * i + 1);
+        clusters.push(members);
+        offset += g.n();
+    }
+
+    let selected: Vec<(Graph, SelectedGather)> = clusters
+        .iter()
+        .zip(&parts)
+        .map(|(members, (part, strategy))| {
+            let (sub, _) = ambient.induced_subgraph(members);
+            assert_eq!(sub.m(), part.m(), "the joining edges are dropped");
+            let program = select_strategy_program(&sub, max_degree_vertex(&sub), 0.1, strategy);
+            (sub, program)
+        })
+        .collect();
+    let mut names: Vec<&str> = selected.iter().map(|(_, p)| p.strategy_name()).collect();
+    names.sort_unstable();
+    assert_eq!(
+        names,
+        [
+            "load-balance",
+            "tree-pipeline",
+            "walk-schedule",
+            "walk-schedule(tree-fallback)"
+        ]
+    );
+    let reference: Vec<_> = selected
+        .iter()
+        .map(|(sub, program)| {
+            Executor::new(ExecutorConfig::default())
+                .run(sub, program)
+                .unwrap()
+        })
+        .collect();
+
+    let csr = CsrGraph::from_graph(&ambient);
+    // Batches of 1 and 2 clusters leave threads to spare at 2 and 4 threads
+    // (more than one shard inside a cluster); the full batch does not.
+    for batch in [1, 2, clusters.len()] {
+        let views: Vec<(CsrGraph, SelectedGather)> = selected[..batch]
+            .iter()
+            .map(|(sub, program)| (CsrGraph::from_graph(sub), program.clone()))
+            .collect();
+        let mut folded = RoundMeter::new();
+        folded.merge_parallel(reference[..batch].iter().map(|r| &r.meter));
+        for threads in [1, 2, 4] {
+            let config = ExecutorConfig::with_threads(threads);
+            let induced = run_on_induced(&views, clusters[..batch].to_vec(), &config).unwrap();
+            let from_ambient = run_on_clusters(
+                &csr,
+                &clusters[..batch],
+                |idx, view, members| {
+                    assert_eq!(view, &views[idx].0);
+                    assert_eq!(members, &clusters[idx][..]);
+                    selected[idx].1.clone()
+                },
+                &config,
+            )
+            .unwrap();
+            for run in [&induced, &from_ambient] {
+                let case = format!("batch of {batch}, {threads} threads");
+                for (c, expected) in reference[..batch].iter().enumerate() {
+                    assert_eq!(run.cluster_states[c], expected.states, "{case}, {c}");
+                    assert_eq!(run.cluster_rounds[c], expected.rounds, "{case}, {c}");
+                    assert_eq!(run.cluster_messages[c], expected.messages, "{case}, {c}");
+                }
+                assert_eq!(run.meter.rounds(), folded.rounds(), "{case}");
+                assert_eq!(run.meter.messages(), folded.messages(), "{case}");
+                assert_eq!(
+                    run.meter.max_words_on_edge(),
+                    folded.max_words_on_edge(),
+                    "{case}"
+                );
+            }
+        }
     }
 }
 

@@ -9,7 +9,7 @@ use mfd_core::cole_vishkin::{color_rooted_forest_scheduled, cv_schedule_len, is_
 use mfd_core::ldd::{chop_ldd, region_growing_ldd, voronoi_ldd};
 use mfd_core::programs::{run_bfs, run_cole_vishkin, run_voronoi_ldd, BfsProgram};
 use mfd_graph::properties::splitmix64;
-use mfd_graph::{generators, Graph};
+use mfd_graph::{generators, CsrGraph, Graph};
 use mfd_runtime::{
     run_on_clusters, Envelope, Executor, ExecutorConfig, NodeCtx, NodeProgram, Outbox, RuntimeError,
 };
@@ -113,7 +113,7 @@ fn cluster_scoped_bfs_matches_per_cluster_centralized_runs() {
     let clustering = chop_ldd(&g, 0.3, 3);
     let clusters: Vec<Vec<usize>> = clustering.clusters().map(|c| c.to_vec()).collect();
     let run = run_on_clusters(
-        &g,
+        &CsrGraph::from_graph(&g),
         &clusters,
         |_idx, _sub, _members| BfsProgram { root: 0 },
         &ExecutorConfig::default(),

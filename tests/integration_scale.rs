@@ -12,14 +12,14 @@
 
 use mfd_congest::{primitives, RoundMeter};
 use mfd_core::clustering::Clustering;
-use mfd_core::edt::{build_edt, build_edt_csr, EdtConfig};
+use mfd_core::edt::{build_edt, build_edt_csr, build_edt_with, EdtConfig};
 use mfd_core::programs::{
     run_bfs, run_bfs_csr, run_voronoi_ldd, run_voronoi_ldd_csr, BfsProgram, ColeVishkinProgram,
     VoronoiLddProgram,
 };
 use mfd_graph::properties::splitmix64;
 use mfd_graph::{gen, generators, CsrGraph, Graph};
-use mfd_routing::backend::Metered;
+use mfd_routing::backend::{Executed, Metered};
 use mfd_runtime::{Executor, ExecutorConfig, NodeProgram, ShardedConfig, ShardedExecutor};
 use mfd_trace::DigestSink;
 use proptest::prelude::*;
@@ -105,6 +105,42 @@ proptest! {
             prop_assert_eq!(CsrGraph::from_graph(&adjacency), g.clone());
             prop_assert_eq!(CsrGraph::from_graph(&g.to_graph()), g);
         }
+    }
+
+    /// `CsrGraph::induced_subgraph` is `Graph::induced_subgraph` followed by
+    /// the conversion, for member lists in any order, on the hash-map path
+    /// (`8·|S| < n`) and on the dense one — and rejects what its twin rejects.
+    #[test]
+    fn csr_induced_subgraph_matches_the_adjacency_map_twin(
+        n in 2usize..120,
+        edge_factor in 1usize..4,
+        keep in 1usize..100,
+        seed in 0u64..1000,
+    ) {
+        let g = generators::random_gnm(n, edge_factor * n, seed);
+        let csr = CsrGraph::from_graph(&g);
+        // A shuffled subset: order the vertices by a seeded hash, keep a
+        // prefix (down to a single vertex, up to every one).
+        let mut members: Vec<usize> = (0..n).collect();
+        members.sort_unstable_by_key(|&v| splitmix64(seed ^ ((v as u64) << 20)));
+        members.truncate((keep * n).div_ceil(100));
+        for take in [members.len(), members.len().min(n / 9)] {
+            let members = &members[..take];
+            let (sub, map) = csr.induced_subgraph(members);
+            let (expected, expected_map) = g.induced_subgraph(members);
+            assert_valid_csr(&sub);
+            prop_assert_eq!(sub, CsrGraph::from_graph(&expected));
+            prop_assert_eq!(map, expected_map);
+        }
+        let rejected = |bad: usize| {
+            let mut members = members.clone();
+            members.push(bad);
+            let by_csr = std::panic::catch_unwind(|| csr.induced_subgraph(&members)).is_err();
+            let by_graph = std::panic::catch_unwind(|| g.induced_subgraph(&members)).is_err();
+            by_csr && by_graph
+        };
+        prop_assert!(rejected(members[0]), "duplicate member");
+        prop_assert!(rejected(n), "out-of-range member");
     }
 
     /// The sharded executor is bit-identical to the unsharded engine on
@@ -252,5 +288,16 @@ fn csr_entry_points_match_their_adjacency_map_twins() {
         assert_eq!(edt_csr.epsilon_achieved, edt.epsilon_achieved);
         assert_eq!(emeter_csr.rounds(), emeter.rounds());
         assert_eq!(emeter_csr.messages(), emeter.messages());
+
+        // Executed, the CSR input is more than a detour: the whole-graph
+        // cluster rounds run on it as handed in.
+        let backend = Executed::default();
+        let (run, rmeter) = build_edt_with(&csr.to_graph(), &EdtConfig::new(0.3), &backend);
+        let (run_csr, rmeter_csr) = build_edt_csr(&csr, &EdtConfig::new(0.3), &backend);
+        assert_eq!(run_csr.clustering, run.clustering);
+        assert_eq!(run_csr.routing_rounds, run.routing_rounds);
+        assert_eq!(rmeter_csr.rounds(), rmeter.rounds());
+        assert_eq!(rmeter_csr.messages(), rmeter.messages());
+        assert_eq!(rmeter_csr.max_words_on_edge(), rmeter.max_words_on_edge());
     }
 }
