@@ -6,10 +6,10 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, Criterion};
 use mfd_bench::{f3, Table};
 use mfd_congest::{primitives, RoundMeter};
-use mfd_core::programs::{run_bfs, run_cole_vishkin, run_voronoi_ldd};
+use mfd_core::programs::{run_bfs_csr, run_voronoi_ldd_csr, ColeVishkinProgram};
 use mfd_graph::properties::splitmix64;
-use mfd_graph::{generators, Graph};
-use mfd_runtime::{Executor, ExecutorConfig};
+use mfd_graph::{generators, CsrGraph, Graph};
+use mfd_runtime::{ShardedConfig, ShardedExecutor};
 
 fn bench_families() -> Vec<(&'static str, Graph)> {
     vec![
@@ -32,10 +32,10 @@ fn thread_counts() -> Vec<usize> {
 
 /// One full workload: BFS flood + Cole–Vishkin on the BFS forest + Voronoi
 /// assignment from 16 deterministic centers.
-fn run_workload(g: &Graph, parent: &[usize], id: &[u64], centers: &[usize], exec: &Executor) {
-    run_bfs(g, 0, exec).unwrap();
-    run_cole_vishkin(g, parent, id, exec).unwrap();
-    run_voronoi_ldd(g, centers, exec).unwrap();
+fn run_workload(g: &CsrGraph, cv: &ColeVishkinProgram, centers: &[usize], exec: &ShardedExecutor) {
+    run_bfs_csr(g, 0, exec).unwrap();
+    exec.run(g, cv).unwrap();
+    run_voronoi_ldd_csr(g, centers, exec).unwrap();
 }
 
 fn print_speedup_table() {
@@ -60,20 +60,22 @@ fn print_speedup_table() {
         let mut meter = RoundMeter::new();
         let tree = primitives::build_bfs_tree(&g, None, 0, &mut meter);
         let id: Vec<u64> = (0..g.n() as u64).map(splitmix64).collect();
+        let cv = ColeVishkinProgram::new(tree.parent.clone(), id);
         let centers: Vec<usize> = (0..16).map(|i| (i * g.n()) / 16).collect();
+        let csr = CsrGraph::from_graph(&g);
         let mut base_ms = None;
         for threads in thread_counts() {
-            let exec = Executor::new(ExecutorConfig::with_threads(threads));
+            let exec = ShardedExecutor::new(ShardedConfig::with_shards_threads(threads, threads));
             // Warm up once, then take the best of three runs.
-            run_workload(&g, &tree.parent, &id, &centers, &exec);
+            run_workload(&csr, &cv, &centers, &exec);
             let mut best = f64::INFINITY;
             for _ in 0..3 {
                 let t0 = Instant::now();
-                run_workload(&g, &tree.parent, &id, &centers, &exec);
+                run_workload(&csr, &cv, &centers, &exec);
                 best = best.min(t0.elapsed().as_secs_f64() * 1e3);
             }
             let base = *base_ms.get_or_insert(best);
-            let (_, bfs_meter) = run_bfs(&g, 0, &exec).unwrap();
+            let (_, bfs_meter) = run_bfs_csr(&csr, 0, &exec).unwrap();
             table.row(vec![
                 name.to_string(),
                 g.n().to_string(),
@@ -95,20 +97,22 @@ fn bench_runtime(c: &mut Criterion) {
     let mut meter = RoundMeter::new();
     let tree = primitives::build_bfs_tree(&g, None, 0, &mut meter);
     let id: Vec<u64> = (0..g.n() as u64).map(splitmix64).collect();
+    let cv = ColeVishkinProgram::new(tree.parent.clone(), id);
     let centers: Vec<usize> = (0..16).map(|i| (i * g.n()) / 16).collect();
+    let csr = CsrGraph::from_graph(&g);
 
     let mut group = c.benchmark_group("runtime");
     group.sample_size(10);
     for threads in thread_counts() {
-        let exec = Executor::new(ExecutorConfig::with_threads(threads));
+        let exec = ShardedExecutor::new(ShardedConfig::with_shards_threads(threads, threads));
         group.bench_function(format!("cole_vishkin_trigrid120_t{threads}"), |b| {
-            b.iter(|| run_cole_vishkin(&g, &tree.parent, &id, &exec).unwrap())
+            b.iter(|| exec.run(&csr, &cv).unwrap())
         });
         group.bench_function(format!("bfs_trigrid120_t{threads}"), |b| {
-            b.iter(|| run_bfs(&g, 0, &exec).unwrap())
+            b.iter(|| run_bfs_csr(&csr, 0, &exec).unwrap())
         });
         group.bench_function(format!("voronoi16_trigrid120_t{threads}"), |b| {
-            b.iter(|| run_voronoi_ldd(&g, &centers, &exec).unwrap())
+            b.iter(|| run_voronoi_ldd_csr(&csr, &centers, &exec).unwrap())
         });
     }
     group.finish();

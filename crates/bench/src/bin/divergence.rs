@@ -35,9 +35,9 @@
 //! for scripting; `round` and `vertices` are `null` when the runs agree.
 
 use mfd_bench::trace::{executor_chain, sim_chain, DivergenceProbe};
-use mfd_graph::Graph;
+use mfd_graph::{CsrGraph, Graph};
 use mfd_replay::Journal;
-use mfd_runtime::{Executor, ExecutorConfig};
+use mfd_runtime::ExecutorConfig;
 use mfd_sim::LatencyModel;
 use mfd_trace::{first_divergence, DigestSink, EngineKind};
 
@@ -211,8 +211,8 @@ fn compare_against(
     let mut sink = DigestSink::with_reference(reference);
     match journal.header.engine {
         EngineKind::Executor => {
-            Executor::new(cfg.clone())
-                .run_traced(g, probe, &mut sink)
+            mfd_bench::sync_executor(cfg)
+                .run_traced(&CsrGraph::from_graph(g), probe, &mut sink)
                 .expect("probe is model-compliant");
         }
         EngineKind::Sim => {
@@ -240,6 +240,7 @@ fn compare_against(
 fn main() {
     let opts = parse_args();
     let g = family(&opts.graph);
+    let csr = CsrGraph::from_graph(&g);
     let cfg = ExecutorConfig::default();
     let clean = DivergenceProbe::clean(opts.rounds);
     if !opts.json {
@@ -260,8 +261,8 @@ fn main() {
         compare_against(path, &g, &probe, &cfg)
     } else if opts.self_compare {
         // Same engine, same seed, twice: the determinism smoke test.
-        let (a, _) = executor_chain(&g, &clean, &cfg).expect("probe is model-compliant");
-        let (b, _) = executor_chain(&g, &clean, &cfg).expect("probe is model-compliant");
+        let (a, _) = executor_chain(&csr, &clean, &cfg).expect("probe is model-compliant");
+        let (b, _) = executor_chain(&csr, &clean, &cfg).expect("probe is model-compliant");
         compare("run A", &a, "run B", &b)
     } else if let Some((round, vertex)) = opts.inject {
         assert!(vertex < g.n(), "--inject vertex {vertex} out of range");
@@ -271,8 +272,8 @@ fn main() {
             opts.rounds
         );
         let probe = DivergenceProbe::perturbed(opts.rounds, round, vertex);
-        let (a, _) = executor_chain(&g, &clean, &cfg).expect("probe is model-compliant");
-        let (b, _) = executor_chain(&g, &probe, &cfg).expect("probe is model-compliant");
+        let (a, _) = executor_chain(&csr, &clean, &cfg).expect("probe is model-compliant");
+        let (b, _) = executor_chain(&csr, &probe, &cfg).expect("probe is model-compliant");
         if !opts.json {
             println!("injected: vertex {vertex} corrupted at round {round} in run B");
         }
@@ -280,7 +281,7 @@ fn main() {
     } else {
         // The cross-engine differential: synchronous executor vs the
         // discrete-event engine at unit latency.
-        let (a, _) = executor_chain(&g, &clean, &cfg).expect("probe is model-compliant");
+        let (a, _) = executor_chain(&csr, &clean, &cfg).expect("probe is model-compliant");
         let (b, _) =
             sim_chain(&g, &clean, &cfg, LatencyModel::Fixed(1)).expect("probe is model-compliant");
         compare("executor", &a, "sim(fixed-1)", &b)

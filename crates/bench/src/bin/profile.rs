@@ -22,8 +22,8 @@
 //! localizer to name its onset round.
 
 use mfd_bench::profiling::{
-    csv_phase_series, parse_adj_graph, parse_csr_graph, parse_rounds_csv, profile_executor_algo,
-    profile_sharded_algo, rounds_csv, Algo, ProfiledRun,
+    csv_phase_series, parse_csr_graph, parse_rounds_csv, profile_sharded_algo, rounds_csv, Algo,
+    ProfiledRun,
 };
 use mfd_prof::{calibrate_threshold, chrome_profile, first_regression};
 use mfd_runtime::profile::{PHASES, PHASE_NAMES};
@@ -35,7 +35,7 @@ fn usage() -> ! {
          workload options (summary/rounds/matrix/chrome, and localize --self/--inject):\n\
          --graph <mesh-RxC|rmat-S-efE|power-law-2^K|tri-grid-RxC>  (default mesh-200x200)\n\
          --algo <bfs|ldd-K>                                        (default ldd-64)\n\
-         --shards <N>   shard count, sharded engine only           (default 16)\n\
+         --shards <N>   shard count                                (default 16)\n\
          --threads <N>  worker threads, 0 = all cores              (default 0)\n\
          --out <file>   write output to a file (rounds/chrome)\n\
          \n\
@@ -129,9 +129,6 @@ fn run_workload(o: &Opts) -> ProfiledRun {
         std::process::exit(2);
     });
     let label = format!("{}/{}", o.graph, o.algo);
-    if let Some(g) = parse_adj_graph(&o.graph) {
-        return profile_executor_algo(&g, algo, o.threads, &label);
-    }
     let Some(csr) = parse_csr_graph(&o.graph) else {
         eprintln!("error: unknown graph spec {:?}", o.graph);
         std::process::exit(2);

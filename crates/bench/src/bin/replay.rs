@@ -8,7 +8,7 @@
 //! replay record --out run.mfdj [--engine executor|sim|faulted] \
 //!               [--rounds 16] [--graph tri-grid-8x8] [--every 4] [--loss 0.25]
 //! replay verify --journal run.mfdj
-//! replay resume --journal run.mfdj [--at R]
+//! replay resume --journal run.mfdj [--at R] [--graph G]
 //! replay dump   --journal run.mfdj --round R
 //! replay diff   --journal run.mfdj --round R1 --round-b R2 [--journal-b other.mfdj]
 //! ```
@@ -24,7 +24,9 @@
 //! `resume` restores the nearest checkpoint at-or-below `--at` (default: the
 //! last checkpoint), re-executes the suffix, and asserts the continued
 //! digest chain equals the journal's chain round for round — the
-//! bit-identical-resume guarantee, checked on every invocation.
+//! bit-identical-resume guarantee, checked on every invocation. `--graph`
+//! overrides the graph the label names; a checkpoint that does not fit the
+//! graph it is restored onto is a one-line error and a non-zero exit.
 //!
 //! `dump` restores the nearest checkpoint below the target round and steps
 //! forward to it. On the executor, rounds are exact. On the event engine,
@@ -39,9 +41,9 @@ use mfd_bench::replay::{
 };
 use mfd_bench::trace::DivergenceProbe;
 use mfd_faults::{FaultModel, Reliable};
-use mfd_graph::Graph;
+use mfd_graph::{CsrGraph, Graph};
 use mfd_replay::Journal;
-use mfd_runtime::{ExecCheckpoint, Executor, ExecutorConfig};
+use mfd_runtime::{ExecCheckpoint, ExecutorConfig};
 use mfd_sim::{FaultOutcome, LatencyModel, SimCheckpoint, SimConfig, Simulator};
 use mfd_trace::{EngineKind, NullSink};
 
@@ -114,7 +116,7 @@ fn record(out: &str, engine: &str, spec: &RunSpec, every: u64) {
     let label = spec.label();
     let journal = match (engine, spec.loss) {
         ("executor", None) => {
-            executor_journal(&g, &probe, &cfg, every, &label)
+            executor_journal(&CsrGraph::from_graph(&g), &probe, &cfg, every, &label)
                 .expect("probe is model-compliant")
                 .journal
         }
@@ -175,10 +177,10 @@ fn verify(path: &str) {
     }
 }
 
-fn resume(path: &str, at: Option<u64>) {
+fn resume(path: &str, at: Option<u64>, graph: Option<&str>) {
     let journal = load(path);
     let spec = RunSpec::parse(&journal.header.label);
-    let g = family(&spec.graph);
+    let g = family(graph.unwrap_or(&spec.graph));
     let cfg = ExecutorConfig::default();
     let at = at.unwrap_or_else(|| {
         journal
@@ -190,7 +192,11 @@ fn resume(path: &str, at: Option<u64>) {
     let probe = DivergenceProbe::clean(spec.rounds);
     let (from_round, replayed, chain) = match (journal.header.engine, spec.loss) {
         (EngineKind::Executor, None) => {
-            let r = resume_executor(&journal, at, &g, &probe, &cfg).expect("journal resumes");
+            let csr = CsrGraph::from_graph(&g);
+            let r = resume_executor(&journal, at, &csr, &probe, &cfg).unwrap_or_else(|e| {
+                eprintln!("error: cannot resume {path:?} at round {at}: {e}");
+                std::process::exit(1);
+            });
             (r.from_round, r.rounds_replayed, r.sink.chain())
         }
         (EngineKind::Sim, None) => {
@@ -242,32 +248,28 @@ fn states_at(journal: &Journal, target: u64) -> (u64, Vec<u64>) {
     let mut hit: Option<(u64, Vec<u64>)> = None;
     match journal.header.engine {
         EngineKind::Executor => {
-            let mut capture = |cp: ExecCheckpoint<u64, u64>, _: &NullSink| {
-                if hit.is_none() && cp.round >= target {
-                    hit = Some((cp.round, cp.states));
-                }
-            };
-            match journal.checkpoint_at(target) {
+            // Restore the nearest checkpoint below the target, step to it.
+            let csr = CsrGraph::from_graph(&g);
+            let exec = mfd_bench::sync_executor(&cfg);
+            let mut sink = NullSink;
+            let (mut reached, mut session) = match journal.checkpoint_at(target) {
                 Some(cp) => {
                     let restored: ExecCheckpoint<u64, u64> =
                         journal.decode_checkpoint(cp).expect("journal decodes");
-                    if restored.round == target {
-                        return (target, restored.states);
-                    }
-                    Executor::new(cfg).resume_checkpointed(
-                        &g,
-                        &probe,
-                        restored,
-                        &mut NullSink,
-                        1,
-                        &mut capture,
-                    )
+                    let session = exec
+                        .restore(&csr, &probe, restored, &mut sink)
+                        .expect("a journal's checkpoint fits the graph its label names");
+                    (cp.round, session)
                 }
-                None => {
-                    Executor::new(cfg).run_checkpointed(&g, &probe, &mut NullSink, 1, &mut capture)
-                }
+                None => (0, exec.start(&csr, &probe, &mut sink)),
+            };
+            while reached < target {
+                reached = session
+                    .step()
+                    .expect("probe is model-compliant")
+                    .unwrap_or_else(|| panic!("the run ended before round {target}"));
             }
-            .expect("probe is model-compliant");
+            return (reached, session.finish().states);
         }
         EngineKind::Sim => {
             let mut capture = |cp: SimCheckpoint<u64, u64>, _: &NullSink| {
@@ -341,7 +343,7 @@ fn main() {
     let mut journal: Option<String> = None;
     let mut journal_b: Option<String> = None;
     let mut rounds = 16u64;
-    let mut graph = "tri-grid-8x8".to_string();
+    let mut graph: Option<String> = None;
     let mut every = 4u64;
     let mut loss: Option<f64> = None;
     let mut at: Option<u64> = None;
@@ -359,7 +361,7 @@ fn main() {
             "--journal" => journal = Some(take()),
             "--journal-b" => journal_b = Some(take()),
             "--rounds" => rounds = take().parse().expect("--rounds takes an integer"),
-            "--graph" => graph = take(),
+            "--graph" => graph = Some(take()),
             "--every" => every = take().parse().expect("--every takes an integer"),
             "--loss" => loss = Some(take().parse().expect("--loss takes a probability")),
             "--at" => at = Some(take().parse().expect("--at takes a round number")),
@@ -375,14 +377,18 @@ fn main() {
                 loss = Some(loss.unwrap_or(0.25));
             }
             let spec = RunSpec {
-                graph,
+                graph: graph.unwrap_or_else(|| "tri-grid-8x8".to_string()),
                 rounds,
                 loss,
             };
             record(&out, &engine, &spec, every);
         }
         "verify" => verify(&journal.expect("verify requires --journal")),
-        "resume" => resume(&journal.expect("resume requires --journal"), at),
+        "resume" => resume(
+            &journal.expect("resume requires --journal"),
+            at,
+            graph.as_deref(),
+        ),
         "dump" => dump(
             &journal.expect("dump requires --journal"),
             round.expect("dump requires --round"),

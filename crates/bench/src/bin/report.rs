@@ -19,7 +19,7 @@ use mfd_apps::mis::{approximate_mis, MisConfig};
 use mfd_apps::property_testing::{test_property, Planarity};
 use mfd_apps::solvers;
 use mfd_apps::vertex_cover::{approximate_vertex_cover, VertexCoverConfig};
-use mfd_bench::profiling::{profile_executor_algo, profile_sharded_algo, Algo};
+use mfd_bench::profiling::{profile_sharded_algo, Algo};
 use mfd_bench::{acceptance_families, f3, unknown_section_message, Table, SECTIONS};
 use mfd_congest::RoundMeter;
 use mfd_core::edt::{build_edt, build_edt_csr, build_edt_traced, EdtConfig};
@@ -612,14 +612,15 @@ impl RuntimeRow {
 /// models, appending one row per engine.
 fn run_engines<P: NodeProgram>(
     g: &mfd_graph::Graph,
+    csr: &CsrGraph,
     program: &P,
     graph_name: &str,
     prog_name: &'static str,
     rows: &mut Vec<RuntimeRow>,
 ) {
     let cfg = ExecutorConfig::default();
-    let sync = Executor::new(cfg.clone())
-        .run(g, program)
+    let sync = mfd_bench::sync_executor(&cfg)
+        .run(csr, program)
         .expect("program is model-compliant");
     rows.push(RuntimeRow {
         engine: "executor",
@@ -678,17 +679,18 @@ fn runtime_report() {
     ];
     let mut rows: Vec<RuntimeRow> = Vec::new();
     for (name, g) in &families {
-        run_engines(g, &BfsProgram { root: 0 }, name, "bfs", &mut rows);
+        let csr = CsrGraph::from_graph(g);
+        run_engines(g, &csr, &BfsProgram { root: 0 }, name, "bfs", &mut rows);
 
         let mut meter = RoundMeter::new();
         let tree = mfd_congest::primitives::build_bfs_tree(g, None, 0, &mut meter);
         let id: Vec<u64> = (0..g.n() as u64).map(splitmix64).collect();
         let cv = ColeVishkinProgram::new(tree.parent.clone(), id);
-        run_engines(g, &cv, name, "cole-vishkin", &mut rows);
+        run_engines(g, &csr, &cv, name, "cole-vishkin", &mut rows);
 
         let centers: Vec<usize> = (0..8).map(|i| (i * g.n()) / 8).collect();
         let voronoi = VoronoiLddProgram::new(g.n(), &centers);
-        run_engines(g, &voronoi, name, "voronoi-ldd-8", &mut rows);
+        run_engines(g, &csr, &voronoi, name, "voronoi-ldd-8", &mut rows);
     }
 
     let mut table = Table::new(
@@ -1377,6 +1379,7 @@ impl TraceRow {
 /// engine equivalence, checked here so a divergence fails the report).
 fn run_trace_engines<P>(
     g: &mfd_graph::Graph,
+    csr: &CsrGraph,
     program: &P,
     graph_name: &str,
     prog_name: &'static str,
@@ -1387,8 +1390,8 @@ fn run_trace_engines<P>(
 {
     let cfg = ExecutorConfig::default();
     let mut sink = Tee::new(MetricsSink::new(), DigestSink::new());
-    let sync = Executor::new(cfg.clone())
-        .run_traced(g, program, &mut sink)
+    let sync = mfd_bench::sync_executor(&cfg)
+        .run_traced(csr, program, &mut sink)
         .expect("program is model-compliant");
     let head = sink.b.head();
     rows.push(TraceRow {
@@ -1434,17 +1437,18 @@ fn run_trace_engines<P>(
 fn trace_report() {
     let mut rows: Vec<TraceRow> = Vec::new();
     for (name, g) in &mfd_bench::acceptance_families() {
-        run_trace_engines(g, &BfsProgram { root: 0 }, name, "bfs", &mut rows);
+        let csr = CsrGraph::from_graph(g);
+        run_trace_engines(g, &csr, &BfsProgram { root: 0 }, name, "bfs", &mut rows);
 
         let mut meter = RoundMeter::new();
         let tree = mfd_congest::primitives::build_bfs_tree(g, None, 0, &mut meter);
         let id: Vec<u64> = (0..g.n() as u64).map(splitmix64).collect();
         let cv = ColeVishkinProgram::new(tree.parent.clone(), id);
-        run_trace_engines(g, &cv, name, "cole-vishkin", &mut rows);
+        run_trace_engines(g, &csr, &cv, name, "cole-vishkin", &mut rows);
 
         let centers: Vec<usize> = (0..8).map(|i| (i * g.n()) / 8).collect();
         let voronoi = VoronoiLddProgram::new(g.n(), &centers);
-        run_trace_engines(g, &voronoi, name, "voronoi-ldd-8", &mut rows);
+        run_trace_engines(g, &csr, &voronoi, name, "voronoi-ldd-8", &mut rows);
     }
 
     // The edt constructions' phase spans: merge/refine/routing rounds and
@@ -1580,9 +1584,11 @@ fn replay_report() {
     }
 
     for (name, g) in &mfd_bench::acceptance_families() {
-        let full = executor_journal(g, &probe, &cfg, EVERY, name).expect("probe runs");
+        let csr = CsrGraph::from_graph(g);
+        let full = executor_journal(&csr, &probe, &cfg, EVERY, name).expect("probe runs");
         let cp = mid(&full.journal);
-        let resumed = resume_executor(&full.journal, cp.round, g, &probe, &cfg).expect("resumes");
+        let resumed =
+            resume_executor(&full.journal, cp.round, &csr, &probe, &cfg).expect("resumes");
         assert_eq!(
             resumed.sink.chain(),
             full.sink.chain(),
@@ -1730,7 +1736,7 @@ struct ScaleRow {
     n: usize,
     m: usize,
     program: String,
-    /// `None` on unsharded rows.
+    /// `None` on reference-stepper rows.
     shards: Option<usize>,
     /// `None` means "all available cores".
     threads: Option<usize>,
@@ -1795,15 +1801,15 @@ where
     (run, t0.elapsed().as_secs_f64() * 1e3, sink.head())
 }
 
-/// R7 — the scale series: the sharded CSR executor against the unsharded
-/// engine on the acceptance families (bit-identical states, meters and
+/// R7 — the scale series: the sharded CSR executor against the reference
+/// stepper on the acceptance families (bit-identical states, meters and
 /// digest chains asserted in-process for every shard count), thread-scaling
 /// curves and million-vertex BFS / LDD / executed-EDT runs on the streaming
 /// generator families, written to `BENCH_scale.json`.
 fn scale_report(heavy: bool) {
     let mut rows: Vec<ScaleRow> = Vec::new();
 
-    // --- Differential block: sharded vs unsharded on the acceptance
+    // --- Differential block: sharded vs reference stepper on the acceptance
     // families, digest chains journaled on both sides.
     for (name, g) in &acceptance_families() {
         let mut ref_sink = DigestSink::new();
@@ -1844,7 +1850,7 @@ fn scale_report(heavy: bool) {
             assert_eq!(
                 sink.heads(),
                 ref_sink.heads(),
-                "{name}/bfs/shards={shards}: digest chains must match the unsharded engine"
+                "{name}/bfs/shards={shards}: digest chains must match the reference stepper"
             );
             rows.push(ScaleRow {
                 engine: "sharded",
@@ -2033,7 +2039,7 @@ fn scale_report(heavy: bool) {
 
     let mut table = Table::new(
         "R7 — scale: sharded CSR executor at 10^6 vertices \
-         (sharded rows asserted bit-identical to the unsharded engine / across \
+         (sharded rows asserted bit-identical to the reference stepper / across \
          shard and thread counts in-process; wall-clock columns are ungated)",
         &[
             "graph",
@@ -2333,10 +2339,10 @@ fn profile_report() {
         &run,
     ));
 
-    // --- The unsharded engine under the same overlay (single shard,
-    // route/exchange identically zero).
-    let grid = generators::triangulated_grid(100, 100);
-    let run = profile_executor_algo(&grid, Algo::Ldd(64), 2, "tri-grid-100x100/ldd-64");
+    // --- The adjacency-map acceptance family under the same overlay, on
+    // one shard — the gated `engine=executor|shards=1|threads=2` series.
+    let grid = CsrGraph::from_graph(&generators::triangulated_grid(100, 100));
+    let run = profile_sharded_algo(&grid, Algo::Ldd(64), 1, 2, "tri-grid-100x100/ldd-64");
     rows.push(ProfileRow::from_run(
         "executor",
         "tri-grid-100x100",

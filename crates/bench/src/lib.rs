@@ -11,6 +11,7 @@
 
 use mfd_graph::{generators, Graph};
 use mfd_routing::walks::WalkParams;
+use mfd_runtime::{ExecutorConfig, ShardedConfig, ShardedExecutor};
 
 pub mod json;
 pub mod profiling;
@@ -54,6 +55,12 @@ pub fn unknown_section_message(section: &str) -> String {
          (or run with --list-sections)",
         SECTIONS.join(", ")
     )
+}
+
+/// The engine behind every `engine=executor` series and journal (the label
+/// names the synchronous semantics): one shard per worker of `config`.
+pub fn sync_executor(config: &ExecutorConfig) -> ShardedExecutor {
+    ShardedExecutor::new(ShardedConfig::per_thread(config))
 }
 
 /// The gather acceptance families — the fixed `(name, graph)` set every

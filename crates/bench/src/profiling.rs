@@ -16,10 +16,10 @@
 use std::hash::Hash;
 
 use mfd_core::programs::{BfsProgram, VoronoiLddProgram};
-use mfd_graph::{gen, generators, CsrGraph, Graph};
+use mfd_graph::{gen, generators, CsrGraph};
 use mfd_prof::Profile;
 use mfd_runtime::profile::{PHASES, PHASE_NAMES};
-use mfd_runtime::{Executor, ExecutorConfig, NodeProgram, ShardedConfig, ShardedExecutor};
+use mfd_runtime::{NodeProgram, ShardedConfig, ShardedExecutor};
 use mfd_trace::DigestSink;
 
 /// A profiled algorithm: BFS from vertex 0, or the Voronoi LDD wave with
@@ -56,10 +56,16 @@ impl Algo {
     }
 }
 
-/// Parses a CSR graph spec: `mesh-<r>x<c>`, `rmat-<scale>-ef<ef>`, or
+/// Parses a graph spec: `mesh-<r>x<c>`, `rmat-<scale>-ef<ef>` or
 /// `power-law-2^<k>` — the streaming-generator families of the `scale`
-/// section, with the same seeds.
+/// section, with the same seeds — or `tri-grid-<r>x<c>`, the adjacency-map
+/// acceptance family converted to CSR.
 pub fn parse_csr_graph(spec: &str) -> Option<CsrGraph> {
+    if let Some(dims) = spec.strip_prefix("tri-grid-") {
+        let (r, c) = dims.split_once('x')?;
+        let grid = generators::triangulated_grid(r.parse().ok()?, c.parse().ok()?);
+        return Some(CsrGraph::from_graph(&grid));
+    }
     if let Some(dims) = spec.strip_prefix("mesh-") {
         let (r, c) = dims.split_once('x')?;
         return Some(gen::mesh(r.parse().ok()?, c.parse().ok()?));
@@ -76,17 +82,6 @@ pub fn parse_csr_graph(spec: &str) -> Option<CsrGraph> {
     None
 }
 
-/// Parses an adjacency graph spec for the unsharded executor:
-/// `tri-grid-<r>x<c>`.
-pub fn parse_adj_graph(spec: &str) -> Option<Graph> {
-    let dims = spec.strip_prefix("tri-grid-")?;
-    let (r, c) = dims.split_once('x')?;
-    Some(generators::triangulated_grid(
-        r.parse().ok()?,
-        c.parse().ok()?,
-    ))
-}
-
 /// A profiled, verified run: the wall-clock [`Profile`] plus the
 /// deterministic scalars every benchmark row is keyed on.
 #[derive(Debug)]
@@ -100,10 +95,6 @@ pub struct ProfiledRun {
     pub rounds: u64,
     /// Messages delivered.
     pub messages: u64,
-    /// Mailbox high-water mark (0 on the unsharded engine).
-    pub mailbox_hwm: u64,
-    /// Route-bucket high-water mark (0 on the unsharded engine).
-    pub route_hwm: u64,
     /// Wall-clock milliseconds of the profiled run.
     pub elapsed_ms: f64,
 }
@@ -181,53 +172,6 @@ where
         digest_head: sink.head(),
         rounds: run.rounds,
         messages: run.messages,
-        mailbox_hwm: run.arena.mailbox_slots_hwm as u64,
-        route_hwm: run.arena.route_slots_hwm as u64,
-        elapsed_ms,
-    };
-    verify_consistency(&out, label);
-    out
-}
-
-/// [`profile_sharded`] for the unsharded [`Executor`] (one shard, `route`
-/// and `exchange` identically zero).
-pub fn profile_executor<P>(g: &Graph, program: &P, threads: usize, label: &str) -> ProfiledRun
-where
-    P: NodeProgram,
-    P::State: Hash + PartialEq + std::fmt::Debug,
-{
-    let exec = Executor::new(ExecutorConfig::with_threads(threads));
-    let mut profile = Profile::new();
-    let mut sink = DigestSink::new();
-    let t0 = std::time::Instant::now();
-    let run = exec
-        .run_profiled(g, program, &mut sink, &mut profile)
-        .expect("program is model-compliant");
-    let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    let mut plain_sink = DigestSink::new();
-    let plain = exec
-        .run_traced(g, program, &mut plain_sink)
-        .expect("program is model-compliant");
-    assert_eq!(run.states, plain.states, "{label}: profiled states differ");
-    assert_eq!(run.rounds, plain.rounds, "{label}: profiled rounds differ");
-    assert_eq!(
-        run.messages, plain.messages,
-        "{label}: profiled messages differ"
-    );
-    assert_eq!(
-        sink.heads(),
-        plain_sink.heads(),
-        "{label}: profiled digest chain differs"
-    );
-
-    let out = ProfiledRun {
-        profile,
-        digest_head: sink.head(),
-        rounds: run.rounds,
-        messages: run.messages,
-        mailbox_hwm: 0,
-        route_hwm: 0,
         elapsed_ms,
     };
     verify_consistency(&out, label);
@@ -248,18 +192,6 @@ pub fn profile_sharded_algo(
             let centers = Algo::centers(k, csr.n());
             let ldd = VoronoiLddProgram::new(csr.n(), &centers);
             profile_sharded(csr, &ldd, shards, threads, label)
-        }
-    }
-}
-
-/// Dispatches a parsed [`Algo`] onto the unsharded runner.
-pub fn profile_executor_algo(g: &Graph, algo: Algo, threads: usize, label: &str) -> ProfiledRun {
-    match algo {
-        Algo::Bfs => profile_executor(g, &BfsProgram { root: 0 }, threads, label),
-        Algo::Ldd(k) => {
-            let centers = Algo::centers(k, g.n());
-            let ldd = VoronoiLddProgram::new(g.n(), &centers);
-            profile_executor(g, &ldd, threads, label)
         }
     }
 }
@@ -329,8 +261,8 @@ mod tests {
         assert!(parse_csr_graph("power-law-2^8").is_some());
         assert!(parse_csr_graph("mesh-8").is_none());
         assert!(parse_csr_graph("banana").is_none());
-        assert!(parse_adj_graph("tri-grid-5x5").is_some());
-        assert!(parse_adj_graph("mesh-5x5").is_none());
+        assert!(parse_csr_graph("tri-grid-5x5").is_some());
+        assert!(parse_csr_graph("tri-grid-5").is_none());
         assert_eq!(Algo::parse("bfs"), Some(Algo::Bfs));
         assert_eq!(Algo::parse("ldd-64"), Some(Algo::Ldd(64)));
         assert_eq!(Algo::parse("ldd-0"), None);
@@ -354,18 +286,6 @@ mod tests {
         assert_eq!(p.sent_totals().iter().sum::<u64>(), run.messages);
         assert_eq!(p.delivered_totals().iter().sum::<u64>(), run.messages);
         assert!(run.messages > 0);
-    }
-
-    #[test]
-    fn executor_profile_maps_to_single_shard() {
-        let g = generators::triangulated_grid(8, 8);
-        let run = profile_executor_algo(&g, Algo::Bfs, 2, "test-grid-8");
-        assert_eq!(run.profile.shards, 1);
-        assert_eq!(run.profile.traffic_totals(), vec![run.messages]);
-        // No router: route/exchange walls are identically zero.
-        use mfd_runtime::profile::{PHASE_EXCHANGE, PHASE_ROUTE};
-        assert_eq!(run.profile.phase_wall_totals()[PHASE_ROUTE], 0);
-        assert_eq!(run.profile.phase_wall_totals()[PHASE_EXCHANGE], 0);
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //! the engine state, and continue — the continued chain extends the
 //! journal's chain seamlessly, which the callers assert round-for-round.
 
-use mfd_graph::Graph;
+use std::error::Error;
+
+use mfd_graph::{CsrGraph, Graph};
 use mfd_replay::{Journal, JournalError, JournalHeader, Snapshot};
-use mfd_runtime::{ExecCheckpoint, Execution, Executor, ExecutorConfig, NodeProgram, RuntimeError};
+use mfd_runtime::{ExecCheckpoint, ExecutorConfig, NodeProgram, RuntimeError, ShardedExecution};
 use mfd_sim::{FaultHook, FaultedRun, LatencyModel, SimCheckpoint, SimConfig, Simulator};
 use mfd_trace::{DigestSink, EngineKind};
 
@@ -29,10 +31,10 @@ pub struct JournaledRun<R> {
     pub run: R,
 }
 
-fn header(engine: EngineKind, g: &Graph, seed: u64, every: u64, label: &str) -> JournalHeader {
+fn header(engine: EngineKind, n: usize, seed: u64, every: u64, label: &str) -> JournalHeader {
     JournalHeader {
         engine,
-        n: g.n() as u64,
+        n: n as u64,
         seed,
         every,
         label: label.to_string(),
@@ -40,32 +42,34 @@ fn header(engine: EngineKind, g: &Graph, seed: u64, every: u64, label: &str) -> 
 }
 
 /// Runs `program` on the synchronous executor, journaling the digest chain
-/// and a checkpoint every `every` rounds.
+/// and a checkpoint every `every` rounds (clamped to at least 1).
 ///
 /// # Errors
 ///
 /// Propagates the engine failure.
 pub fn executor_journal<P>(
-    g: &Graph,
+    g: &CsrGraph,
     program: &P,
     config: &ExecutorConfig,
     every: u64,
     label: &str,
-) -> Result<JournaledRun<Execution<P::State>>, RuntimeError>
+) -> Result<JournaledRun<ShardedExecution<P::State>>, RuntimeError>
 where
     P: NodeProgram,
     P::State: std::hash::Hash + Clone,
     ExecCheckpoint<P::State, P::Msg>: Snapshot,
 {
     let mut sink = DigestSink::new();
-    let mut journal = Journal::new(header(EngineKind::Executor, g, config.seed, every, label));
-    let run = Executor::new(config.clone()).run_checkpointed(
-        g,
-        program,
-        &mut sink,
-        every,
-        &mut |cp, sink| journal.record(cp.round, sink, &cp),
-    )?;
+    let header = header(EngineKind::Executor, g.n(), config.seed, every, label);
+    let mut journal = Journal::new(header);
+    let exec = crate::sync_executor(config);
+    let mut session = exec.start(g, program, &mut sink);
+    while let Some(round) = session.step()? {
+        if round % every.max(1) == 0 {
+            journal.record(round, session.observer(), &session.checkpoint());
+        }
+    }
+    let run = session.finish();
     journal
         .seal(&sink)
         .expect("a freshly journaled run coheres");
@@ -92,7 +96,7 @@ where
     SimCheckpoint<P::State, P::Msg>: Snapshot,
 {
     let mut sink = DigestSink::new();
-    let mut journal = Journal::new(header(EngineKind::Sim, g, config.seed, every, label));
+    let mut journal = Journal::new(header(EngineKind::Sim, g.n(), config.seed, every, label));
     let run = Simulator::new(SimConfig::matching(config, latency)).run_checkpointed(
         g,
         program,
@@ -129,7 +133,7 @@ where
     SimCheckpoint<P::State, P::Msg>: Snapshot,
 {
     let mut sink = DigestSink::new();
-    let mut journal = Journal::new(header(EngineKind::Sim, g, config.seed, every, label));
+    let mut journal = Journal::new(header(EngineKind::Sim, g.n(), config.seed, every, label));
     let run = Simulator::new(SimConfig::matching(config, latency)).run_with_faults_checkpointed(
         g,
         program,
@@ -162,20 +166,16 @@ pub struct Resumed<R> {
 ///
 /// # Errors
 ///
-/// [`JournalError`] when no checkpoint exists at-or-below `at` or the
-/// payload does not decode as an executor checkpoint.
-///
-/// # Panics
-///
-/// If the engine fails (the journaled run succeeded, so a resume on the
-/// same inputs cannot fail).
+/// A [`JournalError`] when no checkpoint exists at-or-below `at` or the
+/// payload does not decode; the engine's [`RuntimeError`] when the checkpoint
+/// does not fit `g` (`CheckpointMismatch`) or the continued run fails.
 pub fn resume_executor<P>(
     journal: &Journal,
     at: u64,
-    g: &Graph,
+    g: &CsrGraph,
     program: &P,
     config: &ExecutorConfig,
-) -> Result<Resumed<Execution<P::State>>, JournalError>
+) -> Result<Resumed<ShardedExecution<P::State>>, Box<dyn Error>>
 where
     P: NodeProgram,
     P::State: std::hash::Hash + Clone,
@@ -187,9 +187,10 @@ where
     let restored: ExecCheckpoint<P::State, P::Msg> = journal.decode_checkpoint(cp)?;
     let from_round = restored.round;
     let mut sink = Journal::restore_sink(cp);
-    let run = Executor::new(config.clone())
-        .resume_traced(g, program, restored, &mut sink)
-        .expect("resuming a journaled run on its own inputs cannot fail");
+    let exec = crate::sync_executor(config);
+    let mut session = exec.restore(g, program, restored, &mut sink)?;
+    while session.step()?.is_some() {}
+    let run = session.finish();
     Ok(Resumed {
         from_round,
         rounds_replayed: (sink.sealed_rounds() as u64).saturating_sub(from_round + 1),
@@ -203,11 +204,13 @@ where
 ///
 /// # Errors
 ///
-/// As [`resume_executor`].
+/// [`JournalError`] when no checkpoint exists at-or-below `at` or the
+/// payload does not decode as an event-engine checkpoint.
 ///
 /// # Panics
 ///
-/// As [`resume_executor`].
+/// If the engine fails (the journaled run succeeded, so a resume on the
+/// same inputs cannot fail).
 pub fn resume_sim<P>(
     journal: &Journal,
     at: u64,
@@ -245,11 +248,11 @@ where
 ///
 /// # Errors
 ///
-/// As [`resume_executor`].
+/// As [`resume_sim`].
 ///
 /// # Panics
 ///
-/// As [`resume_executor`].
+/// As [`resume_sim`].
 pub fn resume_faulted<P, F>(
     journal: &Journal,
     at: u64,
@@ -291,13 +294,14 @@ mod tests {
     #[test]
     fn journaled_resume_extends_the_chain_on_both_engines() {
         let g = generators::wheel(16);
+        let csr = CsrGraph::from_graph(&g);
         let cfg = ExecutorConfig::default();
         let probe = DivergenceProbe::clean(10);
 
-        let full = executor_journal(&g, &probe, &cfg, 3, "wheel-16/probe").unwrap();
+        let full = executor_journal(&csr, &probe, &cfg, 3, "wheel-16/probe").unwrap();
         assert!(!full.journal.checkpoints.is_empty());
         for cp in &full.journal.checkpoints {
-            let resumed = resume_executor(&full.journal, cp.round, &g, &probe, &cfg).unwrap();
+            let resumed = resume_executor(&full.journal, cp.round, &csr, &probe, &cfg).unwrap();
             assert_eq!(resumed.from_round, cp.round);
             assert_eq!(resumed.sink.chain(), full.sink.chain());
             assert_eq!(resumed.run.states, full.run.states);

@@ -4,9 +4,9 @@
 //! CI-gated chains and the test suite can never drift onto different
 //! instrumentation.
 
-use mfd_graph::Graph;
+use mfd_graph::{CsrGraph, Graph};
 use mfd_runtime::{
-    Envelope, Execution, Executor, ExecutorConfig, NodeCtx, NodeProgram, Outbox, RuntimeError,
+    Envelope, ExecutorConfig, NodeCtx, NodeProgram, Outbox, RuntimeError, ShardedExecution,
 };
 use mfd_sim::{LatencyModel, SimConfig, SimExecution, Simulator};
 use mfd_trace::DigestSink;
@@ -87,16 +87,16 @@ impl NodeProgram for DivergenceProbe {
 ///
 /// Propagates the engine failure.
 pub fn executor_chain<P>(
-    g: &Graph,
+    g: &CsrGraph,
     program: &P,
     config: &ExecutorConfig,
-) -> Result<(DigestSink, Execution<P::State>), RuntimeError>
+) -> Result<(DigestSink, ShardedExecution<P::State>), RuntimeError>
 where
     P: NodeProgram,
     P::State: std::hash::Hash,
 {
     let mut sink = DigestSink::with_snapshots();
-    let run = Executor::new(config.clone()).run_traced(g, program, &mut sink)?;
+    let run = crate::sync_executor(config).run_traced(g, program, &mut sink)?;
     Ok((sink, run))
 }
 
@@ -131,13 +131,14 @@ mod tests {
     #[test]
     fn probe_chains_agree_across_engines_and_divergence_is_pinpointed() {
         let g = generators::wheel(16);
+        let csr = CsrGraph::from_graph(&g);
         let cfg = ExecutorConfig::default();
         let clean = DivergenceProbe::clean(8);
-        let (a, _) = executor_chain(&g, &clean, &cfg).unwrap();
+        let (a, _) = executor_chain(&csr, &clean, &cfg).unwrap();
         let (b, _) = sim_chain(&g, &clean, &cfg, LatencyModel::Fixed(1)).unwrap();
         assert_eq!(a.chain(), b.chain(), "engines agree on the clean probe");
 
-        let (p, _) = executor_chain(&g, &DivergenceProbe::perturbed(8, 5, 3), &cfg).unwrap();
+        let (p, _) = executor_chain(&csr, &DivergenceProbe::perturbed(8, 5, 3), &cfg).unwrap();
         // Chain index == round: round 0 is the initial configuration.
         assert_eq!(first_divergence(&a.chain(), &p.chain()), Some(5));
         assert_eq!(DigestSink::diverging_vertices(&a, &p, 5), vec![3]);

@@ -20,8 +20,8 @@
 use mfd_congest::RoundMeter;
 use mfd_graph::{CsrGraph, Graph};
 use mfd_runtime::{
-    Envelope, Execution, Executor, NodeCtx, NodeProgram, Outbox, RuntimeError, RuntimeMessage,
-    ShardedExecution, ShardedExecutor,
+    Envelope, NodeCtx, NodeProgram, Outbox, RuntimeError, RuntimeMessage, ShardedExecution,
+    ShardedExecutor,
 };
 
 use crate::clustering::Clustering;
@@ -166,10 +166,10 @@ pub fn run_cole_vishkin(
     g: &Graph,
     parent: &[usize],
     id: &[u64],
-    executor: &Executor,
+    executor: &ShardedExecutor,
 ) -> Result<(ForestColoring, RoundMeter), RuntimeError> {
     let program = ColeVishkinProgram::new(parent.to_vec(), id.to_vec());
-    let run = executor.run(g, &program)?;
+    let run = executor.run(&CsrGraph::from_graph(g), &program)?;
     let coloring = ForestColoring {
         color: run.states.iter().map(|s| s.color as u8).collect(),
         iterations: run.rounds,
@@ -272,7 +272,7 @@ pub struct BfsRun {
     pub height: usize,
 }
 
-/// Runs [`BfsProgram`] from `root` and extracts the tree.
+/// [`run_bfs_csr`] for callers holding an adjacency-map graph.
 ///
 /// # Errors
 ///
@@ -285,35 +285,9 @@ pub struct BfsRun {
 pub fn run_bfs(
     g: &Graph,
     root: usize,
-    executor: &Executor,
+    executor: &ShardedExecutor,
 ) -> Result<(BfsRun, RoundMeter), RuntimeError> {
-    assert!(root < g.n(), "BFS root out of range");
-    let run: Execution<BfsState> = executor.run(g, &BfsProgram { root })?;
-    let parent: Vec<usize> = run
-        .states
-        .iter()
-        .map(|s| s.parent.unwrap_or(usize::MAX))
-        .collect();
-    let depth: Vec<usize> = run
-        .states
-        .iter()
-        .map(|s| s.depth.map_or(usize::MAX, |d| d as usize))
-        .collect();
-    let height = depth
-        .iter()
-        .filter(|&&d| d != usize::MAX)
-        .max()
-        .copied()
-        .unwrap_or(0);
-    Ok((
-        BfsRun {
-            root,
-            parent,
-            depth,
-            height,
-        },
-        run.meter,
-    ))
+    run_bfs_csr(&CsrGraph::from_graph(g), root, executor)
 }
 
 // ---------------------------------------------------------------------------
@@ -431,8 +405,8 @@ impl NodeProgram for VoronoiLddProgram {
     }
 }
 
-/// Runs [`VoronoiLddProgram`] and packages the result as a [`Clustering`]
-/// (unreached vertices become singletons, as in the centralized version).
+/// [`run_voronoi_ldd_csr`] for callers holding an adjacency-map graph, with
+/// the labels packaged as a [`Clustering`] (unreached vertices: singletons).
 ///
 /// # Errors
 ///
@@ -440,28 +414,20 @@ impl NodeProgram for VoronoiLddProgram {
 pub fn run_voronoi_ldd(
     g: &Graph,
     centers: &[usize],
-    executor: &Executor,
+    executor: &ShardedExecutor,
 ) -> Result<(Clustering, RoundMeter), RuntimeError> {
-    let program = VoronoiLddProgram::new(g.n(), centers);
-    let run = executor.run(g, &program)?;
-    let labels: Vec<usize> = run
-        .states
-        .iter()
-        .enumerate()
-        .map(|(v, s)| s.center.map_or(v, |c| c as usize))
-        .collect();
-    Ok((Clustering::from_labels(g, labels), run.meter))
+    let (labels, meter) = run_voronoi_ldd_csr(&CsrGraph::from_graph(g), centers, executor)?;
+    Ok((Clustering::from_labels(g, labels), meter))
 }
 
 // ---------------------------------------------------------------------------
-// CSR / sharded entry points
+// CSR entry points
 // ---------------------------------------------------------------------------
 
-/// [`run_bfs`] over flat [`CsrGraph`] storage on the sharded executor — the
-/// million-vertex entry point. The programs are graph-agnostic (they see
-/// only a [`NodeCtx`]), so with matching configuration this produces
-/// bit-identical states, meters, and digest chains to [`run_bfs`] on the
-/// adjacency-map graph.
+/// Runs [`BfsProgram`] from `root` over flat [`CsrGraph`] storage and
+/// extracts the tree — the million-vertex entry point. The programs are
+/// graph-agnostic (they see only a [`NodeCtx`]), so the outputs are
+/// bit-identical to the reference stepper's on the adjacency-map graph.
 ///
 /// # Errors
 ///
@@ -504,11 +470,11 @@ pub fn run_bfs_csr(
     ))
 }
 
-/// [`run_voronoi_ldd`] over flat [`CsrGraph`] storage on the sharded
-/// executor. Returns the per-vertex cluster labels directly (unreached
-/// vertices label themselves, as in the centralized version) rather than a
-/// [`Clustering`], which at million-vertex scale the caller rarely needs;
-/// apply `Clustering::from_labels(&g.to_graph(), labels)` to materialize one.
+/// Runs [`VoronoiLddProgram`] over flat [`CsrGraph`] storage. Returns the
+/// per-vertex cluster labels directly (unreached vertices label themselves,
+/// as in the centralized version) rather than a [`Clustering`], which at
+/// million-vertex scale the caller rarely needs; [`run_voronoi_ldd`]
+/// materializes one.
 ///
 /// # Errors
 ///
@@ -537,10 +503,10 @@ mod tests {
     use mfd_congest::primitives::build_bfs_tree;
     use mfd_graph::generators;
     use mfd_graph::properties::splitmix64;
-    use mfd_runtime::ExecutorConfig;
+    use mfd_runtime::{ExecutorConfig, ShardedConfig};
 
-    fn executor() -> Executor {
-        Executor::new(ExecutorConfig::default())
+    fn executor() -> ShardedExecutor {
+        ShardedExecutor::new(ShardedConfig::default())
     }
 
     /// Parent pointers of the BFS spanning forest of `g` rooted at 0.

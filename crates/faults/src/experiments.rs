@@ -17,8 +17,8 @@
 //!    surviving cluster ([`crash_and_regather`]).
 
 use mfd_graph::Graph;
-use mfd_routing::programs::{ExecutedGather, GatherProgram, TreeGatherProgram};
-use mfd_runtime::{Executor, ExecutorConfig, RuntimeError};
+use mfd_routing::programs::{execute_gather, ExecutedGather, GatherProgram, TreeGatherProgram};
+use mfd_runtime::{ExecutorConfig, RuntimeError};
 use mfd_sim::{SimConfig, Simulator};
 
 use crate::election::ReElectionProgram;
@@ -182,8 +182,7 @@ pub fn crash_and_regather(
         .binary_search(&elected)
         .expect("elected leader is a survivor by construction");
     let tree = TreeGatherProgram::new(&sub, sub_leader);
-    let exec = Executor::new(exec_config.clone()).run(&sub, &tree)?;
-    let regather = tree.executed_report(&exec.states, exec.rounds, exec.messages);
+    let (regather, _) = execute_gather(&sub, &tree, exec_config)?;
 
     Ok(CrashRegather {
         crashed,

@@ -1,11 +1,10 @@
-//! `mfd-prof` — the wall-clock profiling overlay for both execution engines.
+//! `mfd-prof` — the wall-clock profiling overlay for the synchronous engine.
 //!
 //! `mfd-trace` records *what* a run computed, on a virtual clock, as part of
 //! the deterministic record. This crate records *where the wall-clock time
 //! went* — and is built so the two can never contaminate each other: a
-//! [`Profile`] attaches to [`mfd_runtime::ShardedExecutor::run_profiled`] or
-//! [`mfd_runtime::Executor::run_profiled`] through the read-only
-//! [`Profiler`] hooks, which fire outside the sequential commit points, so a
+//! [`Profile`] attaches to [`mfd_runtime::ShardedExecutor::run_profiled`]
+//! through the read-only [`Profiler`] hooks, which fire outside the sequential commit points, so a
 //! profiled run is **bit-identical** to an unprofiled one — same states,
 //! same meter, same digest chain (pinned by the `integration_prof`
 //! proptests).
@@ -48,12 +47,12 @@ use mfd_runtime::profile::{
 /// engine recorded, plus the run-level frame (shard count, worker count,
 /// init and total wall time).
 ///
-/// Build one with [`Profile::new`], pass it to a `run_profiled` entry point,
+/// Build one with [`Profile::new`], pass it to `run_profiled`,
 /// then query it. All aggregate methods are pure reads over the recorded
 /// samples.
 #[derive(Debug, Clone, Default)]
 pub struct Profile {
-    /// Shards in the profiled engine (1 for the unsharded executor).
+    /// Shards in the profiled engine.
     pub shards: usize,
     /// Effective rayon worker count of the run.
     pub threads: usize,

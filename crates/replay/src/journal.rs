@@ -229,9 +229,9 @@ impl Journal {
     }
 
     /// Records one engine checkpoint, stamping it with the digest head at
-    /// its round and capturing the sink's journaling state. Call from a
-    /// `run_checkpointed` capture closure with the closure's `&O` observer
-    /// (the sink at the exact capture instant).
+    /// its round and capturing the sink's journaling state. Call right
+    /// after the round sealed with the sink at that instant — a session's
+    /// `observer()`, or the `&O` a `run_checkpointed` capture closure gets.
     ///
     /// # Panics
     ///
@@ -330,8 +330,8 @@ impl Journal {
     }
 
     /// A digest sink restored to the checkpoint's capture instant: feed it
-    /// to the engine's `resume_traced` and the continued chain extends this
-    /// journal's chain seamlessly.
+    /// to the engine's `restore` / `resume_traced` and the continued chain
+    /// extends this journal's chain seamlessly.
     pub fn restore_sink(checkpoint: &JournalCheckpoint) -> DigestSink {
         DigestSink::restore(checkpoint.digests.clone())
     }

@@ -20,17 +20,19 @@
 //!   everything: stamps against the chain, exported digest states against
 //!   the chain prefix, and each checkpoint's per-vertex digests *re-folded*
 //!   into its chain link.
-//! * **Resume and time travel** (engine-side): `Executor::resume` /
-//!   `Simulator::resume_with_faults` continue from a decoded checkpoint;
-//!   the `*_checkpointed` variants capture fresh checkpoints while running,
-//!   so `replay`-style tools restore the nearest checkpoint below a target
-//!   round and step forward from there instead of re-running from scratch.
+//! * **Resume and time travel** (engine-side): `ShardedExecutor::restore`
+//!   turns a decoded checkpoint back into a step-able `Session` (refusing
+//!   one that does not fit the graph with a typed error), and
+//!   `Simulator::resume*` / `*_checkpointed` do the same on the event
+//!   engine, so `replay`-style tools restore the nearest checkpoint below a
+//!   target round and step forward instead of re-running from scratch.
 //!
 //! # What a checkpoint must capture (and what it must not)
 //!
 //! The synchronous executor's loop state is small: per-vertex states and
-//! halt flags, the double-buffered mailboxes, the meter, and the round
-//! counter. Per-vertex randomness needs **no** capture — `NodeCtx::rng()`
+//! halt flags, the readable mailboxes, the meter, and the round counter, in
+//! vertex order (so independent of the shard/thread layout). Per-vertex
+//! randomness needs **no** capture — `NodeCtx::rng()`
 //! streams are stateless, re-seeded from `(seed, vertex, round)` every
 //! round. The event engine adds the synchronizer: the packet heap (with
 //! tie-break-transformed sequence keys, so the restored heap replays the
@@ -47,10 +49,10 @@
 //! # Worked example: kill, resume, verify
 //!
 //! ```
-//! use mfd_graph::generators;
+//! use mfd_graph::{generators, CsrGraph};
 //! use mfd_replay::{Journal, JournalHeader};
-//! use mfd_runtime::{Envelope, ExecCheckpoint, Executor, ExecutorConfig,
-//!                   NodeCtx, NodeProgram, Outbox};
+//! use mfd_runtime::{Envelope, ExecCheckpoint, NodeCtx, NodeProgram, Outbox,
+//!                   ShardedConfig, ShardedExecutor};
 //! use mfd_trace::{DigestSink, EngineKind};
 //!
 //! /// Every vertex folds its inbox and gossips for five rounds.
@@ -67,20 +69,22 @@
 //!     fn halted(&self, ctx: &NodeCtx, _state: &u64) -> bool { ctx.round >= 5 }
 //! }
 //!
-//! let g = generators::wheel(8);
-//! let exec = Executor::new(ExecutorConfig::default());
+//! let g = CsrGraph::from_graph(&generators::wheel(8));
+//! let exec = ShardedExecutor::new(ShardedConfig::default());
 //!
-//! // Run to completion, journaling a checkpoint every 2 rounds.
+//! // Step the run to completion, journaling a checkpoint every 2 rounds.
 //! let mut sink = DigestSink::new();
 //! let mut journal = Journal::new(JournalHeader {
 //!     engine: EngineKind::Executor, n: 8, seed: 0, every: 2,
 //!     label: "wheel-8/gossip".into(),
 //! });
-//! let full = exec
-//!     .run_checkpointed(&g, &Gossip, &mut sink, 2, &mut |cp, sink| {
-//!         journal.record(cp.round, sink, &cp);
-//!     })
-//!     .unwrap();
+//! let mut session = exec.start(&g, &Gossip, &mut sink);
+//! while let Some(round) = session.step().unwrap() {
+//!     if round % 2 == 0 {
+//!         journal.record(round, session.observer(), &session.checkpoint());
+//!     }
+//! }
+//! let full = session.finish();
 //! journal.seal(&sink).unwrap();
 //!
 //! // The journal round-trips byte-identically and verifies end-to-end.
@@ -94,10 +98,9 @@
 //! let cp = loaded.checkpoint_at(2).unwrap();
 //! let restored: ExecCheckpoint<u64, u64> = loaded.decode_checkpoint(cp).unwrap();
 //! let mut resumed_sink = Journal::restore_sink(cp);
-//! let resumed = exec
-//!     .resume_traced(&g, &Gossip, restored, &mut resumed_sink)
-//!     .unwrap();
-//! assert_eq!(resumed.states, full.states);
+//! let mut session = exec.restore(&g, &Gossip, restored, &mut resumed_sink).unwrap();
+//! while session.step().unwrap().is_some() {}
+//! assert_eq!(session.finish().states, full.states);
 //! assert_eq!(resumed_sink.chain(), sink.chain());
 //! ```
 //!

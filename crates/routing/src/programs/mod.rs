@@ -5,7 +5,7 @@
 //! [`mfd_congest::RoundMeter`]. The programs in this module are the
 //! **executed** counterparts — genuine [`mfd_runtime::NodeProgram`]s whose
 //! vertices only ever see their own state and their inboxes, runnable
-//! unmodified on the synchronous [`mfd_runtime::Executor`] and on the
+//! unmodified on the synchronous [`mfd_runtime::ShardedExecutor`] and on the
 //! `mfd-sim` discrete-event engine:
 //!
 //! * [`TreeGatherProgram`] ⇔ [`crate::gather::tree_gather`] — BFS-tree
@@ -46,10 +46,10 @@
 //!   their message counts sit above the charged ones by design; CI's
 //!   regression gate pins both.
 
-use mfd_graph::{properties, Graph};
+use mfd_graph::{properties, CsrGraph, Graph};
 use mfd_runtime::{
-    Envelope, Execution, Executor, ExecutorConfig, NodeCtx, NodeProgram, Outbox, RuntimeError,
-    RuntimeMessage,
+    Envelope, ExecutorConfig, NodeCtx, NodeProgram, Outbox, RuntimeError, RuntimeMessage,
+    ShardedConfig, ShardedExecution, ShardedExecutor,
 };
 
 use crate::gather::GatherStrategy;
@@ -100,7 +100,7 @@ impl From<ExecutedGather> for crate::gather::GatherReport {
 /// Common reporting surface of the three gather programs.
 ///
 /// The extraction is a pure function of the final states, so it applies to
-/// any engine's output: pass `Execution::states` from the synchronous
+/// any engine's output: pass `ShardedExecution::states` from the synchronous
 /// executor or `SimExecution::states` from `mfd-sim`.
 pub trait GatherProgram: NodeProgram {
     /// Strategy name, matching the metered [`crate::gather::GatherReport`].
@@ -592,8 +592,9 @@ pub fn execute_gather<P: GatherProgram>(
     cluster: &Graph,
     program: &P,
     config: &ExecutorConfig,
-) -> Result<(ExecutedGather, Execution<P::State>), RuntimeError> {
-    let run = Executor::new(config.clone()).run(cluster, program)?;
+) -> Result<(ExecutedGather, ShardedExecution<P::State>), RuntimeError> {
+    let run = ShardedExecutor::new(ShardedConfig::per_thread(config))
+        .run(&CsrGraph::from_graph(cluster), program)?;
     let report = program.executed_report(&run.states, run.rounds, run.messages);
     Ok((report, run))
 }

@@ -8,9 +8,9 @@
 //! ([`CsrGraph::induced_subgraph`]) or handed in already induced
 //! ([`run_on_induced`]), and a round of a cluster costs its frontier and its
 //! messages, not its size. The engine enforces the CONGEST model per cluster
-//! exactly as it does on a whole graph, and is bit-identical to
-//! [`crate::Executor`] on the induced adjacency-map subgraph — the oracle the
-//! tests below compare against.
+//! exactly as it does on a whole graph, and is bit-identical to the
+//! reference stepper ([`crate::Executor`]) on the induced adjacency-map
+//! subgraph — the oracle the tests below compare against.
 
 use mfd_congest::RoundMeter;
 use mfd_graph::CsrGraph;

@@ -1,7 +1,7 @@
 //! Shared program-driving building blocks.
 //!
-//! Every execution engine — the synchronous [`crate::Executor`] here, the
-//! asynchronous discrete-event simulator in `mfd-sim` — drives a
+//! Every execution engine — the synchronous [`crate::ShardedExecutor`] (and
+//! its reference stepper) here, the asynchronous simulator in `mfd-sim` — drives a
 //! [`NodeProgram`] the same way: hand the vertex its inbox, collect its sends
 //! through a validated [`crate::Outbox`], observe the halting transition, and
 //! convert the sends into [`mfd_congest::Message`]s for meter submission. This

@@ -5,8 +5,16 @@
 //! rounds to a [`mfd_congest::RoundMeter`] without any vertex actually sending
 //! anything), this crate *executes* them: algorithms are written as
 //! [`NodeProgram`]s — per-vertex state machines exchanging typed O(log n)-word
-//! messages — and an [`Executor`] drives all vertices round by round across
-//! the simulating machine's cores.
+//! messages — and a [`ShardedExecutor`] drives all vertices round by round
+//! across the simulating machine's cores.
+//!
+//! There is **one production engine**: [`ShardedExecutor`], over
+//! [`mfd_graph::CsrGraph`] flat storage. It runs to completion (`run`,
+//! `run_traced`, `run_profiled`) or as a step-able [`Session`]
+//! (`start` / `restore` → `step`, `checkpoint`, `finish`) that `mfd-replay`
+//! journals and resumes. [`Executor`] is the *reference stepper*: the same
+//! semantics written plainly over an adjacency-map graph, kept only so tests
+//! have an independent implementation to compare the engine against.
 //!
 //! Guarantees:
 //!
@@ -16,10 +24,10 @@
 //!   [`RuntimeError::Model`]. Round and message statistics come from the same
 //!   meter the rest of the codebase uses, so executed and metered algorithms
 //!   are directly comparable.
-//! * **Determinism.** Results are bit-for-bit independent of the thread
-//!   count: vertex results commit in vertex order, mailboxes preserve sender
-//!   order, and per-vertex randomness ([`NodeCtx::rng`]) is seeded from
-//!   `(seed, vertex, round)`, never from scheduling.
+//! * **Determinism.** Results are bit-for-bit independent of the shard and
+//!   thread counts: vertex results commit in vertex order, mailboxes
+//!   preserve sender order, and per-vertex randomness ([`NodeCtx::rng`]) is
+//!   seeded from `(seed, vertex, round)`, never from scheduling.
 //! * **Parallel composition.** [`run_on_clusters`] executes a program on
 //!   vertex-disjoint clusters concurrently — every cluster a CSR view on
 //!   the one [`ShardedExecutor`] built for the call — and folds the
@@ -29,12 +37,10 @@
 //!   ([`NodeProgram::quiescent`]); the executor then skips sleeping vertices
 //!   and ends the run at a global fixpoint, so wave-style programs pay per
 //!   round for their frontier, not for the whole graph.
-//! * **Scale.** [`ShardedExecutor`] runs the same semantics over
-//!   [`mfd_graph::CsrGraph`] flat storage — vertices partitioned into
-//!   contiguous shards with shard-local double-buffered mailboxes, an
-//!   exchange-style message router, and pooled buffers — for
-//!   million-vertex runs, bit-identical to [`Executor`] across shard and
-//!   thread counts.
+//! * **Checkpoints.** A [`Session`] can be captured at any round boundary
+//!   as an [`ExecCheckpoint`] — plain data in vertex order, independent of
+//!   the layout — which [`ShardedExecutor::restore`] continues bit-identically
+//!   or refuses with a typed [`RuntimeError::CheckpointMismatch`].
 //!
 //! The per-vertex driving logic (inbox contract, validated sends, halting) is
 //! factored into [`driver`] and shared with the asynchronous discrete-event
@@ -48,8 +54,11 @@
 //! # Example
 //!
 //! ```
-//! use mfd_graph::generators;
-//! use mfd_runtime::{Envelope, Executor, ExecutorConfig, NodeCtx, NodeProgram, Outbox};
+//! use mfd_graph::{generators, CsrGraph};
+//! use mfd_runtime::{
+//!     Envelope, Executor, ExecutorConfig, NodeCtx, NodeProgram, Outbox, ShardedConfig,
+//!     ShardedExecutor,
+//! };
 //!
 //! /// Each vertex learns the maximum id in its 2-hop neighbourhood.
 //! struct TwoHopMax;
@@ -81,15 +90,20 @@
 //! }
 //!
 //! let g = generators::path(5);
-//! let run = Executor::new(ExecutorConfig::default()).run(&g, &TwoHopMax).unwrap();
+//! let exec = ShardedExecutor::new(ShardedConfig::default());
+//! let run = exec.run(&CsrGraph::from_graph(&g), &TwoHopMax).unwrap();
 //! assert_eq!(run.rounds, 3);
 //! assert_eq!(run.states[2], 4); // vertex 2 heard about vertex 4
+//!
+//! // The reference stepper agrees bit for bit.
+//! let reference = Executor::new(ExecutorConfig::default()).run(&g, &TwoHopMax).unwrap();
+//! assert_eq!(reference.states, run.states);
 //! ```
 
 //!
 //! A guided tour of this crate's role in the workspace lives in
 //! `docs/ARCHITECTURE.md` (section "mfd-runtime"); the reproducibility
-//! contract both engines uphold is spelled out in `docs/DETERMINISM.md`.
+//! contract every engine upholds is spelled out in `docs/DETERMINISM.md`.
 
 pub mod cluster;
 pub mod driver;
@@ -100,7 +114,9 @@ pub mod sharded;
 
 pub use cluster::{run_on_clusters, run_on_induced, ClusterExecution};
 pub use driver::VertexRound;
-pub use executor::{ExecCheckpoint, Execution, Executor, ExecutorConfig, RuntimeError};
+pub use executor::{Execution, Executor, ExecutorConfig, RuntimeError};
 pub use profile::{NoProfiler, Profiler, RoundSample, PHASES, PHASE_NAMES};
 pub use program::{Envelope, NodeCtx, NodeProgram, NodeRng, Outbox, RuntimeMessage, SendBuf};
-pub use sharded::{ArenaStats, ShardedConfig, ShardedExecution, ShardedExecutor};
+pub use sharded::{
+    ArenaStats, ExecCheckpoint, Session, ShardedConfig, ShardedExecution, ShardedExecutor,
+};

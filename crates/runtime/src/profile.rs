@@ -1,5 +1,5 @@
-//! Wall-clock profiling hooks for both engines — the measurement half of the
-//! observability story.
+//! Wall-clock profiling hooks for the sharded engine — the measurement half
+//! of the observability story.
 //!
 //! `mfd-trace` deliberately excludes wall clocks from the deterministic
 //! record (see `docs/DETERMINISM.md`): its sinks journal *what* a run
@@ -31,7 +31,7 @@
 /// Number of named phases in a [`RoundSample`].
 pub const PHASES: usize = 6;
 
-/// Phase names, indexed by the `PHASE_*` constants. For the sharded engine:
+/// Phase names, indexed by the `PHASE_*` constants:
 ///
 /// * `scan` — parallel drain of each shard's wake set into its active list
 ///   (per-shard busy times).
@@ -50,10 +50,6 @@ pub const PHASES: usize = 6;
 ///   delivers the precomputed values and runs the (cheap, possibly deferred)
 ///   chain fold, whose wall time is broken out in
 ///   [`RoundSample::seal_ns`].
-///
-/// The unsharded executor maps onto the same slots with `route` and
-/// `exchange` identically zero (its sequential commit loop delivers sends
-/// directly) and one "shard" covering the whole graph.
 pub const PHASE_NAMES: [&str; PHASES] = ["scan", "step", "route", "exchange", "deliver", "commit"];
 
 /// Index of the frontier-scan phase.
@@ -75,8 +71,7 @@ pub const PHASE_COMMIT: usize = 5;
 /// All `*_ns` fields are wall-clock nanoseconds; `start_ns` and
 /// `phase_start_ns` are offsets from the run's start, so a recorder can
 /// reconstruct the real timeline (the Chrome exporter in `mfd-prof` does).
-/// The per-shard vectors are indexed by shard; on the unsharded engine they
-/// have length 1.
+/// The per-shard vectors are indexed by shard.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoundSample {
     /// The sealed round this sample describes (rounds start at 1; round 0,
@@ -147,8 +142,7 @@ impl RoundSample {
 }
 
 /// A wall-clock profiler attached to a run via
-/// [`crate::ShardedExecutor::run_profiled`] or
-/// [`crate::Executor::run_profiled`].
+/// [`crate::ShardedExecutor::run_profiled`].
 ///
 /// All methods are no-op by default, and every call site is guarded by
 /// [`Profiler::ENABLED`], so the [`NoProfiler`] instantiation compiles to
@@ -187,6 +181,24 @@ pub struct NoProfiler;
 
 impl Profiler for NoProfiler {
     const ENABLED: bool = false;
+}
+
+/// The engine owns its profiler by value: `run_profiled` lends the caller's,
+/// a [`crate::Session`] carries a [`NoProfiler`] of its own.
+impl<T: Profiler> Profiler for &mut T {
+    const ENABLED: bool = T::ENABLED;
+
+    fn begin(&mut self, shards: usize, threads: usize, init_ns: u64) {
+        (**self).begin(shards, threads, init_ns);
+    }
+
+    fn record_round(&mut self, sample: &RoundSample) {
+        (**self).record_round(sample);
+    }
+
+    fn finish(&mut self, total_ns: u64) {
+        (**self).finish(total_ns);
+    }
 }
 
 #[cfg(test)]

@@ -49,7 +49,7 @@ impl<'a> NodeCtx<'a> {
     /// Builds a context for one vertex at one round.
     ///
     /// Intended for execution-engine implementors (the synchronous
-    /// [`crate::Executor`], the asynchronous `mfd-sim` simulator); programs
+    /// [`crate::ShardedExecutor`], the asynchronous `mfd-sim` simulator); programs
     /// receive ready-made contexts. Engines sharing a `seed` hand programs
     /// identical randomness, which is what makes cross-engine differential
     /// validation bit-for-bit.
@@ -339,13 +339,12 @@ pub trait NodeProgram: Sync {
     /// **The answer must be round-stable:** for a vertex that has not been
     /// stepped since the last evaluation (its state is unchanged) and whose
     /// inbox is empty, the result may not depend on `ctx.round`. The
-    /// [`crate::Executor`] re-asks every live vertex every round; the
-    /// [`crate::ShardedExecutor`] asks **once, right after each step** (with
+    /// reference stepper ([`crate::Executor`]) re-asks every live vertex every
+    /// round; the [`crate::ShardedExecutor`] asks **once, right after each step** (with
     /// the context of the following round, and once per vertex at start-up)
     /// and keeps the answer until mail or the next step reaches the vertex.
-    /// A round-dependent answer would make the two engines schedule
-    /// differently; debug builds of the sharded engine assert that they do
-    /// not. Derive the answer from `state` alone, as every program in this
+    /// A round-dependent answer would make the two schedule differently;
+    /// debug builds of the sharded engine assert that they do not. Derive the answer from `state` alone, as every program in this
     /// workspace does.
     ///
     /// The default (`false`) schedules every non-halted vertex every round,

@@ -1,5 +1,6 @@
-//! The sharded CSR executor: the same round-synchronous CONGEST semantics as
-//! [`crate::Executor`], restructured for million-vertex graphs.
+//! The sharded CSR executor: the production engine for the round-synchronous
+//! CONGEST semantics — the ones the reference stepper [`crate::Executor`]
+//! spells out plainly — structured for million-vertex graphs.
 //!
 //! # Architecture
 //!
@@ -12,15 +13,15 @@
 //! buckets addressed to each shard **in ascending source-shard order**.
 //! Because shards are ascending vertex ranges and every shard commits its
 //! vertices in ascending order, each destination mailbox receives messages in
-//! ascending sender order — exactly the inbox ordering the unsharded
-//! executor's sequential commit produces. All mailbox, bucket and send
+//! ascending sender order — exactly the inbox ordering the reference
+//! stepper's sequential commit produces. All mailbox, bucket and send
 //! `Vec`s are pooled across rounds (cleared, never dropped), so a
 //! steady-state round allocates nothing; [`ArenaStats`] reports the pools'
 //! high-water marks as a peak-memory proxy.
 //!
 //! # Scheduling: a round costs O(frontier + messages)
 //!
-//! A round schedules exactly the vertices the unsharded engine does — every
+//! A round schedules exactly the vertices the reference stepper does — every
 //! live vertex that has mail or is not [`NodeProgram::quiescent`] — but never
 //! visits the rest to find them. Each shard keeps a **wake set** (one bit per
 //! local vertex) that is written only where the work already happens: the
@@ -48,20 +49,40 @@
 //! benchmark section). Per-vertex randomness is stateless in
 //! `(seed, vertex, round)`; observer hooks fire only at sequential points
 //! between parallel passes; model violations are resolved in vertex order.
-//! Events are tagged [`EngineKind::Executor`] — this engine implements the
-//! identical synchronous semantics, so its digest chains are directly
-//! comparable with the unsharded executor's.
+//! Events are tagged [`EngineKind::Executor`] — the kind names the
+//! synchronous round semantics, not an implementation, so this engine's
+//! digest chains are directly comparable with the reference stepper's.
 //!
-//! The CONGEST model is enforced exactly as in the unsharded engine:
+//! The CONGEST model is enforced exactly as in the reference stepper:
 //! non-edge sends are caught at send time by the [`crate::Outbox`]'s binary
 //! search over the sorted CSR neighbor slice, and per-directed-edge
 //! bandwidth is accounted shard-locally at commit time (each directed edge
 //! has a unique source vertex, so per-source accounting covers every edge
 //! exactly once) and folded into the same [`RoundMeter`] totals.
+//!
+//! # Checkpoints
+//!
+//! A [`Session`] ([`ShardedExecutor::start`]) advances one sealed round per
+//! [`Session::step`] and can be captured at any round boundary. The capture,
+//! [`ExecCheckpoint`], is **representation-independent**: states and halted
+//! flags in vertex order, the readable mailboxes per vertex in ascending
+//! sender order (mail resident at halted vertices included), the meter's
+//! parts and the round — nothing about shards, threads or pooled buffers,
+//! and no RNG position (streams are re-derived from `(seed, vertex, round)`)
+//! — so it restores under any layout and its `mfd-replay` bytes are stable.
+//!
+//! [`ShardedExecutor::restore`] splits it back into shards and rebuilds what
+//! is derived: the `filled` lists and the wake set — recomputable because it
+//! is *defined* by the full-scan predicate (live, and holding mail or not
+//! quiescent at the next round) that debug builds assert it equal to every
+//! round. A checkpoint is decoded from bytes, so it is outside input: wrong
+//! lengths, mail from a non-neighbour or a round past the budget are a
+//! [`RuntimeError::CheckpointMismatch`], never a panic. The round budget
+//! counts total rounds, not rounds since the resume.
 
 use std::time::Instant;
 
-use mfd_congest::{CongestError, RoundMeter};
+use mfd_congest::{CongestError, MeterParts, RoundMeter};
 use mfd_graph::CsrGraph;
 use mfd_trace::{EngineKind, Event, NullSink, RunObserver};
 use rayon::prelude::*;
@@ -154,6 +175,25 @@ pub struct ArenaStats {
     pub route_slots_hwm: usize,
 }
 
+/// The complete loop state at a round boundary, as plain data in vertex
+/// order (module docs, "Checkpoints"): captured by [`Session::checkpoint`],
+/// consumed by [`ShardedExecutor::restore`], encoded by `mfd-replay`.
+#[derive(Debug, Clone)]
+pub struct ExecCheckpoint<S, M> {
+    /// Rounds sealed when the checkpoint was taken (`meter.rounds`); the
+    /// next executed round is `round + 1`.
+    pub round: u64,
+    /// Every vertex's state after round `round`.
+    pub states: Vec<S>,
+    /// Every vertex's halted flag after round `round`.
+    pub halted: Vec<bool>,
+    /// The mail readable in round `round + 1`, per destination vertex, in
+    /// ascending sender order.
+    pub inbox: Vec<Vec<Envelope<M>>>,
+    /// The meter's accumulator state, including open phases.
+    pub meter: MeterParts,
+}
+
 /// Result of a completed sharded execution.
 #[derive(Debug)]
 pub struct ShardedExecution<S> {
@@ -198,8 +238,8 @@ impl ShardedExecutor {
     ///
     /// # Errors
     ///
-    /// Exactly as [`crate::Executor::run`]: [`RuntimeError::Model`] on a
-    /// CONGEST violation, [`RuntimeError::RoundLimit`] past the budget.
+    /// [`RuntimeError::Model`] on a CONGEST violation,
+    /// [`RuntimeError::RoundLimit`] past the round budget.
     pub fn run<P: NodeProgram>(
         &self,
         g: &CsrGraph,
@@ -208,9 +248,9 @@ impl ShardedExecutor {
         self.run_traced(g, program, &mut NullSink)
     }
 
-    /// [`ShardedExecutor::run`] with an observer receiving the same event
-    /// stream and per-round state digests as [`crate::Executor::run_traced`]
-    /// — same states, same seal points, same digest chain.
+    /// [`ShardedExecutor::run`] with an observer receiving round/vertex
+    /// events and per-round state digests (see `mfd-trace`) — the same
+    /// stream, seal points and digest chain as [`crate::Executor::run_traced`].
     ///
     /// # Errors
     ///
@@ -252,18 +292,105 @@ impl ShardedExecutor {
         O: RunObserver<P::State>,
         PR: Profiler,
     {
-        let mut f = || {
-            let run_start = Instant::now();
-            let mut engine =
-                ShardedEngine::fresh(&self.config, g, program, observer, profiler, run_start);
+        self.install(|| {
+            let mut engine = ShardedEngine::fresh(&self.config, g, program, observer, profiler);
             engine.drive()?;
             engine.seal_profile();
             Ok(engine.finish())
-        };
+        })
+    }
+
+    /// [`ShardedExecutor::run_traced`] one round at a time: a [`Session`]
+    /// held at round 0 (states initialized, initial configuration sealed).
+    pub fn start<'a, P, O>(
+        &'a self,
+        g: &'a CsrGraph,
+        program: &'a P,
+        observer: &'a mut O,
+    ) -> Session<'a, P, O>
+    where
+        P: NodeProgram,
+        O: RunObserver<P::State>,
+    {
+        let engine =
+            self.install(|| ShardedEngine::fresh(&self.config, g, program, observer, NoProfiler));
+        Session { exec: self, engine }
+    }
+
+    /// A [`Session`] whose next step executes round `checkpoint.round + 1`.
+    /// Nothing is re-sealed or replayed: to continue a digest chain, restore
+    /// the sink alongside (`mfd_trace::DigestSink::restore`).
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::CheckpointMismatch`] (module docs, "Checkpoints").
+    pub fn restore<'a, P, O>(
+        &'a self,
+        g: &'a CsrGraph,
+        program: &'a P,
+        checkpoint: ExecCheckpoint<P::State, P::Msg>,
+        observer: &'a mut O,
+    ) -> Result<Session<'a, P, O>, RuntimeError>
+    where
+        P: NodeProgram,
+        O: RunObserver<P::State>,
+    {
+        let engine = self.install(|| {
+            ShardedEngine::restored(&self.config, g, program, observer, NoProfiler, checkpoint)
+        })?;
+        Ok(Session { exec: self, engine })
+    }
+
+    fn install<R>(&self, f: impl FnOnce() -> R) -> R {
         match &self.pool {
             Some(pool) => pool.install(f),
             None => f(),
         }
+    }
+}
+
+/// A run held at a round boundary ([`ShardedExecutor::start`] / `restore`):
+/// journaling, time travel and kill-and-resume compose from its four methods.
+pub struct Session<'a, P: NodeProgram, O> {
+    exec: &'a ShardedExecutor,
+    engine: ShardedEngine<'a, P, O, NoProfiler>,
+}
+
+impl<P: NodeProgram, O: RunObserver<P::State>> Session<'_, P, O> {
+    /// Executes one round inside the executor's pool and returns its number,
+    /// or `None` once the run is over. An error ends the session.
+    ///
+    /// # Errors
+    ///
+    /// Exactly as [`ShardedExecutor::run`].
+    pub fn step(&mut self) -> Result<Option<u64>, RuntimeError> {
+        let stepped = self.exec.install(|| self.engine.step())?;
+        Ok(matches!(stepped, Stepped::Sealed).then_some(self.engine.round))
+    }
+
+    /// The complete loop state after the last sealed round.
+    pub fn checkpoint(&self) -> ExecCheckpoint<P::State, P::Msg>
+    where
+        P::State: Clone,
+    {
+        let shards = &self.engine.shards;
+        ExecCheckpoint {
+            round: self.engine.round,
+            states: shards.iter().flat_map(|s| &s.states).cloned().collect(),
+            halted: shards.iter().flat_map(|s| &s.halted).copied().collect(),
+            inbox: shards.iter().flat_map(|s| &s.inbox).cloned().collect(),
+            meter: self.engine.meter.to_parts(),
+        }
+    }
+
+    /// The observer (a journal stamps checkpoints with its digest head).
+    pub fn observer(&self) -> &O {
+        self.engine.observer
+    }
+
+    /// Ends the session and returns the run as it stands.
+    pub fn finish(self) -> ShardedExecution<P::State> {
+        self.engine.finish()
     }
 }
 
@@ -348,13 +475,29 @@ impl<S: Send + Sync, M: Send + Sync> ShardState<S, M> {
         self.active.len()
     }
 
-    /// The reference the wake set is maintained against: recomputes the
-    /// active list by the full scan — every live vertex with mail or a
-    /// non-quiescent state — and asserts it equal to what
-    /// [`ShardState::scan`] just produced. Debug builds run
-    /// it on every shard of every round, so the test suite checks the
-    /// equivalence (and [`NodeProgram::quiescent`]'s round-stability
-    /// contract) on every sharded run.
+    /// The wake set's definition: the vertices `round` schedules, by the
+    /// full scan — every live vertex with mail or a non-quiescent state.
+    /// `restored` rebuilds the wake set from it; debug builds assert it.
+    fn full_scan<P>(&self, program: &P, g: &CsrGraph, n: usize, round: u64, seed: u64) -> Vec<usize>
+    where
+        P: NodeProgram<State = S, Msg = M>,
+    {
+        (0..self.end - self.start)
+            .filter(|&local| {
+                let v = self.start + local;
+                !self.halted[local]
+                    && (!self.inbox[local].is_empty()
+                        || !program.quiescent(
+                            &NodeCtx::new(v, n, round, g.neighbors(v), seed),
+                            &self.states[local],
+                        ))
+            })
+            .collect()
+    }
+
+    /// Asserts [`ShardState::scan`]'s output equal to [`ShardState::full_scan`]
+    /// — on every shard of every round in debug builds, so the test suite
+    /// checks [`NodeProgram::quiescent`]'s round-stability on every run.
     #[cfg(debug_assertions)]
     fn assert_scan_matches_full_scan<P>(
         &self,
@@ -366,19 +509,9 @@ impl<S: Send + Sync, M: Send + Sync> ShardState<S, M> {
     ) where
         P: NodeProgram<State = S, Msg = M>,
     {
-        let full_scan: Vec<usize> = (0..self.end - self.start)
-            .filter(|&local| {
-                let v = self.start + local;
-                !self.halted[local]
-                    && (!self.inbox[local].is_empty()
-                        || !program.quiescent(
-                            &NodeCtx::new(v, n, round, g.neighbors(v), seed),
-                            &self.states[local],
-                        ))
-            })
-            .collect();
         assert_eq!(
-            self.active, full_scan,
+            self.active,
+            self.full_scan(program, g, n, round, seed),
             "round {round}, shard at {}: wake set != full scan (a `quiescent` whose answer \
              for an unstepped vertex depends on the round breaks the engine's contract)",
             self.start
@@ -524,7 +657,7 @@ impl<S: Send + Sync, M: Send + Sync> ShardState<S, M> {
     }
 }
 
-/// One step outcome (mirrors the unsharded engine).
+/// One step outcome.
 enum Stepped {
     Sealed,
     Done,
@@ -534,7 +667,7 @@ struct ShardedEngine<'a, P: NodeProgram, O, PR> {
     g: &'a CsrGraph,
     program: &'a P,
     observer: &'a mut O,
-    profiler: &'a mut PR,
+    profiler: PR,
     /// Wall-clock origin of the run; all profile offsets are relative to it.
     run_start: Instant,
     /// Pooled per-round profile sample (only populated when `PR::ENABLED`).
@@ -559,19 +692,20 @@ where
     O: RunObserver<P::State>,
     PR: Profiler,
 {
-    fn fresh(
+    /// The engine at round 0 with its vertices split into `config.shards`
+    /// contiguous ranges (at least one) whose per-vertex state the caller
+    /// fills in: `states`, `halted` and the wake sets are still empty.
+    fn assemble(
         config: &ShardedConfig,
         g: &'a CsrGraph,
         program: &'a P,
         observer: &'a mut O,
-        profiler: &'a mut PR,
-        run_start: Instant,
+        profiler: PR,
     ) -> Self {
         let n = g.n();
-        let seed = config.seed;
         let num_shards = config.shards.max(1);
         let chunk = n.div_ceil(num_shards).max(1);
-        let mut shards: Vec<ShardState<P::State, P::Msg>> = (0..num_shards)
+        let shards = (0..num_shards)
             .map(|s| {
                 let start = (s * chunk).min(n);
                 let end = ((s + 1) * chunk).min(n);
@@ -600,9 +734,103 @@ where
                 }
             })
             .collect();
+        ShardedEngine {
+            g,
+            program,
+            observer,
+            profiler,
+            run_start: Instant::now(),
+            sample: RoundSample::default(),
+            n,
+            seed: config.seed,
+            max_rounds: config
+                .max_rounds
+                .min(program.round_budget_hint().unwrap_or(u64::MAX)),
+            capacity_words: config.capacity_words,
+            chunk,
+            shards,
+            xfer: (0..num_shards)
+                .map(|_| (0..num_shards).map(|_| Vec::new()).collect())
+                .collect(),
+            meter: RoundMeter::with_capacity(config.capacity_words),
+            arena: ArenaStats::default(),
+            round: 0,
+        }
+    }
+
+    /// Rebuilds the loop state from a checkpoint — no `init`, no round-0
+    /// seal — after checking it against `g` and the round budget.
+    fn restored(
+        config: &ShardedConfig,
+        g: &'a CsrGraph,
+        program: &'a P,
+        observer: &'a mut O,
+        profiler: PR,
+        cp: ExecCheckpoint<P::State, P::Msg>,
+    ) -> Result<Self, RuntimeError> {
+        let (n, seed, round) = (g.n(), config.seed, cp.round);
+        let mismatch = |what, expected: u64, found: u64| RuntimeError::CheckpointMismatch {
+            what,
+            expected,
+            found,
+        };
+        for (what, len) in [
+            ("states length", cp.states.len()),
+            ("halted length", cp.halted.len()),
+            ("inbox length", cp.inbox.len()),
+        ] {
+            if len != n {
+                return Err(mismatch(what, n as u64, len as u64));
+            }
+        }
+        for (v, mailbox) in cp.inbox.iter().enumerate() {
+            let neighbors = g.neighbors(v);
+            if let Some(env) = mailbox
+                .iter()
+                .find(|env| neighbors.binary_search(&env.src).is_err())
+            {
+                let what = "mail to vertex `expected` from non-neighbour `found`";
+                return Err(mismatch(what, v as u64, env.src as u64));
+            }
+        }
+        let mut engine = Self::assemble(config, g, program, observer, profiler);
+        (engine.meter, engine.round) = (RoundMeter::from_parts(cp.meter), round);
+        if round > engine.max_rounds {
+            let what = "round exceeds the round budget";
+            return Err(mismatch(what, engine.max_rounds, round));
+        }
+        let (mut states, mut halted, mut inbox) = (
+            cp.states.into_iter(),
+            cp.halted.into_iter(),
+            cp.inbox.into_iter(),
+        );
+        for shard in &mut engine.shards {
+            let len = shard.end - shard.start;
+            shard.states = states.by_ref().take(len).collect();
+            shard.halted = halted.by_ref().take(len).collect();
+            shard.inbox = inbox.by_ref().take(len).collect();
+            shard.filled = (0..len).filter(|&l| !shard.inbox[l].is_empty()).collect();
+            for local in shard.full_scan(program, g, n, round + 1, seed) {
+                wake_vertex(&mut shard.wake, local);
+            }
+        }
+        Ok(engine)
+    }
+
+    fn fresh(
+        config: &ShardedConfig,
+        g: &'a CsrGraph,
+        program: &'a P,
+        observer: &'a mut O,
+        profiler: PR,
+    ) -> Self {
+        let n = g.n();
+        let seed = config.seed;
+        let mut engine = Self::assemble(config, g, program, observer, profiler);
         // Parallel init of states, halted flags and the round-1 wake set (no
         // mail yet: the live non-quiescent vertices), shard by shard.
-        let _: Vec<()> = shards
+        let _: Vec<()> = engine
+            .shards
             .par_iter_mut()
             .enumerate()
             .map(|(_, shard)| {
@@ -617,43 +845,14 @@ where
                         )
                     })
                     .collect();
-                for v in shard.start..shard.end {
-                    let local = v - shard.start;
-                    if shard.halted[local] {
-                        continue;
-                    }
-                    let ctx = NodeCtx::new(v, n, 1, g.neighbors(v), seed);
-                    if !program.quiescent(&ctx, &shard.states[local]) {
-                        wake_vertex(&mut shard.wake, local);
-                    }
+                for local in shard.full_scan(program, g, n, 1, seed) {
+                    wake_vertex(&mut shard.wake, local);
                 }
             })
             .collect();
 
-        let engine = ShardedEngine {
-            g,
-            program,
-            observer,
-            profiler,
-            run_start,
-            sample: RoundSample::default(),
-            n,
-            seed,
-            max_rounds: config
-                .max_rounds
-                .min(program.round_budget_hint().unwrap_or(u64::MAX)),
-            capacity_words: config.capacity_words,
-            chunk,
-            shards,
-            xfer: (0..num_shards)
-                .map(|_| (0..num_shards).map(|_| Vec::new()).collect())
-                .collect(),
-            meter: RoundMeter::with_capacity(config.capacity_words),
-            arena: ArenaStats::default(),
-            round: 0,
-        };
         // Round 0: digest the initial configuration, exactly as the
-        // unsharded engine does. Hashing runs in parallel over shards;
+        // reference stepper does. Hashing runs in parallel over shards;
         // delivery stays sequential and in ascending vertex order.
         if O::ENABLED {
             if engine.observer.wants_digests() {
@@ -679,8 +878,8 @@ where
             // The effective worker count: the installed pool's size, or all
             // available threads when no dedicated pool was built.
             let threads = rayon::current_num_threads().max(1);
-            let init_ns = run_start.elapsed().as_nanos() as u64;
-            engine.profiler.begin(num_shards, threads, init_ns);
+            let init_ns = engine.offset_ns();
+            engine.profiler.begin(engine.shards.len(), threads, init_ns);
         }
         engine
     }
@@ -810,7 +1009,7 @@ where
 
         // Sequential resolution, in vertex order by construction (shards are
         // ascending vertex ranges): non-edge sends first, then bandwidth —
-        // the same precedence as the unsharded engine.
+        // the same precedence as the reference stepper.
         if PR::ENABLED {
             let now = self.offset_ns();
             self.sample.phase_wall_ns[PHASE_STEP] = now - self.sample.phase_start_ns[PHASE_STEP];
@@ -977,24 +1176,15 @@ mod tests {
     use crate::executor::Executor;
     use crate::program::Outbox;
     use mfd_graph::generators;
-    use mfd_trace::DigestSink;
+    use mfd_trace::{DigestSink, RecordingSink};
 
-    /// Records every profiled round's total frontier (active vertices).
-    #[derive(Default)]
-    struct FrontierLog(Vec<usize>);
-
-    impl Profiler for FrontierLog {
-        fn record_round(&mut self, sample: &RoundSample) {
-            self.0.push(sample.frontier.iter().sum());
-        }
-    }
-
-    /// Runs `program` on the unsharded executor and on the sharded one over
+    /// Runs `program` on the reference stepper and on the sharded engine over
     /// shards {1, 2, 3, 8, 64} × threads {1, 4}, and asserts every sharded run
-    /// bit-identical to the reference: states, meter, digest chain, and the
-    /// per-round frontier series (so not only the outputs but the schedule
-    /// itself). Returns the reference states and the (configuration-
-    /// invariant) arena marks for case-specific assertions.
+    /// bit-identical to the reference: states, meter, and the complete
+    /// observed stream — every `RoundOpen`/`VertexStep`/`RoundClose` event
+    /// and every per-vertex digest, so not only the outputs but the schedule
+    /// itself. Returns the reference run and the (configuration-invariant)
+    /// arena marks for case-specific assertions.
     fn assert_matches_executor<P>(
         case: &str,
         g: &mfd_graph::Graph,
@@ -1006,10 +1196,9 @@ mod tests {
     {
         let csr = CsrGraph::from_graph(g);
         let exec_cfg = ExecutorConfig::default();
-        let mut reference_sink = DigestSink::new();
-        let mut reference_log = FrontierLog::default();
+        let mut reference_sink = RecordingSink::with_digests();
         let reference = Executor::new(exec_cfg.clone())
-            .run_profiled(g, program, &mut reference_sink, &mut reference_log)
+            .run_traced(g, program, &mut reference_sink)
             .unwrap();
         let mut arenas = Vec::new();
         for shards in [1, 2, 3, 8, 64] {
@@ -1017,10 +1206,9 @@ mod tests {
                 let at = format!("{case}: shards={shards} threads={threads}");
                 let mut cfg = ShardedConfig::matching(&exec_cfg, shards);
                 cfg.threads = threads;
-                let mut sink = DigestSink::new();
-                let mut log = FrontierLog::default();
+                let mut sink = RecordingSink::with_digests();
                 let run = ShardedExecutor::new(cfg)
-                    .run_profiled(&csr, program, &mut sink, &mut log)
+                    .run_traced(&csr, program, &mut sink)
                     .unwrap();
                 assert_eq!(run.states, reference.states, "{at}");
                 assert_eq!(run.rounds, reference.rounds, "{at}");
@@ -1030,8 +1218,8 @@ mod tests {
                     reference.meter.max_words_on_edge(),
                     "{at}"
                 );
-                assert_eq!(sink.heads(), reference_sink.heads(), "{at}: digest chains");
-                assert_eq!(log.0, reference_log.0, "{at}: frontier series");
+                assert_eq!(sink.events, reference_sink.events, "{at}: event stream");
+                assert_eq!(sink.digest_log, reference_sink.digest_log, "{at}: digests");
                 arenas.push(run.arena);
             }
         }
@@ -1331,5 +1519,117 @@ mod tests {
         // Every broadcast round stages 2m envelopes, all delivered.
         assert_eq!(runs[0].route_slots_hwm, 2 * csr.m());
         assert_eq!(runs[0].mailbox_slots_hwm, 2 * csr.m());
+    }
+
+    /// The layouts the checkpoint tests cross: one shard, uneven shards, more
+    /// shards than most shards have vertices; one thread and several.
+    fn layouts() -> Vec<ShardedExecutor> {
+        [(1, 1), (3, 4), (64, 1)]
+            .iter()
+            .map(|&(s, t)| ShardedExecutor::new(ShardedConfig::with_shards_threads(s, t)))
+            .collect()
+    }
+
+    /// Steps a fresh session to the end, capturing `(checkpoint, sink
+    /// export)` every `every` rounds.
+    #[allow(clippy::type_complexity)]
+    fn journal<P>(
+        exec: &ShardedExecutor,
+        csr: &CsrGraph,
+        program: &P,
+        every: u64,
+    ) -> (
+        ShardedExecution<P::State>,
+        DigestSink,
+        Vec<(ExecCheckpoint<P::State, P::Msg>, mfd_trace::DigestState)>,
+    )
+    where
+        P: NodeProgram,
+        P::State: Clone + std::hash::Hash,
+    {
+        let mut sink = DigestSink::new();
+        let mut captured = Vec::new();
+        let mut session = exec.start(csr, program, &mut sink);
+        while let Some(round) = session.step().unwrap() {
+            if round % every == 0 {
+                captured.push((session.checkpoint(), session.observer().export()));
+            }
+        }
+        (session.finish(), sink, captured)
+    }
+
+    #[test]
+    fn resume_from_any_checkpoint_matches_the_uninterrupted_run() {
+        let g = generators::triangulated_grid(6, 6);
+        let csr = CsrGraph::from_graph(&g);
+        let program = Mixer { rounds: 9 };
+        let mut reference_sink = DigestSink::new();
+        let full = Executor::new(ExecutorConfig::default())
+            .run_traced(&g, &program, &mut reference_sink)
+            .unwrap();
+
+        for exec in layouts() {
+            let (run, sink, captured) = journal(&exec, &csr, &program, 2);
+            assert_eq!(run.states, full.states);
+            assert_eq!(run.meter.to_parts(), full.meter.to_parts());
+            assert_eq!(sink.chain(), reference_sink.chain());
+            // Captures at rounds 2, 4, 6, 8 (the run ends in round 9).
+            let rounds: Vec<u64> = captured.iter().map(|(cp, _)| cp.round).collect();
+            assert_eq!(rounds, vec![2, 4, 6, 8]);
+
+            // Every capture resumes on every layout, not only its own.
+            for (cp, digest_state) in captured {
+                for other in layouts() {
+                    let mut sink = DigestSink::restore(digest_state.clone());
+                    let mut session = other
+                        .restore(&csr, &program, cp.clone(), &mut sink)
+                        .unwrap();
+                    assert_eq!(session.step().unwrap(), Some(cp.round + 1));
+                    while session.step().unwrap().is_some() {}
+                    let resumed = session.finish();
+                    assert_eq!(resumed.states, full.states);
+                    assert_eq!(resumed.meter.to_parts(), full.meter.to_parts());
+                    assert_eq!(sink.chain(), reference_sink.chain());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resumed_round_budget_counts_total_rounds() {
+        let csr = CsrGraph::from_graph(&generators::cycle(6));
+        let program = Mixer { rounds: 20 };
+        let (_, _, captured) = journal(&layouts()[1], &csr, &program, 5);
+
+        // A budget the full run exceeds must still fail after a resume from
+        // round 5 — the budget meters total rounds, not rounds since resume.
+        let tight = ShardedExecutor::new(ShardedConfig {
+            max_rounds: 10,
+            ..ShardedConfig::default()
+        });
+        let mut sink = NullSink;
+        let mut session = tight
+            .restore(&csr, &program, captured[0].0.clone(), &mut sink)
+            .unwrap();
+        let err = loop {
+            match session.step() {
+                Ok(Some(round)) => assert!(round <= 10),
+                Ok(None) => panic!("a 20-round run cannot finish within 10"),
+                Err(err) => break err,
+            }
+        };
+        assert_eq!(err, RuntimeError::RoundLimit { limit: 10 });
+        // A checkpoint already past the budget is refused up front.
+        let err = tight
+            .restore(&csr, &program, captured[2].0.clone(), &mut sink)
+            .err();
+        assert!(matches!(
+            err,
+            Some(RuntimeError::CheckpointMismatch {
+                expected: 10,
+                found: 15,
+                ..
+            })
+        ));
     }
 }

@@ -11,14 +11,15 @@
 use mfd_bench::replay::{executor_journal, faulted_journal, resume_executor, resume_faulted};
 use mfd_bench::trace::DivergenceProbe;
 use mfd_faults::{FaultModel, Reliable};
-use mfd_graph::generators;
+use mfd_graph::{generators, CsrGraph};
 use mfd_replay::Journal;
-use mfd_runtime::{ExecCheckpoint, Executor, ExecutorConfig};
+use mfd_runtime::{ExecCheckpoint, ExecutorConfig};
 use mfd_sim::LatencyModel;
 use mfd_trace::NullSink;
 
 fn main() {
     let g = generators::triangulated_grid(8, 8);
+    let csr = CsrGraph::from_graph(&g);
     let cfg = ExecutorConfig::default();
     let probe = DivergenceProbe::clean(16);
     println!(
@@ -29,7 +30,7 @@ fn main() {
 
     // 1. Journal a run: a checkpoint every 4 sealed rounds, each stamped
     //    with the digest-chain head at its round.
-    let full = executor_journal(&g, &probe, &cfg, 4, "demo/probe").expect("probe runs");
+    let full = executor_journal(&csr, &probe, &cfg, 4, "demo/probe").expect("probe runs");
     println!(
         "journaled executor run: {} rounds, {} checkpoints, final head {:016x}",
         full.journal.rounds(),
@@ -51,7 +52,7 @@ fn main() {
     // 3. Kill and resume: restore the round-8 checkpoint and continue. The
     //    resumed digest chain equals the uninterrupted run's, round for
     //    round — the crash was invisible.
-    let resumed = resume_executor(&reloaded, 8, &g, &probe, &cfg).expect("journal resumes");
+    let resumed = resume_executor(&reloaded, 8, &csr, &probe, &cfg).expect("journal resumes");
     assert_eq!(resumed.sink.chain(), full.sink.chain());
     assert_eq!(resumed.run.states, full.run.states);
     println!(
@@ -67,15 +68,18 @@ fn main() {
         .checkpoint_at(10)
         .expect("checkpoint below round 10");
     let restored: ExecCheckpoint<u64, u64> = reloaded.decode_checkpoint(cp).expect("decodes");
-    let mut at_10: Option<Vec<u64>> = None;
-    Executor::new(cfg.clone())
-        .resume_checkpointed(&g, &probe, restored, &mut NullSink, 1, &mut |c, _| {
-            if c.round == 10 {
-                at_10 = Some(c.states);
-            }
-        })
-        .expect("probe runs");
-    let states = at_10.expect("round 10 was re-executed");
+    let exec = mfd_bench::sync_executor(&cfg);
+    let mut sink = NullSink;
+    let mut session = exec
+        .restore(&csr, &probe, restored, &mut sink)
+        .expect("the journal's checkpoint fits its own graph");
+    while session
+        .step()
+        .expect("probe runs")
+        .expect("the run reaches round 10")
+        < 10
+    {}
+    let states = session.finish().states;
     println!(
         "time travel from round {}: v0 state at round 10 is {:#018x}\n",
         cp.round, states[0]

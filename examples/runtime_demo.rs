@@ -1,7 +1,8 @@
 //! Demo of the `mfd-runtime` execution engine: runs the message-passing ports
 //! (BFS flooding, Cole–Vishkin forest colouring, Voronoi LDD assignment) on a
 //! triangulated grid and cross-checks them against the centralized
-//! implementations and the CONGEST meter.
+//! implementations and the CONGEST meter, then steps a run round by round,
+//! checkpoints it mid-flight and resumes the checkpoint on another layout.
 //!
 //! Run with: `cargo run --release --example runtime_demo`
 
@@ -11,7 +12,8 @@ use mfd_core::ldd::voronoi_ldd;
 use mfd_core::programs::{run_bfs, run_cole_vishkin, run_voronoi_ldd, BfsProgram};
 use mfd_graph::properties::splitmix64;
 use mfd_graph::{generators, CsrGraph};
-use mfd_runtime::{run_on_clusters, Executor, ExecutorConfig};
+use mfd_runtime::{run_on_clusters, ExecutorConfig, ShardedConfig, ShardedExecutor};
+use mfd_trace::NullSink;
 
 fn main() {
     let g = generators::triangulated_grid(24, 24);
@@ -20,7 +22,7 @@ fn main() {
         g.n(),
         g.m()
     );
-    let executor = Executor::new(ExecutorConfig::default());
+    let executor = ShardedExecutor::new(ShardedConfig::default());
 
     // 1. BFS-tree construction as a real flood, validated by the meter.
     let (bfs, meter) = run_bfs(&g, 0, &executor).expect("BFS flood is model-compliant");
@@ -74,8 +76,9 @@ fn main() {
     // 4. Cluster-scoped execution: BFS inside every Voronoi cell in parallel
     //    on the sharded CSR engine, with max-round (merge_parallel) accounting.
     let clusters: Vec<Vec<usize>> = clustering.clusters().map(|c| c.to_vec()).collect();
+    let csr = CsrGraph::from_graph(&g);
     let run = run_on_clusters(
-        &CsrGraph::from_graph(&g),
+        &csr,
         &clusters,
         |_idx, _sub, _members| BfsProgram { root: 0 },
         &ExecutorConfig::default(),
@@ -87,5 +90,34 @@ fn main() {
         clusters.len(),
         run.max_rounds,
         run.meter.messages(),
+    );
+
+    // 5. The same engine one round at a time: step a BFS session to round
+    //    10, capture it, and resume the capture on a different shard/thread
+    //    layout — the checkpoint is plain data in vertex order, so the
+    //    continuation is bit-identical to the uninterrupted run.
+    let program = BfsProgram { root: 0 };
+    let full = executor
+        .run(&csr, &program)
+        .expect("BFS is model-compliant");
+    let mut sink = NullSink;
+    let mut session = executor.start(&csr, &program, &mut sink);
+    for _ in 0..10 {
+        session.step().expect("BFS is model-compliant");
+    }
+    let checkpoint = session.checkpoint();
+    let other = ShardedExecutor::new(ShardedConfig::with_shards_threads(3, 2));
+    let mut sink = NullSink;
+    let mut resumed = other
+        .restore(&csr, &program, checkpoint, &mut sink)
+        .expect("the checkpoint fits the graph it was captured on");
+    while resumed.step().expect("BFS is model-compliant").is_some() {}
+    let resumed = resumed.finish();
+    assert_eq!(resumed.states, full.states);
+    assert_eq!(resumed.meter.to_parts(), full.meter.to_parts());
+    println!(
+        "step/checkpoint/restore: captured at round 10 on 8 shards, resumed on 3 — \
+         {} rounds, {} messages, states bit-identical",
+        resumed.rounds, resumed.messages,
     );
 }

@@ -12,15 +12,16 @@
 use mfd_bench::trace::{executor_chain, sim_chain, DivergenceProbe};
 use mfd_core::edt::{build_edt_traced, EdtConfig};
 use mfd_core::programs::BfsProgram;
-use mfd_graph::generators;
+use mfd_graph::{generators, CsrGraph};
 use mfd_routing::backend::Metered;
-use mfd_runtime::{Executor, ExecutorConfig};
+use mfd_runtime::ExecutorConfig;
 use mfd_sim::LatencyModel;
 use mfd_trace::jsonl::chrome_trace;
 use mfd_trace::{first_divergence, DigestSink, JsonlSink, MetricsSink, Tee};
 
 fn main() {
     let g = generators::triangulated_grid(12, 12);
+    let csr = CsrGraph::from_graph(&g);
     let cfg = ExecutorConfig::default();
     println!(
         "graph: triangulated 12x12 grid, n = {}, m = {}\n",
@@ -32,8 +33,8 @@ fn main() {
     //    digest sink at once, via the Tee combinator. Observation never
     //    perturbs the run (the integration tests prove bit-identity).
     let mut sinks = Tee::new(MetricsSink::new(), DigestSink::new());
-    let run = Executor::new(cfg.clone())
-        .run_traced(&g, &BfsProgram { root: 0 }, &mut sinks)
+    let run = mfd_bench::sync_executor(&cfg)
+        .run_traced(&csr, &BfsProgram { root: 0 }, &mut sinks)
         .expect("BFS is model-compliant");
     println!(
         "BFS on the executor: {} rounds, {} messages",
@@ -60,7 +61,7 @@ fn main() {
     // 2. The cross-engine contract, strengthened: at unit latency the event
     //    engine journals the *same digest chain* — not just the same final
     //    states, the same state history, round for round.
-    let (a, _) = executor_chain(&g, &DivergenceProbe::clean(12), &cfg).unwrap();
+    let (a, _) = executor_chain(&csr, &DivergenceProbe::clean(12), &cfg).unwrap();
     let (b, _) = sim_chain(
         &g,
         &DivergenceProbe::clean(12),
@@ -77,7 +78,7 @@ fn main() {
 
     // 3. Divergence hunting: corrupt vertex 7 at round 5 and binary-search
     //    the chains. The hit is exact — round 5, vertex 7.
-    let (bad, _) = executor_chain(&g, &DivergenceProbe::perturbed(12, 5, 7), &cfg).unwrap();
+    let (bad, _) = executor_chain(&csr, &DivergenceProbe::perturbed(12, 5, 7), &cfg).unwrap();
     let round = first_divergence(&a.chain(), &bad.chain()).expect("the corruption propagates");
     let culprits = DigestSink::diverging_vertices(&a, &bad, round);
     println!(

@@ -6,7 +6,7 @@
 //! deferral threshold (`DEFERRED_MIN_VERTICES` = 16384) so the batched fold
 //! path actually engages, not just the small-run eager path:
 //!
-//! 1. Sharded runs are bit-identical to the unsharded engine — states,
+//! 1. Sharded runs are bit-identical to the reference stepper — states,
 //!    rounds, messages, meters, arena high-water marks, and chained digest
 //!    heads — whatever the shard and thread counts.
 //! 2. The deferred sink (`DigestSink::new`) and the eager snapshot-keeping
@@ -122,23 +122,26 @@ fn deferred_and_eager_sinks_fold_the_same_chain_on_engine_runs() {
 #[test]
 fn resumed_runs_cross_the_deferral_boundary_bit_identically() {
     let csr = deferral_scale_graph();
-    let g = csr.to_graph();
     let program = BfsProgram { root: 0 };
-    let exec = Executor::new(ExecutorConfig::default());
+    let exec = ShardedExecutor::new(ShardedConfig::with_shards_threads(16, 4));
 
     let mut sink = DigestSink::new();
     let mut cps = Vec::new();
-    let full = exec
-        .run_checkpointed(&g, &program, &mut sink, 2, &mut |cp, s: &DigestSink| {
-            cps.push((cp, s.export()));
-        })
-        .unwrap();
+    let mut session = exec.start(&csr, &program, &mut sink);
+    while let Some(round) = session.step().unwrap() {
+        if round % 2 == 0 {
+            cps.push((session.checkpoint(), session.observer().export()));
+        }
+    }
+    let full = session.finish();
     assert!(!cps.is_empty(), "the run must be long enough to checkpoint");
 
     for (cp, digests) in cps {
         let round = cp.round;
         let mut rsink = DigestSink::restore(digests);
-        let resumed = exec.resume_traced(&g, &program, cp, &mut rsink).unwrap();
+        let mut session = exec.restore(&csr, &program, cp, &mut rsink).unwrap();
+        while session.step().unwrap().is_some() {}
+        let resumed = session.finish();
         assert_eq!(resumed.states, full.states, "@{round}");
         assert_eq!(resumed.rounds, full.rounds, "@{round}");
         assert_eq!(resumed.messages, full.messages, "@{round}");

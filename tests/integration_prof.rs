@@ -4,15 +4,14 @@
 //! recorder, the bench harness), so it lives here: running a workload with
 //! the profiler attached must be **bit-identical** to running it without —
 //! final states, meter statistics, arena high-water marks, and the chained
-//! per-round digests — across shard counts, thread counts, and both
-//! engines. The profiler only ever writes into its own sample buffer at
+//! per-round digests — across shard and thread counts, and against the
+//! reference stepper's unprofiled run. The profiler only ever writes into its own sample buffer at
 //! points that are already sequential, so the property should hold by
 //! construction; this suite is the regression net under it.
 
 use mfd_core::programs::{BfsProgram, VoronoiLddProgram};
-use mfd_graph::{gen, generators};
+use mfd_graph::{gen, generators, CsrGraph};
 use mfd_prof::Profile;
-use mfd_runtime::profile::{PHASE_EXCHANGE, PHASE_ROUTE};
 use mfd_runtime::{Executor, ExecutorConfig, ShardedConfig, ShardedExecutor};
 use mfd_trace::DigestSink;
 use proptest::prelude::*;
@@ -68,8 +67,9 @@ proptest! {
         }
     }
 
-    /// Profiled ≡ unprofiled on the unsharded engine, and the overlay maps
-    /// it onto a single shard with no routing phases.
+    /// The `engine=executor` layout — one shard per worker thread, as
+    /// `ShardedConfig::per_thread` lays a synchronous run out — profiled, is
+    /// bit-identical to the reference stepper's unprofiled run.
     #[test]
     fn profiled_executor_runs_are_bit_identical(
         side in 3usize..10,
@@ -78,31 +78,27 @@ proptest! {
     ) {
         let g = generators::triangulated_grid(side, side);
         let bfs = BfsProgram { root: root % g.n() };
-        let exec = Executor::new(ExecutorConfig::with_threads(threads));
+        let cfg = ExecutorConfig::with_threads(threads);
+        let exec = ShardedExecutor::new(ShardedConfig::per_thread(&cfg));
 
         let mut profile = Profile::new();
         let mut sink = DigestSink::new();
         let profiled = exec
-            .run_profiled(&g, &bfs, &mut sink, &mut profile)
+            .run_profiled(&CsrGraph::from_graph(&g), &bfs, &mut sink, &mut profile)
             .expect("bfs is model-compliant");
 
         let mut plain_sink = DigestSink::new();
-        let plain = exec
+        let plain = Executor::new(cfg)
             .run_traced(&g, &bfs, &mut plain_sink)
             .expect("bfs is model-compliant");
 
         prop_assert_eq!(&profiled.states, &plain.states);
-        prop_assert_eq!(profiled.rounds, plain.rounds);
-        prop_assert_eq!(profiled.messages, plain.messages);
+        prop_assert_eq!(profiled.meter.to_parts(), plain.meter.to_parts());
         prop_assert_eq!(sink.heads(), plain_sink.heads());
 
-        prop_assert_eq!(profile.shards, 1);
+        prop_assert_eq!(profile.shards, threads);
         prop_assert_eq!(profile.round_count(), profiled.rounds);
         prop_assert_eq!(profile.messages(), profiled.messages);
-        // No router on the unsharded engine: route/exchange never tick.
-        let walls = profile.phase_wall_totals();
-        prop_assert_eq!(walls[PHASE_ROUTE], 0);
-        prop_assert_eq!(walls[PHASE_EXCHANGE], 0);
     }
 }
 

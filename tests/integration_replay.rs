@@ -16,7 +16,7 @@ use mfd_congest::{primitives, RoundMeter};
 use mfd_core::programs::{BfsProgram, ColeVishkinProgram};
 use mfd_faults::{FaultModel, Reliable};
 use mfd_graph::properties::splitmix64;
-use mfd_graph::{generators, Graph};
+use mfd_graph::{generators, CsrGraph, Graph};
 use mfd_replay::Journal;
 use mfd_routing::programs::TreeGatherProgram;
 use mfd_runtime::{Executor, ExecutorConfig};
@@ -57,6 +57,7 @@ proptest! {
         pick in 0u64..1_000_000,
     ) {
         let g = random_connected(n, extra, seed);
+        let csr = CsrGraph::from_graph(&g);
         let cfg = ExecutorConfig {
             seed: splitmix64(seed ^ 0x5EED),
             ..ExecutorConfig::default()
@@ -68,18 +69,29 @@ proptest! {
 
         macro_rules! check {
             ($program:expr) => {{
-                let exec = Executor::new(cfg.clone());
+                let exec = mfd_bench::sync_executor(&cfg);
                 let mut sink = DigestSink::new();
                 let mut cps = Vec::new();
-                let full = exec
-                    .run_checkpointed(&g, $program, &mut sink, every, &mut |cp, s: &DigestSink| {
-                        cps.push((cp, s.export()));
-                    })
+                let mut session = exec.start(&csr, $program, &mut sink);
+                while let Some(round) = session.step().unwrap() {
+                    if round % every == 0 {
+                        cps.push((session.checkpoint(), session.observer().export()));
+                    }
+                }
+                let full = session.finish();
+                // The journaled run is the reference stepper's run.
+                let mut reference = DigestSink::new();
+                let expected = Executor::new(cfg.clone())
+                    .run_traced(&g, $program, &mut reference)
                     .unwrap();
+                prop_assert_eq!(&full.states, &expected.states);
+                prop_assert_eq!(sink.chain(), reference.chain());
                 if !cps.is_empty() {
                     let (cp, digests) = cps.swap_remove((pick as usize) % cps.len());
                     let mut rsink = DigestSink::restore(digests);
-                    let resumed = exec.resume_traced(&g, $program, cp, &mut rsink).unwrap();
+                    let mut session = exec.restore(&csr, $program, cp, &mut rsink).unwrap();
+                    while session.step().unwrap().is_some() {}
+                    let resumed = session.finish();
                     prop_assert_eq!(&resumed.states, &full.states);
                     prop_assert_eq!(resumed.rounds, full.rounds);
                     prop_assert_eq!(resumed.messages, full.messages);
@@ -128,9 +140,10 @@ proptest! {
             ..ExecutorConfig::default()
         };
         let probe = DivergenceProbe::clean(rounds);
+        let csr = CsrGraph::from_graph(&g);
 
-        let a = executor_journal(&g, &probe, &cfg, every, "prop/exec").unwrap();
-        let b = executor_journal(&g, &probe, &cfg, every, "prop/exec").unwrap();
+        let a = executor_journal(&csr, &probe, &cfg, every, "prop/exec").unwrap();
+        let b = executor_journal(&csr, &probe, &cfg, every, "prop/exec").unwrap();
         let bytes = a.journal.to_bytes();
         prop_assert_eq!(&bytes, &b.journal.to_bytes());
         let decoded = Journal::from_bytes(&bytes).unwrap();
@@ -159,9 +172,10 @@ proptest! {
         let cfg = ExecutorConfig::default();
         let probe = DivergenceProbe::clean(rounds);
 
-        let full = executor_journal(&g, &probe, &cfg, 2, "prop/exec").unwrap();
+        let csr = CsrGraph::from_graph(&g);
+        let full = executor_journal(&csr, &probe, &cfg, 2, "prop/exec").unwrap();
         for cp in &full.journal.checkpoints {
-            let r = resume_executor(&full.journal, cp.round, &g, &probe, &cfg).unwrap();
+            let r = resume_executor(&full.journal, cp.round, &csr, &probe, &cfg).unwrap();
             prop_assert_eq!(r.from_round, cp.round);
             prop_assert_eq!(r.sink.chain(), full.sink.chain());
             prop_assert_eq!(&r.run.states, &full.run.states);

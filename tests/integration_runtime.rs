@@ -1,18 +1,24 @@
 //! Cross-crate integration tests for the `mfd-runtime` execution engine:
 //! differential validation of the node-program ports against the centralized
 //! implementations on several graph families, model-compliance properties
-//! (the executor never accepts a round the meter would reject), determinism
-//! across thread counts, and cluster-scoped parallel composition.
+//! (the executor never accepts a round the meter would reject — on the
+//! production engine and the reference stepper alike), determinism across
+//! shard and thread counts pinned against the reference stepper, and
+//! cluster-scoped parallel composition.
 
 use mfd_congest::{primitives, CongestError, Message, RoundMeter};
 use mfd_core::cole_vishkin::{color_rooted_forest_scheduled, cv_schedule_len, is_proper_coloring};
 use mfd_core::ldd::{chop_ldd, region_growing_ldd, voronoi_ldd};
-use mfd_core::programs::{run_bfs, run_cole_vishkin, run_voronoi_ldd, BfsProgram};
+use mfd_core::programs::{
+    run_bfs, run_cole_vishkin, run_voronoi_ldd, BfsProgram, ColeVishkinProgram,
+};
 use mfd_graph::properties::splitmix64;
 use mfd_graph::{generators, CsrGraph, Graph};
 use mfd_runtime::{
-    run_on_clusters, Envelope, Executor, ExecutorConfig, NodeCtx, NodeProgram, Outbox, RuntimeError,
+    run_on_clusters, Envelope, Executor, ExecutorConfig, NodeCtx, NodeProgram, Outbox,
+    RuntimeError, ShardedConfig, ShardedExecutor,
 };
+use mfd_trace::DigestSink;
 use proptest::prelude::*;
 
 /// The acceptance families: a triangulated grid, a wheel (planar with a
@@ -25,7 +31,12 @@ fn families() -> Vec<(&'static str, Graph)> {
     ]
 }
 
-fn executor() -> Executor {
+fn executor() -> ShardedExecutor {
+    ShardedExecutor::new(ShardedConfig::default())
+}
+
+/// The reference stepper the production engine is pinned against.
+fn reference() -> Executor {
     Executor::new(ExecutorConfig::default())
 }
 
@@ -81,29 +92,37 @@ fn voronoi_port_matches_centralized_on_all_families() {
     }
 }
 
+/// The engine is deterministic across thread counts (one shard per thread,
+/// so the layout moves too) — and what it is deterministic *at* is the
+/// reference stepper's run: states, meter and digest chain.
 #[test]
 fn executions_are_deterministic_across_thread_counts() {
     let g = generators::triangulated_grid(12, 12);
+    let csr = CsrGraph::from_graph(&g);
     let id: Vec<u64> = (0..g.n() as u64).map(splitmix64).collect();
     let mut meter = RoundMeter::new();
     let tree = primitives::build_bfs_tree(&g, None, 0, &mut meter);
-    let mut reference = None;
+    let cv = ColeVishkinProgram::new(tree.parent.clone(), id);
+    let bfs = BfsProgram { root: 5 };
+
+    let mut cv_chain = DigestSink::new();
+    let cv_ref = reference().run_traced(&g, &cv, &mut cv_chain).unwrap();
+    let mut bfs_chain = DigestSink::new();
+    let bfs_ref = reference().run_traced(&g, &bfs, &mut bfs_chain).unwrap();
     for threads in [1, 2, 8] {
-        let exec = Executor::new(ExecutorConfig::with_threads(threads));
-        let (coloring, cv_meter) = run_cole_vishkin(&g, &tree.parent, &id, &exec).unwrap();
-        let (bfs, bfs_meter) = run_bfs(&g, 5, &exec).unwrap();
-        let snapshot = (
-            coloring.color,
-            cv_meter.rounds(),
-            cv_meter.messages(),
-            bfs.parent,
-            bfs_meter.rounds(),
-            bfs_meter.messages(),
-        );
-        match &reference {
-            None => reference = Some(snapshot),
-            Some(r) => assert_eq!(r, &snapshot, "thread count {threads} changed the result"),
-        }
+        let at = format!("thread count {threads} changed the result");
+        let cfg = ShardedConfig::per_thread(&ExecutorConfig::with_threads(threads));
+        let exec = ShardedExecutor::new(cfg);
+        let mut sink = DigestSink::new();
+        let run = exec.run_traced(&csr, &cv, &mut sink).unwrap();
+        assert_eq!(run.states, cv_ref.states, "{at}");
+        assert_eq!(run.meter.to_parts(), cv_ref.meter.to_parts(), "{at}");
+        assert_eq!(sink.chain(), cv_chain.chain(), "{at}");
+        let mut sink = DigestSink::new();
+        let run = exec.run_traced(&csr, &bfs, &mut sink).unwrap();
+        assert_eq!(run.states, bfs_ref.states, "{at}");
+        assert_eq!(run.meter.to_parts(), bfs_ref.meter.to_parts(), "{at}");
+        assert_eq!(sink.chain(), bfs_chain.chain(), "{at}");
     }
 }
 
@@ -188,7 +207,7 @@ proptest! {
 
     /// The executor accepts a scripted round exactly when the meter accepts
     /// the same message multiset — it can never smuggle a round past the
-    /// CONGEST model.
+    /// CONGEST model — and the reference stepper reaches the same verdict.
     #[test]
     fn executor_never_accepts_a_round_the_meter_would_reject(
         n in 3usize..24,
@@ -204,9 +223,11 @@ proptest! {
         let sends = vec![(src, dst, copies)];
         let msgs: Vec<Message> = (0..copies).map(|_| Message::word(src, dst)).collect();
         let verdict = RoundMeter::new().check_round(&g, &msgs);
-        let result = executor().run(&g, &ScriptedSender { sends });
+        let program = ScriptedSender { sends };
+        let result = executor().run(&CsrGraph::from_graph(&g), &program).map(|_| ());
+        prop_assert_eq!(&result, &reference().run(&g, &program).map(|_| ()));
         prop_assert_eq!(verdict.is_ok(), result.is_ok(),
-            "meter verdict {:?} vs executor {:?}", verdict, result.as_ref().map(|_| ()));
+            "meter verdict {:?} vs executor {:?}", verdict, result);
         if let Err(RuntimeError::Model(e)) = result {
             let expected = verdict.unwrap_err();
             prop_assert_eq!(e, expected);
@@ -228,7 +249,9 @@ proptest! {
             .flat_map(|(u, v)| [(u, v, 1), (v, u, 1)])
             .collect();
         let expected = sends.len() as u64;
-        let run = executor().run(&g, &ScriptedSender { sends }).unwrap();
+        let run = executor()
+            .run(&CsrGraph::from_graph(&g), &ScriptedSender { sends })
+            .unwrap();
         prop_assert_eq!(run.rounds, 1);
         prop_assert_eq!(run.messages, expected);
         prop_assert!(run.meter.max_words_on_edge() <= run.meter.capacity_words());
@@ -237,7 +260,7 @@ proptest! {
 
 #[test]
 fn self_send_is_rejected_as_non_edge() {
-    let g = generators::path(3);
+    let g = CsrGraph::from_graph(&generators::path(3));
     let err = executor()
         .run(
             &g,

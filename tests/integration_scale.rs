@@ -1,14 +1,16 @@
 //! Scale-layer acceptance: the streaming `mfd_graph::gen` generators and the
 //! sharded CSR executor.
 //!
-//! Three properties are pinned here rather than in unit tests because they
+//! Four properties are pinned here rather than in unit tests because they
 //! span crates: (1) the streaming generators are pure functions of their
 //! parameters that always emit *valid* CSR (sorted, deduplicated, symmetric,
 //! loop-free) and agree with the adjacency-map construction path at small n;
-//! (2) the sharded executor is bit-identical to the unsharded engine —
-//! states, meters and digest chains — across shard and thread counts; and
-//! (3) the `*_csr` entry points of `mfd-core` are a pure representation
-//! boundary, returning exactly what their adjacency-map twins return.
+//! (2) the sharded executor is bit-identical to the reference stepper —
+//! states, meters and digest chains — across shard and thread counts;
+//! (3) the entry points of `mfd-core` return exactly what the reference
+//! stepper computes; and (4) a step-able session's checkpoints are
+//! independent of the shard/thread layout, resume bit-identically on any
+//! layout, and are refused with a typed error when they do not fit.
 
 use mfd_congest::{primitives, RoundMeter};
 use mfd_core::clustering::Clustering;
@@ -20,8 +22,11 @@ use mfd_core::programs::{
 use mfd_graph::properties::splitmix64;
 use mfd_graph::{gen, generators, CsrGraph, Graph};
 use mfd_routing::backend::{Executed, Metered};
-use mfd_runtime::{Executor, ExecutorConfig, NodeProgram, ShardedConfig, ShardedExecutor};
-use mfd_trace::DigestSink;
+use mfd_runtime::{
+    Envelope, ExecCheckpoint, Executor, ExecutorConfig, NodeProgram, RuntimeError, ShardedConfig,
+    ShardedExecutor,
+};
+use mfd_trace::{DigestSink, DigestState, NullSink};
 use proptest::prelude::*;
 
 /// Structural validity of a CSR graph: monotone offsets, strictly ascending
@@ -143,7 +148,7 @@ proptest! {
         prop_assert!(rejected(n), "out-of-range member");
     }
 
-    /// The sharded executor is bit-identical to the unsharded engine on
+    /// The sharded executor is bit-identical to the reference stepper on
     /// arbitrary graphs (sparse enough to be disconnected about as often as
     /// not), whatever the shard count — for a dense program that schedules
     /// every live vertex every round (Cole–Vishkin on a BFS forest, default
@@ -176,8 +181,8 @@ proptest! {
     }
 }
 
-/// One differential run: `program` on the unsharded executor against the
-/// sharded one at `shards` shards and 2 threads.
+/// One differential run: `program` on the reference stepper against the
+/// sharded engine at `shards` shards and 2 threads.
 fn sharded_matches_unsharded<P>(g: &Graph, program: &P, shards: usize)
 where
     P: NodeProgram,
@@ -252,11 +257,13 @@ fn digest_chains_are_shard_and_thread_invariant() {
     }
 }
 
-/// The `*_csr` entry points are a pure representation boundary: identical
-/// results and identical meters to their adjacency-map twins.
+/// The `mfd-core` entry points return what the reference stepper computes:
+/// the `*_csr` functions against `Executor::run_traced` on the same program
+/// (outputs, full meters, digest chains), the `&Graph` wrappers against
+/// their `_csr` twins.
 #[test]
 fn csr_entry_points_match_their_adjacency_map_twins() {
-    let executor = Executor::new(ExecutorConfig::default());
+    let reference = Executor::new(ExecutorConfig::default());
     let sharded = ShardedExecutor::new(ShardedConfig::default());
     for g in [
         generators::triangulated_grid(9, 6),
@@ -265,22 +272,52 @@ fn csr_entry_points_match_their_adjacency_map_twins() {
     ] {
         let csr = CsrGraph::from_graph(&g);
 
-        let (bfs, meter) = run_bfs(&g, 0, &executor).unwrap();
+        let bfs_program = BfsProgram { root: 0 };
+        let mut ref_sink = DigestSink::new();
+        let bfs_ref = reference
+            .run_traced(&g, &bfs_program, &mut ref_sink)
+            .unwrap();
         let (bfs_csr, meter_csr) = run_bfs_csr(&csr, 0, &sharded).unwrap();
-        assert_eq!(bfs_csr.parent, bfs.parent);
-        assert_eq!(bfs_csr.depth, bfs.depth);
-        assert_eq!(bfs_csr.height, bfs.height);
-        assert_eq!(meter_csr.rounds(), meter.rounds());
-        assert_eq!(meter_csr.messages(), meter.messages());
+        let unreached = usize::MAX;
+        for (v, state) in bfs_ref.states.iter().enumerate() {
+            assert_eq!(bfs_csr.parent[v], state.parent.unwrap_or(unreached));
+            assert_eq!(
+                bfs_csr.depth[v],
+                state.depth.map_or(unreached, |d| d as usize)
+            );
+        }
+        assert_eq!(meter_csr.to_parts(), bfs_ref.meter.to_parts());
+        let mut sink = DigestSink::new();
+        let traced = sharded.run_traced(&csr, &bfs_program, &mut sink).unwrap();
+        assert_eq!(traced.states, bfs_ref.states);
+        assert_eq!(sink.chain(), ref_sink.chain());
+        let (bfs, meter) = run_bfs(&g, 0, &sharded).unwrap();
+        assert_eq!(
+            (bfs.parent, bfs.depth, bfs.height),
+            (bfs_csr.parent, bfs_csr.depth, bfs_csr.height)
+        );
+        assert_eq!(meter.to_parts(), meter_csr.to_parts());
 
         let centers = [0, g.n() / 3, g.n() - 1];
-        let (clustering, lmeter) = run_voronoi_ldd(&g, &centers, &executor).unwrap();
+        let ldd_program = VoronoiLddProgram::new(g.n(), &centers);
+        let mut ref_sink = DigestSink::new();
+        let ldd_ref = reference
+            .run_traced(&g, &ldd_program, &mut ref_sink)
+            .unwrap();
         let (labels, lmeter_csr) = run_voronoi_ldd_csr(&csr, &centers, &sharded).unwrap();
+        for (v, state) in ldd_ref.states.iter().enumerate() {
+            assert_eq!(labels[v], state.center.map_or(v, |c| c as usize));
+        }
+        assert_eq!(lmeter_csr.to_parts(), ldd_ref.meter.to_parts());
+        let mut sink = DigestSink::new();
+        let traced = sharded.run_traced(&csr, &ldd_program, &mut sink).unwrap();
+        assert_eq!(traced.states, ldd_ref.states);
+        assert_eq!(sink.chain(), ref_sink.chain());
         // `run_voronoi_ldd` canonicalizes labels through `Clustering`;
         // materializing the raw CSR labels the same way must coincide.
+        let (clustering, lmeter) = run_voronoi_ldd(&g, &centers, &sharded).unwrap();
         assert_eq!(Clustering::from_labels(&g, labels), clustering);
-        assert_eq!(lmeter_csr.rounds(), lmeter.rounds());
-        assert_eq!(lmeter_csr.messages(), lmeter.messages());
+        assert_eq!(lmeter.to_parts(), lmeter_csr.to_parts());
 
         let (edt, emeter) = build_edt(&g, &EdtConfig::new(0.3));
         let (edt_csr, emeter_csr) = build_edt_csr(&csr, &EdtConfig::new(0.3), &Metered);
@@ -300,4 +337,236 @@ fn csr_entry_points_match_their_adjacency_map_twins() {
         assert_eq!(rmeter_csr.messages(), rmeter.messages());
         assert_eq!(rmeter_csr.max_words_on_edge(), rmeter.max_words_on_edge());
     }
+}
+
+// ---------------------------------------------------------------------------
+// Step-able sessions: checkpoint / restore
+// ---------------------------------------------------------------------------
+
+/// The layouts the checkpoint tests cross: shards {1, 3, 64} × threads {1, 4}
+/// (64 shards on the 64-vertex families is one vertex per shard).
+const LAYOUTS: [(usize, usize); 6] = [(1, 1), (1, 4), (3, 1), (3, 4), (64, 1), (64, 4)];
+
+fn engine((shards, threads): (usize, usize)) -> ShardedExecutor {
+    ShardedExecutor::new(ShardedConfig::with_shards_threads(shards, threads))
+}
+
+/// The families every executed-program claim is pinned on.
+fn session_families() -> Vec<(&'static str, Graph)> {
+    vec![
+        ("tri-grid-8x8", generators::triangulated_grid(8, 8)),
+        ("wheel-64", generators::wheel(64)),
+        ("hypercube-6", generators::hypercube(6)),
+    ]
+}
+
+/// The checkpoint after every sealed round of a session stepped to the end,
+/// each paired with the digest sink's export at that instant.
+type Captures<P> = Vec<(
+    ExecCheckpoint<<P as NodeProgram>::State, <P as NodeProgram>::Msg>,
+    DigestState,
+)>;
+
+/// (i) + (ii) for one program on one graph. `encode` renders a checkpoint as
+/// bytes: the `Snapshot` codec where the state type has one, the `Debug`
+/// rendering (every field, private ones included) where it does not.
+fn checkpoints_are_layout_free_and_resume_anywhere<P>(
+    case: &str,
+    g: &Graph,
+    program: &P,
+    encode: impl Fn(&ExecCheckpoint<P::State, P::Msg>) -> Vec<u8>,
+) where
+    P: NodeProgram,
+    P::State: Clone + PartialEq + std::fmt::Debug + std::hash::Hash,
+{
+    let csr = CsrGraph::from_graph(g);
+    let mut ref_sink = DigestSink::new();
+    let full = Executor::new(ExecutorConfig::default())
+        .run_traced(g, program, &mut ref_sink)
+        .unwrap();
+    let chain = ref_sink.chain();
+
+    let mut first: Option<Vec<Vec<u8>>> = None;
+    for (i, &layout) in LAYOUTS.iter().enumerate() {
+        let at = format!("{case} captured on {layout:?}");
+        let exec = engine(layout);
+        let mut sink = DigestSink::new();
+        let mut captures: Captures<P> = Vec::new();
+        let mut session = exec.start(&csr, program, &mut sink);
+        while let Some(round) = session.step().unwrap() {
+            assert_eq!(round, captures.len() as u64 + 1, "{at}");
+            captures.push((session.checkpoint(), session.observer().export()));
+        }
+        let run = session.finish();
+        assert_eq!(run.states, full.states, "{at}");
+        assert_eq!(run.meter.to_parts(), full.meter.to_parts(), "{at}");
+        assert_eq!(sink.chain(), chain, "{at}");
+        assert_eq!(captures.len() as u64, full.rounds, "{at}");
+
+        // (i) Every round's checkpoint has the same bytes on every layout.
+        let bytes: Vec<Vec<u8>> = captures.iter().map(|(cp, _)| encode(cp)).collect();
+        match &first {
+            None => first = Some(bytes),
+            Some(first) => assert_eq!(&bytes, first, "{at}: checkpoint bytes"),
+        }
+
+        // (ii) Every checkpoint resumes to the uninterrupted run — rotating
+        // through the layouts, so captures resume both on the layout that
+        // took them and on every other one.
+        for (k, (cp, digests)) in captures.into_iter().enumerate() {
+            let onto = LAYOUTS[(i + k) % LAYOUTS.len()];
+            let at = format!("{at} at round {}, resumed on {onto:?}", cp.round);
+            let from = cp.round;
+            let exec = engine(onto);
+            let mut sink = DigestSink::restore(digests);
+            let mut session = exec.restore(&csr, program, cp, &mut sink).unwrap();
+            let mut next = from;
+            while let Some(round) = session.step().unwrap() {
+                next += 1;
+                assert_eq!(round, next, "{at}");
+            }
+            let resumed = session.finish();
+            assert_eq!(resumed.states, full.states, "{at}");
+            assert_eq!(resumed.meter.to_parts(), full.meter.to_parts(), "{at}");
+            assert_eq!(sink.chain(), chain, "{at}");
+        }
+    }
+}
+
+/// (i) The checkpoint at every round is byte-identical across shard/thread
+/// layouts, and (ii) resuming from every checkpoint — on the capturing
+/// layout or any other — reproduces the uninterrupted reference run's
+/// states, full meter and digest chain: BFS, Voronoi-LDD and the divergence
+/// probe on the acceptance families.
+#[test]
+fn session_checkpoints_are_layout_independent_and_resume_bit_identically() {
+    use mfd_bench::trace::DivergenceProbe;
+    fn debug<S: std::fmt::Debug, M: std::fmt::Debug>(cp: &ExecCheckpoint<S, M>) -> Vec<u8> {
+        format!("{cp:?}").into_bytes()
+    }
+    for (name, g) in session_families() {
+        let bfs = BfsProgram { root: 0 };
+        checkpoints_are_layout_free_and_resume_anywhere(&format!("{name}/bfs"), &g, &bfs, debug);
+        let centers = [0, g.n() / 3, (2 * g.n()) / 3];
+        let ldd = VoronoiLddProgram::new(g.n(), &centers);
+        checkpoints_are_layout_free_and_resume_anywhere(&format!("{name}/ldd"), &g, &ldd, debug);
+        let probe = DivergenceProbe::clean(9);
+        checkpoints_are_layout_free_and_resume_anywhere(
+            &format!("{name}/probe"),
+            &g,
+            &probe,
+            mfd_replay::to_bytes,
+        );
+    }
+}
+
+/// A probe session on the 8x8 triangulated grid captured after `round`.
+fn probe_checkpoint(rounds: u64, round: u64) -> (CsrGraph, ExecCheckpoint<u64, u64>) {
+    let csr = CsrGraph::from_graph(&generators::triangulated_grid(8, 8));
+    let probe = mfd_bench::trace::DivergenceProbe::clean(rounds);
+    let exec = engine((3, 1));
+    let mut sink = NullSink;
+    let mut session = exec.start(&csr, &probe, &mut sink);
+    while session
+        .step()
+        .unwrap()
+        .expect("the probe runs past `round`")
+        < round
+    {}
+    let checkpoint = session.checkpoint();
+    (csr, checkpoint)
+}
+
+/// (iii) The round budget keeps counting total rounds across a resume: a
+/// budget the full run exceeds still trips after restoring from round 5.
+#[test]
+fn resumed_round_budget_counts_total_rounds() {
+    let (csr, checkpoint) = probe_checkpoint(20, 5);
+    let probe = mfd_bench::trace::DivergenceProbe::clean(20);
+    let tight = ShardedExecutor::new(ShardedConfig {
+        max_rounds: 10,
+        ..ShardedConfig::with_shards_threads(3, 4)
+    });
+    let mut sink = NullSink;
+    let mut session = tight.restore(&csr, &probe, checkpoint, &mut sink).unwrap();
+    for round in 6..=10 {
+        assert_eq!(session.step(), Ok(Some(round)));
+    }
+    assert_eq!(session.step(), Err(RuntimeError::RoundLimit { limit: 10 }));
+}
+
+/// (iv) A checkpoint is outside input: one that does not fit the graph or
+/// the round budget is a typed `CheckpointMismatch`, never a panic or an
+/// out-of-bounds index.
+#[test]
+fn hostile_checkpoints_are_refused_with_a_typed_error() {
+    let (csr, checkpoint) = probe_checkpoint(12, 4);
+    let probe = mfd_bench::trace::DivergenceProbe::clean(12);
+    let exec = engine((3, 4));
+    let refused = |g: &CsrGraph, cp: ExecCheckpoint<u64, u64>, exec: &ShardedExecutor| {
+        let mut sink = NullSink;
+        match exec.restore(g, &probe, cp, &mut sink) {
+            Err(RuntimeError::CheckpointMismatch {
+                what,
+                expected,
+                found,
+            }) => (what, expected, found),
+            Err(other) => panic!("expected a CheckpointMismatch, got {other}"),
+            Ok(_) => panic!("a hostile checkpoint was accepted"),
+        }
+    };
+    // The intact checkpoint is accepted.
+    let mut sink = NullSink;
+    assert!(exec
+        .restore(&csr, &probe, checkpoint.clone(), &mut sink)
+        .is_ok());
+
+    // Wrong n: a graph with fewer, and with more, vertices.
+    for other in [generators::wheel(32), generators::wheel(100)] {
+        let other = CsrGraph::from_graph(&other);
+        let (what, expected, found) = refused(&other, checkpoint.clone(), &exec);
+        assert_eq!(
+            (what, expected, found),
+            ("states length", other.n() as u64, 64)
+        );
+    }
+    // Truncated per-vertex arrays.
+    let mut cp = checkpoint.clone();
+    cp.inbox.pop();
+    assert_eq!(refused(&csr, cp, &exec), ("inbox length", 64, 63));
+    let mut cp = checkpoint.clone();
+    cp.halted.truncate(10);
+    assert_eq!(refused(&csr, cp, &exec), ("halted length", 64, 10));
+    // Mail from a non-neighbour: forged into one mailbox (in range, and out
+    // of range), and wholesale by restoring onto another 64-vertex graph.
+    for src in [63, 1 << 40] {
+        let mut cp = checkpoint.clone();
+        cp.inbox[0].push(Envelope { src, msg: 7 });
+        let (_, receiver, sender) = refused(&csr, cp, &exec);
+        assert_eq!((receiver, sender), (0, src as u64));
+    }
+    let hypercube = CsrGraph::from_graph(&generators::hypercube(6));
+    let (what, receiver, sender) = refused(&hypercube, checkpoint.clone(), &exec);
+    assert!(what.contains("non-neighbour"), "{what}");
+    assert!(!hypercube
+        .neighbors(receiver as usize)
+        .contains(&(sender as usize)));
+    // A round already past the budget — the configured one, and the
+    // program's own hint (a 1-round probe allows 3).
+    let tight = ShardedExecutor::new(ShardedConfig {
+        max_rounds: 3,
+        ..ShardedConfig::default()
+    });
+    let (_, expected, found) = refused(&csr, checkpoint.clone(), &tight);
+    assert_eq!((expected, found), (3, 4));
+    let short = mfd_bench::trace::DivergenceProbe::clean(1);
+    let mut sink = NullSink;
+    assert!(matches!(
+        exec.restore(&csr, &short, checkpoint, &mut sink),
+        Err(RuntimeError::CheckpointMismatch {
+            expected: 3,
+            found: 4,
+            ..
+        })
+    ));
 }

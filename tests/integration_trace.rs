@@ -12,7 +12,7 @@ use mfd_congest::{primitives, RoundMeter};
 use mfd_core::programs::{BfsProgram, ColeVishkinProgram, VoronoiLddProgram};
 use mfd_faults::{FaultModel, Reliable};
 use mfd_graph::properties::splitmix64;
-use mfd_graph::{generators, Graph};
+use mfd_graph::{generators, CsrGraph, Graph};
 use mfd_routing::load_balance::{LoadBalanceParams, LoadBalancePlan};
 use mfd_routing::programs::{LoadBalanceProgram, TreeGatherProgram};
 use mfd_runtime::{Executor, ExecutorConfig};
@@ -50,6 +50,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let g = random_connected(n, extra, seed);
+        let csr = CsrGraph::from_graph(&g);
         let cfg = ExecutorConfig {
             seed: splitmix64(seed ^ 0xC0FFEE),
             ..ExecutorConfig::default()
@@ -60,12 +61,20 @@ proptest! {
 
         macro_rules! check {
             ($program:expr) => {{
-                let exec = Executor::new(cfg.clone());
-                let plain = exec.run(&g, $program).unwrap();
+                let exec = mfd_bench::sync_executor(&cfg);
+                let plain = exec.run(&csr, $program).unwrap();
                 let mut rec = RecordingSink::with_digests();
-                let recorded = exec.run_traced(&g, $program, &mut rec).unwrap();
+                let recorded = exec.run_traced(&csr, $program, &mut rec).unwrap();
                 let mut stack = Tee::new(MetricsSink::new(), DigestSink::new());
-                let stacked = exec.run_traced(&g, $program, &mut stack).unwrap();
+                let stacked = exec.run_traced(&csr, $program, &mut stack).unwrap();
+                // What was observed is what the reference stepper emits.
+                let mut reference = RecordingSink::with_digests();
+                let expected = Executor::new(cfg.clone())
+                    .run_traced(&g, $program, &mut reference)
+                    .unwrap();
+                prop_assert_eq!(&expected.states, &recorded.states);
+                prop_assert_eq!(&reference.events, &rec.events);
+                prop_assert_eq!(&reference.digest_log, &rec.digest_log);
                 prop_assert_eq!(&plain.states, &recorded.states);
                 prop_assert_eq!(&plain.states, &stacked.states);
                 prop_assert_eq!(plain.rounds, recorded.rounds);
@@ -111,7 +120,7 @@ proptest! {
         rounds in 4u64..12,
         pick in 0u64..1_000_000,
     ) {
-        let g = random_connected(n, extra, seed);
+        let g = CsrGraph::from_graph(&random_connected(n, extra, seed));
         let round = 1 + pick % rounds;
         let vertex = (splitmix64(pick) % n as u64) as usize;
         let cfg = ExecutorConfig::default();
@@ -133,7 +142,8 @@ fn null_sink_runs_gathers_bit_identical_to_untraced_runs() {
     for (name, g) in acceptance_families() {
         let leader = acceptance_leader(&g);
         let cfg = ExecutorConfig::default();
-        let exec = Executor::new(cfg.clone());
+        let csr = CsrGraph::from_graph(&g);
+        let exec = mfd_bench::sync_executor(&cfg);
         let sim = Simulator::new(SimConfig::matching(&cfg, LatencyModel::Fixed(1)));
 
         let tree = TreeGatherProgram::new(&g, leader);
@@ -142,8 +152,8 @@ fn null_sink_runs_gathers_bit_identical_to_untraced_runs() {
 
         macro_rules! check {
             ($program:expr) => {{
-                let plain = exec.run(&g, $program).unwrap();
-                let nulled = exec.run_traced(&g, $program, &mut NullSink).unwrap();
+                let plain = exec.run(&csr, $program).unwrap();
+                let nulled = exec.run_traced(&csr, $program, &mut NullSink).unwrap();
                 assert_eq!(plain.states, nulled.states, "{name}");
                 assert_eq!(plain.rounds, nulled.rounds, "{name}");
                 assert_eq!(plain.messages, nulled.messages, "{name}");
@@ -173,7 +183,7 @@ fn digest_chains_agree_across_engines_on_acceptance_families() {
 
         macro_rules! check {
             ($program:expr, $label:expr) => {{
-                let (a, _) = executor_chain(&g, $program, &cfg).unwrap();
+                let (a, _) = executor_chain(&CsrGraph::from_graph(&g), $program, &cfg).unwrap();
                 let (b, _) = sim_chain(&g, $program, &cfg, LatencyModel::Fixed(1)).unwrap();
                 assert_eq!(a.chain(), b.chain(), "{name}/{}", $label);
                 assert_eq!(a.head(), b.head(), "{name}/{}", $label);
