@@ -11,9 +11,8 @@
 //!   work) or a copy of structural per-round data (frontier sizes, routed
 //!   envelope counts) the engine computes anyway.
 //! * Per-shard busy times are stamped inside the parallel passes, but each
-//!   shard's timestamp lives in that shard's slot of the pass's result
-//!   vector, so no instrumentation introduces shared mutable state or
-//!   reordering.
+//!   shard's timestamp lives in that shard's own state, so no
+//!   instrumentation introduces shared mutable state or reordering.
 //! * Structural fields are copied only at the engines' existing *sequential*
 //!   points — the same places observer hooks fire — so a profiled run's
 //!   event stream, digest chain, meter, and final states are bit-identical
@@ -37,13 +36,13 @@ pub const PHASES: usize = 6;
 ///   (per-shard busy times).
 /// * `step` — parallel shard sweep: program execution, send bucketing, and
 ///   bandwidth accounting (per-shard busy times).
-/// * `route` — sequential staging of every shard's outgoing buckets into the
-///   transfer matrix and handing each destination its column (pointer moves).
+/// * `route` — sequential hand-over of the buckets the sweep pushed into to
+///   their destination shards (pointer moves; empty buckets are not touched).
 /// * `exchange` — sequential return of the drained buckets to their owning
-///   shards for next-round reuse (pointer moves).
-/// * `deliver` — parallel clear of the mailboxes the round read, drain of
-///   staged buckets into the next-round mailboxes (waking their vertices),
-///   and the double-buffer swap (per-shard busy times).
+///   shards for next-round reuse (pointer moves, the same buckets).
+/// * `deliver` — parallel replacement of each shard's mailbox arena by its
+///   incoming buckets, scattered in place into per-vertex ranges (waking
+///   their vertices) (per-shard busy times).
 /// * `commit` — the sequential resolution point: violation scan, meter seal,
 ///   and the delivery of every observer hook of the round. Per-vertex
 ///   digests are *computed* inside the parallel sweep (`step`); commit only

@@ -5,19 +5,31 @@
 //! # Architecture
 //!
 //! Vertices are partitioned into `shards` contiguous ranges. Each shard owns
-//! its slice of every per-vertex array — states, halted flags, and
-//! **shard-local double-buffered mailboxes** — so the per-round sweep is a
-//! rayon-parallel pass over shards with no shared mutable state. Outgoing
-//! sends are routed exchange-style: each shard buckets its sends by
-//! destination shard during the sweep, and a delivery pass concatenates the
-//! buckets addressed to each shard **in ascending source-shard order**.
-//! Because shards are ascending vertex ranges and every shard commits its
-//! vertices in ascending order, each destination mailbox receives messages in
-//! ascending sender order — exactly the inbox ordering the reference
-//! stepper's sequential commit produces. All mailbox, bucket and send
-//! `Vec`s are pooled across rounds (cleared, never dropped), so a
+//! its slice of every per-vertex array — states, halted flags, mailboxes — so
+//! the per-round sweep is a rayon-parallel pass over shards with no shared
+//! mutable state. A shard's mailboxes are **one flat arena**: a single
+//! `Vec<Envelope>` of everything readable this round, grouped by destination,
+//! plus a `(start, len)` span per local vertex; an inbox is a slice of it.
+//!
+//! Outgoing sends are routed exchange-style: the sweep appends each send to a
+//! struct-of-arrays bucket per destination shard and notes which buckets it
+//! pushed into. The **exchange is sparse** — only those buckets change hands,
+//! so a round costs nothing for the shard pairs that did not talk. Delivery
+//! concatenates the buckets addressed to a shard **in ascending source-shard
+//! order** into its arena (the sweep has finished reading the old mail, so
+//! there is no second buffer), counts envelopes per destination, gives every
+//! destination a contiguous range and moves each envelope into its range by a
+//! *stable* counting scatter, in place. Because shards are ascending vertex
+//! ranges and every shard commits its vertices in ascending order, each
+//! mailbox holds its messages in ascending sender order, one sender's in send
+//! order — exactly the inbox ordering the reference stepper's sequential
+//! commit produces. Arena, bucket and send `Vec`s are pooled across rounds
+//! (cleared, never dropped) and nothing is allocated per vertex, so a
 //! steady-state round allocates nothing; [`ArenaStats`] reports the pools'
-//! high-water marks as a peak-memory proxy.
+//! high-water marks as a peak-memory proxy (bytes per vertex and per
+//! resident message: docs/ARCHITECTURE.md). Spans and bucket destinations
+//! are `u32`: a layout that could overflow them is refused with a panic
+//! before anything runs (see [`ShardedExecutor::run`]).
 //!
 //! # Scheduling: a round costs O(frontier + messages)
 //!
@@ -29,8 +41,8 @@
 //! nor quiescent at the next round, and delivery sets the bit of every live
 //! vertex on the first envelope pushed into its mailbox. The scan phase just
 //! drains the words in order (ascending vertex order for free) and calls no
-//! program code. Delivery likewise remembers which mailboxes it filled and
-//! clears only those next round; and the run is over when the drained wake
+//! program code. Delivery likewise remembers which spans it filled and
+//! resets only those next round; and the run is over when the drained wake
 //! sets are all empty, which covers "every vertex has halted" because only
 //! live vertices are ever woken. What remains per round is one pass over
 //! `n / 64` words.
@@ -72,7 +84,7 @@
 //! — so it restores under any layout and its `mfd-replay` bytes are stable.
 //!
 //! [`ShardedExecutor::restore`] splits it back into shards and rebuilds what
-//! is derived: the `filled` lists and the wake set — recomputable because it
+//! is derived: the arena and its spans, and the wake set — recomputable because it
 //! is *defined* by the full-scan predicate (live, and holding mail or not
 //! quiescent at the next round) that debug builds assert it equal to every
 //! round. A checkpoint is decoded from bytes, so it is outside input: wrong
@@ -87,7 +99,7 @@ use mfd_graph::CsrGraph;
 use mfd_trace::{EngineKind, Event, NullSink, RunObserver};
 use rayon::prelude::*;
 
-use crate::driver::{self, VertexRound};
+use crate::driver;
 use crate::executor::{ExecutorConfig, RuntimeError};
 use crate::profile::{
     NoProfiler, Profiler, RoundSample, PHASE_COMMIT, PHASE_DELIVER, PHASE_EXCHANGE, PHASE_ROUTE,
@@ -164,14 +176,16 @@ impl ShardedConfig {
 }
 
 /// High-water marks of the executor's pooled buffers: a deterministic peak
-/// memory proxy (counts of live [`Envelope`] slots, not bytes).
+/// memory proxy (counts of live [`Envelope`] slots, not bytes). A restored
+/// [`Session`]'s marks cover the checkpoint's resident mail and the rounds
+/// since the restore, not the rounds before it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaStats {
-    /// Peak envelopes resident in the delivery mailboxes after any round's
-    /// exchange.
+    /// Peak envelopes resident in the mailbox arenas after any round's
+    /// delivery.
     pub mailbox_slots_hwm: usize,
     /// Peak envelopes staged in the exchange route buckets after any round's
-    /// sweep.
+    /// sweep: the most messages any one round sent.
     pub route_slots_hwm: usize,
 }
 
@@ -240,6 +254,12 @@ impl ShardedExecutor {
     ///
     /// [`RuntimeError::Model`] on a CONGEST violation,
     /// [`RuntimeError::RoundLimit`] past the round budget.
+    ///
+    /// # Panics
+    ///
+    /// Like every entry point, before anything runs, if a shard's vertices, or
+    /// its incoming half-edges × `capacity_words` (the mail one round can make
+    /// resident in it), exceed the engine's `u32` mailbox indices.
     pub fn run<P: NodeProgram>(
         &self,
         g: &CsrGraph,
@@ -295,7 +315,6 @@ impl ShardedExecutor {
         self.install(|| {
             let mut engine = ShardedEngine::fresh(&self.config, g, program, observer, profiler);
             engine.drive()?;
-            engine.seal_profile();
             Ok(engine.finish())
         })
     }
@@ -319,7 +338,8 @@ impl ShardedExecutor {
 
     /// A [`Session`] whose next step executes round `checkpoint.round + 1`.
     /// Nothing is re-sealed or replayed: to continue a digest chain, restore
-    /// the sink alongside (`mfd_trace::DigestSink::restore`).
+    /// the sink alongside (`mfd_trace::DigestSink::restore`). [`ArenaStats`]
+    /// start from the checkpoint's resident mail.
     ///
     /// # Errors
     ///
@@ -364,8 +384,8 @@ impl<P: NodeProgram, O: RunObserver<P::State>> Session<'_, P, O> {
     ///
     /// Exactly as [`ShardedExecutor::run`].
     pub fn step(&mut self) -> Result<Option<u64>, RuntimeError> {
-        let stepped = self.exec.install(|| self.engine.step())?;
-        Ok(matches!(stepped, Stepped::Sealed).then_some(self.engine.round))
+        let sealed = self.exec.install(|| self.engine.step())?;
+        Ok(sealed.then_some(self.engine.round))
     }
 
     /// The complete loop state after the last sealed round.
@@ -378,7 +398,10 @@ impl<P: NodeProgram, O: RunObserver<P::State>> Session<'_, P, O> {
             round: self.engine.round,
             states: shards.iter().flat_map(|s| &s.states).cloned().collect(),
             halted: shards.iter().flat_map(|s| &s.halted).copied().collect(),
-            inbox: shards.iter().flat_map(|s| &s.inbox).cloned().collect(),
+            inbox: shards
+                .iter()
+                .flat_map(|s| (0..s.end - s.start).map(|local| s.mail(local).to_vec()))
+                .collect(),
             meter: self.engine.meter.to_parts(),
         }
     }
@@ -403,9 +426,37 @@ fn wake_vertex(wake: &mut [u64], local: usize) {
     wake[local / 64] |= 1 << (local % 64);
 }
 
-/// One destination-shard bucket: `(destination vertex, envelope)` in send
-/// order.
-type Bucket<M> = Vec<(usize, Envelope<M>)>;
+/// One transfer bucket, struct-of-arrays in send order — each envelope's
+/// index within the destination shard, and the envelopes — so delivery
+/// appends both halves to the destination's arena with two copies.
+type Bucket<M> = (Vec<u32>, Vec<Envelope<M>>);
+
+/// One local vertex's mailbox: `arena[start..start + len]`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+/// Why a shard's resident mail must fit a `u32` (spans index the arena).
+const ARENA_LIMIT: &str = "one shard's resident mail exceeds u32::MAX envelopes: use more shards";
+
+/// The constants of one run, as every pass over the shards needs them.
+#[derive(Clone, Copy)]
+struct Job<'a> {
+    g: &'a CsrGraph,
+    seed: u64,
+    capacity_words: usize,
+    /// Vertices per shard (`shard_of(v) = v / chunk`).
+    chunk: usize,
+}
+
+impl<'a> Job<'a> {
+    /// Vertex `v`'s context at `round`.
+    fn ctx(&self, v: usize, round: u64) -> NodeCtx<'a> {
+        NodeCtx::new(v, self.g.n(), round, self.g.neighbors(v), self.seed)
+    }
+}
 
 /// One shard's slice of the engine state: everything indexed by local vertex
 /// (`global = start + local`), plus the pooled per-round buffers.
@@ -414,13 +465,17 @@ struct ShardState<S, M> {
     end: usize,
     states: Vec<S>,
     halted: Vec<bool>,
-    inbox: Vec<Vec<Envelope<M>>>,
-    next_inbox: Vec<Vec<Envelope<M>>>,
-    /// Local indices whose `inbox` mailbox is non-empty, in first-envelope
-    /// order: the only mailboxes the next delivery has to clear.
-    filled: Vec<usize>,
-    /// The same for `next_inbox`; empty between rounds, pooled.
-    filled_next: Vec<usize>,
+    /// Every envelope readable this round, grouped by destination vertex,
+    /// each group in ascending sender (then send) order.
+    arena: Vec<Envelope<M>>,
+    /// Each local vertex's group in `arena`.
+    spans: Vec<Span>,
+    /// Local indices whose span is non-empty, in first-envelope order: the
+    /// only spans the next delivery has to reset.
+    filled: Vec<u32>,
+    /// Delivery scratch aligned with `arena`: each envelope's destination,
+    /// then its final position in the arena.
+    pos: Vec<u32>,
     /// The wake set, one bit per local vertex: exactly the vertices the next
     /// round schedules (see [`wake_vertex`] for who sets a bit).
     wake: Vec<u64>,
@@ -428,9 +483,12 @@ struct ShardState<S, M> {
     active: Vec<usize>,
     /// Outgoing buckets, one per destination shard, pooled.
     out: Vec<Bucket<M>>,
-    /// Incoming buckets, one per source shard, staged between sweep and
-    /// delivery.
-    in_buckets: Vec<Bucket<M>>,
+    /// The destination shards whose bucket this round's sweep first pushed
+    /// into: the only buckets the exchange moves.
+    out_touched: Vec<usize>,
+    /// `(source shard, bucket)` in ascending source order, staged between
+    /// sweep and delivery and handed back to their owners afterwards.
+    incoming: Vec<(usize, Bucket<M>)>,
     /// Per-neighbor word accumulator for bandwidth accounting, pooled.
     scratch: Vec<usize>,
     /// Accumulator positions touched for the current vertex, pooled.
@@ -446,6 +504,8 @@ struct ShardState<S, M> {
     /// sequential commit point only delivers values. Populated only when the
     /// observer wants digests.
     digests: Vec<u64>,
+    /// Wall time this shard spent in the last parallel pass (profiled runs).
+    busy_ns: u64,
     /// Messages this shard sent this round.
     msgs: u64,
     /// Largest per-directed-edge word load this shard produced this round.
@@ -458,8 +518,8 @@ struct ShardState<S, M> {
 
 impl<S: Send + Sync, M: Send + Sync> ShardState<S, M> {
     /// Drains the wake set into this round's active list (ascending local
-    /// index, by word and bit order) and reports the active count.
-    fn scan(&mut self) -> usize {
+    /// index, by word and bit order).
+    fn scan(&mut self) {
         self.active.clear();
         for (w, word) in self.wake.iter_mut().enumerate() {
             let mut bits = *word;
@@ -472,64 +532,40 @@ impl<S: Send + Sync, M: Send + Sync> ShardState<S, M> {
                 bits &= bits - 1;
             }
         }
-        self.active.len()
+    }
+
+    /// Local vertex `local`'s readable mailbox.
+    fn mail(&self, local: usize) -> &[Envelope<M>] {
+        let span = self.spans[local];
+        &self.arena[span.start as usize..][..span.len as usize]
     }
 
     /// The wake set's definition: the vertices `round` schedules, by the
     /// full scan — every live vertex with mail or a non-quiescent state.
     /// `restored` rebuilds the wake set from it; debug builds assert it.
-    fn full_scan<P>(&self, program: &P, g: &CsrGraph, n: usize, round: u64, seed: u64) -> Vec<usize>
+    fn full_scan<'a, P>(
+        &'a self,
+        program: &'a P,
+        job: Job<'a>,
+        round: u64,
+    ) -> impl Iterator<Item = usize> + 'a
     where
         P: NodeProgram<State = S, Msg = M>,
     {
-        (0..self.end - self.start)
-            .filter(|&local| {
-                let v = self.start + local;
-                !self.halted[local]
-                    && (!self.inbox[local].is_empty()
-                        || !program.quiescent(
-                            &NodeCtx::new(v, n, round, g.neighbors(v), seed),
-                            &self.states[local],
-                        ))
-            })
-            .collect()
-    }
-
-    /// Asserts [`ShardState::scan`]'s output equal to [`ShardState::full_scan`]
-    /// — on every shard of every round in debug builds, so the test suite
-    /// checks [`NodeProgram::quiescent`]'s round-stability on every run.
-    #[cfg(debug_assertions)]
-    fn assert_scan_matches_full_scan<P>(
-        &self,
-        program: &P,
-        g: &CsrGraph,
-        n: usize,
-        round: u64,
-        seed: u64,
-    ) where
-        P: NodeProgram<State = S, Msg = M>,
-    {
-        assert_eq!(
-            self.active,
-            self.full_scan(program, g, n, round, seed),
-            "round {round}, shard at {}: wake set != full scan (a `quiescent` whose answer \
-             for an unstepped vertex depends on the round breaks the engine's contract)",
-            self.start
-        );
+        (0..self.end - self.start).filter(move |&local| {
+            let ctx = job.ctx(self.start + local, round);
+            !self.halted[local]
+                && (!self.mail(local).is_empty() || !program.quiescent(&ctx, &self.states[local]))
+        })
     }
 
     /// Runs one round on this shard's active vertices, bucketing sends by
     /// destination shard and accounting bandwidth per directed edge.
-    #[allow(clippy::too_many_arguments)]
     fn sweep<P>(
         &mut self,
         program: &P,
-        g: &CsrGraph,
-        n: usize,
+        job: Job<'_>,
         round: u64,
-        seed: u64,
-        chunk: usize,
-        capacity_words: usize,
         trace: bool,
         digest_of: Option<fn(&S) -> u64>,
     ) where
@@ -544,32 +580,27 @@ impl<S: Send + Sync, M: Send + Sync> ShardState<S, M> {
         for i in 0..self.active.len() {
             let local = self.active[i];
             let v = self.start + local;
-            let neighbors = g.neighbors(v);
-            let ctx = NodeCtx::new(v, n, round, neighbors, seed);
-            let VertexRound {
-                mut sends,
-                halted,
-                violation,
-            } = driver::step_vertex(
+            let ctx = job.ctx(v, round);
+            let neighbors = ctx.neighbors;
+            let span = self.spans[local];
+            let stepped = driver::step_vertex(
                 program,
                 &ctx,
                 &mut self.states[local],
-                &self.inbox[local],
+                &self.arena[span.start as usize..][..span.len as usize],
                 std::mem::take(&mut self.sends),
             );
+            let mut sends = stepped.sends;
             // The one place this vertex's scheduling is decided until mail
             // next reaches it: its state cannot change before then.
-            if halted {
+            if stepped.halted {
                 self.halted[local] = true;
             } else if !program.quiescent(&ctx.at_round(round + 1), &self.states[local]) {
                 wake_vertex(&mut self.wake, local);
             }
-            if let (None, Some(err)) = (&self.send_violation, violation) {
-                self.send_violation = Some(err);
-            }
+            self.send_violation = self.send_violation.take().or(stepped.violation);
             if trace {
-                self.meta
-                    .push((local, self.inbox[local].len(), sends.msgs.len()));
+                self.meta.push((local, span.len as usize, sends.msgs.len()));
                 if let Some(digest) = digest_of {
                     self.digests.push(digest(&self.states[local]));
                 }
@@ -593,94 +624,103 @@ impl<S: Send + Sync, M: Send + Sync> ShardState<S, M> {
                 let load = self.scratch[idx];
                 self.scratch[idx] = 0;
                 self.max_on_edge = self.max_on_edge.max(load);
-                if load > capacity_words && self.bw_violation.is_none() {
+                if load > job.capacity_words && self.bw_violation.is_none() {
                     self.bw_violation = Some(CongestError::BandwidthExceeded {
                         src: v,
                         dst: neighbors[idx],
                         words: load,
-                        capacity: capacity_words,
+                        capacity: job.capacity_words,
                     });
                 }
             }
             for (dst, msg, _) in sends.msgs.drain(..) {
-                self.out[dst / chunk].push((dst, Envelope { src: v, msg }));
+                let (shard, index) = (dst / job.chunk, dst % job.chunk);
+                let (dsts, envs) = &mut self.out[shard];
+                if dsts.is_empty() {
+                    self.out_touched.push(shard);
+                }
+                // `assemble` checked that a shard's width fits.
+                dsts.push(index as u32);
+                envs.push(Envelope { src: v, msg });
             }
             self.sends = sends;
         }
     }
 
-    /// Envelopes staged in this shard's outgoing buckets.
-    fn route_slots(&self) -> usize {
-        self.out.iter().map(Vec::len).sum()
-    }
-
-    /// Clears the mailboxes the last round read (only the `filled` ones can
-    /// hold anything), drains the staged incoming buckets (ascending source
-    /// shard, so ascending sender order) into the next-round mailboxes —
-    /// noting each mailbox it makes non-empty and waking its vertex unless
-    /// halted (mail to a halted vertex is resident, counted, and dropped by
-    /// the next clear) — then swaps the double buffer. Returns the envelopes
-    /// now resident in the readable mailboxes.
-    fn deliver(&mut self) -> usize {
-        let ShardState {
-            start,
-            in_buckets,
-            inbox,
-            next_inbox,
-            filled,
-            filled_next,
-            halted,
-            wake,
-            ..
-        } = self;
-        for local in filled.drain(..) {
-            inbox[local].clear();
+    /// Replaces the mail the last round read with the staged buckets: appends
+    /// them to the arena (ascending source shard, so ascending sender), counts
+    /// per destination — noting each mailbox it makes non-empty and waking its
+    /// vertex unless halted (mail to a halted vertex is resident, counted, and
+    /// dropped by the next delivery) — and moves every envelope into its
+    /// destination's range by a stable counting scatter, in place.
+    fn deliver(&mut self) {
+        for local in self.filled.drain(..) {
+            self.spans[local as usize] = Span::default();
         }
-        let mut resident = 0;
-        for bucket in in_buckets.iter_mut() {
-            resident += bucket.len();
-            for (dst, env) in bucket.drain(..) {
-                let local = dst - *start;
-                let mailbox = &mut next_inbox[local];
-                if mailbox.is_empty() {
-                    filled_next.push(local);
-                    if !halted[local] {
-                        wake_vertex(wake, local);
-                    }
-                }
-                mailbox.push(env);
+        self.arena.clear();
+        self.pos.clear();
+        if let [(_, (dsts, envs))] = self.incoming.as_mut_slice() {
+            // A lone bucket (every round of a one-shard run) is adopted, not
+            // copied: the two buffers trade places.
+            std::mem::swap(&mut self.arena, envs);
+            std::mem::swap(&mut self.pos, dsts);
+        } else {
+            for (_, (dsts, envs)) in self.incoming.iter_mut() {
+                self.arena.append(envs);
+                self.pos.append(dsts);
             }
         }
-        std::mem::swap(inbox, next_inbox);
-        std::mem::swap(filled, filled_next);
-        resident
+        // Every span's start and length is at most this.
+        u32::try_from(self.arena.len()).expect(ARENA_LIMIT);
+        for &local in &self.pos {
+            let span = &mut self.spans[local as usize];
+            if span.len == 0 {
+                self.filled.push(local);
+                if !self.halted[local as usize] {
+                    wake_vertex(&mut self.wake, local as usize);
+                }
+            }
+            span.len += 1;
+        }
+        // Park each span's cursor at the end of its range; the backwards pass
+        // walks it to the start, so equal destinations keep their order.
+        let mut end = 0;
+        for &local in &self.filled {
+            let span = &mut self.spans[local as usize];
+            end += span.len;
+            span.start = end;
+        }
+        for p in self.pos.iter_mut().rev() {
+            let span = &mut self.spans[*p as usize];
+            span.start -= 1;
+            *p = span.start;
+        }
+        // Apply the permutation by following its cycles: every swap puts one
+        // envelope in its final place.
+        for i in 0..self.arena.len() {
+            loop {
+                let j = self.pos[i] as usize;
+                if j == i {
+                    break;
+                }
+                self.arena.swap(i, j);
+                self.pos.swap(i, j);
+            }
+        }
     }
-}
-
-/// One step outcome.
-enum Stepped {
-    Sealed,
-    Done,
 }
 
 struct ShardedEngine<'a, P: NodeProgram, O, PR> {
-    g: &'a CsrGraph,
     program: &'a P,
+    job: Job<'a>,
     observer: &'a mut O,
     profiler: PR,
     /// Wall-clock origin of the run; all profile offsets are relative to it.
     run_start: Instant,
     /// Pooled per-round profile sample (only populated when `PR::ENABLED`).
     sample: RoundSample,
-    n: usize,
-    seed: u64,
     max_rounds: u64,
-    capacity_words: usize,
-    /// Vertices per shard (`shard_of(v) = v / chunk`).
-    chunk: usize,
     shards: Vec<ShardState<P::State, P::Msg>>,
-    /// Bucket transfer matrix, `xfer[dst][src]`, pooled across rounds.
-    xfer: Vec<Vec<Bucket<P::Msg>>>,
     meter: RoundMeter,
     arena: ArenaStats,
     round: u64,
@@ -705,28 +745,41 @@ where
         let n = g.n();
         let num_shards = config.shards.max(1);
         let chunk = n.div_ceil(num_shards).max(1);
+        let capacity = config.capacity_words.max(1);
         let shards = (0..num_shards)
             .map(|s| {
                 let start = (s * chunk).min(n);
                 let end = ((s + 1) * chunk).min(n);
+                // Bucket destinations are shard-local indices and spans index
+                // one shard's resident mail, which the bandwidth cap bounds by
+                // `capacity` per incoming half-edge (zero-word messages
+                // excepted: `deliver` checks what actually arrives).
+                let resident = (g.offsets()[end] - g.offsets()[start]).saturating_mul(capacity);
+                assert!(
+                    u32::try_from(chunk.max(resident)).is_ok(),
+                    "shard {s} of {num_shards} is too wide for the engine's u32 mailbox indices \
+                     ({chunk} vertices, up to {resident} resident envelopes a round): use more shards"
+                );
                 ShardState {
                     start,
                     end,
                     states: Vec::new(),
                     halted: Vec::new(),
-                    inbox: (start..end).map(|_| Vec::new()).collect(),
-                    next_inbox: (start..end).map(|_| Vec::new()).collect(),
+                    arena: Vec::new(),
+                    spans: vec![Span::default(); end - start],
                     filled: Vec::new(),
-                    filled_next: Vec::new(),
+                    pos: Vec::new(),
                     wake: vec![0; (end - start).div_ceil(64)],
                     active: Vec::new(),
-                    out: (0..num_shards).map(|_| Vec::new()).collect(),
-                    in_buckets: Vec::new(),
+                    out: (0..num_shards).map(|_| Bucket::default()).collect(),
+                    out_touched: Vec::new(),
+                    incoming: Vec::new(),
                     scratch: Vec::new(),
                     touched: Vec::new(),
                     sends: SendBuf::with_slots(),
                     meta: Vec::new(),
                     digests: Vec::new(),
+                    busy_ns: 0,
                     msgs: 0,
                     max_on_edge: 0,
                     send_violation: None,
@@ -735,23 +788,21 @@ where
             })
             .collect();
         ShardedEngine {
-            g,
             program,
+            job: Job {
+                g,
+                seed: config.seed,
+                capacity_words: config.capacity_words,
+                chunk,
+            },
             observer,
             profiler,
             run_start: Instant::now(),
             sample: RoundSample::default(),
-            n,
-            seed: config.seed,
             max_rounds: config
                 .max_rounds
                 .min(program.round_budget_hint().unwrap_or(u64::MAX)),
-            capacity_words: config.capacity_words,
-            chunk,
             shards,
-            xfer: (0..num_shards)
-                .map(|_| (0..num_shards).map(|_| Vec::new()).collect())
-                .collect(),
             meter: RoundMeter::with_capacity(config.capacity_words),
             arena: ArenaStats::default(),
             round: 0,
@@ -768,11 +819,14 @@ where
         profiler: PR,
         cp: ExecCheckpoint<P::State, P::Msg>,
     ) -> Result<Self, RuntimeError> {
-        let (n, seed, round) = (g.n(), config.seed, cp.round);
+        let (n, round) = (g.n(), cp.round);
         let mismatch = |what, expected: u64, found: u64| RuntimeError::CheckpointMismatch {
             what,
             expected,
             found,
+        };
+        let narrow = |len: usize| {
+            u32::try_from(len).map_err(|_| mismatch(ARENA_LIMIT, u32::MAX.into(), len as u64))
         };
         for (what, len) in [
             ("states length", cp.states.len()),
@@ -794,6 +848,7 @@ where
             }
         }
         let mut engine = Self::assemble(config, g, program, observer, profiler);
+        let job = engine.job;
         (engine.meter, engine.round) = (RoundMeter::from_parts(cp.meter), round);
         if round > engine.max_rounds {
             let what = "round exceeds the round budget";
@@ -808,9 +863,21 @@ where
             let len = shard.end - shard.start;
             shard.states = states.by_ref().take(len).collect();
             shard.halted = halted.by_ref().take(len).collect();
-            shard.inbox = inbox.by_ref().take(len).collect();
-            shard.filled = (0..len).filter(|&l| !shard.inbox[l].is_empty()).collect();
-            for local in shard.full_scan(program, g, n, round + 1, seed) {
+            for (local, mailbox) in inbox.by_ref().take(len).enumerate() {
+                if mailbox.is_empty() {
+                    continue;
+                }
+                shard.spans[local] = Span {
+                    start: narrow(shard.arena.len())?,
+                    len: narrow(mailbox.len())?,
+                };
+                shard.filled.push(narrow(local)?);
+                shard.arena.extend(mailbox);
+            }
+            narrow(shard.arena.len())?;
+            engine.arena.mailbox_slots_hwm += shard.arena.len();
+            let woken: Vec<usize> = shard.full_scan(program, job, round + 1).collect();
+            for local in woken {
                 wake_vertex(&mut shard.wake, local);
             }
         }
@@ -824,52 +891,39 @@ where
         observer: &'a mut O,
         profiler: PR,
     ) -> Self {
-        let n = g.n();
-        let seed = config.seed;
         let mut engine = Self::assemble(config, g, program, observer, profiler);
+        let job = engine.job;
+        let want_digests = O::ENABLED && engine.observer.wants_digests();
         // Parallel init of states, halted flags and the round-1 wake set (no
         // mail yet: the live non-quiescent vertices), shard by shard.
-        let _: Vec<()> = engine
-            .shards
-            .par_iter_mut()
-            .enumerate()
-            .map(|(_, shard)| {
-                shard.states = (shard.start..shard.end)
-                    .map(|v| program.init(&NodeCtx::new(v, n, 0, g.neighbors(v), seed)))
-                    .collect();
-                shard.halted = (shard.start..shard.end)
-                    .map(|v| {
-                        program.halted(
-                            &NodeCtx::new(v, n, 0, g.neighbors(v), seed),
-                            &shard.states[v - shard.start],
-                        )
-                    })
-                    .collect();
-                for local in shard.full_scan(program, g, n, 1, seed) {
-                    wake_vertex(&mut shard.wake, local);
-                }
-            })
-            .collect();
+        engine.par_shards(|shard| {
+            let vertices = shard.start..shard.end;
+            shard.states = vertices
+                .clone()
+                .map(|v| program.init(&job.ctx(v, 0)))
+                .collect();
+            shard.halted = vertices
+                .map(|v| program.halted(&job.ctx(v, 0), &shard.states[v - shard.start]))
+                .collect();
+            let woken: Vec<usize> = shard.full_scan(program, job, 1).collect();
+            for local in woken {
+                wake_vertex(&mut shard.wake, local);
+            }
+            if want_digests {
+                shard.digests = shard.states.iter().map(|s| O::state_digest(s)).collect();
+            }
+        });
 
-        // Round 0: digest the initial configuration, exactly as the
-        // reference stepper does. Hashing runs in parallel over shards;
-        // delivery stays sequential and in ascending vertex order.
+        // Round 0: deliver the initial configuration's digests (hashed in the
+        // pass above, if wanted) sequentially and in ascending vertex order,
+        // exactly as the reference stepper does.
         if O::ENABLED {
-            if engine.observer.wants_digests() {
-                let digests: Vec<Vec<u64>> = engine
-                    .shards
-                    .par_iter()
-                    .map(|shard| shard.states.iter().map(|s| O::state_digest(s)).collect())
-                    .collect();
-                for (shard, shard_digests) in engine.shards.iter().zip(digests) {
-                    for (local, digest) in shard_digests.into_iter().enumerate() {
-                        engine.observer.vertex_digest(
-                            EngineKind::Executor,
-                            0,
-                            shard.start + local,
-                            digest,
-                        );
-                    }
+            for shard in &engine.shards {
+                for (local, &digest) in shard.digests.iter().enumerate() {
+                    let vertex = shard.start + local;
+                    engine
+                        .observer
+                        .vertex_digest(EngineKind::Executor, 0, vertex, digest);
                 }
             }
             engine.observer.round_sealed(EngineKind::Executor, 0);
@@ -884,8 +938,13 @@ where
         engine
     }
 
+    /// Steps to the end and reports the total wall time to the profiler.
     fn drive(&mut self) -> Result<(), RuntimeError> {
-        while let Stepped::Sealed = self.step()? {}
+        while self.step()? {}
+        if PR::ENABLED {
+            let total = self.offset_ns();
+            self.profiler.finish(total);
+        }
         Ok(())
     }
 
@@ -894,22 +953,37 @@ where
         self.run_start.elapsed().as_nanos() as u64
     }
 
-    /// Reports the total wall time to the profiler on normal completion.
-    fn seal_profile(&mut self) {
+    /// Runs `pass` on every shard in parallel; a profiled run stamps each
+    /// shard's busy time into the shard itself, so no state is shared.
+    fn par_shards(&mut self, pass: impl Fn(&mut ShardState<P::State, P::Msg>) + Sync) {
+        let _: Vec<()> = self
+            .shards
+            .par_iter_mut()
+            .enumerate()
+            .map(|(_, shard)| {
+                let busy = PR::ENABLED.then(Instant::now);
+                pass(shard);
+                shard.busy_ns = busy.map_or(0, |b| b.elapsed().as_nanos() as u64);
+            })
+            .collect();
+    }
+
+    /// In a profiled run, closes phase `ended` and opens `started` at the same
+    /// instant.
+    fn next_phase(&mut self, ended: usize, started: usize) {
         if PR::ENABLED {
-            let total = self.offset_ns();
-            self.profiler.finish(total);
+            let now = self.offset_ns();
+            self.sample.phase_wall_ns[ended] = now - self.sample.phase_start_ns[ended];
+            self.sample.phase_start_ns[started] = now;
         }
     }
 
-    /// Executes one full round: parallel wake-set drain, parallel shard sweep,
-    /// sequential violation/observer/meter resolution, parallel exchange
-    /// delivery, buffer swap.
-    fn step(&mut self) -> Result<Stepped, RuntimeError> {
+    /// Executes one full round — parallel wake-set drain, parallel shard sweep,
+    /// sequential violation/observer/meter resolution, sparse exchange around
+    /// the parallel delivery — and reports whether there was one to execute.
+    fn step(&mut self) -> Result<bool, RuntimeError> {
         let round = self.round + 1;
-        let (n, seed, chunk) = (self.n, self.seed, self.chunk);
-        let program = self.program;
-        let g = self.g;
+        let (program, job) = (self.program, self.job);
         if PR::ENABLED {
             self.sample.reset(round);
             let now = self.offset_ns();
@@ -917,35 +991,36 @@ where
             self.sample.phase_start_ns[PHASE_SCAN] = now;
         }
         // Scan (parallel over shards): each shard drains its wake set into
-        // its active list. The per-shard busy timestamp rides in that
-        // shard's result slot, so profiling adds no shared state to the
-        // parallel pass.
-        let scans: Vec<(usize, u64)> = self
-            .shards
-            .par_iter_mut()
-            .enumerate()
-            .map(|(_, shard)| {
-                let busy = PR::ENABLED.then(Instant::now);
-                let active = shard.scan();
-                #[cfg(debug_assertions)]
-                shard.assert_scan_matches_full_scan(program, g, n, round, seed);
-                (active, busy.map_or(0, |b| b.elapsed().as_nanos() as u64))
-            })
-            .collect();
+        // its active list. Debug builds check it against the full scan, so the
+        // test suite checks `quiescent`'s round-stability on every run.
+        self.par_shards(|shard| {
+            shard.scan();
+            debug_assert!(
+                shard
+                    .active
+                    .iter()
+                    .copied()
+                    .eq(shard.full_scan(program, job, round)),
+                "round {round}, shard at {}: wake set {:?} != full scan (a `quiescent` whose \
+                 answer for an unstepped vertex depends on the round breaks the engine's contract)",
+                shard.start,
+                shard.active
+            );
+        });
         if PR::ENABLED {
             self.sample.phase_wall_ns[PHASE_SCAN] =
                 self.offset_ns() - self.sample.phase_start_ns[PHASE_SCAN];
-            self.sample
-                .shard_scan_ns
-                .extend(scans.iter().map(|&(_, ns)| ns));
-            self.sample.frontier.extend(scans.iter().map(|&(a, _)| a));
+            for shard in &self.shards {
+                self.sample.shard_scan_ns.push(shard.busy_ns);
+                self.sample.frontier.push(shard.active.len());
+            }
         }
         // Done when nothing is scheduled: every vertex has halted (only live
         // vertices are ever woken), or the fixpoint — live vertices remain
         // but none has mail or anything left to do.
-        let active: usize = scans.iter().map(|&(a, _)| a).sum();
+        let active: usize = self.shards.iter().map(|s| s.active.len()).sum();
         if active == 0 {
-            return Ok(Stepped::Done);
+            return Ok(false);
         }
         self.round = round;
         if round > self.max_rounds {
@@ -964,79 +1039,42 @@ where
         // observer wants digests, each shard also hashes the states it just
         // stepped (the digests ride in the shard's own result slot) so the
         // sequential commit point below only delivers precomputed values.
-        let capacity = self.capacity_words;
         let want_digests = O::ENABLED && self.observer.wants_digests();
         let digest_of: Option<fn(&P::State) -> u64> =
             want_digests.then_some(O::state_digest as fn(&P::State) -> u64);
         if PR::ENABLED {
             self.sample.phase_start_ns[PHASE_STEP] = self.offset_ns();
         }
-        let sweeps: Vec<u64> = self
-            .shards
-            .par_iter_mut()
-            .enumerate()
-            .map(|(_, shard)| {
-                if PR::ENABLED {
-                    let busy = Instant::now();
-                    shard.sweep(
-                        program,
-                        g,
-                        n,
-                        round,
-                        seed,
-                        chunk,
-                        capacity,
-                        O::ENABLED,
-                        digest_of,
-                    );
-                    busy.elapsed().as_nanos() as u64
-                } else {
-                    shard.sweep(
-                        program,
-                        g,
-                        n,
-                        round,
-                        seed,
-                        chunk,
-                        capacity,
-                        O::ENABLED,
-                        digest_of,
-                    );
-                    0
-                }
-            })
-            .collect();
+        self.par_shards(|shard| shard.sweep(program, job, round, O::ENABLED, digest_of));
 
         // Sequential resolution, in vertex order by construction (shards are
         // ascending vertex ranges): non-edge sends first, then bandwidth —
         // the same precedence as the reference stepper.
+        self.next_phase(PHASE_STEP, PHASE_COMMIT);
         if PR::ENABLED {
-            let now = self.offset_ns();
-            self.sample.phase_wall_ns[PHASE_STEP] = now - self.sample.phase_start_ns[PHASE_STEP];
-            self.sample.phase_start_ns[PHASE_COMMIT] = now;
-            self.sample.shard_step_ns.extend(sweeps);
             // Structural per-shard series, read at this sequential point
             // while the route buckets are still populated: sent counts, the
             // staged route-slot series, and the shard→shard traffic matrix
             // straight from the router's destination buckets.
             let num_shards = self.shards.len();
             for shard in &self.shards {
+                self.sample.shard_step_ns.push(shard.busy_ns);
                 self.sample.sent.push(shard.msgs);
-                self.sample.route_slots.push(shard.route_slots());
+                self.sample.route_slots.push(shard.msgs as usize);
             }
-            self.sample.traffic.reserve(num_shards * num_shards);
-            for shard in &self.shards {
-                for dst in 0..num_shards {
-                    self.sample.traffic.push(shard.out[dst].len() as u64);
+            self.sample.traffic.resize(num_shards * num_shards, 0);
+            for (src, shard) in self.shards.iter().enumerate() {
+                for &dst in &shard.out_touched {
+                    self.sample.traffic[src * num_shards + dst] = shard.out[dst].1.len() as u64;
                 }
             }
         }
         if let Some(err) = self.shards.iter().find_map(|s| s.send_violation.clone()) {
             return Err(RuntimeError::Model(err));
         }
-        let route_slots: usize = self.shards.iter().map(ShardState::route_slots).sum();
-        self.arena.route_slots_hwm = self.arena.route_slots_hwm.max(route_slots);
+        // Every send was staged in exactly one route bucket.
         let messages: u64 = self.shards.iter().map(|s| s.msgs).sum();
+        self.arena.route_slots_hwm = self.arena.route_slots_hwm.max(messages as usize);
         let max_on_edge = self.shards.iter().map(|s| s.max_on_edge).max().unwrap_or(0);
         if O::ENABLED {
             for shard in &self.shards {
@@ -1070,79 +1108,41 @@ where
                 round,
                 messages: self.meter.messages(),
             });
-            if PR::ENABLED {
-                let seal_start = Instant::now();
-                self.observer.round_sealed(EngineKind::Executor, round);
-                self.sample.seal_ns = seal_start.elapsed().as_nanos() as u64;
-            } else {
-                self.observer.round_sealed(EngineKind::Executor, round);
-            }
+            let seal_start = PR::ENABLED.then(Instant::now);
+            self.observer.round_sealed(EngineKind::Executor, round);
+            self.sample.seal_ns = seal_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
         }
 
-        // Exchange: move each shard's outgoing buckets into the transfer
-        // matrix (O(shards²) pointer moves, payloads untouched), hand every
-        // destination its column, deliver in parallel, then return the
-        // emptied buckets to their owners for reuse.
-        if PR::ENABLED {
-            let now = self.offset_ns();
-            self.sample.phase_wall_ns[PHASE_COMMIT] =
-                now - self.sample.phase_start_ns[PHASE_COMMIT];
-            self.sample.phase_start_ns[PHASE_ROUTE] = now;
-        }
-        {
-            let (shards, xfer) = (&mut self.shards, &mut self.xfer);
-            for (s, shard) in shards.iter_mut().enumerate() {
-                for (d, bucket) in shard.out.iter_mut().enumerate() {
-                    xfer[d][s] = std::mem::take(bucket);
-                }
+        // Exchange, sparse: hand each bucket the sweep pushed into to its
+        // destination (pointer moves; ascending source shard, so in sender
+        // order), deliver in parallel, then return the emptied buckets to
+        // their owners for reuse. Buckets that stayed empty are never touched.
+        self.next_phase(PHASE_COMMIT, PHASE_ROUTE);
+        for s in 0..self.shards.len() {
+            let mut touched = std::mem::take(&mut self.shards[s].out_touched);
+            for d in touched.drain(..) {
+                let bucket = std::mem::take(&mut self.shards[s].out[d]);
+                self.shards[d].incoming.push((s, bucket));
             }
-            for (d, shard) in shards.iter_mut().enumerate() {
-                shard.in_buckets = std::mem::take(&mut xfer[d]);
-            }
+            self.shards[s].out_touched = touched;
         }
-        if PR::ENABLED {
-            let now = self.offset_ns();
-            self.sample.phase_wall_ns[PHASE_ROUTE] = now - self.sample.phase_start_ns[PHASE_ROUTE];
-            self.sample.phase_start_ns[PHASE_DELIVER] = now;
-        }
-        let delivered: Vec<(usize, u64)> = self
-            .shards
-            .par_iter_mut()
-            .enumerate()
-            .map(|(_, shard)| {
-                if PR::ENABLED {
-                    let busy = Instant::now();
-                    let resident = shard.deliver();
-                    (resident, busy.elapsed().as_nanos() as u64)
-                } else {
-                    (shard.deliver(), 0)
-                }
-            })
-            .collect();
-        let mailbox_slots: usize = delivered.iter().map(|&(resident, _)| resident).sum();
+        self.next_phase(PHASE_ROUTE, PHASE_DELIVER);
+        self.par_shards(ShardState::deliver);
+        let mailbox_slots: usize = self.shards.iter().map(|s| s.arena.len()).sum();
         self.arena.mailbox_slots_hwm = self.arena.mailbox_slots_hwm.max(mailbox_slots);
+        self.next_phase(PHASE_DELIVER, PHASE_EXCHANGE);
         if PR::ENABLED {
-            let now = self.offset_ns();
-            self.sample.phase_wall_ns[PHASE_DELIVER] =
-                now - self.sample.phase_start_ns[PHASE_DELIVER];
-            self.sample.phase_start_ns[PHASE_EXCHANGE] = now;
-            self.sample
-                .delivered
-                .extend(delivered.iter().map(|&(resident, _)| resident));
-            self.sample
-                .shard_deliver_ns
-                .extend(delivered.iter().map(|&(_, ns)| ns));
+            for shard in &self.shards {
+                self.sample.delivered.push(shard.arena.len());
+                self.sample.shard_deliver_ns.push(shard.busy_ns);
+            }
         }
-        {
-            let (shards, xfer) = (&mut self.shards, &mut self.xfer);
-            for (d, shard) in shards.iter_mut().enumerate() {
-                xfer[d] = std::mem::take(&mut shard.in_buckets);
+        for d in 0..self.shards.len() {
+            let mut incoming = std::mem::take(&mut self.shards[d].incoming);
+            for (s, bucket) in incoming.drain(..) {
+                self.shards[s].out[d] = bucket;
             }
-            for (s, shard) in shards.iter_mut().enumerate() {
-                for (d, row) in xfer.iter_mut().enumerate() {
-                    shard.out[d] = std::mem::take(&mut row[s]);
-                }
-            }
+            self.shards[d].incoming = incoming;
         }
         if PR::ENABLED {
             let now = self.offset_ns();
@@ -1151,11 +1151,11 @@ where
             self.sample.wall_ns = now - self.sample.start_ns;
             self.profiler.record_round(&self.sample);
         }
-        Ok(Stepped::Sealed)
+        Ok(true)
     }
 
     fn finish(self) -> ShardedExecution<P::State> {
-        let mut states = Vec::with_capacity(self.n);
+        let mut states = Vec::with_capacity(self.job.g.n());
         for shard in self.shards {
             states.extend(shard.states);
         }
@@ -1194,8 +1194,25 @@ mod tests {
         P: NodeProgram,
         P::State: PartialEq + std::fmt::Debug + std::hash::Hash,
     {
+        assert_matches_executor_at(case, g, program, RoundMeter::DEFAULT_CAPACITY_WORDS)
+    }
+
+    /// [`assert_matches_executor`] with `capacity_words` words per edge.
+    fn assert_matches_executor_at<P>(
+        case: &str,
+        g: &mfd_graph::Graph,
+        program: &P,
+        capacity_words: usize,
+    ) -> (crate::Execution<P::State>, ArenaStats)
+    where
+        P: NodeProgram,
+        P::State: PartialEq + std::fmt::Debug + std::hash::Hash,
+    {
         let csr = CsrGraph::from_graph(g);
-        let exec_cfg = ExecutorConfig::default();
+        let exec_cfg = ExecutorConfig {
+            capacity_words,
+            ..ExecutorConfig::default()
+        };
         let mut reference_sink = RecordingSink::with_digests();
         let reference = Executor::new(exec_cfg.clone())
             .run_traced(g, program, &mut reference_sink)
@@ -1523,10 +1540,15 @@ mod tests {
 
     /// The layouts the checkpoint tests cross: one shard, uneven shards, more
     /// shards than most shards have vertices; one thread and several.
-    fn layouts() -> Vec<ShardedExecutor> {
+    fn layouts(capacity_words: usize) -> Vec<ShardedExecutor> {
         [(1, 1), (3, 4), (64, 1)]
             .iter()
-            .map(|&(s, t)| ShardedExecutor::new(ShardedConfig::with_shards_threads(s, t)))
+            .map(|&(shards, threads)| {
+                ShardedExecutor::new(ShardedConfig {
+                    capacity_words,
+                    ..ShardedConfig::with_shards_threads(shards, threads)
+                })
+            })
             .collect()
     }
 
@@ -1558,48 +1580,205 @@ mod tests {
         (session.finish(), sink, captured)
     }
 
-    #[test]
-    fn resume_from_any_checkpoint_matches_the_uninterrupted_run() {
-        let g = generators::triangulated_grid(6, 6);
-        let csr = CsrGraph::from_graph(&g);
-        let program = Mixer { rounds: 9 };
+    /// Journals `program` every `every` rounds on every layout and resumes
+    /// every capture on every layout: states, meter and digest chain must
+    /// equal the reference stepper's uninterrupted run, and the resumed
+    /// arena marks must cover exactly the rounds since the restore. Returns
+    /// the captured rounds.
+    fn assert_resumes_on_every_layout<P>(
+        g: &mfd_graph::Graph,
+        program: &P,
+        capacity_words: usize,
+        every: u64,
+    ) -> Vec<u64>
+    where
+        P: NodeProgram,
+        P::State: Clone + PartialEq + std::fmt::Debug + std::hash::Hash,
+    {
+        let csr = CsrGraph::from_graph(g);
         let mut reference_sink = DigestSink::new();
-        let full = Executor::new(ExecutorConfig::default())
-            .run_traced(&g, &program, &mut reference_sink)
-            .unwrap();
+        let full = Executor::new(ExecutorConfig {
+            capacity_words,
+            ..ExecutorConfig::default()
+        })
+        .run_traced(g, program, &mut reference_sink)
+        .unwrap();
 
-        for exec in layouts() {
-            let (run, sink, captured) = journal(&exec, &csr, &program, 2);
+        let mut rounds = Vec::new();
+        for exec in layouts(capacity_words) {
+            let (run, sink, captured) = journal(&exec, &csr, program, every);
             assert_eq!(run.states, full.states);
             assert_eq!(run.meter.to_parts(), full.meter.to_parts());
             assert_eq!(sink.chain(), reference_sink.chain());
-            // Captures at rounds 2, 4, 6, 8 (the run ends in round 9).
-            let rounds: Vec<u64> = captured.iter().map(|(cp, _)| cp.round).collect();
-            assert_eq!(rounds, vec![2, 4, 6, 8]);
+            rounds = captured.iter().map(|(cp, _)| cp.round).collect();
 
             // Every capture resumes on every layout, not only its own.
             for (cp, digest_state) in captured {
-                for other in layouts() {
+                let resident: usize = cp.inbox.iter().map(Vec::len).sum();
+                for other in layouts(capacity_words) {
                     let mut sink = DigestSink::restore(digest_state.clone());
-                    let mut session = other
-                        .restore(&csr, &program, cp.clone(), &mut sink)
-                        .unwrap();
-                    assert_eq!(session.step().unwrap(), Some(cp.round + 1));
+                    let mut session = other.restore(&csr, program, cp.clone(), &mut sink).unwrap();
+                    let next = (cp.round < full.rounds).then_some(cp.round + 1);
+                    assert_eq!(session.step().unwrap(), next);
                     while session.step().unwrap().is_some() {}
                     let resumed = session.finish();
                     assert_eq!(resumed.states, full.states);
                     assert_eq!(resumed.meter.to_parts(), full.meter.to_parts());
                     assert_eq!(sink.chain(), reference_sink.chain());
+                    // The marks cover the checkpoint's mail and the rounds
+                    // since: never more than the uninterrupted run's.
+                    let (marks, all) = (resumed.arena, run.arena);
+                    assert!((resident..=all.mailbox_slots_hwm).contains(&marks.mailbox_slots_hwm));
+                    assert!(marks.route_slots_hwm <= all.route_slots_hwm);
+                    let idle = other
+                        .restore(&csr, program, cp.clone(), &mut NullSink)
+                        .unwrap()
+                        .finish();
+                    assert_eq!(
+                        (idle.arena.mailbox_slots_hwm, idle.arena.route_slots_hwm),
+                        (resident, 0)
+                    );
                 }
             }
         }
+        rounds
+    }
+
+    #[test]
+    fn resume_from_any_checkpoint_matches_the_uninterrupted_run() {
+        let g = generators::triangulated_grid(6, 6);
+        // Captures at rounds 2, 4, 6, 8 (the run ends in round 9).
+        let rounds = assert_resumes_on_every_layout(&g, &Mixer { rounds: 9 }, 1, 2);
+        assert_eq!(rounds, vec![2, 4, 6, 8]);
+    }
+
+    /// Several messages per directed edge and round: every vertex sends its
+    /// lowest neighbour `k - 1` messages around one broadcast (that edge
+    /// carries `k`, the others one), folds its inbox in order, and halts at
+    /// round `1 + v % period` — so neighbours mail vertices that halted the
+    /// same round, and earlier.
+    struct Chatter<M> {
+        k: u64,
+        period: u64,
+        pack: fn(u64) -> M,
+        unpack: fn(&M) -> u64,
+    }
+
+    impl<M: crate::RuntimeMessage> NodeProgram for Chatter<M> {
+        /// `(fold of everything heard, rounds stepped)`.
+        type State = (u64, u64);
+        type Msg = M;
+
+        fn init(&self, ctx: &NodeCtx) -> (u64, u64) {
+            (ctx.id as u64, 0)
+        }
+
+        fn round(
+            &self,
+            ctx: &NodeCtx,
+            state: &mut (u64, u64),
+            inbox: &[Envelope<M>],
+            out: &mut Outbox<'_, M>,
+        ) {
+            state.1 += 1;
+            for env in inbox {
+                let heard = (env.src as u64).wrapping_mul(7) + (self.unpack)(&env.msg);
+                state.0 = state.0.wrapping_mul(31).wrapping_add(heard);
+            }
+            let Some(&lowest) = ctx.neighbors.first() else {
+                return;
+            };
+            for i in 0..self.k {
+                if i == self.k / 2 {
+                    out.broadcast((self.pack)(state.0));
+                } else {
+                    out.send(lowest, (self.pack)(state.0.wrapping_add(i + 1)));
+                }
+            }
+        }
+
+        fn halted(&self, ctx: &NodeCtx, _state: &(u64, u64)) -> bool {
+            ctx.round > ctx.id as u64 % self.period
+        }
+    }
+
+    #[test]
+    fn several_messages_per_directed_edge_keep_sender_then_send_order() {
+        let g = generators::triangulated_grid(9, 7);
+        // One-word messages, `k` to the same neighbour at capacity `k`.
+        let worded = Chatter::<u64> {
+            k: 3,
+            period: 5,
+            pack: |x| x,
+            unpack: |&x| x,
+        };
+        let (run, arena) = assert_matches_executor_at("chatter", &g, &worded, 3);
+        assert_eq!((run.rounds, run.meter.max_words_on_edge()), (5, 3));
+        // Round 1: every vertex sends deg + k - 1 messages, all resident.
+        assert_eq!(arena.mailbox_slots_hwm, 2 * g.m() + 2 * g.n());
+        // Zero-word messages: any number per edge is legal at capacity 1.
+        let wordless = Chatter::<()> {
+            k: 4,
+            period: 5,
+            pack: |_| (),
+            unpack: |_| 1,
+        };
+        let (run, _) = assert_matches_executor("wordless chatter", &g, &wordless);
+        assert_eq!((run.rounds, run.meter.max_words_on_edge()), (5, 0));
+        // One word too many on the doubled edge is still a violation.
+        let err = ShardedExecutor::new(ShardedConfig {
+            capacity_words: 2,
+            ..ShardedConfig::default()
+        })
+        .run(&CsrGraph::from_graph(&g), &worded)
+        .unwrap_err();
+        assert!(matches!(
+            err,
+            RuntimeError::Model(CongestError::BandwidthExceeded { words: 3, .. })
+        ));
+
+        // Checkpoints holding such mail resume identically on every layout.
+        let small = generators::triangulated_grid(6, 6);
+        assert_eq!(
+            assert_resumes_on_every_layout(&small, &worded, 3, 1),
+            vec![1, 2, 3, 4, 5]
+        );
+        assert_eq!(
+            assert_resumes_on_every_layout(&small, &wordless, 1, 2),
+            vec![2, 4]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "too wide for the engine's u32 mailbox indices")]
+    fn a_layout_whose_mail_could_overflow_the_spans_is_refused_before_init() {
+        struct NeverBuilt;
+        impl NodeProgram for NeverBuilt {
+            type State = ();
+            type Msg = u64;
+            fn init(&self, _ctx: &NodeCtx) {
+                panic!("the layout check comes first");
+            }
+            fn round(&self, _: &NodeCtx, _: &mut (), _: &[Envelope<u64>], _: &mut Outbox<'_, u64>) {
+            }
+            fn halted(&self, _ctx: &NodeCtx, _state: &()) -> bool {
+                true
+            }
+        }
+        // Four half-edges at 2^31 words each could be 2^33 resident envelopes.
+        let cfg = ShardedConfig {
+            capacity_words: 1 << 31,
+            ..ShardedConfig::with_shards_threads(1, 1)
+        };
+        let csr = CsrGraph::from_graph(&generators::path(3));
+        let _ = ShardedExecutor::new(cfg).run(&csr, &NeverBuilt);
     }
 
     #[test]
     fn resumed_round_budget_counts_total_rounds() {
         let csr = CsrGraph::from_graph(&generators::cycle(6));
         let program = Mixer { rounds: 20 };
-        let (_, _, captured) = journal(&layouts()[1], &csr, &program, 5);
+        let (_, _, captured) = journal(&layouts(1)[1], &csr, &program, 5);
 
         // A budget the full run exceeds must still fail after a resume from
         // round 5 — the budget meters total rounds, not rounds since resume.

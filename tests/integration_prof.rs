@@ -128,3 +128,63 @@ fn deterministic_profile_columns_are_run_invariant() {
     assert_eq!(a.delivered_totals(), b.delivered_totals());
     assert_eq!(a.arena_series(), b.arena_series());
 }
+
+/// The sparse exchange moves only the buckets a round pushed into, and the
+/// profiler still sees the whole shard→shard matrix: every entry of every
+/// round equals the count recomputed from the graph and the sends (a BFS
+/// vertex at depth `d` broadcasts in round `d + 1`, halted receivers
+/// included), and the per-shard series add up to the meter's messages.
+#[test]
+fn traffic_matrix_matches_the_sends_whether_few_shard_pairs_talk_or_all() {
+    // (graph, shards, whether every shard pair exchanges mail in some round)
+    let cases = [
+        (CsrGraph::from_graph(&generators::path(640)), 64, false),
+        (gen::mesh(32, 32), 64, false),
+        (CsrGraph::from_graph(&generators::complete(24)), 8, true),
+    ];
+    for (csr, shards, all_pairs_talk) in cases {
+        let depth = csr.bfs_distances(0);
+        let chunk = csr.n().div_ceil(shards);
+        for threads in [1, 3] {
+            let exec = ShardedExecutor::new(ShardedConfig::with_shards_threads(shards, threads));
+            let mut profile = Profile::new();
+            let run = exec
+                .run_profiled(
+                    &csr,
+                    &BfsProgram { root: 0 },
+                    &mut DigestSink::new(),
+                    &mut profile,
+                )
+                .expect("bfs is model-compliant");
+
+            let mut messages = 0;
+            for sample in &profile.rounds {
+                let mut expected = vec![0u64; shards * shards];
+                for v in (0..csr.n()).filter(|&v| depth[v] as u64 + 1 == sample.round) {
+                    for &u in csr.neighbors(v) {
+                        expected[v / chunk * shards + u / chunk] += 1;
+                    }
+                }
+                assert_eq!(sample.traffic, expected, "round {}", sample.round);
+                let round_messages: u64 = expected.iter().sum();
+                let route_slots: usize = sample.route_slots.iter().sum();
+                let delivered: usize = sample.delivered.iter().sum();
+                assert_eq!(route_slots as u64, round_messages, "round {}", sample.round);
+                assert_eq!(delivered as u64, round_messages, "round {}", sample.round);
+                assert_eq!(sample.sent.iter().sum::<u64>(), round_messages);
+                messages += round_messages;
+            }
+            assert_eq!(messages, run.messages);
+            let talking = profile.traffic_totals().iter().filter(|&&t| t > 0).count();
+            if all_pairs_talk {
+                assert_eq!(talking, shards * shards);
+            } else {
+                assert!(
+                    talking <= 5 * shards,
+                    "{talking} of {} pairs",
+                    shards * shards
+                );
+            }
+        }
+    }
+}
