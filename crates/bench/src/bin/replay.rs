@@ -36,15 +36,13 @@
 //! `executor` and `sim` journals (plain probe states); `faulted` journals
 //! carry ARQ transport state and support `verify`/`resume` only.
 
-use mfd_bench::replay::{
-    executor_journal, faulted_journal, resume_executor, resume_faulted, resume_sim, sim_journal,
-};
+use mfd_bench::replay::{executor_journal, resume_executor, resume_sim, sim_journal, Resumed};
 use mfd_bench::trace::DivergenceProbe;
 use mfd_faults::{FaultModel, Reliable};
 use mfd_graph::{CsrGraph, Graph};
 use mfd_replay::Journal;
-use mfd_runtime::{ExecCheckpoint, ExecutorConfig};
-use mfd_sim::{FaultOutcome, LatencyModel, SimCheckpoint, SimConfig, Simulator};
+use mfd_runtime::{ExecutorConfig, RuntimeError};
+use mfd_sim::{LatencyModel, NoFaults, SimConfig, Simulator};
 use mfd_trace::{EngineKind, NullSink};
 
 const LATENCY: LatencyModel = LatencyModel::Uniform { lo: 1, hi: 3 };
@@ -121,17 +119,17 @@ fn record(out: &str, engine: &str, spec: &RunSpec, every: u64) {
                 .journal
         }
         ("sim", None) => {
-            sim_journal(&g, &probe, &cfg, LATENCY, every, &label)
+            sim_journal(&g, &probe, &NoFaults, &cfg, LATENCY, every, &label)
                 .expect("probe is model-compliant")
                 .journal
         }
         ("faulted", Some(p)) => {
             let wrapped = Reliable::new(DivergenceProbe::clean(spec.rounds));
             let model = FaultModel::iid_loss(p);
-            let journaled = faulted_journal(&g, &wrapped, &model, &cfg, LATENCY, every, &label)
+            let journaled = sim_journal(&g, &wrapped, &model, &cfg, LATENCY, every, &label)
                 .expect("probe is model-compliant");
             assert!(
-                matches!(journaled.run.outcome, FaultOutcome::Completed),
+                !journaled.run.outcome.is_wedged(),
                 "the faulted recording wedged; raise --rounds headroom or lower --loss"
             );
             journaled.journal
@@ -190,30 +188,29 @@ fn resume(path: &str, at: Option<u64>, graph: Option<&str>) {
             .round
     });
     let probe = DivergenceProbe::clean(spec.rounds);
-    let (from_round, replayed, chain) = match (journal.header.engine, spec.loss) {
+    fn summary<R>(r: Resumed<R>) -> (u64, u64, Vec<u64>) {
+        (r.from_round, r.rounds_replayed, r.sink.chain())
+    }
+    let resumed = match (journal.header.engine, spec.loss) {
         (EngineKind::Executor, None) => {
-            let csr = CsrGraph::from_graph(&g);
-            let r = resume_executor(&journal, at, &csr, &probe, &cfg).unwrap_or_else(|e| {
-                eprintln!("error: cannot resume {path:?} at round {at}: {e}");
-                std::process::exit(1);
-            });
-            (r.from_round, r.rounds_replayed, r.sink.chain())
+            resume_executor(&journal, at, &CsrGraph::from_graph(&g), &probe, &cfg).map(summary)
         }
         (EngineKind::Sim, None) => {
-            let r = resume_sim(&journal, at, &g, &probe, &cfg, LATENCY).expect("journal resumes");
-            (r.from_round, r.rounds_replayed, r.sink.chain())
+            resume_sim(&journal, at, &g, &probe, &NoFaults, &cfg, LATENCY).map(summary)
         }
         (EngineKind::Sim, Some(p)) => {
             let wrapped = Reliable::new(DivergenceProbe::clean(spec.rounds));
             let model = FaultModel::iid_loss(p);
-            let r = resume_faulted(&journal, at, &g, &wrapped, &model, &cfg, LATENCY)
-                .expect("journal resumes");
-            (r.from_round, r.rounds_replayed, r.sink.chain())
+            resume_sim(&journal, at, &g, &wrapped, &model, &cfg, LATENCY).map(summary)
         }
         (EngineKind::Executor, Some(_)) => {
             panic!("faulted journals are event-engine journals")
         }
     };
+    let (from_round, replayed, chain) = resumed.unwrap_or_else(|e| {
+        eprintln!("error: cannot resume {path:?} at round {at}: {e}");
+        std::process::exit(1);
+    });
     assert_eq!(
         chain,
         journal.chain(),
@@ -245,54 +242,51 @@ fn states_at(journal: &Journal, target: u64) -> (u64, Vec<u64>) {
     let g = family(&spec.graph);
     let cfg = ExecutorConfig::default();
     let probe = DivergenceProbe::clean(spec.rounds);
-    let mut hit: Option<(u64, Vec<u64>)> = None;
+    // Restore the nearest checkpoint at or below the target (or start
+    // afresh) and step up to it; on the event engine a step lands on the next
+    // consistent cut, which can lie past the target.
+    let mut sink = NullSink;
+    let cp = journal.checkpoint_at(target);
+    let mut reached = cp.map_or(0, |cp| cp.round);
+    let mut step_to_target = |step: &mut dyn FnMut() -> Result<Option<u64>, RuntimeError>| {
+        while reached < target {
+            reached = step()
+                .expect("probe is model-compliant")
+                .unwrap_or_else(|| panic!("no consistent cut at or after round {target}"));
+        }
+        reached
+    };
+    let fits = "a journal's checkpoint fits the graph its label names";
     match journal.header.engine {
         EngineKind::Executor => {
-            // Restore the nearest checkpoint below the target, step to it.
             let csr = CsrGraph::from_graph(&g);
             let exec = mfd_bench::sync_executor(&cfg);
-            let mut sink = NullSink;
-            let (mut reached, mut session) = match journal.checkpoint_at(target) {
+            let mut session = match cp {
                 Some(cp) => {
-                    let restored: ExecCheckpoint<u64, u64> =
-                        journal.decode_checkpoint(cp).expect("journal decodes");
-                    let session = exec
-                        .restore(&csr, &probe, restored, &mut sink)
-                        .expect("a journal's checkpoint fits the graph its label names");
-                    (cp.round, session)
+                    let restored = journal.decode_checkpoint(cp).expect("journal decodes");
+                    exec.restore(&csr, &probe, restored, &mut sink).expect(fits)
                 }
-                None => (0, exec.start(&csr, &probe, &mut sink)),
+                None => exec.start(&csr, &probe, &mut sink),
             };
-            while reached < target {
-                reached = session
-                    .step()
-                    .expect("probe is model-compliant")
-                    .unwrap_or_else(|| panic!("the run ended before round {target}"));
-            }
-            return (reached, session.finish().states);
+            let reached = step_to_target(&mut || session.step());
+            (reached, session.finish().states)
         }
         EngineKind::Sim => {
-            let mut capture = |cp: SimCheckpoint<u64, u64>, _: &NullSink| {
-                if hit.is_none() && cp.round >= target {
-                    hit = Some((cp.round, cp.states));
-                }
-            };
             let sim = Simulator::new(SimConfig::matching(&cfg, LATENCY));
-            match journal.checkpoint_at(target) {
+            let mut session = match cp {
                 Some(cp) => {
-                    let restored: SimCheckpoint<u64, u64> =
-                        journal.decode_checkpoint(cp).expect("journal decodes");
-                    if restored.round >= target {
-                        return (restored.round, restored.states);
-                    }
-                    sim.resume_checkpointed(&g, &probe, restored, &mut NullSink, 1, &mut capture)
+                    let restored = journal.decode_checkpoint(cp).expect("journal decodes");
+                    sim.restore(&g, &probe, &NoFaults, restored, &mut sink)
+                        .expect(fits)
                 }
-                None => sim.run_checkpointed(&g, &probe, &mut NullSink, 1, &mut capture),
-            }
-            .expect("probe is model-compliant");
+                None => sim
+                    .start(&g, &probe, &NoFaults, &mut sink)
+                    .expect("probe is model-compliant"),
+            };
+            let reached = step_to_target(&mut || session.step());
+            (reached, session.checkpoint().states)
         }
     }
-    hit.unwrap_or_else(|| panic!("no consistent cut at or after round {target}"))
 }
 
 fn dump(path: &str, round: u64) {

@@ -1566,10 +1566,9 @@ impl ReplayRow {
 /// engine at unit and skewed latency, and the faulted
 /// `Reliable<probe>`-under-loss configuration.
 fn replay_report() {
-    use mfd_bench::replay::{
-        executor_journal, faulted_journal, resume_executor, resume_faulted, resume_sim, sim_journal,
-    };
+    use mfd_bench::replay::{executor_journal, resume_executor, resume_sim, sim_journal};
     use mfd_bench::trace::DivergenceProbe;
+    use mfd_sim::NoFaults;
 
     const EVERY: u64 = 4;
     const ROUNDS: u64 = 16;
@@ -1613,18 +1612,19 @@ fn replay_report() {
             ("sim-fixed-1", LatencyModel::Fixed(1)),
             ("sim-skewed", LatencyModel::Uniform { lo: 1, hi: 3 }),
         ] {
-            let full =
-                sim_journal(g, &probe, &cfg, latency.clone(), EVERY, name).expect("probe runs");
+            let full = sim_journal(g, &probe, &NoFaults, &cfg, latency.clone(), EVERY, name)
+                .expect("probe runs");
             let cp = mid(&full.journal);
-            let resumed =
-                resume_sim(&full.journal, cp.round, g, &probe, &cfg, latency).expect("resumes");
+            let resumed = resume_sim(&full.journal, cp.round, g, &probe, &NoFaults, &cfg, latency)
+                .expect("resumes");
             assert_eq!(
                 resumed.sink.chain(),
                 full.sink.chain(),
                 "{name}/{engine}: resumed chain must equal the uninterrupted chain"
             );
-            assert_eq!(resumed.run.states, full.run.states);
-            assert_eq!(resumed.run.makespan, full.run.makespan);
+            let (full_run, resumed_run) = (&full.run.run, &resumed.run.run);
+            assert_eq!(resumed_run.states, full_run.states);
+            assert_eq!(resumed_run.makespan, full_run.makespan);
             rows.push(ReplayRow {
                 graph: name.to_string(),
                 n: g.n(),
@@ -1632,8 +1632,8 @@ fn replay_report() {
                 faults: "none",
                 every: EVERY,
                 checkpoint_round: cp.round,
-                rounds: full.run.rounds,
-                messages: full.run.messages,
+                rounds: full_run.rounds,
+                messages: full_run.messages,
                 checkpoint_bytes: cp.payload.len() as u64,
                 rounds_replayed: resumed.rounds_replayed,
                 head: format!("{:016x}", full.sink.head()),
@@ -1646,14 +1646,14 @@ fn replay_report() {
         let wrapped = Reliable::new(DivergenceProbe::clean(ROUNDS));
         let model = FaultModel::iid_loss(0.2);
         let latency = LatencyModel::Uniform { lo: 1, hi: 3 };
-        let full = faulted_journal(g, &wrapped, &model, &cfg, latency.clone(), EVERY, name)
+        let full = sim_journal(g, &wrapped, &model, &cfg, latency.clone(), EVERY, name)
             .expect("probe runs");
         assert!(
             matches!(full.run.outcome, mfd_sim::FaultOutcome::Completed),
             "{name}/faulted: the acceptance run must complete under 0.2 loss"
         );
         let cp = mid(&full.journal);
-        let resumed = resume_faulted(&full.journal, cp.round, g, &wrapped, &model, &cfg, latency)
+        let resumed = resume_sim(&full.journal, cp.round, g, &wrapped, &model, &cfg, latency)
             .expect("resumes");
         assert_eq!(
             resumed.sink.chain(),

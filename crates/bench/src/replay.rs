@@ -76,48 +76,17 @@ where
     Ok(JournaledRun { journal, sink, run })
 }
 
-/// Runs `program` on the event engine under `latency` (configuration matched
-/// to `config`), journaling the digest chain and periodic checkpoints.
-///
-/// # Errors
-///
-/// Propagates the engine failure.
-pub fn sim_journal<P>(
-    g: &Graph,
-    program: &P,
-    config: &ExecutorConfig,
-    latency: LatencyModel,
-    every: u64,
-    label: &str,
-) -> Result<JournaledRun<mfd_sim::SimExecution<P::State>>, RuntimeError>
-where
-    P: NodeProgram,
-    P::State: std::hash::Hash + Clone,
-    SimCheckpoint<P::State, P::Msg>: Snapshot,
-{
-    let mut sink = DigestSink::new();
-    let mut journal = Journal::new(header(EngineKind::Sim, g.n(), config.seed, every, label));
-    let run = Simulator::new(SimConfig::matching(config, latency)).run_checkpointed(
-        g,
-        program,
-        &mut sink,
-        every,
-        &mut |cp, sink| journal.record(cp.round, sink, &cp),
-    )?;
-    journal
-        .seal(&sink)
-        .expect("a freshly journaled run coheres");
-    Ok(JournaledRun { journal, sink, run })
-}
-
-/// The faulted counterpart of [`sim_journal`]: runs under `hook` (loss,
-/// duplication, slips, crashes), journaling exactly the same way. Wedged
-/// runs still journal the rounds they sealed.
+/// Runs `program` on the event engine under `latency` and `hook` (loss,
+/// duplication, slips, crashes; [`mfd_sim::NoFaults`] for a clean network),
+/// configuration matched to `config`, journaling the digest chain and a
+/// checkpoint at the first consistent cut at least `every` rounds (clamped to
+/// at least 1) after the previous one. Wedged runs still journal the rounds
+/// they sealed.
 ///
 /// # Errors
 ///
 /// Propagates the engine failure (a wedge is an outcome, not an error).
-pub fn faulted_journal<P, F>(
+pub fn sim_journal<P, F>(
     g: &Graph,
     program: &P,
     hook: &F,
@@ -134,14 +103,17 @@ where
 {
     let mut sink = DigestSink::new();
     let mut journal = Journal::new(header(EngineKind::Sim, g.n(), config.seed, every, label));
-    let run = Simulator::new(SimConfig::matching(config, latency)).run_with_faults_checkpointed(
-        g,
-        program,
-        hook,
-        &mut sink,
-        every,
-        &mut |cp, sink| journal.record(cp.round, sink, &cp),
-    )?;
+    let sim = Simulator::new(SimConfig::matching(config, latency));
+    let mut session = sim.start(g, program, hook, &mut sink)?;
+    let every = every.max(1);
+    let mut next = every;
+    while let Some(round) = session.step()? {
+        if round >= next {
+            journal.record(round, session.observer(), &session.checkpoint());
+            next = round + every;
+        }
+    }
+    let run = session.finish()?;
     journal
         .seal(&sink)
         .expect("a freshly journaled run coheres");
@@ -159,6 +131,26 @@ pub struct Resumed<R> {
     pub sink: DigestSink,
     /// The engine's result.
     pub run: R,
+}
+
+impl<R> Resumed<R> {
+    fn new(from_round: u64, sink: DigestSink, run: R) -> Self {
+        Resumed {
+            from_round,
+            rounds_replayed: (sink.sealed_rounds() as u64).saturating_sub(from_round + 1),
+            sink,
+            run,
+        }
+    }
+}
+
+/// The journal's nearest checkpoint at-or-below `at`, decoded, and the digest
+/// sink as it stood when the checkpoint was taken.
+fn restore_point<C: Snapshot>(journal: &Journal, at: u64) -> Result<(C, DigestSink), JournalError> {
+    let cp = journal.checkpoint_at(at).ok_or(JournalError::Malformed {
+        what: "no checkpoint at or below the requested round",
+    })?;
+    Ok((journal.decode_checkpoint(cp)?, Journal::restore_sink(cp)))
 }
 
 /// Resumes an executor run from the journal's nearest checkpoint at-or-below
@@ -181,79 +173,24 @@ where
     P::State: std::hash::Hash + Clone,
     ExecCheckpoint<P::State, P::Msg>: Snapshot,
 {
-    let cp = journal.checkpoint_at(at).ok_or(JournalError::Malformed {
-        what: "no checkpoint at or below the requested round",
-    })?;
-    let restored: ExecCheckpoint<P::State, P::Msg> = journal.decode_checkpoint(cp)?;
+    let (restored, mut sink): (ExecCheckpoint<P::State, P::Msg>, _) = restore_point(journal, at)?;
     let from_round = restored.round;
-    let mut sink = Journal::restore_sink(cp);
     let exec = crate::sync_executor(config);
     let mut session = exec.restore(g, program, restored, &mut sink)?;
     while session.step()?.is_some() {}
     let run = session.finish();
-    Ok(Resumed {
-        from_round,
-        rounds_replayed: (sink.sealed_rounds() as u64).saturating_sub(from_round + 1),
-        sink,
-        run,
-    })
+    Ok(Resumed::new(from_round, sink, run))
 }
 
-/// Resumes a (fault-free) event-engine run from the journal's nearest
-/// checkpoint at-or-below `at`.
-///
-/// # Errors
-///
-/// [`JournalError`] when no checkpoint exists at-or-below `at` or the
-/// payload does not decode as an event-engine checkpoint.
-///
-/// # Panics
-///
-/// If the engine fails (the journaled run succeeded, so a resume on the
-/// same inputs cannot fail).
-pub fn resume_sim<P>(
-    journal: &Journal,
-    at: u64,
-    g: &Graph,
-    program: &P,
-    config: &ExecutorConfig,
-    latency: LatencyModel,
-) -> Result<Resumed<mfd_sim::SimExecution<P::State>>, JournalError>
-where
-    P: NodeProgram,
-    P::State: std::hash::Hash + Clone,
-    SimCheckpoint<P::State, P::Msg>: Snapshot,
-{
-    let cp = journal.checkpoint_at(at).ok_or(JournalError::Malformed {
-        what: "no checkpoint at or below the requested round",
-    })?;
-    let restored: SimCheckpoint<P::State, P::Msg> = journal.decode_checkpoint(cp)?;
-    let from_round = restored.round;
-    let mut sink = Journal::restore_sink(cp);
-    let run = Simulator::new(SimConfig::matching(config, latency))
-        .resume_traced(g, program, restored, &mut sink)
-        .expect("resuming a journaled run on its own inputs cannot fail");
-    Ok(Resumed {
-        from_round,
-        rounds_replayed: (sink.sealed_rounds() as u64).saturating_sub(from_round + 1),
-        sink,
-        run,
-    })
-}
-
-/// Resumes a faulted event-engine run from the journal's nearest checkpoint
-/// at-or-below `at`, under the same `hook` — fates are pure in
+/// Resumes an event-engine run from the journal's nearest checkpoint
+/// at-or-below `at`, under the `hook` it was recorded with — fates are pure in
 /// `(seed, edge, round, index)`, so the continuation meets the same fate
 /// sequence.
 ///
 /// # Errors
 ///
-/// As [`resume_sim`].
-///
-/// # Panics
-///
-/// As [`resume_sim`].
-pub fn resume_faulted<P, F>(
+/// As [`resume_executor`].
+pub fn resume_sim<P, F>(
     journal: &Journal,
     at: u64,
     g: &Graph,
@@ -261,28 +198,20 @@ pub fn resume_faulted<P, F>(
     hook: &F,
     config: &ExecutorConfig,
     latency: LatencyModel,
-) -> Result<Resumed<FaultedRun<P::State>>, JournalError>
+) -> Result<Resumed<FaultedRun<P::State>>, Box<dyn Error>>
 where
     P: NodeProgram,
     P::State: std::hash::Hash + Clone,
     F: FaultHook,
     SimCheckpoint<P::State, P::Msg>: Snapshot,
 {
-    let cp = journal.checkpoint_at(at).ok_or(JournalError::Malformed {
-        what: "no checkpoint at or below the requested round",
-    })?;
-    let restored: SimCheckpoint<P::State, P::Msg> = journal.decode_checkpoint(cp)?;
+    let (restored, mut sink): (SimCheckpoint<P::State, P::Msg>, _) = restore_point(journal, at)?;
     let from_round = restored.round;
-    let mut sink = Journal::restore_sink(cp);
-    let run = Simulator::new(SimConfig::matching(config, latency))
-        .resume_with_faults_traced(g, program, hook, restored, &mut sink)
-        .expect("resuming a journaled run on its own inputs cannot fail");
-    Ok(Resumed {
-        from_round,
-        rounds_replayed: (sink.sealed_rounds() as u64).saturating_sub(from_round + 1),
-        sink,
-        run,
-    })
+    let sim = Simulator::new(SimConfig::matching(config, latency));
+    let mut session = sim.restore(g, program, hook, restored, &mut sink)?;
+    while session.step()?.is_some() {}
+    let run = session.finish()?;
+    Ok(Resumed::new(from_round, sink, run))
 }
 
 #[cfg(test)]
@@ -290,6 +219,7 @@ mod tests {
     use super::*;
     use crate::trace::DivergenceProbe;
     use mfd_graph::generators;
+    use mfd_sim::NoFaults;
 
     #[test]
     fn journaled_resume_extends_the_chain_on_both_engines() {
@@ -307,11 +237,13 @@ mod tests {
             assert_eq!(resumed.run.states, full.run.states);
         }
 
+        let latency = LatencyModel::Uniform { lo: 1, hi: 3 };
         let full = sim_journal(
             &g,
             &probe,
+            &NoFaults,
             &cfg,
-            LatencyModel::Uniform { lo: 1, hi: 3 },
+            latency.clone(),
             3,
             "wheel-16/probe",
         )
@@ -323,13 +255,14 @@ mod tests {
                 cp.round,
                 &g,
                 &probe,
+                &NoFaults,
                 &cfg,
-                LatencyModel::Uniform { lo: 1, hi: 3 },
+                latency.clone(),
             )
             .unwrap();
             assert_eq!(resumed.sink.chain(), full.sink.chain());
-            assert_eq!(resumed.run.states, full.run.states);
-            assert_eq!(resumed.run.makespan, full.run.makespan);
+            assert_eq!(resumed.run.run.states, full.run.run.states);
+            assert_eq!(resumed.run.run.makespan, full.run.run.makespan);
         }
     }
 }

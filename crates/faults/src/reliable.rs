@@ -1061,17 +1061,17 @@ mod tests {
         let sim = Simulator::new(SimConfig::default());
         let program = Reliable::new(Chatter);
 
+        let mut sink = mfd_trace::NullSink;
         let mut checkpoints = Vec::new();
-        let full = sim
-            .run_with_faults_checkpointed(
-                &g,
-                &program,
-                &model,
-                &mut mfd_trace::NullSink,
-                3,
-                &mut |cp, _| checkpoints.push(cp),
-            )
-            .unwrap();
+        let mut session = sim.start(&g, &program, &model, &mut sink).unwrap();
+        let mut next = 3;
+        while let Some(round) = session.step().unwrap() {
+            if round >= next {
+                checkpoints.push(session.checkpoint());
+                next = round + 3;
+            }
+        }
+        let full = session.finish().unwrap();
         assert_eq!(full.outcome, FaultOutcome::Completed);
         assert!(
             Reliable::<Chatter>::stats(&full.run.states).retransmitted > 0,
@@ -1088,7 +1088,9 @@ mod tests {
                 .iter()
                 .map(|s| ReliableState::from_parts(s.to_parts()))
                 .collect();
-            let resumed = sim.resume_with_faults(&g, &program, &model, cp).unwrap();
+            let mut session = sim.restore(&g, &program, &model, cp, &mut sink).unwrap();
+            while session.step().unwrap().is_some() {}
+            let resumed = session.finish().unwrap();
             assert_eq!(resumed.outcome, full.outcome);
             assert_eq!(resumed.run.rounds, full.run.rounds);
             assert_eq!(resumed.run.messages, full.run.messages);

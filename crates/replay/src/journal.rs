@@ -231,7 +231,7 @@ impl Journal {
     /// Records one engine checkpoint, stamping it with the digest head at
     /// its round and capturing the sink's journaling state. Call right
     /// after the round sealed with the sink at that instant — a session's
-    /// `observer()`, or the `&O` a `run_checkpointed` capture closure gets.
+    /// `observer()`.
     ///
     /// # Panics
     ///
@@ -330,7 +330,7 @@ impl Journal {
     }
 
     /// A digest sink restored to the checkpoint's capture instant: feed it
-    /// to the engine's `restore` / `resume_traced` and the continued chain
+    /// to the engine's `restore` and the continued chain
     /// extends this journal's chain seamlessly.
     pub fn restore_sink(checkpoint: &JournalCheckpoint) -> DigestSink {
         DigestSink::restore(checkpoint.digests.clone())

@@ -21,11 +21,11 @@
 //!   the chain prefix, and each checkpoint's per-vertex digests *re-folded*
 //!   into its chain link.
 //! * **Resume and time travel** (engine-side): `ShardedExecutor::restore`
-//!   turns a decoded checkpoint back into a step-able `Session` (refusing
-//!   one that does not fit the graph with a typed error), and
-//!   `Simulator::resume*` / `*_checkpointed` do the same on the event
-//!   engine, so `replay`-style tools restore the nearest checkpoint below a
-//!   target round and step forward instead of re-running from scratch.
+//!   turns a decoded checkpoint back into a step-able `Session` and
+//!   `Simulator::restore` into a `SimSession` (each refusing one that does
+//!   not fit the graph with a typed error), so `replay`-style tools restore
+//!   the nearest checkpoint below a target round and step forward instead
+//!   of re-running from scratch.
 //!
 //! # What a checkpoint must capture (and what it must not)
 //!

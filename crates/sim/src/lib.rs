@@ -112,6 +112,20 @@
 //! and the reliable-delivery adapter that repairs a lossy network live one
 //! layer up, in `mfd-faults`.
 //!
+//! # Sessions: stepping, checkpoints, resume
+//!
+//! [`Simulator::run`], [`Simulator::run_traced`] and
+//! [`Simulator::run_with_faults`] are one-shots over a step-able
+//! [`SimSession`], the counterpart of `mfd_runtime::Session`:
+//! [`Simulator::start`] (or [`Simulator::restore`], from a
+//! [`SimCheckpoint`]) takes the fault hook and the observer, then
+//! [`SimSession::step`] advances to the next consistent cut that sealed a
+//! round, [`SimSession::checkpoint`] captures the engine's complete state
+//! there, and [`SimSession::finish`] returns the report — `Wedged` rather
+//! than an error if the round budget ran out. A restored session continues
+//! bit-identically; a checkpoint that does not fit the graph is refused with
+//! [`mfd_runtime::RuntimeError::CheckpointMismatch`], never a panic.
+//!
 //! A guided tour of this crate's role in the workspace lives in
 //! `docs/ARCHITECTURE.md` (section "mfd-sim").
 
@@ -124,5 +138,6 @@ pub use faults::{FaultHook, FaultOutcome, FaultedRun, MessageFate, NoFaults};
 pub use latency::LatencyModel;
 pub use report::{SimExecution, SimStats};
 pub use simulator::{
-    run_both, PacketCheckpoint, SimCheckpoint, SimConfig, Simulator, TieBreak, VertexCheckpoint,
+    run_both, PacketCheckpoint, SimCheckpoint, SimConfig, SimSession, Simulator, TieBreak,
+    VertexCheckpoint,
 };

@@ -170,14 +170,20 @@ pub struct VertexCheckpoint<M> {
 /// The event engine's complete state between two timestamp batches, as plain
 /// data.
 ///
-/// Captured by [`Simulator::run_checkpointed`] /
-/// [`Simulator::run_with_faults_checkpointed`] and consumed by
-/// [`Simulator::resume`] / [`Simulator::resume_with_faults`]: the continued
-/// run is bit-identical to the uninterrupted one, provided graph, program,
-/// configuration (including [`TieBreak`]) and fault hook match. Fault-model
-/// memo state needs no capture — every fate is a pure function of
-/// `(seed, edge, round, index)`, so a restored run re-derives the same fate
-/// sequence.
+/// Captured by [`SimSession::checkpoint`] and consumed by
+/// [`Simulator::restore`]: the continued run is bit-identical to the
+/// uninterrupted one, provided graph, program, configuration (including
+/// [`TieBreak`]) and fault hook match. Fault-model memo state needs no
+/// capture — every fate is a pure function of `(seed, edge, round, index)`,
+/// so a restored run re-derives the same fate sequence.
+///
+/// A checkpoint is decoded from bytes, so `restore` treats it as outside
+/// input and answers [`RuntimeError::CheckpointMismatch`] instead of
+/// panicking: per-vertex lists that are not `n` long or per-edge lists that
+/// are not `m` long, a `round` past the round budget, a queued packet or a
+/// buffered sender that is not on an edge of the graph, and bookkeeping
+/// (`in_flight`, `cur_in_flight`, `live`, `round_pop`, `frontier`) that
+/// disagrees with the vertex and packet lists it is derived from.
 #[derive(Debug, Clone)]
 pub struct SimCheckpoint<S, M> {
     /// Rounds submitted to the meter and sealed when the checkpoint was
@@ -261,18 +267,20 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Exactly as [`Simulator::run`].
+    /// Exactly as [`Simulator::run`]: without faults to blame, a blown round
+    /// budget is the program's failure, not an outcome.
     pub fn run_traced<P: NodeProgram, O: RunObserver<P::State>>(
         &self,
         g: &Graph,
         program: &P,
         observer: &mut O,
     ) -> Result<SimExecution<P::State>, RuntimeError> {
-        let adj = driver::sorted_adjacency(g);
-        let mut engine = Engine::new(g, program, &adj, &self.config, &NoFaults, observer);
-        engine.start()?;
-        engine.drain()?;
-        engine.finish().map(|(run, _)| run)
+        let mut session = self.start(g, program, &NoFaults, observer)?;
+        while session.step()?.is_some() {}
+        match session.wedged {
+            Some(limit) => Err(RuntimeError::RoundLimit { limit }),
+            None => Ok(session.finish()?.run),
+        }
     }
 
     /// Runs `program` under fault injection: every program message passes
@@ -296,271 +304,165 @@ impl Simulator {
         program: &P,
         hook: &F,
     ) -> Result<FaultedRun<P::State>, RuntimeError> {
-        self.run_with_faults_traced(g, program, hook, &mut NullSink)
+        let mut sink = NullSink;
+        let mut session = self.start(g, program, hook, &mut sink)?;
+        while session.step()?.is_some() {}
+        session.finish()
     }
 
-    /// [`Simulator::run_with_faults`] with an observer: additionally emits
-    /// one [`Event::FaultFate`] per message the hook touched and one
-    /// [`Event::Crash`] per crash-stopped vertex.
+    /// The run one consistent cut at a time: a [`SimSession`] held after
+    /// tick 0 (states initialized, the initial configuration sealed as round
+    /// 0, every live vertex's round 1 executed). Pass [`NoFaults`] for a
+    /// clean network and [`NullSink`] for no observer; with an observer the
+    /// session additionally emits one [`Event::FaultFate`] per message the
+    /// hook touched and one [`Event::Crash`] per crash-stopped vertex.
     ///
     /// # Errors
     ///
-    /// Exactly as [`Simulator::run_with_faults`].
-    pub fn run_with_faults_traced<P: NodeProgram, F: FaultHook, O: RunObserver<P::State>>(
-        &self,
-        g: &Graph,
-        program: &P,
-        hook: &F,
-        observer: &mut O,
-    ) -> Result<FaultedRun<P::State>, RuntimeError> {
-        let adj = driver::sorted_adjacency(g);
-        let mut engine = Engine::new(g, program, &adj, &self.config, hook, observer);
-        let outcome = match engine.start().and_then(|()| engine.drain()) {
-            Ok(()) => FaultOutcome::Completed,
-            Err(RuntimeError::RoundLimit { limit }) => FaultOutcome::Wedged { limit },
-            Err(e) => return Err(e),
-        };
-        let (run, crashed) = engine.finish()?;
-        Ok(FaultedRun {
-            run,
-            outcome,
-            crashed,
-        })
-    }
-
-    /// [`Simulator::run_traced`] that additionally hands a full-state
-    /// [`SimCheckpoint`] to `capture` roughly every `every` sealed rounds:
-    /// after the first timestamp batch at which at least `every` further
-    /// rounds have been submitted to the meter (ticks are the engine's only
-    /// consistent cut points — several rounds can seal in one batch, so
-    /// checkpoint rounds need not be exact multiples of `every`; each
-    /// checkpoint records its own round). The observer is passed to
-    /// `capture` by shared reference at the exact capture instant, so a
-    /// journal can stamp each checkpoint with the digest head at its round.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Simulator::run`].
-    pub fn run_checkpointed<P, O, C>(
-        &self,
-        g: &Graph,
-        program: &P,
-        observer: &mut O,
-        every: u64,
-        capture: &mut C,
-    ) -> Result<SimExecution<P::State>, RuntimeError>
+    /// [`RuntimeError::Model`] if round 1 already violates the CONGEST model.
+    pub fn start<'a, P, F, O>(
+        &'a self,
+        g: &'a Graph,
+        program: &'a P,
+        hook: &'a F,
+        observer: &'a mut O,
+    ) -> Result<SimSession<'a, P, F, O>, RuntimeError>
     where
         P: NodeProgram,
-        P::State: Clone,
-        O: RunObserver<P::State>,
-        C: FnMut(SimCheckpoint<P::State, P::Msg>, &O),
-    {
-        let adj = driver::sorted_adjacency(g);
-        let mut engine = Engine::new(g, program, &adj, &self.config, &NoFaults, observer);
-        engine.start()?;
-        engine.drain_checkpointed(every, capture)?;
-        engine.finish().map(|(run, _)| run)
-    }
-
-    /// [`Simulator::run_with_faults_traced`] with checkpoint capture — the
-    /// faulted counterpart of [`Simulator::run_checkpointed`], with the same
-    /// capture cadence. As with [`Simulator::run_with_faults`], exhausting
-    /// the round budget wedges the run instead of erroring; checkpoints
-    /// captured before the wedge are still delivered.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Simulator::run_with_faults`].
-    pub fn run_with_faults_checkpointed<P, F, O, C>(
-        &self,
-        g: &Graph,
-        program: &P,
-        hook: &F,
-        observer: &mut O,
-        every: u64,
-        capture: &mut C,
-    ) -> Result<FaultedRun<P::State>, RuntimeError>
-    where
-        P: NodeProgram,
-        P::State: Clone,
         F: FaultHook,
         O: RunObserver<P::State>,
-        C: FnMut(SimCheckpoint<P::State, P::Msg>, &O),
     {
-        let adj = driver::sorted_adjacency(g);
-        let mut engine = Engine::new(g, program, &adj, &self.config, hook, observer);
-        let outcome = match engine
-            .start()
-            .and_then(|()| engine.drain_checkpointed(every, capture))
-        {
-            Ok(()) => FaultOutcome::Completed,
-            Err(RuntimeError::RoundLimit { limit }) => FaultOutcome::Wedged { limit },
-            Err(e) => return Err(e),
+        let engine = Engine::new(g, program, &self.config, hook, observer);
+        let mut session = SimSession {
+            engine,
+            wedged: None,
         };
-        let (run, crashed) = engine.finish()?;
-        Ok(FaultedRun {
-            run,
-            outcome,
-            crashed,
-        })
+        let tick0 = session.engine.start().map(|()| true);
+        session.absorb_wedge(tick0)?;
+        Ok(session)
     }
 
-    /// Continues a run from a checkpoint captured by
-    /// [`Simulator::run_checkpointed`] until the event queue drains.
-    ///
-    /// The continued run is **bit-identical** to the uninterrupted one,
-    /// provided `g`, `program` and this simulator's configuration (latency
-    /// model, seed and [`TieBreak`] included) match the run that captured
-    /// the checkpoint.
+    /// A [`SimSession`] continuing from `checkpoint`: the next tick picks up
+    /// exactly where the captured run stopped, and the continued run is
+    /// **bit-identical** to the uninterrupted one provided `g`, `program`,
+    /// `hook` and this simulator's configuration (latency model, seed and
+    /// [`TieBreak`] included) match the run that captured it. Fault fates are
+    /// pure in `(seed, edge, round, index)`, so no fault-model state travels
+    /// in the checkpoint. Round 0 is *not* re-sealed and already-sealed
+    /// rounds are not replayed; to continue a digest chain, restore the
+    /// sink's state alongside (`mfd_trace::DigestSink::restore`).
     ///
     /// # Errors
     ///
-    /// Exactly as [`Simulator::run`].
-    ///
-    /// # Panics
-    ///
-    /// If the checkpoint's vertex or edge counts do not match `g`.
-    pub fn resume<P: NodeProgram>(
-        &self,
-        g: &Graph,
-        program: &P,
+    /// [`RuntimeError::CheckpointMismatch`] when the checkpoint does not fit
+    /// `g` or the round budget (see [`SimCheckpoint`]) — it is decoded from
+    /// bytes, so it is outside input and never a panic.
+    pub fn restore<'a, P, F, O>(
+        &'a self,
+        g: &'a Graph,
+        program: &'a P,
+        hook: &'a F,
         checkpoint: SimCheckpoint<P::State, P::Msg>,
-    ) -> Result<SimExecution<P::State>, RuntimeError> {
-        self.resume_traced(g, program, checkpoint, &mut NullSink)
-    }
-
-    /// [`Simulator::resume`] with an observer. Round 0 is *not* re-sealed
-    /// and already-sealed rounds are not replayed; to continue a digest
-    /// chain across the resume, restore the sink's state alongside (see
-    /// `mfd_trace::DigestSink::export`).
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Simulator::run`].
-    ///
-    /// # Panics
-    ///
-    /// If the checkpoint's vertex or edge counts do not match `g`.
-    pub fn resume_traced<P: NodeProgram, O: RunObserver<P::State>>(
-        &self,
-        g: &Graph,
-        program: &P,
-        checkpoint: SimCheckpoint<P::State, P::Msg>,
-        observer: &mut O,
-    ) -> Result<SimExecution<P::State>, RuntimeError> {
-        let adj = driver::sorted_adjacency(g);
-        let mut engine = Engine::restored(
-            g,
-            program,
-            &adj,
-            &self.config,
-            &NoFaults,
-            observer,
-            checkpoint,
-        );
-        engine.drain()?;
-        engine.finish().map(|(run, _)| run)
-    }
-
-    /// [`Simulator::resume_traced`] with checkpoint capture — continues from
-    /// `checkpoint` and hands out fresh checkpoints on the same cadence as
-    /// [`Simulator::run_checkpointed`]. This is the time-travel primitive:
-    /// restore the nearest journaled checkpoint below a target round, then
-    /// step forward capturing every consistent cut.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Simulator::run`].
-    ///
-    /// # Panics
-    ///
-    /// If the checkpoint's vertex or edge counts do not match `g`.
-    pub fn resume_checkpointed<P, O, C>(
-        &self,
-        g: &Graph,
-        program: &P,
-        checkpoint: SimCheckpoint<P::State, P::Msg>,
-        observer: &mut O,
-        every: u64,
-        capture: &mut C,
-    ) -> Result<SimExecution<P::State>, RuntimeError>
+        observer: &'a mut O,
+    ) -> Result<SimSession<'a, P, F, O>, RuntimeError>
     where
         P: NodeProgram,
-        P::State: Clone,
+        F: FaultHook,
         O: RunObserver<P::State>,
-        C: FnMut(SimCheckpoint<P::State, P::Msg>, &O),
     {
-        let adj = driver::sorted_adjacency(g);
-        let mut engine = Engine::restored(
-            g,
-            program,
-            &adj,
-            &self.config,
-            &NoFaults,
-            observer,
-            checkpoint,
-        );
-        engine.drain_checkpointed(every, capture)?;
-        engine.finish().map(|(run, _)| run)
-    }
-
-    /// Continues a faulted run from a checkpoint captured by
-    /// [`Simulator::run_with_faults_checkpointed`], under the same `hook`.
-    ///
-    /// Fault fates are pure in `(seed, edge, round, index)`, so the resumed
-    /// run sees exactly the fate sequence the uninterrupted run saw — no
-    /// fault-model state travels in the checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Simulator::run_with_faults`].
-    ///
-    /// # Panics
-    ///
-    /// If the checkpoint's vertex or edge counts do not match `g`.
-    pub fn resume_with_faults<P: NodeProgram, F: FaultHook>(
-        &self,
-        g: &Graph,
-        program: &P,
-        hook: &F,
-        checkpoint: SimCheckpoint<P::State, P::Msg>,
-    ) -> Result<FaultedRun<P::State>, RuntimeError> {
-        self.resume_with_faults_traced(g, program, hook, checkpoint, &mut NullSink)
-    }
-
-    /// [`Simulator::resume_with_faults`] with an observer (see
-    /// [`Simulator::resume_traced`] for what the observer does and does not
-    /// replay).
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Simulator::run_with_faults`].
-    ///
-    /// # Panics
-    ///
-    /// If the checkpoint's vertex or edge counts do not match `g`.
-    pub fn resume_with_faults_traced<P: NodeProgram, F: FaultHook, O: RunObserver<P::State>>(
-        &self,
-        g: &Graph,
-        program: &P,
-        hook: &F,
-        checkpoint: SimCheckpoint<P::State, P::Msg>,
-        observer: &mut O,
-    ) -> Result<FaultedRun<P::State>, RuntimeError> {
-        let adj = driver::sorted_adjacency(g);
-        let mut engine =
-            Engine::restored(g, program, &adj, &self.config, hook, observer, checkpoint);
-        let outcome = match engine.drain() {
-            Ok(()) => FaultOutcome::Completed,
-            Err(RuntimeError::RoundLimit { limit }) => FaultOutcome::Wedged { limit },
-            Err(e) => return Err(e),
-        };
-        let (run, crashed) = engine.finish()?;
-        Ok(FaultedRun {
-            run,
-            outcome,
-            crashed,
+        let engine = Engine::restored(g, program, &self.config, hook, observer, checkpoint)?;
+        Ok(SimSession {
+            engine,
+            wedged: None,
         })
+    }
+}
+
+/// A run held between two timestamp batches ([`Simulator::start`] /
+/// [`Simulator::restore`]) — the event engine's counterpart of
+/// `mfd_runtime::Session`, with the same four verbs.
+///
+/// Ticks are this engine's only consistent cuts, and one tick can seal
+/// several rounds or none, so [`SimSession::step`] advances to the next tick
+/// that sealed something rather than by exactly one round.
+pub struct SimSession<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> {
+    engine: Engine<'a, P, F, O>,
+    /// The budget some vertex blew. That ended the run mid-tick: a wedged
+    /// session steps no further and is no longer a consistent cut.
+    wedged: Option<u64>,
+}
+
+impl<P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> SimSession<'_, P, F, O> {
+    /// Processes timestamp batches until at least one more round has been
+    /// submitted to the meter and returns the last round sealed, or `None`
+    /// once the run is over: the event queue is empty, or a vertex exceeded
+    /// the round budget (which [`SimSession::finish`] reports). A caller
+    /// that checkpoints `if round >= next { …; next = round + every }` after
+    /// each step cuts roughly every `every` rounds; each checkpoint records
+    /// its own round.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::Model`] on a CONGEST violation; it ends the session.
+    pub fn step(&mut self) -> Result<Option<u64>, RuntimeError> {
+        let sealed = self.engine.submitted;
+        while self.wedged.is_none() {
+            let ticked = self.engine.tick();
+            if !self.absorb_wedge(ticked)? {
+                break;
+            }
+            if self.engine.submitted > sealed {
+                return Ok(Some(self.engine.submitted as u64));
+            }
+        }
+        Ok(None)
+    }
+
+    /// The engine's complete state as plain data — a consistent cut, because
+    /// between ticks every engine invariant holds (a blown round budget stops
+    /// the engine mid-tick: a wedged session has no cut left to capture).
+    pub fn checkpoint(&self) -> SimCheckpoint<P::State, P::Msg>
+    where
+        P::State: Clone,
+    {
+        self.engine.checkpoint()
+    }
+
+    /// The observer (a journal stamps checkpoints with its digest head).
+    pub fn observer(&self) -> &O {
+        self.engine.observer
+    }
+
+    /// Ends the session: flushes the rounds still unsubmitted to the meter
+    /// and returns the report with its verdict —
+    /// [`FaultOutcome::Wedged`] if a vertex blew the round budget (the
+    /// states are then the partial ones), [`FaultOutcome::Completed`]
+    /// otherwise. On a session whose `step` has not yet returned `None` this
+    /// is the run as it stands.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::Model`] if a flushed round violates the CONGEST model.
+    pub fn finish(self) -> Result<FaultedRun<P::State>, RuntimeError> {
+        let outcome = match self.wedged {
+            Some(limit) => FaultOutcome::Wedged { limit },
+            None => FaultOutcome::Completed,
+        };
+        self.engine.finish(outcome)
+    }
+
+    /// Where "a blown round budget is an outcome, not an error" lives: the
+    /// limit is remembered for [`SimSession::finish`] and the run reads as
+    /// over; only [`Simulator::run`] and [`Simulator::run_traced`], with no
+    /// faults to blame, turn it back into [`RuntimeError::RoundLimit`].
+    fn absorb_wedge(&mut self, ticked: Result<bool, RuntimeError>) -> Result<bool, RuntimeError> {
+        match ticked {
+            Err(RuntimeError::RoundLimit { limit }) => {
+                self.wedged = Some(limit);
+                Ok(false)
+            }
+            other => other,
+        }
     }
 }
 
@@ -616,7 +518,7 @@ impl<M> VertexSim<M> {
 struct Engine<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> {
     g: &'a Graph,
     program: &'a P,
-    adj: &'a [Vec<usize>],
+    adj: Vec<Vec<usize>>,
     config: &'a SimConfig,
     hook: &'a F,
     observer: &'a mut O,
@@ -667,63 +569,35 @@ fn ekey(u: usize, v: usize) -> (usize, usize) {
 }
 
 impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F, O> {
-    fn new(
+    /// An engine with everything derived from `g` and the configuration in
+    /// place and no run state yet.
+    fn assemble(
         g: &'a Graph,
         program: &'a P,
-        adj: &'a [Vec<usize>],
         config: &'a SimConfig,
         hook: &'a F,
         observer: &'a mut O,
     ) -> Self {
-        let n = g.n();
-        let seed = config.seed;
         let mut edge_index = HashMap::new();
         let mut edges = Vec::with_capacity(g.m());
         for (u, v) in g.edges() {
             edge_index.insert(ekey(u, v), edges.len());
             edges.push(ekey(u, v));
         }
-        let states: Vec<P::State> = (0..n)
-            .map(|v| program.init(&NodeCtx::new(v, n, 0, &adj[v], seed)))
-            .collect();
-        let vx: Vec<VertexSim<P::Msg>> = (0..n)
-            .map(|v| VertexSim {
-                halted: program.halted(&NodeCtx::new(v, n, 0, &adj[v], seed), &states[v]),
-                crashed: false,
-                next_round: 1,
-                completion: 0,
-                pending: HashMap::new(),
-                late: HashMap::new(),
-                nbr_final_tag: HashMap::new(),
-            })
-            .collect();
         let m = edges.len();
-        let live = vx.iter().filter(|x| !x.halted).count();
-        let mut round_pop = HashMap::new();
-        if live > 0 {
-            round_pop.insert(1, live);
-        }
-        // Round 0 is the initial configuration, digested exactly as the
-        // synchronous engine digests it — the two chains share index 0.
-        if O::ENABLED {
-            for (v, state) in states.iter().enumerate() {
-                observer.vertex_state(EngineKind::Sim, 0, v, state);
-            }
-            observer.round_sealed(EngineKind::Sim, 0);
-        }
         Engine {
             g,
             program,
-            adj,
+            adj: driver::sorted_adjacency(g),
             config,
             hook,
             observer,
             max_rounds: config
                 .max_rounds
                 .min(program.round_budget_hint().unwrap_or(u64::MAX)),
-            n,
-            states,
-            vx,
+            n: g.n(),
+            states: Vec::new(),
+            vx: Vec::new(),
             heap: BinaryHeap::new(),
             packets: Vec::new(),
             free_slots: Vec::new(),
@@ -731,9 +605,9 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
             per_round: Vec::new(),
             submitted: 0,
             meter: RoundMeter::with_capacity(config.capacity_words),
-            round_pop,
-            frontier: if live > 0 { 1 } else { u64::MAX },
-            live,
+            round_pop: HashMap::new(),
+            live: 0,
+            frontier: u64::MAX,
             makespan: 0,
             edge_index,
             edges,
@@ -744,17 +618,56 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         }
     }
 
+    fn new(
+        g: &'a Graph,
+        program: &'a P,
+        config: &'a SimConfig,
+        hook: &'a F,
+        observer: &'a mut O,
+    ) -> Self {
+        let mut engine = Self::assemble(g, program, config, hook, observer);
+        let (n, seed) = (engine.n, config.seed);
+        let ctx = |v| NodeCtx::new(v, n, 0, &engine.adj[v], seed);
+        let states: Vec<P::State> = (0..n).map(|v| program.init(&ctx(v))).collect();
+        let vx: Vec<VertexSim<P::Msg>> = (0..n)
+            .map(|v| VertexSim {
+                halted: program.halted(&ctx(v), &states[v]),
+                crashed: false,
+                next_round: 1,
+                completion: 0,
+                pending: HashMap::new(),
+                late: HashMap::new(),
+                nbr_final_tag: HashMap::new(),
+            })
+            .collect();
+        (engine.states, engine.vx) = (states, vx);
+        engine.live = engine.vx.iter().filter(|x| !x.halted).count();
+        if engine.live > 0 {
+            engine.round_pop.insert(1, engine.live);
+            engine.frontier = 1;
+        }
+        // Round 0 is the initial configuration, digested exactly as the
+        // synchronous engine digests it — the two chains share index 0.
+        if O::ENABLED {
+            for (v, state) in engine.states.iter().enumerate() {
+                engine.observer.vertex_state(EngineKind::Sim, 0, v, state);
+            }
+            engine.observer.round_sealed(EngineKind::Sim, 0);
+        }
+        engine
+    }
+
     /// Tick 0: vertices halted at initialization announce themselves; every
     /// other vertex executes round 1 (whose synchronous inbox is empty by
     /// definition, so it needs no incoming packets).
     fn start(&mut self) -> Result<(), RuntimeError> {
-        for (v, neighbors) in self.adj.iter().enumerate() {
+        for v in 0..self.n {
             if self.vx[v].halted {
-                for &u in neighbors {
+                for i in 0..self.adj[v].len() {
                     self.send_packet(
                         Packet {
                             src: v,
-                            dst: u,
+                            dst: self.adj[v][i],
                             tag: 0,
                             payload: Vec::new(),
                             halt: true,
@@ -773,50 +686,19 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         Ok(())
     }
 
-    /// Processes the event queue to exhaustion, one timestamp batch at a
-    /// time. The synchronizer invariant (a vertex waiting on some neighbor
-    /// always has that neighbor's packet in flight or pending) guarantees the
-    /// queue only empties once every vertex has halted.
-    fn drain(&mut self) -> Result<(), RuntimeError> {
-        while self.tick()?.is_some() {}
-        debug_assert!(
-            self.vx.iter().all(VertexSim::gone),
-            "event queue drained with live vertices — synchronizer invariant broken"
-        );
-        Ok(())
-    }
-
-    /// [`Engine::drain`] that additionally captures a checkpoint after the
-    /// first tick at which at least `every` further rounds have sealed
-    /// (`every` is clamped to at least 1). Between ticks every engine
-    /// invariant holds, which is what makes the capture a consistent cut.
-    fn drain_checkpointed<C>(&mut self, every: u64, capture: &mut C) -> Result<(), RuntimeError>
-    where
-        P::State: Clone,
-        C: FnMut(SimCheckpoint<P::State, P::Msg>, &O),
-    {
-        let every = every.max(1);
-        let mut next = every;
-        while self.tick()?.is_some() {
-            if self.submitted as u64 >= next {
-                capture(self.checkpoint(), &*self.observer);
-                next = self.submitted as u64 + every;
-            }
-        }
-        debug_assert!(
-            self.vx.iter().all(VertexSim::gone),
-            "event queue drained with live vertices — synchronizer invariant broken"
-        );
-        Ok(())
-    }
-
     /// Processes one timestamp batch: first buffer every arrival of the
     /// tick, then let ready vertices execute, then submit every round that
-    /// can no longer grow. Returns the batch's tick, or `None` once the
-    /// queue is empty (the run is over, nothing processed).
-    fn tick(&mut self) -> Result<Option<u64>, RuntimeError> {
+    /// can no longer grow. Returns `false` once the queue is empty (the run
+    /// is over, nothing processed): the synchronizer invariant (a vertex
+    /// waiting on some neighbor always has that neighbor's packet in flight
+    /// or pending) guarantees that only happens once every vertex has halted.
+    fn tick(&mut self) -> Result<bool, RuntimeError> {
         let Some(&Reverse((now, _, _))) = self.heap.peek() else {
-            return Ok(None);
+            debug_assert!(
+                self.vx.iter().all(VertexSim::gone),
+                "event queue drained with live vertices — synchronizer invariant broken"
+            );
+            return Ok(false);
         };
         let mut touched: Vec<usize> = Vec::new();
         while let Some(&Reverse((t, _, idx))) = self.heap.peek() {
@@ -839,11 +721,10 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
             }
         }
         self.pump_meter()?;
-        Ok(Some(now))
+        Ok(true)
     }
 
-    /// Captures the engine's complete state (valid only between ticks, the
-    /// only time the caller can observe the engine).
+    /// Captures the engine's complete state (valid only between ticks).
     fn checkpoint(&self) -> SimCheckpoint<P::State, P::Msg>
     where
         P::State: Clone,
@@ -927,40 +808,86 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         }
     }
 
-    /// Rebuilds the engine from a checkpoint: no `init`, no round-0 seal,
-    /// no [`Engine::start`] — the next event batch picks up exactly where
-    /// the captured run stopped.
-    #[allow(clippy::too_many_arguments)]
+    /// Rebuilds the engine from a checkpoint — no `init`, no round-0 seal, no
+    /// [`Engine::start`] — after checking it against `g` and the round
+    /// budget: every index the engine will follow, and every counter it
+    /// derives from the vertex and packet lists and then trusts.
     fn restored(
         g: &'a Graph,
         program: &'a P,
-        adj: &'a [Vec<usize>],
         config: &'a SimConfig,
         hook: &'a F,
         observer: &'a mut O,
         cp: SimCheckpoint<P::State, P::Msg>,
-    ) -> Self {
-        let n = g.n();
-        assert_eq!(
-            cp.states.len(),
-            n,
-            "checkpoint was captured on a graph with {} vertices, not {n}",
-            cp.states.len()
-        );
-        let mut edge_index = HashMap::new();
-        let mut edges = Vec::with_capacity(g.m());
-        for (u, v) in g.edges() {
-            edge_index.insert(ekey(u, v), edges.len());
-            edges.push(ekey(u, v));
+    ) -> Result<Self, RuntimeError> {
+        let mut engine = Self::assemble(g, program, config, hook, observer);
+        let (n, m) = (engine.n, engine.edges.len());
+        let mismatch = |what, expected: u64, found: u64| RuntimeError::CheckpointMismatch {
+            what,
+            expected,
+            found,
+        };
+        for (what, expected, found) in [
+            ("states length", n, cp.states.len()),
+            ("vx length", n, cp.vx.len()),
+            ("in_flight length", m, cp.in_flight.len()),
+            ("edge_peak length", m, cp.edge_peak.len()),
+        ] {
+            if found != expected {
+                return Err(mismatch(what, expected as u64, found as u64));
+            }
         }
-        assert_eq!(
-            cp.in_flight.len(),
-            edges.len(),
-            "checkpoint was captured on a graph with {} edges, not {}",
-            cp.in_flight.len(),
-            edges.len()
-        );
-        let vx: Vec<VertexSim<P::Msg>> = cp
+        if cp.round > engine.max_rounds {
+            let what = "round exceeds the round budget";
+            return Err(mismatch(what, engine.max_rounds, cp.round));
+        }
+        let edge_of = |src: usize, dst: usize| {
+            let what = "traffic to vertex `expected` from non-neighbour `found`";
+            let edge = engine.edge_index.get(&ekey(src, dst));
+            edge.copied().ok_or(mismatch(what, dst as u64, src as u64))
+        };
+        let mut round_pop: HashMap<u64, usize> = HashMap::new();
+        for (v, x) in cp.vx.iter().enumerate() {
+            let pending = x.pending.iter().flat_map(|(_, bucket)| bucket);
+            let late = x.late.iter().flat_map(|(_, msgs)| msgs);
+            for src in pending
+                .map(|&(src, _)| src)
+                .chain(late.map(|&(src, ..)| src))
+                .chain(x.nbr_final_tag.iter().map(|&(src, _)| src))
+            {
+                edge_of(src, v)?;
+            }
+            if !(x.halted || x.crashed) {
+                if x.next_round == 0 {
+                    return Err(mismatch("a live vertex's next round", 1, 0));
+                }
+                *round_pop.entry(x.next_round).or_insert(0) += 1;
+            }
+        }
+        let mut in_flight = vec![0; m];
+        for p in &cp.queue {
+            let e = edge_of(p.src, p.dst)?;
+            in_flight[e] += usize::from(!p.notice);
+        }
+        if let Some(e) = (0..m).find(|&e| in_flight[e] != cp.in_flight[e]) {
+            let what = "in-flight packets on an edge";
+            return Err(mismatch(what, in_flight[e] as u64, cp.in_flight[e] as u64));
+        }
+        let queued: usize = in_flight.iter().sum();
+        if cp.cur_in_flight != queued {
+            let what = "packets in flight";
+            return Err(mismatch(what, queued as u64, cp.cur_in_flight as u64));
+        }
+        let live: usize = round_pop.values().sum();
+        let frontier = round_pop.keys().copied().min().unwrap_or(u64::MAX);
+        if (cp.live, cp.frontier) != (live, frontier)
+            || round_pop != cp.round_pop.into_iter().collect()
+        {
+            let what = "live vertices, or the rounds they are in";
+            return Err(mismatch(what, live as u64, cp.live as u64));
+        }
+
+        engine.vx = cp
             .vx
             .into_iter()
             .map(|x| VertexSim {
@@ -973,11 +900,10 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
                 nbr_final_tag: x.nbr_final_tag.into_iter().collect(),
             })
             .collect();
-        let mut heap = BinaryHeap::with_capacity(cp.queue.len());
-        let mut packets = Vec::with_capacity(cp.queue.len());
         for p in cp.queue {
-            heap.push(Reverse((p.time, p.seq_key, packets.len())));
-            packets.push(Some(Packet {
+            let slot = engine.packets.len();
+            engine.heap.push(Reverse((p.time, p.seq_key, slot)));
+            engine.packets.push(Some(Packet {
                 src: p.src,
                 dst: p.dst,
                 tag: p.tag,
@@ -986,40 +912,18 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
                 notice: p.notice,
             }));
         }
-        let submitted = cp.round as usize;
-        let mut per_round: Vec<Vec<Message>> = (0..submitted).map(|_| Vec::new()).collect();
-        per_round.extend(cp.pending_rounds);
-        Engine {
-            g,
-            program,
-            adj,
-            config,
-            hook,
-            observer,
-            max_rounds: config
-                .max_rounds
-                .min(program.round_budget_hint().unwrap_or(u64::MAX)),
-            n,
-            states: cp.states,
-            vx,
-            heap,
-            packets,
-            free_slots: Vec::new(),
-            seq: cp.seq,
-            per_round,
-            submitted,
-            meter: RoundMeter::from_parts(cp.meter),
-            round_pop: cp.round_pop.into_iter().collect(),
-            live: cp.live,
-            frontier: cp.frontier,
-            makespan: cp.makespan,
-            edge_index,
-            edges,
-            in_flight: cp.in_flight,
-            edge_peak: cp.edge_peak,
-            cur_in_flight: cp.cur_in_flight,
-            stats: cp.stats,
-        }
+        engine.submitted = cp.round as usize;
+        engine.per_round.resize_with(engine.submitted, Vec::new);
+        engine.per_round.extend(cp.pending_rounds);
+        engine.states = cp.states;
+        engine.seq = cp.seq;
+        engine.meter = RoundMeter::from_parts(cp.meter);
+        (engine.round_pop, engine.live, engine.frontier) = (round_pop, live, frontier);
+        engine.makespan = cp.makespan;
+        (engine.in_flight, engine.edge_peak) = (in_flight, cp.edge_peak);
+        engine.cur_in_flight = cp.cur_in_flight;
+        engine.stats = cp.stats;
+        Ok(engine)
     }
 
     /// Submits every reconstructed round that can no longer grow — all live
@@ -1054,7 +958,7 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         }
     }
 
-    fn finish(mut self) -> Result<(SimExecution<P::State>, Vec<bool>), RuntimeError> {
+    fn finish(mut self, outcome: FaultOutcome) -> Result<FaultedRun<P::State>, RuntimeError> {
         // Flush the rounds still unsubmitted when the last vertices halted.
         for i in self.submitted..self.per_round.len() {
             let msgs = std::mem::take(&mut self.per_round[i]);
@@ -1078,8 +982,8 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         let crashed: Vec<bool> = self.vx.iter().map(|x| x.crashed).collect();
         self.stats.edges = self.edges;
         self.stats.edge_in_flight_peak = self.edge_peak;
-        Ok((
-            SimExecution {
+        Ok(FaultedRun {
+            run: SimExecution {
                 rounds: meter.rounds(),
                 messages: meter.messages(),
                 makespan: self.makespan,
@@ -1088,8 +992,9 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
                 states: self.states,
                 meter,
             },
+            outcome,
             crashed,
-        ))
+        })
     }
 
     fn arrive(&mut self, packet: Packet<P::Msg>, touched: &mut Vec<usize>) {
@@ -1291,11 +1196,14 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
             );
         }
 
-        let adj = self.adj;
-        let program = self.program;
-        let ctx = NodeCtx::new(v, self.n, r, &adj[v], self.config.seed);
-        let out: VertexRound<P::Msg> =
-            driver::step_vertex(program, &ctx, &mut self.states[v], &inbox, SendBuf::new());
+        let ctx = NodeCtx::new(v, self.n, r, &self.adj[v], self.config.seed);
+        let out: VertexRound<P::Msg> = driver::step_vertex(
+            self.program,
+            &ctx,
+            &mut self.states[v],
+            &inbox,
+            SendBuf::new(),
+        );
         if let Some(err) = out.violation {
             return Err(RuntimeError::Model(err));
         }
@@ -1368,7 +1276,8 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
 
         // The synchronizer pulse: one packet per neighbor, tagged with this
         // round, carrying the payload for that edge and the halt flag.
-        for &u in &adj[v] {
+        for i in 0..self.adj[v].len() {
+            let u = self.adj[v][i];
             let payload = by_nbr.remove(&u).unwrap_or_default();
             self.send_packet(
                 Packet {
@@ -1827,6 +1736,58 @@ mod tests {
         }
     }
 
+    /// Steps a fresh session to the end, checkpointing after every step; the
+    /// stepped run must itself end in `states`.
+    fn checkpoint_every_step<P, F>(
+        sim: &Simulator,
+        g: &Graph,
+        program: &P,
+        hook: &F,
+        states: &[P::State],
+    ) -> Vec<SimCheckpoint<P::State, P::Msg>>
+    where
+        P: NodeProgram,
+        P::State: Clone + PartialEq + std::fmt::Debug,
+        F: FaultHook,
+    {
+        let mut sink = NullSink;
+        let mut session = sim.start(g, program, hook, &mut sink).unwrap();
+        let mut checkpoints = Vec::new();
+        while let Some(round) = session.step().unwrap() {
+            let cp = session.checkpoint();
+            assert_eq!(cp.round, round);
+            checkpoints.push(cp);
+        }
+        assert!(!checkpoints.is_empty());
+        assert_eq!(session.finish().unwrap().run.states, states);
+        checkpoints
+    }
+
+    /// Restores `checkpoint` and steps it to the end.
+    fn resume<P: NodeProgram, F: FaultHook>(
+        sim: &Simulator,
+        g: &Graph,
+        program: &P,
+        hook: &F,
+        checkpoint: SimCheckpoint<P::State, P::Msg>,
+    ) -> FaultedRun<P::State> {
+        let mut sink = NullSink;
+        let mut session = sim
+            .restore(g, program, hook, checkpoint, &mut sink)
+            .unwrap();
+        while session.step().unwrap().is_some() {}
+        session.finish().unwrap()
+    }
+
+    fn both_tie_breaks(latency: LatencyModel) -> [Simulator; 2] {
+        [TieBreak::InsertionOrder, TieBreak::ReverseInsertion].map(|tie_break| {
+            Simulator::new(SimConfig {
+                tie_break,
+                ..SimConfig::default().with_latency(latency.clone())
+            })
+        })
+    }
+
     #[test]
     fn resume_from_any_checkpoint_matches_the_uninterrupted_run() {
         let g = generators::wheel(16);
@@ -1839,32 +1800,45 @@ mod tests {
                 cap: 40,
             },
         ] {
-            let sim = Simulator::new(SimConfig::default().with_latency(latency));
-            let full = sim.run(&g, &Census).unwrap();
-            let mut checkpoints = Vec::new();
-            let run = sim
-                .run_checkpointed(&g, &Census, &mut NullSink, 1, &mut |cp, _| {
-                    checkpoints.push(cp)
-                })
-                .unwrap();
-            assert_eq!(run.states, full.states);
-            assert!(!checkpoints.is_empty());
-            for cp in checkpoints {
-                let resumed = sim.resume(&g, &Census, cp).unwrap();
-                assert_eq!(resumed.states, full.states);
-                assert_eq!(resumed.rounds, full.rounds);
-                assert_eq!(resumed.messages, full.messages);
-                assert_eq!(resumed.makespan, full.makespan);
-                assert_eq!(resumed.completion, full.completion);
-                assert_eq!(resumed.stats.packets, full.stats.packets);
-                assert_eq!(resumed.stats.pure_pulses, full.stats.pure_pulses);
-                assert_eq!(resumed.stats.peak_in_flight, full.stats.peak_in_flight);
-                assert_eq!(
-                    resumed.stats.edge_in_flight_peak,
-                    full.stats.edge_in_flight_peak
-                );
+            for sim in both_tie_breaks(latency) {
+                let full = sim.run(&g, &Census).unwrap();
+                for cp in checkpoint_every_step(&sim, &g, &Census, &NoFaults, &full.states) {
+                    let resumed = resume(&sim, &g, &Census, &NoFaults, cp);
+                    assert_eq!(resumed.outcome, FaultOutcome::Completed);
+                    let resumed = resumed.run;
+                    assert_eq!(resumed.states, full.states);
+                    assert_eq!(resumed.rounds, full.rounds);
+                    assert_eq!(resumed.messages, full.messages);
+                    assert_eq!(resumed.makespan, full.makespan);
+                    assert_eq!(resumed.completion, full.completion);
+                    assert_eq!(resumed.stats.packets, full.stats.packets);
+                    assert_eq!(resumed.stats.pure_pulses, full.stats.pure_pulses);
+                    assert_eq!(resumed.stats.peak_in_flight, full.stats.peak_in_flight);
+                    assert_eq!(
+                        resumed.stats.edge_in_flight_peak,
+                        full.stats.edge_in_flight_peak
+                    );
+                }
             }
         }
+
+        // A session that blows the round budget is over, not broken: it
+        // still finishes to the partial states, as `Wedged`; without faults
+        // to blame, the one-shots call the same input an error.
+        let sim = Simulator::new(SimConfig {
+            max_rounds: 1,
+            ..SimConfig::default()
+        });
+        let mut sink = NullSink;
+        let mut session = sim.start(&g, &Census, &NoFaults, &mut sink).unwrap();
+        assert_eq!(session.step(), Ok(None));
+        let wedged = session.finish().unwrap();
+        assert_eq!(wedged.outcome, FaultOutcome::Wedged { limit: 1 });
+        assert_eq!(wedged.run.rounds, 1);
+        assert!(wedged.run.states.iter().all(|&(_, heard)| heard == 0));
+        let limit = RuntimeError::RoundLimit { limit: 1 };
+        assert_eq!(sim.run(&g, &Census).unwrap_err(), limit);
+        assert_eq!(sim.run_traced(&g, &Census, &mut sink).unwrap_err(), limit);
     }
 
     #[test]
@@ -1877,35 +1851,28 @@ mod tests {
             crashes: vec![(7, 2)],
             slip_all: 0,
         };
-        let sim = Simulator::new(
-            SimConfig::default().with_latency(LatencyModel::Uniform { lo: 1, hi: 4 }),
-        );
-        let full = sim.run_with_faults(&g, &Census, &hook).unwrap();
-        let mut checkpoints = Vec::new();
-        sim.run_with_faults_checkpointed(&g, &Census, &hook, &mut NullSink, 1, &mut |cp, _| {
-            checkpoints.push(cp)
-        })
-        .unwrap();
-        assert!(!checkpoints.is_empty());
-        for cp in checkpoints {
-            let resumed = sim.resume_with_faults(&g, &Census, &hook, cp).unwrap();
-            assert_eq!(resumed.outcome, full.outcome);
-            assert_eq!(resumed.crashed, full.crashed);
-            assert_eq!(resumed.run.states, full.run.states);
-            assert_eq!(resumed.run.rounds, full.run.rounds);
-            assert_eq!(resumed.run.makespan, full.run.makespan);
-            assert_eq!(
-                resumed.run.stats.lost_messages,
-                full.run.stats.lost_messages
-            );
-            assert_eq!(
-                resumed.run.stats.crash_notices,
-                full.run.stats.crash_notices
-            );
-            assert_eq!(
-                resumed.run.stats.dropped_packets,
-                full.run.stats.dropped_packets
-            );
+        for sim in both_tie_breaks(LatencyModel::Uniform { lo: 1, hi: 4 }) {
+            let full = sim.run_with_faults(&g, &Census, &hook).unwrap();
+            for cp in checkpoint_every_step(&sim, &g, &Census, &hook, &full.run.states) {
+                let resumed = resume(&sim, &g, &Census, &hook, cp);
+                assert_eq!(resumed.outcome, full.outcome);
+                assert_eq!(resumed.crashed, full.crashed);
+                assert_eq!(resumed.run.states, full.run.states);
+                assert_eq!(resumed.run.rounds, full.run.rounds);
+                assert_eq!(resumed.run.makespan, full.run.makespan);
+                assert_eq!(
+                    resumed.run.stats.lost_messages,
+                    full.run.stats.lost_messages
+                );
+                assert_eq!(
+                    resumed.run.stats.crash_notices,
+                    full.run.stats.crash_notices
+                );
+                assert_eq!(
+                    resumed.run.stats.dropped_packets,
+                    full.run.stats.dropped_packets
+                );
+            }
         }
     }
 

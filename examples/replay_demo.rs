@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example replay_demo`
 
-use mfd_bench::replay::{executor_journal, faulted_journal, resume_executor, resume_faulted};
+use mfd_bench::replay::{executor_journal, resume_executor, resume_sim, sim_journal};
 use mfd_bench::trace::DivergenceProbe;
 use mfd_faults::{FaultModel, Reliable};
 use mfd_graph::{generators, CsrGraph};
@@ -93,7 +93,7 @@ fn main() {
     let wrapped = Reliable::new(DivergenceProbe::clean(16));
     let model = FaultModel::iid_loss(0.2);
     let latency = LatencyModel::Uniform { lo: 1, hi: 3 };
-    let faulted = faulted_journal(
+    let faulted = sim_journal(
         &g,
         &wrapped,
         &model,
@@ -104,7 +104,7 @@ fn main() {
     )
     .expect("probe runs");
     let mid = &faulted.journal.checkpoints[faulted.journal.checkpoints.len() / 2];
-    let resumed = resume_faulted(
+    let resumed = resume_sim(
         &faulted.journal,
         mid.round,
         &g,

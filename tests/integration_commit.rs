@@ -164,14 +164,15 @@ fn reliable_under_loss_chains_deterministically() {
         LatencyModel::Uniform { lo: 1, hi: 3 },
     ));
 
+    let traced = |sink: &mut DigestSink| {
+        let mut session = sim.start(&g, &program, &model, sink).unwrap();
+        while session.step().unwrap().is_some() {}
+        session.finish().unwrap()
+    };
     let mut a = DigestSink::new();
-    let ra = sim
-        .run_with_faults_traced(&g, &program, &model, &mut a)
-        .unwrap();
+    let ra = traced(&mut a);
     let mut b = DigestSink::new();
-    let rb = sim
-        .run_with_faults_traced(&g, &program, &model, &mut b)
-        .unwrap();
+    let rb = traced(&mut b);
     assert_eq!(a.chain(), b.chain(), "faulted chain is not run-invariant");
     assert_eq!(
         Reliable::<DivergenceProbe>::inner_states_cloned(&ra.run.states),
@@ -179,8 +180,7 @@ fn reliable_under_loss_chains_deterministically() {
     );
 
     let mut eager = DigestSink::with_snapshots();
-    sim.run_with_faults_traced(&g, &program, &model, &mut eager)
-        .unwrap();
+    traced(&mut eager);
     assert_eq!(a.chain(), eager.chain(), "sink mode changed the chain");
 }
 

@@ -20,7 +20,7 @@ use mfd_graph::{generators, CsrGraph, Graph};
 use mfd_replay::Journal;
 use mfd_routing::programs::TreeGatherProgram;
 use mfd_runtime::{Executor, ExecutorConfig};
-use mfd_sim::{FaultOutcome, LatencyModel, SimConfig, Simulator};
+use mfd_sim::{FaultOutcome, LatencyModel, NoFaults, SimConfig, Simulator};
 use mfd_trace::{DigestSink, NullSink};
 use proptest::prelude::*;
 
@@ -102,15 +102,21 @@ proptest! {
                 let sim = Simulator::new(SimConfig::matching(&cfg, latency.clone()));
                 let mut sink = DigestSink::new();
                 let mut cps = Vec::new();
-                let full = sim
-                    .run_checkpointed(&g, $program, &mut sink, every, &mut |cp, s: &DigestSink| {
-                        cps.push((cp, s.export()));
-                    })
-                    .unwrap();
+                let mut session = sim.start(&g, $program, &NoFaults, &mut sink).unwrap();
+                let mut next = every;
+                while let Some(round) = session.step().unwrap() {
+                    if round >= next {
+                        cps.push((session.checkpoint(), session.observer().export()));
+                        next = round + every;
+                    }
+                }
+                let full = session.finish().unwrap().run;
                 if !cps.is_empty() {
                     let (cp, digests) = cps.swap_remove((pick as usize) % cps.len());
                     let mut rsink = DigestSink::restore(digests);
-                    let resumed = sim.resume_traced(&g, $program, cp, &mut rsink).unwrap();
+                    let mut session = sim.restore(&g, $program, &NoFaults, cp, &mut rsink).unwrap();
+                    while session.step().unwrap().is_some() {}
+                    let resumed = session.finish().unwrap().run;
                     prop_assert_eq!(&resumed.states, &full.states);
                     prop_assert_eq!(resumed.rounds, full.rounds);
                     prop_assert_eq!(resumed.messages, full.messages);
@@ -150,8 +156,8 @@ proptest! {
         prop_assert_eq!(&bytes, &decoded.to_bytes());
 
         let latency = LatencyModel::Uniform { lo: 1, hi: 3 };
-        let a = sim_journal(&g, &probe, &cfg, latency.clone(), every, "prop/sim").unwrap();
-        let b = sim_journal(&g, &probe, &cfg, latency, every, "prop/sim").unwrap();
+        let a = sim_journal(&g, &probe, &NoFaults, &cfg, latency.clone(), every, "prop/sim").unwrap();
+        let b = sim_journal(&g, &probe, &NoFaults, &cfg, latency, every, "prop/sim").unwrap();
         let bytes = a.journal.to_bytes();
         prop_assert_eq!(&bytes, &b.journal.to_bytes());
         let decoded = Journal::from_bytes(&bytes).unwrap();
@@ -182,12 +188,13 @@ proptest! {
         }
 
         let latency = LatencyModel::Uniform { lo: 1, hi: 3 };
-        let full = sim_journal(&g, &probe, &cfg, latency.clone(), 2, "prop/sim").unwrap();
+        let full = sim_journal(&g, &probe, &NoFaults, &cfg, latency.clone(), 2, "prop/sim").unwrap();
         for cp in &full.journal.checkpoints {
-            let r = resume_sim(&full.journal, cp.round, &g, &probe, &cfg, latency.clone()).unwrap();
+            let r = resume_sim(&full.journal, cp.round, &g, &probe, &NoFaults, &cfg, latency.clone())
+                .unwrap();
             prop_assert_eq!(r.sink.chain(), full.sink.chain());
-            prop_assert_eq!(&r.run.states, &full.run.states);
-            prop_assert_eq!(r.run.makespan, full.run.makespan);
+            prop_assert_eq!(&r.run.run.states, &full.run.run.states);
+            prop_assert_eq!(r.run.run.makespan, full.run.run.makespan);
         }
     }
 }
@@ -213,12 +220,17 @@ fn gathered_cluster_under_loss_resumes_bit_identically() {
             LatencyModel::Uniform { lo: 1, hi: 3 },
         ));
 
+        let mut sink = NullSink;
         let mut cps = Vec::new();
-        let full = sim
-            .run_with_faults_checkpointed(&g, &program, &model, &mut NullSink, 8, &mut |cp, _| {
-                cps.push(cp)
-            })
-            .unwrap();
+        let mut session = sim.start(&g, &program, &model, &mut sink).unwrap();
+        let mut next = 8;
+        while let Some(round) = session.step().unwrap() {
+            if round >= next {
+                cps.push(session.checkpoint());
+                next = round + 8;
+            }
+        }
+        let full = session.finish().unwrap();
         assert!(
             matches!(full.outcome, FaultOutcome::Completed),
             "{name}: the acceptance run must complete under 0.2 loss"
@@ -239,7 +251,9 @@ fn gathered_cluster_under_loss_resumes_bit_identically() {
                 continue;
             }
             let round = cp.round;
-            let resumed = sim.resume_with_faults(&g, &program, &model, cp).unwrap();
+            let mut session = sim.restore(&g, &program, &model, cp, &mut sink).unwrap();
+            while session.step().unwrap().is_some() {}
+            let resumed = session.finish().unwrap();
             assert!(
                 matches!(resumed.outcome, FaultOutcome::Completed),
                 "{name}@{round}: resumed run did not complete"
@@ -269,15 +283,13 @@ fn gathered_cluster_under_loss_resumes_bit_identically() {
 /// gather above) carries a digest chain end-to-end.
 #[test]
 fn faulted_reliable_probe_journal_resumes_bit_identically() {
-    use mfd_bench::replay::{faulted_journal, resume_faulted};
-
     let g = generators::wheel(32);
     let cfg = ExecutorConfig::default();
     let wrapped = Reliable::new(DivergenceProbe::clean(12));
     let model = FaultModel::iid_loss(0.25);
     let latency = LatencyModel::Uniform { lo: 1, hi: 3 };
 
-    let full = faulted_journal(
+    let full = sim_journal(
         &g,
         &wrapped,
         &model,
@@ -296,7 +308,7 @@ fn faulted_reliable_probe_journal_resumes_bit_identically() {
     // The journal survives a byte round-trip and still resumes.
     let reloaded = Journal::from_bytes(&full.journal.to_bytes()).unwrap();
     for cp in &reloaded.checkpoints {
-        let r = resume_faulted(
+        let r = resume_sim(
             &reloaded,
             cp.round,
             &g,

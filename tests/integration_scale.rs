@@ -570,3 +570,107 @@ fn hostile_checkpoints_are_refused_with_a_typed_error() {
         })
     ));
 }
+
+/// The event engine's twin of the test above: a `SimCheckpoint` is decoded
+/// from bytes just the same, and `Simulator::restore` follows its indices
+/// into the graph's edge list and trusts its counters — so one that does not
+/// fit is a typed error too, never a panic (or an allocation, or a hang).
+#[test]
+fn hostile_sim_checkpoints_are_refused_with_a_typed_error() {
+    use mfd_sim::{LatencyModel, NoFaults, PacketCheckpoint, SimCheckpoint, SimConfig, Simulator};
+
+    let g = generators::triangulated_grid(8, 8);
+    let probe = mfd_bench::trace::DivergenceProbe::clean(12);
+    let config = SimConfig::default().with_latency(LatencyModel::Uniform { lo: 1, hi: 3 });
+    let sim = Simulator::new(config.clone());
+    let mut sink = NullSink;
+    let mut session = sim.start(&g, &probe, &NoFaults, &mut sink).unwrap();
+    while session
+        .step()
+        .unwrap()
+        .expect("the probe runs past round 4")
+        < 4
+    {}
+    let checkpoint = session.checkpoint();
+    assert!(!checkpoint.queue.is_empty(), "nothing in flight to forge");
+
+    let refused = |g: &Graph, cp: SimCheckpoint<u64, u64>, sim: &Simulator| {
+        let mut sink = NullSink;
+        match sim.restore(g, &probe, &NoFaults, cp, &mut sink) {
+            Err(RuntimeError::CheckpointMismatch {
+                what,
+                expected,
+                found,
+            }) => (what, expected, found),
+            Err(other) => panic!("expected a CheckpointMismatch, got {other}"),
+            Ok(_) => panic!("a hostile checkpoint was accepted"),
+        }
+    };
+    // The intact checkpoint is accepted.
+    assert!(sim
+        .restore(&g, &probe, &NoFaults, checkpoint.clone(), &mut sink)
+        .is_ok());
+
+    // Wrong n; and the right n with the wrong m (161 edges against 192).
+    for other in [generators::wheel(32), generators::wheel(100)] {
+        let verdict = refused(&other, checkpoint.clone(), &sim);
+        assert_eq!(verdict, ("states length", other.n() as u64, 64));
+    }
+    let verdict = refused(&generators::hypercube(6), checkpoint.clone(), &sim);
+    assert_eq!(verdict, ("in_flight length", 192, 161));
+    // Truncated per-vertex and per-edge arrays.
+    let mut cp = checkpoint.clone();
+    cp.vx.pop();
+    assert_eq!(refused(&g, cp, &sim), ("vx length", 64, 63));
+    let mut cp = checkpoint.clone();
+    cp.edge_peak.truncate(10);
+    assert_eq!(refused(&g, cp, &sim), ("edge_peak length", 161, 10));
+    // A packet in flight along a non-edge (four grid rows away, and out of
+    // range), and a buffered sender that is no neighbour of its receiver.
+    let dst = checkpoint.queue[0].dst;
+    for src in [(dst + 32) % 64, 1 << 40] {
+        let mut cp = checkpoint.clone();
+        let forged = PacketCheckpoint {
+            src,
+            ..cp.queue[0].clone()
+        };
+        cp.queue.push(forged);
+        let (what, receiver, sender) = refused(&g, cp, &sim);
+        assert!(what.contains("non-neighbour"), "{what}");
+        assert_eq!((receiver, sender), (dst as u64, src as u64));
+    }
+    let mut cp = checkpoint.clone();
+    cp.vx[0].pending.push((4, vec![(63, Vec::new())]));
+    let (_, receiver, sender) = refused(&g, cp, &sim);
+    assert_eq!((receiver, sender), (0, 63));
+    // A round past the budget (the probe's own hint: 12 rounds allow 14) —
+    // which used to be that many empty buckets, allocated.
+    let mut cp = checkpoint.clone();
+    cp.round = u64::MAX;
+    let (_, expected, found) = refused(&g, cp, &sim);
+    assert_eq!((expected, found), (14, u64::MAX));
+    let tight = Simulator::new(SimConfig {
+        max_rounds: 3,
+        ..config
+    });
+    let (_, expected, found) = refused(&g, checkpoint.clone(), &tight);
+    assert_eq!((expected, found), (3, checkpoint.round));
+    // Counters that disagree with the lists they are derived from: one would
+    // underflow on the next arrival, the other never let the frontier settle.
+    let mut cp = checkpoint.clone();
+    cp.in_flight[0] += 1;
+    let (what, expected, found) = refused(&g, cp, &sim);
+    assert_eq!(what, "in-flight packets on an edge");
+    assert_eq!(found, expected + 1);
+    let mut cp = checkpoint.clone();
+    cp.live += 1;
+    let (what, expected, found) = refused(&g, cp, &sim);
+    assert!(what.starts_with("live vertices"), "{what}");
+    assert_eq!((expected, found), (64, 65));
+    let mut cp = checkpoint.clone();
+    cp.vx[0].next_round = 0;
+    assert_eq!(refused(&g, cp, &sim).0, "a live vertex's next round");
+    let mut cp = checkpoint.clone();
+    cp.round_pop.clear();
+    assert!(refused(&g, cp, &sim).0.starts_with("live vertices"));
+}
