@@ -21,29 +21,33 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
 
 use mfd_bench::json::{parse, Value};
+use mfd_bench::series;
 
-/// Regression tolerance: a metric may grow by at most this factor.
-const TOLERANCE: f64 = 1.10;
-
-/// Retransmission counts breathe harder under protocol tuning than round
-/// counts do, so they get a little more headroom.
-const RETRANSMIT_TOLERANCE: f64 = 1.25;
-
-/// A delivered fraction may drop by at most this much (absolute — the
-/// metric lives in `[0, 1]`).
-const DELIVERED_SLACK: f64 = 0.05;
-
-/// The gated metrics of one series. `delivered`, `retransmits` and
-/// `checkpoint_bytes` are gated only where the series reports them (the
-/// gather, faults and replay schemas).
+/// How far a gated column may move against its baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct Metrics {
-    rounds: f64,
-    messages: f64,
-    delivered: Option<f64>,
-    retransmits: Option<f64>,
-    checkpoint_bytes: Option<f64>,
+enum Rule {
+    /// May grow by at most this factor.
+    GrowBy(f64),
+    /// May drop by at most this much (absolute — the metric lives in `[0, 1]`).
+    DropBy(f64),
 }
+
+/// Every column this gate knows how to compare, in the order
+/// `benches/baselines.json` lists them. A series file's `metrics` header
+/// says which of them its rows carry; `rounds` and `messages` are required
+/// of every series. Retransmission counts breathe harder under protocol
+/// tuning than round counts do, so they get a little more headroom.
+const RULES: [(&str, Rule); 5] = [
+    ("rounds", Rule::GrowBy(1.10)),
+    ("messages", Rule::GrowBy(1.10)),
+    ("delivered", Rule::DropBy(0.05)),
+    ("retransmits", Rule::GrowBy(1.25)),
+    ("checkpoint_bytes", Rule::GrowBy(1.10)),
+];
+
+/// The gated metrics of one series, indexed like [`RULES`]; `None` where the
+/// series does not report the column (absent or null means ungated).
+type Metrics = [Option<f64>; RULES.len()];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -117,52 +121,26 @@ fn main() -> ExitCode {
         if !kinds.contains(kind) {
             continue;
         }
-        match current.get(key) {
-            None => {
-                eprintln!("FAIL {key}: series disappeared from the bench output");
-                failures += 1;
+        let Some(now) = current.get(key) else {
+            eprintln!("FAIL {key}: series disappeared from the bench output");
+            failures += 1;
+            continue;
+        };
+        for (i, (metric, rule)) in RULES.iter().enumerate() {
+            let (Some(was), Some(is)) = (base[i], now[i]) else {
+                continue;
+            };
+            match *rule {
+                Rule::GrowBy(factor) if is > was * factor => eprintln!(
+                    "FAIL {key}: {metric} regressed {was} -> {is} (> {:.0}%)",
+                    (factor - 1.0) * 100.0
+                ),
+                Rule::DropBy(slack) if is < was - slack => {
+                    eprintln!("FAIL {key}: {metric} dropped {was} -> {is} (> {slack} absolute)")
+                }
+                _ => continue,
             }
-            Some(now) => {
-                for (metric, was, is, tolerance) in [
-                    ("rounds", base.rounds, now.rounds, TOLERANCE),
-                    ("messages", base.messages, now.messages, TOLERANCE),
-                ] {
-                    if is > was * tolerance {
-                        eprintln!(
-                            "FAIL {key}: {metric} regressed {was} -> {is} (> {:.0}%)",
-                            (tolerance - 1.0) * 100.0
-                        );
-                        failures += 1;
-                    }
-                }
-                if let (Some(was), Some(is)) = (base.retransmits, now.retransmits) {
-                    if is > was * RETRANSMIT_TOLERANCE {
-                        eprintln!(
-                            "FAIL {key}: retransmits regressed {was} -> {is} (> {:.0}%)",
-                            (RETRANSMIT_TOLERANCE - 1.0) * 100.0
-                        );
-                        failures += 1;
-                    }
-                }
-                if let (Some(was), Some(is)) = (base.delivered, now.delivered) {
-                    if is < was - DELIVERED_SLACK {
-                        eprintln!(
-                            "FAIL {key}: delivered fraction dropped {was} -> {is} \
-                             (> {DELIVERED_SLACK} absolute)"
-                        );
-                        failures += 1;
-                    }
-                }
-                if let (Some(was), Some(is)) = (base.checkpoint_bytes, now.checkpoint_bytes) {
-                    if is > was * TOLERANCE {
-                        eprintln!(
-                            "FAIL {key}: checkpoint_bytes regressed {was} -> {is} (> {:.0}%)",
-                            (TOLERANCE - 1.0) * 100.0
-                        );
-                        failures += 1;
-                    }
-                }
-            }
+            failures += 1;
         }
     }
     for key in current.keys() {
@@ -187,114 +165,51 @@ fn main() -> ExitCode {
     }
 }
 
-/// Fields that are measurements rather than identity: everything else —
-/// including numeric experiment parameters such as the failure budget `f` —
-/// is part of a series' key, so changing a parameter produces a *new* series
-/// instead of silently comparing against a baseline measured under the old
-/// one.
-/// `wedged` is deliberately *not* here: whether a faulty run starves is a
-/// semantic property of the protocol, so a flip changes the series key and
-/// fails the gate loudly as a disappeared series instead of sliding under a
-/// numeric tolerance. `digest_head` (the scale schema) is excluded for the
-/// same reason.
-/// The wall-clock fields of the scale schema (`elapsed_ms`, `mps`, `rps`)
-/// and the arena high-water marks (`mailbox_hwm`, `route_hwm`) are
-/// measurements, never identity — wall clocks are not even deterministic.
-/// The profile schema's phase walls (`*_ms`, including the `seal_ms`
-/// sub-span), the derived `commit_frac`, attribution percentage and
-/// step-phase occupancy/imbalance are likewise wall clock: excluded here so
-/// they can never leak into a series key, and ungated because re-measuring
-/// time is not a regression test. (The profile schema's *deterministic*
-/// columns — `frontier_total`, `traffic_total`, per-shard `frontier` and
-/// `received` — stay identity on purpose.)
-const METRIC_FIELDS: [&str; 30] = [
-    "rounds",
-    "messages",
-    "makespan",
-    "delivered",
-    "retransmits",
-    "excused",
-    "events",
-    "spans",
-    "cluster_rounds_max",
-    "cluster_messages",
-    "checkpoint_bytes",
-    "rounds_replayed",
-    "elapsed_ms",
-    "mps",
-    "rps",
-    "mailbox_hwm",
-    "route_hwm",
-    "init_ms",
-    "scan_ms",
-    "step_ms",
-    "route_ms",
-    "exchange_ms",
-    "deliver_ms",
-    "commit_ms",
-    "seal_ms",
-    "commit_frac",
-    "other_ms",
-    "attributed_pct",
-    "occupancy_step",
-    "imbalance_step",
-];
+/// Reads the [`RULES`] columns of one series or baseline entry. `rounds` and
+/// `messages` must be numbers; the rest are gated only where reported.
+fn metrics_of(what: &str, get: impl Fn(&str) -> Option<f64>) -> Result<Metrics, String> {
+    let metrics = RULES.map(|(name, _)| get(name));
+    for (i, (name, _)) in RULES.iter().enumerate().take(2) {
+        if metrics[i].is_none() {
+            return Err(format!("{what} lacks numeric '{name}'"));
+        }
+    }
+    Ok(metrics)
+}
 
-/// Reads one `BENCH_*.json` file and folds its series into `out`, keyed by
-/// the schema kind plus every identity field of the row; `kinds` collects
-/// the schema kinds seen, scoping the disappeared-series check.
+/// Reads one `BENCH_*.json` file and folds its series into `out` under the
+/// keys [`series::read`] builds from the file's own `metrics` declaration;
+/// `kinds` collects the schema kinds seen, scoping the disappeared-series
+/// check. Fails closed: a file without the declaration, or whose rows it
+/// does not describe, and a declared-gated column this gate has no rule for
+/// are each a named error rather than a silently different key or an
+/// unchecked metric.
 fn collect_series(
     path: &str,
     out: &mut BTreeMap<String, Metrics>,
     kinds: &mut BTreeSet<String>,
 ) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let doc = parse(&text).map_err(|e| e.to_string())?;
-    let schema = doc
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or("missing schema field")?;
-    // "mfd-bench/<kind>/v1" -> "<kind>"
-    let kind = schema.split('/').nth(1).ok_or("malformed schema name")?;
-    kinds.insert(kind.to_string());
-    let rows = doc
-        .get("benchmarks")
-        .and_then(Value::as_arr)
-        .ok_or("missing benchmarks array")?;
-    for row in rows {
-        let obj = row.as_obj().ok_or("benchmark row is not an object")?;
-        let mut key = kind.to_string();
-        for (name, value) in obj {
-            if METRIC_FIELDS.contains(&name.as_str()) {
-                continue;
-            }
-            let rendered = match value {
-                Value::Str(s) => s.clone(),
-                Value::Bool(b) => b.to_string(),
-                Value::Num(x) => format!("{x}"),
-                // A null is an absent measurement (e.g. no makespan outside
-                // the simulator), not identity.
-                Value::Null | Value::Arr(_) | Value::Obj(_) => continue,
-            };
-            key.push_str(&format!("|{name}={rendered}"));
+    let file = series::read(&text)?;
+    for name in &file.gated {
+        if !RULES.iter().any(|(known, _)| known == name) {
+            return Err(format!(
+                "metrics declaration gates '{name}', which bench_gate has no rule for"
+            ));
         }
-        let metric = |field: &str| {
-            obj.get(field)
+    }
+    for (key, columns) in file.rows {
+        let metrics = metrics_of(&format!("series '{key}'"), |name| {
+            columns
+                .get(name)
+                .filter(|_| file.gated.iter().any(|gated| gated == name))
                 .and_then(Value::as_num)
-                .ok_or_else(|| format!("series '{key}' lacks numeric '{field}'"))
-        };
-        let metrics = Metrics {
-            rounds: metric("rounds")?,
-            messages: metric("messages")?,
-            // Optional per-schema metrics: absent or null means ungated.
-            delivered: obj.get("delivered").and_then(Value::as_num),
-            retransmits: obj.get("retransmits").and_then(Value::as_num),
-            checkpoint_bytes: obj.get("checkpoint_bytes").and_then(Value::as_num),
-        };
+        })?;
         if out.insert(key.clone(), metrics).is_some() {
             return Err(format!("duplicate series key '{key}'"));
         }
     }
+    kinds.insert(file.kind);
     Ok(())
 }
 
@@ -305,47 +220,139 @@ fn load_baselines(path: &str) -> Result<BTreeMap<String, Metrics>, String> {
         .get("series")
         .and_then(Value::as_obj)
         .ok_or("missing series object")?;
-    let mut out = BTreeMap::new();
-    for (key, value) in series {
-        let metric = |field: &str| {
-            value
-                .get(field)
-                .and_then(Value::as_num)
-                .ok_or_else(|| format!("baseline '{key}' lacks numeric '{field}'"))
-        };
-        out.insert(
-            key.clone(),
-            Metrics {
-                rounds: metric("rounds")?,
-                messages: metric("messages")?,
-                delivered: value.get("delivered").and_then(Value::as_num),
-                retransmits: value.get("retransmits").and_then(Value::as_num),
-                checkpoint_bytes: value.get("checkpoint_bytes").and_then(Value::as_num),
-            },
-        );
-    }
-    Ok(out)
+    series
+        .iter()
+        .map(|(key, value)| {
+            let metrics = metrics_of(&format!("baseline '{key}'"), |name| {
+                value.get(name).and_then(Value::as_num)
+            })?;
+            Ok((key.clone(), metrics))
+        })
+        .collect()
 }
 
 fn render_baselines(series: &BTreeMap<String, Metrics>) -> String {
     let mut body = String::from("{\n  \"schema\": \"mfd-bench/baselines/v1\",\n  \"series\": {\n");
     let rows: Vec<String> = series
         .iter()
-        .map(|(key, m)| {
-            let mut fields = format!("\"rounds\": {}, \"messages\": {}", m.rounds, m.messages);
-            if let Some(d) = m.delivered {
-                fields.push_str(&format!(", \"delivered\": {d}"));
-            }
-            if let Some(x) = m.retransmits {
-                fields.push_str(&format!(", \"retransmits\": {x}"));
-            }
-            if let Some(x) = m.checkpoint_bytes {
-                fields.push_str(&format!(", \"checkpoint_bytes\": {x}"));
-            }
-            format!("    \"{key}\": {{{fields}}}")
+        .map(|(key, metrics)| {
+            let fields: Vec<String> = RULES
+                .iter()
+                .zip(metrics)
+                .filter_map(|((name, _), value)| value.map(|x| format!("\"{name}\": {x}")))
+                .collect();
+            format!("    \"{key}\": {{{}}}", fields.join(", "))
         })
         .collect();
     body.push_str(&rows.join(",\n"));
     body.push_str("\n  }\n}\n");
     body
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mfd_bench::series::{Cell, Role::*, Series};
+
+    /// Runs [`collect_series`] on `text` written to a scratch file.
+    fn collect(name: &str, text: &str) -> Result<BTreeMap<String, Metrics>, String> {
+        let path = std::env::temp_dir().join(format!("bench_gate-{}-{name}", std::process::id()));
+        std::fs::write(&path, text).expect("scratch file is writable");
+        let mut out = BTreeMap::new();
+        let result = collect_series(path.to_str().unwrap(), &mut out, &mut BTreeSet::new());
+        std::fs::remove_file(&path).ok();
+        result.map(|()| out)
+    }
+
+    fn file(metrics: &str, row: &str) -> String {
+        format!("{{\"schema\": \"mfd-bench/demo/v1\", {metrics} \"benchmarks\": [{row}]}}")
+    }
+
+    #[test]
+    fn a_written_series_is_collected_under_its_baseline_key() {
+        let mut series = Series::new("faults");
+        series.row(vec![
+            ("graph", "tri-grid-8x8".into(), Id),
+            ("n", 64usize.into(), Id),
+            ("m", 161usize.into(), Id),
+            ("strategy", "tree-pipeline".into(), Id),
+            ("fault", "iid-0.05".into(), Id),
+            ("mode", "reliable".into(), Id),
+            ("f", Cell::Float(0.1, 3), Id),
+            ("rounds", 608u64.into(), Gated),
+            ("messages", 147845u64.into(), Gated),
+            ("delivered", Cell::Float(1.0, 6), Gated),
+            ("retransmits", Some(130u64).into(), Gated),
+            ("excused", Some(0u64).into(), Exact),
+            ("wedged", false.into(), Id),
+            ("ms", Cell::Float(3.5, 1), Wall),
+        ]);
+        let collected = collect("written.json", &series.to_json()).expect("collects");
+        let key = "faults|f=0.1|fault=iid-0.05|graph=tri-grid-8x8|m=161|mode=reliable|n=64\
+                   |strategy=tree-pipeline|wedged=false";
+        let baselines = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benches/baselines.json");
+        let baselines = load_baselines(baselines).expect("baselines load");
+        assert_eq!(collected.keys().collect::<Vec<_>>(), [key]);
+        assert_eq!(collected[key], baselines[key]);
+        assert_eq!(
+            collected[key],
+            [Some(608.0), Some(147845.0), Some(1.0), Some(130.0), None]
+        );
+    }
+
+    #[test]
+    fn fails_closed_on_files_the_declaration_does_not_describe() {
+        let gated =
+            "\"metrics\": {\"id\": [\"graph\"], \"gated\": [\"rounds\", \"messages\"], \"exact\": []},";
+        let row = "{\"graph\":\"g\",\"rounds\":7,\"messages\":9}";
+        assert!(collect("ok.json", &file(gated, row)).is_ok());
+        for (name, metrics, row, expected) in [
+            (
+                "headerless.json",
+                "",
+                row,
+                "missing metrics declaration — regenerate with this build",
+            ),
+            (
+                "undeclared.json",
+                gated,
+                "{\"graph\":\"g\",\"rounds\":7,\"messages\":9,\"elapsed_ms\":0.5}",
+                "series 'demo|graph=g' carries column 'elapsed_ms', which the metrics \
+                 declaration does not know",
+            ),
+            (
+                "lacking.json",
+                gated,
+                "{\"graph\":\"g\",\"rounds\":7}",
+                "series 'demo|graph=g' lacks the gated column 'messages'",
+            ),
+            (
+                "ruleless.json",
+                "\"metrics\": {\"id\": [\"graph\"], \"gated\": [\"rounds\", \"messages\", \"makespan\"], \"exact\": []},",
+                "{\"graph\":\"g\",\"rounds\":7,\"messages\":9,\"makespan\":3}",
+                "metrics declaration gates 'makespan', which bench_gate has no rule for",
+            ),
+            (
+                "null.json",
+                gated,
+                "{\"graph\":\"g\",\"rounds\":null,\"messages\":9}",
+                "series 'demo|graph=g' lacks numeric 'rounds'",
+            ),
+        ] {
+            assert_eq!(
+                collect(name, &file(metrics, row)).err().as_deref(),
+                Some(expected)
+            );
+        }
+    }
+
+    #[test]
+    fn baselines_render_back_byte_for_byte() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benches/baselines.json");
+        let loaded = load_baselines(path).expect("baselines load");
+        assert_eq!(
+            render_baselines(&loaded),
+            std::fs::read_to_string(path).unwrap()
+        );
+    }
 }

@@ -36,14 +36,17 @@
 //! `executor` and `sim` journals (plain probe states); `faulted` journals
 //! carry ARQ transport state and support `verify`/`resume` only.
 
-use mfd_bench::replay::{executor_journal, resume_executor, resume_sim, sim_journal, Resumed};
+use mfd_bench::replay::{
+    executor_journal, executor_states_at, resume_executor, resume_sim, sim_journal, sim_states_at,
+    Resumed,
+};
 use mfd_bench::trace::DivergenceProbe;
 use mfd_faults::{FaultModel, Reliable};
 use mfd_graph::{CsrGraph, Graph};
 use mfd_replay::Journal;
-use mfd_runtime::{ExecutorConfig, RuntimeError};
-use mfd_sim::{LatencyModel, NoFaults, SimConfig, Simulator};
-use mfd_trace::{EngineKind, NullSink};
+use mfd_runtime::ExecutorConfig;
+use mfd_sim::{LatencyModel, NoFaults};
+use mfd_trace::EngineKind;
 
 const LATENCY: LatencyModel = LatencyModel::Uniform { lo: 1, hi: 3 };
 
@@ -242,51 +245,13 @@ fn states_at(journal: &Journal, target: u64) -> (u64, Vec<u64>) {
     let g = family(&spec.graph);
     let cfg = ExecutorConfig::default();
     let probe = DivergenceProbe::clean(spec.rounds);
-    // Restore the nearest checkpoint at or below the target (or start
-    // afresh) and step up to it; on the event engine a step lands on the next
-    // consistent cut, which can lie past the target.
-    let mut sink = NullSink;
-    let cp = journal.checkpoint_at(target);
-    let mut reached = cp.map_or(0, |cp| cp.round);
-    let mut step_to_target = |step: &mut dyn FnMut() -> Result<Option<u64>, RuntimeError>| {
-        while reached < target {
-            reached = step()
-                .expect("probe is model-compliant")
-                .unwrap_or_else(|| panic!("no consistent cut at or after round {target}"));
-        }
-        reached
-    };
-    let fits = "a journal's checkpoint fits the graph its label names";
     match journal.header.engine {
         EngineKind::Executor => {
-            let csr = CsrGraph::from_graph(&g);
-            let exec = mfd_bench::sync_executor(&cfg);
-            let mut session = match cp {
-                Some(cp) => {
-                    let restored = journal.decode_checkpoint(cp).expect("journal decodes");
-                    exec.restore(&csr, &probe, restored, &mut sink).expect(fits)
-                }
-                None => exec.start(&csr, &probe, &mut sink),
-            };
-            let reached = step_to_target(&mut || session.step());
-            (reached, session.finish().states)
+            executor_states_at(journal, target, &CsrGraph::from_graph(&g), &probe, &cfg)
         }
-        EngineKind::Sim => {
-            let sim = Simulator::new(SimConfig::matching(&cfg, LATENCY));
-            let mut session = match cp {
-                Some(cp) => {
-                    let restored = journal.decode_checkpoint(cp).expect("journal decodes");
-                    sim.restore(&g, &probe, &NoFaults, restored, &mut sink)
-                        .expect(fits)
-                }
-                None => sim
-                    .start(&g, &probe, &NoFaults, &mut sink)
-                    .expect("probe is model-compliant"),
-            };
-            let reached = step_to_target(&mut || session.step());
-            (reached, session.checkpoint().states)
-        }
+        EngineKind::Sim => sim_states_at(journal, target, &g, &probe, &cfg, LATENCY),
     }
+    .expect("a journal's checkpoint fits the graph its label names")
 }
 
 fn dump(path: &str, round: u64) {

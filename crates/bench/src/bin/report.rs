@@ -1,5 +1,6 @@
 //! Regenerates every table/figure-style series of the paper's quantitative claims
-//! (see DESIGN.md §5 for the experiment index) and prints them as markdown tables.
+//! (README.md, "Benchmarks and reports", is the experiment index) and prints them as
+//! markdown tables.
 //!
 //! Usage:
 //! ```text
@@ -20,7 +21,8 @@ use mfd_apps::property_testing::{test_property, Planarity};
 use mfd_apps::solvers;
 use mfd_apps::vertex_cover::{approximate_vertex_cover, VertexCoverConfig};
 use mfd_bench::profiling::{profile_sharded_algo, Algo};
-use mfd_bench::{acceptance_families, f3, unknown_section_message, Table, SECTIONS};
+use mfd_bench::series::{Cell, Role::*, Series};
+use mfd_bench::{acceptance_families, f3, Table};
 use mfd_congest::RoundMeter;
 use mfd_core::edt::{build_edt, build_edt_csr, build_edt_traced, EdtConfig};
 use mfd_core::expander::{
@@ -47,95 +49,87 @@ use mfd_runtime::{Executor, ExecutorConfig, NodeProgram, ShardedConfig, ShardedE
 use mfd_sim::{LatencyModel, SimConfig, Simulator};
 use mfd_trace::{DigestSink, MetricsSink, Tee};
 
+/// The names that select a section and the function that runs it.
+type Section = (&'static [&'static str], fn());
+
+/// Every section the report can regenerate, in print order.
+/// `--list-sections`, argument validation, the unknown-section diagnostic and
+/// dispatch all read this one table, so a CI job cannot name a section that
+/// does not run.
+const SECTIONS: &[Section] = &[
+    (&["table1"], table1),
+    (&["scaling_n"], scaling_n),
+    (&["scaling_eps"], scaling_eps),
+    (&["ldd"], ldd_report),
+    (&["expander"], expander_report),
+    (&["overlap"], overlap_report),
+    (&["routing"], routing_report),
+    (&["mis", "matching_vc", "maxcut"], applications_report),
+    (&["ptest"], property_testing_report),
+    (&["ablations"], ablations_report),
+    (&["runtime"], runtime_report),
+    (&["gather"], gather_report),
+    (&["faults"], faults_report),
+    (&["edt"], edt_report),
+    (&["trace"], trace_report),
+    (&["replay"], replay_report),
+    (&["scale"], || {
+        scale_report(std::env::args().any(|a| a == "--heavy"))
+    }),
+    (&["profile"], profile_report),
+];
+
+fn section_names() -> impl Iterator<Item = &'static str> {
+    SECTIONS.iter().flat_map(|(names, _)| names.iter().copied())
+}
+
+fn unknown_section_message(section: &str) -> String {
+    format!(
+        "error: unknown section {section:?}\nvalid sections: {}, all \
+         (or run with --list-sections)",
+        section_names().collect::<Vec<_>>().join(", ")
+    )
+}
+
 fn main() {
-    let mut sections: Vec<String> = Vec::new();
-    let mut heavy = false;
+    let mut wanted: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if arg == "--list-sections" {
-            for section in SECTIONS {
-                println!("{section}");
+        match arg.as_str() {
+            "--list-sections" => {
+                section_names().for_each(|name| println!("{name}"));
+                return;
             }
-            return;
-        }
-        if arg == "--heavy" {
-            heavy = true;
-            continue;
-        }
-        if arg == "--section" {
-            let name = args
-                .next()
-                .expect("--section requires a section name argument");
-            sections.push(name);
-        } else {
-            sections.push(arg);
+            // Read by the scale section's entry in `SECTIONS`.
+            "--heavy" => {}
+            "--section" => match args.next() {
+                Some(name) => wanted.push(name),
+                None => {
+                    eprintln!("usage: report [--heavy] [--list-sections] [[--section] <name>]...");
+                    std::process::exit(2);
+                }
+            },
+            _ => wanted.push(arg),
         }
     }
-    for section in &sections {
-        if section != "all" && !SECTIONS.contains(&section.as_str()) {
+    for section in &wanted {
+        if section != "all" && !section_names().any(|name| name == section) {
             eprintln!("{}", unknown_section_message(section));
             std::process::exit(2);
         }
     }
-    let want =
-        |section: &str| sections.is_empty() || sections.iter().any(|a| a == section || a == "all");
 
     println!("# Measured reproduction report\n");
     println!("All round counts are CONGEST rounds measured by the simulator; README.md (\"Benchmarks and reports\") says what each section measures.\n");
 
-    if want("table1") {
-        table1();
-    }
-    if want("scaling_n") {
-        scaling_n();
-    }
-    if want("scaling_eps") {
-        scaling_eps();
-    }
-    if want("ldd") {
-        ldd_report();
-    }
-    if want("expander") {
-        expander_report();
-    }
-    if want("overlap") {
-        overlap_report();
-    }
-    if want("routing") {
-        routing_report();
-    }
-    if want("mis") || want("matching_vc") || want("maxcut") {
-        applications_report();
-    }
-    if want("ptest") {
-        property_testing_report();
-    }
-    if want("ablations") {
-        ablations_report();
-    }
-    if want("runtime") {
-        runtime_report();
-    }
-    if want("gather") {
-        gather_report();
-    }
-    if want("faults") {
-        faults_report();
-    }
-    if want("edt") {
-        edt_report();
-    }
-    if want("trace") {
-        trace_report();
-    }
-    if want("replay") {
-        replay_report();
-    }
-    if want("scale") {
-        scale_report(heavy);
-    }
-    if want("profile") {
-        profile_report();
+    for (names, run) in SECTIONS {
+        if wanted.is_empty()
+            || wanted
+                .iter()
+                .any(|w| w == "all" || names.contains(&w.as_str()))
+        {
+            run();
+        }
     }
 }
 
@@ -496,7 +490,7 @@ fn property_testing_report() {
     table.print();
 }
 
-/// Ablations called out in DESIGN.md §6.
+/// Ablations: routing strategy, Solomon sparsifier, chop depth.
 fn ablations_report() {
     let g = generators::triangulated_grid(20, 20);
 
@@ -569,70 +563,35 @@ fn ablations_report() {
     table.print();
 }
 
-/// One engine/graph/program measurement destined for `BENCH_runtime.json`.
-struct RuntimeRow {
-    engine: &'static str,
-    latency: Option<&'static str>,
-    graph: String,
-    n: usize,
-    m: usize,
-    program: &'static str,
-    rounds: u64,
-    messages: u64,
-    makespan: Option<u64>,
-}
-
-impl RuntimeRow {
-    fn to_json(&self) -> String {
-        let latency = match self.latency {
-            Some(l) => format!("\"{l}\""),
-            None => "null".to_string(),
-        };
-        let makespan = match self.makespan {
-            Some(t) => t.to_string(),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"engine\":\"{}\",\"latency\":{},\"graph\":\"{}\",\"n\":{},\"m\":{},\
-             \"program\":\"{}\",\"rounds\":{},\"messages\":{},\"makespan\":{}}}",
-            self.engine,
-            latency,
-            self.graph,
-            self.n,
-            self.m,
-            self.program,
-            self.rounds,
-            self.messages,
-            makespan
-        )
-    }
-}
-
 /// Runs `program` under the synchronous executor and the simulator's latency
-/// models, appending one row per engine.
+/// models, appending one `BENCH_runtime.json` row per engine.
 fn run_engines<P: NodeProgram>(
     g: &mfd_graph::Graph,
     csr: &CsrGraph,
     program: &P,
     graph_name: &str,
     prog_name: &'static str,
-    rows: &mut Vec<RuntimeRow>,
+    rows: &mut Series,
 ) {
+    let mut row =
+        |engine: &str, latency: Option<&str>, rounds: u64, messages: u64, makespan: Option<u64>| {
+            rows.row(vec![
+                ("engine", engine.into(), Id),
+                ("latency", latency.into(), Id),
+                ("graph", graph_name.into(), Id),
+                ("n", g.n().into(), Id),
+                ("m", g.m().into(), Id),
+                ("program", prog_name.into(), Id),
+                ("rounds", rounds.into(), Gated),
+                ("messages", messages.into(), Gated),
+                ("makespan", makespan.into(), Exact),
+            ]);
+        };
     let cfg = ExecutorConfig::default();
     let sync = mfd_bench::sync_executor(&cfg)
         .run(csr, program)
         .expect("program is model-compliant");
-    rows.push(RuntimeRow {
-        engine: "executor",
-        latency: None,
-        graph: graph_name.to_string(),
-        n: g.n(),
-        m: g.m(),
-        program: prog_name,
-        rounds: sync.rounds,
-        messages: sync.messages,
-        makespan: None,
-    });
+    row("executor", None, sync.rounds, sync.messages, None);
     let latencies: [(&'static str, LatencyModel); 3] = [
         ("fixed-1", LatencyModel::Fixed(1)),
         ("uniform-1-5", LatencyModel::Uniform { lo: 1, hi: 5 }),
@@ -654,17 +613,13 @@ fn run_engines<P: NodeProgram>(
         // executor may stop before the simulator's unreachability timeouts.
         assert_eq!(run.rounds, sync.rounds, "latency must not change rounds");
         assert_eq!(run.messages, sync.messages);
-        rows.push(RuntimeRow {
-            engine: "sim",
-            latency: Some(name),
-            graph: graph_name.to_string(),
-            n: g.n(),
-            m: g.m(),
-            program: prog_name,
-            rounds: run.rounds,
-            messages: run.messages,
-            makespan: Some(run.makespan),
-        });
+        row(
+            "sim",
+            Some(name),
+            run.rounds,
+            run.messages,
+            Some(run.makespan),
+        );
     }
 }
 
@@ -677,7 +632,7 @@ fn runtime_report() {
         ("wheel-256", generators::wheel(256)),
         ("hypercube-8", generators::hypercube(8)),
     ];
-    let mut rows: Vec<RuntimeRow> = Vec::new();
+    let mut rows = Series::new("runtime");
     for (name, g) in &families {
         let csr = CsrGraph::from_graph(g);
         run_engines(g, &csr, &BfsProgram { root: 0 }, name, "bfs", &mut rows);
@@ -692,120 +647,71 @@ fn runtime_report() {
         let voronoi = VoronoiLddProgram::new(g.n(), &centers);
         run_engines(g, &csr, &voronoi, name, "voronoi-ldd-8", &mut rows);
     }
-
-    let mut table = Table::new(
+    rows.print(
         "R1 — execution engines: synchronous rounds vs simulated makespan \
          (rounds and messages are engine-invariant)",
         &[
             "graph", "program", "engine", "latency", "rounds", "messages", "makespan",
         ],
     );
-    for r in &rows {
-        table.row(vec![
-            r.graph.clone(),
-            r.program.to_string(),
-            r.engine.to_string(),
-            r.latency.unwrap_or("-").to_string(),
-            r.rounds.to_string(),
-            r.messages.to_string(),
-            r.makespan.map_or("-".to_string(), |t| t.to_string()),
-        ]);
-    }
-    table.print();
-
-    let json = format!(
-        "{{\n  \"schema\": \"mfd-bench/runtime/v1\",\n  \"benchmarks\": [\n    {}\n  ]\n}}\n",
-        rows.iter()
-            .map(RuntimeRow::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n    ")
-    );
-    let path = "BENCH_runtime.json";
-    std::fs::write(path, json).expect("write BENCH_runtime.json");
-    println!("wrote {path} ({} series)", rows.len());
+    rows.write();
 }
 
-/// One gather measurement destined for `BENCH_gather.json`: a strategy on a
-/// graph family, in one mode (the metered charge, the synchronous executor,
-/// or the event simulator under a latency model).
-struct GatherRow {
-    graph: String,
-    n: usize,
-    m: usize,
-    strategy: &'static str,
-    mode: &'static str,
-    latency: Option<&'static str>,
+/// One `BENCH_gather.json` row: a strategy on a graph family, in one mode
+/// (the metered charge, the synchronous executor, or the event simulator
+/// under a latency model).
+#[allow(clippy::too_many_arguments)]
+fn gather_row(
+    rows: &mut Series,
+    graph_name: &str,
+    g: &mfd_graph::Graph,
+    strategy: &str,
+    mode: &str,
+    latency: Option<&str>,
     f: f64,
-    rounds: u64,
-    messages: u64,
-    delivered: f64,
+    (rounds, messages, delivered): (u64, u64, f64),
     makespan: Option<u64>,
-}
-
-impl GatherRow {
-    fn to_json(&self) -> String {
-        let latency = match self.latency {
-            Some(l) => format!("\"{l}\""),
-            None => "null".to_string(),
-        };
-        let makespan = match self.makespan {
-            Some(t) => t.to_string(),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"graph\":\"{}\",\"n\":{},\"m\":{},\"strategy\":\"{}\",\"mode\":\"{}\",\
-             \"latency\":{},\"f\":{:.3},\"rounds\":{},\"messages\":{},\
-             \"delivered\":{:.6},\"makespan\":{}}}",
-            self.graph,
-            self.n,
-            self.m,
-            self.strategy,
-            self.mode,
-            latency,
-            self.f,
-            self.rounds,
-            self.messages,
-            self.delivered,
-            makespan
-        )
-    }
+) {
+    rows.row(vec![
+        ("graph", graph_name.into(), Id),
+        ("n", g.n().into(), Id),
+        ("m", g.m().into(), Id),
+        ("strategy", strategy.into(), Id),
+        ("mode", mode.into(), Id),
+        ("latency", latency.into(), Id),
+        ("f", Cell::Float(f, 3), Id),
+        ("rounds", rounds.into(), Gated),
+        ("messages", messages.into(), Gated),
+        ("delivered", Cell::Float(delivered, 6), Gated),
+        ("makespan", makespan.into(), Exact),
+    ]);
 }
 
 /// Runs one gather program under the synchronous executor and the simulator's
 /// latency models, asserting engine invariance and the charged-bound
 /// contract, and appends one row per engine.
-#[allow(clippy::too_many_arguments)]
 fn run_gather_engines<P: GatherProgram>(
     g: &mfd_graph::Graph,
     program: &P,
     graph_name: &str,
     f: f64,
     charged_rounds: u64,
-    rows: &mut Vec<GatherRow>,
+    rows: &mut Series,
 ) {
     let cfg = ExecutorConfig::default();
+    let strategy = program.strategy_name();
     let (report, sync) =
         execute_gather(g, program, &cfg).expect("gather program is model-compliant");
     assert!(
         report.rounds <= charged_rounds,
-        "{} on {graph_name}: executed {} rounds exceed the charged bound {}",
-        program.strategy_name(),
+        "{strategy} on {graph_name}: executed {} rounds exceed the charged bound {}",
         report.rounds,
         charged_rounds
     );
-    rows.push(GatherRow {
-        graph: graph_name.to_string(),
-        n: g.n(),
-        m: g.m(),
-        strategy: program.strategy_name(),
-        mode: "executor",
-        latency: None,
-        f,
-        rounds: report.rounds,
-        messages: report.messages,
-        delivered: report.delivered_fraction,
-        makespan: None,
-    });
+    let measured = (report.rounds, report.messages, report.delivered_fraction);
+    gather_row(
+        rows, graph_name, g, strategy, "executor", None, f, measured, None,
+    );
     for (name, latency) in [
         ("fixed-1", LatencyModel::Fixed(1)),
         (
@@ -822,20 +728,20 @@ fn run_gather_engines<P: GatherProgram>(
             .expect("gather program is model-compliant");
         assert_eq!(sim.rounds, sync.rounds, "latency must not change rounds");
         assert_eq!(sim.messages, sync.messages);
-        let sim_report = program.executed_report(&sim.states, sim.rounds, sim.messages);
-        rows.push(GatherRow {
-            graph: graph_name.to_string(),
-            n: g.n(),
-            m: g.m(),
-            strategy: program.strategy_name(),
-            mode: "sim",
-            latency: Some(name),
+        let r = program.executed_report(&sim.states, sim.rounds, sim.messages);
+        let measured = (r.rounds, r.messages, r.delivered_fraction);
+        let makespan = Some(sim.makespan);
+        gather_row(
+            rows,
+            graph_name,
+            g,
+            strategy,
+            "sim",
+            Some(name),
             f,
-            rounds: sim_report.rounds,
-            messages: sim_report.messages,
-            delivered: sim_report.delivered_fraction,
-            makespan: Some(sim.makespan),
-        });
+            measured,
+            makespan,
+        );
     }
 }
 
@@ -851,32 +757,17 @@ fn gather_report() {
     // exactly the clusters for which `gather_to_leader` falls back to the
     // tree pipeline. The wheel (Θ(n)-degree hub) is the walk-friendly case.
     let walk_f = 0.2;
-    let mut rows: Vec<GatherRow> = Vec::new();
+    let mut rows = Series::new("gather");
     for (name, g) in &families {
         let leader = mfd_bench::acceptance_leader(g);
-        let metered_row = |strategy: &'static str, f, rounds, messages, delivered| GatherRow {
-            graph: name.to_string(),
-            n: g.n(),
-            m: g.m(),
-            strategy,
-            mode: "metered",
-            latency: None,
-            f,
-            rounds,
-            messages,
-            delivered,
-            makespan: None,
+        let metered_row = |rows: &mut Series, strategy, f, measured| {
+            gather_row(rows, name, g, strategy, "metered", None, f, measured, None);
         };
 
         let mut meter = RoundMeter::new();
         let charged = mfd_routing::gather::tree_gather(g, leader, &mut meter);
-        rows.push(metered_row(
-            "tree-pipeline",
-            f,
-            charged.rounds,
-            meter.messages(),
-            charged.delivered_fraction,
-        ));
+        let measured = (charged.rounds, meter.messages(), charged.delivered_fraction);
+        metered_row(&mut rows, "tree-pipeline", f, measured);
         let tree = TreeGatherProgram::new(g, leader);
         run_gather_engines(g, &tree, name, f, charged.rounds, &mut rows);
 
@@ -885,31 +776,20 @@ fn gather_report() {
         let charged = mfd_routing::load_balance::load_balance_gather_with_plan(
             g, leader, f, &plan, &mut meter,
         );
-        rows.push(metered_row(
-            "load-balance",
-            f,
-            charged.rounds,
-            meter.messages(),
-            charged.delivered_fraction,
-        ));
+        let measured = (charged.rounds, meter.messages(), charged.delivered_fraction);
+        metered_row(&mut rows, "load-balance", f, measured);
         let lb = LoadBalanceProgram::new(g, leader, f, &plan);
         run_gather_engines(g, &lb, name, f, charged.rounds, &mut rows);
 
         let plan = mfd_routing::walks::plan_walk_schedule(g, leader, walk_f, &walk_params);
         let mut meter = RoundMeter::new();
         let charged = mfd_routing::walks::execute_walk_gather(g, &plan, &walk_params, &mut meter);
-        rows.push(metered_row(
-            "walk-schedule",
-            walk_f,
-            charged.rounds,
-            meter.messages(),
-            charged.delivered_fraction,
-        ));
+        let measured = (charged.rounds, meter.messages(), charged.delivered_fraction);
+        metered_row(&mut rows, "walk-schedule", walk_f, measured);
         let walk = WalkScheduleProgram::new(g, &plan);
         run_gather_engines(g, &walk, name, walk_f, charged.rounds, &mut rows);
     }
-
-    let mut table = Table::new(
+    rows.print(
         "R2 — §2 gather strategies, metered charge vs executed NodePrograms \
          (rounds and messages are engine-invariant; executed ≤ charged)",
         &[
@@ -923,85 +803,46 @@ fn gather_report() {
             "makespan",
         ],
     );
-    for r in &rows {
-        table.row(vec![
-            r.graph.clone(),
-            r.strategy.to_string(),
-            r.mode.to_string(),
-            r.latency.unwrap_or("-").to_string(),
-            r.rounds.to_string(),
-            r.messages.to_string(),
-            f3(r.delivered),
-            r.makespan.map_or("-".to_string(), |t| t.to_string()),
-        ]);
-    }
-    table.print();
-
-    let json = format!(
-        "{{\n  \"schema\": \"mfd-bench/gather/v1\",\n  \"benchmarks\": [\n    {}\n  ]\n}}\n",
-        rows.iter()
-            .map(GatherRow::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n    ")
-    );
-    let path = "BENCH_gather.json";
-    std::fs::write(path, json).expect("write BENCH_gather.json");
-    println!("wrote {path} ({} series)", rows.len());
+    rows.write();
 }
 
-/// One fault-experiment measurement destined for `BENCH_faults.json`.
-struct FaultRow {
-    graph: String,
-    n: usize,
-    m: usize,
-    strategy: &'static str,
-    fault: &'static str,
-    /// `raw` (faults reach the program), `reliable` (behind the adapter) or
-    /// `crash` (re-election + re-gather).
-    mode: &'static str,
+/// One `BENCH_faults.json` row. `mode` is `raw` (faults reach the program),
+/// `reliable` (behind the adapter) or `crash` (re-election + re-gather).
+/// `wedged` is identity on purpose: whether a faulty run starves is a
+/// semantic property of the protocol, so a flip fails the gate as a
+/// disappeared series instead of sliding under a numeric tolerance.
+#[allow(clippy::too_many_arguments)]
+fn fault_row(
+    rows: &mut Series,
+    graph_name: &str,
+    g: &mfd_graph::Graph,
+    strategy: &str,
+    fault: &str,
+    mode: &str,
     f: f64,
-    rounds: u64,
-    messages: u64,
-    delivered: f64,
-    retransmits: Option<u64>,
-    excused: Option<u64>,
+    (rounds, messages, delivered): (u64, u64, f64),
+    stats: Option<mfd_faults::ReliableStats>,
     wedged: bool,
-}
-
-impl FaultRow {
-    fn to_json(&self) -> String {
-        let retransmits = match self.retransmits {
-            Some(x) => x.to_string(),
-            None => "null".to_string(),
-        };
-        let excused = match self.excused {
-            Some(x) => x.to_string(),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"graph\":\"{}\",\"n\":{},\"m\":{},\"strategy\":\"{}\",\"fault\":\"{}\",\
-             \"mode\":\"{}\",\"f\":{:.3},\"rounds\":{},\"messages\":{},\
-             \"delivered\":{:.6},\"retransmits\":{},\"excused\":{},\"wedged\":{}}}",
-            self.graph,
-            self.n,
-            self.m,
-            self.strategy,
-            self.fault,
-            self.mode,
-            self.f,
-            self.rounds,
-            self.messages,
-            self.delivered,
-            retransmits,
-            excused,
-            self.wedged
-        )
-    }
+) {
+    rows.row(vec![
+        ("graph", graph_name.into(), Id),
+        ("n", g.n().into(), Id),
+        ("m", g.m().into(), Id),
+        ("strategy", strategy.into(), Id),
+        ("fault", fault.into(), Id),
+        ("mode", mode.into(), Id),
+        ("f", Cell::Float(f, 3), Id),
+        ("rounds", rounds.into(), Gated),
+        ("messages", messages.into(), Gated),
+        ("delivered", Cell::Float(delivered, 6), Gated),
+        ("retransmits", stats.map(|s| s.retransmitted).into(), Gated),
+        ("excused", stats.map(|s| s.excused).into(), Exact),
+        ("wedged", wedged.into(), Id),
+    ]);
 }
 
 /// Runs one gather program raw and behind [`Reliable`] under one fault
 /// model, appending both rows.
-#[allow(clippy::too_many_arguments)]
 fn run_fault_scenario<P>(
     g: &mfd_graph::Graph,
     program: &P,
@@ -1009,52 +850,46 @@ fn run_fault_scenario<P>(
     f: f64,
     fault_name: &'static str,
     model: &FaultModel,
-    rows: &mut Vec<FaultRow>,
+    rows: &mut Series,
 ) where
     P: mfd_routing::programs::GatherProgram + Clone,
     P::State: Clone,
 {
     let config = SimConfig::default();
+    let strategy = program.strategy_name();
+    let mut row = |mode: &str, run: &mfd_faults::FaultImpact| {
+        let measured = (
+            run.gather.rounds,
+            run.gather.messages,
+            run.gather.delivered_fraction,
+        );
+        fault_row(
+            rows,
+            graph_name,
+            g,
+            strategy,
+            fault_name,
+            mode,
+            f,
+            measured,
+            run.reliable,
+            run.wedged,
+        );
+    };
     let raw = gather_raw(g, program, &config, model).expect("raw faulty run is model-compliant");
-    rows.push(FaultRow {
-        graph: graph_name.to_string(),
-        n: g.n(),
-        m: g.m(),
-        strategy: program.strategy_name(),
-        fault: fault_name,
-        mode: "raw",
-        f,
-        rounds: raw.gather.rounds,
-        messages: raw.gather.messages,
-        delivered: raw.gather.delivered_fraction,
-        retransmits: None,
-        excused: None,
-        wedged: raw.wedged,
-    });
+    row("raw", &raw);
     let reliable = Reliable::new(program.clone());
     let rec =
         gather_recovered(g, &reliable, &config, model).expect("recovered run is model-compliant");
     assert!(
         !rec.wedged,
-        "{} on {graph_name} under {fault_name}: the adapter itself starved",
-        program.strategy_name()
+        "{strategy} on {graph_name} under {fault_name}: the adapter itself starved"
     );
-    let stats = rec.reliable.expect("recovered run reports transport stats");
-    rows.push(FaultRow {
-        graph: graph_name.to_string(),
-        n: g.n(),
-        m: g.m(),
-        strategy: program.strategy_name(),
-        fault: fault_name,
-        mode: "reliable",
-        f,
-        rounds: rec.gather.rounds,
-        messages: rec.gather.messages,
-        delivered: rec.gather.delivered_fraction,
-        retransmits: Some(stats.retransmitted),
-        excused: Some(stats.excused),
-        wedged: rec.wedged,
-    });
+    assert!(
+        rec.reliable.is_some(),
+        "recovered run reports transport stats"
+    );
+    row("reliable", &rec);
 }
 
 /// R3 — the §2 gather strategies under injected faults: delivered-fraction
@@ -1072,7 +907,7 @@ fn faults_report() {
     let f = 0.1;
     let walk_f = 0.2;
     let walk_params = mfd_bench::acceptance_walk_params();
-    let mut rows: Vec<FaultRow> = Vec::new();
+    let mut rows = Series::new("faults");
     for (name, g) in &families {
         let leader = mfd_bench::acceptance_leader(g);
         let tree = TreeGatherProgram::new(g, leader);
@@ -1101,24 +936,25 @@ fn faults_report() {
             crash.agreement,
             "{name}: survivors disagree on the re-elected leader"
         );
-        rows.push(FaultRow {
-            graph: name.to_string(),
-            n: g.n(),
-            m: g.m(),
-            strategy: "crash-reelect",
-            fault: "crash-leader-r5",
-            mode: "crash",
+        let measured = (
+            crash.election_rounds + crash.regather.rounds,
+            crash.election_messages + crash.regather.messages,
+            crash.regather.delivered_fraction,
+        );
+        fault_row(
+            &mut rows,
+            name,
+            g,
+            "crash-reelect",
+            "crash-leader-r5",
+            "crash",
             f,
-            rounds: crash.election_rounds + crash.regather.rounds,
-            messages: crash.election_messages + crash.regather.messages,
-            delivered: crash.regather.delivered_fraction,
-            retransmits: None,
-            excused: None,
-            wedged: false,
-        });
+            measured,
+            None,
+            false,
+        );
     }
-
-    let mut table = Table::new(
+    rows.print(
         "R3 — gather under faults: raw degradation vs. reliable-adapter \
          recovery, and crash-stop re-election (delivered is the fraction of \
          the cluster's 2|E| messages reaching the leader)",
@@ -1135,78 +971,7 @@ fn faults_report() {
             "wedged",
         ],
     );
-    for r in &rows {
-        table.row(vec![
-            r.graph.clone(),
-            r.strategy.to_string(),
-            r.fault.to_string(),
-            r.mode.to_string(),
-            r.rounds.to_string(),
-            r.messages.to_string(),
-            f3(r.delivered),
-            r.retransmits.map_or("-".to_string(), |x| x.to_string()),
-            r.excused.map_or("-".to_string(), |x| x.to_string()),
-            r.wedged.to_string(),
-        ]);
-    }
-    table.print();
-
-    let json = format!(
-        "{{\n  \"schema\": \"mfd-bench/faults/v1\",\n  \"benchmarks\": [\n    {}\n  ]\n}}\n",
-        rows.iter()
-            .map(FaultRow::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n    ")
-    );
-    let path = "BENCH_faults.json";
-    std::fs::write(path, json).expect("write BENCH_faults.json");
-    println!("wrote {path} ({} series)", rows.len());
-}
-
-/// One (ε, D, T)-construction measurement destined for `BENCH_edt.json`:
-/// a backend on a graph family, split into the construction and routing
-/// phases of Table 1.
-struct EdtRow {
-    graph: String,
-    n: usize,
-    m: usize,
-    eps: f64,
-    backend: &'static str,
-    phase: &'static str,
-    rounds: u64,
-    messages: u64,
-    delivered: Option<f64>,
-    /// Largest per-cluster round count of the routing gathers (routing-phase
-    /// rows only; the parallel fold otherwise collapses it into a max).
-    cluster_rounds_max: Option<u64>,
-    /// Summed per-cluster messages of the routing gathers.
-    cluster_messages: Option<u64>,
-}
-
-impl EdtRow {
-    fn to_json(&self) -> String {
-        let delivered = match self.delivered {
-            Some(d) => format!("{d:.6}"),
-            None => "null".to_string(),
-        };
-        let opt = |x: Option<u64>| x.map_or("null".to_string(), |v| v.to_string());
-        format!(
-            "{{\"graph\":\"{}\",\"n\":{},\"m\":{},\"eps\":{:.3},\"backend\":\"{}\",\
-             \"phase\":\"{}\",\"rounds\":{},\"messages\":{},\"delivered\":{},\
-             \"cluster_rounds_max\":{},\"cluster_messages\":{}}}",
-            self.graph,
-            self.n,
-            self.m,
-            self.eps,
-            self.backend,
-            self.phase,
-            self.rounds,
-            self.messages,
-            delivered,
-            opt(self.cluster_rounds_max),
-            opt(self.cluster_messages)
-        )
-    }
+    rows.write();
 }
 
 /// R4 — the (ε, D, T)-construction end to end, metered charge vs the
@@ -1217,7 +982,7 @@ impl EdtRow {
 /// fails the report itself, not just the gate.
 fn edt_report() {
     let families = mfd_bench::edt_acceptance_families();
-    let mut rows: Vec<EdtRow> = Vec::new();
+    let mut rows = Series::new("edt");
     for (name, g, eps) in &families {
         let config = EdtConfig::new(*eps);
         let mut charged_sink = MetricsSink::new();
@@ -1260,118 +1025,93 @@ fn edt_report() {
                 .filter(|p| p.name == "routing")
                 .map(|p| p.messages)
                 .sum();
-            rows.push(EdtRow {
-                graph: name.to_string(),
-                n: g.n(),
-                m: g.m(),
-                eps: *eps,
-                backend: d.backend,
-                phase: "construction",
-                rounds: d.construction_rounds,
-                messages: meter.messages() - routing_messages,
-                delivered: None,
-                cluster_rounds_max: None,
-                cluster_messages: None,
-            });
-            rows.push(EdtRow {
-                graph: name.to_string(),
-                n: g.n(),
-                m: g.m(),
-                eps: *eps,
-                backend: d.backend,
-                phase: "routing",
-                rounds: d.routing_rounds,
-                messages: routing_messages,
-                delivered: Some(d.min_delivered_fraction),
-                cluster_rounds_max: Some(sink.max_cluster_rounds()),
-                cluster_messages: Some(sink.cluster_messages()),
-            });
+            // One row per phase of Table 1; the per-cluster routing maxima
+            // (which the parallel fold otherwise collapses into a max) exist
+            // on routing rows only.
+            let mut row =
+                |phase: &str, rounds: u64, messages: u64, routing: Option<(f64, u64, u64)>| {
+                    rows.row(vec![
+                        ("graph", (*name).into(), Id),
+                        ("n", g.n().into(), Id),
+                        ("m", g.m().into(), Id),
+                        ("eps", Cell::Float(*eps, 3), Id),
+                        ("backend", d.backend.into(), Id),
+                        ("phase", phase.into(), Id),
+                        ("rounds", rounds.into(), Gated),
+                        ("messages", messages.into(), Gated),
+                        (
+                            "delivered",
+                            routing.map(|r| Cell::Float(r.0, 6)).into(),
+                            Gated,
+                        ),
+                        ("cluster_rounds_max", routing.map(|r| r.1).into(), Exact),
+                        ("cluster_messages", routing.map(|r| r.2).into(), Exact),
+                    ]);
+                };
+            row(
+                "construction",
+                d.construction_rounds,
+                meter.messages() - routing_messages,
+                None,
+            );
+            row(
+                "routing",
+                d.routing_rounds,
+                routing_messages,
+                Some((
+                    d.min_delivered_fraction,
+                    sink.max_cluster_rounds(),
+                    sink.cluster_messages(),
+                )),
+            );
         }
     }
-
-    let mut table = Table::new(
+    rows.print(
         "R4 — (ε, D, T)-construction: metered charge vs executed backend \
          (identical partitions; executed ≤ charged per phase)",
         &[
             "graph",
-            "ε",
+            "ε=eps",
             "backend",
             "phase",
             "rounds",
             "messages",
             "delivered",
-            "cluster rounds (max)",
-            "cluster messages",
+            "cluster rounds (max)=cluster_rounds_max",
+            "cluster messages=cluster_messages",
         ],
     );
-    for r in &rows {
-        table.row(vec![
-            r.graph.clone(),
-            f3(r.eps),
-            r.backend.to_string(),
-            r.phase.to_string(),
-            r.rounds.to_string(),
-            r.messages.to_string(),
-            r.delivered.map_or("-".to_string(), f3),
-            r.cluster_rounds_max
-                .map_or("-".to_string(), |x| x.to_string()),
-            r.cluster_messages
-                .map_or("-".to_string(), |x| x.to_string()),
-        ]);
-    }
-    table.print();
-
-    let json = format!(
-        "{{\n  \"schema\": \"mfd-bench/edt/v1\",\n  \"benchmarks\": [\n    {}\n  ]\n}}\n",
-        rows.iter()
-            .map(EdtRow::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n    ")
-    );
-    let path = "BENCH_edt.json";
-    std::fs::write(path, json).expect("write BENCH_edt.json");
-    println!("wrote {path} ({} series)", rows.len());
+    rows.write();
 }
 
-/// One trace-surface measurement destined for `BENCH_trace.json`: a traced
-/// program on an acceptance family under one engine — event/span counts and
-/// the digest-chain head — or an edt construction's span accounting.
-struct TraceRow {
-    program: &'static str,
-    graph: String,
-    n: usize,
-    m: usize,
-    engine: &'static str,
+/// One `BENCH_trace.json` row: a traced program on an acceptance family
+/// under one engine — event/span counts and the digest-chain head over all
+/// sealed rounds — or an edt construction's span accounting (no single
+/// chain, so no head).
+#[allow(clippy::too_many_arguments)]
+fn trace_row(
+    rows: &mut Series,
+    program: &str,
+    graph_name: &str,
+    g: &mfd_graph::Graph,
+    engine: &str,
     rounds: u64,
     messages: u64,
-    events: u64,
-    spans: u64,
-    /// Digest-chain head over all sealed rounds (hex), when state digests
-    /// are part of the row (engine runs; the edt span rows have none).
-    digest: Option<String>,
-}
-
-impl TraceRow {
-    fn to_json(&self) -> String {
-        let digest = match &self.digest {
-            Some(d) => format!("\"{d}\""),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"program\":\"{}\",\"graph\":\"{}\",\"n\":{},\"m\":{},\"engine\":\"{}\",\
-             \"rounds\":{},\"messages\":{},\"events\":{},\"spans\":{},\"digest\":{}}}",
-            self.program,
-            self.graph,
-            self.n,
-            self.m,
-            self.engine,
-            self.rounds,
-            self.messages,
-            self.events,
-            self.spans,
-            digest
-        )
-    }
+    sink: &MetricsSink,
+    digest: Option<u64>,
+) {
+    rows.row(vec![
+        ("program", program.into(), Id),
+        ("graph", graph_name.into(), Id),
+        ("n", g.n().into(), Id),
+        ("m", g.m().into(), Id),
+        ("engine", engine.into(), Id),
+        ("rounds", rounds.into(), Gated),
+        ("messages", messages.into(), Gated),
+        ("events", sink.total_events().into(), Exact),
+        ("spans", sink.spans.len().into(), Exact),
+        ("digest", digest.map(Cell::Hex).into(), Id),
+    ]);
 }
 
 /// Runs one program under both engines with a `Tee(MetricsSink, DigestSink)`
@@ -1383,7 +1123,7 @@ fn run_trace_engines<P>(
     program: &P,
     graph_name: &str,
     prog_name: &'static str,
-    rows: &mut Vec<TraceRow>,
+    rows: &mut Series,
 ) where
     P: NodeProgram,
     P::State: std::hash::Hash,
@@ -1394,18 +1134,20 @@ fn run_trace_engines<P>(
         .run_traced(csr, program, &mut sink)
         .expect("program is model-compliant");
     let head = sink.b.head();
-    rows.push(TraceRow {
-        program: prog_name,
-        graph: graph_name.to_string(),
-        n: g.n(),
-        m: g.m(),
-        engine: "executor",
-        rounds: sync.rounds,
-        messages: sync.messages,
-        events: sink.a.total_events(),
-        spans: sink.a.spans.len() as u64,
-        digest: Some(format!("{head:016x}")),
-    });
+    let mut row = |engine: &str, rounds: u64, messages: u64, sink: &MetricsSink| {
+        trace_row(
+            rows,
+            prog_name,
+            graph_name,
+            g,
+            engine,
+            rounds,
+            messages,
+            sink,
+            Some(head),
+        );
+    };
+    row("executor", sync.rounds, sync.messages, &sink.a);
     let mut sim_sink = Tee::new(MetricsSink::new(), DigestSink::new());
     let sim = Simulator::new(SimConfig::matching(&cfg, LatencyModel::Fixed(1)))
         .run_traced(g, program, &mut sim_sink)
@@ -1415,18 +1157,7 @@ fn run_trace_engines<P>(
         head,
         "{prog_name} on {graph_name}: engines disagree on the digest chain"
     );
-    rows.push(TraceRow {
-        program: prog_name,
-        graph: graph_name.to_string(),
-        n: g.n(),
-        m: g.m(),
-        engine: "sim-fixed-1",
-        rounds: sim.rounds,
-        messages: sim.messages,
-        events: sim_sink.a.total_events(),
-        spans: sim_sink.a.spans.len() as u64,
-        digest: Some(format!("{:016x}", sim_sink.b.head())),
-    });
+    row("sim-fixed-1", sim.rounds, sim.messages, &sim_sink.a);
 }
 
 /// R5 — the observability surface itself: per program × family × engine
@@ -1435,7 +1166,7 @@ fn run_trace_engines<P>(
 /// twice and byte-diffs it — the determinism contract of `mfd-trace`,
 /// machine-checked.
 fn trace_report() {
-    let mut rows: Vec<TraceRow> = Vec::new();
+    let mut rows = Series::new("trace");
     for (name, g) in &mfd_bench::acceptance_families() {
         let csr = CsrGraph::from_graph(g);
         run_trace_engines(g, &csr, &BfsProgram { root: 0 }, name, "bfs", &mut rows);
@@ -1455,110 +1186,27 @@ fn trace_report() {
     // messages per span, plus one cluster_run event per routing gather.
     for (name, g, eps) in &mfd_bench::edt_acceptance_families() {
         let config = EdtConfig::new(*eps);
-        for backend_rows in [
-            {
-                let mut sink = MetricsSink::new();
-                let (_, meter) = build_edt_traced(g, &config, &Metered, &mut sink);
-                ("edt-metered", sink, meter)
-            },
-            {
-                let mut sink = MetricsSink::new();
-                let (_, meter) = build_edt_traced(g, &config, &Executed::default(), &mut sink);
-                ("edt-executed", sink, meter)
-            },
-        ] {
-            let (engine, sink, meter) = backend_rows;
-            rows.push(TraceRow {
-                program: "edt",
-                graph: name.to_string(),
-                n: g.n(),
-                m: g.m(),
-                engine,
-                rounds: meter.rounds(),
-                messages: meter.messages(),
-                events: sink.total_events(),
-                spans: sink.spans.len() as u64,
-                digest: None,
-            });
-        }
+        let mut row = |engine: &str, meter: RoundMeter, sink: MetricsSink| {
+            let (rounds, messages) = (meter.rounds(), meter.messages());
+            trace_row(
+                &mut rows, "edt", name, g, engine, rounds, messages, &sink, None,
+            );
+        };
+        let mut sink = MetricsSink::new();
+        let (_, meter) = build_edt_traced(g, &config, &Metered, &mut sink);
+        row("edt-metered", meter, sink);
+        let mut sink = MetricsSink::new();
+        let (_, meter) = build_edt_traced(g, &config, &Executed::default(), &mut sink);
+        row("edt-executed", meter, sink);
     }
-
-    let mut table = Table::new(
+    rows.print(
         "R5 — trace surface: event/span counts and digest-chain heads \
          (engines agree on every head; the JSON is byte-diffed in CI)",
         &[
             "program", "graph", "engine", "rounds", "messages", "events", "spans", "digest",
         ],
     );
-    for r in &rows {
-        table.row(vec![
-            r.program.to_string(),
-            r.graph.clone(),
-            r.engine.to_string(),
-            r.rounds.to_string(),
-            r.messages.to_string(),
-            r.events.to_string(),
-            r.spans.to_string(),
-            r.digest.clone().unwrap_or_else(|| "-".to_string()),
-        ]);
-    }
-    table.print();
-
-    let json = format!(
-        "{{\n  \"schema\": \"mfd-bench/trace/v1\",\n  \"benchmarks\": [\n    {}\n  ]\n}}\n",
-        rows.iter()
-            .map(TraceRow::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n    ")
-    );
-    let path = "BENCH_trace.json";
-    std::fs::write(path, json).expect("write BENCH_trace.json");
-    println!("wrote {path} ({} series)", rows.len());
-}
-
-/// One replay-surface measurement destined for `BENCH_replay.json`: a
-/// journaled probe run on an acceptance family under one engine
-/// configuration, resumed from its middle checkpoint — the resumed digest
-/// chain is asserted equal to the uninterrupted run's chain round for round
-/// **before** a byte of JSON is written, so a resume-equality regression
-/// fails the report instead of shipping a stale-looking series.
-struct ReplayRow {
-    graph: String,
-    n: usize,
-    engine: &'static str,
-    faults: &'static str,
-    every: u64,
-    checkpoint_round: u64,
-    rounds: u64,
-    messages: u64,
-    /// Snapshot-codec payload bytes of the checkpoint the resume restored.
-    checkpoint_bytes: u64,
-    /// Rounds the resumed engine re-executed after the restore.
-    rounds_replayed: u64,
-    /// Digest-chain head over all sealed rounds (hex) — equal between the
-    /// uninterrupted and resumed runs by the in-process assertion.
-    head: String,
-}
-
-impl ReplayRow {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"graph\":\"{}\",\"n\":{},\"engine\":\"{}\",\"faults\":\"{}\",\"every\":{},\
-             \"checkpoint_round\":{},\"rounds\":{},\"messages\":{},\"checkpoint_bytes\":{},\
-             \"rounds_replayed\":{},\"head\":\"{}\"}}",
-            self.graph,
-            self.n,
-            self.engine,
-            self.faults,
-            self.every,
-            self.checkpoint_round,
-            self.rounds,
-            self.messages,
-            self.checkpoint_bytes,
-            self.rounds_replayed,
-            self.head
-        )
-    }
+    rows.write();
 }
 
 /// R6 — replay surface: checkpoint journals and bit-identical resume on
@@ -1574,7 +1222,7 @@ fn replay_report() {
     const ROUNDS: u64 = 16;
     let cfg = ExecutorConfig::default();
     let probe = DivergenceProbe::clean(ROUNDS);
-    let mut rows: Vec<ReplayRow> = Vec::new();
+    let mut rows = Series::new("replay");
 
     // The checkpoint every resume restores: the journal's middle one, so
     // rounds_replayed measures a genuine suffix re-execution.
@@ -1583,6 +1231,31 @@ fn replay_report() {
     }
 
     for (name, g) in &mfd_bench::acceptance_families() {
+        // One row: a journaled probe run under one engine configuration,
+        // resumed from `cp`. `checkpoint_bytes` is that checkpoint's
+        // snapshot-codec payload, `rounds_replayed` the rounds the resumed
+        // engine re-executed, `head` the digest-chain head over all rounds.
+        let mut row = |engine: &str,
+                       faults: &str,
+                       cp: &mfd_replay::JournalCheckpoint,
+                       (rounds, messages): (u64, u64),
+                       rounds_replayed: u64,
+                       head: u64| {
+            rows.row(vec![
+                ("graph", (*name).into(), Id),
+                ("n", g.n().into(), Id),
+                ("engine", engine.into(), Id),
+                ("faults", faults.into(), Id),
+                ("every", EVERY.into(), Id),
+                ("checkpoint_round", cp.round.into(), Id),
+                ("rounds", rounds.into(), Gated),
+                ("messages", messages.into(), Gated),
+                ("checkpoint_bytes", cp.payload.len().into(), Gated),
+                ("rounds_replayed", rounds_replayed.into(), Exact),
+                ("head", Cell::Hex(head), Id),
+            ]);
+        };
+
         let csr = CsrGraph::from_graph(g);
         let full = executor_journal(&csr, &probe, &cfg, EVERY, name).expect("probe runs");
         let cp = mid(&full.journal);
@@ -1594,19 +1267,14 @@ fn replay_report() {
             "{name}/executor: resumed chain must equal the uninterrupted chain"
         );
         assert_eq!(resumed.run.states, full.run.states);
-        rows.push(ReplayRow {
-            graph: name.to_string(),
-            n: g.n(),
-            engine: "executor",
-            faults: "none",
-            every: EVERY,
-            checkpoint_round: cp.round,
-            rounds: full.run.rounds,
-            messages: full.run.messages,
-            checkpoint_bytes: cp.payload.len() as u64,
-            rounds_replayed: resumed.rounds_replayed,
-            head: format!("{:016x}", full.sink.head()),
-        });
+        row(
+            "executor",
+            "none",
+            cp,
+            (full.run.rounds, full.run.messages),
+            resumed.rounds_replayed,
+            full.sink.head(),
+        );
 
         for (engine, latency) in [
             ("sim-fixed-1", LatencyModel::Fixed(1)),
@@ -1625,19 +1293,9 @@ fn replay_report() {
             let (full_run, resumed_run) = (&full.run.run, &resumed.run.run);
             assert_eq!(resumed_run.states, full_run.states);
             assert_eq!(resumed_run.makespan, full_run.makespan);
-            rows.push(ReplayRow {
-                graph: name.to_string(),
-                n: g.n(),
-                engine,
-                faults: "none",
-                every: EVERY,
-                checkpoint_round: cp.round,
-                rounds: full_run.rounds,
-                messages: full_run.messages,
-                checkpoint_bytes: cp.payload.len() as u64,
-                rounds_replayed: resumed.rounds_replayed,
-                head: format!("{:016x}", full.sink.head()),
-            });
+            let counts = (full_run.rounds, full_run.messages);
+            let head = full.sink.head();
+            row(engine, "none", cp, counts, resumed.rounds_replayed, head);
         }
 
         // The acceptance configuration: the probe under ARQ reliable
@@ -1664,131 +1322,92 @@ fn replay_report() {
             Reliable::inner_states(&resumed.run.run.states),
             Reliable::inner_states(&full.run.run.states)
         );
-        rows.push(ReplayRow {
-            graph: name.to_string(),
-            n: g.n(),
-            engine: "sim-skewed",
-            faults: "iid-loss-0.2+reliable",
-            every: EVERY,
-            checkpoint_round: cp.round,
-            rounds: full.run.run.rounds,
-            messages: full.run.run.messages,
-            checkpoint_bytes: cp.payload.len() as u64,
-            rounds_replayed: resumed.rounds_replayed,
-            head: format!("{:016x}", full.sink.head()),
-        });
+        row(
+            "sim-skewed",
+            "iid-loss-0.2+reliable",
+            cp,
+            (full.run.run.rounds, full.run.run.messages),
+            resumed.rounds_replayed,
+            full.sink.head(),
+        );
     }
-
-    let mut table = Table::new(
+    rows.print(
         "R6 — replay surface: checkpoint journal sizes and bit-identical resume \
          (every row's resumed chain asserted equal to the uninterrupted run's)",
         &[
             "graph",
             "engine",
             "faults",
-            "ckpt@",
+            "ckpt@=checkpoint_round",
             "rounds",
             "messages",
-            "ckpt bytes",
-            "replayed",
+            "ckpt bytes=checkpoint_bytes",
+            "replayed=rounds_replayed",
             "head",
         ],
     );
-    for r in &rows {
-        table.row(vec![
-            r.graph.clone(),
-            r.engine.to_string(),
-            r.faults.to_string(),
-            r.checkpoint_round.to_string(),
-            r.rounds.to_string(),
-            r.messages.to_string(),
-            r.checkpoint_bytes.to_string(),
-            r.rounds_replayed.to_string(),
-            r.head.clone(),
-        ]);
-    }
-    table.print();
-
-    let json = format!(
-        "{{\n  \"schema\": \"mfd-bench/replay/v1\",\n  \"benchmarks\": [\n    {}\n  ]\n}}\n",
-        rows.iter()
-            .map(ReplayRow::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n    ")
-    );
-    let path = "BENCH_replay.json";
-    std::fs::write(path, json).expect("write BENCH_replay.json");
-    println!("wrote {path} ({} series)", rows.len());
+    rows.write();
 }
 
-/// One sharded-executor measurement destined for `BENCH_scale.json`.
+/// One `BENCH_scale.json` row.
 ///
-/// Identity fields: engine, graph, n, m, program, shards, threads and (where
-/// journaled) `digest_head` — so a semantic change to an engine fails the
-/// gate loudly as a disappeared series rather than sliding under a numeric
-/// tolerance. Gated metrics: rounds, messages. `mailbox_hwm`/`route_hwm` are
-/// deterministic envelope-count high-water marks (byte-diffed, ungated);
-/// `elapsed_ms`/`mps`/`rps` are wall clock — ungated and normalized away
-/// before CI's determinism byte-diff.
-struct ScaleRow {
-    engine: &'static str,
-    graph: String,
-    n: usize,
-    m: usize,
-    program: String,
-    /// `None` on reference-stepper rows.
+/// Identity: engine, graph, n, m, program, shards (`None` on
+/// reference-stepper rows), threads (`None` = all available cores) and, where
+/// the run is one journaled execution, `digest_head` — so a semantic change
+/// to an engine fails the gate loudly as a disappeared series rather than
+/// sliding under a numeric tolerance. `mailbox_hwm` / `route_hwm` are the
+/// arena's deterministic envelope-count high-water marks. The wall clock
+/// reaches the table only.
+#[allow(clippy::too_many_arguments)]
+fn scale_row(
+    rows: &mut Series,
+    engine: &str,
+    graph_name: &str,
+    (n, m): (usize, usize),
+    program: &str,
     shards: Option<usize>,
-    /// `None` means "all available cores".
     threads: Option<usize>,
     rounds: u64,
     messages: u64,
     digest_head: Option<u64>,
-    mailbox_hwm: Option<u64>,
-    route_hwm: Option<u64>,
+    arena: Option<mfd_runtime::ArenaStats>,
     elapsed_ms: f64,
+) {
+    let secs = (elapsed_ms / 1e3).max(1e-9);
+    rows.row(vec![
+        ("engine", engine.into(), Id),
+        ("graph", graph_name.into(), Id),
+        ("n", n.into(), Id),
+        ("m", m.into(), Id),
+        ("program", program.into(), Id),
+        ("shards", shards.into(), Id),
+        ("threads", threads.into(), Id),
+        ("rounds", rounds.into(), Gated),
+        ("messages", messages.into(), Gated),
+        ("digest_head", digest_head.map(Cell::Hex).into(), Id),
+        (
+            "mailbox_hwm",
+            arena.map(|a| a.mailbox_slots_hwm).into(),
+            Exact,
+        ),
+        ("route_hwm", arena.map(|a| a.route_slots_hwm).into(), Exact),
+        ("ms", Cell::Float(elapsed_ms, 1), Wall),
+        ("Mmsg/s", Cell::Float(messages as f64 / secs / 1e6, 3), Wall),
+    ]);
 }
 
-impl ScaleRow {
-    fn to_json(&self) -> String {
-        let opt = |v: Option<u64>| v.map_or("null".to_string(), |x| x.to_string());
-        let opt_usize = |v: Option<usize>| v.map_or("null".to_string(), |x| x.to_string());
-        let head = self
-            .digest_head
-            .map_or("null".to_string(), |h| format!("\"{h:016x}\""));
-        let secs = (self.elapsed_ms / 1e3).max(1e-9);
-        format!(
-            "{{\"engine\":\"{}\",\"graph\":\"{}\",\"n\":{},\"m\":{},\"program\":\"{}\",\
-             \"shards\":{},\"threads\":{},\"rounds\":{},\"messages\":{},\
-             \"digest_head\":{},\"mailbox_hwm\":{},\"route_hwm\":{},\
-             \"elapsed_ms\":{:.3},\"mps\":{:.1},\"rps\":{:.1}}}",
-            self.engine,
-            self.graph,
-            self.n,
-            self.m,
-            self.program,
-            opt_usize(self.shards),
-            opt_usize(self.threads),
-            self.rounds,
-            self.messages,
-            head,
-            opt(self.mailbox_hwm),
-            opt(self.route_hwm),
-            self.elapsed_ms,
-            self.messages as f64 / secs,
-            self.rounds as f64 / secs,
-        )
-    }
-}
-
-/// Runs `program` on the sharded executor with a digest journal, returning
-/// the execution, the wall-clock milliseconds it took, and the digest-chain
-/// head — so every scale row carries an identity-gated `digest_head`.
+/// Runs `program` on the sharded executor with a digest journal and appends
+/// its scale row — so every such row carries an identity-gated
+/// `digest_head` — returning the execution and the digest-chain head.
 fn sharded_run<P>(
+    rows: &mut Series,
+    graph_name: &str,
     csr: &CsrGraph,
+    program_name: &str,
     program: &P,
     shards: usize,
     threads: usize,
-) -> (mfd_runtime::ShardedExecution<P::State>, f64, u64)
+) -> (mfd_runtime::ShardedExecution<P::State>, DigestSink)
 where
     P: NodeProgram,
     P::State: std::hash::Hash,
@@ -1798,7 +1417,22 @@ where
     let run = ShardedExecutor::new(ShardedConfig::with_shards_threads(shards, threads))
         .run_traced(csr, program, &mut sink)
         .expect("program is model-compliant");
-    (run, t0.elapsed().as_secs_f64() * 1e3, sink.head())
+    scale_row(
+        rows,
+        "sharded",
+        graph_name,
+        (csr.n(), csr.m()),
+        program_name,
+        Some(shards),
+        // 0 asks the engine for every available core.
+        Some(threads).filter(|&t| t > 0),
+        run.rounds,
+        run.messages,
+        Some(sink.head()),
+        Some(run.arena),
+        t0.elapsed().as_secs_f64() * 1e3,
+    );
+    (run, sink)
 }
 
 /// R7 — the scale series: the sharded CSR executor against the reference
@@ -1807,7 +1441,8 @@ where
 /// curves and million-vertex BFS / LDD / executed-EDT runs on the streaming
 /// generator families, written to `BENCH_scale.json`.
 fn scale_report(heavy: bool) {
-    let mut rows: Vec<ScaleRow> = Vec::new();
+    let mut rows = Series::new("scale");
+    const LDD: &str = "voronoi-ldd-1024";
 
     // --- Differential block: sharded vs reference stepper on the acceptance
     // families, digest chains journaled on both sides.
@@ -1817,30 +1452,25 @@ fn scale_report(heavy: bool) {
         let reference = Executor::new(ExecutorConfig::default())
             .run_traced(g, &BfsProgram { root: 0 }, &mut ref_sink)
             .expect("bfs is model-compliant");
-        rows.push(ScaleRow {
-            engine: "executor",
-            graph: name.to_string(),
-            n: g.n(),
-            m: g.m(),
-            program: "bfs".to_string(),
-            shards: None,
-            threads: None,
-            rounds: reference.rounds,
-            messages: reference.messages,
-            digest_head: Some(ref_sink.head()),
-            mailbox_hwm: None,
-            route_hwm: None,
-            elapsed_ms: t0.elapsed().as_secs_f64() * 1e3,
-        });
+        scale_row(
+            &mut rows,
+            "executor",
+            name,
+            (g.n(), g.m()),
+            "bfs",
+            None,
+            None,
+            reference.rounds,
+            reference.messages,
+            Some(ref_sink.head()),
+            None,
+            t0.elapsed().as_secs_f64() * 1e3,
+        );
 
         let csr = CsrGraph::from_graph(g);
         for shards in [1, 4, 32] {
-            let mut sink = DigestSink::new();
-            let t0 = std::time::Instant::now();
-            let run = ShardedExecutor::new(ShardedConfig::with_shards_threads(shards, 2))
-                .run_traced(&csr, &BfsProgram { root: 0 }, &mut sink)
-                .expect("bfs is model-compliant");
-            let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
+            let bfs = BfsProgram { root: 0 };
+            let (run, sink) = sharded_run(&mut rows, name, &csr, "bfs", &bfs, shards, 2);
             assert_eq!(
                 run.states, reference.states,
                 "{name}/bfs/shards={shards}: sharded states must be bit-identical"
@@ -1852,21 +1482,6 @@ fn scale_report(heavy: bool) {
                 ref_sink.heads(),
                 "{name}/bfs/shards={shards}: digest chains must match the reference stepper"
             );
-            rows.push(ScaleRow {
-                engine: "sharded",
-                graph: name.to_string(),
-                n: g.n(),
-                m: g.m(),
-                program: "bfs".to_string(),
-                shards: Some(shards),
-                threads: Some(2),
-                rounds: run.rounds,
-                messages: run.messages,
-                digest_head: Some(sink.head()),
-                mailbox_hwm: Some(run.arena.mailbox_slots_hwm as u64),
-                route_hwm: Some(run.arena.route_slots_hwm as u64),
-                elapsed_ms,
-            });
         }
     }
 
@@ -1877,7 +1492,8 @@ fn scale_report(heavy: bool) {
     let ldd = VoronoiLddProgram::new(mesh.n(), &centers);
     let mut thread_base: Option<(mfd_runtime::ShardedExecution<_>, u64)> = None;
     for threads in [1, 2, 4, 8] {
-        let (run, elapsed_ms, head) = sharded_run(&mesh, &ldd, 64, threads);
+        let (run, sink) = sharded_run(&mut rows, "mesh-1000x1000", &mesh, LDD, &ldd, 64, threads);
+        let head = sink.head();
         if let Some((base, base_head)) = &thread_base {
             assert_eq!(
                 run.states, base.states,
@@ -1890,29 +1506,17 @@ fn scale_report(heavy: bool) {
                 "mesh-1000x1000/ldd: digest head must be thread-invariant"
             );
         }
-        rows.push(ScaleRow {
-            engine: "sharded",
-            graph: "mesh-1000x1000".to_string(),
-            n: mesh.n(),
-            m: mesh.m(),
-            program: "voronoi-ldd-1024".to_string(),
-            shards: Some(64),
-            threads: Some(threads),
-            rounds: run.rounds,
-            messages: run.messages,
-            digest_head: Some(head),
-            mailbox_hwm: Some(run.arena.mailbox_slots_hwm as u64),
-            route_hwm: Some(run.arena.route_slots_hwm as u64),
-            elapsed_ms,
-        });
         if thread_base.is_none() {
             thread_base = Some((run, head));
         }
     }
     // Shard-count invariance at the same scale (shard count changes routing
     // and arena layout, so states, the meter, and the per-round digest chain
-    // must agree while arena HWMs may differ).
-    let (run17, _, head17) = sharded_run(&mesh, &ldd, 17, 0);
+    // must agree while arena HWMs may differ). Checked, not reported.
+    let mut sink17 = DigestSink::new();
+    let run17 = ShardedExecutor::new(ShardedConfig::with_shards_threads(17, 0))
+        .run_traced(&mesh, &ldd, &mut sink17)
+        .expect("ldd is model-compliant");
     let (base, base_head) = thread_base.as_ref().expect("thread block ran");
     assert_eq!(
         run17.states, base.states,
@@ -1921,7 +1525,8 @@ fn scale_report(heavy: bool) {
     assert_eq!(run17.rounds, base.rounds);
     assert_eq!(run17.messages, base.messages);
     assert_eq!(
-        head17, *base_head,
+        sink17.head(),
+        *base_head,
         "mesh-1000x1000/ldd: digest head must be shard-invariant"
     );
 
@@ -1936,42 +1541,12 @@ fn scale_report(heavy: bool) {
         ),
     ];
     for (name, g) in &flagship {
-        let (run, elapsed_ms, head) = sharded_run(g, &BfsProgram { root: 0 }, 64, 0);
+        let (run, _) = sharded_run(&mut rows, name, g, "bfs", &BfsProgram { root: 0 }, 64, 0);
         assert!(run.messages > 0, "{name}: bfs must flood");
-        rows.push(ScaleRow {
-            engine: "sharded",
-            graph: name.to_string(),
-            n: g.n(),
-            m: g.m(),
-            program: "bfs".to_string(),
-            shards: Some(64),
-            threads: None,
-            rounds: run.rounds,
-            messages: run.messages,
-            digest_head: Some(head),
-            mailbox_hwm: Some(run.arena.mailbox_slots_hwm as u64),
-            route_hwm: Some(run.arena.route_slots_hwm as u64),
-            elapsed_ms,
-        });
 
         let centers: Vec<usize> = (0..1024).map(|i| (i * g.n()) / 1024).collect();
         let ldd = VoronoiLddProgram::new(g.n(), &centers);
-        let (run, elapsed_ms, head) = sharded_run(g, &ldd, 64, 0);
-        rows.push(ScaleRow {
-            engine: "sharded",
-            graph: name.to_string(),
-            n: g.n(),
-            m: g.m(),
-            program: "voronoi-ldd-1024".to_string(),
-            shards: Some(64),
-            threads: None,
-            rounds: run.rounds,
-            messages: run.messages,
-            digest_head: Some(head),
-            mailbox_hwm: Some(run.arena.mailbox_slots_hwm as u64),
-            route_hwm: Some(run.arena.route_slots_hwm as u64),
-            elapsed_ms,
-        });
+        sharded_run(&mut rows, name, g, LDD, &ldd, 64, 0);
     }
 
     // --- Executed (ε, D, T) at a million vertices, through the CSR
@@ -1990,24 +1565,23 @@ fn scale_report(heavy: bool) {
         "{name}: executed EDT must meet its ε target"
     );
     assert!(d.clustering.num_clusters() >= 1);
-    rows.push(ScaleRow {
-        engine: "executor",
-        graph: name.to_string(),
-        n: g.n(),
-        m: g.m(),
-        program: format!("edt-eps-{EDT_SCALE_EPSILON}"),
-        shards: None,
-        threads: None,
-        rounds: meter.rounds(),
-        messages: meter.messages(),
+    scale_row(
+        &mut rows,
+        "executor",
+        name,
+        (g.n(), g.m()),
+        &format!("edt-eps-{EDT_SCALE_EPSILON}"),
+        None,
+        None,
+        meter.rounds(),
+        meter.messages(),
         // The EDT pipeline is many runs stitched together (cluster gathers,
         // boundary rounds), not a single journaled execution — there is no
         // one digest chain to head. Stays null by design.
-        digest_head: None,
-        mailbox_hwm: None,
-        route_hwm: None,
+        None,
+        None,
         elapsed_ms,
-    });
+    );
 
     // --- Heavy block (`--heavy` only; out of the CI budget, run manually —
     // see docs/PROFILING.md): one 10⁷-vertex BFS. Deliberately absent from
@@ -2018,29 +1592,16 @@ fn scale_report(heavy: bool) {
         // ~6000 diameter rounds, while the power-law giant component floods
         // in a handful — the row measures engine throughput, not patience.
         let big = gen::power_law(10_000_000, 40_000_000, 2.5, 0x6d6664);
-        let (run, elapsed_ms, head) = sharded_run(&big, &BfsProgram { root: 0 }, 256, 0);
+        let bfs = BfsProgram { root: 0 };
+        let (run, _) = sharded_run(&mut rows, "power-law-10^7", &big, "bfs", &bfs, 256, 0);
         assert!(run.messages > 0, "power-law-10^7: bfs must flood");
-        rows.push(ScaleRow {
-            engine: "sharded",
-            graph: "power-law-10^7".to_string(),
-            n: big.n(),
-            m: big.m(),
-            program: "bfs".to_string(),
-            shards: Some(256),
-            threads: None,
-            rounds: run.rounds,
-            messages: run.messages,
-            digest_head: Some(head),
-            mailbox_hwm: Some(run.arena.mailbox_slots_hwm as u64),
-            route_hwm: Some(run.arena.route_slots_hwm as u64),
-            elapsed_ms,
-        });
     }
 
-    let mut table = Table::new(
+    rows.print(
         "R7 — scale: sharded CSR executor at 10^6 vertices \
          (sharded rows asserted bit-identical to the reference stepper / across \
-         shard and thread counts in-process; wall-clock columns are ungated)",
+         shard and thread counts in-process; threads `-` is every core; the \
+         wall-clock columns are printed here and recorded nowhere)",
         &[
             "graph",
             "program",
@@ -2049,40 +1610,13 @@ fn scale_report(heavy: bool) {
             "threads",
             "rounds",
             "messages",
-            "mail hwm",
-            "route hwm",
+            "mail hwm=mailbox_hwm",
+            "route hwm=route_hwm",
             "ms",
             "Mmsg/s",
         ],
     );
-    for r in &rows {
-        let secs = (r.elapsed_ms / 1e3).max(1e-9);
-        table.row(vec![
-            r.graph.clone(),
-            r.program.clone(),
-            r.engine.to_string(),
-            r.shards.map_or("-".to_string(), |s| s.to_string()),
-            r.threads.map_or("all".to_string(), |t| t.to_string()),
-            r.rounds.to_string(),
-            r.messages.to_string(),
-            r.mailbox_hwm.map_or("-".to_string(), |x| x.to_string()),
-            r.route_hwm.map_or("-".to_string(), |x| x.to_string()),
-            format!("{:.1}", r.elapsed_ms),
-            f3(r.messages as f64 / secs / 1e6),
-        ]);
-    }
-    table.print();
-
-    let json = format!(
-        "{{\n  \"schema\": \"mfd-bench/scale/v1\",\n  \"benchmarks\": [\n    {}\n  ]\n}}\n",
-        rows.iter()
-            .map(ScaleRow::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n    ")
-    );
-    let path = "BENCH_scale.json";
-    std::fs::write(path, json).expect("write BENCH_scale.json");
-    println!("wrote {path} ({} series)", rows.len());
+    rows.write();
 }
 
 /// ε target for the million-vertex executed (ε, D, T) row. At 0.5 the
@@ -2091,183 +1625,91 @@ fn scale_report(heavy: bool) {
 /// that still demonstrates a non-trivial decomposition in CI time.
 const EDT_SCALE_EPSILON: f64 = 0.5;
 
-/// One profiled measurement destined for `BENCH_profile.json`.
+/// One aggregate `BENCH_profile.json` row, with the section's per-run
+/// assertions.
 ///
-/// Identity fields: engine, graph, n, m, program, shards, threads,
-/// `digest_head`, `frontier_total` and `traffic_total` — all deterministic,
-/// so a semantic change fails the gate as a disappeared series. Gated
-/// metrics: rounds, messages. Everything ending in `_ms` plus
-/// `attributed_pct`/`occupancy_step`/`imbalance_step` is wall clock —
-/// ungated and normalized away before CI's determinism byte-diff.
-struct ProfileRow {
-    engine: &'static str,
-    graph: String,
-    n: usize,
-    m: usize,
-    program: String,
+/// Identity: engine, graph, n, m, program, shards, threads, `digest_head`,
+/// `frontier_total` and `traffic_total` — all deterministic, so a semantic
+/// change fails the gate as a disappeared series. Every phase wall, the
+/// derived `commit_frac`, attribution, occupancy and imbalance are wall
+/// clock: they reach the table only.
+#[allow(clippy::too_many_arguments)]
+fn profile_row(
+    rows: &mut Series,
+    engine: &str,
+    graph_name: &str,
+    g: &CsrGraph,
+    program: &str,
     shards: usize,
     threads: usize,
-    digest_head: u64,
-    frontier_total: u64,
-    traffic_total: u64,
-    rounds: u64,
-    messages: u64,
-    init_ms: f64,
-    scan_ms: f64,
-    step_ms: f64,
-    route_ms: f64,
-    exchange_ms: f64,
-    deliver_ms: f64,
-    commit_ms: f64,
-    seal_ms: f64,
-    commit_frac: f64,
-    other_ms: f64,
-    elapsed_ms: f64,
-    attributed_pct: f64,
-    occupancy_step: f64,
-    imbalance_step: f64,
-}
-
-impl ProfileRow {
-    #[allow(clippy::too_many_arguments)]
-    fn from_run(
-        engine: &'static str,
-        graph: &str,
-        n: usize,
-        m: usize,
-        program: String,
-        shards: usize,
-        threads: usize,
-        run: &mfd_bench::profiling::ProfiledRun,
-    ) -> Self {
-        let p = &run.profile;
-        let walls = p.phase_wall_totals();
-        let ms = |ns: u64| ns as f64 / 1e6;
-        let step = p.phase_stats(PHASE_STEP);
-        ProfileRow {
-            engine,
-            graph: graph.to_string(),
-            n,
-            m,
-            program,
-            shards,
-            threads,
-            digest_head: run.digest_head,
-            frontier_total: p.frontier_total(),
-            traffic_total: p.traffic_totals().iter().sum(),
-            rounds: run.rounds,
-            messages: run.messages,
-            init_ms: ms(p.init_ns),
-            scan_ms: ms(walls[PHASE_SCAN]),
-            step_ms: ms(walls[PHASE_STEP]),
-            route_ms: ms(walls[PHASE_ROUTE]),
-            exchange_ms: ms(walls[PHASE_EXCHANGE]),
-            deliver_ms: ms(walls[PHASE_DELIVER]),
-            commit_ms: ms(walls[PHASE_COMMIT]),
-            seal_ms: ms(p.seal_ns_total()),
-            commit_frac: p.commit_frac(),
-            other_ms: ms(p.unattributed_ns()),
-            elapsed_ms: run.elapsed_ms,
-            attributed_pct: p.attribution() * 100.0,
-            occupancy_step: step.occupancy,
-            imbalance_step: step.imbalance,
-        }
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"engine\":\"{}\",\"graph\":\"{}\",\"n\":{},\"m\":{},\"program\":\"{}\",\
-             \"shards\":{},\"threads\":{},\"digest_head\":\"{:016x}\",\
-             \"frontier_total\":{},\"traffic_total\":{},\
-             \"rounds\":{},\"messages\":{},\
-             \"init_ms\":{:.3},\"scan_ms\":{:.3},\"step_ms\":{:.3},\"route_ms\":{:.3},\
-             \"exchange_ms\":{:.3},\"deliver_ms\":{:.3},\"commit_ms\":{:.3},\
-             \"seal_ms\":{:.3},\"commit_frac\":{:.3},\
-             \"other_ms\":{:.3},\"elapsed_ms\":{:.3},\"attributed_pct\":{:.1},\
-             \"occupancy_step\":{:.3},\"imbalance_step\":{:.3}}}",
-            self.engine,
-            self.graph,
-            self.n,
-            self.m,
-            self.program,
-            self.shards,
-            self.threads,
-            self.digest_head,
-            self.frontier_total,
-            self.traffic_total,
-            self.rounds,
-            self.messages,
-            self.init_ms,
-            self.scan_ms,
-            self.step_ms,
-            self.route_ms,
-            self.exchange_ms,
-            self.deliver_ms,
-            self.commit_ms,
-            self.seal_ms,
-            self.commit_frac,
-            self.other_ms,
-            self.elapsed_ms,
-            self.attributed_pct,
-            self.occupancy_step,
-            self.imbalance_step,
-        )
-    }
-}
-
-/// One shard's breakdown of a profiled run — the per-shard rows behind the
-/// straggler claims. Identity: everything except rounds/messages (gated)
-/// and the busy-time walls (ungated).
-struct ShardRow {
-    graph: String,
-    program: String,
-    shards: usize,
-    threads: usize,
-    shard: usize,
-    frontier: u64,
-    received: u64,
-    rounds: u64,
-    messages: u64,
-    scan_ms: f64,
-    step_ms: f64,
-    deliver_ms: f64,
-}
-
-impl ShardRow {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"engine\":\"sharded\",\"graph\":\"{}\",\"program\":\"{}\",\
-             \"shards\":{},\"threads\":{},\"shard\":{},\
-             \"frontier\":{},\"received\":{},\"rounds\":{},\"messages\":{},\
-             \"scan_ms\":{:.3},\"step_ms\":{:.3},\"deliver_ms\":{:.3}}}",
-            self.graph,
-            self.program,
-            self.shards,
-            self.threads,
-            self.shard,
-            self.frontier,
-            self.received,
-            self.rounds,
-            self.messages,
-            self.scan_ms,
-            self.step_ms,
-            self.deliver_ms,
-        )
-    }
+    run: &mfd_bench::profiling::ProfiledRun,
+) {
+    let p = &run.profile;
+    let walls = p.phase_wall_totals();
+    let ms = |ns: u64| ns as f64 / 1e6;
+    let attributed_pct = p.attribution() * 100.0;
+    assert!(
+        attributed_pct >= 95.0,
+        "{graph_name}/{program}/t{threads}: only {attributed_pct:.1}% of wall time \
+         attributed to named phases"
+    );
+    // The seal (digest fold) is a sub-span of the commit phase; both are
+    // measured with their own clock brackets, so allow a little jitter.
+    let (seal_ms, commit_ms) = (ms(p.seal_ns_total()), ms(walls[PHASE_COMMIT]));
+    assert!(
+        seal_ms <= commit_ms * 1.05 + 1.0,
+        "{graph_name}/{program}/t{threads}: seal {seal_ms:.1} ms exceeds its \
+         enclosing commit {commit_ms:.1} ms"
+    );
+    let step = p.phase_stats(PHASE_STEP);
+    rows.row(vec![
+        ("engine", engine.into(), Id),
+        ("graph", graph_name.into(), Id),
+        ("n", g.n().into(), Id),
+        ("m", g.m().into(), Id),
+        ("program", program.into(), Id),
+        ("shards", shards.into(), Id),
+        ("threads", threads.into(), Id),
+        ("digest_head", Cell::Hex(run.digest_head), Id),
+        ("frontier_total", p.frontier_total().into(), Id),
+        (
+            "traffic_total",
+            p.traffic_totals().iter().sum::<u64>().into(),
+            Id,
+        ),
+        ("rounds", run.rounds.into(), Gated),
+        ("messages", run.messages.into(), Gated),
+        ("scan ms", Cell::Float(ms(walls[PHASE_SCAN]), 1), Wall),
+        ("step ms", Cell::Float(ms(walls[PHASE_STEP]), 1), Wall),
+        ("route ms", Cell::Float(ms(walls[PHASE_ROUTE]), 1), Wall),
+        ("exch ms", Cell::Float(ms(walls[PHASE_EXCHANGE]), 1), Wall),
+        ("deliver ms", Cell::Float(ms(walls[PHASE_DELIVER]), 1), Wall),
+        ("commit ms", Cell::Float(commit_ms, 1), Wall),
+        ("seal ms", Cell::Float(seal_ms, 1), Wall),
+        ("c.frac", Cell::Float(p.commit_frac(), 3), Wall),
+        ("other ms", Cell::Float(ms(p.unattributed_ns()), 1), Wall),
+        ("total ms", Cell::Float(run.elapsed_ms, 1), Wall),
+        ("attr %", Cell::Float(attributed_pct, 1), Wall),
+        ("occ(step)", Cell::Float(step.occupancy, 3), Wall),
+        ("imb(step)", Cell::Float(step.imbalance, 3), Wall),
+    ]);
 }
 
 /// R8 — the profile series: wall-clock phase breakdowns of the scale
-/// workloads under the `mfd-prof` overlay, written to `BENCH_profile.json`.
+/// workloads under the `mfd-prof` overlay, printed as a table; the
+/// deterministic columns are written to `BENCH_profile.json`.
 ///
 /// Every run is verified in-process: the profiled execution's states,
 /// meters and digest chains are asserted bit-identical to an unprofiled
 /// run (perturbation-freedom), the traffic matrix is asserted to account
 /// the router exactly, digest heads are asserted thread-invariant, and at
 /// least 95% of every run's wall time must be attributed to named phases
-/// (the remainder is published as `other_ms`, never hidden).
+/// (the remainder is printed as `other ms`, never hidden).
 fn profile_report() {
-    let mut rows: Vec<ProfileRow> = Vec::new();
-    let mut shard_rows: Vec<ShardRow> = Vec::new();
+    let mut rows = Series::new("profile");
+    // One shard's breakdown of the widest sweep run — the per-shard rows
+    // behind the straggler claims, appended after the aggregate table.
+    let mut shard_rows = Vec::new();
 
     // --- Thread sweep on the flat-curve workload: mesh-1000x1000 LDD,
     // 64 shards, 1/2/4/8 worker threads. The per-phase walls say *where*
@@ -2284,128 +1726,98 @@ fn profile_report() {
             );
         }
         sweep_head = Some(run.digest_head);
+        let p = &run.profile;
 
+        // Commit-path sanity gates. Deliberately machine-tolerant: CI
+        // containers are frequently single-core, where an 8-thread occupancy
+        // floor would measure the box, not the code. What is
+        // machine-independent: (a) at 1 thread the sweep's busy time must
+        // cover its wall (occupancy ≈ 1), and (b) commit — just hook delivery
+        // plus the deferred fold, with per-vertex digests computed inside the
+        // sweep — must not grow back into the majority of the round wall.
+        if threads == 1 {
+            let occupancy = p.phase_stats(PHASE_STEP).occupancy;
+            assert!(
+                occupancy >= 0.90,
+                "mesh-1000x1000/t1: step occupancy {occupancy:.3} < 0.90 — the sweep \
+                 lost its parallel region"
+            );
+        }
         if threads == 8 {
             // The straggler view of the widest run: per-shard rows plus a
             // human-readable summary on stdout.
-            println!("```\n{}```", run.profile.summary());
-            let p = &run.profile;
+            println!("```\n{}```", p.summary());
+            assert!(
+                p.commit_frac() <= 0.55,
+                "mesh-1000x1000/t8: commit_frac {:.3} > 0.55 — the sequential \
+                 resolution point is re-absorbing work that belongs in the \
+                 parallel region (digest computation or the batched fold)",
+                p.commit_frac()
+            );
             let frontier = p.frontier_totals();
             let received = p.delivered_totals();
             let sent = p.sent_totals();
-            let scan = p.shard_busy_totals(PHASE_SCAN);
-            let step = p.shard_busy_totals(PHASE_STEP);
-            let deliver = p.shard_busy_totals(PHASE_DELIVER);
             for shard in 0..p.shards {
-                shard_rows.push(ShardRow {
-                    graph: "mesh-1000x1000".to_string(),
-                    program: "voronoi-ldd-1024".to_string(),
-                    shards: 64,
-                    threads,
-                    shard,
-                    frontier: frontier[shard],
-                    received: received[shard] as u64,
-                    rounds: run.rounds,
-                    messages: sent[shard],
-                    scan_ms: scan[shard] as f64 / 1e6,
-                    step_ms: step[shard] as f64 / 1e6,
-                    deliver_ms: deliver[shard] as f64 / 1e6,
-                });
+                shard_rows.push(vec![
+                    ("engine", "sharded".into(), Id),
+                    ("graph", "mesh-1000x1000".into(), Id),
+                    ("program", "voronoi-ldd-1024".into(), Id),
+                    ("shards", 64usize.into(), Id),
+                    ("threads", threads.into(), Id),
+                    ("shard", shard.into(), Id),
+                    ("frontier", frontier[shard].into(), Id),
+                    ("received", received[shard].into(), Id),
+                    ("rounds", run.rounds.into(), Gated),
+                    ("messages", sent[shard].into(), Gated),
+                ]);
             }
         }
-        rows.push(ProfileRow::from_run(
+        profile_row(
+            &mut rows,
             "sharded",
             "mesh-1000x1000",
-            mesh.n(),
-            mesh.m(),
-            "voronoi-ldd-1024".to_string(),
+            &mesh,
+            "voronoi-ldd-1024",
             64,
             threads,
             &run,
-        ));
+        );
     }
 
     // --- A skewed-degree workload: RMAT BFS, where traffic concentrates.
     let rmat = gen::rmat(20, 4, 0x6d6664);
     let run = profile_sharded_algo(&rmat, Algo::Bfs, 64, 8, "rmat-20-ef4/bfs/t8");
-    rows.push(ProfileRow::from_run(
+    profile_row(
+        &mut rows,
         "sharded",
         "rmat-20-ef4",
-        rmat.n(),
-        rmat.m(),
-        "bfs".to_string(),
+        &rmat,
+        "bfs",
         64,
         8,
         &run,
-    ));
+    );
 
     // --- The adjacency-map acceptance family under the same overlay, on
     // one shard — the gated `engine=executor|shards=1|threads=2` series.
     let grid = CsrGraph::from_graph(&generators::triangulated_grid(100, 100));
     let run = profile_sharded_algo(&grid, Algo::Ldd(64), 1, 2, "tri-grid-100x100/ldd-64");
-    rows.push(ProfileRow::from_run(
+    profile_row(
+        &mut rows,
         "executor",
         "tri-grid-100x100",
-        grid.n(),
-        grid.m(),
-        "voronoi-ldd-64".to_string(),
+        &grid,
+        "voronoi-ldd-64",
         1,
         2,
         &run,
-    ));
+    );
 
-    for r in &rows {
-        assert!(
-            r.attributed_pct >= 95.0,
-            "{}/{}/t{}: only {:.1}% of wall time attributed to named phases",
-            r.graph,
-            r.program,
-            r.threads,
-            r.attributed_pct
-        );
-        // The seal (digest fold) is a sub-span of the commit phase; both are
-        // measured with their own clock brackets, so allow a little jitter.
-        assert!(
-            r.seal_ms <= r.commit_ms * 1.05 + 1.0,
-            "{}/{}/t{}: seal {:.1} ms exceeds its enclosing commit {:.1} ms",
-            r.graph,
-            r.program,
-            r.threads,
-            r.seal_ms,
-            r.commit_ms
-        );
-    }
-    // Commit-path sanity gates on the thread-sweep workload. Deliberately
-    // machine-tolerant: CI containers are frequently single-core, where an
-    // 8-thread occupancy floor would measure the box, not the code. What is
-    // machine-independent: (a) at 1 thread the sweep's busy time must cover
-    // its wall (occupancy ≈ 1), and (b) commit — now just hook delivery plus
-    // the deferred fold, with per-vertex digests computed inside the sweep —
-    // must not grow back into the majority of the round wall.
-    for r in rows.iter().filter(|r| r.graph == "mesh-1000x1000") {
-        if r.threads == 1 {
-            assert!(
-                r.occupancy_step >= 0.90,
-                "mesh-1000x1000/t1: step occupancy {:.3} < 0.90 — the sweep \
-                 lost its parallel region",
-                r.occupancy_step
-            );
-        }
-        if r.threads == 8 {
-            assert!(
-                r.commit_frac <= 0.55,
-                "mesh-1000x1000/t8: commit_frac {:.3} > 0.55 — the sequential \
-                 resolution point is re-absorbing work that belongs in the \
-                 parallel region (digest computation or the batched fold)",
-                r.commit_frac
-            );
-        }
-    }
-
-    let mut table = Table::new(
+    rows.print(
         "R8 — profile: wall-clock phase attribution under the mfd-prof overlay \
          (every run asserted bit-identical to its unprofiled twin in-process; \
-         all *_ms columns are wall clock, ungated)",
+         every column right of `rounds` is wall clock, printed here and \
+         recorded nowhere)",
         &[
             "graph",
             "program",
@@ -2426,40 +1838,41 @@ fn profile_report() {
             "imb(step)",
         ],
     );
-    for r in &rows {
-        table.row(vec![
-            r.graph.clone(),
-            r.program.clone(),
-            r.threads.to_string(),
-            r.rounds.to_string(),
-            format!("{:.1}", r.scan_ms),
-            format!("{:.1}", r.step_ms),
-            format!("{:.1}", r.route_ms),
-            format!("{:.1}", r.exchange_ms),
-            format!("{:.1}", r.deliver_ms),
-            format!("{:.1}", r.commit_ms),
-            format!("{:.1}", r.seal_ms),
-            f3(r.commit_frac),
-            format!("{:.1}", r.other_ms),
-            format!("{:.1}", r.elapsed_ms),
-            format!("{:.1}", r.attributed_pct),
-            f3(r.occupancy_step),
-            f3(r.imbalance_step),
-        ]);
-    }
-    table.print();
+    shard_rows.into_iter().for_each(|row| rows.row(row));
+    rows.write();
+}
 
-    let mut all: Vec<String> = rows.iter().map(ProfileRow::to_json).collect();
-    all.extend(shard_rows.iter().map(ShardRow::to_json));
-    let json = format!(
-        "{{\n  \"schema\": \"mfd-bench/profile/v1\",\n  \"benchmarks\": [\n    {}\n  ]\n}}\n",
-        all.join(",\n    ")
-    );
-    let path = "BENCH_profile.json";
-    std::fs::write(path, json).expect("write BENCH_profile.json");
-    println!(
-        "wrote {path} ({} series, {} per-shard)",
-        all.len(),
-        shard_rows.len()
-    );
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unknown_section_message_stays_exhaustive() {
+        // Every section the report can run is named in the diagnostic, and
+        // the diagnostic names nothing else.
+        let msg = unknown_section_message("bogus");
+        assert!(msg.contains("\"bogus\""));
+        assert!(msg.contains("--list-sections"));
+        let listed: Vec<&str> = msg
+            .lines()
+            .nth(1)
+            .expect("second line lists sections")
+            .trim_start_matches("valid sections: ")
+            .trim_end_matches(" (or run with --list-sections)")
+            .split(", ")
+            .collect();
+        let mut expected: Vec<&str> = section_names().collect();
+        expected.push("all");
+        assert_eq!(listed, expected);
+    }
+
+    #[test]
+    fn section_names_are_unique_and_end_with_profile() {
+        let names: Vec<&str> = section_names().collect();
+        assert_eq!(names.len(), 20);
+        assert_eq!(names.last(), Some(&"profile"));
+        for (i, name) in names.iter().enumerate() {
+            assert!(!names[..i].contains(name), "section {name:?} listed twice");
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! Shared helpers for the benchmark harness: workload definitions and markdown table
 //! formatting used by both the criterion benches and the `report` binary.
 //!
-//! Every experiment of DESIGN.md §5 ("per-experiment index") is regenerated either by
+//! Every experiment of the README's "Benchmarks and reports" section is regenerated either by
 //! a bench target in `benches/` (which prints its table before the timing loops, so
 //! `cargo bench` output contains the measured series) or by the `report` binary
 //! (`cargo run --release -p mfd-bench --bin report`), which prints every table.
@@ -16,46 +16,8 @@ use mfd_runtime::{ExecutorConfig, ShardedConfig, ShardedExecutor};
 pub mod json;
 pub mod profiling;
 pub mod replay;
+pub mod series;
 pub mod trace;
-
-/// Every section the `report` binary can regenerate, in print order.
-/// `--section` arguments are validated against this list and
-/// `--list-sections` prints it, so CI job definitions can't silently
-/// reference a renamed section. Lives here (not in the binary) so tests can
-/// pin the unknown-section error message against the registry.
-pub const SECTIONS: [&str; 20] = [
-    "table1",
-    "scaling_n",
-    "scaling_eps",
-    "ldd",
-    "expander",
-    "overlap",
-    "routing",
-    "mis",
-    "matching_vc",
-    "maxcut",
-    "ptest",
-    "ablations",
-    "runtime",
-    "gather",
-    "faults",
-    "edt",
-    "trace",
-    "replay",
-    "scale",
-    "profile",
-];
-
-/// The `report` binary's unknown-section diagnostic. Exhaustive by
-/// construction — it renders [`SECTIONS`] itself — and regression-tested
-/// below so the registry and the message can never drift apart.
-pub fn unknown_section_message(section: &str) -> String {
-    format!(
-        "error: unknown section {section:?}\nvalid sections: {}, all \
-         (or run with --list-sections)",
-        SECTIONS.join(", ")
-    )
-}
 
 /// The engine behind every `engine=executor` series and journal (the label
 /// names the synchronous semantics): one shard per worker of `config`.
@@ -244,41 +206,5 @@ mod tests {
         for w in unbounded_degree_family(&[50]) {
             assert!(w.graph.is_connected());
         }
-    }
-
-    #[test]
-    fn unknown_section_message_stays_exhaustive() {
-        // The regression the registry exists for: every section the report
-        // can run must be named in the diagnostic, and nothing in the
-        // diagnostic may name a section that no longer exists.
-        let msg = unknown_section_message("bogus");
-        for section in SECTIONS {
-            assert!(
-                msg.contains(section),
-                "unknown-section message lost section {section:?}"
-            );
-        }
-        assert!(msg.contains("\"bogus\""));
-        assert!(msg.contains("--list-sections"));
-        let listed: Vec<&str> = msg
-            .lines()
-            .nth(1)
-            .expect("second line lists sections")
-            .trim_start_matches("valid sections: ")
-            .trim_end_matches(" (or run with --list-sections)")
-            .split(", ")
-            .collect();
-        for name in listed {
-            assert!(
-                name == "all" || SECTIONS.contains(&name),
-                "diagnostic names {name:?}, which is not in the registry"
-            );
-        }
-    }
-
-    #[test]
-    fn profile_section_is_registered() {
-        assert!(SECTIONS.contains(&"profile"));
-        assert_eq!(SECTIONS.last(), Some(&"profile"));
     }
 }

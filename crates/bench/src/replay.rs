@@ -17,8 +17,8 @@ use std::error::Error;
 use mfd_graph::{CsrGraph, Graph};
 use mfd_replay::{Journal, JournalError, JournalHeader, Snapshot};
 use mfd_runtime::{ExecCheckpoint, ExecutorConfig, NodeProgram, RuntimeError, ShardedExecution};
-use mfd_sim::{FaultHook, FaultedRun, LatencyModel, SimCheckpoint, SimConfig, Simulator};
-use mfd_trace::{DigestSink, EngineKind};
+use mfd_sim::{FaultHook, FaultedRun, LatencyModel, NoFaults, SimCheckpoint, SimConfig, Simulator};
+use mfd_trace::{DigestSink, EngineKind, NullSink};
 
 /// A journal paired with the digest sink that wrote it — the sink holds the
 /// full chain for round-for-round comparisons.
@@ -214,12 +214,92 @@ where
     Ok(Resumed::new(from_round, sink, run))
 }
 
+/// What time travel returns: the round reached and the vertex states there.
+pub type StatesAt<S> = Result<(u64, Vec<S>), Box<dyn Error>>;
+
+/// Vertex states of a journaled executor run at round `target`, stepped to
+/// from the journal's nearest checkpoint at-or-below it (from the start when
+/// the target precedes every checkpoint). Returns `(round, states)`; the
+/// round is `journal.rounds()` if the run ends before `target`.
+///
+/// # Errors
+///
+/// As [`resume_executor`].
+pub fn executor_states_at<P>(
+    journal: &Journal,
+    target: u64,
+    g: &CsrGraph,
+    program: &P,
+    config: &ExecutorConfig,
+) -> StatesAt<P::State>
+where
+    P: NodeProgram,
+    ExecCheckpoint<P::State, P::Msg>: Snapshot,
+{
+    let exec = crate::sync_executor(config);
+    let mut sink = NullSink;
+    let cp = journal.checkpoint_at(target);
+    let mut reached = cp.map_or(0, |cp| cp.round);
+    let mut session = match cp {
+        Some(cp) => exec.restore(g, program, journal.decode_checkpoint(cp)?, &mut sink)?,
+        None => exec.start(g, program, &mut sink),
+    };
+    while reached < target {
+        match session.step()? {
+            Some(round) => reached = round,
+            None => return Ok((journal.rounds(), session.finish().states)),
+        }
+    }
+    Ok((reached, session.finish().states))
+}
+
+/// [`executor_states_at`] for a clean event-engine journal. Checkpoints are
+/// consistent cuts between ticks and a cut at exactly `target` may not
+/// exist: the round returned is the nearest cut **at or after** it. The
+/// engine seals its last round in `finish`, not at a tick, so past the last
+/// cut the answer is the run's final states at `journal.rounds()`.
+///
+/// # Errors
+///
+/// As [`resume_executor`].
+pub fn sim_states_at<P>(
+    journal: &Journal,
+    target: u64,
+    g: &Graph,
+    program: &P,
+    config: &ExecutorConfig,
+    latency: LatencyModel,
+) -> StatesAt<P::State>
+where
+    P: NodeProgram,
+    P::State: Clone,
+    SimCheckpoint<P::State, P::Msg>: Snapshot,
+{
+    let sim = Simulator::new(SimConfig::matching(config, latency));
+    let mut sink = NullSink;
+    let cp = journal.checkpoint_at(target);
+    let mut reached = cp.map_or(0, |cp| cp.round);
+    let mut session = match cp {
+        Some(cp) => {
+            let restored = journal.decode_checkpoint(cp)?;
+            sim.restore(g, program, &NoFaults, restored, &mut sink)?
+        }
+        None => sim.start(g, program, &NoFaults, &mut sink)?,
+    };
+    while reached < target {
+        match session.step()? {
+            Some(round) => reached = round,
+            None => return Ok((journal.rounds(), session.finish()?.run.states)),
+        }
+    }
+    Ok((reached, session.checkpoint().states))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace::DivergenceProbe;
     use mfd_graph::generators;
-    use mfd_sim::NoFaults;
 
     #[test]
     fn journaled_resume_extends_the_chain_on_both_engines() {

@@ -13,7 +13,8 @@
 //! The implementation follows the four steps of Lemma 4.4 literally and iterates them
 //! as in Lemma 4.1. Round accounting: the information-gathering inside each `G_S`
 //! uses the metered BFS-tree gather (a legitimate CONGEST routing algorithm; the
-//! paper uses the §2 expander gatherers to obtain its stated bounds — see DESIGN.md),
+//! paper uses the §2 expander gatherers to obtain its stated bounds — see
+//! docs/ARCHITECTURE.md, "mfd-routing"),
 //! and cluster-graph steps are charged with the O(c·D) dilation/congestion factors
 //! the paper describes.
 

@@ -12,7 +12,7 @@
 //! The implementation follows the paper's structure but uses configurable (and by
 //! default much smaller) token counts and step budgets than the worst-case constants
 //! of Lemma 2.2; delivery is *checked*, not assumed, and the reported round counts are
-//! the rounds actually simulated. See DESIGN.md ("substitutions").
+//! the rounds actually simulated. See docs/ARCHITECTURE.md ("mfd-routing", Invariants).
 
 use mfd_congest::RoundMeter;
 use mfd_graph::properties::spectral_sweep_cut;

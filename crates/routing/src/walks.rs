@@ -12,7 +12,8 @@
 //! The paper derandomizes with a strictly k-wise independent hash family so that the
 //! seed length — and therefore the broadcast cost — is bounded. We substitute a
 //! 64-bit mixing hash and *check* the goodness fraction explicitly during seed search
-//! (see DESIGN.md); the broadcast cost charged is the same `O(k log n)`-bit budget the
+//! (docs/ARCHITECTURE.md, "mfd-routing", says how the executed schedule is held to
+//! it); the broadcast cost charged is the same `O(k log n)`-bit budget the
 //! paper accounts for.
 
 use mfd_congest::{primitives, RoundMeter};

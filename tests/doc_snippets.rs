@@ -174,3 +174,64 @@ fn readme_lists_every_bench_section() {
         );
     }
 }
+
+/// Every `UPPER_CASE.md` a `.rs` doc comment or a book mentions must be a
+/// file at the repository root or under `docs/` — six mentions of a
+/// `DESIGN.md` that never existed were what this was written for.
+#[test]
+fn every_mentioned_book_exists() {
+    use std::path::{Path, PathBuf};
+
+    fn mentions(text: &str, doc_comments_only: bool) -> Vec<String> {
+        let mut found = Vec::new();
+        for line in text.lines() {
+            let line = line.trim_start();
+            if doc_comments_only && !(line.starts_with("//!") || line.starts_with("///")) {
+                continue;
+            }
+            for (at, _) in line.match_indices(".md") {
+                let stem: String = line[..at]
+                    .chars()
+                    .rev()
+                    .take_while(|c| c.is_ascii_uppercase() || *c == '_')
+                    .collect();
+                if !stem.is_empty() {
+                    found.push(stem.chars().rev().chain(".md".chars()).collect());
+                }
+            }
+        }
+        found
+    }
+
+    fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("crates/ is readable") {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                rust_files(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources: Vec<(PathBuf, bool)> = vec![(root.join("README.md"), false)];
+    for entry in std::fs::read_dir(root.join("docs")).expect("docs/ is readable") {
+        sources.push((entry.expect("directory entry").path(), false));
+    }
+    let mut rust = Vec::new();
+    rust_files(&root.join("crates"), &mut rust);
+    sources.extend(rust.into_iter().map(|path| (path, true)));
+    assert!(sources.len() > 50, "the scan lost the crates");
+
+    for (path, doc_comments_only) in sources {
+        let text = std::fs::read_to_string(&path).expect("source is UTF-8");
+        for name in mentions(&text, doc_comments_only) {
+            assert!(
+                root.join(&name).is_file() || root.join("docs").join(&name).is_file(),
+                "{} mentions {name}, which is neither at the repository root nor under docs/",
+                path.display()
+            );
+        }
+    }
+}

@@ -9,7 +9,9 @@
 //! decode → encode is byte-identical, and identical runs journal identical
 //! bytes).
 
-use mfd_bench::replay::{executor_journal, resume_executor, resume_sim, sim_journal};
+use mfd_bench::replay::{
+    executor_journal, executor_states_at, resume_executor, resume_sim, sim_journal, sim_states_at,
+};
 use mfd_bench::trace::DivergenceProbe;
 use mfd_bench::{acceptance_families, acceptance_leader};
 use mfd_congest::{primitives, RoundMeter};
@@ -326,5 +328,37 @@ fn faulted_reliable_probe_journal_resumes_bit_identically() {
             "@{}",
             cp.round
         );
+    }
+}
+
+/// Time travel reaches every round of a journal, the last one included: the
+/// event engine seals its final round in `finish`, past its last consistent
+/// cut, and `replay dump --round <journal.rounds()>` used to panic there.
+#[test]
+fn states_at_reaches_the_last_round_on_both_engines() {
+    let cfg = ExecutorConfig::default();
+    let probe = DivergenceProbe::clean(16);
+    let latency = LatencyModel::Uniform { lo: 1, hi: 3 };
+    for (name, g) in &acceptance_families() {
+        let full = sim_journal(g, &probe, &NoFaults, &cfg, latency.clone(), 4, name).unwrap();
+        let last = full.journal.rounds();
+        for target in 1..=last {
+            let (reached, states) =
+                sim_states_at(&full.journal, target, g, &probe, &cfg, latency.clone()).unwrap();
+            assert!(
+                (target..=last).contains(&reached),
+                "{name}: cut {reached} for round {target}"
+            );
+            if reached == last {
+                assert_eq!(states, full.run.run.states, "{name}@{target}");
+            }
+        }
+
+        let csr = CsrGraph::from_graph(g);
+        let full = executor_journal(&csr, &probe, &cfg, 4, name).unwrap();
+        let last = full.journal.rounds();
+        let (reached, states) =
+            executor_states_at(&full.journal, last, &csr, &probe, &cfg).unwrap();
+        assert_eq!((reached, &states), (last, &full.run.states), "{name}");
     }
 }
