@@ -1625,6 +1625,19 @@ fn scale_report(heavy: bool) {
 /// that still demonstrates a non-trivial decomposition in CI time.
 const EDT_SCALE_EPSILON: f64 = 0.5;
 
+/// Commit wall per stepped vertex, in ns (`commit wall ÷ frontier_total`):
+/// what the commit phase costs per unit of work it resolves, whatever the
+/// other phases cost.
+fn commit_ns_per_stepped_vertex(p: &mfd_prof::Profile) -> f64 {
+    p.phase_wall_totals()[PHASE_COMMIT] as f64 / p.frontier_total().max(1) as f64
+}
+
+/// Ceiling on [`commit_ns_per_stepped_vertex`] for the 8-thread mesh-LDD
+/// row: 3.3× [`COMMIT_NS_PER_VERTEX_HERE`], the median of 10 runs on the
+/// 2-core box the bound was set on (docs/PROFILING.md, "The profile gates").
+const COMMIT_NS_PER_VERTEX_MAX: f64 = 900.0;
+const COMMIT_NS_PER_VERTEX_HERE: f64 = 274.0;
+
 /// One aggregate `BENCH_profile.json` row, with the section's per-run
 /// assertions.
 ///
@@ -1687,6 +1700,11 @@ fn profile_row(
         ("commit ms", Cell::Float(commit_ms, 1), Wall),
         ("seal ms", Cell::Float(seal_ms, 1), Wall),
         ("c.frac", Cell::Float(p.commit_frac(), 3), Wall),
+        (
+            "c ns/vtx",
+            Cell::Float(commit_ns_per_stepped_vertex(p), 1),
+            Wall,
+        ),
         ("other ms", Cell::Float(ms(p.unattributed_ns()), 1), Wall),
         ("total ms", Cell::Float(run.elapsed_ms, 1), Wall),
         ("attr %", Cell::Float(attributed_pct, 1), Wall),
@@ -1734,7 +1752,8 @@ fn profile_report() {
         // machine-independent: (a) at 1 thread the sweep's busy time must
         // cover its wall (occupancy ≈ 1), and (b) commit — just hook delivery
         // plus the deferred fold, with per-vertex digests computed inside the
-        // sweep — must not grow back into the majority of the round wall.
+        // sweep — must stay cheap per stepped vertex, in absolute terms: a
+        // share of the round wall tightens whenever another phase gets faster.
         if threads == 1 {
             let occupancy = p.phase_stats(PHASE_STEP).occupancy;
             assert!(
@@ -1747,12 +1766,14 @@ fn profile_report() {
             // The straggler view of the widest run: per-shard rows plus a
             // human-readable summary on stdout.
             println!("```\n{}```", p.summary());
+            let per_vertex = commit_ns_per_stepped_vertex(p);
             assert!(
-                p.commit_frac() <= 0.55,
-                "mesh-1000x1000/t8: commit_frac {:.3} > 0.55 — the sequential \
-                 resolution point is re-absorbing work that belongs in the \
-                 parallel region (digest computation or the batched fold)",
-                p.commit_frac()
+                per_vertex <= COMMIT_NS_PER_VERTEX_MAX,
+                "mesh-1000x1000/t8: commit costs {per_vertex:.1} ns per stepped vertex \
+                 (commit wall ÷ frontier_total) > the {COMMIT_NS_PER_VERTEX_MAX} ns bound \
+                 (median {COMMIT_NS_PER_VERTEX_HERE} ns where it was set) — the sequential \
+                 resolution point is re-absorbing work that belongs in the parallel region \
+                 (digest computation or the batched fold)"
             );
             let frontier = p.frontier_totals();
             let received = p.delivered_totals();
@@ -1831,6 +1852,7 @@ fn profile_report() {
             "commit ms",
             "seal ms",
             "c.frac",
+            "c ns/vtx",
             "other ms",
             "total ms",
             "attr %",

@@ -34,17 +34,19 @@
 //!   down, boundary exchange, aggregate up). Centralized, cheap, and the
 //!   executed mode's oracle.
 //! * [`Executed`] ([`build_edt_with`]): every gather runs as a real
-//!   [`mfd_runtime::NodeProgram`] — strategy selection at the program level
-//!   via [`mfd_routing::programs::select_strategy_program`], batched across
-//!   clusters with [`mfd_runtime::run_on_induced`] or run on the `mfd-sim`
-//!   event engine — and each cluster-graph round executes a
+//!   [`mfd_runtime::NodeProgram`] — each phase hands the backend the clusters
+//!   it has already induced ([`GatherJob`]), the backend selects a strategy
+//!   per cluster ([`mfd_routing::programs::select_strategy_program`]) and
+//!   runs the selected programs on one engine, all clusters of the phase in
+//!   parallel ([`mfd_runtime::run_each`]) or one after the other on the
+//!   `mfd-sim` event engine — and each cluster-graph round executes a
 //!   [`ClusterRoundProgram`] on the whole graph. The synchronous engine
 //!   under both is the sharded CSR one ([`mfd_runtime::ShardedExecutor`]):
 //!   the construction keeps its [`AmbientGraph`] in both representations,
 //!   converting at most once per build. No
 //!   [`RoundMeter::charge_rounds`] call remains on this path: rounds come
-//!   from the engines' meters, and (with `check_charge`, on by default)
-//!   every executed figure is asserted `≤` the metered charge, demoting the
+//!   from the engines' meters, and every executed figure is asserted `≤`
+//!   the metered charge — always; the check has no switch — demoting the
 //!   charged path from product to cross-checked upper bound.
 //!
 //! Both backends produce the *same clustering* (the clustering decisions are
@@ -259,14 +261,12 @@ impl EdtBackend for Executed {
                     .meter
             }
         };
-        if self.check_charge {
-            assert!(
-                run_meter.rounds() <= cluster_round_charge(spec.max_diam),
-                "cluster round executed {} rounds exceed the charge {}",
-                run_meter.rounds(),
-                cluster_round_charge(spec.max_diam)
-            );
-        }
+        assert!(
+            run_meter.rounds() <= cluster_round_charge(spec.max_diam),
+            "cluster round executed {} rounds exceed the charge {}",
+            run_meter.rounds(),
+            cluster_round_charge(spec.max_diam)
+        );
         // Every cluster-graph round runs the same dissemination pattern (only
         // the flooded words differ, which the meter does not see), so one
         // execution measures them all; its accounting is replayed per round.
@@ -507,23 +507,21 @@ fn build_edt_on<B: EdtBackend>(
     let spent = (meter.rounds(), meter.messages());
     let mut leaders = Vec::with_capacity(clustering.num_clusters());
     let mut jobs: Vec<GatherJob> = Vec::new();
-    for c in 0..clustering.num_clusters() {
-        let members = clustering.members(c);
-        let leader = members
-            .iter()
-            .copied()
-            .max_by_key(|&v| (g.degree(v), v))
+    for members in clustering.clusters() {
+        let leader = (0..members.len())
+            .max_by_key(|&i| (g.degree(members[i]), members[i]))
             .expect("non-empty cluster");
-        leaders.push(leader);
+        leaders.push(members[leader]);
         if members.len() > 1 {
+            let (sub, map) = g.induced_subgraph(members);
             jobs.push(GatherJob {
-                members: members.to_vec(),
+                cluster: sub,
+                members: map,
                 leader,
             });
         }
     }
     let reports = backend.gather_all_traced(
-        g,
         &jobs,
         config.failure_fraction,
         &config.routing_gather,
@@ -589,18 +587,17 @@ fn merge_step<B: EdtBackend>(
             continue;
         }
         let (sub, map) = g.induced_subgraph(members);
-        let leader_local = (0..sub.n()).max_by_key(|&v| sub.degree(v)).unwrap_or(0);
-        let leader = map[leader_local];
-        leaders.push(leader);
+        let leader = (0..sub.n()).max_by_key(|&v| sub.degree(v)).unwrap_or(0);
+        leaders.push(map[leader]);
         if sub.m() > 0 {
             jobs.push(GatherJob {
-                members: members.to_vec(),
+                cluster: sub,
+                members: map,
                 leader,
             });
         }
     }
     backend.gather_all(
-        g,
         &jobs,
         config.failure_fraction,
         &config.construction_gather,
@@ -663,15 +660,15 @@ fn refine_step<B: EdtBackend>(
     // the masks alone cost O(n·k) and dominate million-vertex runs.
     let diameters = clustering.cluster_diameters(g);
     for (c, diam) in diameters.into_iter().enumerate() {
-        let members = clustering.members(c).to_vec();
+        let members = clustering.members(c);
         if members.len() <= 1 {
             continue;
         }
         if diam.unwrap_or(usize::MAX) <= d_target {
             continue;
         }
-        let (sub, map) = g.induced_subgraph(&members);
-        let leader_local = (0..sub.n()).max_by_key(|&v| sub.degree(v)).unwrap_or(0);
+        let (sub, map) = g.induced_subgraph(members);
+        let leader = (0..sub.n()).max_by_key(|&v| sub.degree(v)).unwrap_or(0);
         // The leader-local refinement is free computation; only the gather
         // (topology up, assignment back down) costs rounds.
         let local = chop_ldd(&sub, edge_budget.max(1e-6), config.chop_depth);
@@ -679,12 +676,12 @@ fn refine_step<B: EdtBackend>(
             sub_label[orig] = local.cluster_of(i) + 1;
         }
         jobs.push(GatherJob {
-            members,
-            leader: map[leader_local],
+            cluster: sub,
+            members: map,
+            leader,
         });
     }
     backend.gather_all(
-        g,
         &jobs,
         config.failure_fraction,
         &config.construction_gather,

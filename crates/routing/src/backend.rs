@@ -15,43 +15,42 @@
 //! * [`Executed`] — program-level strategy selection
 //!   ([`crate::programs::select_strategy_program`]: tree pipeline, Lemma 2.2
 //!   balancer with conductance routing, walk schedule with tree fallback)
-//!   run for real on the synchronous engine or on the `mfd-sim`
-//!   discrete-event engine. The synchronous engine is the sharded CSR one
-//!   ([`mfd_runtime::ShardedExecutor`]): each cluster is induced once, its
-//!   CSR view is derived from that, and a batch of clusters runs on one
-//!   engine through [`mfd_runtime::run_on_induced`]; no adjacency-map
-//!   `Executor` is built on this path. Rounds and messages come from the
-//!   engines' meters; with
-//!   [`Executed::check_charge`] (on by default) every cluster's executed
-//!   round count is asserted `≤` the metered charge of the same effective
-//!   strategy, so the charged path is demoted from product to cross-checked
-//!   upper bound.
+//!   run for real. Every cluster of a batch is selected for, then run: on
+//!   the synchronous engine all of them share one sharded CSR engine through
+//!   [`mfd_runtime::run_each`], each cluster dispatching once to
+//!   `engine.run(view, &its_concrete_program)`; on the `mfd-sim`
+//!   discrete-event engine they run one after the other. Rounds and messages
+//!   come from the engines' meters, and every cluster's executed round count
+//!   is asserted `≤` the metered charge of the program that ran
+//!   ([`crate::programs::SelectedGather::charged_rounds`]). That check is
+//!   the differential contract that demotes the charged path from product
+//!   to cross-checked upper bound; it is not an option and cannot be
+//!   switched off.
 //!
-//! Both backends report through the metered vocabulary
-//! ([`crate::gather::GatherReport`]) and fold sub-meters with the paper's
-//! parallel-composition rule, so swapping one for the other changes *how*
-//! rounds are obtained, never how they compose.
+//! Both backends take their clusters already induced ([`GatherJob`]), report
+//! through the metered vocabulary ([`crate::gather::GatherReport`]) and fold
+//! sub-meters with the paper's parallel-composition rule, so swapping one
+//! for the other changes *how* rounds are obtained, never how they compose.
 
 use mfd_congest::RoundMeter;
 use mfd_graph::{CsrGraph, Graph};
-use mfd_runtime::{run_on_induced, ExecutorConfig, ShardedConfig, ShardedExecutor};
+use mfd_runtime::{run_each, ExecutorConfig};
 use mfd_sim::{SimConfig, Simulator};
 use mfd_trace::{Event, TraceSink};
 
-use crate::gather::{gather_to_leader, tree_gather, GatherReport, GatherStrategy};
-use crate::load_balance::load_balance_gather_with_plan;
-use crate::programs::{
-    select_strategy_program_with_plans, GatherProgram, SelectedGather, SelectionPlans,
-};
-use crate::walks::execute_walk_gather;
+use crate::gather::{gather_to_leader, GatherReport, GatherStrategy};
+use crate::programs::{select_strategy_program, SelectedGather};
 
-/// One in-cluster gather to run: the cluster's members (original vertex ids
-/// of the ambient graph) and its leader (also an original id, a member).
+/// One in-cluster gather to run: the induced cluster itself. Whoever builds
+/// the job has induced the cluster already (to pick its leader, to refine
+/// it), so the backends never see the ambient graph.
 #[derive(Debug, Clone)]
 pub struct GatherJob {
-    /// Cluster members, original vertex ids.
+    /// The cluster's induced subgraph, vertices `0..k`.
+    pub cluster: Graph,
+    /// Original (ambient) vertex id of each cluster vertex.
     pub members: Vec<usize>,
-    /// Leader vertex, an element of `members`.
+    /// Leader, a vertex of `cluster`.
     pub leader: usize,
 }
 
@@ -62,13 +61,15 @@ pub trait GatherBackend: Sync {
     fn name(&self) -> &'static str;
 
     /// Gathers `deg(v)` messages from every vertex of `cluster` to `leader`
-    /// with `strategy`, accounting rounds and messages on `meter`.
+    /// with `strategy`, accounting rounds and messages on `meter`. A cluster
+    /// without edges has nothing to gather: the report is free and fully
+    /// delivered whatever the strategy.
     ///
     /// # Panics
     ///
     /// Panics if `leader` is out of range, or (executed backends) if the
-    /// selected program violates the CONGEST model or starves against its
-    /// round budget.
+    /// selected program violates the CONGEST model, starves against its
+    /// round budget or overruns its metered charge.
     fn gather(
         &self,
         cluster: &Graph,
@@ -85,17 +86,15 @@ pub trait GatherBackend: Sync {
     ///
     /// # Panics
     ///
-    /// Same conditions as [`GatherBackend::gather`], plus a leader outside
-    /// its members list.
+    /// Same conditions as [`GatherBackend::gather`].
     fn gather_all(
         &self,
-        g: &Graph,
         jobs: &[GatherJob],
         f: f64,
         strategy: &GatherStrategy,
         meter: &mut RoundMeter,
     ) -> Vec<GatherReport> {
-        self.gather_all_traced(g, jobs, f, strategy, meter, &mut ())
+        self.gather_all_traced(jobs, f, strategy, meter, &mut ())
     }
 
     /// [`GatherBackend::gather_all`] with per-cluster observability: emits
@@ -103,57 +102,36 @@ pub trait GatherBackend: Sync {
     /// that cluster's own rounds and messages — the per-cluster costs the
     /// parallel fold otherwise collapses into a single max/sum.
     ///
-    /// `&mut ()` is the no-op sink; `gather_all` is exactly that call.
+    /// `&mut ()` is the no-op sink; `gather_all` is exactly that call. The
+    /// default gathers job by job through [`GatherBackend::gather`];
+    /// [`Executed`] runs the whole batch on one engine instead.
     ///
     /// # Panics
     ///
-    /// Same conditions as [`GatherBackend::gather_all`].
+    /// Same conditions as [`GatherBackend::gather`].
     fn gather_all_traced(
         &self,
-        g: &Graph,
         jobs: &[GatherJob],
         f: f64,
         strategy: &GatherStrategy,
         meter: &mut RoundMeter,
         sink: &mut dyn TraceSink,
     ) -> Vec<GatherReport> {
-        gather_all_sequential(self, g, jobs, f, strategy, meter, sink)
+        let mut sub_meters: Vec<RoundMeter> = Vec::with_capacity(jobs.len());
+        let mut reports = Vec::with_capacity(jobs.len());
+        for (idx, job) in jobs.iter().enumerate() {
+            let mut sm = RoundMeter::new();
+            reports.push(self.gather(&job.cluster, job.leader, f, strategy, &mut sm));
+            sink.event(&Event::ClusterRun {
+                cluster: idx,
+                rounds: sm.rounds(),
+                messages: sm.messages(),
+            });
+            sub_meters.push(sm);
+        }
+        meter.merge_parallel(sub_meters.iter());
+        reports
     }
-}
-
-/// The shared per-job loop behind [`GatherBackend::gather_all`]: induce each
-/// cluster, gather on a fresh sub-meter, fold the sub-meters in parallel.
-fn gather_all_sequential<B: GatherBackend + ?Sized>(
-    backend: &B,
-    g: &Graph,
-    jobs: &[GatherJob],
-    f: f64,
-    strategy: &GatherStrategy,
-    meter: &mut RoundMeter,
-    sink: &mut dyn TraceSink,
-) -> Vec<GatherReport> {
-    let mut reports = Vec::with_capacity(jobs.len());
-    let mut sub_meters: Vec<RoundMeter> = Vec::with_capacity(jobs.len());
-    for (idx, job) in jobs.iter().enumerate() {
-        let (sub, map) = g.induced_subgraph(&job.members);
-        let leader_local = local_leader(&map, job.leader);
-        let mut sm = RoundMeter::new();
-        reports.push(backend.gather(&sub, leader_local, f, strategy, &mut sm));
-        sink.event(&Event::ClusterRun {
-            cluster: idx,
-            rounds: sm.rounds(),
-            messages: sm.messages(),
-        });
-        sub_meters.push(sm);
-    }
-    meter.merge_parallel(sub_meters.iter());
-    reports
-}
-
-fn local_leader(map: &[usize], leader: usize) -> usize {
-    map.iter()
-        .position(|&v| v == leader)
-        .expect("leader belongs to its cluster")
 }
 
 /// The charged backend: [`crate::gather::gather_to_leader`], exactly as the
@@ -184,7 +162,7 @@ pub enum GatherEngine {
     /// The synchronous `mfd-runtime` engine, configured like an `Executor`
     /// (seed, capacity, budget, thread count) and run on the sharded CSR
     /// engine; cluster batches run in parallel through
-    /// [`mfd_runtime::run_on_induced`].
+    /// [`mfd_runtime::run_each`].
     Executor(ExecutorConfig),
     /// The `mfd-sim` discrete-event engine (any latency model; the round
     /// accounting is latency-invariant).
@@ -192,15 +170,12 @@ pub enum GatherEngine {
 }
 
 /// The executed backend: strategy selection at the program level, real
-/// engine runs, meter numbers from the engines.
+/// engine runs, meter numbers from the engines, every run validated against
+/// its metered charge.
 #[derive(Debug, Clone)]
 pub struct Executed {
     /// Engine to run the selected programs on.
     pub engine: GatherEngine,
-    /// Assert, per cluster, that the executed round count stays within the
-    /// metered charge of the same effective strategy (the differential
-    /// contract; on by default).
-    pub check_charge: bool,
 }
 
 impl Default for Executed {
@@ -215,7 +190,6 @@ impl Executed {
     pub fn executor(config: ExecutorConfig) -> Self {
         Executed {
             engine: GatherEngine::Executor(config),
-            check_charge: true,
         }
     }
 
@@ -223,103 +197,62 @@ impl Executed {
     pub fn sim(config: SimConfig) -> Self {
         Executed {
             engine: GatherEngine::Sim(config),
-            check_charge: true,
         }
     }
 
-    /// Disables the per-cluster executed-within-charge assertion.
-    pub fn without_charge_check(mut self) -> Self {
-        self.check_charge = false;
-        self
-    }
-
-    /// The metered charge of the *effective* strategy the selection picked —
-    /// the oracle the executed rounds are validated against. When the
-    /// selection overrode the strategy (conductance-routed the balancer to
-    /// the tree, or fell back from an unplannable walk schedule), the oracle
-    /// is the metered cost of the program that actually ran. The selection's
-    /// own plans are reused, so the oracle never replans.
-    fn charged_rounds(
-        cluster: &Graph,
-        leader: usize,
+    /// The one body behind [`GatherBackend::gather`] (a batch of one) and
+    /// [`GatherBackend::gather_all_traced`], for `(cluster, leader)` pairs:
+    /// select a program per cluster, run them all on the configured engine,
+    /// fold the engines' meters in parallel composition, then — in cluster
+    /// order — emit the `ClusterRun`, hold the executed rounds to the
+    /// metered charge of the selected program, and report.
+    fn gather_each(
+        &self,
+        clusters: &[(&Graph, usize)],
         f: f64,
         strategy: &GatherStrategy,
-        selected: &SelectedGather,
-        plans: &SelectionPlans,
-    ) -> u64 {
-        let mut oracle = RoundMeter::new();
-        match selected {
-            SelectedGather::Tree(_) | SelectedGather::WalkFallbackTree(_) => {
-                tree_gather(cluster, leader, &mut oracle);
-            }
-            SelectedGather::LoadBalance(_) => {
-                let plan = plans
-                    .load_balance
-                    .as_ref()
-                    .expect("balancer selection keeps its plan");
-                load_balance_gather_with_plan(cluster, leader, f, plan, &mut oracle);
-            }
-            SelectedGather::Walk(_) => {
-                let GatherStrategy::WalkSchedule(params) = strategy else {
-                    unreachable!("the walk schedule is only selected for its own strategy");
-                };
-                let plan = plans.walk.as_ref().expect("walk selection keeps its plan");
-                execute_walk_gather(cluster, plan, params, &mut oracle);
-            }
-        }
-        oracle.rounds()
-    }
-
-    /// Runs one already-selected program on the configured engine, returning
-    /// its report and the engine's meter.
-    fn run_selected(
-        &self,
-        cluster: &Graph,
-        selected: &SelectedGather,
-    ) -> (GatherReport, RoundMeter) {
-        let (states, rounds, messages, engine_meter) = match &self.engine {
-            GatherEngine::Executor(config) => {
-                let run = ShardedExecutor::new(ShardedConfig::per_thread(config))
-                    .run(&CsrGraph::from_graph(cluster), selected)
-                    .expect("selected gather program is model-compliant");
-                (run.states, run.rounds, run.messages, run.meter)
-            }
+        meter: &mut RoundMeter,
+        sink: &mut dyn TraceSink,
+    ) -> Vec<GatherReport> {
+        let selected: Vec<SelectedGather> = clusters
+            .iter()
+            .map(|&(cluster, leader)| select_strategy_program(cluster, leader, f, strategy))
+            .collect();
+        let runs = match &self.engine {
+            GatherEngine::Executor(config) => run_each(clusters.len(), config, |idx, engine| {
+                selected[idx].run_sharded(engine, &CsrGraph::from_graph(clusters[idx].0))
+            }),
             GatherEngine::Sim(config) => {
-                let run = Simulator::new(config.clone())
-                    .run(cluster, selected)
-                    .expect("selected gather program is model-compliant");
-                (run.states, run.rounds, run.messages, run.meter)
+                let sim = Simulator::new(config.clone());
+                (clusters.iter().zip(&selected))
+                    .map(|(&(cluster, _), selected)| selected.run_sim(&sim, cluster))
+                    .collect()
             }
-        };
-        let executed = selected.executed_report(&states, rounds, messages);
-        (executed.into(), engine_meter)
-    }
-
-    /// Validates the executed rounds against the metered oracle.
-    #[allow(clippy::too_many_arguments)]
-    fn check(
-        &self,
-        cluster: &Graph,
-        leader: usize,
-        f: f64,
-        strategy: &GatherStrategy,
-        selected: &SelectedGather,
-        plans: &SelectionPlans,
-        executed_rounds: u64,
-    ) {
-        if !self.check_charge {
-            return;
         }
-        let charged = Self::charged_rounds(cluster, leader, f, strategy, selected, plans);
-        assert!(
-            executed_rounds <= charged,
-            "{}: executed {} rounds exceed the metered charge {} (n={}, m={})",
-            selected.strategy_name(),
-            executed_rounds,
-            charged,
-            cluster.n(),
-            cluster.m()
-        );
+        .expect("selected gather programs are model-compliant");
+        meter.merge_parallel(runs.iter().map(|(_, run_meter)| run_meter));
+        let mut reports = Vec::with_capacity(runs.len());
+        for (idx, ((executed, run_meter), selected)) in runs.into_iter().zip(&selected).enumerate()
+        {
+            sink.event(&Event::ClusterRun {
+                cluster: idx,
+                rounds: run_meter.rounds(),
+                messages: run_meter.messages(),
+            });
+            let (cluster, leader) = clusters[idx];
+            let charged = selected.charged_rounds(cluster, leader, f);
+            assert!(
+                executed.rounds <= charged,
+                "{}: executed {} rounds exceed the metered charge {} (n={}, m={})",
+                executed.strategy,
+                executed.rounds,
+                charged,
+                cluster.n(),
+                cluster.m()
+            );
+            reports.push(executed.into());
+        }
+        reports
     }
 }
 
@@ -336,79 +269,22 @@ impl GatherBackend for Executed {
         strategy: &GatherStrategy,
         meter: &mut RoundMeter,
     ) -> GatherReport {
-        let (selected, plans) = select_strategy_program_with_plans(cluster, leader, f, strategy);
-        let (report, engine_meter) = self.run_selected(cluster, &selected);
-        self.check(
-            cluster,
-            leader,
-            f,
-            strategy,
-            &selected,
-            &plans,
-            report.rounds,
-        );
-        meter.merge_sequential(&engine_meter);
-        report
+        self.gather_each(&[(cluster, leader)], f, strategy, meter, &mut ())
+            .pop()
+            .expect("one report per cluster")
     }
 
     fn gather_all_traced(
         &self,
-        g: &Graph,
         jobs: &[GatherJob],
         f: f64,
         strategy: &GatherStrategy,
         meter: &mut RoundMeter,
         sink: &mut dyn TraceSink,
     ) -> Vec<GatherReport> {
-        let GatherEngine::Executor(config) = &self.engine else {
-            // The event engine has no batched cluster runner; per-cluster
-            // runs with parallel meter folding are equivalent.
-            return gather_all_sequential(self, g, jobs, f, strategy, meter, sink);
-        };
-        // Induce and select once per cluster up front (planning is
-        // deterministic but not free), then batch the heterogeneous programs
-        // — `SelectedGather` is itself a `NodeProgram` — on the CSR views of
-        // the subgraphs the selection planned on.
-        let mut prepared: Vec<(Graph, usize, SelectionPlans)> = Vec::with_capacity(jobs.len());
-        let mut clusters: Vec<(CsrGraph, SelectedGather)> = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let (sub, map) = g.induced_subgraph(&job.members);
-            let leader_local = local_leader(&map, job.leader);
-            let (selected, plans) =
-                select_strategy_program_with_plans(&sub, leader_local, f, strategy);
-            clusters.push((CsrGraph::from_graph(&sub), selected));
-            prepared.push((sub, leader_local, plans));
-        }
-        let members: Vec<Vec<usize>> = jobs.iter().map(|j| j.members.clone()).collect();
-        let run = run_on_induced(&clusters, members, config)
-            .expect("selected gather programs are model-compliant");
-        let mut reports = Vec::with_capacity(jobs.len());
-        for (idx, ((sub, leader_local, plans), (_, selected))) in
-            prepared.iter().zip(&clusters).enumerate()
-        {
-            let executed = selected.executed_report(
-                &run.cluster_states[idx],
-                run.cluster_rounds[idx],
-                run.cluster_messages[idx],
-            );
-            sink.event(&Event::ClusterRun {
-                cluster: idx,
-                rounds: run.cluster_rounds[idx],
-                messages: run.cluster_messages[idx],
-            });
-            self.check(
-                sub,
-                *leader_local,
-                f,
-                strategy,
-                selected,
-                plans,
-                executed.rounds,
-            );
-            reports.push(executed.into());
-        }
-        meter.merge_sequential(&run.meter);
-        reports
+        let clusters: Vec<(&Graph, usize)> =
+            jobs.iter().map(|job| (&job.cluster, job.leader)).collect();
+        self.gather_each(&clusters, f, strategy, meter, sink)
     }
 }
 
@@ -416,7 +292,6 @@ impl GatherBackend for Executed {
 mod tests {
     use super::*;
     use crate::load_balance::LoadBalanceParams;
-    use crate::programs::select_strategy_program;
     use crate::walks::WalkParams;
     use mfd_graph::generators;
     use mfd_sim::LatencyModel;
@@ -511,37 +386,64 @@ mod tests {
         let left: Vec<usize> = (0..g.n()).filter(|v| v % 8 < 4).collect();
         let right: Vec<usize> = (0..g.n()).filter(|v| v % 8 >= 4).collect();
         let jobs = [&left, &right].map(|members| {
-            let leader = members
-                .iter()
-                .copied()
-                .max_by_key(|&v| g.degree(v))
-                .expect("non-empty");
+            let (cluster, members) = g.induced_subgraph(members);
             GatherJob {
-                members: members.clone(),
-                leader,
+                leader: leader_of(&cluster),
+                cluster,
+                members,
             }
         });
         let strategy = GatherStrategy::TreePipeline;
         let backend = Executed::default();
         let mut batched_meter = RoundMeter::new();
-        let batched = backend.gather_all(&g, &jobs, 0.1, &strategy, &mut batched_meter);
+        let batched = backend.gather_all(&jobs, 0.1, &strategy, &mut batched_meter);
+        let looped: Vec<(GatherReport, RoundMeter)> = (jobs.iter())
+            .map(|job| {
+                let mut sm = RoundMeter::new();
+                let report = backend.gather(&job.cluster, job.leader, 0.1, &strategy, &mut sm);
+                (report, sm)
+            })
+            .collect();
         let mut loop_meter = RoundMeter::new();
-        let looped = gather_all_sequential(
-            &backend,
-            &g,
-            &jobs,
-            0.1,
-            &strategy,
-            &mut loop_meter,
-            &mut (),
-        );
+        loop_meter.merge_parallel(looped.iter().map(|(_, sm)| sm));
         assert_eq!(batched.len(), 2);
-        for (a, b) in batched.iter().zip(&looped) {
+        for (a, (b, _)) in batched.iter().zip(&looped) {
             assert_eq!(a.rounds, b.rounds);
             assert_eq!(a.per_vertex_delivered, b.per_vertex_delivered);
             assert_eq!(a.strategy, b.strategy);
         }
         assert_eq!(batched_meter.rounds(), loop_meter.rounds());
         assert_eq!(batched_meter.messages(), loop_meter.messages());
+    }
+
+    /// `gather_to_leader`'s guard (`leader < n.max(1)`) admits the empty
+    /// cluster, and a cluster without edges holds no message: every strategy
+    /// on every backend must report it free and fully delivered, not panic
+    /// on a leader that does not exist or charge a schedule nobody runs.
+    #[test]
+    fn a_gather_with_nothing_to_deliver_is_free_on_every_strategy_and_backend() {
+        let backends: [(&str, &dyn GatherBackend); 3] = [
+            ("metered", &Metered),
+            ("executed", &Executed::default()),
+            ("simulated", &Executed::sim(SimConfig::default())),
+        ];
+        for n in [0, 1, 3] {
+            let cluster = Graph::new(n);
+            for strategy in [
+                GatherStrategy::TreePipeline,
+                GatherStrategy::LoadBalance(LoadBalanceParams::default()),
+                GatherStrategy::WalkSchedule(WalkParams::default()),
+            ] {
+                for (name, backend) in backends {
+                    let case = format!("n={n}, {strategy:?}, {name}");
+                    let mut meter = RoundMeter::new();
+                    let report = backend.gather(&cluster, 0, 0.1, &strategy, &mut meter);
+                    assert_eq!((meter.rounds(), meter.messages()), (0, 0), "{case}");
+                    assert_eq!((report.rounds, report.total_messages), (0, 0), "{case}");
+                    assert_eq!(report.delivered_fraction, 1.0, "{case}");
+                    assert_eq!(report.per_vertex_delivered, vec![0; n], "{case}");
+                }
+            }
+        }
     }
 }

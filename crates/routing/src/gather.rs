@@ -47,6 +47,8 @@ pub struct GatherReport {
 
 /// Gathers `deg(v)` messages from every vertex of `cluster` to `leader`, tolerating a
 /// failure fraction `f`, with the chosen strategy. Rounds are charged on `meter`.
+/// A cluster without edges has nothing to gather: whatever the strategy, the report
+/// is [`tree_gather`]'s free, fully-delivered one.
 ///
 /// # Panics
 ///
@@ -59,6 +61,9 @@ pub fn gather_to_leader(
     meter: &mut RoundMeter,
 ) -> GatherReport {
     assert!(leader < cluster.n().max(1), "leader out of range");
+    if cluster.m() == 0 {
+        return tree_gather(cluster, leader, meter);
+    }
     match strategy {
         GatherStrategy::TreePipeline => tree_gather(cluster, leader, meter),
         GatherStrategy::LoadBalance(params) => {

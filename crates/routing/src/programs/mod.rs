@@ -46,15 +46,16 @@
 //!   their message counts sit above the charged ones by design; CI's
 //!   regression gate pins both.
 
+use mfd_congest::RoundMeter;
 use mfd_graph::{properties, CsrGraph, Graph};
 use mfd_runtime::{
-    Envelope, ExecutorConfig, NodeCtx, NodeProgram, Outbox, RuntimeError, RuntimeMessage,
-    ShardedConfig, ShardedExecution, ShardedExecutor,
+    ExecutorConfig, NodeProgram, RuntimeError, ShardedConfig, ShardedExecution, ShardedExecutor,
 };
+use mfd_sim::Simulator;
 
-use crate::gather::GatherStrategy;
-use crate::load_balance::{LoadBalanceParams, LoadBalancePlan};
-use crate::walks::plan_walk_schedule;
+use crate::gather::{tree_gather, GatherStrategy};
+use crate::load_balance::{load_balance_gather_with_plan, LoadBalanceParams, LoadBalancePlan};
+use crate::walks::{execute_walk_gather, plan_walk_schedule, WalkParams, WalkPlan};
 
 mod load_balance;
 mod tree;
@@ -183,272 +184,146 @@ pub(crate) fn assert_plan_matches(cluster: &Graph, split: &crate::split::Expande
 /// ≈ 0.093, hypercube-6 ≈ 0.31).
 pub const TREE_ROUTE_PHI: f64 = 0.08;
 
-/// An executed gather program chosen by [`select_gather_program`] or
-/// [`select_strategy_program`].
+/// The executed gather program [`select_gather_program`] or
+/// [`select_strategy_program`] chose for one cluster, together with the plan
+/// that sized it.
 ///
-/// `SelectedGather` is itself a [`NodeProgram`] (state and message enums
-/// dispatch to the chosen program), so a *heterogeneous* set of clusters —
-/// each routed to whichever strategy fits it — can run under one program
-/// type, e.g. through [`mfd_runtime::run_on_clusters`]. This is what lets
-/// the decomposition layer swap metered gathers for executed ones wholesale.
+/// A selection is a plain value, not a program: a heterogeneous set of
+/// clusters — each routed to whichever strategy fits it — is a list of
+/// selections, and each cluster run dispatches **once**, outside the
+/// program, to the engine's `run` on the concrete program
+/// ([`SelectedGather::run_sharded`], [`SelectedGather::run_sim`]). The
+/// carried plan is what the metered oracle of the same cluster replays
+/// ([`SelectedGather::charged_rounds`]): planning is deterministic but not
+/// free (spectral estimates, walk seed search), so nothing plans twice.
 #[derive(Debug, Clone)]
 pub enum SelectedGather {
     /// The tree pipeline: always delivers everything; the right call on
     /// low-conductance clusters whose leader is no hub.
     Tree(TreeGatherProgram),
-    /// The Lemma 2.2 token balancer (boxed: it carries its whole plan).
-    LoadBalance(Box<LoadBalanceProgram>),
+    /// The Lemma 2.2 token balancer (boxed: both halves are large).
+    LoadBalance {
+        /// The program, sized by `plan`.
+        program: Box<LoadBalanceProgram>,
+        /// The plan the selection computed.
+        plan: Box<LoadBalancePlan>,
+    },
     /// The Lemma 2.5 walk schedule (boxed: it carries its path table).
-    Walk(Box<WalkScheduleProgram>),
+    Walk {
+        /// The program, routing `plan`'s good messages.
+        program: Box<WalkScheduleProgram>,
+        /// The plan the selection computed.
+        plan: Box<WalkPlan>,
+        /// The parameters the plan was searched under (the metered charge
+        /// reads its congestion factor and reverse-run switch).
+        params: WalkParams,
+    },
     /// The tree pipeline standing in for a walk schedule whose plan missed
     /// the failure budget (the cluster is not expander enough — planning is
     /// free leader-local work, so the selection can tell up front).
     WalkFallbackTree(TreeGatherProgram),
 }
 
-/// Message vocabulary of [`SelectedGather`]: the chosen program's messages,
-/// wrapped. All vertices of a cluster run the same selection, so the variant
-/// is uniform within a run; word counts delegate to the payload.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SelectedMsg {
-    /// A [`TreeGatherProgram`] message.
-    Tree(TreeMsg),
-    /// A [`LoadBalanceProgram`] message.
-    LoadBalance(LbMsg),
-    /// A [`WalkScheduleProgram`] message.
-    Walk(WalkMsg),
-}
-
-impl RuntimeMessage for SelectedMsg {
-    fn words(&self) -> usize {
-        match self {
-            SelectedMsg::Tree(m) => m.words(),
-            SelectedMsg::LoadBalance(m) => m.words(),
-            SelectedMsg::Walk(m) => m.words(),
-        }
-    }
-}
-
-/// Per-vertex state of [`SelectedGather`]: the chosen program's state.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SelectedState {
-    /// State of a [`TreeGatherProgram`] vertex.
-    Tree(TreeGatherState),
-    /// State of a [`LoadBalanceProgram`] vertex.
-    LoadBalance(LoadBalanceState),
-    /// State of a [`WalkScheduleProgram`] vertex.
-    Walk(WalkScheduleState),
-}
-
-/// Drives one inner round through the adapter surface ([`Outbox::new`] /
-/// [`Outbox::into_sends`] / [`Outbox::violation`]) and re-wraps the sends.
-/// On an inner model violation the illegal destination is replayed on the
-/// outer outbox so the engine aborts with the same verdict.
-fn dispatch_round<P: NodeProgram>(
-    program: &P,
-    ctx: &NodeCtx,
-    state: &mut P::State,
-    inbox: Vec<Envelope<P::Msg>>,
-    out: &mut Outbox<'_, SelectedMsg>,
-    wrap: impl Fn(P::Msg) -> SelectedMsg,
-    replay: SelectedMsg,
-) {
-    let mut inner: Outbox<'_, P::Msg> = Outbox::new(ctx.id, ctx.neighbors);
-    program.round(ctx, state, &inbox, &mut inner);
-    if let Some(mfd_congest::CongestError::NotAnEdge { dst, .. }) = inner.violation() {
-        out.send(*dst, replay);
-        return;
-    }
-    for (dst, msg, _words) in inner.into_sends() {
-        out.send(dst, wrap(msg));
-    }
-}
-
-impl NodeProgram for SelectedGather {
-    type State = SelectedState;
-    type Msg = SelectedMsg;
-
-    fn init(&self, ctx: &NodeCtx) -> SelectedState {
-        match self {
-            SelectedGather::Tree(p) | SelectedGather::WalkFallbackTree(p) => {
-                SelectedState::Tree(p.init(ctx))
-            }
-            SelectedGather::LoadBalance(p) => SelectedState::LoadBalance(p.init(ctx)),
-            SelectedGather::Walk(p) => SelectedState::Walk(p.init(ctx)),
-        }
-    }
-
-    fn round(
-        &self,
-        ctx: &NodeCtx,
-        state: &mut SelectedState,
-        inbox: &[Envelope<SelectedMsg>],
-        out: &mut Outbox<'_, SelectedMsg>,
-    ) {
-        // Mismatched envelopes cannot arise (every vertex runs the same
-        // selection); they are dropped rather than trusted, in line with the
-        // gather programs' own degrade-don't-panic inbox handling.
-        match (self, state) {
-            (
-                SelectedGather::Tree(p) | SelectedGather::WalkFallbackTree(p),
-                SelectedState::Tree(s),
-            ) => {
-                let inbox: Vec<Envelope<TreeMsg>> = inbox
-                    .iter()
-                    .filter_map(|e| match e.msg {
-                        SelectedMsg::Tree(m) => Some(Envelope { src: e.src, msg: m }),
-                        _ => None,
-                    })
-                    .collect();
-                dispatch_round(
-                    p,
-                    ctx,
-                    s,
-                    inbox,
-                    out,
-                    SelectedMsg::Tree,
-                    SelectedMsg::Tree(TreeMsg::Done),
-                );
-            }
-            (SelectedGather::LoadBalance(p), SelectedState::LoadBalance(s)) => {
-                let inbox: Vec<Envelope<LbMsg>> = inbox
-                    .iter()
-                    .filter_map(|e| match e.msg {
-                        SelectedMsg::LoadBalance(m) => Some(Envelope { src: e.src, msg: m }),
-                        _ => None,
-                    })
-                    .collect();
-                dispatch_round(
-                    p.as_ref(),
-                    ctx,
-                    s,
-                    inbox,
-                    out,
-                    SelectedMsg::LoadBalance,
-                    SelectedMsg::LoadBalance(LbMsg::Stop),
-                );
-            }
-            (SelectedGather::Walk(p), SelectedState::Walk(s)) => {
-                let inbox: Vec<Envelope<WalkMsg>> = inbox
-                    .iter()
-                    .filter_map(|e| match e.msg {
-                        SelectedMsg::Walk(m) => Some(Envelope { src: e.src, msg: m }),
-                        _ => None,
-                    })
-                    .collect();
-                dispatch_round(
-                    p.as_ref(),
-                    ctx,
-                    s,
-                    inbox,
-                    out,
-                    SelectedMsg::Walk,
-                    SelectedMsg::Walk(WalkMsg::Stop),
-                );
-            }
-            _ => unreachable!("selection state matches the selected program"),
-        }
-    }
-
-    fn halted(&self, ctx: &NodeCtx, state: &SelectedState) -> bool {
-        match (self, state) {
-            (
-                SelectedGather::Tree(p) | SelectedGather::WalkFallbackTree(p),
-                SelectedState::Tree(s),
-            ) => p.halted(ctx, s),
-            (SelectedGather::LoadBalance(p), SelectedState::LoadBalance(s)) => p.halted(ctx, s),
-            (SelectedGather::Walk(p), SelectedState::Walk(s)) => p.halted(ctx, s),
-            _ => unreachable!("selection state matches the selected program"),
-        }
-    }
-
-    fn round_budget_hint(&self) -> Option<u64> {
-        match self {
-            SelectedGather::Tree(p) | SelectedGather::WalkFallbackTree(p) => p.round_budget_hint(),
-            SelectedGather::LoadBalance(p) => p.round_budget_hint(),
-            SelectedGather::Walk(p) => p.round_budget_hint(),
-        }
-    }
-
-    fn quiescent(&self, ctx: &NodeCtx, state: &SelectedState) -> bool {
-        match (self, state) {
-            (
-                SelectedGather::Tree(p) | SelectedGather::WalkFallbackTree(p),
-                SelectedState::Tree(s),
-            ) => p.quiescent(ctx, s),
-            (SelectedGather::LoadBalance(p), SelectedState::LoadBalance(s)) => p.quiescent(ctx, s),
-            (SelectedGather::Walk(p), SelectedState::Walk(s)) => p.quiescent(ctx, s),
-            _ => unreachable!("selection state matches the selected program"),
-        }
-    }
-}
-
-impl GatherProgram for SelectedGather {
-    fn strategy_name(&self) -> &'static str {
+impl SelectedGather {
+    /// Strategy name, matching the metered [`crate::gather::GatherReport`].
+    pub fn strategy_name(&self) -> &'static str {
         match self {
             SelectedGather::Tree(p) => p.strategy_name(),
-            SelectedGather::LoadBalance(p) => p.strategy_name(),
-            SelectedGather::Walk(p) => p.strategy_name(),
+            SelectedGather::LoadBalance { program, .. } => program.strategy_name(),
+            SelectedGather::Walk { program, .. } => program.strategy_name(),
             SelectedGather::WalkFallbackTree(_) => "walk-schedule(tree-fallback)",
         }
     }
 
-    fn total_messages(&self) -> usize {
-        match self {
-            SelectedGather::Tree(p) | SelectedGather::WalkFallbackTree(p) => p.total_messages(),
-            SelectedGather::LoadBalance(p) => p.total_messages(),
-            SelectedGather::Walk(p) => p.total_messages(),
-        }
-    }
-
-    fn per_vertex_delivered(&self, states: &[SelectedState]) -> Vec<usize> {
-        match self {
-            SelectedGather::Tree(p) | SelectedGather::WalkFallbackTree(p) => {
-                let inner: Vec<TreeGatherState> = states
-                    .iter()
-                    .map(|s| match s {
-                        SelectedState::Tree(t) => t.clone(),
-                        _ => unreachable!("selection state matches the selected program"),
-                    })
-                    .collect();
-                p.per_vertex_delivered(&inner)
-            }
-            SelectedGather::LoadBalance(p) => {
-                let inner: Vec<LoadBalanceState> = states
-                    .iter()
-                    .map(|s| match s {
-                        SelectedState::LoadBalance(t) => t.clone(),
-                        _ => unreachable!("selection state matches the selected program"),
-                    })
-                    .collect();
-                p.per_vertex_delivered(&inner)
-            }
-            SelectedGather::Walk(p) => {
-                let inner: Vec<WalkScheduleState> = states
-                    .iter()
-                    .map(|s| match s {
-                        SelectedState::Walk(t) => t.clone(),
-                        _ => unreachable!("selection state matches the selected program"),
-                    })
-                    .collect();
-                p.per_vertex_delivered(&inner)
-            }
-        }
-    }
-}
-
-impl SelectedGather {
-    /// Runs the chosen program on the synchronous executor and reports it.
+    /// Runs the selected program on `view` — the CSR form of the cluster the
+    /// selection was made on — and returns its report and the engine's meter.
     ///
     /// # Errors
     ///
-    /// Propagates any [`RuntimeError`] from the executor.
-    pub fn execute(
+    /// Propagates any [`RuntimeError`] from the engine.
+    pub fn run_sharded(
         &self,
+        engine: &ShardedExecutor,
+        view: &CsrGraph,
+    ) -> Result<(ExecutedGather, RoundMeter), RuntimeError> {
+        Ok(match self {
+            SelectedGather::Tree(p) | SelectedGather::WalkFallbackTree(p) => {
+                let run = engine.run(view, p)?;
+                self.report(p, &run.states, run.meter)
+            }
+            SelectedGather::LoadBalance { program: p, .. } => {
+                let run = engine.run(view, p.as_ref())?;
+                self.report(p.as_ref(), &run.states, run.meter)
+            }
+            SelectedGather::Walk { program: p, .. } => {
+                let run = engine.run(view, p.as_ref())?;
+                self.report(p.as_ref(), &run.states, run.meter)
+            }
+        })
+    }
+
+    /// [`SelectedGather::run_sharded`] on the `mfd-sim` event engine, which
+    /// takes the cluster as the adjacency-map [`Graph`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates any [`RuntimeError`] from the engine.
+    pub fn run_sim(
+        &self,
+        sim: &Simulator,
         cluster: &Graph,
-        config: &ExecutorConfig,
-    ) -> Result<ExecutedGather, RuntimeError> {
-        execute_gather(cluster, self, config).map(|(r, _)| r)
+    ) -> Result<(ExecutedGather, RoundMeter), RuntimeError> {
+        Ok(match self {
+            SelectedGather::Tree(p) | SelectedGather::WalkFallbackTree(p) => {
+                let run = sim.run(cluster, p)?;
+                self.report(p, &run.states, run.meter)
+            }
+            SelectedGather::LoadBalance { program: p, .. } => {
+                let run = sim.run(cluster, p.as_ref())?;
+                self.report(p.as_ref(), &run.states, run.meter)
+            }
+            SelectedGather::Walk { program: p, .. } => {
+                let run = sim.run(cluster, p.as_ref())?;
+                self.report(p.as_ref(), &run.states, run.meter)
+            }
+        })
+    }
+
+    /// The concrete program's report — under the selection's strategy name
+    /// (the fallback tree reports as the walk schedule it stands in for) —
+    /// next to the engine meter it was read from.
+    fn report<P: GatherProgram>(
+        &self,
+        program: &P,
+        states: &[P::State],
+        meter: RoundMeter,
+    ) -> (ExecutedGather, RoundMeter) {
+        let report = ExecutedGather {
+            strategy: self.strategy_name(),
+            ..program.executed_report(states, meter.rounds(), meter.messages())
+        };
+        (report, meter)
+    }
+
+    /// The metered charge of the program that was *selected* — the oracle
+    /// executed rounds are validated against. When the selection overrode
+    /// the requested strategy (conductance-routed the balancer to the tree,
+    /// or fell back from an unplannable walk schedule), this is the metered
+    /// cost of what actually runs, replayed from the carried plan.
+    pub fn charged_rounds(&self, cluster: &Graph, leader: usize, f: f64) -> u64 {
+        let mut oracle = RoundMeter::new();
+        match self {
+            SelectedGather::Tree(_) | SelectedGather::WalkFallbackTree(_) => {
+                tree_gather(cluster, leader, &mut oracle);
+            }
+            SelectedGather::LoadBalance { plan, .. } => {
+                load_balance_gather_with_plan(cluster, leader, f, plan, &mut oracle);
+            }
+            SelectedGather::Walk { plan, params, .. } => {
+                execute_walk_gather(cluster, plan, params, &mut oracle);
+            }
+        }
+        oracle.rounds()
     }
 }
 
@@ -466,7 +341,7 @@ fn conductance_estimate(cluster: &Graph) -> f64 {
 /// [`TreeGatherProgram`] — on such grid-like clusters the balancer's
 /// end-game is reseed-window sensitive while the tree pipeline is both
 /// cheaper and complete; everything else gets [`LoadBalanceProgram`] sized
-/// by a fresh [`LoadBalancePlan`].
+/// by a fresh [`LoadBalancePlan`], which the selection keeps.
 ///
 /// # Panics
 ///
@@ -477,48 +352,23 @@ pub fn select_gather_program(
     f: f64,
     params: &LoadBalanceParams,
 ) -> SelectedGather {
-    select_for_load_balance(cluster, leader, f, params).0
-}
-
-/// The balancer-vs-tree routing behind [`select_gather_program`], keeping
-/// the plan it computed for callers that also need the metered oracle.
-fn select_for_load_balance(
-    cluster: &Graph,
-    leader: usize,
-    f: f64,
-    params: &LoadBalanceParams,
-) -> (SelectedGather, Option<LoadBalancePlan>) {
-    assert!(leader < cluster.n().max(1), "leader out of range");
+    assert!(leader < cluster.n(), "leader out of range");
     let hub_degree = cluster.degree(leader).pow(2) > cluster.n();
     if !hub_degree && conductance_estimate(cluster) < TREE_ROUTE_PHI {
-        (
-            SelectedGather::Tree(TreeGatherProgram::new(cluster, leader)),
-            None,
-        )
+        SelectedGather::Tree(TreeGatherProgram::new(cluster, leader))
     } else {
-        let plan = LoadBalancePlan::new(cluster, params);
-        let program = LoadBalanceProgram::new(cluster, leader, f, &plan);
-        (SelectedGather::LoadBalance(Box::new(program)), Some(plan))
+        let plan = Box::new(LoadBalancePlan::new(cluster, params));
+        let program = Box::new(LoadBalanceProgram::new(cluster, leader, f, &plan));
+        SelectedGather::LoadBalance { program, plan }
     }
-}
-
-/// The plans a selection computed along the way — [`LoadBalancePlan`] /
-/// [`crate::walks::WalkPlan`] are deterministic but not free (spectral
-/// estimates, walk seed search), so callers that also run the metered
-/// oracle on the same cluster (the `Executed` backend's charge check) reuse
-/// them instead of replanning.
-#[derive(Debug, Default)]
-pub struct SelectionPlans {
-    /// The balancer plan, present exactly when the balancer was selected.
-    pub load_balance: Option<LoadBalancePlan>,
-    /// The walk plan, present exactly when the walk schedule was selected.
-    pub walk: Option<crate::walks::WalkPlan>,
 }
 
 /// Program-level counterpart of [`crate::gather::gather_to_leader`]: picks
 /// the executed program realizing `strategy` on this cluster, including
 /// every fallback the metered path applies —
 ///
+/// * a cluster without edges has nothing to gather → the (free)
+///   [`TreeGatherProgram`], whatever the strategy;
 /// * [`GatherStrategy::TreePipeline`] → [`TreeGatherProgram`];
 /// * [`GatherStrategy::LoadBalance`] → [`select_gather_program`]'s
 ///   conductance/leader-degree routing between the balancer and the tree;
@@ -535,49 +385,26 @@ pub fn select_strategy_program(
     f: f64,
     strategy: &GatherStrategy,
 ) -> SelectedGather {
-    select_strategy_program_with_plans(cluster, leader, f, strategy).0
-}
-
-/// [`select_strategy_program`] plus the plans the selection computed
-/// ([`SelectionPlans`]).
-pub fn select_strategy_program_with_plans(
-    cluster: &Graph,
-    leader: usize,
-    f: f64,
-    strategy: &GatherStrategy,
-) -> (SelectedGather, SelectionPlans) {
     assert!(leader < cluster.n().max(1), "leader out of range");
+    if cluster.m() == 0 {
+        return SelectedGather::Tree(TreeGatherProgram::new(cluster, leader));
+    }
     match strategy {
-        GatherStrategy::TreePipeline => (
-            SelectedGather::Tree(TreeGatherProgram::new(cluster, leader)),
-            SelectionPlans::default(),
-        ),
-        GatherStrategy::LoadBalance(params) => {
-            let (selected, plan) = select_for_load_balance(cluster, leader, f, params);
-            (
-                selected,
-                SelectionPlans {
-                    load_balance: plan,
-                    walk: None,
-                },
-            )
+        GatherStrategy::TreePipeline => {
+            SelectedGather::Tree(TreeGatherProgram::new(cluster, leader))
         }
+        GatherStrategy::LoadBalance(params) => select_gather_program(cluster, leader, f, params),
         GatherStrategy::WalkSchedule(params) => {
-            let plan = plan_walk_schedule(cluster, leader, f, params);
+            let plan = Box::new(plan_walk_schedule(cluster, leader, f, params));
             if plan.good_fraction < 1.0 - f {
-                (
-                    SelectedGather::WalkFallbackTree(TreeGatherProgram::new(cluster, leader)),
-                    SelectionPlans::default(),
-                )
+                SelectedGather::WalkFallbackTree(TreeGatherProgram::new(cluster, leader))
             } else {
-                let program = WalkScheduleProgram::new(cluster, &plan);
-                (
-                    SelectedGather::Walk(Box::new(program)),
-                    SelectionPlans {
-                        load_balance: None,
-                        walk: Some(plan),
-                    },
-                )
+                let program = Box::new(WalkScheduleProgram::new(cluster, &plan));
+                SelectedGather::Walk {
+                    program,
+                    plan,
+                    params: params.clone(),
+                }
             }
         }
     }
@@ -602,8 +429,15 @@ pub fn execute_gather<P: GatherProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mfd_congest::RoundMeter;
     use mfd_graph::generators;
+
+    fn run(selected: &SelectedGather, cluster: &Graph) -> ExecutedGather {
+        let view = CsrGraph::from_graph(cluster);
+        let (report, _) = selected
+            .run_sharded(&ShardedExecutor::default(), &view)
+            .unwrap();
+        report
+    }
 
     /// The ROADMAP-documented sensitivity: tri-grid-10x10's token-balancer
     /// end-game overruns the charge, so selection must route it (and its
@@ -618,7 +452,7 @@ mod tests {
             assert_eq!(sel.strategy_name(), "tree-pipeline", "{rows}x{cols}");
             let mut meter = RoundMeter::new();
             let charged = crate::gather::tree_gather(&g, leader, &mut meter);
-            let report = sel.execute(&g, &ExecutorConfig::default()).unwrap();
+            let report = run(&sel, &g);
             assert!(
                 report.rounds <= charged.rounds,
                 "{rows}x{cols}: executed {} > charged {}",
@@ -642,12 +476,100 @@ mod tests {
             let f = 0.1;
             let sel = select_gather_program(&g, leader, f, &LoadBalanceParams::default());
             assert_eq!(sel.strategy_name(), "load-balance", "{name}");
-            let report = sel.execute(&g, &ExecutorConfig::default()).unwrap();
+            let report = run(&sel, &g);
             assert!(
                 report.delivered_fraction >= 1.0 - f,
                 "{name}: delivered {}",
                 report.delivered_fraction
             );
         }
+    }
+
+    /// The selection keeps the plan it sized its program by — exactly what a
+    /// direct planner call computes (planners are pure) — and the metered
+    /// oracle replays *that* plan: tampering with the carried copy moves the
+    /// charge, which a replanning oracle would not notice.
+    #[test]
+    fn the_selection_carries_the_plan_it_was_sized_by() {
+        let f = 0.1;
+        let lb = LoadBalanceParams::default();
+        let walk = WalkParams {
+            max_seed_tries: 6,
+            max_walks_per_message: 16,
+            max_steps: 256,
+            ..WalkParams::default()
+        };
+        let rounds = |charge: &dyn Fn(&mut RoundMeter)| {
+            let mut meter = RoundMeter::new();
+            charge(&mut meter);
+            meter.rounds()
+        };
+        let mut variants = Vec::new();
+        for (name, g) in [
+            ("wheel-32", generators::wheel(32)),
+            ("tri-grid-6x6", generators::triangulated_grid(6, 6)),
+            ("hypercube-4", generators::hypercube(4)),
+        ] {
+            let leader = (0..g.n()).max_by_key(|&v| g.degree(v)).unwrap();
+            let tree_charge = rounds(&|m| drop(tree_gather(&g, leader, m)));
+            for strategy in [
+                GatherStrategy::TreePipeline,
+                GatherStrategy::LoadBalance(lb.clone()),
+                GatherStrategy::WalkSchedule(walk.clone()),
+            ] {
+                let selected = select_strategy_program(&g, leader, f, &strategy);
+                variants.push(selected.strategy_name());
+                let charged = selected.charged_rounds(&g, leader, f);
+                match selected {
+                    // The tree variants carry no plan: the oracle is the tree's.
+                    SelectedGather::Tree(_) | SelectedGather::WalkFallbackTree(_) => {
+                        assert_eq!(charged, tree_charge, "{name}");
+                    }
+                    SelectedGather::LoadBalance { program, mut plan } => {
+                        assert_eq!(*plan, LoadBalancePlan::new(&g, &lb), "{name}");
+                        let direct = |m: &mut _| {
+                            drop(load_balance_gather_with_plan(&g, leader, f, &plan, m))
+                        };
+                        assert_eq!(charged, rounds(&direct), "{name}");
+                        // Without the reverse run the charge halves.
+                        plan.charge_reverse = false;
+                        let tampered = SelectedGather::LoadBalance { program, plan };
+                        assert_eq!(2 * tampered.charged_rounds(&g, leader, f), charged);
+                    }
+                    SelectedGather::Walk {
+                        program,
+                        mut plan,
+                        params,
+                    } => {
+                        assert_eq!(*plan, plan_walk_schedule(&g, leader, f, &walk), "{name}");
+                        let direct = |m: &mut _| drop(execute_walk_gather(&g, &plan, &walk, m));
+                        assert_eq!(charged, rounds(&direct), "{name}");
+                        // One more step per walk: `2 · factor · r` more rounds.
+                        plan.schedule.steps += 1;
+                        let r = plan.schedule.walks_per_message;
+                        let tampered = SelectedGather::Walk {
+                            program,
+                            plan,
+                            params,
+                        };
+                        assert_eq!(
+                            tampered.charged_rounds(&g, leader, f),
+                            charged + 2 * (walk.congestion_factor * r) as u64
+                        );
+                    }
+                }
+            }
+        }
+        variants.sort_unstable();
+        variants.dedup();
+        assert_eq!(
+            variants,
+            [
+                "load-balance",
+                "tree-pipeline",
+                "walk-schedule",
+                "walk-schedule(tree-fallback)"
+            ]
+        );
     }
 }

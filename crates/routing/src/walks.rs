@@ -80,7 +80,7 @@ pub struct WalkSchedule {
 /// [`WalkSchedule::steps`] — so executing or re-executing a schedule never
 /// re-runs the spectral estimators. Planning is pure: the same cluster,
 /// target, failure budget and parameters always produce the same plan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WalkPlan {
     /// The chosen schedule.
     pub schedule: WalkSchedule,

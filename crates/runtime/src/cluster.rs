@@ -1,14 +1,17 @@
-//! Cluster-scoped execution: run a node program independently on
+//! Cluster-scoped execution: run node programs independently on
 //! vertex-disjoint clusters, in parallel, with the paper's parallel-composition
 //! accounting (rounds = max over clusters, messages = sum).
 //!
-//! Every cluster runs on the sharded CSR engine ([`ShardedExecutor`]): one
-//! engine is built per call and shared by all clusters, each cluster is a
-//! [`CsrGraph`] view induced from the ambient graph
-//! ([`CsrGraph::induced_subgraph`]) or handed in already induced
-//! ([`run_on_induced`]), and a round of a cluster costs its frontier and its
-//! messages, not its size. The engine enforces the CONGEST model per cluster
-//! exactly as it does on a whole graph, and is bit-identical to the
+//! [`run_each`] is the one batch runner: it builds one sharded CSR engine
+//! ([`ShardedExecutor`]) per call, shares the configured workers out among
+//! the clusters and hands each cluster's closure that engine — what runs is
+//! the closure's business, so a batch may mix program types freely (one
+//! concrete `engine.run(view, &program)` per cluster, no wrapper program).
+//! [`run_on_clusters`] is its homogeneous caller: one program type, each
+//! cluster a [`CsrGraph`] view induced from the ambient graph
+//! ([`CsrGraph::induced_subgraph`]). A round of a cluster costs its frontier
+//! and its messages, not its size. The engine enforces the CONGEST model per
+//! cluster exactly as it does on a whole graph, and is bit-identical to the
 //! reference stepper ([`crate::Executor`]) on the induced adjacency-map
 //! subgraph — the oracle the tests below compare against.
 
@@ -18,7 +21,7 @@ use rayon::prelude::*;
 
 use crate::executor::{ExecutorConfig, RuntimeError};
 use crate::program::NodeProgram;
-use crate::sharded::{ShardedConfig, ShardedExecution, ShardedExecutor};
+use crate::sharded::{ShardedConfig, ShardedExecutor};
 
 /// Result of running a program on every cluster of a partition.
 #[derive(Debug)]
@@ -61,16 +64,12 @@ impl<S> ClusterExecution<S> {
 }
 
 /// Runs one program per cluster on the induced subgraphs of vertex-disjoint
-/// clusters of `g`, in parallel across clusters.
+/// clusters of `g`, in parallel across clusters ([`run_each`]).
 ///
 /// `make_program` receives `(cluster index, induced subgraph, original ids)`
 /// and returns the program for that cluster; vertex `i` of the subgraph is
-/// original vertex `members[i]`. The configured worker threads are shared out
-/// among the clusters: with at least as many clusters as threads every
-/// cluster runs single-threaded on one shard (the cluster-level parallelism
-/// already saturates the machine); with fewer, each cluster gets
-/// `threads / clusters` workers and as many shards, so no more than `threads`
-/// workers ever run. The outputs do not depend on the thread count.
+/// original vertex `members[i]`. The outputs do not depend on the thread
+/// count.
 ///
 /// # Errors
 ///
@@ -93,37 +92,20 @@ where
     F: Fn(usize, &CsrGraph, &[usize]) -> P + Sync,
 {
     assert_disjoint(g.n(), clusters);
-    run_each(clusters.to_vec(), config, |idx, engine| {
+    let runs = run_each(clusters.len(), config, |idx, engine| {
         let (sub, members) = g.induced_subgraph(&clusters[idx]);
-        engine.run(&sub, &make_program(idx, &sub, &members))
-    })
-}
-
-/// [`run_on_clusters`] for callers that have already induced their clusters:
-/// runs `clusters[c].1` on the view `clusters[c].0`, whose vertex `i` is
-/// original vertex `members[c][i]`. Nothing is induced or copied here, and
-/// disjointness of the member lists is the caller's to guarantee.
-///
-/// # Errors
-///
-/// Exactly as [`run_on_clusters`].
-///
-/// # Panics
-///
-/// Panics if `members` is not one list per cluster, each as long as its
-/// view has vertices.
-pub fn run_on_induced<P: NodeProgram>(
-    clusters: &[(CsrGraph, P)],
-    members: Vec<Vec<usize>>,
-    config: &ExecutorConfig,
-) -> Result<ClusterExecution<P::State>, RuntimeError> {
-    assert_eq!(members.len(), clusters.len(), "one member list per cluster");
-    for (c, ((view, _), ids)) in clusters.iter().zip(&members).enumerate() {
-        assert_eq!(ids.len(), view.n(), "cluster {c}: one member per vertex");
-    }
-    run_each(members, config, |idx, engine| {
-        let (view, program) = &clusters[idx];
-        engine.run(view, program)
+        let run = engine.run(&sub, &make_program(idx, &sub, &members))?;
+        Ok((run.states, run.meter))
+    })?;
+    let mut meter = RoundMeter::with_capacity(config.capacity_words);
+    meter.merge_parallel(runs.iter().map(|(_, m)| m));
+    Ok(ClusterExecution {
+        members: clusters.to_vec(),
+        max_rounds: meter.rounds(),
+        meter,
+        cluster_rounds: runs.iter().map(|(_, m)| m.rounds()).collect(),
+        cluster_messages: runs.iter().map(|(_, m)| m.messages()).collect(),
+        cluster_states: runs.into_iter().map(|(states, _)| states).collect(),
     })
 }
 
@@ -154,24 +136,36 @@ fn threads_per_cluster(threads: usize, clusters: usize) -> usize {
     (threads / clusters.max(1)).max(1)
 }
 
-/// The shared runner: `run_one(c, engine)` executes cluster `c` on the one
-/// engine built for this call; the per-cluster meters fold in parallel
-/// composition.
-fn run_each<S, F>(
-    members: Vec<Vec<usize>>,
+/// The batch runner: `run_one(c, engine)` executes cluster `c` — any program
+/// on any view, disjointness of the clusters being the caller's to guarantee
+/// — on the one engine built for this call, and returns that cluster's
+/// output and meter; all of them come back in cluster order, ready for
+/// [`RoundMeter::merge_parallel`].
+///
+/// The configured worker threads are shared out among the clusters: with at
+/// least as many clusters as threads every cluster runs single-threaded on
+/// one shard (the cluster-level parallelism already saturates the machine);
+/// with fewer, each cluster gets `threads / clusters` workers and as many
+/// shards, so no more than `threads` workers ever run.
+///
+/// # Errors
+///
+/// Returns the first (by cluster index) error any `run_one` returned.
+pub fn run_each<T, F>(
+    clusters: usize,
     config: &ExecutorConfig,
     run_one: F,
-) -> Result<ClusterExecution<S>, RuntimeError>
+) -> Result<Vec<(T, RoundMeter)>, RuntimeError>
 where
-    S: Send,
-    F: Fn(usize, &ShardedExecutor) -> Result<ShardedExecution<S>, RuntimeError> + Sync,
+    T: Send,
+    F: Fn(usize, &ShardedExecutor) -> Result<(T, RoundMeter), RuntimeError> + Sync,
 {
     let threads = if config.threads > 0 {
         config.threads
     } else {
         rayon::current_num_threads()
     };
-    let per_cluster = threads_per_cluster(threads, members.len());
+    let per_cluster = threads_per_cluster(threads, clusters);
     let engine = ShardedExecutor::new(ShardedConfig::matching(
         &ExecutorConfig {
             threads: per_cluster,
@@ -184,33 +178,13 @@ where
         .num_threads(threads)
         .build()
         .expect("thread pool construction cannot fail");
-    let runs: Vec<Result<ShardedExecution<S>, RuntimeError>> = pool.install(|| {
-        (0..members.len())
+    let runs: Vec<Result<(T, RoundMeter), RuntimeError>> = pool.install(|| {
+        (0..clusters)
             .into_par_iter()
             .map(|idx| run_one(idx, &engine))
             .collect()
     });
-
-    let mut meter = RoundMeter::with_capacity(config.capacity_words);
-    let mut cluster_states = Vec::with_capacity(members.len());
-    let mut cluster_meters = Vec::with_capacity(members.len());
-    for run in runs {
-        let run = run?;
-        cluster_states.push(run.states);
-        cluster_meters.push(run.meter);
-    }
-    let cluster_rounds: Vec<u64> = cluster_meters.iter().map(RoundMeter::rounds).collect();
-    let cluster_messages: Vec<u64> = cluster_meters.iter().map(RoundMeter::messages).collect();
-    meter.merge_parallel(cluster_meters.iter());
-
-    Ok(ClusterExecution {
-        members,
-        cluster_states,
-        max_rounds: meter.rounds(),
-        meter,
-        cluster_rounds,
-        cluster_messages,
-    })
+    runs.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -301,15 +275,19 @@ mod tests {
                     "{case}"
                 );
 
-                // Already-induced views take the same path from there on.
-                let induced: Vec<(CsrGraph, Mixer)> = clusters
-                    .iter()
-                    .map(|m| (csr.induced_subgraph(m).0, Mixer { rounds: 7 }))
-                    .collect();
-                let again = run_on_induced(&induced, clusters.clone(), &config).unwrap();
-                assert_eq!(again.cluster_states, run.cluster_states, "{case}");
-                assert_eq!(again.cluster_rounds, run.cluster_rounds, "{case}");
-                assert_eq!(again.cluster_messages, run.cluster_messages, "{case}");
+                // The batch runner itself, on views induced up front.
+                let views: Vec<CsrGraph> =
+                    clusters.iter().map(|m| csr.induced_subgraph(m).0).collect();
+                let again = run_each(views.len(), &config, |idx, engine| {
+                    let run = engine.run(&views[idx], &program)?;
+                    Ok((run.states, run.meter))
+                })
+                .unwrap();
+                for (c, (states, meter)) in again.iter().enumerate() {
+                    assert_eq!(states, &run.cluster_states[c], "{case}");
+                    assert_eq!(meter.rounds(), run.cluster_rounds[c], "{case}");
+                    assert_eq!(meter.messages(), run.cluster_messages[c], "{case}");
+                }
             }
         }
     }

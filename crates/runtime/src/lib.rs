@@ -28,11 +28,12 @@
 //!   thread counts: vertex results commit in vertex order, mailboxes
 //!   preserve sender order, and per-vertex randomness ([`NodeCtx::rng`]) is
 //!   seeded from `(seed, vertex, round)`, never from scheduling.
-//! * **Parallel composition.** [`run_on_clusters`] executes a program on
-//!   vertex-disjoint clusters concurrently — every cluster a CSR view on
-//!   the one [`ShardedExecutor`] built for the call — and folds the
-//!   per-cluster meters with `merge_parallel` (max of rounds, sum of
-//!   messages), matching the paper's convention for parallel subroutines.
+//! * **Parallel composition.** [`run_each`] runs vertex-disjoint clusters
+//!   concurrently — every cluster a CSR view on the one [`ShardedExecutor`]
+//!   built for the call, each free to run its own program type — and
+//!   [`run_on_clusters`], its one-program caller, folds the per-cluster
+//!   meters with `merge_parallel` (max of rounds, sum of messages),
+//!   matching the paper's convention for parallel subroutines.
 //! * **Frontier-aware scheduling.** Programs can declare quiescence
 //!   ([`NodeProgram::quiescent`]); the executor then skips sleeping vertices
 //!   and ends the run at a global fixpoint, so wave-style programs pay per
@@ -112,7 +113,7 @@ pub mod profile;
 pub mod program;
 pub mod sharded;
 
-pub use cluster::{run_on_clusters, run_on_induced, ClusterExecution};
+pub use cluster::{run_each, run_on_clusters, ClusterExecution};
 pub use driver::VertexRound;
 pub use executor::{Execution, Executor, ExecutorConfig, RuntimeError};
 pub use profile::{NoProfiler, Profiler, RoundSample, PHASES, PHASE_NAMES};

@@ -3,7 +3,8 @@
 //! differentially validated against the metered implementations.
 
 use mfd_congest::RoundMeter;
-use mfd_graph::{generators, CsrGraph, Graph};
+use mfd_graph::{generators, Graph};
+use mfd_routing::backend::{Executed, GatherBackend, GatherJob};
 use mfd_routing::gather::{gather_to_leader, tree_gather, GatherStrategy};
 use mfd_routing::load_balance::{LoadBalanceParams, LoadBalancePlan};
 use mfd_routing::programs::{
@@ -11,8 +12,9 @@ use mfd_routing::programs::{
     TreeGatherProgram, WalkScheduleProgram,
 };
 use mfd_routing::walks::{plan_walk_schedule, WalkParams, WalkPlan};
-use mfd_runtime::{run_on_clusters, run_on_induced, Executor, ExecutorConfig};
+use mfd_runtime::{Executor, ExecutorConfig};
 use mfd_sim::{run_both, LatencyModel, SimConfig, Simulator};
+use mfd_trace::{Event, RecordingSink};
 use proptest::prelude::*;
 
 /// The acceptance families every executed strategy is validated on.
@@ -192,32 +194,44 @@ fn executed_rounds_within_charged_bound_on_acceptance_families() {
     }
 }
 
-/// The migration oracle of the cluster runner: a heterogeneous batch — tree
-/// pipeline, token balancer, walk schedule and the walk's tree fallback, one
-/// per cluster — run on the sharded CSR engine reports, cluster by cluster,
-/// exactly what `Executor::run` reports on `Graph::induced_subgraph`, at
-/// every thread count and on both sides of the clusters-vs-threads split.
+/// One cluster on the reference stepper: `Executor::run` on the concrete
+/// program a selection holds, reduced to what a gather reports.
+fn reference_run(sub: &Graph, selected: &SelectedGather) -> (Vec<usize>, RoundMeter) {
+    fn go<P: GatherProgram>(sub: &Graph, program: &P) -> (Vec<usize>, RoundMeter) {
+        let run = Executor::new(ExecutorConfig::default())
+            .run(sub, program)
+            .unwrap();
+        (program.per_vertex_delivered(&run.states), run.meter)
+    }
+    match selected {
+        SelectedGather::Tree(p) | SelectedGather::WalkFallbackTree(p) => go(sub, p),
+        SelectedGather::LoadBalance { program, .. } => go(sub, program.as_ref()),
+        SelectedGather::Walk { program, .. } => go(sub, program.as_ref()),
+    }
+}
+
+/// The migration oracle of the executed backend: heterogeneous batches — the
+/// balancer next to the tree pipeline it routes a low-conductance grid to,
+/// the walk schedule next to its tree fallback — run by `Executed` report,
+/// cluster by cluster, exactly what `Executor::run` reports for the concrete
+/// selected program on `Graph::induced_subgraph`, at every thread count, on
+/// both sides of the clusters-vs-threads split, and on the event engine.
 #[test]
 fn cluster_runner_matches_per_cluster_executor_runs_on_heterogeneous_batches() {
-    let walk = GatherStrategy::WalkSchedule(test_walk_params());
-    let balancer = GatherStrategy::LoadBalance(LoadBalanceParams::default());
-    let mut parts: Vec<(Graph, GatherStrategy)> = acceptance_families()
-        .into_iter()
-        .map(|(_, g)| g)
-        .zip([GatherStrategy::TreePipeline, walk.clone(), balancer])
-        .collect();
-    // The 64-spoke wheel's plan misses the failure budget under the test
-    // caps (the fallback); the 32-spoke one's does not.
-    parts.push((generators::wheel(32), walk));
-
     // One ambient graph holding the parts side by side, consecutive parts
     // joined by an edge the induced views must drop; members are listed in a
     // scrambled order, so local numbering differs from the ambient one.
-    let total: usize = parts.iter().map(|(g, _)| g.n()).sum();
+    let parts = [
+        generators::triangulated_grid(10, 10),
+        generators::wheel(64),
+        generators::hypercube(6),
+        generators::wheel(32),
+    ];
+    let total: usize = parts.iter().map(Graph::n).sum();
     let mut ambient = Graph::new(total);
     let mut clusters: Vec<Vec<usize>> = Vec::new();
     let mut offset = 0;
-    for (i, (g, _)) in parts.iter().enumerate() {
+    for (i, g) in parts.iter().enumerate() {
         for (u, v) in g.edges() {
             ambient.add_edge(offset + u, offset + v);
         }
@@ -229,19 +243,83 @@ fn cluster_runner_matches_per_cluster_executor_runs_on_heterogeneous_batches() {
         clusters.push(members);
         offset += g.n();
     }
-
-    let selected: Vec<(Graph, SelectedGather)> = clusters
+    let jobs: Vec<GatherJob> = clusters
         .iter()
         .zip(&parts)
-        .map(|(members, (part, strategy))| {
-            let (sub, _) = ambient.induced_subgraph(members);
-            assert_eq!(sub.m(), part.m(), "the joining edges are dropped");
-            let program = select_strategy_program(&sub, max_degree_vertex(&sub), 0.1, strategy);
-            (sub, program)
+        .map(|(members, part)| {
+            let (cluster, members) = ambient.induced_subgraph(members);
+            assert_eq!(cluster.m(), part.m(), "the joining edges are dropped");
+            GatherJob {
+                leader: max_degree_vertex(&cluster),
+                cluster,
+                members,
+            }
         })
         .collect();
-    let mut names: Vec<&str> = selected.iter().map(|(_, p)| p.strategy_name()).collect();
+
+    let mut names: Vec<&str> = Vec::new();
+    for strategy in [
+        // Routes the grid to the tree, keeps the rest on the balancer.
+        GatherStrategy::LoadBalance(LoadBalanceParams::default()),
+        // The 64-spoke wheel's plan misses the failure budget under the test
+        // caps (the fallback); the 32-spoke one's does not.
+        GatherStrategy::WalkSchedule(test_walk_params()),
+    ] {
+        let selected: Vec<SelectedGather> = jobs
+            .iter()
+            .map(|job| select_strategy_program(&job.cluster, job.leader, 0.1, &strategy))
+            .collect();
+        names.extend(selected.iter().map(SelectedGather::strategy_name));
+        let reference: Vec<(Vec<usize>, RoundMeter)> = jobs
+            .iter()
+            .zip(&selected)
+            .map(|(job, selected)| reference_run(&job.cluster, selected))
+            .collect();
+
+        let check = |backend: &Executed, batch: usize, case: String| {
+            let mut meter = RoundMeter::new();
+            let mut sink = RecordingSink::new();
+            let reports =
+                backend.gather_all_traced(&jobs[..batch], 0.1, &strategy, &mut meter, &mut sink);
+            assert_eq!((reports.len(), sink.events.len()), (batch, batch), "{case}");
+            for (c, (delivered, expected)) in reference[..batch].iter().enumerate() {
+                let run = Event::ClusterRun {
+                    cluster: c,
+                    rounds: expected.rounds(),
+                    messages: expected.messages(),
+                };
+                assert_eq!(sink.events[c], run, "{case}, {c}");
+                assert_eq!(reports[c].rounds, expected.rounds(), "{case}, {c}");
+                assert_eq!(&reports[c].per_vertex_delivered, delivered, "{case}, {c}");
+                assert_eq!(reports[c].strategy, selected[c].strategy_name(), "{case}");
+            }
+            let mut folded = RoundMeter::new();
+            folded.merge_parallel(reference[..batch].iter().map(|(_, m)| m));
+            assert_eq!(meter.rounds(), folded.rounds(), "{case}");
+            assert_eq!(meter.messages(), folded.messages(), "{case}");
+            assert_eq!(
+                meter.max_words_on_edge(),
+                folded.max_words_on_edge(),
+                "{case}"
+            );
+        };
+        // Batches of 1 and 2 clusters leave threads to spare at 2 and 4
+        // threads (more than one shard inside a cluster); the full batch
+        // does not.
+        for batch in [1, 2, jobs.len()] {
+            for threads in [1, 2, 4] {
+                check(
+                    &Executed::executor(ExecutorConfig::with_threads(threads)),
+                    batch,
+                    format!("batch of {batch}, {threads} threads"),
+                );
+            }
+        }
+        let sim = SimConfig::matching(&ExecutorConfig::default(), LatencyModel::Fixed(1));
+        check(&Executed::sim(sim), jobs.len(), "event engine".into());
+    }
     names.sort_unstable();
+    names.dedup();
     assert_eq!(
         names,
         [
@@ -251,56 +329,6 @@ fn cluster_runner_matches_per_cluster_executor_runs_on_heterogeneous_batches() {
             "walk-schedule(tree-fallback)"
         ]
     );
-    let reference: Vec<_> = selected
-        .iter()
-        .map(|(sub, program)| {
-            Executor::new(ExecutorConfig::default())
-                .run(sub, program)
-                .unwrap()
-        })
-        .collect();
-
-    let csr = CsrGraph::from_graph(&ambient);
-    // Batches of 1 and 2 clusters leave threads to spare at 2 and 4 threads
-    // (more than one shard inside a cluster); the full batch does not.
-    for batch in [1, 2, clusters.len()] {
-        let views: Vec<(CsrGraph, SelectedGather)> = selected[..batch]
-            .iter()
-            .map(|(sub, program)| (CsrGraph::from_graph(sub), program.clone()))
-            .collect();
-        let mut folded = RoundMeter::new();
-        folded.merge_parallel(reference[..batch].iter().map(|r| &r.meter));
-        for threads in [1, 2, 4] {
-            let config = ExecutorConfig::with_threads(threads);
-            let induced = run_on_induced(&views, clusters[..batch].to_vec(), &config).unwrap();
-            let from_ambient = run_on_clusters(
-                &csr,
-                &clusters[..batch],
-                |idx, view, members| {
-                    assert_eq!(view, &views[idx].0);
-                    assert_eq!(members, &clusters[idx][..]);
-                    selected[idx].1.clone()
-                },
-                &config,
-            )
-            .unwrap();
-            for run in [&induced, &from_ambient] {
-                let case = format!("batch of {batch}, {threads} threads");
-                for (c, expected) in reference[..batch].iter().enumerate() {
-                    assert_eq!(run.cluster_states[c], expected.states, "{case}, {c}");
-                    assert_eq!(run.cluster_rounds[c], expected.rounds, "{case}, {c}");
-                    assert_eq!(run.cluster_messages[c], expected.messages, "{case}, {c}");
-                }
-                assert_eq!(run.meter.rounds(), folded.rounds(), "{case}");
-                assert_eq!(run.meter.messages(), folded.messages(), "{case}");
-                assert_eq!(
-                    run.meter.max_words_on_edge(),
-                    folded.max_words_on_edge(),
-                    "{case}"
-                );
-            }
-        }
-    }
 }
 
 /// The planners are pure: same input, same plan — including the memoized
