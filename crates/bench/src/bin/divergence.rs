@@ -33,8 +33,15 @@
 //! `--json` emits one line of machine-readable verdict with stable field
 //! order — `round`, `vertices`, `engines`, then the sealed-round counts —
 //! for scripting; `round` and `vertices` are `null` when the runs agree.
+//!
+//! The exit code is the verdict: 0 when the runs agree (or, under
+//! `--inject`, when the injected divergence is found), 1 otherwise and for a
+//! journal that does not load or fit, 2 for a malformed command line (an
+//! unknown `--graph` family included) — one `error: …` line on stderr, never
+//! a panic.
 
 use mfd_bench::trace::{executor_chain, sim_chain, DivergenceProbe};
+use mfd_bench::Exit;
 use mfd_graph::{CsrGraph, Graph};
 use mfd_replay::Journal;
 use mfd_runtime::ExecutorConfig;
@@ -61,54 +68,33 @@ fn parse_args() -> Options {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut take = || {
+            args.next()
+                .unwrap_or_else(|| Exit::Usage.fail(format!("{arg} requires an argument")))
+        };
         match arg.as_str() {
             "--self" => opts.self_compare = true,
             "--json" => opts.json = true,
             "--rounds" => {
-                opts.rounds = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--rounds requires an integer argument");
+                opts.rounds = take()
+                    .parse()
+                    .unwrap_or_else(|_| Exit::Usage.fail("--rounds requires an integer argument"));
             }
-            "--graph" => {
-                opts.graph = args.next().expect("--graph requires a family name");
-            }
-            "--against" => {
-                opts.against = Some(args.next().expect("--against requires a journal path"));
-            }
+            "--graph" => opts.graph = take(),
+            "--against" => opts.against = Some(take()),
             "--inject" => {
-                let spec = args
-                    .next()
-                    .expect("--inject requires a ROUND:VERTEX argument");
-                let (r, v) = spec
+                let spec = take();
+                let parsed = spec
                     .split_once(':')
-                    .expect("--inject argument must be ROUND:VERTEX");
-                opts.inject = Some((
-                    r.parse().expect("--inject round must be an integer"),
-                    v.parse().expect("--inject vertex must be an integer"),
-                ));
+                    .and_then(|(r, v)| Some((r.parse().ok()?, v.parse().ok()?)));
+                opts.inject = Some(parsed.unwrap_or_else(|| {
+                    Exit::Usage.fail(format!("--inject takes ROUND:VERTEX, not {spec:?}"))
+                }));
             }
-            other => panic!("unknown argument {other:?} (see the module docs)"),
+            other => Exit::Usage.fail(format!("unknown argument {other:?} (see the module docs)")),
         }
     }
     opts
-}
-
-fn family(name: &str) -> Graph {
-    mfd_bench::acceptance_families()
-        .into_iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, g)| g)
-        .unwrap_or_else(|| {
-            panic!(
-                "unknown graph family {name:?}; valid families: {}",
-                mfd_bench::acceptance_families()
-                    .iter()
-                    .map(|(n, _)| *n)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )
-        })
 }
 
 /// The comparison's outcome, shared by the human and `--json` renderings.
@@ -197,16 +183,17 @@ fn compare_against(
     probe: &DivergenceProbe,
     cfg: &ExecutorConfig,
 ) -> Verdict {
-    let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("cannot read journal {path:?}: {e}"));
-    let journal =
-        Journal::from_bytes(&bytes).unwrap_or_else(|e| panic!("cannot load journal {path:?}: {e}"));
-    assert_eq!(
-        journal.header.n,
-        g.n() as u64,
-        "journal was recorded on a {}-vertex graph, probe runs on {} (match --graph)",
-        journal.header.n,
-        g.n()
-    );
+    let bytes = std::fs::read(path)
+        .unwrap_or_else(|e| Exit::Data.fail(format!("cannot read journal {path:?}: {e}")));
+    let journal = Journal::from_bytes(&bytes)
+        .unwrap_or_else(|e| Exit::Data.fail(format!("cannot load journal {path:?}: {e}")));
+    if journal.header.n != g.n() as u64 {
+        Exit::Data.fail(format!(
+            "journal was recorded on a {}-vertex graph, probe runs on {} (match --graph)",
+            journal.header.n,
+            g.n()
+        ));
+    }
     let reference = journal.chain().to_vec();
     let mut sink = DigestSink::with_reference(reference);
     match journal.header.engine {
@@ -239,7 +226,7 @@ fn compare_against(
 
 fn main() {
     let opts = parse_args();
-    let g = family(&opts.graph);
+    let g = mfd_bench::acceptance_family(&opts.graph).unwrap_or_else(|e| Exit::Usage.fail(e));
     let csr = CsrGraph::from_graph(&g);
     let cfg = ExecutorConfig::default();
     let clean = DivergenceProbe::clean(opts.rounds);
@@ -265,12 +252,13 @@ fn main() {
         let (b, _) = executor_chain(&csr, &clean, &cfg).expect("probe is model-compliant");
         compare("run A", &a, "run B", &b)
     } else if let Some((round, vertex)) = opts.inject {
-        assert!(vertex < g.n(), "--inject vertex {vertex} out of range");
-        assert!(
-            round >= 1 && round <= opts.rounds,
-            "--inject round {round} outside 1..={}",
-            opts.rounds
-        );
+        if vertex >= g.n() || round < 1 || round > opts.rounds {
+            Exit::Usage.fail(format!(
+                "--inject {round}:{vertex} outside rounds 1..={} and vertices 0..{}",
+                opts.rounds,
+                g.n()
+            ));
+        }
         let probe = DivergenceProbe::perturbed(opts.rounds, round, vertex);
         let (a, _) = executor_chain(&csr, &clean, &cfg).expect("probe is model-compliant");
         let (b, _) = executor_chain(&csr, &probe, &cfg).expect("probe is model-compliant");
@@ -289,15 +277,9 @@ fn main() {
 
     verdict.print(opts.json);
 
-    if opts.inject.is_some() {
-        assert!(
-            verdict.round.is_some(),
-            "an injected divergence must be found"
-        );
-    } else {
-        assert!(
-            verdict.round.is_none(),
-            "engines/self runs must not diverge"
-        );
+    match (opts.inject.is_some(), verdict.round.is_some()) {
+        (true, false) => Exit::Data.fail("an injected divergence must be found"),
+        (false, true) => Exit::Data.fail("the runs diverge"),
+        _ => {}
     }
 }

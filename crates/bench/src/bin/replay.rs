@@ -28,6 +28,11 @@
 //! overrides the graph the label names; a checkpoint that does not fit the
 //! graph it is restored onto is a one-line error and a non-zero exit.
 //!
+//! Every failure is one `error: …` line on stderr and a non-zero exit, never
+//! a panic: 2 for a malformed command line (an unknown `--graph` family
+//! included), 1 for input that does not load or fit (a truncated or corrupt
+//! journal, a label that does not parse, a checkpoint for another graph).
+//!
 //! `dump` restores the nearest checkpoint below the target round and steps
 //! forward to it. On the executor, rounds are exact. On the event engine,
 //! checkpoints are consistent cuts between ticks and a cut at exactly round
@@ -41,21 +46,19 @@ use mfd_bench::replay::{
     Resumed,
 };
 use mfd_bench::trace::DivergenceProbe;
+use mfd_bench::Exit;
 use mfd_faults::{FaultModel, Reliable};
 use mfd_graph::{CsrGraph, Graph};
 use mfd_replay::Journal;
 use mfd_runtime::ExecutorConfig;
 use mfd_sim::{LatencyModel, NoFaults};
-use mfd_trace::EngineKind;
+use mfd_trace::{first_divergence, EngineKind};
 
 const LATENCY: LatencyModel = LatencyModel::Uniform { lo: 1, hi: 3 };
 
+/// The family a journal's label names (`--graph` is checked up front).
 fn family(name: &str) -> Graph {
-    mfd_bench::acceptance_families()
-        .into_iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, g)| g)
-        .unwrap_or_else(|| panic!("unknown graph family {name:?}"))
+    mfd_bench::acceptance_family(name).unwrap_or_else(|e| Exit::Data.fail(e))
 }
 
 /// The run configuration a journal's label encodes.
@@ -76,38 +79,35 @@ impl RunSpec {
         format!("{};rounds={};mode={}", self.graph, self.rounds, mode)
     }
 
+    /// Parses a journal's label; a label this bin did not write is bad data.
     fn parse(label: &str) -> RunSpec {
-        let mut parts = label.split(';');
-        let graph = parts.next().expect("label has a graph field").to_string();
-        let rounds = parts
-            .next()
-            .and_then(|s| s.strip_prefix("rounds="))
-            .and_then(|s| s.parse().ok())
-            .expect("label has a rounds= field");
-        let mode = parts
-            .next()
-            .and_then(|s| s.strip_prefix("mode="))
-            .expect("label has a mode= field");
-        let loss = match mode {
-            "clean" => None,
-            other => Some(
-                other
-                    .strip_prefix("faulted:")
-                    .and_then(|s| s.parse().ok())
-                    .expect("mode is clean or faulted:P"),
-            ),
-        };
-        RunSpec {
-            graph,
-            rounds,
-            loss,
+        fn fields(label: &str) -> Option<RunSpec> {
+            let mut parts = label.split(';');
+            let graph = parts.next()?.to_string();
+            let rounds = parts.next()?.strip_prefix("rounds=")?.parse().ok()?;
+            let loss = match parts.next()?.strip_prefix("mode=")? {
+                "clean" => None,
+                other => Some(other.strip_prefix("faulted:")?.parse().ok()?),
+            };
+            Some(RunSpec {
+                graph,
+                rounds,
+                loss,
+            })
         }
+        fields(label).unwrap_or_else(|| {
+            Exit::Data.fail(format!(
+                "journal label {label:?} is not <graph>;rounds=<N>;mode=<clean|faulted:P>"
+            ))
+        })
     }
 }
 
 fn load(path: &str) -> Journal {
-    let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("cannot read journal {path:?}: {e}"));
-    Journal::from_bytes(&bytes).unwrap_or_else(|e| panic!("cannot load journal {path:?}: {e}"))
+    let bytes = std::fs::read(path)
+        .unwrap_or_else(|e| Exit::Data.fail(format!("cannot read journal {path:?}: {e}")));
+    Journal::from_bytes(&bytes)
+        .unwrap_or_else(|e| Exit::Data.fail(format!("cannot load journal {path:?}: {e}")))
 }
 
 fn record(out: &str, engine: &str, spec: &RunSpec, every: u64) {
@@ -131,16 +131,19 @@ fn record(out: &str, engine: &str, spec: &RunSpec, every: u64) {
             let model = FaultModel::iid_loss(p);
             let journaled = sim_journal(&g, &wrapped, &model, &cfg, LATENCY, every, &label)
                 .expect("probe is model-compliant");
-            assert!(
-                !journaled.run.outcome.is_wedged(),
-                "the faulted recording wedged; raise --rounds headroom or lower --loss"
-            );
+            if journaled.run.outcome.is_wedged() {
+                Exit::Usage
+                    .fail("the faulted recording wedged; raise --rounds headroom or lower --loss");
+            }
             journaled.journal
         }
-        _ => panic!("--engine must be executor, sim, or faulted (faulted requires --loss)"),
+        _ => {
+            Exit::Usage.fail("--engine must be executor, sim, or faulted (faulted requires --loss)")
+        }
     };
     let bytes = journal.to_bytes();
-    std::fs::write(out, &bytes).unwrap_or_else(|e| panic!("cannot write {out:?}: {e}"));
+    std::fs::write(out, &bytes)
+        .unwrap_or_else(|e| Exit::Data.fail(format!("cannot write {out:?}: {e}")));
     println!(
         "recorded {engine} run of {} ({} rounds, {} checkpoints, every {every}) -> {out} ({} bytes, head {:016x})",
         spec.graph,
@@ -157,7 +160,9 @@ fn verify(path: &str) {
     // here means the journal coheres. Re-run it anyway so `verify` stays
     // meaningful if loading ever relaxes.
     let journal = load(path);
-    journal.verify().expect("a loadable journal verifies");
+    if let Err(e) = journal.verify() {
+        Exit::Data.fail(format!("journal {path:?} does not verify: {e}"));
+    }
     let spec = RunSpec::parse(&journal.header.label);
     println!(
         "OK: {} journal of {} — {} rounds sealed, {} checkpoints (every {}), head {:016x}",
@@ -183,12 +188,11 @@ fn resume(path: &str, at: Option<u64>, graph: Option<&str>) {
     let spec = RunSpec::parse(&journal.header.label);
     let g = family(graph.unwrap_or(&spec.graph));
     let cfg = ExecutorConfig::default();
-    let at = at.unwrap_or_else(|| {
-        journal
-            .checkpoints
-            .last()
-            .expect("journal has no checkpoints to resume from")
-            .round
+    let at = at.unwrap_or_else(|| match journal.checkpoints.last() {
+        Some(cp) => cp.round,
+        None => Exit::Data.fail(format!(
+            "journal {path:?} has no checkpoints to resume from"
+        )),
     });
     let probe = DivergenceProbe::clean(spec.rounds);
     fn summary<R>(r: Resumed<R>) -> (u64, u64, Vec<u64>) {
@@ -206,19 +210,17 @@ fn resume(path: &str, at: Option<u64>, graph: Option<&str>) {
             let model = FaultModel::iid_loss(p);
             resume_sim(&journal, at, &g, &wrapped, &model, &cfg, LATENCY).map(summary)
         }
-        (EngineKind::Executor, Some(_)) => {
-            panic!("faulted journals are event-engine journals")
-        }
+        (EngineKind::Executor, Some(_)) => Exit::Data.fail(format!(
+            "journal {path:?} is labelled faulted but was recorded on the executor"
+        )),
     };
-    let (from_round, replayed, chain) = resumed.unwrap_or_else(|e| {
-        eprintln!("error: cannot resume {path:?} at round {at}: {e}");
-        std::process::exit(1);
-    });
-    assert_eq!(
-        chain,
-        journal.chain(),
-        "resumed digest chain must equal the journal's chain round for round"
-    );
+    let (from_round, replayed, chain) = resumed
+        .unwrap_or_else(|e| Exit::Data.fail(format!("cannot resume {path:?} at round {at}: {e}")));
+    if let Some(round) = first_divergence(&chain, journal.chain()) {
+        Exit::Data.fail(format!(
+            "resumed digest chain of {path:?} departs from the journal's at round {round}"
+        ));
+    }
     println!(
         "resume OK: restored round {from_round}, replayed {replayed} rounds, \
          chain bit-identical over all {} rounds (head {:016x})",
@@ -233,15 +235,17 @@ fn resume(path: &str, at: Option<u64>, graph: Option<&str>) {
 /// is the nearest consistent cut at-or-after the target.
 fn states_at(journal: &Journal, target: u64) -> (u64, Vec<u64>) {
     let spec = RunSpec::parse(&journal.header.label);
-    assert!(
-        spec.loss.is_none(),
-        "dump/diff decode plain probe states; faulted journals support verify/resume only"
-    );
-    assert!(
-        target >= 1 && target <= journal.rounds(),
-        "round {target} outside this journal's 1..={}",
-        journal.rounds()
-    );
+    if spec.loss.is_some() {
+        Exit::Usage.fail(
+            "dump/diff decode plain probe states; faulted journals support verify/resume only",
+        );
+    }
+    if target < 1 || target > journal.rounds() {
+        Exit::Usage.fail(format!(
+            "round {target} outside this journal's 1..={}",
+            journal.rounds()
+        ));
+    }
     let g = family(&spec.graph);
     let cfg = ExecutorConfig::default();
     let probe = DivergenceProbe::clean(spec.rounds);
@@ -251,7 +255,7 @@ fn states_at(journal: &Journal, target: u64) -> (u64, Vec<u64>) {
         }
         EngineKind::Sim => sim_states_at(journal, target, &g, &probe, &cfg, LATENCY),
     }
-    .expect("a journal's checkpoint fits the graph its label names")
+    .unwrap_or_else(|e| Exit::Data.fail(format!("cannot reach round {target}: {e}")))
 }
 
 fn dump(path: &str, round: u64) {
@@ -275,11 +279,9 @@ fn diff(path_a: &str, round_a: u64, path_b: &str, round_b: u64) {
     let jb = load(path_b);
     let (ra, sa) = states_at(&ja, round_a);
     let (rb, sb) = states_at(&jb, round_b);
-    assert_eq!(
-        sa.len(),
-        sb.len(),
-        "journals were recorded on different graph sizes"
-    );
+    if sa.len() != sb.len() {
+        Exit::Data.fail("journals were recorded on different graph sizes");
+    }
     println!("diff {path_a} @ round {ra} vs {path_b} @ round {rb}:");
     let mut changed = 0usize;
     for (v, (a, b)) in sa.iter().zip(&sb).enumerate() {
@@ -291,11 +293,18 @@ fn diff(path_a: &str, round_a: u64, path_b: &str, round_b: u64) {
     println!("{changed} of {} vertices differ", sa.len());
 }
 
+/// The value of a numeric flag; anything else is a usage error.
+fn num<T: std::str::FromStr>(flag: &str, value: String) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| Exit::Usage.fail(format!("{flag} takes a number, not {value:?}")))
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let cmd = args
         .next()
-        .expect("subcommand: record|verify|resume|dump|diff");
+        .unwrap_or_else(|| Exit::Usage.fail("subcommand: record|verify|resume|dump|diff"));
 
     let mut out = "run.mfdj".to_string();
     let mut engine = "executor".to_string();
@@ -312,23 +321,29 @@ fn main() {
     while let Some(arg) = args.next() {
         let mut take = || {
             args.next()
-                .unwrap_or_else(|| panic!("{arg} requires an argument"))
+                .unwrap_or_else(|| Exit::Usage.fail(format!("{arg} requires an argument")))
         };
         match arg.as_str() {
             "--out" => out = take(),
             "--engine" => engine = take(),
             "--journal" => journal = Some(take()),
             "--journal-b" => journal_b = Some(take()),
-            "--rounds" => rounds = take().parse().expect("--rounds takes an integer"),
+            "--rounds" => rounds = num(&arg, take()),
             "--graph" => graph = Some(take()),
-            "--every" => every = take().parse().expect("--every takes an integer"),
-            "--loss" => loss = Some(take().parse().expect("--loss takes a probability")),
-            "--at" => at = Some(take().parse().expect("--at takes a round number")),
-            "--round" => round = Some(take().parse().expect("--round takes a round number")),
-            "--round-b" => round_b = Some(take().parse().expect("--round-b takes a round number")),
-            other => panic!("unknown argument {other:?} (see the module docs)"),
+            "--every" => every = num(&arg, take()),
+            "--loss" => loss = Some(num(&arg, take())),
+            "--at" => at = Some(num(&arg, take())),
+            "--round" => round = Some(num(&arg, take())),
+            "--round-b" => round_b = Some(num(&arg, take())),
+            other => Exit::Usage.fail(format!("unknown argument {other:?} (see the module docs)")),
         }
     }
+    if let Some(Err(e)) = graph.as_deref().map(mfd_bench::acceptance_family) {
+        Exit::Usage.fail(e);
+    }
+    let required = |value: Option<String>, what: &str| {
+        value.unwrap_or_else(|| Exit::Usage.fail(format!("{cmd} requires {what}")))
+    };
 
     match cmd.as_str() {
         "record" => {
@@ -342,26 +357,21 @@ fn main() {
             };
             record(&out, &engine, &spec, every);
         }
-        "verify" => verify(&journal.expect("verify requires --journal")),
-        "resume" => resume(
-            &journal.expect("resume requires --journal"),
-            at,
-            graph.as_deref(),
-        ),
-        "dump" => dump(
-            &journal.expect("dump requires --journal"),
-            round.expect("dump requires --round"),
-        ),
-        "diff" => {
-            let a = journal.expect("diff requires --journal");
-            let b = journal_b.clone().unwrap_or_else(|| a.clone());
-            diff(
-                &a,
-                round.expect("diff requires --round"),
-                &b,
-                round_b.or(round).expect("diff requires --round"),
-            );
+        "verify" => verify(&required(journal, "--journal")),
+        "resume" => resume(&required(journal, "--journal"), at, graph.as_deref()),
+        "dump" => {
+            let path = required(journal, "--journal");
+            let round = round.unwrap_or_else(|| Exit::Usage.fail("dump requires --round"));
+            dump(&path, round);
         }
-        other => panic!("unknown subcommand {other:?}: record|verify|resume|dump|diff"),
+        "diff" => {
+            let a = required(journal, "--journal");
+            let b = journal_b.unwrap_or_else(|| a.clone());
+            let round = round.unwrap_or_else(|| Exit::Usage.fail("diff requires --round"));
+            diff(&a, round, &b, round_b.unwrap_or(round));
+        }
+        other => Exit::Usage.fail(format!(
+            "unknown subcommand {other:?}: record|verify|resume|dump|diff"
+        )),
     }
 }

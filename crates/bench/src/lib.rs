@@ -1,10 +1,10 @@
-//! Shared helpers for the benchmark harness: workload definitions and markdown table
-//! formatting used by both the criterion benches and the `report` binary.
+//! Shared helpers for the `report`, `replay`, `divergence` and `profile`
+//! binaries: the acceptance families every gated claim is pinned on, and
+//! markdown table formatting.
 //!
-//! Every experiment of the README's "Benchmarks and reports" section is regenerated either by
-//! a bench target in `benches/` (which prints its table before the timing loops, so
-//! `cargo bench` output contains the measured series) or by the `report` binary
-//! (`cargo run --release -p mfd-bench --bin report`), which prints every table.
+//! Every experiment of the README's "Benchmarks and reports" section is a
+//! `report` section (`cargo run --release -p mfd-bench --bin report`, which
+//! prints every table); wall-clock timings are the `perf/` harness's job.
 //!
 //! A guided tour of this crate's role in the workspace lives in
 //! `docs/ARCHITECTURE.md` (section "mfd-bench").
@@ -35,6 +35,37 @@ pub fn acceptance_families() -> Vec<(&'static str, Graph)> {
         ("wheel-64", generators::wheel(64)),
         ("hypercube-6", generators::hypercube(6)),
     ]
+}
+
+/// The acceptance family called `name`; the error lists the valid names.
+pub fn acceptance_family(name: &str) -> Result<Graph, String> {
+    let families = acceptance_families();
+    let names: Vec<&str> = families.iter().map(|(n, _)| *n).collect();
+    let valid = names.join(", ");
+    families
+        .into_iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, g)| g)
+        .ok_or_else(|| format!("unknown graph family {name:?}; valid families: {valid}"))
+}
+
+/// How a command-line run that cannot go on ends, as its exit code.
+#[derive(Debug, Clone, Copy)]
+pub enum Exit {
+    /// Input data that does not load or fit (a corrupt or truncated
+    /// journal, an unparsable label, a checkpoint for another graph), or a
+    /// run that fails the check it was asked for.
+    Data = 1,
+    /// A malformed command line.
+    Usage = 2,
+}
+
+impl Exit {
+    /// Prints `error: {msg}` to stderr and exits with this code.
+    pub fn fail(self, msg: impl std::fmt::Display) -> ! {
+        eprintln!("error: {msg}");
+        std::process::exit(self as i32)
+    }
 }
 
 /// The acceptance families' gather leader: the maximum-degree vertex.
@@ -83,57 +114,6 @@ pub fn acceptance_walk_params() -> WalkParams {
         max_steps: 256,
         ..WalkParams::default()
     }
-}
-
-/// A named workload instance.
-pub struct Workload {
-    /// Short name used in table rows.
-    pub name: String,
-    /// The graph.
-    pub graph: Graph,
-}
-
-impl Workload {
-    /// Creates a workload.
-    pub fn new(name: impl Into<String>, graph: Graph) -> Self {
-        Workload {
-            name: name.into(),
-            graph,
-        }
-    }
-}
-
-/// Bounded-degree planar family (triangulated grids) at the given side lengths.
-pub fn bounded_degree_family(sides: &[usize]) -> Vec<Workload> {
-    sides
-        .iter()
-        .map(|&s| {
-            Workload::new(
-                format!("tri-grid-{s}x{s}"),
-                generators::triangulated_grid(s, s),
-            )
-        })
-        .collect()
-}
-
-/// Unbounded-degree planar family: random Apollonian networks (maximum degree grows
-/// with n) and wheels.
-pub fn unbounded_degree_family(sizes: &[usize]) -> Vec<Workload> {
-    let mut v: Vec<Workload> = sizes
-        .iter()
-        .map(|&n| {
-            Workload::new(
-                format!("apollonian-{n}"),
-                generators::random_apollonian(n, 0xA11),
-            )
-        })
-        .collect();
-    v.extend(
-        sizes
-            .iter()
-            .map(|&n| Workload::new(format!("wheel-{n}"), generators::wheel(n.max(8)))),
-    );
-    v
 }
 
 /// A simple markdown table builder.
@@ -200,11 +180,11 @@ mod tests {
 
     #[test]
     fn families_are_nonempty_and_connected() {
-        for w in bounded_degree_family(&[6, 8]) {
-            assert!(w.graph.is_connected());
+        for (name, g) in acceptance_families() {
+            assert!(g.n() > 0 && g.is_connected(), "{name}");
+            assert_eq!(acceptance_family(name).unwrap().m(), g.m(), "{name}");
         }
-        for w in unbounded_degree_family(&[50]) {
-            assert!(w.graph.is_connected());
-        }
+        let err = acceptance_family("k5").unwrap_err();
+        assert!(err.contains("\"k5\"") && err.contains("tri-grid-8x8, wheel-64, hypercube-6"));
     }
 }

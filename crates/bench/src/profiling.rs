@@ -42,14 +42,6 @@ impl Algo {
         (k > 0).then_some(Algo::Ldd(k))
     }
 
-    /// The program name used in benchmark rows (`bfs` / `voronoi-ldd-<k>`).
-    pub fn row_name(&self) -> String {
-        match self {
-            Algo::Bfs => "bfs".to_string(),
-            Algo::Ldd(k) => format!("voronoi-ldd-{k}"),
-        }
-    }
-
     /// Evenly spaced LDD centers for a graph of `n` vertices.
     pub fn centers(k: usize, n: usize) -> Vec<usize> {
         (0..k).map(|i| (i * n) / k).collect()

@@ -8,8 +8,6 @@
 //! §2 of the paper (load balancing, random-walk schedules) lives in `mfd-routing`
 //! and is used when the pipelined tree gather would be too slow.
 
-use std::collections::VecDeque;
-
 use mfd_graph::Graph;
 
 use crate::meter::{Message, RoundMeter};
@@ -300,35 +298,6 @@ pub fn gather_topology(g: &Graph, tree: &BfsTree, meter: &mut RoundMeter) -> u64
         .map(|v| if tree.contains(v) { g.degree(v) } else { 0 })
         .collect();
     upcast_pipeline(g, tree, &counts, meter)
-}
-
-/// Computes, for every vertex of the masked region, its BFS distance to the root as
-/// seen by the tree (a convenience wrapper used by diameter estimation in the
-/// decomposition validators).
-pub fn bfs_levels(tree: &BfsTree) -> Vec<(usize, usize)> {
-    tree.members.iter().map(|&v| (v, tree.depth[v])).collect()
-}
-
-/// Breadth-first traversal order of the masked region starting from `root`, without
-/// any metering (a purely local helper used by leaders operating on gathered
-/// topology).
-pub fn local_bfs_order(g: &Graph, mask: Option<&[bool]>, root: usize) -> Vec<usize> {
-    let in_mask = |v: usize| mask.is_none_or(|m| m[v]);
-    let mut seen = vec![false; g.n()];
-    let mut order = Vec::new();
-    let mut queue = VecDeque::new();
-    seen[root] = true;
-    queue.push_back(root);
-    while let Some(v) = queue.pop_front() {
-        order.push(v);
-        for &u in g.neighbors(v) {
-            if in_mask(u) && !seen[u] {
-                seen[u] = true;
-                queue.push_back(u);
-            }
-        }
-    }
-    order
 }
 
 #[cfg(test)]

@@ -179,11 +179,6 @@ impl Clustering {
         Some(best)
     }
 
-    /// Size of the largest cluster.
-    pub fn max_cluster_size(&self) -> usize {
-        self.members.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// `true` if every cluster induces a connected subgraph of `g` (singletons count
     /// as connected).
     pub fn all_clusters_connected(&self, g: &Graph) -> bool {

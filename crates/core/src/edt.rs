@@ -120,12 +120,6 @@ impl EdtConfig {
         self
     }
 
-    /// Sets the arboricity bound.
-    pub fn with_alpha(mut self, alpha: usize) -> Self {
-        self.alpha = alpha.max(1);
-        self
-    }
-
     /// The diameter target `diameter_slack · chop_depth / ε` used to trigger
     /// refinement.
     pub fn diameter_target(&self) -> usize {

@@ -14,7 +14,7 @@
 //!   count for the reverse direction. Acks are idempotent summaries, so lost
 //!   ack frames cost nothing — the next frame repeats them.
 //! * **Timeout retransmission.** A sender whose oldest unacked message has
-//!   seen no ack progress for `timeout` physical rounds resends from the
+//!   seen no ack progress for `TIMEOUT` (4) physical rounds resends from the
 //!   unacked prefix. Retransmissions ride later frames, whose fault fates
 //!   are sampled independently, so every message is delivered eventually
 //!   (with probability 1 under any loss rate < 1).
@@ -28,10 +28,10 @@
 //! Termination uses a linger close (the TIME_WAIT of this protocol): once a
 //! vertex's inner program has halted, all its sends are acked, and every
 //! neighbor has announced a final boundary it has fully received, it keeps
-//! answering with pure ack frames for `linger` more rounds — giving its
-//! final acks and fin flags `linger` independent chances to survive the
+//! answering with pure ack frames for `LINGER` (8) more rounds — giving its
+//! final acks and fin flags that many independent chances to survive the
 //! fault process — and then halts. Two-generals says certainty is
-//! impossible; the linger makes the residual wedge probability `p^linger`
+//! impossible; the linger makes the residual wedge probability `p^LINGER`
 //! per edge, and determinism makes any given seed's outcome reproducible.
 //!
 //! **Peer-crash cutoff.** A live peer frames every physical round, so total
@@ -423,31 +423,33 @@ impl ReliableStats {
 #[derive(Debug, Clone)]
 pub struct Reliable<P> {
     inner: P,
-    timeout: u64,
-    linger: u64,
-    max_frame_words: usize,
-    budget: Option<u64>,
     peer_cutoff: u64,
     trace: bool,
 }
+
+/// Physical rounds without ack progress before outstanding payload is
+/// retransmitted.
+const TIMEOUT: u64 = 4;
+
+/// Physical rounds a vertex keeps framing after its close condition holds.
+const LINGER: u64 = 8;
+
+/// Payload words per frame (a frame carries at least one entry regardless).
+const MAX_FRAME_WORDS: usize = 1;
 
 /// Inner rounds an isolated (or fully caught-up) vertex may run per physical
 /// round, bounding the catch-up loop.
 const CATCHUP_ROUNDS: u64 = 64;
 
-/// Default physical-round budget multiplier over the inner program's hint.
+/// Physical-round budget multiplier over the inner program's hint.
 const BUDGET_FACTOR: u64 = 8;
 
 impl<P: NodeProgram> Reliable<P> {
-    /// Wraps `inner` with the default transport (timeout 4, linger 8, peer
-    /// cutoff 24, one payload word per frame).
+    /// Wraps `inner` with the fixed transport (timeout 4, linger 8, one
+    /// payload word per frame) and a peer cutoff of 24.
     pub fn new(inner: P) -> Self {
         Reliable {
             inner,
-            timeout: 4,
-            linger: 8,
-            max_frame_words: 1,
-            budget: None,
             peer_cutoff: 24,
             trace: false,
         }
@@ -461,12 +463,6 @@ impl<P: NodeProgram> Reliable<P> {
         self
     }
 
-    /// Sets the retransmission timeout, in physical rounds (clamped ≥ 1).
-    pub fn with_timeout(mut self, timeout: u64) -> Self {
-        self.timeout = timeout.max(1);
-        self
-    }
-
     /// Sets the peer-crash cutoff: physical rounds of total silence on an
     /// unsettled edge after which the peer is presumed crash-stopped
     /// (clamped ≥ 2; a false verdict under loss `p` has probability
@@ -474,18 +470,6 @@ impl<P: NodeProgram> Reliable<P> {
     /// robustness at extreme loss rates).
     pub fn with_peer_cutoff(mut self, cutoff: u64) -> Self {
         self.peer_cutoff = cutoff.max(2);
-        self
-    }
-
-    /// Sets the linger close duration, in physical rounds.
-    pub fn with_linger(mut self, linger: u64) -> Self {
-        self.linger = linger;
-        self
-    }
-
-    /// Overrides the physical round budget (default: 8× the inner hint).
-    pub fn with_budget(mut self, budget: u64) -> Self {
-        self.budget = Some(budget);
         self
     }
 
@@ -751,7 +735,7 @@ impl<P: NodeProgram> NodeProgram for Reliable<P> {
                 .iter()
                 .all(|x| x.dead || (x.peer_fin && x.prefix >= x.peer_cum))
         {
-            state.close_at = Some(r + self.linger);
+            state.close_at = Some(r + LINGER);
             if self.trace {
                 state.trace_log.push((r, TRACE_CLOSE, 0, 0));
             }
@@ -770,9 +754,8 @@ impl<P: NodeProgram> NodeProgram for Reliable<P> {
             let mut words = 0usize;
             let mut retransmitted = 0u64;
             let mut fresh = 0u64;
-            let max_words = self.max_frame_words;
-            let fits = move |words: &mut usize, w: usize, empty: bool| {
-                if *words + w > max_words && !empty {
+            let fits = |words: &mut usize, w: usize, empty: bool| {
+                if *words + w > MAX_FRAME_WORDS && !empty {
                     false
                 } else {
                     *words += w;
@@ -781,7 +764,7 @@ impl<P: NodeProgram> NodeProgram for Reliable<P> {
             };
             let tx = &mut state.tx[i];
             let had_outstanding = tx.acked < tx.tx_next;
-            if had_outstanding && r.saturating_sub(tx.last_progress) >= self.timeout {
+            if had_outstanding && r.saturating_sub(tx.last_progress) >= TIMEOUT {
                 for seq in tx.acked..tx.tx_next {
                     let (round, msg) = &tx.sent[seq as usize];
                     if !fits(&mut words, msg.words(), payload.is_empty()) {
@@ -837,11 +820,9 @@ impl<P: NodeProgram> NodeProgram for Reliable<P> {
     }
 
     fn round_budget_hint(&self) -> Option<u64> {
-        self.budget.or_else(|| {
-            self.inner
-                .round_budget_hint()
-                .map(|h| h.saturating_mul(BUDGET_FACTOR) + self.linger + self.peer_cutoff + 512)
-        })
+        self.inner
+            .round_budget_hint()
+            .map(|h| h.saturating_mul(BUDGET_FACTOR) + LINGER + self.peer_cutoff + 512)
     }
 }
 

@@ -110,15 +110,6 @@ impl Graph {
         self.adj.iter().map(Vec::len).min().unwrap_or(0)
     }
 
-    /// Average degree `2m / n` (0.0 for the empty graph).
-    pub fn average_degree(&self) -> f64 {
-        if self.n() == 0 {
-            0.0
-        } else {
-            2.0 * self.m as f64 / self.n() as f64
-        }
-    }
-
     /// Neighbors of vertex `v`.
     pub fn neighbors(&self, v: usize) -> &[usize] {
         &self.adj[v]

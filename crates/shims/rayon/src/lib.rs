@@ -7,7 +7,7 @@
 //!
 //! The default worker count is `std::thread::available_parallelism()`;
 //! [`ThreadPool::install`] scopes an override to a closure, which is how the
-//! benchmarks sweep thread counts.
+//! engines pin a run's thread count.
 
 use std::cell::Cell;
 use std::fmt;

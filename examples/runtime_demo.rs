@@ -12,7 +12,7 @@ use mfd_core::ldd::voronoi_ldd;
 use mfd_core::programs::{run_bfs, run_cole_vishkin, run_voronoi_ldd, BfsProgram};
 use mfd_graph::properties::splitmix64;
 use mfd_graph::{generators, CsrGraph};
-use mfd_runtime::{run_on_clusters, ExecutorConfig, ShardedConfig, ShardedExecutor};
+use mfd_runtime::{run_each, ExecutorConfig, ShardedConfig, ShardedExecutor};
 use mfd_trace::NullSink;
 
 fn main() {
@@ -77,19 +77,20 @@ fn main() {
     //    on the sharded CSR engine, with max-round (merge_parallel) accounting.
     let clusters: Vec<Vec<usize>> = clustering.clusters().map(|c| c.to_vec()).collect();
     let csr = CsrGraph::from_graph(&g);
-    let run = run_on_clusters(
-        &csr,
-        &clusters,
-        |_idx, _sub, _members| BfsProgram { root: 0 },
-        &ExecutorConfig::default(),
-    )
+    let runs = run_each(clusters.len(), &ExecutorConfig::default(), |idx, engine| {
+        let (view, _) = csr.induced_subgraph(&clusters[idx]);
+        let run = engine.run(&view, &BfsProgram { root: 0 })?;
+        Ok(((), run.meter))
+    })
     .expect("per-cluster BFS is model-compliant");
+    let mut folded = RoundMeter::new();
+    folded.merge_parallel(runs.iter().map(|(_, m)| m));
     println!(
         "cluster-scoped bfs: {} clusters in parallel, slowest cluster {} rounds, \
          {} total messages",
         clusters.len(),
-        run.max_rounds,
-        run.meter.messages(),
+        folded.rounds(),
+        folded.messages(),
     );
 
     // 5. The same engine one round at a time: step a BFS session to round

@@ -138,7 +138,7 @@ fn edt_acceptance_families() -> Vec<(&'static str, Graph, f64)> {
     mfd_bench::edt_acceptance_families()
 }
 
-/// Acceptance criterion of the executed construction: on every acceptance
+/// Acceptance bar of the executed construction: on every acceptance
 /// family the `Executed` backend yields the *same decomposition* as the
 /// `Metered` one, valid, with every executed round inside the metered
 /// charge — construction and routing separately.

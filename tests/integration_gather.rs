@@ -130,7 +130,7 @@ fn gather_rounds_are_latency_invariant() {
     }
 }
 
-/// The acceptance criterion of the executed layer: on every acceptance
+/// The acceptance bar of the executed layer: on every acceptance
 /// family, every strategy's executed round count sits within the metered
 /// implementation's charged bound, and the executed delivery meets the
 /// metered guarantee.

@@ -15,8 +15,8 @@ use mfd_core::programs::{
 use mfd_graph::properties::splitmix64;
 use mfd_graph::{generators, CsrGraph, Graph};
 use mfd_runtime::{
-    run_on_clusters, Envelope, Executor, ExecutorConfig, NodeCtx, NodeProgram, Outbox,
-    RuntimeError, ShardedConfig, ShardedExecutor,
+    run_each, Envelope, Executor, ExecutorConfig, NodeCtx, NodeProgram, Outbox, RuntimeError,
+    ShardedConfig, ShardedExecutor,
 };
 use mfd_trace::DigestSink;
 use proptest::prelude::*;
@@ -131,13 +131,15 @@ fn cluster_scoped_bfs_matches_per_cluster_centralized_runs() {
     let g = generators::triangulated_grid(10, 10);
     let clustering = chop_ldd(&g, 0.3, 3);
     let clusters: Vec<Vec<usize>> = clustering.clusters().map(|c| c.to_vec()).collect();
-    let run = run_on_clusters(
-        &CsrGraph::from_graph(&g),
-        &clusters,
-        |_idx, _sub, _members| BfsProgram { root: 0 },
-        &ExecutorConfig::default(),
-    )
+    let csr = CsrGraph::from_graph(&g);
+    let runs = run_each(clusters.len(), &ExecutorConfig::default(), |idx, engine| {
+        let (view, _) = csr.induced_subgraph(&clusters[idx]);
+        let run = engine.run(&view, &BfsProgram { root: 0 })?;
+        Ok((run.states, run.meter))
+    })
     .unwrap();
+    let mut folded = RoundMeter::new();
+    folded.merge_parallel(runs.iter().map(|(_, m)| m));
 
     // Per-cluster differential check plus manual merge_parallel accounting.
     let mut expected = RoundMeter::new();
@@ -146,7 +148,7 @@ fn cluster_scoped_bfs_matches_per_cluster_centralized_runs() {
         let (sub, _) = g.induced_subgraph(members);
         let mut meter = RoundMeter::new();
         let central = primitives::build_bfs_tree(&sub, None, 0, &mut meter);
-        let states = &run.cluster_states[c];
+        let states = &runs[c].0;
         for (i, state) in states.iter().enumerate() {
             assert_eq!(
                 state.depth.map_or(usize::MAX, |d| d as usize),
@@ -159,13 +161,19 @@ fn cluster_scoped_bfs_matches_per_cluster_centralized_runs() {
         cluster_meters.push(cluster_meter);
     }
     expected.merge_parallel(cluster_meters.iter());
-    assert_eq!(run.meter.rounds(), expected.rounds());
-    assert_eq!(run.max_rounds, expected.rounds());
+    assert_eq!(folded.rounds(), expected.rounds());
+    assert_eq!(
+        folded.rounds(),
+        runs.iter().map(|(_, m)| m.rounds()).max().unwrap()
+    );
 
     // Scatter back to original vertex ids: every vertex got a depth.
-    let depths = run.scatter(g.n(), usize::MAX, |s| {
-        s.depth.map_or(usize::MAX, |d| d as usize)
-    });
+    let mut depths = vec![usize::MAX; g.n()];
+    for (members, (states, _)) in clusters.iter().zip(&runs) {
+        for (&v, s) in members.iter().zip(states) {
+            depths[v] = s.depth.map_or(usize::MAX, |d| d as usize);
+        }
+    }
     assert!(depths.iter().all(|&d| d != usize::MAX));
 }
 
