@@ -77,11 +77,11 @@ pub fn build_bfs_tree(
                     msgs.push(Message::word(v, u));
                     // First announcement wins; later duplicates in the same round are
                     // still sent (and charged) but ignored, as in the real protocol.
-                    if parent[u] == usize::MAX || !next.contains(&u) {
-                        if !next.contains(&u) {
-                            next.push(u);
-                        }
-                        parent[u] = parent[u].min(v).min(v);
+                    // An undiscovered vertex has its parent set exactly in the round
+                    // it joins `next`, so an unset parent means "not queued yet".
+                    if parent[u] == usize::MAX {
+                        next.push(u);
+                        parent[u] = v;
                     }
                 }
             }
@@ -213,6 +213,9 @@ pub fn broadcast_words(g: &Graph, tree: &BfsTree, words: u64, meter: &mut RoundM
 /// number of messages received by the root; the exact round-by-round forwarding is
 /// simulated, so the returned meter reflects the true pipelined cost
 /// (≈ height + Σ counts through the most loaded root edge).
+///
+/// The simulation keeps a worklist of the members holding messages, so a round
+/// costs O(senders), not O(tree).
 pub fn upcast_pipeline(g: &Graph, tree: &BfsTree, counts: &[usize], meter: &mut RoundMeter) -> u64 {
     let n = g.n();
     let mut pending: Vec<u64> = vec![0; n];
@@ -223,36 +226,40 @@ pub fn upcast_pipeline(g: &Graph, tree: &BfsTree, counts: &[usize], meter: &mut 
     }
     let mut at_root: u64 = pending[tree.root];
     pending[tree.root] = 0;
+    // This round's senders: every non-root member holding a message. Each
+    // sends exactly one, so a message moves one hop per round.
+    let mut senders: Vec<usize> = (tree.members.iter().copied())
+        .filter(|&v| pending[v] > 0)
+        .collect();
+    let mut next: Vec<usize> = Vec::new();
+    // The round in which a vertex last joined `next` (dedupes the worklist).
+    let mut queued: Vec<u64> = vec![0; n];
     // Iterate rounds until everything has drained to the root.
     let mut guard = 0u64;
     let guard_limit = 4 * (total_expected + tree.height as u64 + 1) + 16;
-    while at_root < total_expected {
-        let mut senders = 0u64;
-        // Deeper vertices first so a message can move only one hop per round.
-        let mut moved: Vec<(usize, u64)> = Vec::new();
-        for &v in tree.members.iter().rev() {
-            if v == tree.root {
-                continue;
-            }
-            if pending[v] > 0 {
-                moved.push((v, 1));
-                senders += 1;
-            }
-        }
-        if senders == 0 {
-            break;
-        }
-        for &(v, k) in &moved {
-            pending[v] -= k;
+    while at_root < total_expected && !senders.is_empty() {
+        let round = guard + 1;
+        for &v in &senders {
+            pending[v] -= 1;
             let p = tree.parent[v];
             if p == tree.root {
-                at_root += k;
+                at_root += 1;
             } else {
-                pending[p] += k;
+                pending[p] += 1;
+                if queued[p] != round {
+                    queued[p] = round;
+                    next.push(p);
+                }
+            }
+            if pending[v] > 0 && queued[v] != round {
+                queued[v] = round;
+                next.push(v);
             }
         }
         meter.charge_rounds(1);
-        meter.charge_messages(senders);
+        meter.charge_messages(senders.len() as u64);
+        std::mem::swap(&mut senders, &mut next);
+        next.clear();
         guard += 1;
         if guard > guard_limit {
             break;
@@ -303,7 +310,8 @@ pub fn gather_topology(g: &Graph, tree: &BfsTree, meter: &mut RoundMeter) -> u64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mfd_graph::generators;
+    use mfd_graph::{generators, properties};
+    use proptest::prelude::*;
 
     #[test]
     fn bfs_tree_costs_its_height() {
@@ -387,6 +395,90 @@ mod tests {
         assert_eq!(leader, 0);
         assert_eq!(tree.root, 5);
         assert!(meter.rounds() > 0);
+    }
+
+    /// The full-scan simulation the worklist [`upcast_pipeline`] replaced: every
+    /// round rescans every tree member. Kept as the worklist's oracle.
+    fn upcast_pipeline_full_scan(
+        g: &Graph,
+        tree: &BfsTree,
+        counts: &[usize],
+        meter: &mut RoundMeter,
+    ) -> u64 {
+        let mut pending: Vec<u64> = vec![0; g.n()];
+        let mut total_expected: u64 = 0;
+        for &v in &tree.members {
+            pending[v] = counts[v] as u64;
+            total_expected += counts[v] as u64;
+        }
+        let mut at_root: u64 = pending[tree.root];
+        pending[tree.root] = 0;
+        let mut guard = 0u64;
+        let guard_limit = 4 * (total_expected + tree.height as u64 + 1) + 16;
+        while at_root < total_expected {
+            let moved: Vec<usize> = (tree.members.iter().rev().copied())
+                .filter(|&v| v != tree.root && pending[v] > 0)
+                .collect();
+            if moved.is_empty() {
+                break;
+            }
+            for &v in &moved {
+                pending[v] -= 1;
+                let p = tree.parent[v];
+                if p == tree.root {
+                    at_root += 1;
+                } else {
+                    pending[p] += 1;
+                }
+            }
+            meter.charge_rounds(1);
+            meter.charge_messages(moved.len() as u64);
+            guard += 1;
+            if guard > guard_limit {
+                break;
+            }
+        }
+        at_root
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random trees (and BFS trees of random planar graphs, masked to a
+        /// prefix of the vertices), random roots and random per-vertex counts:
+        /// the worklist upcast charges the same rounds and messages and
+        /// delivers the same count as the full scan.
+        #[test]
+        fn worklist_upcast_matches_the_full_scan(
+            n in 1usize..120,
+            seed in 0u64..100_000,
+            root in 0usize..120,
+            max_count in 0u64..6,
+            planar in 0u8..2,
+        ) {
+            let g = if planar == 1 && n >= 3 {
+                generators::random_apollonian(n, seed)
+            } else {
+                generators::random_tree(n, seed)
+            };
+            let root = root % n;
+            // Masking away the top-numbered quarter can disconnect the tree;
+            // the root always stays inside.
+            let mask: Vec<bool> = (0..n).map(|v| v == root || v < n - n / 4).collect();
+            let tree = build_bfs_tree(&g, Some(&mask), root, &mut RoundMeter::new());
+            let counts: Vec<usize> = (0..n as u64)
+                .map(|v| (properties::splitmix64(seed ^ (v << 20)) % (max_count + 1)) as usize)
+                .collect();
+            let mut worklist = RoundMeter::new();
+            let mut full_scan = RoundMeter::new();
+            let a = upcast_pipeline(&g, &tree, &counts, &mut worklist);
+            let b = upcast_pipeline_full_scan(&g, &tree, &counts, &mut full_scan);
+            prop_assert_eq!(a, b);
+            prop_assert_eq!(worklist.rounds(), full_scan.rounds());
+            prop_assert_eq!(worklist.messages(), full_scan.messages());
+            let total: usize = tree.members.iter().map(|&v| counts[v]).sum();
+            prop_assert_eq!(a, total as u64);
+        }
     }
 
     #[test]

@@ -172,17 +172,14 @@ impl Clustering {
     /// Maximum induced diameter over all clusters. Returns `None` if some cluster
     /// induces a disconnected subgraph.
     pub fn max_cluster_diameter(&self, g: &Graph) -> Option<usize> {
-        let mut best = 0usize;
-        for d in self.cluster_diameters(g) {
-            best = best.max(d?);
-        }
-        Some(best)
+        max_diameter(&self.cluster_diameters(g))
     }
 
     /// `true` if every cluster induces a connected subgraph of `g` (singletons count
-    /// as connected).
+    /// as connected). One O(n + m) component pass: every cluster is non-empty, so
+    /// each is connected exactly when there are as many components as clusters.
     pub fn all_clusters_connected(&self, g: &Graph) -> bool {
-        self.max_cluster_diameter(g).is_some()
+        component_labels_within(g, &self.cluster_of).1 == self.num_clusters()
     }
 
     /// Merges clusters: `group_of[c]` assigns every old cluster `c` to a group; all
@@ -247,6 +244,14 @@ impl Clustering {
             None => false,
         }
     }
+}
+
+/// The largest of the per-cluster diameters [`Clustering::cluster_diameters`]
+/// returned, `None` if some cluster is disconnected.
+pub(crate) fn max_diameter(diameters: &[Option<usize>]) -> Option<usize> {
+    diameters
+        .iter()
+        .try_fold(0, |best: usize, &d| d.map(|d| best.max(d)))
 }
 
 /// Labels each vertex with the index of its connected component *within its cluster*
@@ -380,6 +385,8 @@ mod tests {
                 .iter()
                 .try_fold(0usize, |best, d| d.map(|d| best.max(d)));
             assert_eq!(c.max_cluster_diameter(&g), expected);
+            // The component-count connectivity test agrees with the diameter pass.
+            assert_eq!(c.all_clusters_connected(&g), expected.is_some());
         }
     }
 }

@@ -70,7 +70,7 @@ use mfd_runtime::{ShardedConfig, ShardedExecutor};
 use mfd_trace::TraceSink;
 
 use crate::cluster_round::ClusterRoundProgram;
-use crate::clustering::Clustering;
+use crate::clustering::{max_diameter, Clustering};
 use crate::heavy_stars::heavy_stars;
 use crate::ldd::chop_ldd;
 
@@ -412,6 +412,9 @@ fn build_edt_on<B: EdtBackend>(
     let d_target = config.diameter_target();
 
     let mut clustering = Clustering::singletons(g);
+    // The current clustering's per-cluster diameters: measured once after
+    // every merge and every refinement, and read everywhere else.
+    let mut diameters: Vec<Option<usize>> = vec![Some(0); g.n()];
     let mut iterations = 0usize;
     let mut refinements = 0usize;
 
@@ -427,7 +430,15 @@ fn build_edt_on<B: EdtBackend>(
             sink.span_open("merge");
             let spent = (meter.rounds(), meter.messages());
             let before = clustering.inter_cluster_edges(g);
-            clustering = merge_step(ambient, &clustering, fraction, config, backend, &mut meter);
+            clustering = merge_step(
+                ambient,
+                &clustering,
+                &diameters,
+                fraction,
+                config,
+                backend,
+                &mut meter,
+            );
             let after = clustering.inter_cluster_edges(g);
             meter.end_phase();
             sink.span_close(
@@ -435,13 +446,14 @@ fn build_edt_on<B: EdtBackend>(
                 meter.rounds() - spent.0,
                 meter.messages() - spent.1,
             );
+            diameters = clustering.cluster_diameters(g);
             if after >= before {
                 // No progress is possible (e.g. every remaining link is light).
                 break;
             }
 
             // Diameter control: refine clusters that grew beyond the O(1/ε) target.
-            let max_diam = clustering.max_cluster_diameter(g).unwrap_or(usize::MAX);
+            let max_diam = max_diameter(&diameters).unwrap_or(usize::MAX);
             if max_diam > d_target && refine_budget > eps / 4.0 {
                 let this_budget = refine_budget / 2.0;
                 refine_budget -= this_budget;
@@ -451,8 +463,8 @@ fn build_edt_on<B: EdtBackend>(
                 clustering = refine_step(
                     g,
                     &clustering,
+                    &diameters,
                     this_budget,
-                    d_target,
                     config,
                     backend,
                     &mut meter,
@@ -463,13 +475,14 @@ fn build_edt_on<B: EdtBackend>(
                     meter.rounds() - spent.0,
                     meter.messages() - spent.1,
                 );
+                diameters = clustering.cluster_diameters(g);
                 refinements += 1;
             }
         }
 
         // ---- Final refinement: enforce the diameter target with the remaining
         // budget. ----
-        let max_diam = clustering.max_cluster_diameter(g).unwrap_or(usize::MAX);
+        let max_diam = max_diameter(&diameters).unwrap_or(usize::MAX);
         if max_diam > d_target && refine_budget > 0.0 {
             meter.start_phase("refine");
             sink.span_open("refine");
@@ -477,8 +490,8 @@ fn build_edt_on<B: EdtBackend>(
             clustering = refine_step(
                 g,
                 &clustering,
+                &diameters,
                 refine_budget,
-                d_target,
                 config,
                 backend,
                 &mut meter,
@@ -489,6 +502,7 @@ fn build_edt_on<B: EdtBackend>(
                 meter.rounds() - spent.0,
                 meter.messages() - spent.1,
             );
+            diameters = clustering.cluster_diameters(g);
             refinements += 1;
         }
     }
@@ -537,7 +551,7 @@ fn build_edt_on<B: EdtBackend>(
     let routing_rounds = meter.rounds() - construction_rounds;
 
     let epsilon_achieved = clustering.edge_fraction(g);
-    let diameter = clustering.max_cluster_diameter(g).unwrap_or(usize::MAX);
+    let diameter = max_diameter(&diameters).unwrap_or(usize::MAX);
     (
         EdtDecomposition {
             clustering,
@@ -559,10 +573,13 @@ fn build_edt_on<B: EdtBackend>(
 
 /// One heavy-stars merge step (Lemma 5.3): gathers the per-cluster neighbour weights,
 /// runs heavy-stars on the cluster graph, drops light links and merges. The gathers
-/// and the cluster-graph rounds all go through `backend`.
+/// and the cluster-graph rounds all go through `backend`; `diameters` are the
+/// clustering's per-cluster diameters (the `D` the cluster-graph rounds are charged
+/// by).
 fn merge_step<B: EdtBackend>(
     ambient: &AmbientGraph<'_>,
     clustering: &Clustering,
+    diameters: &[Option<usize>],
     fraction: f64,
     config: &EdtConfig,
     backend: &B,
@@ -600,7 +617,7 @@ fn merge_step<B: EdtBackend>(
 
     let wg = clustering.cluster_graph(g);
     let hs = heavy_stars(&wg);
-    let max_diam = clustering.max_cluster_diameter(g).unwrap_or(0) as u64;
+    let max_diam = max_diameter(diameters).unwrap_or(0) as u64;
     // Cole–Vishkin + star formation run on the cluster graph; each cluster-graph
     // round is realized (or charged) as one word-down / boundary-exchange /
     // aggregate-up cycle over the current clusters. The `+ 1` is steps 3–4:
@@ -638,22 +655,22 @@ fn merge_step<B: EdtBackend>(
 /// One refinement step (Lemmas 5.4/5.5): every over-diameter cluster leader gathers
 /// the cluster topology, computes a low-diameter decomposition locally with the given
 /// edge budget, and distributes the new assignment (the distribution rides the
-/// gather's echo phase, which both backends account).
+/// gather's echo phase, which both backends account). `diameters` are the
+/// clustering's per-cluster diameters; a cluster is over-diameter past
+/// [`EdtConfig::diameter_target`].
 fn refine_step<B: EdtBackend>(
     g: &Graph,
     clustering: &Clustering,
+    diameters: &[Option<usize>],
     edge_budget: f64,
-    d_target: usize,
     config: &EdtConfig,
     backend: &B,
     meter: &mut RoundMeter,
 ) -> Clustering {
+    let d_target = config.diameter_target();
     let mut sub_label = vec![0usize; g.n()];
     let mut jobs: Vec<GatherJob> = Vec::new();
-    // One shared pass instead of a per-cluster mask + induced-diameter BFS:
-    // the masks alone cost O(n·k) and dominate million-vertex runs.
-    let diameters = clustering.cluster_diameters(g);
-    for (c, diam) in diameters.into_iter().enumerate() {
+    for (c, &diam) in diameters.iter().enumerate() {
         let members = clustering.members(c);
         if members.len() <= 1 {
             continue;
@@ -746,6 +763,83 @@ mod tests {
         let g = generators::random_tree(200, 9);
         let (d, _) = check(&g, 0.1);
         assert!(d.diameter <= EdtConfig::new(0.1).diameter_target());
+    }
+
+    /// [`Metered`], asserting that every cluster-graph round is charged by the
+    /// current clustering's freshly measured maximum diameter.
+    struct FreshDiameters;
+
+    impl GatherBackend for FreshDiameters {
+        fn name(&self) -> &'static str {
+            Metered.name()
+        }
+
+        fn gather(
+            &self,
+            cluster: &Graph,
+            leader: usize,
+            f: f64,
+            strategy: &GatherStrategy,
+            meter: &mut RoundMeter,
+        ) -> mfd_routing::gather::GatherReport {
+            Metered.gather(cluster, leader, f, strategy, meter)
+        }
+    }
+
+    impl EdtBackend for FreshDiameters {
+        fn cluster_graph_rounds(
+            &self,
+            g: &AmbientGraph<'_>,
+            spec: &ClusterRoundSpec<'_>,
+            cg_rounds: u64,
+            meter: &mut RoundMeter,
+        ) {
+            let fresh = spec.clustering.max_cluster_diameter(g.graph());
+            assert_eq!(spec.max_diam, fresh.unwrap_or(0) as u64, "a stale diameter");
+            Metered.cluster_graph_rounds(g, spec, cg_rounds, meter);
+        }
+    }
+
+    /// The construction measures each clustering's diameters once and carries
+    /// them through merges and refinements. The instance refines inside the
+    /// merge loop, merges again, and refines once more at the end, and both
+    /// refinements split clusters: every merge must be charged by the fresh
+    /// diameter, the returned `diameter` must be a fresh measurement's, the
+    /// accounting must be the one of re-measuring every clustering (876
+    /// rounds, 26 176 messages, 48 clusters of diameter 7), and the executed
+    /// backend must still reproduce the metered partition.
+    #[test]
+    fn carried_diameters_stay_exact_through_refinement() {
+        let g = generators::triangulated_grid(20, 20);
+        // Refinement cuts a cluster only past its band width `4 · chop_depth / ε`,
+        // so a shallow chop and a low target make both refinements split.
+        let config = EdtConfig {
+            chop_depth: 1,
+            diameter_slack: 2,
+            ..EdtConfig::new(0.8)
+        };
+        let (metered, charged) = build_edt(&g, &config);
+        assert_eq!((metered.iterations, metered.refinements), (4, 2));
+        assert_eq!(
+            Some(metered.diameter),
+            metered.clustering.max_cluster_diameter(&g)
+        );
+        assert_eq!(
+            (metered.clustering.num_clusters(), metered.diameter),
+            (48, 7)
+        );
+        assert_eq!((charged.rounds(), charged.messages()), (876, 26_176));
+        let (checked, checked_meter) = build_edt_with(&g, &config, &FreshDiameters);
+        assert_eq!(checked.clustering, metered.clustering);
+        assert_eq!(checked_meter.rounds(), charged.rounds());
+        let (executed, spent) = build_edt_with(&g, &config, &Executed::default());
+        assert_eq!(executed.clustering, metered.clustering);
+        assert_eq!(executed.diameter, metered.diameter);
+        assert_eq!(
+            (executed.iterations, executed.refinements),
+            (metered.iterations, metered.refinements)
+        );
+        assert!(spent.rounds() <= charged.rounds());
     }
 
     #[test]

@@ -30,6 +30,15 @@
 //! unreached vertices sit quiescent (the executor's fixpoint break ends the
 //! run) or time out after `n` rounds (the `mfd-sim` engine), the same
 //! deliberate trade [`mfd_core`-style BFS programs] make.
+//!
+//! Scheduling is exact: a vertex is
+//! [quiescent](mfd_runtime::NodeProgram::quiescent) whenever an empty-inbox
+//! round would be a no-op — unreached, or announced with nothing to upcast
+//! and nothing to echo — so the synchronous engines step a vertex only in
+//! the rounds where it has mail or work. Most of a gather is waiting (for
+//! the wave, for a child's upcast, for answers), so this skips most vertex
+//! steps while states, rounds and messages stay exactly those of stepping
+//! every live vertex every round.
 
 use mfd_graph::Graph;
 use mfd_runtime::{Envelope, NodeCtx, NodeProgram, Outbox, RuntimeMessage};
@@ -340,13 +349,34 @@ impl NodeProgram for TreeGatherProgram {
         Some(self.budget + 8)
     }
 
-    /// A vertex the wave has not reached is pure frontier-waiting, the same
-    /// deliberate timeout-vs-fixpoint trade `mfd_core::programs::BfsProgram`
-    /// documents: on disconnected clusters the executor ends at the fixpoint
-    /// while the simulator runs the `round > n` timeout; public outputs
-    /// agree everywhere.
-    fn quiescent(&self, _ctx: &NodeCtx, state: &TreeGatherState) -> bool {
-        state.depth.is_none()
+    /// A vertex is quiescent when it has nothing left to do on an empty
+    /// inbox:
+    ///
+    /// * **unreached** — pure frontier-waiting, the same deliberate
+    ///   timeout-vs-fixpoint trade `mfd_core::programs::BfsProgram`
+    ///   documents: on disconnected clusters the executor ends at the
+    ///   fixpoint while the simulator runs the `round > n` timeout; public
+    ///   outputs agree everywhere;
+    /// * **announced and idle** — no upcast to send (no pending message and
+    ///   no `Done` owed, or already sent) and no answer owed to any child:
+    ///   the vertex is only waiting for mail. Such a round is a strict no-op
+    ///   (nothing is sent and `done` is recomputed from unchanged state), so
+    ///   skipping it changes no state, round or message count.
+    ///
+    /// A vertex that holds its depth but has not announced yet (the leader
+    /// before round 1) always has work. The answer reads state and the
+    /// degree only, so it is round-stable.
+    fn quiescent(&self, ctx: &NodeCtx, state: &TreeGatherState) -> bool {
+        if state.depth.is_none() {
+            return true;
+        }
+        let upcast = state.parent.is_some()
+            && !state.sent_done
+            && (state.pending_up > 0 || state.subtree_ready(ctx.degree()));
+        let echo = (state.down_sent.iter())
+            .zip(&state.down_assigned)
+            .any(|(sent, assigned)| sent < assigned);
+        state.announced && !upcast && !echo
     }
 }
 

@@ -344,8 +344,9 @@ pub trait NodeProgram: Sync {
     /// the context of the following round, and once per vertex at start-up)
     /// and keeps the answer until mail or the next step reaches the vertex.
     /// A round-dependent answer would make the two schedule differently;
-    /// debug builds of the sharded engine assert that they do not. Derive the answer from `state` alone, as every program in this
-    /// workspace does.
+    /// debug builds of the sharded engine assert that they do not. Derive the
+    /// answer from `state` and the round-independent part of `ctx` (id,
+    /// degree, neighbors), as every program in this workspace does.
     ///
     /// The default (`false`) schedules every non-halted vertex every round,
     /// which is always correct. Programs overriding this must either

@@ -6,15 +6,17 @@
 # end-to-end metric, both medians with quartiles and the pairs the change won.
 #
 #   scripts/perf_pairs.sh <base-rev> [workload…]        # default: every workload
-#   PAIRS=10 SECONDS=10 SEED=1 scripts/perf_pairs.sh HEAD~1 ldd_mesh bfs_mesh
+#   PAIRS=10 SECONDS_PER_RUN=10 SEED=1 scripts/perf_pairs.sh HEAD~1 ldd_mesh bfs_mesh
 #
 # The base is exported (git archive) into the git-ignored .bench_build/<rev>;
 # the change is the working tree as it stands. Both build offline. Every run's
 # output check must pass, and every run is printed, not only the summary.
+# Counts are exact: the script exits 1, naming the pair, as soon as base and
+# change disagree on congest_rounds or messages.
 # (ROADMAP item 1's `perf ab` is what replaces this.)
 set -euo pipefail
 
-[ $# -ge 1 ] || { sed -n '2,15p' "$0"; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,16p' "$0"; exit 2; }
 cd "$(git rev-parse --show-toplevel)"
 base_rev=$(git rev-parse --verify --short "$1^{commit}")
 shift
@@ -57,12 +59,26 @@ run_one() { # workload side pair seed
     echo "run $1 pair $3 seed $4 $2: $(grep "^$1 $2 $3 " "$runs" | awk '{printf "%s=%s ", $4, $5}')"
 }
 
+# The counts of a pair's two runs must be identical.
+check_counts() { # workload pair
+    local m base change
+    for m in congest_rounds messages; do
+        base=$(awk -v k="$1 base $2 $m" '$1 " " $2 " " $3 " " $4 == k { print $5 }' "$runs")
+        change=$(awk -v k="$1 change $2 $m" '$1 " " $2 " " $3 " " $4 == k { print $5 }' "$runs")
+        if [ "$base" != "$change" ]; then
+            echo "$1 pair $2: $m differs (base $base, change $change)" >&2
+            exit 1
+        fi
+    done
+}
+
 for w in "${workloads[@]}"; do
     for ((i = 1; i <= pairs; i++)); do
         if ((i % 2)); then order=(base change); else order=(change base); fi
         for side in "${order[@]}"; do
             run_one "$w" "$side" "$i" $((seed0 + i))
         done
+        check_counts "$w" "$i"
     done
 done
 

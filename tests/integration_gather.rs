@@ -3,18 +3,22 @@
 //! differentially validated against the metered implementations.
 
 use mfd_congest::RoundMeter;
-use mfd_graph::{generators, Graph};
+use mfd_graph::{generators, CsrGraph, Graph};
+use mfd_prof::Profile;
 use mfd_routing::backend::{Executed, GatherBackend, GatherJob};
 use mfd_routing::gather::{gather_to_leader, tree_gather, GatherStrategy};
 use mfd_routing::load_balance::{LoadBalanceParams, LoadBalancePlan};
 use mfd_routing::programs::{
     execute_gather, select_strategy_program, GatherProgram, LoadBalanceProgram, SelectedGather,
-    TreeGatherProgram, WalkScheduleProgram,
+    TreeGatherProgram, TreeGatherState, TreeMsg, WalkScheduleProgram,
 };
 use mfd_routing::walks::{plan_walk_schedule, WalkParams, WalkPlan};
-use mfd_runtime::{Executor, ExecutorConfig};
+use mfd_runtime::{
+    Envelope, Executor, ExecutorConfig, NodeCtx, NodeProgram, Outbox, ShardedConfig,
+    ShardedExecutor,
+};
 use mfd_sim::{run_both, LatencyModel, SimConfig, Simulator};
-use mfd_trace::{Event, RecordingSink};
+use mfd_trace::{Event, NullSink, RecordingSink};
 use proptest::prelude::*;
 
 /// The acceptance families every executed strategy is validated on.
@@ -331,6 +335,107 @@ fn cluster_runner_matches_per_cluster_executor_runs_on_heterogeneous_batches() {
     );
 }
 
+/// [`TreeGatherProgram`] with the quiescence it had before idle detection:
+/// only vertices the wave has not reached are skipped, so every announced
+/// vertex is stepped every round until it halts.
+struct UnreachedOnly(TreeGatherProgram);
+
+impl NodeProgram for UnreachedOnly {
+    type State = TreeGatherState;
+    type Msg = TreeMsg;
+
+    fn init(&self, ctx: &NodeCtx) -> TreeGatherState {
+        self.0.init(ctx)
+    }
+
+    fn round(
+        &self,
+        ctx: &NodeCtx,
+        state: &mut TreeGatherState,
+        inbox: &[Envelope<TreeMsg>],
+        out: &mut Outbox<'_, TreeMsg>,
+    ) {
+        self.0.round(ctx, state, inbox, out);
+    }
+
+    fn halted(&self, ctx: &NodeCtx, state: &TreeGatherState) -> bool {
+        self.0.halted(ctx, state)
+    }
+
+    fn round_budget_hint(&self) -> Option<u64> {
+        self.0.round_budget_hint()
+    }
+
+    fn quiescent(&self, _ctx: &NodeCtx, state: &TreeGatherState) -> bool {
+        state.depth.is_none()
+    }
+}
+
+/// Runs the tree gather from `leader` with its exact quiescence and with the
+/// unreached-only one, on the reference stepper and on the sharded engine at
+/// 1 and 4 shards, and asserts every run agrees on states, rounds, messages
+/// and delivery. Returns the vertex steps (`Profile::frontier_total`) of the
+/// 1-shard runs, exact first.
+fn compare_tree_quiescence(g: &Graph, leader: usize, case: &str) -> (u64, u64) {
+    let exact = TreeGatherProgram::new(g, leader);
+    let old = UnreachedOnly(exact.clone());
+    let cfg = ExecutorConfig::default();
+    let reference = Executor::new(cfg.clone()).run(g, &old).unwrap();
+    let delivered = exact.per_vertex_delivered(&reference.states);
+    let check = |states: &[TreeGatherState], rounds: u64, messages: u64, run: &str| {
+        assert_eq!(states, &reference.states[..], "{case}, {run}");
+        assert_eq!(rounds, reference.rounds, "{case}, {run}");
+        assert_eq!(messages, reference.messages, "{case}, {run}");
+        assert_eq!(
+            exact.per_vertex_delivered(states),
+            delivered,
+            "{case}, {run}"
+        );
+    };
+    let run = Executor::new(cfg.clone()).run(g, &exact).unwrap();
+    check(&run.states, run.rounds, run.messages, "reference, exact");
+
+    let csr = CsrGraph::from_graph(g);
+    let mut steps = (0, 0);
+    for shards in [1, 4] {
+        let exec = ShardedExecutor::new(ShardedConfig::matching(&cfg, shards));
+        let mut profile = Profile::new();
+        let run = exec
+            .run_profiled(&csr, &exact, &mut NullSink, &mut profile)
+            .unwrap();
+        check(&run.states, run.rounds, run.messages, "sharded, exact");
+        let mut old_profile = Profile::new();
+        let run = exec
+            .run_profiled(&csr, &old, &mut NullSink, &mut old_profile)
+            .unwrap();
+        check(&run.states, run.rounds, run.messages, "sharded, old");
+        if shards == 1 {
+            steps = (profile.frontier_total(), old_profile.frontier_total());
+        }
+    }
+    steps
+}
+
+/// The tree gather's quiescence is exact: announced vertices with nothing to
+/// upcast or echo sleep too, which is a pure scheduling change — everything
+/// observable equals the unreached-only predicate's run, on connected and
+/// disconnected clusters, while tri-grid-8x8 steps strictly fewer vertices.
+#[test]
+fn exact_tree_quiescence_changes_only_the_vertex_steps() {
+    let mut families = acceptance_families();
+    families.push((
+        "path-12+wheel-9",
+        generators::path(12).disjoint_union(&generators::wheel(9)),
+    ));
+    for (name, g) in families {
+        let (exact, old) = compare_tree_quiescence(&g, max_degree_vertex(&g), name);
+        assert!(exact <= old, "{name}: {exact} > {old} vertex steps");
+        if name == "tri-grid-8x8" {
+            assert!(exact < old, "{name}: {exact} vertex steps, not below {old}");
+        }
+    }
+}
+
 /// The planners are pure: same input, same plan — including the memoized
 /// split and spectral estimates.
 #[test]
@@ -377,6 +482,19 @@ proptest! {
             "executed {} > charged {}", executed.rounds, charged.rounds);
         prop_assert!((executed.delivered_fraction - 1.0).abs() < 1e-12);
         prop_assert_eq!(executed.per_vertex_delivered, charged.per_vertex_delivered);
+    }
+
+    /// Random clusters and leaders: exact tree quiescence runs exactly like
+    /// the unreached-only predicate on every engine and layout.
+    #[test]
+    fn exact_tree_quiescence_matches_unreached_only_on_random_clusters(
+        n in 8usize..40,
+        seed in 0u64..500,
+        leader in 0usize..40,
+    ) {
+        let g = generators::random_apollonian(n, seed);
+        let (exact, old) = compare_tree_quiescence(&g, leader % n, &format!("n={n}, seed={seed}"));
+        prop_assert!(exact <= old, "{} > {} vertex steps", exact, old);
     }
 
     /// Random clusters: executed load-balance delivery meets the metered
