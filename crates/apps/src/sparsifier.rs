@@ -47,14 +47,9 @@ pub fn low_degree_sparsifier(g: &Graph, threshold: usize) -> VertexSparsifier {
     let n = g.n();
     let high: Vec<usize> = (0..n).filter(|&v| g.degree(v) >= threshold).collect();
     let is_high: Vec<bool> = (0..n).map(|v| g.degree(v) >= threshold).collect();
-    let mut low = Graph::new(n);
-    for (u, v) in g.edges() {
-        if !is_high[u] && !is_high[v] {
-            low.add_edge(u, v);
-        }
-    }
+    let low = g.edges().filter(|&(u, v)| !is_high[u] && !is_high[v]);
     VertexSparsifier {
-        low_subgraph: low,
+        low_subgraph: Graph::from_edges(n, low),
         high_vertices: high,
         threshold,
     }
@@ -71,13 +66,10 @@ pub fn matching_sparsifier(g: &Graph, threshold: usize) -> Graph {
             marks.insert(u);
         }
     }
-    let mut sparse = Graph::new(n);
-    for (u, v) in g.edges() {
-        if marked[u].contains(&v) && marked[v].contains(&u) {
-            sparse.add_edge(u, v);
-        }
-    }
-    sparse
+    let both = g
+        .edges()
+        .filter(|&(u, v)| marked[u].contains(&v) && marked[v].contains(&u));
+    Graph::from_edges(n, both)
 }
 
 #[cfg(test)]

@@ -42,7 +42,7 @@
 
 use mfd_bench::trace::{executor_chain, sim_chain, DivergenceProbe};
 use mfd_bench::Exit;
-use mfd_graph::{CsrGraph, Graph};
+use mfd_graph::Graph;
 use mfd_replay::Journal;
 use mfd_runtime::ExecutorConfig;
 use mfd_sim::LatencyModel;
@@ -199,7 +199,7 @@ fn compare_against(
     match journal.header.engine {
         EngineKind::Executor => {
             mfd_bench::sync_executor(cfg)
-                .run_traced(&CsrGraph::from_graph(g), probe, &mut sink)
+                .run_traced(g, probe, &mut sink)
                 .expect("probe is model-compliant");
         }
         EngineKind::Sim => {
@@ -227,7 +227,6 @@ fn compare_against(
 fn main() {
     let opts = parse_args();
     let g = mfd_bench::acceptance_family(&opts.graph).unwrap_or_else(|e| Exit::Usage.fail(e));
-    let csr = CsrGraph::from_graph(&g);
     let cfg = ExecutorConfig::default();
     let clean = DivergenceProbe::clean(opts.rounds);
     if !opts.json {
@@ -248,8 +247,8 @@ fn main() {
         compare_against(path, &g, &probe, &cfg)
     } else if opts.self_compare {
         // Same engine, same seed, twice: the determinism smoke test.
-        let (a, _) = executor_chain(&csr, &clean, &cfg).expect("probe is model-compliant");
-        let (b, _) = executor_chain(&csr, &clean, &cfg).expect("probe is model-compliant");
+        let (a, _) = executor_chain(&g, &clean, &cfg).expect("probe is model-compliant");
+        let (b, _) = executor_chain(&g, &clean, &cfg).expect("probe is model-compliant");
         compare("run A", &a, "run B", &b)
     } else if let Some((round, vertex)) = opts.inject {
         if vertex >= g.n() || round < 1 || round > opts.rounds {
@@ -260,8 +259,8 @@ fn main() {
             ));
         }
         let probe = DivergenceProbe::perturbed(opts.rounds, round, vertex);
-        let (a, _) = executor_chain(&csr, &clean, &cfg).expect("probe is model-compliant");
-        let (b, _) = executor_chain(&csr, &probe, &cfg).expect("probe is model-compliant");
+        let (a, _) = executor_chain(&g, &clean, &cfg).expect("probe is model-compliant");
+        let (b, _) = executor_chain(&g, &probe, &cfg).expect("probe is model-compliant");
         if !opts.json {
             println!("injected: vertex {vertex} corrupted at round {round} in run B");
         }
@@ -269,7 +268,7 @@ fn main() {
     } else {
         // The cross-engine differential: synchronous executor vs the
         // discrete-event engine at unit latency.
-        let (a, _) = executor_chain(&csr, &clean, &cfg).expect("probe is model-compliant");
+        let (a, _) = executor_chain(&g, &clean, &cfg).expect("probe is model-compliant");
         let (b, _) =
             sim_chain(&g, &clean, &cfg, LatencyModel::Fixed(1)).expect("probe is model-compliant");
         compare("executor", &a, "sim(fixed-1)", &b)

@@ -21,10 +21,13 @@
 //! regression, the second injects a synthetic slowdown and expects the
 //! localizer to name its onset round.
 
+use std::str::FromStr;
+
 use mfd_bench::profiling::{
-    csv_phase_series, parse_csr_graph, parse_rounds_csv, profile_sharded_algo, rounds_csv, Algo,
+    csv_phase_series, parse_graph, parse_rounds_csv, profile_sharded_algo, rounds_csv, Algo,
     ProfiledRun,
 };
+use mfd_bench::Exit;
 use mfd_prof::{calibrate_threshold, chrome_profile, first_regression};
 use mfd_runtime::profile::{PHASES, PHASE_NAMES};
 
@@ -65,6 +68,13 @@ struct Opts {
     inject: Option<(usize, u64)>,
 }
 
+/// `value` parsed as the number `flag` takes; a usage error otherwise.
+fn number<T: FromStr>(flag: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| Exit::Usage.fail(format!("{flag} takes a number, not {value:?}")))
+}
+
 fn parse_opts(args: &[String]) -> Opts {
     let mut o = Opts {
         graph: "mesh-200x200".to_string(),
@@ -84,24 +94,19 @@ fn parse_opts(args: &[String]) -> Opts {
     while let Some(arg) = it.next() {
         let mut value = || {
             it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("error: {arg} requires a value");
-                    std::process::exit(2);
-                })
+                .unwrap_or_else(|| Exit::Usage.fail(format!("{arg} requires a value")))
                 .clone()
         };
         match arg.as_str() {
             "--graph" => o.graph = value(),
             "--algo" => o.algo = value(),
-            "--shards" => o.shards = value().parse().expect("--shards takes a number"),
-            "--threads" => o.threads = value().parse().expect("--threads takes a number"),
+            "--shards" => o.shards = number(arg, &value()),
+            "--threads" => o.threads = number(arg, &value()),
             "--out" => o.out = Some(value()),
             "--base" => o.base = Some(value()),
             "--cur" => o.cur = Some(value()),
             "--phase" => o.phase = value(),
-            "--threshold" => {
-                o.threshold = Some(value().parse().expect("--threshold takes a ratio"))
-            }
+            "--threshold" => o.threshold = Some(number(arg, &value())),
             "--calibrate" => {
                 let a = value();
                 let b = value();
@@ -110,11 +115,12 @@ fn parse_opts(args: &[String]) -> Opts {
             "--self" => o.self_test = true,
             "--inject" => {
                 let spec = value();
-                let (round, factor) = spec.split_once(':').unwrap_or_else(|| usage());
-                o.inject = Some((
-                    round.parse().expect("--inject round"),
-                    factor.parse().expect("--inject factor"),
-                ));
+                let parsed = spec
+                    .split_once(':')
+                    .and_then(|(round, factor)| Some((round.parse().ok()?, factor.parse().ok()?)));
+                o.inject = Some(parsed.unwrap_or_else(|| {
+                    Exit::Usage.fail(format!("--inject takes <round>:<factor>, not {spec:?}"))
+                }));
             }
             _ => usage(),
         }
@@ -124,16 +130,12 @@ fn parse_opts(args: &[String]) -> Opts {
 
 /// Runs the configured workload through the verified profiling harness.
 fn run_workload(o: &Opts) -> ProfiledRun {
-    let algo = Algo::parse(&o.algo).unwrap_or_else(|| {
-        eprintln!("error: unknown algo {:?} (bfs or ldd-K)", o.algo);
-        std::process::exit(2);
-    });
+    let algo = Algo::parse(&o.algo)
+        .unwrap_or_else(|| Exit::Usage.fail(format!("unknown algo {:?} (bfs or ldd-K)", o.algo)));
     let label = format!("{}/{}", o.graph, o.algo);
-    let Some(csr) = parse_csr_graph(&o.graph) else {
-        eprintln!("error: unknown graph spec {:?}", o.graph);
-        std::process::exit(2);
-    };
-    profile_sharded_algo(&csr, algo, o.shards, o.threads, &label)
+    let g = parse_graph(&o.graph)
+        .unwrap_or_else(|| Exit::Usage.fail(format!("unknown graph spec {:?}", o.graph)));
+    profile_sharded_algo(&g, algo, o.shards, o.threads, &label)
 }
 
 /// Resolves `--phase` into a column index of the rounds CSV: a phase name,
@@ -146,31 +148,25 @@ fn phase_column(name: &str) -> usize {
         .iter()
         .position(|&p| p == name)
         .unwrap_or_else(|| {
-            eprintln!(
-                "error: unknown phase {:?} (one of {}, wall)",
-                name,
+            Exit::Usage.fail(format!(
+                "unknown phase {name:?} (one of {}, wall)",
                 PHASE_NAMES.join(", ")
-            );
-            std::process::exit(2);
+            ))
         })
 }
 
 fn load_series(path: &str, phase: usize) -> Vec<u64> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let rows = parse_rounds_csv(&text).unwrap_or_else(|e| {
-        eprintln!("error: {path}: {e}");
-        std::process::exit(2);
-    });
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| Exit::Data.fail(format!("cannot read {path}: {e}")));
+    let rows = parse_rounds_csv(&text).unwrap_or_else(|e| Exit::Data.fail(format!("{path}: {e}")));
     csv_phase_series(&rows, phase)
 }
 
 fn emit(out: &Option<String>, text: &str) {
     match out {
         Some(path) => {
-            std::fs::write(path, text).expect("write output file");
+            std::fs::write(path, text)
+                .unwrap_or_else(|e| Exit::Data.fail(format!("cannot write {path:?}: {e}")));
             println!("wrote {path}");
         }
         None => print!("{text}"),

@@ -48,7 +48,7 @@ use mfd_bench::replay::{
 use mfd_bench::trace::DivergenceProbe;
 use mfd_bench::Exit;
 use mfd_faults::{FaultModel, Reliable};
-use mfd_graph::{CsrGraph, Graph};
+use mfd_graph::Graph;
 use mfd_replay::Journal;
 use mfd_runtime::ExecutorConfig;
 use mfd_sim::{LatencyModel, NoFaults};
@@ -117,7 +117,7 @@ fn record(out: &str, engine: &str, spec: &RunSpec, every: u64) {
     let label = spec.label();
     let journal = match (engine, spec.loss) {
         ("executor", None) => {
-            executor_journal(&CsrGraph::from_graph(&g), &probe, &cfg, every, &label)
+            executor_journal(&g, &probe, &cfg, every, &label)
                 .expect("probe is model-compliant")
                 .journal
         }
@@ -200,7 +200,7 @@ fn resume(path: &str, at: Option<u64>, graph: Option<&str>) {
     }
     let resumed = match (journal.header.engine, spec.loss) {
         (EngineKind::Executor, None) => {
-            resume_executor(&journal, at, &CsrGraph::from_graph(&g), &probe, &cfg).map(summary)
+            resume_executor(&journal, at, &g, &probe, &cfg).map(summary)
         }
         (EngineKind::Sim, None) => {
             resume_sim(&journal, at, &g, &probe, &NoFaults, &cfg, LATENCY).map(summary)
@@ -250,9 +250,7 @@ fn states_at(journal: &Journal, target: u64) -> (u64, Vec<u64>) {
     let cfg = ExecutorConfig::default();
     let probe = DivergenceProbe::clean(spec.rounds);
     match journal.header.engine {
-        EngineKind::Executor => {
-            executor_states_at(journal, target, &CsrGraph::from_graph(&g), &probe, &cfg)
-        }
+        EngineKind::Executor => executor_states_at(journal, target, &g, &probe, &cfg),
         EngineKind::Sim => sim_states_at(journal, target, &g, &probe, &cfg, LATENCY),
     }
     .unwrap_or_else(|e| Exit::Data.fail(format!("cannot reach round {target}: {e}")))

@@ -24,7 +24,7 @@ use mfd_bench::profiling::{profile_sharded_algo, Algo};
 use mfd_bench::series::{Cell, Role::*, Series};
 use mfd_bench::{acceptance_families, f3, Table};
 use mfd_congest::RoundMeter;
-use mfd_core::edt::{build_edt, build_edt_csr, build_edt_traced, EdtConfig};
+use mfd_core::edt::{build_edt, build_edt_traced, build_edt_with, EdtConfig};
 use mfd_core::expander::{
     min_cluster_conductance, minor_free_expander_decomposition, ExpanderParams,
 };
@@ -34,7 +34,7 @@ use mfd_core::programs::{BfsProgram, ColeVishkinProgram, VoronoiLddProgram};
 use mfd_faults::{crash_and_regather, gather_raw, gather_recovered, FaultModel, Reliable};
 use mfd_graph::generators;
 use mfd_graph::properties::splitmix64;
-use mfd_graph::{gen, CsrGraph};
+use mfd_graph::{gen, Graph};
 use mfd_routing::backend::{Executed, Metered};
 use mfd_routing::gather::{gather_to_leader, GatherStrategy};
 use mfd_routing::load_balance::{LoadBalanceParams, LoadBalancePlan};
@@ -149,7 +149,7 @@ fn table1() {
             "ε achieved",
         ],
     );
-    let cases: Vec<(&str, &str, mfd_graph::Graph, f64)> = vec![
+    let cases: Vec<(&str, &str, Graph, f64)> = vec![
         (
             "Δ const, ε const",
             "tri-grid 32x32",
@@ -458,7 +458,7 @@ fn property_testing_report() {
             "error-detection rounds",
         ],
     );
-    let mut cases: Vec<(String, mfd_graph::Graph)> = Vec::new();
+    let mut cases: Vec<(String, Graph)> = Vec::new();
     for s in [16usize, 24, 32] {
         cases.push((
             format!("planar tri-grid {s}x{s}"),
@@ -566,8 +566,7 @@ fn ablations_report() {
 /// Runs `program` under the synchronous executor and the simulator's latency
 /// models, appending one `BENCH_runtime.json` row per engine.
 fn run_engines<P: NodeProgram>(
-    g: &mfd_graph::Graph,
-    csr: &CsrGraph,
+    g: &Graph,
     program: &P,
     graph_name: &str,
     prog_name: &'static str,
@@ -589,7 +588,7 @@ fn run_engines<P: NodeProgram>(
         };
     let cfg = ExecutorConfig::default();
     let sync = mfd_bench::sync_executor(&cfg)
-        .run(csr, program)
+        .run(g, program)
         .expect("program is model-compliant");
     row("executor", None, sync.rounds, sync.messages, None);
     let latencies: [(&'static str, LatencyModel); 3] = [
@@ -634,18 +633,17 @@ fn runtime_report() {
     ];
     let mut rows = Series::new("runtime");
     for (name, g) in &families {
-        let csr = CsrGraph::from_graph(g);
-        run_engines(g, &csr, &BfsProgram { root: 0 }, name, "bfs", &mut rows);
+        run_engines(g, &BfsProgram { root: 0 }, name, "bfs", &mut rows);
 
         let mut meter = RoundMeter::new();
         let tree = mfd_congest::primitives::build_bfs_tree(g, None, 0, &mut meter);
         let id: Vec<u64> = (0..g.n() as u64).map(splitmix64).collect();
         let cv = ColeVishkinProgram::new(tree.parent.clone(), id);
-        run_engines(g, &csr, &cv, name, "cole-vishkin", &mut rows);
+        run_engines(g, &cv, name, "cole-vishkin", &mut rows);
 
         let centers: Vec<usize> = (0..8).map(|i| (i * g.n()) / 8).collect();
         let voronoi = VoronoiLddProgram::new(g.n(), &centers);
-        run_engines(g, &csr, &voronoi, name, "voronoi-ldd-8", &mut rows);
+        run_engines(g, &voronoi, name, "voronoi-ldd-8", &mut rows);
     }
     rows.print(
         "R1 — execution engines: synchronous rounds vs simulated makespan \
@@ -664,7 +662,7 @@ fn runtime_report() {
 fn gather_row(
     rows: &mut Series,
     graph_name: &str,
-    g: &mfd_graph::Graph,
+    g: &Graph,
     strategy: &str,
     mode: &str,
     latency: Option<&str>,
@@ -691,7 +689,7 @@ fn gather_row(
 /// latency models, asserting engine invariance and the charged-bound
 /// contract, and appends one row per engine.
 fn run_gather_engines<P: GatherProgram>(
-    g: &mfd_graph::Graph,
+    g: &Graph,
     program: &P,
     graph_name: &str,
     f: f64,
@@ -815,7 +813,7 @@ fn gather_report() {
 fn fault_row(
     rows: &mut Series,
     graph_name: &str,
-    g: &mfd_graph::Graph,
+    g: &Graph,
     strategy: &str,
     fault: &str,
     mode: &str,
@@ -844,7 +842,7 @@ fn fault_row(
 /// Runs one gather program raw and behind [`Reliable`] under one fault
 /// model, appending both rows.
 fn run_fault_scenario<P>(
-    g: &mfd_graph::Graph,
+    g: &Graph,
     program: &P,
     graph_name: &str,
     f: f64,
@@ -1093,7 +1091,7 @@ fn trace_row(
     rows: &mut Series,
     program: &str,
     graph_name: &str,
-    g: &mfd_graph::Graph,
+    g: &Graph,
     engine: &str,
     rounds: u64,
     messages: u64,
@@ -1118,8 +1116,7 @@ fn trace_row(
 /// and appends one row per engine. The digest heads must agree (unit-latency
 /// engine equivalence, checked here so a divergence fails the report).
 fn run_trace_engines<P>(
-    g: &mfd_graph::Graph,
-    csr: &CsrGraph,
+    g: &Graph,
     program: &P,
     graph_name: &str,
     prog_name: &'static str,
@@ -1131,7 +1128,7 @@ fn run_trace_engines<P>(
     let cfg = ExecutorConfig::default();
     let mut sink = Tee::new(MetricsSink::new(), DigestSink::new());
     let sync = mfd_bench::sync_executor(&cfg)
-        .run_traced(csr, program, &mut sink)
+        .run_traced(g, program, &mut sink)
         .expect("program is model-compliant");
     let head = sink.b.head();
     let mut row = |engine: &str, rounds: u64, messages: u64, sink: &MetricsSink| {
@@ -1168,18 +1165,17 @@ fn run_trace_engines<P>(
 fn trace_report() {
     let mut rows = Series::new("trace");
     for (name, g) in &mfd_bench::acceptance_families() {
-        let csr = CsrGraph::from_graph(g);
-        run_trace_engines(g, &csr, &BfsProgram { root: 0 }, name, "bfs", &mut rows);
+        run_trace_engines(g, &BfsProgram { root: 0 }, name, "bfs", &mut rows);
 
         let mut meter = RoundMeter::new();
         let tree = mfd_congest::primitives::build_bfs_tree(g, None, 0, &mut meter);
         let id: Vec<u64> = (0..g.n() as u64).map(splitmix64).collect();
         let cv = ColeVishkinProgram::new(tree.parent.clone(), id);
-        run_trace_engines(g, &csr, &cv, name, "cole-vishkin", &mut rows);
+        run_trace_engines(g, &cv, name, "cole-vishkin", &mut rows);
 
         let centers: Vec<usize> = (0..8).map(|i| (i * g.n()) / 8).collect();
         let voronoi = VoronoiLddProgram::new(g.n(), &centers);
-        run_trace_engines(g, &csr, &voronoi, name, "voronoi-ldd-8", &mut rows);
+        run_trace_engines(g, &voronoi, name, "voronoi-ldd-8", &mut rows);
     }
 
     // The edt constructions' phase spans: merge/refine/routing rounds and
@@ -1256,11 +1252,9 @@ fn replay_report() {
             ]);
         };
 
-        let csr = CsrGraph::from_graph(g);
-        let full = executor_journal(&csr, &probe, &cfg, EVERY, name).expect("probe runs");
+        let full = executor_journal(g, &probe, &cfg, EVERY, name).expect("probe runs");
         let cp = mid(&full.journal);
-        let resumed =
-            resume_executor(&full.journal, cp.round, &csr, &probe, &cfg).expect("resumes");
+        let resumed = resume_executor(&full.journal, cp.round, g, &probe, &cfg).expect("resumes");
         assert_eq!(
             resumed.sink.chain(),
             full.sink.chain(),
@@ -1402,7 +1396,7 @@ fn scale_row(
 fn sharded_run<P>(
     rows: &mut Series,
     graph_name: &str,
-    csr: &CsrGraph,
+    g: &Graph,
     program_name: &str,
     program: &P,
     shards: usize,
@@ -1415,13 +1409,13 @@ where
     let mut sink = DigestSink::new();
     let t0 = std::time::Instant::now();
     let run = ShardedExecutor::new(ShardedConfig::with_shards_threads(shards, threads))
-        .run_traced(csr, program, &mut sink)
+        .run_traced(g, program, &mut sink)
         .expect("program is model-compliant");
     scale_row(
         rows,
         "sharded",
         graph_name,
-        (csr.n(), csr.m()),
+        (g.n(), g.m()),
         program_name,
         Some(shards),
         // 0 asks the engine for every available core.
@@ -1467,10 +1461,9 @@ fn scale_report(heavy: bool) {
             t0.elapsed().as_secs_f64() * 1e3,
         );
 
-        let csr = CsrGraph::from_graph(g);
         for shards in [1, 4, 32] {
             let bfs = BfsProgram { root: 0 };
-            let (run, sink) = sharded_run(&mut rows, name, &csr, "bfs", &bfs, shards, 2);
+            let (run, sink) = sharded_run(&mut rows, name, g, "bfs", &bfs, shards, 2);
             assert_eq!(
                 run.states, reference.states,
                 "{name}/bfs/shards={shards}: sharded states must be bit-identical"
@@ -1532,7 +1525,7 @@ fn scale_report(heavy: bool) {
 
     // --- Million-vertex flagship block: BFS / LDD on every streaming
     // generator family, all cores.
-    let flagship: [(&str, CsrGraph); 3] = [
+    let flagship: [(&str, Graph); 3] = [
         ("mesh-1000x1000", mesh),
         ("rmat-20-ef4", gen::rmat(20, 4, 0x6d6664)),
         (
@@ -1549,16 +1542,14 @@ fn scale_report(heavy: bool) {
         sharded_run(&mut rows, name, g, LDD, &ldd, 64, 0);
     }
 
-    // --- Executed (ε, D, T) at a million vertices, through the CSR
-    // representation boundary (see `build_edt_csr`; the gathers and cluster
+    // --- Executed (ε, D, T) at a million vertices (the gathers and cluster
     // rounds run on the sharded engine, one shard per thread — the row's
     // `executor` label is part of its gated series key and stays). The mesh
-    // family: power-law
-    // EDT is dominated by the hub clusters' gathers and does not finish in
-    // CI time past n ≈ 2^14.
+    // family: power-law EDT is dominated by the hub clusters' gathers and
+    // does not finish in CI time past n ≈ 2^14.
     let (name, g) = &flagship[0];
     let t0 = std::time::Instant::now();
-    let (d, meter) = build_edt_csr(g, &EdtConfig::new(EDT_SCALE_EPSILON), &Executed::default());
+    let (d, meter) = build_edt_with(g, &EdtConfig::new(EDT_SCALE_EPSILON), &Executed::default());
     let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
     assert!(
         d.epsilon_achieved <= EDT_SCALE_EPSILON,
@@ -1651,7 +1642,7 @@ fn profile_row(
     rows: &mut Series,
     engine: &str,
     graph_name: &str,
-    g: &CsrGraph,
+    g: &Graph,
     program: &str,
     shards: usize,
     threads: usize,
@@ -1819,9 +1810,9 @@ fn profile_report() {
         &run,
     );
 
-    // --- The adjacency-map acceptance family under the same overlay, on
+    // --- The generators' triangulated grid under the same overlay, on
     // one shard — the gated `engine=executor|shards=1|threads=2` series.
-    let grid = CsrGraph::from_graph(&generators::triangulated_grid(100, 100));
+    let grid = generators::triangulated_grid(100, 100);
     let run = profile_sharded_algo(&grid, Algo::Ldd(64), 1, 2, "tri-grid-100x100/ldd-64");
     profile_row(
         &mut rows,

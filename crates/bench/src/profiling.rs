@@ -16,7 +16,7 @@
 use std::hash::Hash;
 
 use mfd_core::programs::{BfsProgram, VoronoiLddProgram};
-use mfd_graph::{gen, generators, CsrGraph};
+use mfd_graph::{gen, generators, Graph};
 use mfd_prof::Profile;
 use mfd_runtime::profile::{PHASES, PHASE_NAMES};
 use mfd_runtime::{NodeProgram, ShardedConfig, ShardedExecutor};
@@ -50,13 +50,15 @@ impl Algo {
 
 /// Parses a graph spec: `mesh-<r>x<c>`, `rmat-<scale>-ef<ef>` or
 /// `power-law-2^<k>` — the streaming-generator families of the `scale`
-/// section, with the same seeds — or `tri-grid-<r>x<c>`, the adjacency-map
-/// acceptance family converted to CSR.
-pub fn parse_csr_graph(spec: &str) -> Option<CsrGraph> {
+/// section, with the same seeds — or `tri-grid-<r>x<c>`, the
+/// [`generators::triangulated_grid`] family.
+pub fn parse_graph(spec: &str) -> Option<Graph> {
     if let Some(dims) = spec.strip_prefix("tri-grid-") {
         let (r, c) = dims.split_once('x')?;
-        let grid = generators::triangulated_grid(r.parse().ok()?, c.parse().ok()?);
-        return Some(CsrGraph::from_graph(&grid));
+        return Some(generators::triangulated_grid(
+            r.parse().ok()?,
+            c.parse().ok()?,
+        ));
     }
     if let Some(dims) = spec.strip_prefix("mesh-") {
         let (r, c) = dims.split_once('x')?;
@@ -118,7 +120,7 @@ fn verify_consistency(run: &ProfiledRun, label: &str) {
 /// asserts the profiled run changed nothing: bit-identical states, meter
 /// statistics, arena high-water marks, and digest chains.
 pub fn profile_sharded<P>(
-    csr: &CsrGraph,
+    g: &Graph,
     program: &P,
     shards: usize,
     threads: usize,
@@ -133,13 +135,13 @@ where
     let mut sink = DigestSink::new();
     let t0 = std::time::Instant::now();
     let run = exec
-        .run_profiled(csr, program, &mut sink, &mut profile)
+        .run_profiled(g, program, &mut sink, &mut profile)
         .expect("program is model-compliant");
     let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let mut plain_sink = DigestSink::new();
     let plain = exec
-        .run_traced(csr, program, &mut plain_sink)
+        .run_traced(g, program, &mut plain_sink)
         .expect("program is model-compliant");
     assert_eq!(run.states, plain.states, "{label}: profiled states differ");
     assert_eq!(run.rounds, plain.rounds, "{label}: profiled rounds differ");
@@ -172,18 +174,18 @@ where
 
 /// Dispatches a parsed [`Algo`] onto the sharded runner.
 pub fn profile_sharded_algo(
-    csr: &CsrGraph,
+    g: &Graph,
     algo: Algo,
     shards: usize,
     threads: usize,
     label: &str,
 ) -> ProfiledRun {
     match algo {
-        Algo::Bfs => profile_sharded(csr, &BfsProgram { root: 0 }, shards, threads, label),
+        Algo::Bfs => profile_sharded(g, &BfsProgram { root: 0 }, shards, threads, label),
         Algo::Ldd(k) => {
-            let centers = Algo::centers(k, csr.n());
-            let ldd = VoronoiLddProgram::new(csr.n(), &centers);
-            profile_sharded(csr, &ldd, shards, threads, label)
+            let centers = Algo::centers(k, g.n());
+            let ldd = VoronoiLddProgram::new(g.n(), &centers);
+            profile_sharded(g, &ldd, shards, threads, label)
         }
     }
 }
@@ -248,13 +250,13 @@ mod tests {
 
     #[test]
     fn specs_parse_and_reject() {
-        assert!(parse_csr_graph("mesh-8x9").is_some());
-        assert!(parse_csr_graph("rmat-6-ef4").is_some());
-        assert!(parse_csr_graph("power-law-2^8").is_some());
-        assert!(parse_csr_graph("mesh-8").is_none());
-        assert!(parse_csr_graph("banana").is_none());
-        assert!(parse_csr_graph("tri-grid-5x5").is_some());
-        assert!(parse_csr_graph("tri-grid-5").is_none());
+        assert!(parse_graph("mesh-8x9").is_some());
+        assert!(parse_graph("rmat-6-ef4").is_some());
+        assert!(parse_graph("power-law-2^8").is_some());
+        assert!(parse_graph("mesh-8").is_none());
+        assert!(parse_graph("banana").is_none());
+        assert!(parse_graph("tri-grid-5x5").is_some());
+        assert!(parse_graph("tri-grid-5").is_none());
         assert_eq!(Algo::parse("bfs"), Some(Algo::Bfs));
         assert_eq!(Algo::parse("ldd-64"), Some(Algo::Ldd(64)));
         assert_eq!(Algo::parse("ldd-0"), None);
@@ -266,8 +268,8 @@ mod tests {
     /// exactly, on a real sharded run.
     #[test]
     fn traffic_matrix_sums_match_router_counts_exactly() {
-        let csr = gen::mesh(24, 24);
-        let run = profile_sharded_algo(&csr, Algo::Ldd(8), 5, 2, "test-mesh-24");
+        let g = gen::mesh(24, 24);
+        let run = profile_sharded_algo(&g, Algo::Ldd(8), 5, 2, "test-mesh-24");
         // `verify_consistency` inside already asserted row/column sums; pin
         // the headline numbers here too so the test fails readably if the
         // runner stops verifying.
@@ -282,8 +284,8 @@ mod tests {
 
     #[test]
     fn csv_round_trips() {
-        let csr = gen::mesh(16, 16);
-        let run = profile_sharded_algo(&csr, Algo::Bfs, 4, 1, "test-mesh-16");
+        let g = gen::mesh(16, 16);
+        let run = profile_sharded_algo(&g, Algo::Bfs, 4, 1, "test-mesh-16");
         let csv = rounds_csv(&run.profile);
         let rows = parse_rounds_csv(&csv).expect("own output parses");
         assert_eq!(rows.len() as u64, run.rounds);

@@ -14,7 +14,7 @@
 
 use std::error::Error;
 
-use mfd_graph::{CsrGraph, Graph};
+use mfd_graph::Graph;
 use mfd_replay::{Journal, JournalError, JournalHeader, Snapshot};
 use mfd_runtime::{ExecCheckpoint, ExecutorConfig, NodeProgram, RuntimeError, ShardedExecution};
 use mfd_sim::{FaultHook, FaultedRun, LatencyModel, NoFaults, SimCheckpoint, SimConfig, Simulator};
@@ -48,7 +48,7 @@ fn header(engine: EngineKind, n: usize, seed: u64, every: u64, label: &str) -> J
 ///
 /// Propagates the engine failure.
 pub fn executor_journal<P>(
-    g: &CsrGraph,
+    g: &Graph,
     program: &P,
     config: &ExecutorConfig,
     every: u64,
@@ -164,7 +164,7 @@ fn restore_point<C: Snapshot>(journal: &Journal, at: u64) -> Result<(C, DigestSi
 pub fn resume_executor<P>(
     journal: &Journal,
     at: u64,
-    g: &CsrGraph,
+    g: &Graph,
     program: &P,
     config: &ExecutorConfig,
 ) -> Result<Resumed<ShardedExecution<P::State>>, Box<dyn Error>>
@@ -228,7 +228,7 @@ pub type StatesAt<S> = Result<(u64, Vec<S>), Box<dyn Error>>;
 pub fn executor_states_at<P>(
     journal: &Journal,
     target: u64,
-    g: &CsrGraph,
+    g: &Graph,
     program: &P,
     config: &ExecutorConfig,
 ) -> StatesAt<P::State>
@@ -304,14 +304,13 @@ mod tests {
     #[test]
     fn journaled_resume_extends_the_chain_on_both_engines() {
         let g = generators::wheel(16);
-        let csr = CsrGraph::from_graph(&g);
         let cfg = ExecutorConfig::default();
         let probe = DivergenceProbe::clean(10);
 
-        let full = executor_journal(&csr, &probe, &cfg, 3, "wheel-16/probe").unwrap();
+        let full = executor_journal(&g, &probe, &cfg, 3, "wheel-16/probe").unwrap();
         assert!(!full.journal.checkpoints.is_empty());
         for cp in &full.journal.checkpoints {
-            let resumed = resume_executor(&full.journal, cp.round, &csr, &probe, &cfg).unwrap();
+            let resumed = resume_executor(&full.journal, cp.round, &g, &probe, &cfg).unwrap();
             assert_eq!(resumed.from_round, cp.round);
             assert_eq!(resumed.sink.chain(), full.sink.chain());
             assert_eq!(resumed.run.states, full.run.states);

@@ -1,13 +1,15 @@
-//! The `replay` and `divergence` bins fail closed on input from outside the
-//! program: a truncated journal, a label they did not write or an unknown
-//! graph family is one `error: …` line and a non-zero exit, never a panic.
+//! The `replay`, `divergence` and `profile` bins fail closed on input from
+//! outside the program: a truncated journal, a label they did not write, an
+//! unknown graph family, a malformed number or an output file that cannot be
+//! written is one `error: …` line and a non-zero exit (2 for usage, 1 for
+//! data), never a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use mfd_bench::replay::executor_journal;
 use mfd_bench::trace::DivergenceProbe;
-use mfd_graph::{generators, CsrGraph};
+use mfd_graph::generators;
 use mfd_runtime::ExecutorConfig;
 
 fn run(bin: &str, args: &[&str]) -> Output {
@@ -72,7 +74,7 @@ fn truncated_journals_are_errors_not_panics() {
 #[test]
 fn a_label_the_bins_did_not_write_is_bad_data() {
     let dir = scratch("label");
-    let g = CsrGraph::from_graph(&generators::triangulated_grid(8, 8));
+    let g = generators::triangulated_grid(8, 8);
     let run = executor_journal(
         &g,
         &DivergenceProbe::clean(8),
@@ -112,4 +114,41 @@ fn an_unknown_family_is_a_usage_error_naming_the_valid_ones() {
             "{stderr}"
         );
     }
+}
+
+#[test]
+fn profile_rejects_malformed_numbers_as_usage_errors() {
+    let profile = env!("CARGO_BIN_EXE_profile");
+    for args in [
+        &["summary", "--shards", "many"][..],
+        &["summary", "--threads", "-1"],
+        &["localize", "--threshold", "steep"],
+        &["localize", "--inject", "5"],
+        &["localize", "--inject", "five:4"],
+        &["localize", "--inject", "5:x"],
+    ] {
+        let stderr = fails(profile, args, 2);
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.contains(args[1]), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn profile_reports_an_unwritable_output_as_bad_data() {
+    let dir = scratch("profile-out");
+    let out = dir.join("no-such-dir").join("rounds.csv");
+    let args = [
+        "rounds",
+        "--graph",
+        "mesh-8x8",
+        "--algo",
+        "bfs",
+        "--shards",
+        "2",
+        "--out",
+        out.to_str().unwrap(),
+    ];
+    let stderr = fails(env!("CARGO_BIN_EXE_profile"), &args, 1);
+    assert!(stderr.contains("cannot write"), "{stderr}");
+    std::fs::remove_dir_all(dir).unwrap();
 }

@@ -41,9 +41,9 @@
 //!   parallel ([`mfd_runtime::run_each`]) or one after the other on the
 //!   `mfd-sim` event engine — and each cluster-graph round executes a
 //!   [`ClusterRoundProgram`] on the whole graph. The synchronous engine
-//!   under both is the sharded CSR one ([`mfd_runtime::ShardedExecutor`]):
-//!   the construction keeps its [`AmbientGraph`] in both representations,
-//!   converting at most once per build. No
+//!   under both is the sharded one ([`mfd_runtime::ShardedExecutor`]), and
+//!   every layer reads the one [`Graph`] it was handed: nothing is
+//!   converted. No
 //!   [`RoundMeter::charge_rounds`] call remains on this path: rounds come
 //!   from the engines' meters, and every executed figure is asserted `≤`
 //!   the metered charge — always; the check has no switch — demoting the
@@ -59,11 +59,8 @@
 //! the benchmark harness can report the construction-time/routing-time split of
 //! Table 1.
 
-use std::borrow::Cow;
-use std::cell::OnceCell;
-
 use mfd_congest::RoundMeter;
-use mfd_graph::{CsrGraph, Graph};
+use mfd_graph::Graph;
 use mfd_routing::backend::{Executed, GatherBackend, GatherEngine, GatherJob, Metered};
 use mfd_routing::gather::GatherStrategy;
 use mfd_runtime::{ShardedConfig, ShardedExecutor};
@@ -151,57 +148,6 @@ pub struct ClusterRoundSpec<'a> {
     pub max_diam: u64,
 }
 
-/// The graph a construction runs on, in both representations: the
-/// adjacency-map [`Graph`] the decomposition machinery (clusterings, merge
-/// steps, refinement) operates on, and the [`CsrGraph`] whole-graph programs
-/// execute on. The two describe the same graph with the same vertex
-/// numbering; the CSR side is whatever the caller already had
-/// ([`build_edt_csr`]) or is converted on first use and kept, so one build
-/// converts at most once — and a backend that executes nothing, never.
-#[derive(Debug)]
-pub struct AmbientGraph<'a> {
-    graph: &'a Graph,
-    csr: OnceCell<Cow<'a, CsrGraph>>,
-}
-
-impl<'a> AmbientGraph<'a> {
-    /// The ambient graph of a construction that starts from a [`Graph`].
-    pub fn new(graph: &'a Graph) -> Self {
-        AmbientGraph {
-            graph,
-            csr: OnceCell::new(),
-        }
-    }
-
-    /// The ambient graph of a construction that has both representations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two disagree on the vertex or edge count.
-    pub fn with_csr(graph: &'a Graph, csr: &'a CsrGraph) -> Self {
-        assert_eq!(
-            (graph.n(), graph.m()),
-            (csr.n(), csr.m()),
-            "two representations of one graph"
-        );
-        AmbientGraph {
-            graph,
-            csr: OnceCell::from(Cow::Borrowed(csr)),
-        }
-    }
-
-    /// The adjacency-map representation.
-    pub fn graph(&self) -> &'a Graph {
-        self.graph
-    }
-
-    /// The CSR representation.
-    pub fn csr(&self) -> &CsrGraph {
-        self.csr
-            .get_or_init(|| Cow::Owned(CsrGraph::from_graph(self.graph)))
-    }
-}
-
 /// A gather backend that can also account the merging phase's cluster-graph
 /// rounds — everything [`build_edt_with`] needs to obtain rounds.
 pub trait EdtBackend: GatherBackend {
@@ -209,7 +155,7 @@ pub trait EdtBackend: GatherBackend {
     /// exchange, aggregate up — see [`ClusterRoundProgram`]) on `meter`.
     fn cluster_graph_rounds(
         &self,
-        g: &AmbientGraph<'_>,
+        g: &Graph,
         spec: &ClusterRoundSpec<'_>,
         cg_rounds: u64,
         meter: &mut RoundMeter,
@@ -219,7 +165,7 @@ pub trait EdtBackend: GatherBackend {
 impl EdtBackend for Metered {
     fn cluster_graph_rounds(
         &self,
-        _g: &AmbientGraph<'_>,
+        _g: &Graph,
         spec: &ClusterRoundSpec<'_>,
         cg_rounds: u64,
         meter: &mut RoundMeter,
@@ -231,7 +177,7 @@ impl EdtBackend for Metered {
 impl EdtBackend for Executed {
     fn cluster_graph_rounds(
         &self,
-        g: &AmbientGraph<'_>,
+        g: &Graph,
         spec: &ClusterRoundSpec<'_>,
         cg_rounds: u64,
         meter: &mut RoundMeter,
@@ -239,18 +185,17 @@ impl EdtBackend for Executed {
         if cg_rounds == 0 {
             return;
         }
-        let program =
-            ClusterRoundProgram::new(g.graph(), spec.clustering, spec.leaders, spec.words);
+        let program = ClusterRoundProgram::new(g, spec.clustering, spec.leaders, spec.words);
         let run_meter = match &self.engine {
             GatherEngine::Executor(config) => {
                 ShardedExecutor::new(ShardedConfig::per_thread(config))
-                    .run(g.csr(), &program)
+                    .run(g, &program)
                     .expect("the cluster-round realization is model-compliant")
                     .meter
             }
             GatherEngine::Sim(config) => {
                 mfd_sim::Simulator::new(config.clone())
-                    .run(g.graph(), &program)
+                    .run(g, &program)
                     .expect("the cluster-round realization is model-compliant")
                     .meter
             }
@@ -356,27 +301,14 @@ pub fn build_edt_with<B: EdtBackend>(
     build_edt_traced(g, config, backend, &mut ())
 }
 
-/// [`build_edt_with`] taking the flat [`CsrGraph`] storage the scale
-/// pipeline produces (streaming generators, sharded executor).
-///
-/// This is the representation boundary of the construction: the
-/// decomposition machinery (clusterings, merge steps, refinement) operates
-/// on the adjacency-map [`Graph`], so the CSR input is converted **once**
-/// here — an O(n + m) copy that is negligible against the construction
-/// itself — and everything downstream, including the returned
-/// [`EdtDecomposition`], refers to the converted graph's (identical) vertex
-/// numbering. The CSR input itself is kept as the other half of the
-/// construction's [`AmbientGraph`]: an [`Executed`] backend runs its
-/// whole-graph cluster rounds on it as it stands. Conversion is lossless, so
-/// the decomposition and meter are bit-identical to calling
-/// [`build_edt_with`] on [`CsrGraph::to_graph`]'s result directly.
+/// Exists only for `perf/`, which calls [`build_edt_with`] by this name; the
+/// next benchmark-only change deletes it.
 pub fn build_edt_csr<B: EdtBackend>(
-    g: &CsrGraph,
+    g: &Graph,
     config: &EdtConfig,
     backend: &B,
 ) -> (EdtDecomposition, RoundMeter) {
-    let graph = g.to_graph();
-    build_edt_on(&AmbientGraph::with_csr(&graph, g), config, backend, &mut ())
+    build_edt_with(g, config, backend)
 }
 
 /// [`build_edt_with`] with phase observability: every merge iteration,
@@ -394,17 +326,6 @@ pub fn build_edt_traced<B: EdtBackend>(
     backend: &B,
     sink: &mut dyn TraceSink,
 ) -> (EdtDecomposition, RoundMeter) {
-    build_edt_on(&AmbientGraph::new(g), config, backend, sink)
-}
-
-/// The construction behind every `build_edt*` entry point.
-fn build_edt_on<B: EdtBackend>(
-    ambient: &AmbientGraph<'_>,
-    config: &EdtConfig,
-    backend: &B,
-    sink: &mut dyn TraceSink,
-) -> (EdtDecomposition, RoundMeter) {
-    let g = ambient.graph();
     let mut meter = RoundMeter::new();
     let eps = config.epsilon;
     let merge_target = eps / 2.0;
@@ -431,7 +352,7 @@ fn build_edt_on<B: EdtBackend>(
             let spent = (meter.rounds(), meter.messages());
             let before = clustering.inter_cluster_edges(g);
             clustering = merge_step(
-                ambient,
+                g,
                 &clustering,
                 &diameters,
                 fraction,
@@ -521,12 +442,8 @@ fn build_edt_on<B: EdtBackend>(
             .expect("non-empty cluster");
         leaders.push(members[leader]);
         if members.len() > 1 {
-            let (sub, map) = g.induced_subgraph(members);
-            jobs.push(GatherJob {
-                cluster: sub,
-                members: map,
-                leader,
-            });
+            let (cluster, _) = g.induced_subgraph(members);
+            jobs.push(GatherJob { cluster, leader });
         }
     }
     let reports = backend.gather_all_traced(
@@ -577,7 +494,7 @@ fn build_edt_on<B: EdtBackend>(
 /// clustering's per-cluster diameters (the `D` the cluster-graph rounds are charged
 /// by).
 fn merge_step<B: EdtBackend>(
-    ambient: &AmbientGraph<'_>,
+    g: &Graph,
     clustering: &Clustering,
     diameters: &[Option<usize>],
     fraction: f64,
@@ -585,7 +502,6 @@ fn merge_step<B: EdtBackend>(
     backend: &B,
     meter: &mut RoundMeter,
 ) -> Clustering {
-    let g = ambient.graph();
     let alpha = config.alpha.max(1) as f64;
     // Information gathering inside every non-singleton cluster so its leader can pick
     // the heaviest incident cluster (step 1 of heavy-stars). Runs in parallel. The
@@ -597,15 +513,13 @@ fn merge_step<B: EdtBackend>(
             leaders.push(members[0]);
             continue;
         }
-        let (sub, map) = g.induced_subgraph(members);
-        let leader = (0..sub.n()).max_by_key(|&v| sub.degree(v)).unwrap_or(0);
-        leaders.push(map[leader]);
-        if sub.m() > 0 {
-            jobs.push(GatherJob {
-                cluster: sub,
-                members: map,
-                leader,
-            });
+        let (cluster, _) = g.induced_subgraph(members);
+        let leader = (0..cluster.n())
+            .max_by_key(|&v| cluster.degree(v))
+            .unwrap_or(0);
+        leaders.push(members[leader]);
+        if cluster.m() > 0 {
+            jobs.push(GatherJob { cluster, leader });
         }
     }
     backend.gather_all(
@@ -630,7 +544,7 @@ fn merge_step<B: EdtBackend>(
         words: &words,
         max_diam,
     };
-    backend.cluster_graph_rounds(ambient, &spec, hs.cluster_graph_rounds + 1, meter);
+    backend.cluster_graph_rounds(g, &spec, hs.cluster_graph_rounds + 1, meter);
 
     // Light-link filtering (Lemma 5.3, step 3): a leaf joins its star center only if
     // the connection is heavier than (ε'/32α)·vol(S).
@@ -678,19 +592,17 @@ fn refine_step<B: EdtBackend>(
         if diam.unwrap_or(usize::MAX) <= d_target {
             continue;
         }
-        let (sub, map) = g.induced_subgraph(members);
-        let leader = (0..sub.n()).max_by_key(|&v| sub.degree(v)).unwrap_or(0);
+        let (cluster, _) = g.induced_subgraph(members);
+        let leader = (0..cluster.n())
+            .max_by_key(|&v| cluster.degree(v))
+            .unwrap_or(0);
         // The leader-local refinement is free computation; only the gather
         // (topology up, assignment back down) costs rounds.
-        let local = chop_ldd(&sub, edge_budget.max(1e-6), config.chop_depth);
-        for (i, &orig) in map.iter().enumerate() {
+        let local = chop_ldd(&cluster, edge_budget.max(1e-6), config.chop_depth);
+        for (i, &orig) in members.iter().enumerate() {
             sub_label[orig] = local.cluster_of(i) + 1;
         }
-        jobs.push(GatherJob {
-            cluster: sub,
-            members: map,
-            leader,
-        });
+        jobs.push(GatherJob { cluster, leader });
     }
     backend.gather_all(
         &jobs,
@@ -789,12 +701,12 @@ mod tests {
     impl EdtBackend for FreshDiameters {
         fn cluster_graph_rounds(
             &self,
-            g: &AmbientGraph<'_>,
+            g: &Graph,
             spec: &ClusterRoundSpec<'_>,
             cg_rounds: u64,
             meter: &mut RoundMeter,
         ) {
-            let fresh = spec.clustering.max_cluster_diameter(g.graph());
+            let fresh = spec.clustering.max_cluster_diameter(g);
             assert_eq!(spec.max_diam, fresh.unwrap_or(0) as u64, "a stale diameter");
             Metered.cluster_graph_rounds(g, spec, cg_rounds, meter);
         }
@@ -971,30 +883,26 @@ mod tests {
                 words: &words,
                 max_diam: clustering.max_cluster_diameter(&g).unwrap() as u64,
             };
-            let csr = CsrGraph::from_graph(&g);
             for backend in [
                 Executed::default(),
                 Executed::executor(ExecutorConfig::with_threads(1)),
                 Executed::executor(ExecutorConfig::with_threads(4)),
                 Executed::sim(sim_config.clone()),
             ] {
-                // Converted on demand, and handed through by `build_edt_csr`.
-                for ambient in [AmbientGraph::new(&g), AmbientGraph::with_csr(&g, &csr)] {
-                    let mut once = RoundMeter::new();
-                    backend.cluster_graph_rounds(&ambient, &spec, 1, &mut once);
-                    assert_eq!(figures(&once), figures(&reference));
-                    // Further rounds replay the one execution's accounting.
-                    let mut thrice = RoundMeter::new();
-                    backend.cluster_graph_rounds(&ambient, &spec, 3, &mut thrice);
-                    assert_eq!(
-                        figures(&thrice),
-                        (
-                            3 * reference.rounds(),
-                            3 * reference.messages(),
-                            reference.max_words_on_edge()
-                        )
-                    );
-                }
+                let mut once = RoundMeter::new();
+                backend.cluster_graph_rounds(&g, &spec, 1, &mut once);
+                assert_eq!(figures(&once), figures(&reference));
+                // Further rounds replay the one execution's accounting.
+                let mut thrice = RoundMeter::new();
+                backend.cluster_graph_rounds(&g, &spec, 3, &mut thrice);
+                assert_eq!(
+                    figures(&thrice),
+                    (
+                        3 * reference.rounds(),
+                        3 * reference.messages(),
+                        reference.max_words_on_edge()
+                    )
+                );
             }
         }
     }
@@ -1012,25 +920,6 @@ mod tests {
             words: &words,
             max_diam: 0,
         };
-        Executed::default().cluster_graph_rounds(
-            &AmbientGraph::new(&g),
-            &spec,
-            1,
-            &mut RoundMeter::new(),
-        );
+        Executed::default().cluster_graph_rounds(&g, &spec, 1, &mut RoundMeter::new());
     }
-
-    #[test]
-    fn the_ambient_csr_is_the_given_one_or_converted_once() {
-        let g = generators::wheel(12);
-        let csr = CsrGraph::from_graph(&g);
-        let given = AmbientGraph::with_csr(&g, &csr);
-        assert!(std::ptr::eq(given.csr(), &csr));
-        let lazy = AmbientGraph::new(&g);
-        assert!(lazy.csr.get().is_none());
-        assert_eq!(lazy.csr(), &csr);
-        assert!(std::ptr::eq(lazy.csr(), lazy.csr()));
-    }
-
-    use mfd_graph::Graph;
 }

@@ -273,8 +273,7 @@ mod tests {
     #[test]
     fn barbell_is_split_at_the_bottleneck() {
         let k = generators::complete(8);
-        let mut g = k.disjoint_union(&k);
-        g.add_edge(0, 8);
+        let g = Graph::from_edges(16, k.disjoint_union(&k).edges().chain([(0, 8)]));
         let d = expander_decomposition_with_phi(&g, 0.05, &ExpanderParams::default());
         assert!(d.clustering.num_clusters() >= 2);
         assert_eq!(d.clustering.inter_cluster_edges(&g), 1);

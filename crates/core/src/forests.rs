@@ -169,7 +169,7 @@ mod tests {
         let mut meter = RoundMeter::new();
         let fd = forest_decomposition_default(&g, 3, &mut meter);
         for forest in fd.forests() {
-            let f = Graph::from_edges(g.n(), &forest);
+            let f = Graph::from_edges(g.n(), forest.iter().copied());
             assert!(recognition::is_forest(&f));
         }
         let total: usize = fd.forests().iter().map(Vec::len).sum();

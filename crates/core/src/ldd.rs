@@ -357,7 +357,7 @@ mod tests {
 
     #[test]
     fn voronoi_handles_unreachable_vertices() {
-        let g = Graph::from_edges(4, &[(0, 1)]);
+        let g = Graph::from_edges(4, [(0, 1)]);
         let c = voronoi_ldd(&g, &[0]);
         assert_eq!(c.cluster_of(0), c.cluster_of(1));
         assert_ne!(c.cluster_of(2), c.cluster_of(3));

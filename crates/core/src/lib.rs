@@ -60,8 +60,7 @@ pub mod programs;
 
 pub use cluster_round::{ClusterRoundProgram, ClusterRoundState};
 pub use clustering::Clustering;
-pub use edt::{build_edt, build_edt_csr, build_edt_with, EdtBackend, EdtConfig, EdtDecomposition};
+pub use edt::{build_edt, build_edt_with, EdtBackend, EdtConfig, EdtDecomposition};
 pub use programs::{
-    run_bfs, run_bfs_csr, run_cole_vishkin, run_voronoi_ldd, run_voronoi_ldd_csr, BfsProgram,
-    ColeVishkinProgram, VoronoiLddProgram,
+    run_bfs, run_cole_vishkin, run_voronoi_ldd, BfsProgram, ColeVishkinProgram, VoronoiLddProgram,
 };

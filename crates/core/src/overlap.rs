@@ -416,10 +416,11 @@ mod tests {
             // Build the associated subgraph and check connectivity + conductance.
             let verts = &c.subgraph_vertices;
             let index_of = |v: usize| verts.iter().position(|&x| x == v).unwrap();
-            let mut sub = Graph::new(verts.len());
-            for &(a, b) in &c.subgraph_edges {
-                sub.add_edge(index_of(a), index_of(b));
-            }
+            let edges = c
+                .subgraph_edges
+                .iter()
+                .map(|&(a, b)| (index_of(a), index_of(b)));
+            let sub = Graph::from_edges(verts.len(), edges);
             assert!(sub.is_connected(), "associated subgraph must be connected");
             let phi = if sub.n() <= max_exact_conductance_vertices() {
                 conductance_exact(&sub).unwrap_or(1.0)

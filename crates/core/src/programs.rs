@@ -18,7 +18,7 @@
 //! All three run in the strict 1-word-per-edge-per-round CONGEST model.
 
 use mfd_congest::RoundMeter;
-use mfd_graph::{CsrGraph, Graph};
+use mfd_graph::Graph;
 use mfd_runtime::{
     Envelope, NodeCtx, NodeProgram, Outbox, RuntimeError, RuntimeMessage, ShardedExecution,
     ShardedExecutor,
@@ -169,7 +169,7 @@ pub fn run_cole_vishkin(
     executor: &ShardedExecutor,
 ) -> Result<(ForestColoring, RoundMeter), RuntimeError> {
     let program = ColeVishkinProgram::new(parent.to_vec(), id.to_vec());
-    let run = executor.run(&CsrGraph::from_graph(g), &program)?;
+    let run = executor.run(g, &program)?;
     let coloring = ForestColoring {
         color: run.states.iter().map(|s| s.color as u8).collect(),
         iterations: run.rounds,
@@ -272,7 +272,9 @@ pub struct BfsRun {
     pub height: usize,
 }
 
-/// [`run_bfs_csr`] for callers holding an adjacency-map graph.
+/// Runs [`BfsProgram`] from `root` on `g` and extracts the tree. The
+/// program sees only its [`NodeCtx`], so the outputs are bit-identical to
+/// the reference stepper's.
 ///
 /// # Errors
 ///
@@ -287,7 +289,33 @@ pub fn run_bfs(
     root: usize,
     executor: &ShardedExecutor,
 ) -> Result<(BfsRun, RoundMeter), RuntimeError> {
-    run_bfs_csr(&CsrGraph::from_graph(g), root, executor)
+    assert!(root < g.n(), "BFS root out of range");
+    let run: ShardedExecution<BfsState> = executor.run(g, &BfsProgram { root })?;
+    let parent: Vec<usize> = run
+        .states
+        .iter()
+        .map(|s| s.parent.unwrap_or(usize::MAX))
+        .collect();
+    let depth: Vec<usize> = run
+        .states
+        .iter()
+        .map(|s| s.depth.map_or(usize::MAX, |d| d as usize))
+        .collect();
+    let height = depth
+        .iter()
+        .filter(|&&d| d != usize::MAX)
+        .max()
+        .copied()
+        .unwrap_or(0);
+    Ok((
+        BfsRun {
+            root,
+            parent,
+            depth,
+            height,
+        },
+        run.meter,
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -405,8 +433,9 @@ impl NodeProgram for VoronoiLddProgram {
     }
 }
 
-/// [`run_voronoi_ldd_csr`] for callers holding an adjacency-map graph, with
-/// the labels packaged as a [`Clustering`] (unreached vertices: singletons).
+/// Runs [`VoronoiLddProgram`] on `g`, with the labels packaged as a
+/// [`Clustering`] (unreached vertices: singletons, as in the centralized
+/// version).
 ///
 /// # Errors
 ///
@@ -416,83 +445,14 @@ pub fn run_voronoi_ldd(
     centers: &[usize],
     executor: &ShardedExecutor,
 ) -> Result<(Clustering, RoundMeter), RuntimeError> {
-    let (labels, meter) = run_voronoi_ldd_csr(&CsrGraph::from_graph(g), centers, executor)?;
-    Ok((Clustering::from_labels(g, labels), meter))
-}
-
-// ---------------------------------------------------------------------------
-// CSR entry points
-// ---------------------------------------------------------------------------
-
-/// Runs [`BfsProgram`] from `root` over flat [`CsrGraph`] storage and
-/// extracts the tree — the million-vertex entry point. The programs are
-/// graph-agnostic (they see only a [`NodeCtx`]), so the outputs are
-/// bit-identical to the reference stepper's on the adjacency-map graph.
-///
-/// # Errors
-///
-/// Propagates any [`RuntimeError`] from the executor.
-///
-/// # Panics
-///
-/// Panics if `root` is out of range.
-pub fn run_bfs_csr(
-    g: &CsrGraph,
-    root: usize,
-    executor: &ShardedExecutor,
-) -> Result<(BfsRun, RoundMeter), RuntimeError> {
-    assert!(root < g.n(), "BFS root out of range");
-    let run: ShardedExecution<BfsState> = executor.run(g, &BfsProgram { root })?;
-    let parent: Vec<usize> = run
-        .states
-        .iter()
-        .map(|s| s.parent.unwrap_or(usize::MAX))
-        .collect();
-    let depth: Vec<usize> = run
-        .states
-        .iter()
-        .map(|s| s.depth.map_or(usize::MAX, |d| d as usize))
-        .collect();
-    let height = depth
-        .iter()
-        .filter(|&&d| d != usize::MAX)
-        .max()
-        .copied()
-        .unwrap_or(0);
-    Ok((
-        BfsRun {
-            root,
-            parent,
-            depth,
-            height,
-        },
-        run.meter,
-    ))
-}
-
-/// Runs [`VoronoiLddProgram`] over flat [`CsrGraph`] storage. Returns the
-/// per-vertex cluster labels directly (unreached vertices label themselves,
-/// as in the centralized version) rather than a [`Clustering`], which at
-/// million-vertex scale the caller rarely needs; [`run_voronoi_ldd`]
-/// materializes one.
-///
-/// # Errors
-///
-/// Propagates any [`RuntimeError`] from the executor.
-pub fn run_voronoi_ldd_csr(
-    g: &CsrGraph,
-    centers: &[usize],
-    executor: &ShardedExecutor,
-) -> Result<(Vec<usize>, RoundMeter), RuntimeError> {
-    let program = VoronoiLddProgram::new(g.n(), centers);
-    let run = executor.run(g, &program)?;
-    let labels: Vec<usize> = run
+    let run = executor.run(g, &VoronoiLddProgram::new(g.n(), centers))?;
+    let labels = run
         .states
         .iter()
         .enumerate()
         .map(|(v, s)| s.center.map_or(v, |c| c as usize))
         .collect();
-    Ok((labels, run.meter))
+    Ok((Clustering::from_labels(g, labels), run.meter))
 }
 
 #[cfg(test)]

@@ -1,20 +1,16 @@
-//! Streaming O(m) generators for million-vertex workloads, emitting
-//! [`CsrGraph`] directly.
+//! Streaming O(m) generators for million-vertex workloads.
 //!
-//! The families in [`crate::generators`] build adjacency-map [`Graph`]s
-//! through `add_edge`, whose per-insert duplicate scan is fine at n ≈ 10³
-//! but not at n ≈ 10⁶. The generators here stream an edge list (constant
-//! memory per edge, no per-vertex allocation) and hand it to
-//! [`CsrGraph::from_edges`], whose two-pass build deduplicates in O(m).
+//! The generators here stream an edge list (constant memory per edge, no
+//! per-vertex allocation) straight into [`Graph::from_edges`], whose
+//! two-pass build deduplicates in O(m); none of them keeps an intermediate
+//! structure the size of the graph.
 //!
 //! Determinism is the same discipline as everywhere else in the workspace:
 //! each random edge draws from a [`splitmix64`] stream salted with
 //! `(seed, edge index)`, so a family is a pure function of its parameters
 //! and seed — independent of thread count, platform, or call order.
-//!
-//! [`Graph`]: crate::Graph
 
-use crate::csr::CsrGraph;
+use crate::graph::Graph;
 use crate::properties::splitmix64;
 
 /// Stateless per-edge random stream: `splitmix64` chained over
@@ -47,10 +43,10 @@ impl EdgeRng {
 /// `(a, b, c, d) = (0.57, 0.19, 0.19, 0.05)`.
 ///
 /// Each candidate edge picks one bit of each endpoint per scale level by a
-/// quadrant draw; self-loops and duplicates are dropped by the CSR build, so
+/// quadrant draw; self-loops and duplicates are dropped by the build, so
 /// `m()` is slightly below `edge_factor · n`. Deterministic per
 /// `(scale, edge_factor, seed)`.
-pub fn rmat(scale: u32, edge_factor: usize, seed: u64) -> CsrGraph {
+pub fn rmat(scale: u32, edge_factor: usize, seed: u64) -> Graph {
     const A: f64 = 0.57;
     const B: f64 = 0.19;
     const C: f64 = 0.19;
@@ -75,7 +71,7 @@ pub fn rmat(scale: u32, edge_factor: usize, seed: u64) -> CsrGraph {
         }
         (u, v)
     });
-    CsrGraph::from_edges(n, edges)
+    Graph::from_edges(n, edges)
 }
 
 /// Power-law random graph: `m` candidate edges whose endpoints are drawn
@@ -85,13 +81,13 @@ pub fn rmat(scale: u32, edge_factor: usize, seed: u64) -> CsrGraph {
 /// degenerates to the uniform G(n, m) model; `alpha ≈ 2..3` gives hub
 /// vertices of degree Θ(m / n^(1/alpha)).
 ///
-/// Self-loops and duplicates are dropped by the CSR build. Deterministic per
+/// Self-loops and duplicates are dropped by the build. Deterministic per
 /// `(n, m, alpha, seed)`.
 ///
 /// # Panics
 ///
 /// Panics if `alpha < 1.0` (the transform must not overshoot `n`).
-pub fn power_law(n: usize, m: usize, alpha: f64, seed: u64) -> CsrGraph {
+pub fn power_law(n: usize, m: usize, alpha: f64, seed: u64) -> Graph {
     assert!(alpha >= 1.0, "alpha must be at least 1");
     let pick = move |rng: &mut EdgeRng| -> usize {
         let v = (n as f64 * rng.next_f64().powf(alpha)) as usize;
@@ -101,14 +97,14 @@ pub fn power_law(n: usize, m: usize, alpha: f64, seed: u64) -> CsrGraph {
         let mut rng = EdgeRng::new(seed ^ 0x70_77_65_72, i);
         (pick(&mut rng), pick(&mut rng))
     });
-    CsrGraph::from_edges(n, edges)
+    Graph::from_edges(n, edges)
 }
 
-/// Triangulated `rows × cols` mesh, streamed straight into CSR form: the
-/// million-vertex counterpart of [`crate::generators::triangulated_grid`]
-/// (same edge set — grid edges plus one down-right diagonal per cell — and
-/// property-tested equal to it on small sizes).
-pub fn mesh(rows: usize, cols: usize) -> CsrGraph {
+/// Triangulated `rows × cols` mesh, streamed: the million-vertex counterpart
+/// of [`crate::generators::triangulated_grid`] (same edge set — grid edges
+/// plus one down-right diagonal per cell — and tested equal to it on small
+/// sizes).
+pub fn mesh(rows: usize, cols: usize) -> Graph {
     let n = rows * cols;
     let at = move |r: usize, c: usize| r * cols + c;
     let edges = (0..rows).flat_map(move |r| {
@@ -126,7 +122,7 @@ pub fn mesh(rows: usize, cols: usize) -> CsrGraph {
             out.into_iter().flatten()
         })
     });
-    CsrGraph::from_edges(n, edges)
+    Graph::from_edges(n, edges)
 }
 
 #[cfg(test)]
@@ -134,7 +130,7 @@ mod tests {
     use super::*;
     use crate::generators;
 
-    fn assert_valid_csr(g: &CsrGraph) {
+    fn assert_valid(g: &Graph) {
         for v in 0..g.n() {
             let nbrs = g.neighbors(v);
             assert!(nbrs.windows(2).all(|w| w[0] < w[1]), "sorted + dedup");
@@ -151,7 +147,7 @@ mod tests {
         let b = rmat(10, 8, 0xE0);
         assert_eq!(a, b);
         assert_ne!(a, rmat(10, 8, 0xE1), "seed must matter");
-        assert_valid_csr(&a);
+        assert_valid(&a);
         assert_eq!(a.n(), 1 << 10);
         // Duplicates collapse, but most candidate edges survive.
         assert!(a.m() > (a.n() * 8) / 2);
@@ -161,7 +157,7 @@ mod tests {
     fn power_law_is_deterministic_valid_and_skewed() {
         let g = power_law(2_000, 8_000, 2.5, 0x9A);
         assert_eq!(g, power_law(2_000, 8_000, 2.5, 0x9A));
-        assert_valid_csr(&g);
+        assert_valid(&g);
         // The transform concentrates mass near vertex 0: the busiest hub
         // must dwarf the average degree 2m/n = 8.
         assert!(g.max_degree() > 50, "max degree {}", g.max_degree());
@@ -170,10 +166,9 @@ mod tests {
     #[test]
     fn mesh_matches_the_adjacency_map_generator() {
         for (r, c) in [(1, 1), (1, 5), (4, 3), (7, 9)] {
-            let csr = mesh(r, c);
-            assert_valid_csr(&csr);
-            let reference = CsrGraph::from_graph(&generators::triangulated_grid(r, c));
-            assert_eq!(csr, reference, "mesh({r}, {c})");
+            let g = mesh(r, c);
+            assert_valid(&g);
+            assert_eq!(g, generators::triangulated_grid(r, c), "mesh({r}, {c})");
         }
     }
 }

@@ -6,7 +6,11 @@
 //! (hypercubes, random graphs, planar graphs with random chords) used to exercise the
 //! error-detection path of the property tester and as ε-far instances.
 //!
-//! All randomized generators are deterministic given a seed.
+//! All randomized generators are deterministic given a seed. Each one draws its
+//! edges first and builds the graph once with [`Graph::from_edges`]; the ones that
+//! must know which edges are already drawn keep that set themselves.
+
+use std::collections::HashSet;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -15,29 +19,18 @@ use crate::graph::Graph;
 
 /// Path graph on `n` vertices.
 pub fn path(n: usize) -> Graph {
-    let mut g = Graph::new(n);
-    for i in 1..n {
-        g.add_edge(i - 1, i);
-    }
-    g
+    Graph::from_edges(n, (1..n).map(|i| (i - 1, i)))
 }
 
 /// Cycle graph on `n` vertices (`n >= 3`; for smaller `n` a path is returned).
 pub fn cycle(n: usize) -> Graph {
-    let mut g = path(n);
-    if n >= 3 {
-        g.add_edge(n - 1, 0);
-    }
-    g
+    let closing = (n >= 3).then(|| (n - 1, 0));
+    Graph::from_edges(n, (1..n).map(|i| (i - 1, i)).chain(closing))
 }
 
 /// Star graph: vertex 0 connected to vertices `1..n`.
 pub fn star(n: usize) -> Graph {
-    let mut g = Graph::new(n);
-    for i in 1..n {
-        g.add_edge(0, i);
-    }
-    g
+    Graph::from_edges(n, (1..n).map(|i| (0, i)))
 }
 
 /// Wheel graph: a cycle on vertices `1..n` plus a hub (vertex 0) adjacent to all of
@@ -45,65 +38,50 @@ pub fn star(n: usize) -> Graph {
 /// the "unbounded Δ" rows of Table 1.
 pub fn wheel(n: usize) -> Graph {
     assert!(n >= 4, "wheel needs at least 4 vertices");
-    let mut g = Graph::new(n);
-    for i in 1..n {
-        g.add_edge(0, i);
-        let next = if i == n - 1 { 1 } else { i + 1 };
-        g.add_edge(i, next);
-    }
-    g
+    let rim = |i: usize| if i == n - 1 { 1 } else { i + 1 };
+    Graph::from_edges(n, (1..n).flat_map(|i| [(0, i), (i, rim(i))]))
 }
 
 /// Complete graph on `n` vertices.
 pub fn complete(n: usize) -> Graph {
-    let mut g = Graph::new(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            g.add_edge(u, v);
-        }
-    }
-    g
+    Graph::from_edges(n, (0..n).flat_map(|u| ((u + 1)..n).map(move |v| (u, v))))
 }
 
 /// Complete bipartite graph `K_{a,b}`.
 pub fn complete_bipartite(a: usize, b: usize) -> Graph {
-    let mut g = Graph::new(a + b);
-    for u in 0..a {
-        for v in 0..b {
-            g.add_edge(u, a + v);
+    Graph::from_edges(a + b, (0..a).flat_map(|u| (a..a + b).map(move |v| (u, v))))
+}
+
+/// The edges of the `rows × cols` grid, plus one down-right diagonal per cell
+/// when `diagonals` is set.
+fn grid_edges(rows: usize, cols: usize, diagonals: bool) -> Vec<(usize, usize)> {
+    let idx = |r: usize, c: usize| r * cols + c;
+    let mut edges = Vec::new();
+    for r in 0..rows {
+        for c in 0..cols {
+            if c + 1 < cols {
+                edges.push((idx(r, c), idx(r, c + 1)));
+            }
+            if r + 1 < rows {
+                edges.push((idx(r, c), idx(r + 1, c)));
+            }
+            if diagonals && r + 1 < rows && c + 1 < cols {
+                edges.push((idx(r, c), idx(r + 1, c + 1)));
+            }
         }
     }
-    g
+    edges
 }
 
 /// `rows × cols` grid graph. Planar with maximum degree 4.
 pub fn grid(rows: usize, cols: usize) -> Graph {
-    let idx = |r: usize, c: usize| r * cols + c;
-    let mut g = Graph::new(rows * cols);
-    for r in 0..rows {
-        for c in 0..cols {
-            if c + 1 < cols {
-                g.add_edge(idx(r, c), idx(r, c + 1));
-            }
-            if r + 1 < rows {
-                g.add_edge(idx(r, c), idx(r + 1, c));
-            }
-        }
-    }
-    g
+    Graph::from_edges(rows * cols, grid_edges(rows, cols, false))
 }
 
 /// `rows × cols` grid with one diagonal added per cell. Planar (each diagonal is drawn
 /// inside its cell) with maximum degree ≤ 8, higher conductance than the plain grid.
 pub fn triangulated_grid(rows: usize, cols: usize) -> Graph {
-    let idx = |r: usize, c: usize| r * cols + c;
-    let mut g = grid(rows, cols);
-    for r in 0..rows.saturating_sub(1) {
-        for c in 0..cols.saturating_sub(1) {
-            g.add_edge(idx(r, c), idx(r + 1, c + 1));
-        }
-    }
-    g
+    Graph::from_edges(rows * cols, grid_edges(rows, cols, true))
 }
 
 /// Toroidal grid: a grid with wrap-around edges. Not planar for `rows, cols >= 3`
@@ -111,53 +89,36 @@ pub fn triangulated_grid(rows: usize, cols: usize) -> Graph {
 /// experiments.
 pub fn torus_grid(rows: usize, cols: usize) -> Graph {
     let idx = |r: usize, c: usize| r * cols + c;
-    let mut g = Graph::new(rows * cols);
-    for r in 0..rows {
-        for c in 0..cols {
-            g.add_edge(idx(r, c), idx(r, (c + 1) % cols));
-            g.add_edge(idx(r, c), idx((r + 1) % rows, c));
-        }
-    }
-    g
+    let edges = (0..rows).flat_map(|r| {
+        (0..cols).flat_map(move |c| {
+            [
+                (idx(r, c), idx(r, (c + 1) % cols)),
+                (idx(r, c), idx((r + 1) % rows, c)),
+            ]
+        })
+    });
+    Graph::from_edges(rows * cols, edges)
 }
 
 /// Complete binary tree with the given number of vertices.
 pub fn binary_tree(n: usize) -> Graph {
-    let mut g = Graph::new(n);
-    for i in 1..n {
-        g.add_edge(i, (i - 1) / 2);
-    }
-    g
+    Graph::from_edges(n, (1..n).map(|i| (i, (i - 1) / 2)))
 }
 
 /// Uniformly random labelled tree on `n` vertices via a random attachment process
 /// (each new vertex attaches to a uniformly random earlier vertex).
 pub fn random_tree(n: usize, seed: u64) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = Graph::new(n);
-    for v in 1..n {
-        let parent = rng.gen_range(0..v);
-        g.add_edge(v, parent);
-    }
-    g
+    let edges: Vec<(usize, usize)> = (1..n).map(|v| (v, rng.gen_range(0..v))).collect();
+    Graph::from_edges(n, edges)
 }
 
 /// Caterpillar tree: a path of `spine` vertices with `legs` leaves hanging off each
 /// spine vertex.
 pub fn caterpillar(spine: usize, legs: usize) -> Graph {
-    let n = spine + spine * legs;
-    let mut g = Graph::new(n);
-    for i in 1..spine {
-        g.add_edge(i - 1, i);
-    }
-    let mut next = spine;
-    for s in 0..spine {
-        for _ in 0..legs {
-            g.add_edge(s, next);
-            next += 1;
-        }
-    }
-    g
+    let spine_edges = (1..spine).map(|i| (i - 1, i));
+    let leg_edges = (0..spine * legs).map(|l| (l / legs, spine + l));
+    Graph::from_edges(spine + spine * legs, spine_edges.chain(leg_edges))
 }
 
 /// Random Apollonian network (stacked triangulation) on `n >= 3` vertices: start from
@@ -168,22 +129,17 @@ pub fn caterpillar(spine: usize, legs: usize) -> Graph {
 pub fn random_apollonian(n: usize, seed: u64) -> Graph {
     assert!(n >= 3, "apollonian network needs at least 3 vertices");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = Graph::new(n);
-    g.add_edge(0, 1);
-    g.add_edge(1, 2);
-    g.add_edge(2, 0);
+    let mut edges = vec![(0, 1), (1, 2), (2, 0)];
     let mut faces = vec![[0usize, 1, 2]];
     for v in 3..n {
         let fi = rng.gen_range(0..faces.len());
         let [a, b, c] = faces.swap_remove(fi);
-        g.add_edge(v, a);
-        g.add_edge(v, b);
-        g.add_edge(v, c);
+        edges.extend([(v, a), (v, b), (v, c)]);
         faces.push([a, b, v]);
         faces.push([b, c, v]);
         faces.push([a, c, v]);
     }
-    g
+    Graph::from_edges(n, edges)
 }
 
 /// Fan graph: a path on `1..n` plus a hub (vertex 0) adjacent to every path vertex.
@@ -191,14 +147,8 @@ pub fn random_apollonian(n: usize, seed: u64) -> Graph {
 /// single high-degree hub.
 pub fn fan(n: usize) -> Graph {
     assert!(n >= 2);
-    let mut g = Graph::new(n);
-    for i in 1..n {
-        g.add_edge(0, i);
-        if i + 1 < n {
-            g.add_edge(i, i + 1);
-        }
-    }
-    g
+    let spokes = (1..n).map(|i| (0, i));
+    Graph::from_edges(n, spokes.chain((2..n).map(|i| (i - 1, i))))
 }
 
 /// Random maximal outerplanar graph: a cycle on `n` vertices plus a random
@@ -207,7 +157,7 @@ pub fn fan(n: usize) -> Graph {
 pub fn random_outerplanar(n: usize, seed: u64) -> Graph {
     assert!(n >= 3);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = cycle(n);
+    let mut edges: Vec<(usize, usize)> = cycle(n).edges().collect();
     // Triangulate the polygon 0..n-1 with non-crossing chords.
     let mut stack = vec![(0usize, n - 1)];
     while let Some((lo, hi)) = stack.pop() {
@@ -215,33 +165,29 @@ pub fn random_outerplanar(n: usize, seed: u64) -> Graph {
             continue;
         }
         let mid = rng.gen_range(lo + 1..hi);
-        if mid != lo + 1 || hi != lo + 2 {
-            // Chords (lo, mid) and (mid, hi) — cycle edges are already present.
-            if mid > lo + 1 {
-                g.add_edge(lo, mid);
-            }
-            if hi > mid + 1 {
-                g.add_edge(mid, hi);
-            }
+        // Chords (lo, mid) and (mid, hi) — cycle edges are already present.
+        if mid > lo + 1 {
+            edges.push((lo, mid));
+        }
+        if hi > mid + 1 {
+            edges.push((mid, hi));
         }
         stack.push((lo, mid));
         stack.push((mid, hi));
     }
-    g
+    Graph::from_edges(n, edges)
 }
 
-/// Random `k`-tree on `n` vertices: start from a `(k+1)`-clique and repeatedly attach
-/// a new vertex to a random existing `k`-clique. k-trees have treewidth exactly `k`
-/// and are the canonical bounded-treewidth family.
-pub fn k_tree(n: usize, k: usize, seed: u64) -> Graph {
+/// The edges of [`k_tree`]'s graph, in the order the construction draws them.
+fn k_tree_edges(n: usize, k: usize, seed: u64) -> Vec<(usize, usize)> {
     assert!(n > k, "k-tree needs more than k vertices");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = Graph::new(n);
+    let mut edges = Vec::new();
     let mut cliques: Vec<Vec<usize>> = Vec::new();
     let base: Vec<usize> = (0..=k).collect();
     for i in 0..=k {
         for j in (i + 1)..=k {
-            g.add_edge(base[i], base[j]);
+            edges.push((base[i], base[j]));
         }
     }
     // All k-subsets of the base clique are attachable k-cliques.
@@ -256,9 +202,7 @@ pub fn k_tree(n: usize, k: usize, seed: u64) -> Graph {
     for v in (k + 1)..n {
         let ci = rng.gen_range(0..cliques.len());
         let clique = cliques[ci].clone();
-        for &u in &clique {
-            g.add_edge(v, u);
-        }
+        edges.extend(clique.iter().map(|&u| (v, u)));
         for i in 0..clique.len() {
             let mut c = clique.clone();
             c[i] = v;
@@ -270,36 +214,53 @@ pub fn k_tree(n: usize, k: usize, seed: u64) -> Graph {
             cliques.push(with_v);
         }
     }
-    g
+    edges
+}
+
+/// Random `k`-tree on `n` vertices: start from a `(k+1)`-clique and repeatedly attach
+/// a new vertex to a random existing `k`-clique. k-trees have treewidth exactly `k`
+/// and are the canonical bounded-treewidth family.
+pub fn k_tree(n: usize, k: usize, seed: u64) -> Graph {
+    Graph::from_edges(n, k_tree_edges(n, k, seed))
 }
 
 /// Random series–parallel graph on `n` vertices, built as a random partial 2-tree
 /// (a random 2-tree with a fraction `keep` of its edges retained, always keeping the
 /// graph connected). Series–parallel graphs have treewidth ≤ 2 and are K4-minor-free.
 pub fn random_series_parallel(n: usize, keep: f64, seed: u64) -> Graph {
-    let full = k_tree(n, 2, seed);
+    // The spanning tree and the kept edges depend on the order the 2-tree's
+    // edges are visited in: its construction order, which these rows keep.
+    let mut rows: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (u, v) in k_tree_edges(n, 2, seed) {
+        rows[u].push(v);
+        rows[v].push(u);
+    }
     let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0x9e3779b97f4a7c15));
-    // Keep a random spanning tree plus a `keep` fraction of the remaining edges.
-    let mut g = Graph::new(n);
+    // Keep a DFS spanning tree plus a `keep` fraction of the remaining edges.
+    let mut parent = vec![usize::MAX; n];
+    let mut edges = Vec::new();
     let mut visited = vec![false; n];
     let mut stack = vec![0usize];
     visited[0] = true;
-    // DFS spanning tree of `full`.
     while let Some(u) = stack.pop() {
-        for &v in full.neighbors(u) {
+        for &v in &rows[u] {
             if !visited[v] {
                 visited[v] = true;
-                g.add_edge(u, v);
+                parent[v] = u;
+                edges.push((u, v));
                 stack.push(v);
             }
         }
     }
-    for (u, v) in full.edges() {
-        if !g.has_edge(u, v) && rng.gen_bool(keep.clamp(0.0, 1.0)) {
-            g.add_edge(u, v);
+    for (u, row) in rows.iter().enumerate() {
+        for &v in row.iter().filter(|&&v| u < v) {
+            let tree_edge = parent[v] == u || parent[u] == v;
+            if !tree_edge && rng.gen_bool(keep.clamp(0.0, 1.0)) {
+                edges.push((u, v));
+            }
         }
     }
-    g
+    Graph::from_edges(n, edges)
 }
 
 /// The Petersen graph: 10 vertices, 15 edges, 3-regular, non-planar, girth 5.
@@ -311,39 +272,38 @@ pub fn petersen() -> Graph {
         edges.push((i, i + 5)); // spokes
         edges.push((i + 5, (i + 2) % 5 + 5)); // inner pentagram
     }
-    Graph::from_edges(10, &edges)
+    Graph::from_edges(10, edges)
 }
 
 /// `d`-dimensional hypercube (`2^d` vertices). Planar only for `d <= 3`; `d >= 4`
 /// yields the non-minor-free control family with good expansion.
 pub fn hypercube(d: usize) -> Graph {
     let n = 1usize << d;
-    let mut g = Graph::new(n);
-    for v in 0..n {
-        for bit in 0..d {
-            let u = v ^ (1 << bit);
-            if u > v {
-                g.add_edge(v, u);
-            }
+    let edges = (0..n).flat_map(|v| (0..d).map(move |bit| (v, v ^ (1 << bit))));
+    Graph::from_edges(n, edges.filter(|&(v, u)| u > v))
+}
+
+/// Draws uniform vertex pairs and adds each one that is neither a self-loop nor
+/// in `present` yet, until `count` have been added or `100 · count + 1000` pairs
+/// have been drawn.
+fn add_random_edges(n: usize, present: &mut HashSet<(usize, usize)>, count: usize, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (mut added, mut attempts) = (0usize, 0usize);
+    while added < count && attempts < 100 * count + 1000 {
+        let u = rng.gen_range(0..n);
+        let v = rng.gen_range(0..n);
+        if u != v && present.insert((u.min(v), u.max(v))) {
+            added += 1;
         }
+        attempts += 1;
     }
-    g
 }
 
 /// Erdős–Rényi style random graph with exactly `m` distinct edges (or as many as fit).
 pub fn random_gnm(n: usize, m: usize, seed: u64) -> Graph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = Graph::new(n);
-    let max_edges = n * n.saturating_sub(1) / 2;
-    let target = m.min(max_edges);
-    let mut attempts = 0usize;
-    while g.m() < target && attempts < 100 * target + 1000 {
-        let u = rng.gen_range(0..n);
-        let v = rng.gen_range(0..n);
-        g.add_edge(u, v);
-        attempts += 1;
-    }
-    g
+    let mut edges = HashSet::new();
+    add_random_edges(n, &mut edges, m.min(n * n.saturating_sub(1) / 2), seed);
+    Graph::from_edges(n, edges)
 }
 
 /// Adds `chords` random extra edges to a copy of `base`. Used to manufacture graphs
@@ -352,20 +312,9 @@ pub fn random_gnm(n: usize, m: usize, seed: u64) -> Graph {
 /// pairs, so for a planar base graph a linear number of chords destroys planarity in
 /// a robust (ε-far) way.
 pub fn with_random_chords(base: &Graph, chords: usize, seed: u64) -> Graph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = base.clone();
-    let n = g.n();
-    let mut added = 0usize;
-    let mut attempts = 0usize;
-    while added < chords && attempts < 100 * chords + 1000 {
-        let u = rng.gen_range(0..n);
-        let v = rng.gen_range(0..n);
-        if g.add_edge(u, v) {
-            added += 1;
-        }
-        attempts += 1;
-    }
-    g
+    let mut edges: HashSet<(usize, usize)> = base.edges().collect();
+    add_random_edges(base.n(), &mut edges, chords, seed);
+    Graph::from_edges(base.n(), edges)
 }
 
 /// Adds an apex vertex adjacent to every vertex of `base`. For planar `base` the
@@ -373,14 +322,7 @@ pub fn with_random_chords(base: &Graph, chords: usize, seed: u64) -> Graph {
 /// apex graphs exercise the "unbounded Δ, still minor-free" regime.
 pub fn apex(base: &Graph) -> Graph {
     let n = base.n();
-    let mut g = Graph::new(n + 1);
-    for (u, v) in base.edges() {
-        g.add_edge(u, v);
-    }
-    for v in 0..n {
-        g.add_edge(n, v);
-    }
-    g
+    Graph::from_edges(n + 1, base.edges().chain((0..n).map(|v| (n, v))))
 }
 
 /// Disjoint union of `copies` copies of `base`.

@@ -1,131 +1,169 @@
-//! Simple undirected graph representation and core structural queries.
+//! The one graph type: a simple undirected graph in compressed sparse row
+//! form, and the structural queries every layer asks of it.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 use crate::weighted::WeightedGraph;
 
-/// A simple undirected graph on vertices `0..n`.
+/// A simple undirected graph on vertices `0..n`, immutable once built.
 ///
-/// The graph stores adjacency lists. Self-loops and parallel edges are rejected by
-/// [`Graph::add_edge`]. Vertices are addressed by `usize` indices; the library keeps
-/// vertex identifiers and vertex indices identical (the CONGEST simulator assigns
-/// distinct O(log n)-bit identifiers on top of these indices).
+/// All neighbour lists live in one `targets` array, indexed by an `offsets`
+/// array of length `n + 1`; each vertex's row is **sorted and deduplicated**.
+/// Sorted rows give the engines O(log deg) edge checks and their
+/// increasing-sender inbox order for free, and they make the graph a pure
+/// function of its edge set: two graphs with the same edges are equal,
+/// whatever order the edges were given in. Vertices are addressed by `usize`
+/// indices; vertex identifiers and indices coincide (the CONGEST engines
+/// assign distinct O(log n)-bit identifiers on top of them).
+///
+/// A graph is built by [`Graph::new`] (no edges) or [`Graph::from_edges`];
+/// code that grows a graph collects its edges first.
 ///
 /// # Example
 ///
 /// ```
 /// use mfd_graph::Graph;
 ///
-/// let mut g = Graph::new(4);
-/// g.add_edge(0, 1);
-/// g.add_edge(1, 2);
-/// g.add_edge(2, 3);
+/// let g = Graph::from_edges(4, [(0, 1), (2, 1), (2, 3), (1, 2), (3, 3)]);
 /// assert_eq!(g.n(), 4);
-/// assert_eq!(g.m(), 3);
-/// assert_eq!(g.degree(1), 2);
+/// assert_eq!(g.m(), 3); // the duplicate (1, 2) and the loop (3, 3) were dropped
+/// assert_eq!(g.neighbors(1), &[0, 2]);
+/// assert!(g.has_edge(2, 3) && !g.has_edge(0, 3));
 /// assert!(g.is_connected());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
-    adj: Vec<Vec<usize>>,
-    m: usize,
+    /// `offsets[v]..offsets[v + 1]` indexes `targets`; length `n + 1`.
+    offsets: Vec<usize>,
+    /// Concatenated sorted neighbour rows; length `2m`.
+    targets: Vec<usize>,
+}
+
+impl Default for Graph {
+    fn default() -> Self {
+        Graph::new(0)
+    }
 }
 
 impl Graph {
-    /// Creates an empty graph with `n` vertices and no edges.
+    /// Creates a graph with `n` vertices and no edges.
     pub fn new(n: usize) -> Self {
         Graph {
-            adj: vec![Vec::new(); n],
-            m: 0,
+            offsets: vec![0; n + 1],
+            targets: Vec::new(),
         }
     }
 
-    /// Builds a graph with `n` vertices from an edge list. Duplicate edges and
-    /// self-loops are silently ignored.
+    /// Builds a graph with `n` vertices from an edge list in two O(m) passes
+    /// (degree count, then fill) plus a per-row sort. Self-loops and
+    /// duplicate edges (in either orientation) are dropped.
     ///
     /// # Panics
     ///
     /// Panics if an endpoint is `>= n`.
-    pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
-        let mut g = Graph::new(n);
-        for &(u, v) in edges {
-            g.add_edge(u, v);
+    pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Self {
+        let mut arcs: Vec<(usize, usize)> = Vec::new();
+        for (u, v) in edges {
+            assert!(u < n && v < n, "edge endpoint out of range");
+            if u != v {
+                arcs.push((u, v));
+                arcs.push((v, u));
+            }
         }
-        g
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, _) in &arcs {
+            offsets[u + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut cursor = offsets.clone();
+        let mut targets = vec![0usize; arcs.len()];
+        for (u, v) in arcs {
+            targets[cursor[u]] = v;
+            cursor[u] += 1;
+        }
+        // Sort each row, then compact duplicates in place. `write` trails the
+        // read cursor, so compaction is a single O(2m) sweep.
+        let mut write = 0usize;
+        for v in 0..n {
+            let (start, end) = (offsets[v], offsets[v + 1]);
+            targets[start..end].sort_unstable();
+            offsets[v] = write;
+            for read in start..end {
+                if read == start || targets[read] != targets[read - 1] {
+                    targets[write] = targets[read];
+                    write += 1;
+                }
+            }
+        }
+        offsets[n] = write;
+        targets.truncate(write);
+        Graph { offsets, targets }
     }
 
     /// Number of vertices.
     pub fn n(&self) -> usize {
-        self.adj.len()
+        self.offsets.len() - 1
     }
 
     /// Number of edges.
     pub fn m(&self) -> usize {
-        self.m
+        self.targets.len() / 2
     }
 
-    /// Adds the undirected edge `{u, v}`. Returns `true` if the edge was inserted,
-    /// `false` if it already existed or `u == v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` or `v` is out of range.
-    pub fn add_edge(&mut self, u: usize, v: usize) -> bool {
-        assert!(u < self.n() && v < self.n(), "edge endpoint out of range");
-        if u == v || self.has_edge(u, v) {
-            return false;
-        }
-        self.adj[u].push(v);
-        self.adj[v].push(u);
-        self.m += 1;
-        true
-    }
-
-    /// Returns `true` if the edge `{u, v}` is present.
+    /// Returns `true` if the edge `{u, v}` is present (O(log deg u)).
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        if u >= self.n() || v >= self.n() {
-            return false;
-        }
-        // Scan the shorter adjacency list.
-        let (a, b) = if self.adj[u].len() <= self.adj[v].len() {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        self.adj[a].contains(&b)
+        u < self.n() && v < self.n() && self.neighbors(u).binary_search(&v).is_ok()
     }
 
     /// Degree of vertex `v`.
     pub fn degree(&self, v: usize) -> usize {
-        self.adj[v].len()
+        self.offsets[v + 1] - self.offsets[v]
     }
 
     /// Maximum degree Δ of the graph (0 for the empty graph).
     pub fn max_degree(&self) -> usize {
-        self.adj.iter().map(Vec::len).max().unwrap_or(0)
+        self.vertices().map(|v| self.degree(v)).max().unwrap_or(0)
     }
 
     /// Minimum degree of the graph (0 for the empty graph).
     pub fn min_degree(&self) -> usize {
-        self.adj.iter().map(Vec::len).min().unwrap_or(0)
+        self.vertices().map(|v| self.degree(v)).min().unwrap_or(0)
     }
 
-    /// Neighbors of vertex `v`.
+    /// Neighbours of vertex `v`, in increasing order.
     pub fn neighbors(&self, v: usize) -> &[usize] {
-        &self.adj[v]
+        &self.targets[self.offsets[v]..self.offsets[v + 1]]
+    }
+
+    /// The offsets array (length `n + 1`): row `v` of the flat neighbour
+    /// array spans `offsets[v]..offsets[v + 1]`.
+    pub fn offsets(&self) -> &[usize] {
+        &self.offsets
     }
 
     /// Iterator over all vertices `0..n`.
-    pub fn vertices(&self) -> impl Iterator<Item = usize> {
+    pub fn vertices(&self) -> std::ops::Range<usize> {
         0..self.n()
     }
 
-    /// Iterator over all edges, each reported once as `(u, v)` with `u < v`.
+    /// Iterator over all edges, each reported once as `(u, v)` with `u < v`,
+    /// in increasing order.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.adj
-            .iter()
-            .enumerate()
-            .flat_map(|(u, nbrs)| nbrs.iter().filter(move |&&v| u < v).map(move |&v| (u, v)))
+        self.vertices().flat_map(move |u| {
+            self.neighbors(u)
+                .iter()
+                .filter(move |&&v| u < v)
+                .map(move |&v| (u, v))
+        })
+    }
+
+    /// Exists only for `perf/`, which converts with it; the graph is its own
+    /// conversion now, so this is a clone. The next benchmark-only change
+    /// deletes it.
+    pub fn to_graph(&self) -> Graph {
+        self.clone()
     }
 
     /// Volume of a vertex set: the sum of degrees (in the whole graph) of vertices
@@ -140,7 +178,7 @@ impl Graph {
 
     /// Volume of the whole graph, `2m`.
     pub fn total_volume(&self) -> usize {
-        2 * self.m
+        self.targets.len()
     }
 
     /// Number of edges with exactly one endpoint in the masked set, `|∂(S)|`.
@@ -184,19 +222,7 @@ impl Graph {
 
     /// BFS distances from `src`; unreachable vertices get `usize::MAX`.
     pub fn bfs_distances(&self, src: usize) -> Vec<usize> {
-        let mut dist = vec![usize::MAX; self.n()];
-        let mut queue = VecDeque::new();
-        dist[src] = 0;
-        queue.push_back(src);
-        while let Some(u) = queue.pop_front() {
-            for &v in &self.adj[u] {
-                if dist[v] == usize::MAX {
-                    dist[v] = dist[u] + 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        dist
+        self.bfs_distances_within(src, &vec![true; self.n()])
     }
 
     /// BFS restricted to vertices where `mask[v]` is true, starting from `src`
@@ -209,7 +235,7 @@ impl Graph {
         dist[src] = 0;
         queue.push_back(src);
         while let Some(u) = queue.pop_front() {
-            for &v in &self.adj[u] {
+            for &v in self.neighbors(u) {
                 if mask[v] && dist[v] == usize::MAX {
                     dist[v] = dist[u] + 1;
                     queue.push_back(v);
@@ -240,10 +266,7 @@ impl Graph {
         }
         let mut best = 0;
         for v in self.vertices() {
-            match self.eccentricity(v) {
-                Some(e) => best = best.max(e),
-                None => return None,
-            }
+            best = best.max(self.eccentricity(v)?);
         }
         Some(best)
     }
@@ -252,10 +275,7 @@ impl Graph {
     /// within the mask mean the induced subgraph is disconnected, in which case `None`
     /// is returned). An empty mask yields `Some(0)`.
     pub fn induced_diameter(&self, mask: &[bool]) -> Option<usize> {
-        let members: Vec<usize> = (0..self.n()).filter(|&v| mask[v]).collect();
-        if members.is_empty() {
-            return Some(0);
-        }
+        let members: Vec<usize> = self.vertices().filter(|&v| mask[v]).collect();
         let mut best = 0;
         for &v in &members {
             let dist = self.bfs_distances_within(v, mask);
@@ -282,7 +302,7 @@ impl Graph {
             comp[start] = count;
             queue.push_back(start);
             while let Some(u) = queue.pop_front() {
-                for &v in &self.adj[u] {
+                for &v in self.neighbors(u) {
                     if comp[v] == usize::MAX {
                         comp[v] = count;
                         queue.push_back(v);
@@ -308,51 +328,51 @@ impl Graph {
     ///
     /// Panics if `vertices` contains duplicates or out-of-range indices.
     pub fn induced_subgraph(&self, vertices: &[usize]) -> (Graph, Vec<usize>) {
+        let n = self.n();
         // Callers like the per-cluster gathers induce one small cluster at a
         // time; a dense index would cost O(n) per call — O(n·k) per
         // decomposition iteration — so small vertex sets go through a hash
-        // map instead. Both paths visit the same edges in the same order.
-        if vertices.len().saturating_mul(8) < self.n() {
-            let mut new_index: std::collections::HashMap<usize, usize> =
-                std::collections::HashMap::with_capacity(vertices.len());
+        // map instead.
+        let sub = if vertices.len().saturating_mul(8) < n {
+            let mut new_index: HashMap<usize, usize> = HashMap::with_capacity(vertices.len());
             for (i, &v) in vertices.iter().enumerate() {
-                assert!(v < self.n(), "vertex out of range");
+                assert!(v < n, "vertex out of range");
                 assert!(
                     new_index.insert(v, i).is_none(),
                     "duplicate vertex in induced_subgraph"
                 );
             }
-            let mut sub = Graph::new(vertices.len());
+            self.induce(vertices, |w| new_index.get(&w).copied())
+        } else {
+            let mut new_index = vec![usize::MAX; n];
             for (i, &v) in vertices.iter().enumerate() {
-                for &w in &self.adj[v] {
-                    if let Some(&j) = new_index.get(&w) {
-                        if i < j {
-                            sub.add_edge(i, j);
-                        }
-                    }
-                }
+                assert!(v < n, "vertex out of range");
+                assert!(
+                    new_index[v] == usize::MAX,
+                    "duplicate vertex in induced_subgraph"
+                );
+                new_index[v] = i;
             }
-            return (sub, vertices.to_vec());
-        }
-        let mut new_index = vec![usize::MAX; self.n()];
-        for (i, &v) in vertices.iter().enumerate() {
-            assert!(v < self.n(), "vertex out of range");
-            assert!(
-                new_index[v] == usize::MAX,
-                "duplicate vertex in induced_subgraph"
-            );
-            new_index[v] = i;
-        }
-        let mut sub = Graph::new(vertices.len());
-        for (i, &v) in vertices.iter().enumerate() {
-            for &w in &self.adj[v] {
-                let j = new_index[w];
-                if j != usize::MAX && i < j {
-                    sub.add_edge(i, j);
-                }
-            }
-        }
+            self.induce(vertices, |w| {
+                Some(new_index[w]).filter(|&j| j != usize::MAX)
+            })
+        };
         (sub, vertices.to_vec())
+    }
+
+    /// Rows of the subgraph induced on `vertices`, given the original → new
+    /// index lookup. Member order is arbitrary, so each row is re-sorted.
+    fn induce(&self, vertices: &[usize], new_index: impl Fn(usize) -> Option<usize>) -> Graph {
+        let mut offsets = Vec::with_capacity(vertices.len() + 1);
+        offsets.push(0);
+        let mut targets = Vec::new();
+        for &v in vertices {
+            let row_start = targets.len();
+            targets.extend(self.neighbors(v).iter().filter_map(|&w| new_index(w)));
+            targets[row_start..].sort_unstable();
+            offsets.push(targets.len());
+        }
+        Graph { offsets, targets }
     }
 
     /// Quotient (cluster) graph for a partition of the vertex set.
@@ -384,38 +404,33 @@ impl Graph {
 
     /// Disjoint union of two graphs; vertices of `other` are shifted by `self.n()`.
     pub fn disjoint_union(&self, other: &Graph) -> Graph {
-        let offset = self.n();
-        let mut g = Graph::new(self.n() + other.n());
-        for (u, v) in self.edges() {
-            g.add_edge(u, v);
-        }
-        for (u, v) in other.edges() {
-            g.add_edge(u + offset, v + offset);
-        }
-        g
+        let (shift, arcs) = (self.n(), self.targets.len());
+        let mut offsets = self.offsets.clone();
+        offsets.extend(other.offsets[1..].iter().map(|&o| o + arcs));
+        let mut targets = self.targets.clone();
+        targets.extend(other.targets.iter().map(|&t| t + shift));
+        Graph { offsets, targets }
     }
 
     /// Returns a copy of the graph with every edge subdivided into a path of
-    /// `segments` edges (`segments == 1` returns a copy). Used to build the
-    /// lower-bound families of Theorem 6.2.
+    /// `segments` edges (`segments == 1` returns a copy); the new vertices
+    /// are numbered from `n` up, edge by edge in [`Graph::edges`] order. Used
+    /// to build the lower-bound families of Theorem 6.2.
     pub fn subdivide(&self, segments: usize) -> Graph {
         assert!(segments >= 1);
-        if segments == 1 {
-            return self.clone();
-        }
         let extra_per_edge = segments - 1;
-        let mut g = Graph::new(self.n() + self.m() * extra_per_edge);
+        let mut edges = Vec::with_capacity(self.m() * segments);
         let mut next = self.n();
         for (u, v) in self.edges() {
             let mut prev = u;
             for _ in 0..extra_per_edge {
-                g.add_edge(prev, next);
+                edges.push((prev, next));
                 prev = next;
                 next += 1;
             }
-            g.add_edge(prev, v);
+            edges.push((prev, v));
         }
-        g
+        Graph::from_edges(next, edges)
     }
 
     /// Checks whether `cluster_of` is a valid partition labelling: indices in range
@@ -423,9 +438,6 @@ impl Graph {
     pub fn is_valid_partition(&self, cluster_of: &[usize]) -> bool {
         if cluster_of.len() != self.n() {
             return false;
-        }
-        if self.n() == 0 {
-            return true;
         }
         let k = match cluster_of.iter().copied().max() {
             Some(x) => x + 1,
@@ -442,18 +454,28 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators;
 
     fn path4() -> Graph {
-        Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)])
+        Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)])
     }
 
     #[test]
-    fn add_edge_rejects_duplicates_and_loops() {
-        let mut g = Graph::new(3);
-        assert!(g.add_edge(0, 1));
-        assert!(!g.add_edge(1, 0));
-        assert!(!g.add_edge(2, 2));
-        assert_eq!(g.m(), 1);
+    fn from_edges_drops_loops_and_duplicates() {
+        let g = Graph::from_edges(5, [(0, 1), (1, 0), (2, 2), (3, 4), (3, 4), (4, 3)]);
+        assert_eq!(g.m(), 2);
+        assert_eq!(g.neighbors(0), &[1]);
+        assert_eq!(g.neighbors(2), &[] as &[usize]);
+        assert_eq!(g.neighbors(3), &[4]);
+        assert!(!g.has_edge(2, 2));
+        // The edge order does not matter: the rows are sorted either way.
+        assert_eq!(g, Graph::from_edges(5, [(4, 3), (1, 0)]));
+    }
+
+    #[test]
+    #[should_panic(expected = "edge endpoint out of range")]
+    fn out_of_range_endpoint_panics() {
+        Graph::from_edges(2, [(0, 2)]);
     }
 
     #[test]
@@ -477,7 +499,7 @@ mod tests {
 
     #[test]
     fn disconnected_graph_has_no_diameter() {
-        let g = Graph::from_edges(4, &[(0, 1), (2, 3)]);
+        let g = Graph::from_edges(4, [(0, 1), (2, 3)]);
         assert_eq!(g.diameter(), None);
         assert!(!g.is_connected());
         let (comp, count) = g.connected_components();
@@ -489,7 +511,7 @@ mod tests {
     #[test]
     fn volume_cut_conductance() {
         // Square: 0-1-2-3-0
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+        let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]);
         let mask = vec![true, true, false, false];
         assert_eq!(g.volume(&mask), 4);
         assert_eq!(g.cut_size(&mask), 2);
@@ -507,7 +529,7 @@ mod tests {
 
     #[test]
     fn induced_subgraph_relabels() {
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
+        let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
         let (sub, map) = g.induced_subgraph(&[1, 2, 3]);
         assert_eq!(sub.n(), 3);
         assert_eq!(sub.m(), 2);
@@ -518,8 +540,49 @@ mod tests {
     }
 
     #[test]
+    fn induced_subgraph_follows_the_graph_numbering_contract() {
+        let g = generators::triangulated_grid(6, 6);
+        // Unsorted member lists on the hash-map path (|S|·8 < n) and the
+        // dense one, plus the empty and the full set: vertex `i` of the
+        // subgraph is `members[i]`, and its edges are exactly the ambient
+        // edges between members.
+        for members in [
+            vec![14, 2, 8, 7],
+            vec![35, 0, 1, 6, 7, 30, 29, 28, 22, 21, 3],
+            vec![],
+            g.vertices().rev().collect(),
+        ] {
+            let (sub, map) = g.induced_subgraph(&members);
+            assert_eq!(map, members);
+            let position = |v| members.iter().position(|&w| w == v);
+            let expected = g
+                .edges()
+                .filter_map(|(u, v)| Some((position(u)?, position(v)?)));
+            assert_eq!(sub, Graph::from_edges(members.len(), expected));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate vertex in induced_subgraph")]
+    fn induced_subgraph_rejects_duplicates_on_the_hash_path() {
+        generators::path(64).induced_subgraph(&[3, 4, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate vertex in induced_subgraph")]
+    fn induced_subgraph_rejects_duplicates_on_the_dense_path() {
+        generators::path(4).induced_subgraph(&[1, 2, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex out of range")]
+    fn induced_subgraph_rejects_out_of_range_vertices() {
+        generators::path(4).induced_subgraph(&[1, 4]);
+    }
+
+    #[test]
     fn quotient_counts_crossing_edges() {
-        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)]);
+        let g = Graph::from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)]);
         let clusters = vec![0, 0, 0, 1, 1, 1];
         let q = g.quotient(&clusters);
         assert_eq!(q.n(), 2);
@@ -529,7 +592,7 @@ mod tests {
 
     #[test]
     fn induced_diameter_respects_mask() {
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
+        let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
         let mask = vec![true, true, true, false, false];
         assert_eq!(g.induced_diameter(&mask), Some(2));
         let disconnected = vec![true, false, true, false, false];
@@ -544,6 +607,7 @@ mod tests {
         assert_eq!(s.m(), 3 * 3);
         assert!(s.is_connected());
         assert_eq!(s.diameter(), Some(9));
+        assert_eq!(g.subdivide(1), g);
     }
 
     #[test]
@@ -552,6 +616,9 @@ mod tests {
         assert_eq!(g.n(), 8);
         assert_eq!(g.m(), 6);
         assert!(!g.is_connected());
+        let p = path4();
+        let shifted = p.edges().map(|(u, v)| (u + 4, v + 4));
+        assert_eq!(g, Graph::from_edges(8, p.edges().chain(shifted)));
     }
 
     #[test]

@@ -3,15 +3,14 @@
 //! This crate provides everything the decomposition, routing and application layers
 //! need to talk about graphs:
 //!
-//! * [`Graph`] — a simple undirected graph with adjacency-list storage, the common
-//!   structural queries (degrees, BFS, diameter, connectivity, volumes, cuts,
-//!   conductance and sparsity of cuts), induced subgraphs and quotient (cluster)
-//!   graphs.
-//! * [`CsrGraph`] — the flat compressed-sparse-row counterpart used by the
-//!   sharded executor for million-vertex runs, with lossless conversions to
-//!   and from [`Graph`].
+//! * [`Graph`] — the one graph type every layer reads: a simple undirected
+//!   graph in compressed sparse row form (one flat neighbour array, each row
+//!   sorted and deduplicated), with the common structural queries (degrees,
+//!   BFS, diameter, connectivity, volumes, cuts, conductance and sparsity of
+//!   cuts), induced subgraphs and quotient (cluster) graphs. It is built from
+//!   an edge list ([`Graph::from_edges`]) and never mutated afterwards.
 //! * [`gen`] — streaming O(m) generators (R-MAT, power-law, large
-//!   triangulated meshes) that emit [`CsrGraph`]s directly.
+//!   triangulated meshes) for million-vertex runs.
 //! * [`WeightedGraph`] — an edge-weighted graph used for cluster graphs, where the
 //!   weight of an edge between two clusters is the number of original edges crossing
 //!   them.
@@ -44,7 +43,6 @@
 //! A guided tour of this crate's role in the workspace lives in
 //! `docs/ARCHITECTURE.md` (section "mfd-graph").
 
-pub mod csr;
 pub mod gen;
 pub mod generators;
 pub mod graph;
@@ -53,6 +51,9 @@ pub mod properties;
 pub mod recognition;
 pub mod weighted;
 
-pub use csr::CsrGraph;
 pub use graph::Graph;
 pub use weighted::WeightedGraph;
+
+/// Exists only for `perf/`, which names the graph type this way; the next
+/// benchmark-only change deletes it.
+pub type CsrGraph = Graph;

@@ -126,10 +126,10 @@ fn block_is_planar(block_edges: &[(usize, usize)]) -> bool {
     if m > 3 * n - 6 {
         return false;
     }
-    let mut g = Graph::new(n);
-    for &(u, v) in block_edges {
-        g.add_edge(index_of(u), index_of(v));
-    }
+    let g = Graph::from_edges(
+        n,
+        block_edges.iter().map(|&(u, v)| (index_of(u), index_of(v))),
+    );
     demoucron(&g)
 }
 
@@ -435,7 +435,7 @@ mod tests {
         assert!(!is_planar(&generators::complete_bipartite(3, 4)));
         assert!(!is_planar(&generators::hypercube(4)));
         assert!(!is_planar(&generators::torus_grid(4, 4)));
-        assert!(!is_planar(&petersen()));
+        assert!(!is_planar(&generators::petersen()));
     }
 
     #[test]
@@ -460,10 +460,8 @@ mod tests {
     #[test]
     fn planar_plus_one_crossing_edge_pair_detected() {
         // K5 minus an edge is planar; adding it back is not.
-        let mut g = generators::complete(5);
-        // remove edge by rebuilding
-        let edges: Vec<_> = g.edges().filter(|&e| e != (0, 1)).collect();
-        g = Graph::from_edges(5, &edges);
+        let k5 = generators::complete(5);
+        let g = Graph::from_edges(5, k5.edges().filter(|&e| e != (0, 1)));
         assert!(is_planar(&g));
     }
 
@@ -502,17 +500,6 @@ mod tests {
         let blocks = biconnected_components(&generators::cycle(10));
         assert_eq!(blocks.len(), 1);
         assert_eq!(blocks[0].len(), 10);
-    }
-
-    fn petersen() -> Graph {
-        let outer = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)];
-        let spokes = [(0, 5), (1, 6), (2, 7), (3, 8), (4, 9)];
-        let inner = [(5, 7), (7, 9), (9, 6), (6, 8), (8, 5)];
-        let mut edges = Vec::new();
-        edges.extend(outer);
-        edges.extend(spokes);
-        edges.extend(inner);
-        Graph::from_edges(10, &edges)
     }
 
     #[test]

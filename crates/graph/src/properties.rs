@@ -321,7 +321,7 @@ mod tests {
             let total: usize = forests.iter().map(Vec::len).sum();
             assert_eq!(total, g.m());
             for forest in &forests {
-                let f = Graph::from_edges(g.n(), forest);
+                let f = Graph::from_edges(g.n(), forest.iter().copied());
                 assert_eq!(f.m(), forest.len(), "forest partition produced duplicates");
                 assert!(crate::recognition::is_forest(&f));
             }
@@ -359,8 +359,7 @@ mod tests {
         // Two K6's joined by a single edge: the bottleneck cut has conductance
         // 1 / 31; the sweep must find something well below 0.1.
         let k = generators::complete(6);
-        let mut g = k.disjoint_union(&k);
-        g.add_edge(0, 6);
+        let g = Graph::from_edges(12, k.disjoint_union(&k).edges().chain([(0, 6)]));
         let cut = spectral_sweep_cut(&g, 200).unwrap();
         assert!(cut.conductance < 0.1, "conductance {}", cut.conductance);
         let side = cut.mask.iter().filter(|&&b| b).count();

@@ -141,15 +141,16 @@ mod tests {
         // A single cycle is a cactus.
         assert!(is_cactus(&generators::cycle(6)));
         // Two cycles sharing one vertex form a cactus.
-        let mut g = generators::cycle(4);
-        let h = generators::cycle(4);
-        let mut joined = g.disjoint_union(&h);
-        joined.add_edge(0, 4); // share via a bridge edge: still cactus
-        assert!(is_cactus(&joined));
+        let g = generators::cycle(4);
+        let two = g.disjoint_union(&g);
+        // Joined by a bridge edge: still a cactus.
+        assert!(is_cactus(&Graph::from_edges(
+            8,
+            two.edges().chain([(0, 4)])
+        )));
         // Two cycles sharing an edge (theta graph) are not a cactus.
-        g = generators::cycle(4);
-        g.add_edge(0, 2);
-        assert!(!is_cactus(&g));
+        let theta = Graph::from_edges(4, g.edges().chain([(0, 2)]));
+        assert!(!is_cactus(&theta));
         // Trees are cacti.
         assert!(is_cactus(&generators::random_tree(30, 5)));
     }

@@ -49,7 +49,7 @@
 //! # Worked example: kill, resume, verify
 //!
 //! ```
-//! use mfd_graph::{generators, CsrGraph};
+//! use mfd_graph::{generators, Graph};
 //! use mfd_replay::{Journal, JournalHeader};
 //! use mfd_runtime::{Envelope, ExecCheckpoint, NodeCtx, NodeProgram, Outbox,
 //!                   ShardedConfig, ShardedExecutor};
@@ -69,7 +69,7 @@
 //!     fn halted(&self, ctx: &NodeCtx, _state: &u64) -> bool { ctx.round >= 5 }
 //! }
 //!
-//! let g = CsrGraph::from_graph(&generators::wheel(8));
+//! let g = generators::wheel(8);
 //! let exec = ShardedExecutor::new(ShardedConfig::default());
 //!
 //! // Step the run to completion, journaling a checkpoint every 2 rounds.

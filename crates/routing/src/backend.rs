@@ -16,9 +16,10 @@
 //!   ([`crate::programs::select_strategy_program`]: tree pipeline, Lemma 2.2
 //!   balancer with conductance routing, walk schedule with tree fallback)
 //!   run for real. Every cluster of a batch is selected for, then run: on
-//!   the synchronous engine all of them share one sharded CSR engine through
+//!   the synchronous engine all of them share one sharded engine through
 //!   [`mfd_runtime::run_each`], each cluster dispatching once to
-//!   `engine.run(view, &its_concrete_program)`; on the `mfd-sim`
+//!   `engine.run(cluster, &its_concrete_program)` on the graph its job
+//!   carries — nothing is converted; on the `mfd-sim`
 //!   discrete-event engine they run one after the other. Rounds and messages
 //!   come from the engines' meters, and every cluster's executed round count
 //!   is asserted `≤` the metered charge of the program that ran
@@ -33,7 +34,7 @@
 //! for the other changes *how* rounds are obtained, never how they compose.
 
 use mfd_congest::RoundMeter;
-use mfd_graph::{CsrGraph, Graph};
+use mfd_graph::Graph;
 use mfd_runtime::{run_each, ExecutorConfig};
 use mfd_sim::{SimConfig, Simulator};
 use mfd_trace::{Event, TraceSink};
@@ -48,8 +49,6 @@ use crate::programs::{select_strategy_program, SelectedGather};
 pub struct GatherJob {
     /// The cluster's induced subgraph, vertices `0..k`.
     pub cluster: Graph,
-    /// Original (ambient) vertex id of each cluster vertex.
-    pub members: Vec<usize>,
     /// Leader, a vertex of `cluster`.
     pub leader: usize,
 }
@@ -220,7 +219,7 @@ impl Executed {
             .collect();
         let runs = match &self.engine {
             GatherEngine::Executor(config) => run_each(clusters.len(), config, |idx, engine| {
-                selected[idx].run_sharded(engine, &CsrGraph::from_graph(clusters[idx].0))
+                selected[idx].run_sharded(engine, clusters[idx].0)
             }),
             GatherEngine::Sim(config) => {
                 let sim = Simulator::new(config.clone());
@@ -386,11 +385,10 @@ mod tests {
         let left: Vec<usize> = (0..g.n()).filter(|v| v % 8 < 4).collect();
         let right: Vec<usize> = (0..g.n()).filter(|v| v % 8 >= 4).collect();
         let jobs = [&left, &right].map(|members| {
-            let (cluster, members) = g.induced_subgraph(members);
+            let (cluster, _) = g.induced_subgraph(members);
             GatherJob {
                 leader: leader_of(&cluster),
                 cluster,
-                members,
             }
         });
         let strategy = GatherStrategy::TreePipeline;

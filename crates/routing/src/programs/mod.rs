@@ -47,7 +47,7 @@
 //!   regression gate pins both.
 
 use mfd_congest::RoundMeter;
-use mfd_graph::{properties, CsrGraph, Graph};
+use mfd_graph::{properties, Graph};
 use mfd_runtime::{
     ExecutorConfig, NodeProgram, RuntimeError, ShardedConfig, ShardedExecution, ShardedExecutor,
 };
@@ -235,8 +235,8 @@ impl SelectedGather {
         }
     }
 
-    /// Runs the selected program on `view` — the CSR form of the cluster the
-    /// selection was made on — and returns its report and the engine's meter.
+    /// Runs the selected program on `cluster` — the graph the selection was
+    /// made on — and returns its report and the engine's meter.
     ///
     /// # Errors
     ///
@@ -244,26 +244,25 @@ impl SelectedGather {
     pub fn run_sharded(
         &self,
         engine: &ShardedExecutor,
-        view: &CsrGraph,
+        cluster: &Graph,
     ) -> Result<(ExecutedGather, RoundMeter), RuntimeError> {
         Ok(match self {
             SelectedGather::Tree(p) | SelectedGather::WalkFallbackTree(p) => {
-                let run = engine.run(view, p)?;
+                let run = engine.run(cluster, p)?;
                 self.report(p, &run.states, run.meter)
             }
             SelectedGather::LoadBalance { program: p, .. } => {
-                let run = engine.run(view, p.as_ref())?;
+                let run = engine.run(cluster, p.as_ref())?;
                 self.report(p.as_ref(), &run.states, run.meter)
             }
             SelectedGather::Walk { program: p, .. } => {
-                let run = engine.run(view, p.as_ref())?;
+                let run = engine.run(cluster, p.as_ref())?;
                 self.report(p.as_ref(), &run.states, run.meter)
             }
         })
     }
 
-    /// [`SelectedGather::run_sharded`] on the `mfd-sim` event engine, which
-    /// takes the cluster as the adjacency-map [`Graph`].
+    /// [`SelectedGather::run_sharded`] on the `mfd-sim` event engine.
     ///
     /// # Errors
     ///
@@ -420,8 +419,7 @@ pub fn execute_gather<P: GatherProgram>(
     program: &P,
     config: &ExecutorConfig,
 ) -> Result<(ExecutedGather, ShardedExecution<P::State>), RuntimeError> {
-    let run = ShardedExecutor::new(ShardedConfig::per_thread(config))
-        .run(&CsrGraph::from_graph(cluster), program)?;
+    let run = ShardedExecutor::new(ShardedConfig::per_thread(config)).run(cluster, program)?;
     let report = program.executed_report(&run.states, run.rounds, run.messages);
     Ok((report, run))
 }
@@ -432,9 +430,8 @@ mod tests {
     use mfd_graph::generators;
 
     fn run(selected: &SelectedGather, cluster: &Graph) -> ExecutedGather {
-        let view = CsrGraph::from_graph(cluster);
         let (report, _) = selected
-            .run_sharded(&ShardedExecutor::default(), &view)
+            .run_sharded(&ShardedExecutor::default(), cluster)
             .unwrap();
         report
     }

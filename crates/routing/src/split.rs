@@ -38,14 +38,14 @@ impl ExpanderSplit {
             port_offset[v + 1] = port_offset[v] + g.degree(v).max(1);
         }
         let num_ports = port_offset[n];
-        let mut split = Graph::new(num_ports);
+        let mut edges = Vec::new();
         let mut owner = vec![0usize; num_ports];
         for (v, &start) in port_offset.iter().enumerate().take(n) {
             let d = g.degree(v).max(1);
             for p in 0..d {
                 owner[start + p] = v;
             }
-            Self::wire_gadget(&mut split, start, d);
+            Self::wire_gadget(&mut edges, start, d);
         }
         // External edges: vertex v's i-th incident edge uses its i-th port.
         let mut next_port: Vec<usize> = (0..n).map(|v| port_offset[v]).collect();
@@ -55,11 +55,11 @@ impl ExpanderSplit {
             next_port[u] += 1;
             let pv = next_port[v];
             next_port[v] += 1;
-            split.add_edge(pu, pv);
+            edges.push((pu, pv));
             external.push(((u, v), (pu, pv)));
         }
         ExpanderSplit {
-            split,
+            split: Graph::from_edges(num_ports, edges),
             owner,
             port_offset: port_offset[..n].to_vec(),
             external,
@@ -67,22 +67,21 @@ impl ExpanderSplit {
         }
     }
 
-    fn wire_gadget(split: &mut Graph, start: usize, d: usize) {
+    /// Appends the edges of the gadget on ports `start..start + d`.
+    fn wire_gadget(edges: &mut Vec<(usize, usize)>, start: usize, d: usize) {
         if d <= 1 {
             return;
         }
         if d <= 8 {
             for i in 0..d {
-                for j in (i + 1)..d {
-                    split.add_edge(start + i, start + j);
-                }
+                edges.extend(((i + 1)..d).map(|j| (start + i, start + j)));
             }
             return;
         }
         for i in 0..d {
-            split.add_edge(start + i, start + (i + 1) % d);
-            split.add_edge(start + i, start + (2 * i) % d);
-            split.add_edge(start + i, start + (2 * i + 1) % d);
+            for j in [(i + 1) % d, (2 * i) % d, (2 * i + 1) % d] {
+                edges.push((start + i, start + j));
+            }
         }
     }
 

@@ -2,18 +2,18 @@
 //! vertex-disjoint clusters, in parallel, with the paper's parallel-composition
 //! accounting (rounds = max over clusters, messages = sum).
 //!
-//! [`run_each`] is the one batch runner: it builds one sharded CSR engine
+//! [`run_each`] is the one batch runner: it builds one sharded engine
 //! ([`ShardedExecutor`]) per call, shares the configured workers out among
 //! the clusters and hands each cluster's closure that engine — what runs is
 //! the closure's business, so a batch may mix program types freely (one
 //! concrete `engine.run(view, &program)` per cluster, no wrapper program,
 //! each view typically induced from the ambient graph by
-//! [`CsrGraph::induced_subgraph`](mfd_graph::CsrGraph::induced_subgraph)).
+//! [`Graph::induced_subgraph`](mfd_graph::Graph::induced_subgraph)).
 //! A round of a cluster costs its frontier and its messages, not its size.
 //! The engine enforces the CONGEST model per cluster exactly as it does on a
 //! whole graph, and is bit-identical to the reference stepper
-//! ([`crate::Executor`]) on the induced adjacency-map subgraph — the oracle
-//! the tests below compare against.
+//! ([`crate::Executor`]) on the same induced subgraph — the oracle the tests
+//! below compare against.
 
 use mfd_congest::RoundMeter;
 use rayon::prelude::*;
@@ -83,7 +83,7 @@ mod tests {
     use super::*;
     use crate::executor::tests::Mixer;
     use crate::executor::Executor;
-    use mfd_graph::{generators, CsrGraph};
+    use mfd_graph::generators;
 
     #[test]
     fn workers_are_shared_out_among_the_clusters() {
@@ -118,7 +118,6 @@ mod tests {
     #[test]
     fn clusters_match_per_cluster_executor_runs_at_every_thread_count() {
         let g = generators::triangulated_grid(8, 8);
-        let csr = CsrGraph::from_graph(&g);
         // `Mixer` folds its inbox in order and draws from the per-vertex RNG,
         // so states pin sender order, local numbering, seed and round count.
         let program = Mixer { rounds: 7 };
@@ -138,7 +137,7 @@ mod tests {
             for threads in [1, 2, 4] {
                 let config = ExecutorConfig::with_threads(threads);
                 let runs = run_each(clusters.len(), &config, |idx, engine| {
-                    let (view, _) = csr.induced_subgraph(&clusters[idx]);
+                    let (view, _) = g.induced_subgraph(&clusters[idx]);
                     let run = engine.run(&view, &program)?;
                     Ok((run.states, run.meter))
                 })

@@ -9,8 +9,6 @@
 //! how they interpret a program.
 
 use mfd_congest::{CongestError, Message};
-use mfd_graph::Graph;
-use rayon::prelude::*;
 
 use crate::program::{Envelope, NodeCtx, NodeProgram, Outbox, SendBuf};
 
@@ -52,22 +50,6 @@ pub fn step_vertex<P: NodeProgram>(
         halted,
         violation: out.violation,
     }
-}
-
-/// Per-vertex sorted adjacency lists (computed in parallel).
-///
-/// Sorted neighbor lists give [`crate::Outbox::send`] O(log deg) edge checks
-/// and pin the inbox ordering contract (messages arrive in increasing sender
-/// order) down to a plain sort.
-pub fn sorted_adjacency(g: &Graph) -> Vec<Vec<usize>> {
-    (0..g.n())
-        .into_par_iter()
-        .map(|v| {
-            let mut a = g.neighbors(v).to_vec();
-            a.sort_unstable();
-            a
-        })
-        .collect()
 }
 
 /// Converts one vertex's sends into meter [`Message`]s.

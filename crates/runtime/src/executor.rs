@@ -1,6 +1,6 @@
 //! The reference stepper: the synchronous round semantics in their plainest
 //! form — one parallel vertex sweep and one sequential, vertex-ordered commit
-//! per round over an adjacency-map [`Graph`]; no shards, wake sets, pooled
+//! per round over a [`Graph`]; no shards, wake sets, pooled
 //! buffers or checkpoints. [`crate::ShardedExecutor`] must equal it bit for
 //! bit (states, meters, event streams, digest chains): the differential
 //! tests, `mfd_sim::run_both` and the benchmarks' in-process "≡ reference"
@@ -187,14 +187,13 @@ impl Executor {
             .config
             .max_rounds
             .min(program.round_budget_hint().unwrap_or(u64::MAX));
-        let adj = driver::sorted_adjacency(g);
         let mut states: Vec<P::State> = (0..n)
             .into_par_iter()
-            .map(|v| program.init(&NodeCtx::new(v, n, 0, &adj[v], seed)))
+            .map(|v| program.init(&NodeCtx::new(v, n, 0, g.neighbors(v), seed)))
             .collect();
         let mut halted: Vec<bool> = (0..n)
             .into_par_iter()
-            .map(|v| program.halted(&NodeCtx::new(v, n, 0, &adj[v], seed), &states[v]))
+            .map(|v| program.halted(&NodeCtx::new(v, n, 0, g.neighbors(v), seed), &states[v]))
             .collect();
         // Round 0 is the initial configuration: digest every vertex once so
         // two runs that differ already at init diverge at round 0, not 1.
@@ -218,8 +217,10 @@ impl Executor {
                 .map(|v| {
                     !halted[v]
                         && (!inbox[v].is_empty()
-                            || !program
-                                .quiescent(&NodeCtx::new(v, n, round, &adj[v], seed), &states[v]))
+                            || !program.quiescent(
+                                &NodeCtx::new(v, n, round, g.neighbors(v), seed),
+                                &states[v],
+                            ))
                 })
                 .collect();
             let frontier = active.iter().filter(|&&a| a).count();
@@ -241,7 +242,7 @@ impl Executor {
                 .enumerate()
                 .map(|(v, state)| {
                     active[v].then(|| {
-                        let ctx = NodeCtx::new(v, n, round, &adj[v], seed);
+                        let ctx = NodeCtx::new(v, n, round, g.neighbors(v), seed);
                         driver::step_vertex(program, &ctx, state, &inbox[v], SendBuf::new())
                     })
                 })

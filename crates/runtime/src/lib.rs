@@ -8,12 +8,12 @@
 //! messages — and a [`ShardedExecutor`] drives all vertices round by round
 //! across the simulating machine's cores.
 //!
-//! There is **one production engine**: [`ShardedExecutor`], over
-//! [`mfd_graph::CsrGraph`] flat storage. It runs to completion (`run`,
+//! There is **one production engine**: [`ShardedExecutor`], over the CSR
+//! rows of [`mfd_graph::Graph`]. It runs to completion (`run`,
 //! `run_traced`, `run_profiled`) or as a step-able [`Session`]
 //! (`start` / `restore` → `step`, `checkpoint`, `finish`) that `mfd-replay`
 //! journals and resumes. [`Executor`] is the *reference stepper*: the same
-//! semantics written plainly over an adjacency-map graph, kept only so tests
+//! semantics written plainly over the same graph, kept only so tests
 //! have an independent implementation to compare the engine against.
 //!
 //! Guarantees:
@@ -29,7 +29,7 @@
 //!   preserve sender order, and per-vertex randomness ([`NodeCtx::rng`]) is
 //!   seeded from `(seed, vertex, round)`, never from scheduling.
 //! * **Parallel composition.** [`run_each`] runs vertex-disjoint clusters
-//!   concurrently — every cluster a CSR view on the one [`ShardedExecutor`]
+//!   concurrently — every cluster an induced graph on the one [`ShardedExecutor`]
 //!   built for the call, each free to run its own program type — and
 //!   returns the per-cluster meters for `merge_parallel` to fold (max of
 //!   rounds, sum of messages), the paper's convention for parallel
@@ -55,7 +55,7 @@
 //! # Example
 //!
 //! ```
-//! use mfd_graph::{generators, CsrGraph};
+//! use mfd_graph::generators;
 //! use mfd_runtime::{
 //!     Envelope, Executor, ExecutorConfig, NodeCtx, NodeProgram, Outbox, ShardedConfig,
 //!     ShardedExecutor,
@@ -92,7 +92,7 @@
 //!
 //! let g = generators::path(5);
 //! let exec = ShardedExecutor::new(ShardedConfig::default());
-//! let run = exec.run(&CsrGraph::from_graph(&g), &TwoHopMax).unwrap();
+//! let run = exec.run(&g, &TwoHopMax).unwrap();
 //! assert_eq!(run.rounds, 3);
 //! assert_eq!(run.states[2], 4); // vertex 2 heard about vertex 4
 //!

@@ -95,7 +95,7 @@
 use std::time::Instant;
 
 use mfd_congest::{CongestError, MeterParts, RoundMeter};
-use mfd_graph::CsrGraph;
+use mfd_graph::Graph;
 use mfd_trace::{EngineKind, Event, NullSink, RunObserver};
 use rayon::prelude::*;
 
@@ -262,7 +262,7 @@ impl ShardedExecutor {
     /// resident in it), exceed the engine's `u32` mailbox indices.
     pub fn run<P: NodeProgram>(
         &self,
-        g: &CsrGraph,
+        g: &Graph,
         program: &P,
     ) -> Result<ShardedExecution<P::State>, RuntimeError> {
         self.run_traced(g, program, &mut NullSink)
@@ -277,7 +277,7 @@ impl ShardedExecutor {
     /// Exactly as [`ShardedExecutor::run`].
     pub fn run_traced<P: NodeProgram, O: RunObserver<P::State>>(
         &self,
-        g: &CsrGraph,
+        g: &Graph,
         program: &P,
         observer: &mut O,
     ) -> Result<ShardedExecution<P::State>, RuntimeError> {
@@ -302,7 +302,7 @@ impl ShardedExecutor {
     /// Exactly as [`ShardedExecutor::run`].
     pub fn run_profiled<P, O, PR>(
         &self,
-        g: &CsrGraph,
+        g: &Graph,
         program: &P,
         observer: &mut O,
         profiler: &mut PR,
@@ -323,7 +323,7 @@ impl ShardedExecutor {
     /// held at round 0 (states initialized, initial configuration sealed).
     pub fn start<'a, P, O>(
         &'a self,
-        g: &'a CsrGraph,
+        g: &'a Graph,
         program: &'a P,
         observer: &'a mut O,
     ) -> Session<'a, P, O>
@@ -346,7 +346,7 @@ impl ShardedExecutor {
     /// [`RuntimeError::CheckpointMismatch`] (module docs, "Checkpoints").
     pub fn restore<'a, P, O>(
         &'a self,
-        g: &'a CsrGraph,
+        g: &'a Graph,
         program: &'a P,
         checkpoint: ExecCheckpoint<P::State, P::Msg>,
         observer: &'a mut O,
@@ -444,7 +444,7 @@ const ARENA_LIMIT: &str = "one shard's resident mail exceeds u32::MAX envelopes:
 /// The constants of one run, as every pass over the shards needs them.
 #[derive(Clone, Copy)]
 struct Job<'a> {
-    g: &'a CsrGraph,
+    g: &'a Graph,
     seed: u64,
     capacity_words: usize,
     /// Vertices per shard (`shard_of(v) = v / chunk`).
@@ -737,7 +737,7 @@ where
     /// fills in: `states`, `halted` and the wake sets are still empty.
     fn assemble(
         config: &ShardedConfig,
-        g: &'a CsrGraph,
+        g: &'a Graph,
         program: &'a P,
         observer: &'a mut O,
         profiler: PR,
@@ -813,7 +813,7 @@ where
     /// seal — after checking it against `g` and the round budget.
     fn restored(
         config: &ShardedConfig,
-        g: &'a CsrGraph,
+        g: &'a Graph,
         program: &'a P,
         observer: &'a mut O,
         profiler: PR,
@@ -886,7 +886,7 @@ where
 
     fn fresh(
         config: &ShardedConfig,
-        g: &'a CsrGraph,
+        g: &'a Graph,
         program: &'a P,
         observer: &'a mut O,
         profiler: PR,
@@ -1208,7 +1208,6 @@ mod tests {
         P: NodeProgram,
         P::State: PartialEq + std::fmt::Debug + std::hash::Hash,
     {
-        let csr = CsrGraph::from_graph(g);
         let exec_cfg = ExecutorConfig {
             capacity_words,
             ..ExecutorConfig::default()
@@ -1225,7 +1224,7 @@ mod tests {
                 cfg.threads = threads;
                 let mut sink = RecordingSink::with_digests();
                 let run = ShardedExecutor::new(cfg)
-                    .run_traced(&csr, program, &mut sink)
+                    .run_traced(g, program, &mut sink)
                     .unwrap();
                 assert_eq!(run.states, reference.states, "{at}");
                 assert_eq!(run.rounds, reference.rounds, "{at}");
@@ -1425,9 +1424,9 @@ mod tests {
                 ctx.round >= 1
             }
         }
-        let csr = CsrGraph::from_graph(&generators::path(5));
+        let g = generators::path(5);
         let err = ShardedExecutor::new(ShardedConfig::default())
-            .run(&csr, &NonEdgeSender)
+            .run(&g, &NonEdgeSender)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1458,9 +1457,9 @@ mod tests {
                 ctx.round >= 1
             }
         }
-        let csr = CsrGraph::from_graph(&generators::path(3));
+        let g = generators::path(3);
         let err = ShardedExecutor::new(ShardedConfig::default())
-            .run(&csr, &DoubleSender)
+            .run(&g, &DoubleSender)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1475,7 +1474,7 @@ mod tests {
             capacity_words: 2,
             ..ShardedConfig::default()
         };
-        ShardedExecutor::new(cfg).run(&csr, &DoubleSender).unwrap();
+        ShardedExecutor::new(cfg).run(&g, &DoubleSender).unwrap();
     }
 
     #[test]
@@ -1497,22 +1496,22 @@ mod tests {
                 false
             }
         }
-        let csr = CsrGraph::from_graph(&generators::path(3));
+        let g = generators::path(3);
         let cfg = ShardedConfig {
             max_rounds: 10,
             ..ShardedConfig::default()
         };
         assert_eq!(
-            ShardedExecutor::new(cfg).run(&csr, &Spinner).unwrap_err(),
+            ShardedExecutor::new(cfg).run(&g, &Spinner).unwrap_err(),
             RuntimeError::RoundLimit { limit: 10 }
         );
     }
 
     #[test]
     fn empty_graph_finishes_immediately() {
-        let csr = CsrGraph::from_graph(&mfd_graph::Graph::new(0));
+        let g = mfd_graph::Graph::new(0);
         let run = ShardedExecutor::new(ShardedConfig::default())
-            .run(&csr, &Mixer { rounds: 3 })
+            .run(&g, &Mixer { rounds: 3 })
             .unwrap();
         assert_eq!(run.rounds, 0);
         assert_eq!(run.messages, 0);
@@ -1521,21 +1520,21 @@ mod tests {
 
     #[test]
     fn arena_high_water_marks_are_deterministic_and_positive() {
-        let csr = CsrGraph::from_graph(&generators::triangulated_grid(8, 8));
+        let g = generators::triangulated_grid(8, 8);
         let program = Mixer { rounds: 4 };
         let runs: Vec<ArenaStats> = [1, 4]
             .iter()
             .map(|&threads| {
                 ShardedExecutor::new(ShardedConfig::with_shards_threads(4, threads))
-                    .run(&csr, &program)
+                    .run(&g, &program)
                     .unwrap()
                     .arena
             })
             .collect();
         assert_eq!(runs[0], runs[1], "hwm must be thread-count-invariant");
         // Every broadcast round stages 2m envelopes, all delivered.
-        assert_eq!(runs[0].route_slots_hwm, 2 * csr.m());
-        assert_eq!(runs[0].mailbox_slots_hwm, 2 * csr.m());
+        assert_eq!(runs[0].route_slots_hwm, 2 * g.m());
+        assert_eq!(runs[0].mailbox_slots_hwm, 2 * g.m());
     }
 
     /// The layouts the checkpoint tests cross: one shard, uneven shards, more
@@ -1557,7 +1556,7 @@ mod tests {
     #[allow(clippy::type_complexity)]
     fn journal<P>(
         exec: &ShardedExecutor,
-        csr: &CsrGraph,
+        g: &Graph,
         program: &P,
         every: u64,
     ) -> (
@@ -1571,7 +1570,7 @@ mod tests {
     {
         let mut sink = DigestSink::new();
         let mut captured = Vec::new();
-        let mut session = exec.start(csr, program, &mut sink);
+        let mut session = exec.start(g, program, &mut sink);
         while let Some(round) = session.step().unwrap() {
             if round % every == 0 {
                 captured.push((session.checkpoint(), session.observer().export()));
@@ -1595,7 +1594,6 @@ mod tests {
         P: NodeProgram,
         P::State: Clone + PartialEq + std::fmt::Debug + std::hash::Hash,
     {
-        let csr = CsrGraph::from_graph(g);
         let mut reference_sink = DigestSink::new();
         let full = Executor::new(ExecutorConfig {
             capacity_words,
@@ -1606,7 +1604,7 @@ mod tests {
 
         let mut rounds = Vec::new();
         for exec in layouts(capacity_words) {
-            let (run, sink, captured) = journal(&exec, &csr, program, every);
+            let (run, sink, captured) = journal(&exec, g, program, every);
             assert_eq!(run.states, full.states);
             assert_eq!(run.meter.to_parts(), full.meter.to_parts());
             assert_eq!(sink.chain(), reference_sink.chain());
@@ -1617,7 +1615,7 @@ mod tests {
                 let resident: usize = cp.inbox.iter().map(Vec::len).sum();
                 for other in layouts(capacity_words) {
                     let mut sink = DigestSink::restore(digest_state.clone());
-                    let mut session = other.restore(&csr, program, cp.clone(), &mut sink).unwrap();
+                    let mut session = other.restore(g, program, cp.clone(), &mut sink).unwrap();
                     let next = (cp.round < full.rounds).then_some(cp.round + 1);
                     assert_eq!(session.step().unwrap(), next);
                     while session.step().unwrap().is_some() {}
@@ -1631,7 +1629,7 @@ mod tests {
                     assert!((resident..=all.mailbox_slots_hwm).contains(&marks.mailbox_slots_hwm));
                     assert!(marks.route_slots_hwm <= all.route_slots_hwm);
                     let idle = other
-                        .restore(&csr, program, cp.clone(), &mut NullSink)
+                        .restore(g, program, cp.clone(), &mut NullSink)
                         .unwrap()
                         .finish();
                     assert_eq!(
@@ -1730,7 +1728,7 @@ mod tests {
             capacity_words: 2,
             ..ShardedConfig::default()
         })
-        .run(&CsrGraph::from_graph(&g), &worded)
+        .run(&g, &worded)
         .unwrap_err();
         assert!(matches!(
             err,
@@ -1770,15 +1768,15 @@ mod tests {
             capacity_words: 1 << 31,
             ..ShardedConfig::with_shards_threads(1, 1)
         };
-        let csr = CsrGraph::from_graph(&generators::path(3));
-        let _ = ShardedExecutor::new(cfg).run(&csr, &NeverBuilt);
+        let g = generators::path(3);
+        let _ = ShardedExecutor::new(cfg).run(&g, &NeverBuilt);
     }
 
     #[test]
     fn resumed_round_budget_counts_total_rounds() {
-        let csr = CsrGraph::from_graph(&generators::cycle(6));
+        let g = generators::cycle(6);
         let program = Mixer { rounds: 20 };
-        let (_, _, captured) = journal(&layouts(1)[1], &csr, &program, 5);
+        let (_, _, captured) = journal(&layouts(1)[1], &g, &program, 5);
 
         // A budget the full run exceeds must still fail after a resume from
         // round 5 — the budget meters total rounds, not rounds since resume.
@@ -1788,7 +1786,7 @@ mod tests {
         });
         let mut sink = NullSink;
         let mut session = tight
-            .restore(&csr, &program, captured[0].0.clone(), &mut sink)
+            .restore(&g, &program, captured[0].0.clone(), &mut sink)
             .unwrap();
         let err = loop {
             match session.step() {
@@ -1800,7 +1798,7 @@ mod tests {
         assert_eq!(err, RuntimeError::RoundLimit { limit: 10 });
         // A checkpoint already past the budget is refused up front.
         let err = tight
-            .restore(&csr, &program, captured[2].0.clone(), &mut sink)
+            .restore(&g, &program, captured[2].0.clone(), &mut sink)
             .err();
         assert!(matches!(
             err,

@@ -518,7 +518,6 @@ impl<M> VertexSim<M> {
 struct Engine<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> {
     g: &'a Graph,
     program: &'a P,
-    adj: Vec<Vec<usize>>,
     config: &'a SimConfig,
     hook: &'a F,
     observer: &'a mut O,
@@ -588,7 +587,6 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         Engine {
             g,
             program,
-            adj: driver::sorted_adjacency(g),
             config,
             hook,
             observer,
@@ -627,7 +625,7 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
     ) -> Self {
         let mut engine = Self::assemble(g, program, config, hook, observer);
         let (n, seed) = (engine.n, config.seed);
-        let ctx = |v| NodeCtx::new(v, n, 0, &engine.adj[v], seed);
+        let ctx = |v| NodeCtx::new(v, n, 0, g.neighbors(v), seed);
         let states: Vec<P::State> = (0..n).map(|v| program.init(&ctx(v))).collect();
         let vx: Vec<VertexSim<P::Msg>> = (0..n)
             .map(|v| VertexSim {
@@ -663,11 +661,12 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
     fn start(&mut self) -> Result<(), RuntimeError> {
         for v in 0..self.n {
             if self.vx[v].halted {
-                for i in 0..self.adj[v].len() {
+                let g = self.g;
+                for &u in g.neighbors(v) {
                     self.send_packet(
                         Packet {
                             src: v,
-                            dst: self.adj[v][i],
+                            dst: u,
                             tag: 0,
                             payload: Vec::new(),
                             halt: true,
@@ -1099,8 +1098,8 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         }
         self.leave_round(v, r, true);
         let delay = self.hook.detection_delay().max(1);
-        for i in 0..self.adj[v].len() {
-            let u = self.adj[v][i];
+        let g = self.g;
+        for &u in g.neighbors(v) {
             self.stats.crash_notices += 1;
             self.enqueue(
                 Packet {
@@ -1161,7 +1160,7 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
             .values()
             .filter(|&&last| last < need)
             .count();
-        heard + excused == self.adj[v].len()
+        heard + excused == self.g.degree(v)
     }
 
     fn execute_round(&mut self, v: usize, now: u64) -> Result<(), RuntimeError> {
@@ -1196,7 +1195,7 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
             );
         }
 
-        let ctx = NodeCtx::new(v, self.n, r, &self.adj[v], self.config.seed);
+        let ctx = NodeCtx::new(v, self.n, r, self.g.neighbors(v), self.config.seed);
         let out: VertexRound<P::Msg> = driver::step_vertex(
             self.program,
             &ctx,
@@ -1276,8 +1275,8 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
 
         // The synchronizer pulse: one packet per neighbor, tagged with this
         // round, carrying the payload for that edge and the halt flag.
-        for i in 0..self.adj[v].len() {
-            let u = self.adj[v][i];
+        let g = self.g;
+        for &u in g.neighbors(v) {
             let payload = by_nbr.remove(&u).unwrap_or_default();
             self.send_packet(
                 Packet {

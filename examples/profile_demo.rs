@@ -16,17 +16,17 @@ use mfd_prof::{calibrate_threshold, chrome_profile, first_regression};
 use mfd_runtime::profile::PHASE_STEP;
 
 fn main() {
-    let csr = gen::mesh(200, 200);
+    let g = gen::mesh(200, 200);
     println!(
         "graph: mesh-200x200 (n = {}, m = {}), program: voronoi-ldd-64, 16 shards\n",
-        csr.n(),
-        csr.m()
+        g.n(),
+        g.m()
     );
 
     // 1. A profiled, verified run. The harness double-runs the workload and
     //    asserts the profiled execution bit-identical to the plain one —
     //    instrumentation lives outside every sequential commit point.
-    let run = profile_sharded_algo(&csr, Algo::Ldd(64), 16, 0, "profile_demo");
+    let run = profile_sharded_algo(&g, Algo::Ldd(64), 16, 0, "profile_demo");
     print!("{}", run.profile.summary());
     println!(
         "verified: digest head {:016x} identical with and without the profiler\n",
@@ -79,7 +79,7 @@ fn main() {
     };
     let base = series(&run);
     let twin = series(&profile_sharded_algo(
-        &csr,
+        &g,
         Algo::Ldd(64),
         16,
         0,

@@ -11,7 +11,7 @@
 use mfd_bench::replay::{executor_journal, resume_executor, resume_sim, sim_journal};
 use mfd_bench::trace::DivergenceProbe;
 use mfd_faults::{FaultModel, Reliable};
-use mfd_graph::{generators, CsrGraph};
+use mfd_graph::generators;
 use mfd_replay::Journal;
 use mfd_runtime::{ExecCheckpoint, ExecutorConfig};
 use mfd_sim::LatencyModel;
@@ -19,7 +19,6 @@ use mfd_trace::NullSink;
 
 fn main() {
     let g = generators::triangulated_grid(8, 8);
-    let csr = CsrGraph::from_graph(&g);
     let cfg = ExecutorConfig::default();
     let probe = DivergenceProbe::clean(16);
     println!(
@@ -30,7 +29,7 @@ fn main() {
 
     // 1. Journal a run: a checkpoint every 4 sealed rounds, each stamped
     //    with the digest-chain head at its round.
-    let full = executor_journal(&csr, &probe, &cfg, 4, "demo/probe").expect("probe runs");
+    let full = executor_journal(&g, &probe, &cfg, 4, "demo/probe").expect("probe runs");
     println!(
         "journaled executor run: {} rounds, {} checkpoints, final head {:016x}",
         full.journal.rounds(),
@@ -52,7 +51,7 @@ fn main() {
     // 3. Kill and resume: restore the round-8 checkpoint and continue. The
     //    resumed digest chain equals the uninterrupted run's, round for
     //    round — the crash was invisible.
-    let resumed = resume_executor(&reloaded, 8, &csr, &probe, &cfg).expect("journal resumes");
+    let resumed = resume_executor(&reloaded, 8, &g, &probe, &cfg).expect("journal resumes");
     assert_eq!(resumed.sink.chain(), full.sink.chain());
     assert_eq!(resumed.run.states, full.run.states);
     println!(
@@ -71,7 +70,7 @@ fn main() {
     let exec = mfd_bench::sync_executor(&cfg);
     let mut sink = NullSink;
     let mut session = exec
-        .restore(&csr, &probe, restored, &mut sink)
+        .restore(&g, &probe, restored, &mut sink)
         .expect("the journal's checkpoint fits its own graph");
     while session
         .step()

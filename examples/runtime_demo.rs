@@ -10,8 +10,8 @@ use mfd_congest::{primitives, RoundMeter};
 use mfd_core::cole_vishkin::{color_rooted_forest_scheduled, cv_schedule_len, is_proper_coloring};
 use mfd_core::ldd::voronoi_ldd;
 use mfd_core::programs::{run_bfs, run_cole_vishkin, run_voronoi_ldd, BfsProgram};
+use mfd_graph::generators;
 use mfd_graph::properties::splitmix64;
-use mfd_graph::{generators, CsrGraph};
 use mfd_runtime::{run_each, ExecutorConfig, ShardedConfig, ShardedExecutor};
 use mfd_trace::NullSink;
 
@@ -76,9 +76,8 @@ fn main() {
     // 4. Cluster-scoped execution: BFS inside every Voronoi cell in parallel
     //    on the sharded CSR engine, with max-round (merge_parallel) accounting.
     let clusters: Vec<Vec<usize>> = clustering.clusters().map(|c| c.to_vec()).collect();
-    let csr = CsrGraph::from_graph(&g);
     let runs = run_each(clusters.len(), &ExecutorConfig::default(), |idx, engine| {
-        let (view, _) = csr.induced_subgraph(&clusters[idx]);
+        let (view, _) = g.induced_subgraph(&clusters[idx]);
         let run = engine.run(&view, &BfsProgram { root: 0 })?;
         Ok(((), run.meter))
     })
@@ -98,11 +97,9 @@ fn main() {
     //    layout — the checkpoint is plain data in vertex order, so the
     //    continuation is bit-identical to the uninterrupted run.
     let program = BfsProgram { root: 0 };
-    let full = executor
-        .run(&csr, &program)
-        .expect("BFS is model-compliant");
+    let full = executor.run(&g, &program).expect("BFS is model-compliant");
     let mut sink = NullSink;
-    let mut session = executor.start(&csr, &program, &mut sink);
+    let mut session = executor.start(&g, &program, &mut sink);
     for _ in 0..10 {
         session.step().expect("BFS is model-compliant");
     }
@@ -110,7 +107,7 @@ fn main() {
     let other = ShardedExecutor::new(ShardedConfig::with_shards_threads(3, 2));
     let mut sink = NullSink;
     let mut resumed = other
-        .restore(&csr, &program, checkpoint, &mut sink)
+        .restore(&g, &program, checkpoint, &mut sink)
         .expect("the checkpoint fits the graph it was captured on");
     while resumed.step().expect("BFS is model-compliant").is_some() {}
     let resumed = resumed.finish();

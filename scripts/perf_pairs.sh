@@ -12,11 +12,12 @@
 # the change is the working tree as it stands. Both build offline. Every run's
 # output check must pass, and every run is printed, not only the summary.
 # Counts are exact: the script exits 1, naming the pair, as soon as base and
-# change disagree on congest_rounds or messages.
+# change disagree on congest_rounds, messages or the state checksum note (a
+# change that alters a graph but keeps its counts still fails).
 # (ROADMAP item 1's `perf ab` is what replaces this.)
 set -euo pipefail
 
-[ $# -ge 1 ] || { sed -n '2,16p' "$0"; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,17p' "$0"; exit 2; }
 cd "$(git rev-parse --show-toplevel)"
 base_rev=$(git rev-parse --verify --short "$1^{commit}")
 shift
@@ -43,26 +44,31 @@ declare -A bin=([base]="$base_dir/perf/target/release/perf" [change]="perf/targe
 
 runs=$(mktemp)
 trap 'rm -f "$runs"' EXIT
-# One run: appends "workload side pair metric value" lines to $runs.
+# One run: appends "workload side pair metric value" lines to $runs, the
+# end-to-end metrics and the run's "state checksum" note.
 run_one() { # workload side pair seed
-    local json
-    json=$("${bin[$2]}" --workload "$1" --seed "$4" --seconds "$seconds" --trace 0 | tail -n 1)
+    local out json checksum
+    out=$("${bin[$2]}" --workload "$1" --seed "$4" --seconds "$seconds" --trace 0)
+    json=$(tail -n 1 <<<"$out")
+    checksum=$(sed -n 's/.*note: state checksum \([0-9a-f]*\).*/\1/p' <<<"$out")
     case $json in
         '{"correct": true,'*) ;;
         *) echo "$1 ($2, pair $3): output check failed: $json" >&2; exit 1 ;;
     esac
+    [ -n "$checksum" ] || { echo "$1 ($2, pair $3): no state checksum note" >&2; exit 1; }
     local m value
     for m in "${metrics[@]}"; do
         value=$(sed -E 's/.*"'"${m% *}"'": \{"value": ([^,}]+).*/\1/' <<<"$json")
         echo "$1 $2 $3 ${m% *} $value" >>"$runs"
     done
+    echo "$1 $2 $3 checksum $checksum" >>"$runs"
     echo "run $1 pair $3 seed $4 $2: $(grep "^$1 $2 $3 " "$runs" | awk '{printf "%s=%s ", $4, $5}')"
 }
 
-# The counts of a pair's two runs must be identical.
+# The counts and state checksums of a pair's two runs must be identical.
 check_counts() { # workload pair
     local m base change
-    for m in congest_rounds messages; do
+    for m in congest_rounds messages checksum; do
         base=$(awk -v k="$1 base $2 $m" '$1 " " $2 " " $3 " " $4 == k { print $5 }' "$runs")
         change=$(awk -v k="$1 change $2 $m" '$1 " " $2 " " $3 " " $4 == k { print $5 }' "$runs")
         if [ "$base" != "$change" ]; then

@@ -31,7 +31,7 @@ use proptest::prelude::*;
 /// vertices) crosses `DEFERRED_MIN_VERTICES` = 16384, and BFS floods the
 /// giant component in a handful of rounds — the test pays for folds, not
 /// for diameter.
-fn deferral_scale_graph() -> mfd_graph::CsrGraph {
+fn deferral_scale_graph() -> mfd_graph::Graph {
     gen::power_law(17_000, 51_000, 2.5, 0xC0117)
 }
 
@@ -41,8 +41,7 @@ fn deferral_scale_graph() -> mfd_graph::CsrGraph {
 /// digest heads all agree.
 #[test]
 fn deferral_scale_runs_are_identical_across_threads_and_shards() {
-    let csr = deferral_scale_graph();
-    let g = csr.to_graph();
+    let g = deferral_scale_graph();
     let program = BfsProgram { root: 0 };
 
     let mut reference = DigestSink::new();
@@ -55,7 +54,7 @@ fn deferral_scale_runs_are_identical_across_threads_and_shards() {
         for threads in [1usize, 4] {
             let mut sink = DigestSink::new();
             let run = ShardedExecutor::new(ShardedConfig::with_shards_threads(shards, threads))
-                .run_traced(&csr, &program, &mut sink)
+                .run_traced(&g, &program, &mut sink)
                 .unwrap();
             assert_eq!(
                 run.states, expected.states,
@@ -90,8 +89,7 @@ fn deferral_scale_runs_are_identical_across_threads_and_shards() {
 /// deferral actually engages.
 #[test]
 fn deferred_and_eager_sinks_fold_the_same_chain_on_engine_runs() {
-    let csr = deferral_scale_graph();
-    let g = csr.to_graph();
+    let g = deferral_scale_graph();
     let program = BfsProgram { root: 0 };
 
     let mut deferred = DigestSink::new();
@@ -107,11 +105,11 @@ fn deferred_and_eager_sinks_fold_the_same_chain_on_engine_runs() {
 
     let mut deferred = DigestSink::new();
     ShardedExecutor::new(ShardedConfig::with_shards_threads(16, 4))
-        .run_traced(&csr, &program, &mut deferred)
+        .run_traced(&g, &program, &mut deferred)
         .unwrap();
     let mut eager = DigestSink::with_snapshots();
     ShardedExecutor::new(ShardedConfig::with_shards_threads(16, 4))
-        .run_traced(&csr, &program, &mut eager)
+        .run_traced(&g, &program, &mut eager)
         .unwrap();
     assert_eq!(deferred.heads(), eager.heads(), "sharded");
 }
@@ -121,13 +119,13 @@ fn deferred_and_eager_sinks_fold_the_same_chain_on_engine_runs() {
 /// final states and chain head under the parallel-commit path.
 #[test]
 fn resumed_runs_cross_the_deferral_boundary_bit_identically() {
-    let csr = deferral_scale_graph();
+    let g = deferral_scale_graph();
     let program = BfsProgram { root: 0 };
     let exec = ShardedExecutor::new(ShardedConfig::with_shards_threads(16, 4));
 
     let mut sink = DigestSink::new();
     let mut cps = Vec::new();
-    let mut session = exec.start(&csr, &program, &mut sink);
+    let mut session = exec.start(&g, &program, &mut sink);
     while let Some(round) = session.step().unwrap() {
         if round % 2 == 0 {
             cps.push((session.checkpoint(), session.observer().export()));
@@ -139,7 +137,7 @@ fn resumed_runs_cross_the_deferral_boundary_bit_identically() {
     for (cp, digests) in cps {
         let round = cp.round;
         let mut rsink = DigestSink::restore(digests);
-        let mut session = exec.restore(&csr, &program, cp, &mut rsink).unwrap();
+        let mut session = exec.restore(&g, &program, cp, &mut rsink).unwrap();
         while session.step().unwrap().is_some() {}
         let resumed = session.finish();
         assert_eq!(resumed.states, full.states, "@{round}");
@@ -198,7 +196,6 @@ proptest! {
         shards in 1usize..9,
     ) {
         let g = generators::random_gnm(n, n + extra, seed);
-        let csr = mfd_graph::CsrGraph::from_graph(&g);
         let program = BfsProgram { root: 0 };
 
         let mut reference = DigestSink::new();
@@ -210,7 +207,7 @@ proptest! {
         for threads in [1usize, 3] {
             let mut sink = DigestSink::new();
             let run = ShardedExecutor::new(ShardedConfig::with_shards_threads(shards, threads))
-                .run_traced(&csr, &program, &mut sink)
+                .run_traced(&g, &program, &mut sink)
                 .unwrap();
             prop_assert_eq!(&run.states, &expected.states);
             prop_assert_eq!(run.rounds, expected.rounds);

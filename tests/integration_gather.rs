@@ -3,7 +3,7 @@
 //! differentially validated against the metered implementations.
 
 use mfd_congest::RoundMeter;
-use mfd_graph::{generators, CsrGraph, Graph};
+use mfd_graph::{generators, Graph};
 use mfd_prof::Profile;
 use mfd_routing::backend::{Executed, GatherBackend, GatherJob};
 use mfd_routing::gather::{gather_to_leader, tree_gather, GatherStrategy};
@@ -232,31 +232,29 @@ fn cluster_runner_matches_per_cluster_executor_runs_on_heterogeneous_batches() {
         generators::wheel(32),
     ];
     let total: usize = parts.iter().map(Graph::n).sum();
-    let mut ambient = Graph::new(total);
+    let mut edges = Vec::new();
     let mut clusters: Vec<Vec<usize>> = Vec::new();
     let mut offset = 0;
     for (i, g) in parts.iter().enumerate() {
-        for (u, v) in g.edges() {
-            ambient.add_edge(offset + u, offset + v);
-        }
+        edges.extend(g.edges().map(|(u, v)| (offset + u, offset + v)));
         if offset > 0 {
-            ambient.add_edge(offset - 1, offset);
+            edges.push((offset - 1, offset));
         }
         let mut members: Vec<usize> = (offset..offset + g.n()).rev().collect();
         members.rotate_left(3 * i + 1);
         clusters.push(members);
         offset += g.n();
     }
+    let ambient = Graph::from_edges(total, edges);
     let jobs: Vec<GatherJob> = clusters
         .iter()
         .zip(&parts)
         .map(|(members, part)| {
-            let (cluster, members) = ambient.induced_subgraph(members);
+            let (cluster, _) = ambient.induced_subgraph(members);
             assert_eq!(cluster.m(), part.m(), "the joining edges are dropped");
             GatherJob {
                 leader: max_degree_vertex(&cluster),
                 cluster,
-                members,
             }
         })
         .collect();
@@ -395,18 +393,17 @@ fn compare_tree_quiescence(g: &Graph, leader: usize, case: &str) -> (u64, u64) {
     let run = Executor::new(cfg.clone()).run(g, &exact).unwrap();
     check(&run.states, run.rounds, run.messages, "reference, exact");
 
-    let csr = CsrGraph::from_graph(g);
     let mut steps = (0, 0);
     for shards in [1, 4] {
         let exec = ShardedExecutor::new(ShardedConfig::matching(&cfg, shards));
         let mut profile = Profile::new();
         let run = exec
-            .run_profiled(&csr, &exact, &mut NullSink, &mut profile)
+            .run_profiled(g, &exact, &mut NullSink, &mut profile)
             .unwrap();
         check(&run.states, run.rounds, run.messages, "sharded, exact");
         let mut old_profile = Profile::new();
         let run = exec
-            .run_profiled(&csr, &old, &mut NullSink, &mut old_profile)
+            .run_profiled(g, &old, &mut NullSink, &mut old_profile)
             .unwrap();
         check(&run.states, run.rounds, run.messages, "sharded, old");
         if shards == 1 {

@@ -10,7 +10,7 @@
 //! construction; this suite is the regression net under it.
 
 use mfd_core::programs::{BfsProgram, VoronoiLddProgram};
-use mfd_graph::{gen, generators, CsrGraph};
+use mfd_graph::{gen, generators};
 use mfd_prof::Profile;
 use mfd_runtime::{Executor, ExecutorConfig, ShardedConfig, ShardedExecutor};
 use mfd_trace::DigestSink;
@@ -29,20 +29,20 @@ proptest! {
         threads in 1usize..5,
         centers in 1usize..5,
     ) {
-        let csr = gen::mesh(rows, cols);
-        let centers: Vec<usize> = (0..centers).map(|i| (i * csr.n()) / centers).collect();
-        let ldd = VoronoiLddProgram::new(csr.n(), &centers);
+        let g = gen::mesh(rows, cols);
+        let centers: Vec<usize> = (0..centers).map(|i| (i * g.n()) / centers).collect();
+        let ldd = VoronoiLddProgram::new(g.n(), &centers);
         let exec = ShardedExecutor::new(ShardedConfig::with_shards_threads(shards, threads));
 
         let mut profile = Profile::new();
         let mut sink = DigestSink::new();
         let profiled = exec
-            .run_profiled(&csr, &ldd, &mut sink, &mut profile)
+            .run_profiled(&g, &ldd, &mut sink, &mut profile)
             .expect("ldd is model-compliant");
 
         let mut plain_sink = DigestSink::new();
         let plain = exec
-            .run_traced(&csr, &ldd, &mut plain_sink)
+            .run_traced(&g, &ldd, &mut plain_sink)
             .expect("ldd is model-compliant");
 
         prop_assert_eq!(&profiled.states, &plain.states);
@@ -84,7 +84,7 @@ proptest! {
         let mut profile = Profile::new();
         let mut sink = DigestSink::new();
         let profiled = exec
-            .run_profiled(&CsrGraph::from_graph(&g), &bfs, &mut sink, &mut profile)
+            .run_profiled(&g, &bfs, &mut sink, &mut profile)
             .expect("bfs is model-compliant");
 
         let mut plain_sink = DigestSink::new();
@@ -107,15 +107,15 @@ proptest! {
 /// though the wall clocks differ.
 #[test]
 fn deterministic_profile_columns_are_run_invariant() {
-    let csr = gen::mesh(20, 20);
-    let centers: Vec<usize> = (0..8).map(|i| (i * csr.n()) / 8).collect();
-    let ldd = VoronoiLddProgram::new(csr.n(), &centers);
+    let g = gen::mesh(20, 20);
+    let centers: Vec<usize> = (0..8).map(|i| (i * g.n()) / 8).collect();
+    let ldd = VoronoiLddProgram::new(g.n(), &centers);
     let exec = ShardedExecutor::new(ShardedConfig::with_shards_threads(6, 2));
 
     let run_once = || {
         let mut profile = Profile::new();
         let mut sink = DigestSink::new();
-        exec.run_profiled(&csr, &ldd, &mut sink, &mut profile)
+        exec.run_profiled(&g, &ldd, &mut sink, &mut profile)
             .expect("ldd is model-compliant");
         profile
     };
@@ -138,19 +138,19 @@ fn deterministic_profile_columns_are_run_invariant() {
 fn traffic_matrix_matches_the_sends_whether_few_shard_pairs_talk_or_all() {
     // (graph, shards, whether every shard pair exchanges mail in some round)
     let cases = [
-        (CsrGraph::from_graph(&generators::path(640)), 64, false),
+        (generators::path(640), 64, false),
         (gen::mesh(32, 32), 64, false),
-        (CsrGraph::from_graph(&generators::complete(24)), 8, true),
+        (generators::complete(24), 8, true),
     ];
-    for (csr, shards, all_pairs_talk) in cases {
-        let depth = csr.bfs_distances(0);
-        let chunk = csr.n().div_ceil(shards);
+    for (g, shards, all_pairs_talk) in cases {
+        let depth = g.bfs_distances(0);
+        let chunk = g.n().div_ceil(shards);
         for threads in [1, 3] {
             let exec = ShardedExecutor::new(ShardedConfig::with_shards_threads(shards, threads));
             let mut profile = Profile::new();
             let run = exec
                 .run_profiled(
-                    &csr,
+                    &g,
                     &BfsProgram { root: 0 },
                     &mut DigestSink::new(),
                     &mut profile,
@@ -160,8 +160,8 @@ fn traffic_matrix_matches_the_sends_whether_few_shard_pairs_talk_or_all() {
             let mut messages = 0;
             for sample in &profile.rounds {
                 let mut expected = vec![0u64; shards * shards];
-                for v in (0..csr.n()).filter(|&v| depth[v] as u64 + 1 == sample.round) {
-                    for &u in csr.neighbors(v) {
+                for v in (0..g.n()).filter(|&v| depth[v] as u64 + 1 == sample.round) {
+                    for &u in g.neighbors(v) {
                         expected[v / chunk * shards + u / chunk] += 1;
                     }
                 }

@@ -18,7 +18,7 @@ use mfd_congest::{primitives, RoundMeter};
 use mfd_core::programs::{BfsProgram, ColeVishkinProgram};
 use mfd_faults::{FaultModel, Reliable};
 use mfd_graph::properties::splitmix64;
-use mfd_graph::{generators, CsrGraph, Graph};
+use mfd_graph::{generators, Graph};
 use mfd_replay::Journal;
 use mfd_routing::programs::TreeGatherProgram;
 use mfd_runtime::{Executor, ExecutorConfig};
@@ -59,7 +59,6 @@ proptest! {
         pick in 0u64..1_000_000,
     ) {
         let g = random_connected(n, extra, seed);
-        let csr = CsrGraph::from_graph(&g);
         let cfg = ExecutorConfig {
             seed: splitmix64(seed ^ 0x5EED),
             ..ExecutorConfig::default()
@@ -74,7 +73,7 @@ proptest! {
                 let exec = mfd_bench::sync_executor(&cfg);
                 let mut sink = DigestSink::new();
                 let mut cps = Vec::new();
-                let mut session = exec.start(&csr, $program, &mut sink);
+                let mut session = exec.start(&g, $program, &mut sink);
                 while let Some(round) = session.step().unwrap() {
                     if round % every == 0 {
                         cps.push((session.checkpoint(), session.observer().export()));
@@ -91,7 +90,7 @@ proptest! {
                 if !cps.is_empty() {
                     let (cp, digests) = cps.swap_remove((pick as usize) % cps.len());
                     let mut rsink = DigestSink::restore(digests);
-                    let mut session = exec.restore(&csr, $program, cp, &mut rsink).unwrap();
+                    let mut session = exec.restore(&g, $program, cp, &mut rsink).unwrap();
                     while session.step().unwrap().is_some() {}
                     let resumed = session.finish();
                     prop_assert_eq!(&resumed.states, &full.states);
@@ -148,10 +147,9 @@ proptest! {
             ..ExecutorConfig::default()
         };
         let probe = DivergenceProbe::clean(rounds);
-        let csr = CsrGraph::from_graph(&g);
 
-        let a = executor_journal(&csr, &probe, &cfg, every, "prop/exec").unwrap();
-        let b = executor_journal(&csr, &probe, &cfg, every, "prop/exec").unwrap();
+        let a = executor_journal(&g, &probe, &cfg, every, "prop/exec").unwrap();
+        let b = executor_journal(&g, &probe, &cfg, every, "prop/exec").unwrap();
         let bytes = a.journal.to_bytes();
         prop_assert_eq!(&bytes, &b.journal.to_bytes());
         let decoded = Journal::from_bytes(&bytes).unwrap();
@@ -180,10 +178,9 @@ proptest! {
         let cfg = ExecutorConfig::default();
         let probe = DivergenceProbe::clean(rounds);
 
-        let csr = CsrGraph::from_graph(&g);
-        let full = executor_journal(&csr, &probe, &cfg, 2, "prop/exec").unwrap();
+        let full = executor_journal(&g, &probe, &cfg, 2, "prop/exec").unwrap();
         for cp in &full.journal.checkpoints {
-            let r = resume_executor(&full.journal, cp.round, &csr, &probe, &cfg).unwrap();
+            let r = resume_executor(&full.journal, cp.round, &g, &probe, &cfg).unwrap();
             prop_assert_eq!(r.from_round, cp.round);
             prop_assert_eq!(r.sink.chain(), full.sink.chain());
             prop_assert_eq!(&r.run.states, &full.run.states);
@@ -354,11 +351,9 @@ fn states_at_reaches_the_last_round_on_both_engines() {
             }
         }
 
-        let csr = CsrGraph::from_graph(g);
-        let full = executor_journal(&csr, &probe, &cfg, 4, name).unwrap();
+        let full = executor_journal(g, &probe, &cfg, 4, name).unwrap();
         let last = full.journal.rounds();
-        let (reached, states) =
-            executor_states_at(&full.journal, last, &csr, &probe, &cfg).unwrap();
+        let (reached, states) = executor_states_at(&full.journal, last, g, &probe, &cfg).unwrap();
         assert_eq!((reached, &states), (last, &full.run.states), "{name}");
     }
 }

@@ -13,7 +13,7 @@ use mfd_core::programs::{
     run_bfs, run_cole_vishkin, run_voronoi_ldd, BfsProgram, ColeVishkinProgram,
 };
 use mfd_graph::properties::splitmix64;
-use mfd_graph::{generators, CsrGraph, Graph};
+use mfd_graph::{generators, Graph};
 use mfd_runtime::{
     run_each, Envelope, Executor, ExecutorConfig, NodeCtx, NodeProgram, Outbox, RuntimeError,
     ShardedConfig, ShardedExecutor,
@@ -98,7 +98,6 @@ fn voronoi_port_matches_centralized_on_all_families() {
 #[test]
 fn executions_are_deterministic_across_thread_counts() {
     let g = generators::triangulated_grid(12, 12);
-    let csr = CsrGraph::from_graph(&g);
     let id: Vec<u64> = (0..g.n() as u64).map(splitmix64).collect();
     let mut meter = RoundMeter::new();
     let tree = primitives::build_bfs_tree(&g, None, 0, &mut meter);
@@ -114,12 +113,12 @@ fn executions_are_deterministic_across_thread_counts() {
         let cfg = ShardedConfig::per_thread(&ExecutorConfig::with_threads(threads));
         let exec = ShardedExecutor::new(cfg);
         let mut sink = DigestSink::new();
-        let run = exec.run_traced(&csr, &cv, &mut sink).unwrap();
+        let run = exec.run_traced(&g, &cv, &mut sink).unwrap();
         assert_eq!(run.states, cv_ref.states, "{at}");
         assert_eq!(run.meter.to_parts(), cv_ref.meter.to_parts(), "{at}");
         assert_eq!(sink.chain(), cv_chain.chain(), "{at}");
         let mut sink = DigestSink::new();
-        let run = exec.run_traced(&csr, &bfs, &mut sink).unwrap();
+        let run = exec.run_traced(&g, &bfs, &mut sink).unwrap();
         assert_eq!(run.states, bfs_ref.states, "{at}");
         assert_eq!(run.meter.to_parts(), bfs_ref.meter.to_parts(), "{at}");
         assert_eq!(sink.chain(), bfs_chain.chain(), "{at}");
@@ -131,9 +130,8 @@ fn cluster_scoped_bfs_matches_per_cluster_centralized_runs() {
     let g = generators::triangulated_grid(10, 10);
     let clustering = chop_ldd(&g, 0.3, 3);
     let clusters: Vec<Vec<usize>> = clustering.clusters().map(|c| c.to_vec()).collect();
-    let csr = CsrGraph::from_graph(&g);
     let runs = run_each(clusters.len(), &ExecutorConfig::default(), |idx, engine| {
-        let (view, _) = csr.induced_subgraph(&clusters[idx]);
+        let (view, _) = g.induced_subgraph(&clusters[idx]);
         let run = engine.run(&view, &BfsProgram { root: 0 })?;
         Ok((run.states, run.meter))
     })
@@ -232,7 +230,7 @@ proptest! {
         let msgs: Vec<Message> = (0..copies).map(|_| Message::word(src, dst)).collect();
         let verdict = RoundMeter::new().check_round(&g, &msgs);
         let program = ScriptedSender { sends };
-        let result = executor().run(&CsrGraph::from_graph(&g), &program).map(|_| ());
+        let result = executor().run(&g, &program).map(|_| ());
         prop_assert_eq!(&result, &reference().run(&g, &program).map(|_| ()));
         prop_assert_eq!(verdict.is_ok(), result.is_ok(),
             "meter verdict {:?} vs executor {:?}", verdict, result);
@@ -258,7 +256,7 @@ proptest! {
             .collect();
         let expected = sends.len() as u64;
         let run = executor()
-            .run(&CsrGraph::from_graph(&g), &ScriptedSender { sends })
+            .run(&g, &ScriptedSender { sends })
             .unwrap();
         prop_assert_eq!(run.rounds, 1);
         prop_assert_eq!(run.messages, expected);
@@ -268,7 +266,7 @@ proptest! {
 
 #[test]
 fn self_send_is_rejected_as_non_edge() {
-    let g = CsrGraph::from_graph(&generators::path(3));
+    let g = generators::path(3);
     let err = executor()
         .run(
             &g,
@@ -281,4 +279,42 @@ fn self_send_is_rejected_as_non_edge() {
         err,
         RuntimeError::Model(CongestError::NotAnEdge { src: 1, dst: 1 })
     );
+}
+
+/// Records the neighbour row its engine hands each vertex, then halts.
+struct RowEcho;
+
+impl NodeProgram for RowEcho {
+    type State = Vec<usize>;
+    type Msg = u64;
+
+    fn init(&self, ctx: &NodeCtx) -> Vec<usize> {
+        ctx.neighbors.to_vec()
+    }
+
+    fn round(&self, _: &NodeCtx, _: &mut Vec<usize>, _: &[Envelope<u64>], _: &mut Outbox<'_, u64>) {
+    }
+
+    fn halted(&self, _: &NodeCtx, _: &Vec<usize>) -> bool {
+        true
+    }
+}
+
+/// Every engine hands a program the graph's own rows — increasing, whatever
+/// order the edges were built from — with no engine-side copy or re-sort to
+/// disagree about: the reference stepper, the sharded engine and the event
+/// simulator all report `g.neighbors(v)` for every vertex.
+#[test]
+fn every_engine_hands_programs_the_graphs_sorted_rows() {
+    let wheel = generators::wheel(24);
+    let mut scrambled: Vec<(usize, usize)> = wheel.edges().map(|(u, v)| (v, u)).collect();
+    scrambled.sort_unstable_by_key(|&(u, v)| splitmix64((u * 31 + v) as u64));
+    let g = Graph::from_edges(wheel.n(), scrambled);
+    assert_eq!(g, wheel);
+    let rows: Vec<Vec<usize>> = g.vertices().map(|v| g.neighbors(v).to_vec()).collect();
+    assert!(rows.iter().all(|row| row.windows(2).all(|w| w[0] < w[1])));
+    let sim = mfd_sim::Simulator::new(mfd_sim::SimConfig::default());
+    assert_eq!(reference().run(&g, &RowEcho).unwrap().states, rows);
+    assert_eq!(executor().run(&g, &RowEcho).unwrap().states, rows);
+    assert_eq!(sim.run(&g, &RowEcho).unwrap().states, rows);
 }

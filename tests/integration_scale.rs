@@ -1,27 +1,24 @@
 //! Scale-layer acceptance: the streaming `mfd_graph::gen` generators and the
-//! sharded CSR executor.
+//! sharded executor.
 //!
 //! Four properties are pinned here rather than in unit tests because they
 //! span crates: (1) the streaming generators are pure functions of their
-//! parameters that always emit *valid* CSR (sorted, deduplicated, symmetric,
-//! loop-free) and agree with the adjacency-map construction path at small n;
-//! (2) the sharded executor is bit-identical to the reference stepper —
-//! states, meters and digest chains — across shard and thread counts;
-//! (3) the entry points of `mfd-core` return exactly what the reference
-//! stepper computes; and (4) a step-able session's checkpoints are
+//! parameters that always emit *valid* CSR rows (sorted, deduplicated,
+//! symmetric, loop-free) and agree with the edge-list construction path at
+//! small n; (2) the sharded executor is bit-identical to the reference
+//! stepper — states, meters and digest chains — across shard and thread
+//! counts; (3) the entry points of `mfd-core` return exactly what the
+//! reference stepper computes; and (4) a step-able session's checkpoints are
 //! independent of the shard/thread layout, resume bit-identically on any
 //! layout, and are refused with a typed error when they do not fit.
 
 use mfd_congest::{primitives, RoundMeter};
 use mfd_core::clustering::Clustering;
-use mfd_core::edt::{build_edt, build_edt_csr, build_edt_with, EdtConfig};
 use mfd_core::programs::{
-    run_bfs, run_bfs_csr, run_voronoi_ldd, run_voronoi_ldd_csr, BfsProgram, ColeVishkinProgram,
-    VoronoiLddProgram,
+    run_bfs, run_voronoi_ldd, BfsProgram, ColeVishkinProgram, VoronoiLddProgram,
 };
 use mfd_graph::properties::splitmix64;
-use mfd_graph::{gen, generators, CsrGraph, Graph};
-use mfd_routing::backend::{Executed, Metered};
+use mfd_graph::{gen, generators, Graph};
 use mfd_runtime::{
     Envelope, ExecCheckpoint, Executor, ExecutorConfig, NodeProgram, RuntimeError, ShardedConfig,
     ShardedExecutor,
@@ -29,10 +26,10 @@ use mfd_runtime::{
 use mfd_trace::{DigestSink, DigestState, NullSink};
 use proptest::prelude::*;
 
-/// Structural validity of a CSR graph: monotone offsets, strictly ascending
-/// neighbor rows (sorted + deduplicated), no self-loops, symmetry, and a
-/// consistent edge count.
-fn assert_valid_csr(g: &CsrGraph) {
+/// Structural validity of a graph's CSR rows: monotone offsets, strictly
+/// ascending neighbor rows (sorted + deduplicated), no self-loops, symmetry,
+/// and a consistent edge count.
+fn assert_valid_csr(g: &Graph) {
     let offsets = g.offsets();
     assert_eq!(offsets.len(), g.n() + 1);
     assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
@@ -88,11 +85,11 @@ proptest! {
         );
     }
 
-    /// At small n the streaming emitters agree with the adjacency-map
-    /// construction path: rebuilding the emitted edge list through `Graph`
-    /// (whose `add_edge` deduplicates one insert at a time) and converting
-    /// back yields the identical CSR — both paths drop the same self-loops
-    /// and duplicates.
+    /// At small n the streaming emitters agree with the construction path
+    /// every other generator takes: the emitted edges handed back to
+    /// `Graph::from_edges` reversed, flipped and doubled rebuild the
+    /// identical graph — the build drops the same duplicates whatever order
+    /// and orientation they come in.
     #[test]
     fn streaming_generators_match_the_adjacency_map_path(
         scale in 3u32..6,
@@ -103,27 +100,24 @@ proptest! {
             gen::rmat(scale, edge_factor, seed),
             gen::power_law(1 << scale, edge_factor << scale, 2.5, seed),
         ] {
-            let mut adjacency = Graph::new(g.n());
-            for (u, v) in g.edges() {
-                adjacency.add_edge(u, v);
-            }
-            prop_assert_eq!(CsrGraph::from_graph(&adjacency), g.clone());
-            prop_assert_eq!(CsrGraph::from_graph(&g.to_graph()), g);
+            let mut edges: Vec<(usize, usize)> = g.edges().flat_map(|(u, v)| [(v, u), (u, v)]).collect();
+            edges.reverse();
+            prop_assert_eq!(Graph::from_edges(g.n(), edges), g);
         }
     }
 
-    /// `CsrGraph::induced_subgraph` is `Graph::induced_subgraph` followed by
-    /// the conversion, for member lists in any order, on the hash-map path
-    /// (`8·|S| < n`) and on the dense one — and rejects what its twin rejects.
+    /// `Graph::induced_subgraph` numbers vertex `i` of the subgraph
+    /// `members[i]` and keeps exactly the ambient edges between members, for
+    /// member lists in any order, on the hash-map path (`8·|S| < n`) and on
+    /// the dense one; it rejects duplicate and out-of-range members.
     #[test]
-    fn csr_induced_subgraph_matches_the_adjacency_map_twin(
+    fn induced_subgraph_matches_the_filtered_edge_list(
         n in 2usize..120,
         edge_factor in 1usize..4,
         keep in 1usize..100,
         seed in 0u64..1000,
     ) {
         let g = generators::random_gnm(n, edge_factor * n, seed);
-        let csr = CsrGraph::from_graph(&g);
         // A shuffled subset: order the vertices by a seeded hash, keep a
         // prefix (down to a single vertex, up to every one).
         let mut members: Vec<usize> = (0..n).collect();
@@ -131,23 +125,27 @@ proptest! {
         members.truncate((keep * n).div_ceil(100));
         for take in [members.len(), members.len().min(n / 9)] {
             let members = &members[..take];
-            let (sub, map) = csr.induced_subgraph(members);
-            let (expected, expected_map) = g.induced_subgraph(members);
+            let (sub, map) = g.induced_subgraph(members);
+            let mut local = vec![usize::MAX; n];
+            for (i, &v) in members.iter().enumerate() {
+                local[v] = i;
+            }
+            let kept = g
+                .edges()
+                .map(|(u, v)| (local[u], local[v]))
+                .filter(|&(i, j)| i != usize::MAX && j != usize::MAX);
             assert_valid_csr(&sub);
-            prop_assert_eq!(sub, CsrGraph::from_graph(&expected));
-            prop_assert_eq!(map, expected_map);
+            prop_assert_eq!(sub, Graph::from_edges(take, kept));
+            prop_assert_eq!(map, members.to_vec());
         }
         let rejected = |bad: usize| {
             let mut members = members.clone();
             members.push(bad);
-            let by_csr = std::panic::catch_unwind(|| csr.induced_subgraph(&members)).is_err();
-            let by_graph = std::panic::catch_unwind(|| g.induced_subgraph(&members)).is_err();
-            by_csr && by_graph
+            std::panic::catch_unwind(|| g.induced_subgraph(&members)).is_err()
         };
         prop_assert!(rejected(members[0]), "duplicate member");
         prop_assert!(rejected(n), "out-of-range member");
     }
-
     /// The sharded executor is bit-identical to the reference stepper on
     /// arbitrary graphs (sparse enough to be disconnected about as often as
     /// not), whatever the shard count — for a dense program that schedules
@@ -192,7 +190,7 @@ where
         .run(g, program)
         .unwrap();
     let run = ShardedExecutor::new(ShardedConfig::with_shards_threads(shards, 2))
-        .run(&CsrGraph::from_graph(g), program)
+        .run(g, program)
         .unwrap();
     assert_eq!(run.states, reference.states);
     assert_eq!(run.rounds, reference.rounds);
@@ -203,34 +201,36 @@ where
     );
 }
 
-/// The mesh family, pinned against a hand-built adjacency construction.
+/// The mesh family, pinned against a hand-built edge list.
 #[test]
 fn mesh_generator_matches_a_hand_built_grid() {
     let (rows, cols) = (5, 7);
-    let mut manual = Graph::new(rows * cols);
+    let mut manual = Vec::new();
     for r in 0..rows {
         for c in 0..cols {
             let v = r * cols + c;
             if c + 1 < cols {
-                manual.add_edge(v, v + 1);
+                manual.push((v, v + 1));
             }
             if r + 1 < rows {
-                manual.add_edge(v, v + cols);
+                manual.push((v, v + cols));
             }
             if c + 1 < cols && r + 1 < rows {
-                manual.add_edge(v, v + cols + 1); // the triangulating diagonal
+                manual.push((v, v + cols + 1)); // the triangulating diagonal
             }
         }
     }
-    assert_eq!(gen::mesh(rows, cols), CsrGraph::from_graph(&manual));
+    assert_eq!(
+        gen::mesh(rows, cols),
+        Graph::from_edges(rows * cols, manual)
+    );
 }
 
 /// Digest chains — not just final states — agree between engines and across
 /// shard and thread counts on a generated power-law graph.
 #[test]
 fn digest_chains_are_shard_and_thread_invariant() {
-    let csr = gen::power_law(256, 1024, 2.5, 0xC5A1E);
-    let g = csr.to_graph();
+    let g = gen::power_law(256, 1024, 2.5, 0xC5A1E);
     let program = BfsProgram { root: 0 };
 
     let mut reference = DigestSink::new();
@@ -242,7 +242,7 @@ fn digest_chains_are_shard_and_thread_invariant() {
         for threads in [1, 3] {
             let mut sink = DigestSink::new();
             let run = ShardedExecutor::new(ShardedConfig::with_shards_threads(shards, threads))
-                .run_traced(&csr, &program, &mut sink)
+                .run_traced(&g, &program, &mut sink)
                 .unwrap();
             assert_eq!(
                 run.states, expected.states,
@@ -257,46 +257,34 @@ fn digest_chains_are_shard_and_thread_invariant() {
     }
 }
 
-/// The `mfd-core` entry points return what the reference stepper computes:
-/// the `*_csr` functions against `Executor::run_traced` on the same program
-/// (outputs, full meters, digest chains), the `&Graph` wrappers against
-/// their `_csr` twins.
+/// The `mfd-core` entry points return what the reference stepper computes
+/// on the same program: outputs, full meters, and — run traced on the
+/// sharded engine they use — digest chains.
 #[test]
-fn csr_entry_points_match_their_adjacency_map_twins() {
+fn core_entry_points_match_the_reference_stepper() {
     let reference = Executor::new(ExecutorConfig::default());
     let sharded = ShardedExecutor::new(ShardedConfig::default());
     for g in [
         generators::triangulated_grid(9, 6),
         generators::wheel(48),
-        gen::rmat(6, 3, 7).to_graph(),
+        gen::rmat(6, 3, 7),
     ] {
-        let csr = CsrGraph::from_graph(&g);
-
         let bfs_program = BfsProgram { root: 0 };
         let mut ref_sink = DigestSink::new();
         let bfs_ref = reference
             .run_traced(&g, &bfs_program, &mut ref_sink)
             .unwrap();
-        let (bfs_csr, meter_csr) = run_bfs_csr(&csr, 0, &sharded).unwrap();
+        let (bfs, meter) = run_bfs(&g, 0, &sharded).unwrap();
         let unreached = usize::MAX;
         for (v, state) in bfs_ref.states.iter().enumerate() {
-            assert_eq!(bfs_csr.parent[v], state.parent.unwrap_or(unreached));
-            assert_eq!(
-                bfs_csr.depth[v],
-                state.depth.map_or(unreached, |d| d as usize)
-            );
+            assert_eq!(bfs.parent[v], state.parent.unwrap_or(unreached));
+            assert_eq!(bfs.depth[v], state.depth.map_or(unreached, |d| d as usize));
         }
-        assert_eq!(meter_csr.to_parts(), bfs_ref.meter.to_parts());
+        assert_eq!(meter.to_parts(), bfs_ref.meter.to_parts());
         let mut sink = DigestSink::new();
-        let traced = sharded.run_traced(&csr, &bfs_program, &mut sink).unwrap();
+        let traced = sharded.run_traced(&g, &bfs_program, &mut sink).unwrap();
         assert_eq!(traced.states, bfs_ref.states);
         assert_eq!(sink.chain(), ref_sink.chain());
-        let (bfs, meter) = run_bfs(&g, 0, &sharded).unwrap();
-        assert_eq!(
-            (bfs.parent, bfs.depth, bfs.height),
-            (bfs_csr.parent, bfs_csr.depth, bfs_csr.height)
-        );
-        assert_eq!(meter.to_parts(), meter_csr.to_parts());
 
         let centers = [0, g.n() / 3, g.n() - 1];
         let ldd_program = VoronoiLddProgram::new(g.n(), &centers);
@@ -304,38 +292,16 @@ fn csr_entry_points_match_their_adjacency_map_twins() {
         let ldd_ref = reference
             .run_traced(&g, &ldd_program, &mut ref_sink)
             .unwrap();
-        let (labels, lmeter_csr) = run_voronoi_ldd_csr(&csr, &centers, &sharded).unwrap();
-        for (v, state) in ldd_ref.states.iter().enumerate() {
-            assert_eq!(labels[v], state.center.map_or(v, |c| c as usize));
-        }
-        assert_eq!(lmeter_csr.to_parts(), ldd_ref.meter.to_parts());
+        let (clustering, lmeter) = run_voronoi_ldd(&g, &centers, &sharded).unwrap();
+        let labels = (ldd_ref.states.iter().enumerate())
+            .map(|(v, state)| state.center.map_or(v, |c| c as usize))
+            .collect();
+        assert_eq!(clustering, Clustering::from_labels(&g, labels));
+        assert_eq!(lmeter.to_parts(), ldd_ref.meter.to_parts());
         let mut sink = DigestSink::new();
-        let traced = sharded.run_traced(&csr, &ldd_program, &mut sink).unwrap();
+        let traced = sharded.run_traced(&g, &ldd_program, &mut sink).unwrap();
         assert_eq!(traced.states, ldd_ref.states);
         assert_eq!(sink.chain(), ref_sink.chain());
-        // `run_voronoi_ldd` canonicalizes labels through `Clustering`;
-        // materializing the raw CSR labels the same way must coincide.
-        let (clustering, lmeter) = run_voronoi_ldd(&g, &centers, &sharded).unwrap();
-        assert_eq!(Clustering::from_labels(&g, labels), clustering);
-        assert_eq!(lmeter.to_parts(), lmeter_csr.to_parts());
-
-        let (edt, emeter) = build_edt(&g, &EdtConfig::new(0.3));
-        let (edt_csr, emeter_csr) = build_edt_csr(&csr, &EdtConfig::new(0.3), &Metered);
-        assert_eq!(edt_csr.clustering, edt.clustering);
-        assert_eq!(edt_csr.epsilon_achieved, edt.epsilon_achieved);
-        assert_eq!(emeter_csr.rounds(), emeter.rounds());
-        assert_eq!(emeter_csr.messages(), emeter.messages());
-
-        // Executed, the CSR input is more than a detour: the whole-graph
-        // cluster rounds run on it as handed in.
-        let backend = Executed::default();
-        let (run, rmeter) = build_edt_with(&csr.to_graph(), &EdtConfig::new(0.3), &backend);
-        let (run_csr, rmeter_csr) = build_edt_csr(&csr, &EdtConfig::new(0.3), &backend);
-        assert_eq!(run_csr.clustering, run.clustering);
-        assert_eq!(run_csr.routing_rounds, run.routing_rounds);
-        assert_eq!(rmeter_csr.rounds(), rmeter.rounds());
-        assert_eq!(rmeter_csr.messages(), rmeter.messages());
-        assert_eq!(rmeter_csr.max_words_on_edge(), rmeter.max_words_on_edge());
     }
 }
 
@@ -379,7 +345,6 @@ fn checkpoints_are_layout_free_and_resume_anywhere<P>(
     P: NodeProgram,
     P::State: Clone + PartialEq + std::fmt::Debug + std::hash::Hash,
 {
-    let csr = CsrGraph::from_graph(g);
     let mut ref_sink = DigestSink::new();
     let full = Executor::new(ExecutorConfig::default())
         .run_traced(g, program, &mut ref_sink)
@@ -392,7 +357,7 @@ fn checkpoints_are_layout_free_and_resume_anywhere<P>(
         let exec = engine(layout);
         let mut sink = DigestSink::new();
         let mut captures: Captures<P> = Vec::new();
-        let mut session = exec.start(&csr, program, &mut sink);
+        let mut session = exec.start(g, program, &mut sink);
         while let Some(round) = session.step().unwrap() {
             assert_eq!(round, captures.len() as u64 + 1, "{at}");
             captures.push((session.checkpoint(), session.observer().export()));
@@ -419,7 +384,7 @@ fn checkpoints_are_layout_free_and_resume_anywhere<P>(
             let from = cp.round;
             let exec = engine(onto);
             let mut sink = DigestSink::restore(digests);
-            let mut session = exec.restore(&csr, program, cp, &mut sink).unwrap();
+            let mut session = exec.restore(g, program, cp, &mut sink).unwrap();
             let mut next = from;
             while let Some(round) = session.step().unwrap() {
                 next += 1;
@@ -461,12 +426,12 @@ fn session_checkpoints_are_layout_independent_and_resume_bit_identically() {
 }
 
 /// A probe session on the 8x8 triangulated grid captured after `round`.
-fn probe_checkpoint(rounds: u64, round: u64) -> (CsrGraph, ExecCheckpoint<u64, u64>) {
-    let csr = CsrGraph::from_graph(&generators::triangulated_grid(8, 8));
+fn probe_checkpoint(rounds: u64, round: u64) -> (Graph, ExecCheckpoint<u64, u64>) {
+    let g = generators::triangulated_grid(8, 8);
     let probe = mfd_bench::trace::DivergenceProbe::clean(rounds);
     let exec = engine((3, 1));
     let mut sink = NullSink;
-    let mut session = exec.start(&csr, &probe, &mut sink);
+    let mut session = exec.start(&g, &probe, &mut sink);
     while session
         .step()
         .unwrap()
@@ -474,21 +439,21 @@ fn probe_checkpoint(rounds: u64, round: u64) -> (CsrGraph, ExecCheckpoint<u64, u
         < round
     {}
     let checkpoint = session.checkpoint();
-    (csr, checkpoint)
+    (g, checkpoint)
 }
 
 /// (iii) The round budget keeps counting total rounds across a resume: a
 /// budget the full run exceeds still trips after restoring from round 5.
 #[test]
 fn resumed_round_budget_counts_total_rounds() {
-    let (csr, checkpoint) = probe_checkpoint(20, 5);
+    let (g, checkpoint) = probe_checkpoint(20, 5);
     let probe = mfd_bench::trace::DivergenceProbe::clean(20);
     let tight = ShardedExecutor::new(ShardedConfig {
         max_rounds: 10,
         ..ShardedConfig::with_shards_threads(3, 4)
     });
     let mut sink = NullSink;
-    let mut session = tight.restore(&csr, &probe, checkpoint, &mut sink).unwrap();
+    let mut session = tight.restore(&g, &probe, checkpoint, &mut sink).unwrap();
     for round in 6..=10 {
         assert_eq!(session.step(), Ok(Some(round)));
     }
@@ -500,10 +465,10 @@ fn resumed_round_budget_counts_total_rounds() {
 /// out-of-bounds index.
 #[test]
 fn hostile_checkpoints_are_refused_with_a_typed_error() {
-    let (csr, checkpoint) = probe_checkpoint(12, 4);
+    let (g, checkpoint) = probe_checkpoint(12, 4);
     let probe = mfd_bench::trace::DivergenceProbe::clean(12);
     let exec = engine((3, 4));
-    let refused = |g: &CsrGraph, cp: ExecCheckpoint<u64, u64>, exec: &ShardedExecutor| {
+    let refused = |g: &Graph, cp: ExecCheckpoint<u64, u64>, exec: &ShardedExecutor| {
         let mut sink = NullSink;
         match exec.restore(g, &probe, cp, &mut sink) {
             Err(RuntimeError::CheckpointMismatch {
@@ -518,12 +483,11 @@ fn hostile_checkpoints_are_refused_with_a_typed_error() {
     // The intact checkpoint is accepted.
     let mut sink = NullSink;
     assert!(exec
-        .restore(&csr, &probe, checkpoint.clone(), &mut sink)
+        .restore(&g, &probe, checkpoint.clone(), &mut sink)
         .is_ok());
 
     // Wrong n: a graph with fewer, and with more, vertices.
     for other in [generators::wheel(32), generators::wheel(100)] {
-        let other = CsrGraph::from_graph(&other);
         let (what, expected, found) = refused(&other, checkpoint.clone(), &exec);
         assert_eq!(
             (what, expected, found),
@@ -533,19 +497,19 @@ fn hostile_checkpoints_are_refused_with_a_typed_error() {
     // Truncated per-vertex arrays.
     let mut cp = checkpoint.clone();
     cp.inbox.pop();
-    assert_eq!(refused(&csr, cp, &exec), ("inbox length", 64, 63));
+    assert_eq!(refused(&g, cp, &exec), ("inbox length", 64, 63));
     let mut cp = checkpoint.clone();
     cp.halted.truncate(10);
-    assert_eq!(refused(&csr, cp, &exec), ("halted length", 64, 10));
+    assert_eq!(refused(&g, cp, &exec), ("halted length", 64, 10));
     // Mail from a non-neighbour: forged into one mailbox (in range, and out
     // of range), and wholesale by restoring onto another 64-vertex graph.
     for src in [63, 1 << 40] {
         let mut cp = checkpoint.clone();
         cp.inbox[0].push(Envelope { src, msg: 7 });
-        let (_, receiver, sender) = refused(&csr, cp, &exec);
+        let (_, receiver, sender) = refused(&g, cp, &exec);
         assert_eq!((receiver, sender), (0, src as u64));
     }
-    let hypercube = CsrGraph::from_graph(&generators::hypercube(6));
+    let hypercube = generators::hypercube(6);
     let (what, receiver, sender) = refused(&hypercube, checkpoint.clone(), &exec);
     assert!(what.contains("non-neighbour"), "{what}");
     assert!(!hypercube
@@ -557,12 +521,12 @@ fn hostile_checkpoints_are_refused_with_a_typed_error() {
         max_rounds: 3,
         ..ShardedConfig::default()
     });
-    let (_, expected, found) = refused(&csr, checkpoint.clone(), &tight);
+    let (_, expected, found) = refused(&g, checkpoint.clone(), &tight);
     assert_eq!((expected, found), (3, 4));
     let short = mfd_bench::trace::DivergenceProbe::clean(1);
     let mut sink = NullSink;
     assert!(matches!(
-        exec.restore(&csr, &short, checkpoint, &mut sink),
+        exec.restore(&g, &short, checkpoint, &mut sink),
         Err(RuntimeError::CheckpointMismatch {
             expected: 3,
             found: 4,
