@@ -44,7 +44,9 @@
 //!
 //! Everything map-shaped travels as sorted vectors, making the encoding a
 //! pure function of the state. That is what the CI determinism gate
-//! byte-diffs.
+//! byte-diffs. The event engine also *holds* its state that way: a
+//! `SimCheckpoint`'s vertex and packet lists are the engine's own vectors,
+//! cloned on capture and adopted as they are on restore.
 //!
 //! # Worked example: kill, resume, verify
 //!

@@ -131,6 +131,10 @@
 //! fit the graph is refused with
 //! [`mfd_runtime::RuntimeError::CheckpointMismatch`], never a panic.
 //!
+//! The checkpoint types are the engine's own state — capturing is cloning,
+//! restoring is checking and adopting — and the crate holds no hash map (its
+//! `clippy.toml` disallows one), so no state depends on hash order.
+//!
 //! A guided tour of this crate's role in the workspace lives in
 //! `docs/ARCHITECTURE.md` (section "mfd-sim").
 

@@ -28,9 +28,16 @@
 //! [`TieBreak`] exists to let tests *prove* that. Latencies are pure
 //! functions of `(seed, edge, round)`, making whole runs bit-for-bit
 //! reproducible.
+//!
+//! # State layout
+//!
+//! The engine's state is its checkpoint: [`VertexCheckpoint`]s of sorted
+//! vectors, an arena of [`PacketCheckpoint`]s and a window of per-round live
+//! counts from the frontier — no hash map anywhere. Capturing clones them;
+//! restoring checks them and adopts them as they are.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, VecDeque};
 
 use mfd_congest::{Message, MeterParts, RoundMeter};
 use mfd_graph::Graph;
@@ -142,13 +149,16 @@ pub type PendingBucket<M> = Vec<(usize, Vec<(M, usize)>)>;
 /// `(src, tag, idx)` replay order, carrying its payload last.
 pub type LateEntry<M> = (usize, u64, usize, M);
 
-/// One vertex's synchronizer state in a [`SimCheckpoint`].
+/// One vertex's synchronizer state — the form the engine holds it in, and
+/// the form a [`SimCheckpoint`] carries.
 ///
-/// Map-shaped engine state is captured as sorted vectors so the same engine
-/// state always encodes to the same bytes. The sorts are behaviorally inert:
-/// pending-buffer senders are re-sorted at consumption anyway, late messages
-/// replay in `(src, tag, idx)` order by construction, and the remaining keys
-/// are looked up, never iterated.
+/// Every map-shaped field is a vector sorted by its key, without repeats or
+/// empty entries, so the same engine state always encodes to the same bytes
+/// and a restored one is adopted as it is. The order is also the one the
+/// engine consumes: pending senders flatten into the synchronous inbox in
+/// increasing order, and late messages replay in `(src, tag, idx)` order.
+/// `pending` holds at most two tags, `next_round - 1` and `next_round`:
+/// adjacent vertices' local rounds never drift by more than one.
 #[derive(Debug, Clone)]
 pub struct VertexCheckpoint<M> {
     /// Halted normally.
@@ -159,9 +169,11 @@ pub struct VertexCheckpoint<M> {
     pub next_round: u64,
     /// Simulated time of the most recent execution.
     pub completion: u64,
-    /// Buffered packets by tag (sorted by tag; per-tag senders sorted).
+    /// Buffered packets by tag, awaiting consumption at local round
+    /// `tag + 1` (sorted by tag; per-tag senders sorted).
     pub pending: Vec<(u64, PendingBucket<M>)>,
-    /// Slipped messages by target round (sorted by round; entries in the
+    /// Messages the fault hook slipped, by the local round whose inbox they
+    /// join after its regular messages (sorted by round; entries in the
     /// deterministic `(src, tag, idx)` replay order).
     pub late: Vec<(u64, Vec<LateEntry<M>>)>,
     /// Final tag per halted/crashed neighbor (sorted by neighbor).
@@ -182,8 +194,12 @@ pub struct VertexCheckpoint<M> {
 /// input and answers [`RuntimeError::CheckpointMismatch`] instead of
 /// panicking: per-vertex lists that are not `n` long or per-edge lists that
 /// are not `m` long, a `round` past the round budget, a queued packet or a
-/// buffered sender that is not on an edge of the graph, and bookkeeping
-/// (`in_flight`, `cur_in_flight`, `live`, `round_pop`, `frontier`) that
+/// buffered sender that is not on an edge of the graph, a live vertex's next
+/// round outside `round + 1 ..= round + pending_rounds.len() + 1`, vertex
+/// lists out of [`VertexCheckpoint`]'s form (keys unsorted or repeated, an
+/// empty pending bucket or late list, a pending tag outside the window), and
+/// bookkeeping (`in_flight`, `cur_in_flight`, `live`, `frontier`, and
+/// `round_pop`, which must list the populated rounds in order) that
 /// disagrees with the vertex and packet lists it is derived from.
 #[derive(Debug, Clone)]
 pub struct SimCheckpoint<S, M> {
@@ -504,52 +520,41 @@ impl<P: NodeProgram, F: FaultHook> SessionEngine<P> for SimEngine<F> {
     }
 }
 
-/// One synchronizer packet in flight.
-struct Packet<M> {
-    src: usize,
-    dst: usize,
-    /// The sender's local round when the packet was sent.
-    tag: u64,
-    /// Program messages for this edge, in send order, with word sizes and
-    /// the rounds of extra lateness the fault hook imposed (0 = on time).
-    payload: Vec<(M, usize, u64)>,
-    /// Whether the sender halted after the tagged round (tag 0: at init).
-    halt: bool,
-    /// A failure-detector notification (crashed sender, no real packet):
-    /// only excuses the receiver from waiting past the tag.
-    notice: bool,
-}
-
-/// Buffered packets of one tag: per sender, its payload in send order.
-type TaggedBuffer<M> = Vec<(usize, Vec<(M, usize)>)>;
-
-/// A message the fault hook slipped to a later round, keyed for
-/// deterministic replay: `(sender, original tag, send index, message)`.
-type LateMsg<M> = (usize, u64, usize, M);
-
-/// Per-vertex synchronizer state.
-struct VertexSim<M> {
-    halted: bool,
-    /// Crash-stopped by the fault schedule (disjoint from `halted`).
-    crashed: bool,
-    /// The next local round this vertex will execute (starts at 1).
-    next_round: u64,
-    /// Simulated time of the most recent (eventually: final) execution.
-    completion: u64,
-    /// Buffered packets by tag: sender and payload, awaiting consumption at
-    /// local round `tag + 1`.
-    pending: HashMap<u64, TaggedBuffer<M>>,
-    /// Messages the fault hook slipped, keyed by the local round whose inbox
-    /// they will join (after that round's regular messages).
-    late: HashMap<u64, Vec<LateMsg<M>>>,
-    /// For each neighbor known to have halted: the last tag it sent.
-    nbr_final_tag: HashMap<usize, u64>,
-}
-
-impl<M> VertexSim<M> {
+impl<M> VertexCheckpoint<M> {
     /// Halted or crashed: no longer scheduled, mail dropped on arrival.
     fn gone(&self) -> bool {
         self.halted || self.crashed
+    }
+}
+
+/// Vectors of `(key, value)` pairs sorted by key, used as maps.
+mod sorted {
+    fn find<K: Ord, V>(list: &[(K, V)], key: &K) -> Result<usize, usize> {
+        list.binary_search_by(|(k, _)| k.cmp(key))
+    }
+
+    /// The value under `key`, if any.
+    pub(super) fn get<'l, K: Ord, V>(list: &'l [(K, V)], key: &K) -> Option<&'l V> {
+        find(list, key).ok().map(|i| &list[i].1)
+    }
+
+    /// The value under `key`, inserted as `V::default()` if absent.
+    pub(super) fn entry<K: Ord, V: Default>(list: &mut Vec<(K, V)>, key: K) -> &mut V {
+        let i = find(list, &key).unwrap_or_else(|i| {
+            list.insert(i, (key, V::default()));
+            i
+        });
+        &mut list[i].1
+    }
+
+    /// Removes and returns the value under `key`, if any.
+    pub(super) fn take<K: Ord, V>(list: &mut Vec<(K, V)>, key: &K) -> Option<V> {
+        find(list, key).ok().map(|i| list.remove(i).1)
+    }
+
+    /// Whether `list`'s keys strictly increase: sorted and free of repeats.
+    pub(super) fn strict<T, K: Ord>(list: &[T], key: impl Fn(&T) -> K) -> bool {
+        list.windows(2).all(|w| key(&w[0]) < key(&w[1]))
     }
 }
 
@@ -564,14 +569,16 @@ struct Engine<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> {
     max_rounds: u64,
     n: usize,
     states: Vec<P::State>,
-    vx: Vec<VertexSim<P::Msg>>,
+    /// Every vertex's synchronizer state, in the form a checkpoint carries
+    /// it (see [`VertexCheckpoint`] for the invariants kept).
+    vx: Vec<VertexCheckpoint<P::Msg>>,
     /// Min-heap of `(arrival time, seq, packet arena index)`. `seq` is
     /// unique per packet, so the arena index never decides ordering.
     heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    /// Packet arena; delivered slots are recycled through `free_slots`, so
-    /// the arena stays at peak-in-flight size rather than growing with every
-    /// packet ever sent.
-    packets: Vec<Option<Packet<P::Msg>>>,
+    /// Packet arena, each packet stamped with its heap key; delivered slots
+    /// are recycled through `free_slots`, so the arena stays at
+    /// peak-in-flight size rather than growing with every packet ever sent.
+    packets: Vec<Option<PacketCheckpoint<P::Msg>>>,
     free_slots: Vec<usize>,
     seq: u64,
     /// Reconstructed synchronous rounds: `per_round[r - 1]` holds every
@@ -584,25 +591,35 @@ struct Engine<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> {
     /// Rounds already submitted to `meter` (a prefix of `per_round`).
     submitted: usize,
     meter: RoundMeter,
-    /// Live (non-halted) vertices per `next_round` value, maintained
-    /// incrementally so the meter frontier needs no per-tick vertex scan.
-    round_pop: HashMap<u64, usize>,
+    /// Live (non-halted) vertices per `next_round` value, as a window of
+    /// rounds starting at the frontier: `round_pop[i]` counts round
+    /// `frontier + i`, and the front entry is non-zero while any vertex
+    /// lives. Maintained incrementally so the meter frontier needs no
+    /// per-tick vertex scan.
+    round_pop: VecDeque<usize>,
     /// Number of live vertices.
     live: usize,
     /// Smallest `next_round` among live vertices (`u64::MAX` once all have
     /// halted): every reconstructed round below it is final.
     frontier: u64,
     makespan: u64,
-    edge_index: HashMap<(usize, usize), usize>,
+    /// Edge numbering in `g.edges()` order: the edge from `u` to the
+    /// neighbor at position `i` of its row, when that neighbor is above `u`,
+    /// is `edge_row[u] + i`.
+    edge_row: Vec<usize>,
+    /// `g.edges()` for the final report, collected here: collected after the
+    /// run it would sit above the run's freed memory and keep the allocator
+    /// from reusing it, growing every further run's resident set.
     edges: Vec<(usize, usize)>,
     in_flight: Vec<usize>,
     edge_peak: Vec<usize>,
     cur_in_flight: usize,
+    /// Scratch for [`Engine::execute_round`], indexed by position in the
+    /// executing vertex's row: the payload for that neighbor, and how many
+    /// messages were sent to it. Empty between rounds.
+    outgoing: Vec<Vec<(P::Msg, usize, u64)>>,
+    sent: Vec<usize>,
     stats: SimStats,
-}
-
-fn ekey(u: usize, v: usize) -> (usize, usize) {
-    (u.min(v), u.max(v))
 }
 
 impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F, O> {
@@ -615,13 +632,15 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         hook: &'a F,
         observer: &'a mut O,
     ) -> Self {
-        let mut edge_index = HashMap::new();
-        let mut edges = Vec::with_capacity(g.m());
-        for (u, v) in g.edges() {
-            edge_index.insert(ekey(u, v), edges.len());
-            edges.push(ekey(u, v));
+        // `next` edges have a lower endpoint below `u`; `u`'s own follow
+        // them, from the first row position past the neighbors below `u`.
+        let mut edge_row = Vec::with_capacity(g.n());
+        let mut next = 0;
+        for u in g.vertices() {
+            let below = g.neighbors(u).partition_point(|&w| w < u);
+            edge_row.push(next - below);
+            next += g.degree(u) - below;
         }
-        let m = edges.len();
         Engine {
             g,
             program,
@@ -634,22 +653,26 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
             n: g.n(),
             states: Vec::new(),
             vx: Vec::new(),
-            heap: BinaryHeap::new(),
-            packets: Vec::new(),
-            free_slots: Vec::new(),
+            // Tick 0 puts a packet on every directed edge: reserving those 2m
+            // slots spares each run a realloc ladder that moves its peak RSS.
+            heap: BinaryHeap::with_capacity(2 * g.m()),
+            packets: Vec::with_capacity(2 * g.m()),
+            free_slots: Vec::with_capacity(2 * g.m()),
             seq: 0,
             per_round: Vec::new(),
             submitted: 0,
             meter: RoundMeter::with_capacity(config.capacity_words),
-            round_pop: HashMap::new(),
+            round_pop: VecDeque::new(),
             live: 0,
             frontier: u64::MAX,
             makespan: 0,
-            edge_index,
-            edges,
-            in_flight: vec![0; m],
-            edge_peak: vec![0; m],
+            edge_row,
+            edges: g.edges().collect(),
+            in_flight: vec![0; g.m()],
+            edge_peak: vec![0; g.m()],
             cur_in_flight: 0,
+            outgoing: Vec::new(),
+            sent: Vec::new(),
             stats: SimStats::default(),
         }
     }
@@ -665,23 +688,21 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         let (n, seed) = (engine.n, config.seed);
         let ctx = |v| NodeCtx::new(v, n, 0, g.neighbors(v), seed);
         let states: Vec<P::State> = (0..n).map(|v| program.init(&ctx(v))).collect();
-        let vx: Vec<VertexSim<P::Msg>> = (0..n)
-            .map(|v| VertexSim {
+        let vx: Vec<VertexCheckpoint<P::Msg>> = (0..n)
+            .map(|v| VertexCheckpoint {
                 halted: program.halted(&ctx(v), &states[v]),
                 crashed: false,
                 next_round: 1,
                 completion: 0,
-                pending: HashMap::new(),
-                late: HashMap::new(),
-                nbr_final_tag: HashMap::new(),
+                pending: Vec::new(),
+                late: Vec::new(),
+                nbr_final_tag: Vec::new(),
             })
             .collect();
         (engine.states, engine.vx) = (states, vx);
         engine.live = engine.vx.iter().filter(|x| !x.halted).count();
-        if engine.live > 0 {
-            engine.round_pop.insert(1, engine.live);
-            engine.frontier = 1;
-        }
+        (engine.round_pop, engine.frontier) = (VecDeque::from([engine.live]), 1);
+        engine.settle_frontier();
         // Round 0 is the initial configuration, digested exactly as the
         // synchronous engine digests it — the two chains share index 0.
         if O::ENABLED {
@@ -701,17 +722,7 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
             if self.vx[v].halted {
                 let g = self.g;
                 for &u in g.neighbors(v) {
-                    self.send_packet(
-                        Packet {
-                            src: v,
-                            dst: u,
-                            tag: 0,
-                            payload: Vec::new(),
-                            halt: true,
-                            notice: false,
-                        },
-                        0,
-                    );
+                    self.send_packet(v, u, 0, Vec::new(), true, 0);
                 }
             }
         }
@@ -732,7 +743,7 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
     fn tick(&mut self) -> Result<bool, RuntimeError> {
         let Some(&Reverse((now, _, _))) = self.heap.peek() else {
             debug_assert!(
-                self.vx.iter().all(VertexSim::gone),
+                self.vx.iter().all(VertexCheckpoint::gone),
                 "event queue drained with live vertices — synchronizer invariant broken"
             );
             return Ok(false);
@@ -761,80 +772,44 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         Ok(true)
     }
 
+    /// The `g.edges()` index of the edge `{u, v}`, if it is one.
+    fn edge(&self, u: usize, v: usize) -> Option<usize> {
+        let (lo, hi) = (u.min(v), u.max(v));
+        let row = *self.edge_row.get(lo)?;
+        Some(row + self.g.neighbors(lo).binary_search(&hi).ok()?)
+    }
+
+    /// The round window's non-zero entries as `(round, live vertices)`.
+    fn round_pop_listing(&self) -> Vec<(u64, usize)> {
+        self.round_pop
+            .iter()
+            .enumerate()
+            .filter(|&(_, &pop)| pop > 0)
+            .map(|(i, &pop)| (self.frontier + i as u64, pop))
+            .collect()
+    }
+
     /// Captures the engine's complete state (valid only between ticks).
     fn checkpoint(&self) -> SimCheckpoint<P::State, P::Msg>
     where
         P::State: Clone,
     {
-        let vx = self
-            .vx
-            .iter()
-            .map(|x| {
-                let mut pending: Vec<(u64, TaggedBuffer<P::Msg>)> = x
-                    .pending
-                    .iter()
-                    .map(|(&tag, buf)| {
-                        let mut buf = buf.clone();
-                        buf.sort_unstable_by_key(|&(src, _)| src);
-                        (tag, buf)
-                    })
-                    .collect();
-                pending.sort_unstable_by_key(|&(tag, _)| tag);
-                let mut late: Vec<(u64, Vec<LateMsg<P::Msg>>)> = x
-                    .late
-                    .iter()
-                    .map(|(&round, msgs)| {
-                        let mut msgs = msgs.clone();
-                        msgs.sort_unstable_by_key(|&(src, tag, idx, _)| (src, tag, idx));
-                        (round, msgs)
-                    })
-                    .collect();
-                late.sort_unstable_by_key(|&(round, _)| round);
-                let mut nbr_final_tag: Vec<(usize, u64)> =
-                    x.nbr_final_tag.iter().map(|(&u, &t)| (u, t)).collect();
-                nbr_final_tag.sort_unstable();
-                VertexCheckpoint {
-                    halted: x.halted,
-                    crashed: x.crashed,
-                    next_round: x.next_round,
-                    completion: x.completion,
-                    pending,
-                    late,
-                    nbr_final_tag,
-                }
-            })
-            .collect();
         let mut entries: Vec<(u64, u64, usize)> =
             self.heap.iter().map(|&Reverse(entry)| entry).collect();
         entries.sort_unstable();
         let queue = entries
             .into_iter()
-            .map(|(time, seq_key, idx)| {
-                let p = self.packets[idx].as_ref().expect("heap slot vacated");
-                PacketCheckpoint {
-                    time,
-                    seq_key,
-                    src: p.src,
-                    dst: p.dst,
-                    tag: p.tag,
-                    payload: p.payload.clone(),
-                    halt: p.halt,
-                    notice: p.notice,
-                }
-            })
+            .map(|(.., idx)| self.packets[idx].clone().expect("heap slot vacated"))
             .collect();
-        let mut round_pop: Vec<(u64, usize)> =
-            self.round_pop.iter().map(|(&r, &pop)| (r, pop)).collect();
-        round_pop.sort_unstable();
         SimCheckpoint {
             round: self.submitted as u64,
             states: self.states.clone(),
-            vx,
+            vx: self.vx.clone(),
             queue,
             seq: self.seq,
             pending_rounds: self.per_round[self.submitted..].to_vec(),
             meter: self.meter.to_parts(),
-            round_pop,
+            round_pop: self.round_pop_listing(),
             live: self.live,
             frontier: self.frontier,
             makespan: self.makespan,
@@ -847,8 +822,9 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
 
     /// Rebuilds the engine from a checkpoint — no `init`, no round-0 seal, no
     /// [`Engine::start`] — after checking it against `g` and the round
-    /// budget: every index the engine will follow, and every counter it
-    /// derives from the vertex and packet lists and then trusts.
+    /// budget: every index the engine will follow, every counter it derives
+    /// from the vertex and packet lists and then trusts, and the order of
+    /// every list it then adopts as its own state.
     fn restored(
         g: &'a Graph,
         program: &'a P,
@@ -858,7 +834,7 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         cp: SimCheckpoint<P::State, P::Msg>,
     ) -> Result<Self, RuntimeError> {
         let mut engine = Self::assemble(g, program, config, hook, observer);
-        let (n, m) = (engine.n, engine.edges.len());
+        let (n, m) = (engine.n, engine.in_flight.len());
         let mismatch = |what, expected: u64, found: u64| RuntimeError::CheckpointMismatch {
             what,
             expected,
@@ -880,10 +856,14 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         }
         let edge_of = |src: usize, dst: usize| {
             let what = "traffic to vertex `expected` from non-neighbour `found`";
-            let edge = engine.edge_index.get(&ekey(src, dst));
-            edge.copied().ok_or(mismatch(what, dst as u64, src as u64))
+            engine
+                .edge(src, dst)
+                .ok_or(mismatch(what, dst as u64, src as u64))
         };
-        let mut round_pop: HashMap<u64, usize> = HashMap::new();
+        // A live vertex is past every submitted round and at most one past
+        // the reconstructed ones; the window spans no more than that.
+        let first = cp.round.saturating_add(1);
+        let mut window = vec![0; cp.pending_rounds.len() + 1];
         for (v, x) in cp.vx.iter().enumerate() {
             let pending = x.pending.iter().flat_map(|(_, bucket)| bucket);
             let late = x.late.iter().flat_map(|(_, msgs)| msgs);
@@ -894,11 +874,31 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
             {
                 edge_of(src, v)?;
             }
-            if !(x.halted || x.crashed) {
-                if x.next_round == 0 {
-                    return Err(mismatch("a live vertex's next round", 1, 0));
-                }
-                *round_pop.entry(x.next_round).or_insert(0) += 1;
+            if !x.gone() {
+                let at = x.next_round.checked_sub(first);
+                let at = at.and_then(|i| usize::try_from(i).ok());
+                let Some(pop) = at.and_then(|i| window.get_mut(i)) else {
+                    return Err(mismatch("a live vertex's next round", first, x.next_round));
+                };
+                *pop += 1;
+            }
+            let r = x.next_round;
+            let orderly = sorted::strict(&x.pending, |&(tag, _)| tag)
+                && x.pending.iter().all(|(tag, bucket)| {
+                    (r.saturating_sub(1).max(1)..=r).contains(tag)
+                        && !bucket.is_empty()
+                        && sorted::strict(bucket, |&(src, _)| src)
+                })
+                && sorted::strict(&x.late, |&(round, _)| round)
+                && x.late.iter().all(|(_, msgs)| {
+                    !msgs.is_empty() && sorted::strict(msgs, |&(src, tag, idx, _)| (src, tag, idx))
+                })
+                && sorted::strict(&x.nbr_final_tag, |&(src, _)| src);
+            if !orderly {
+                let what = "buffers of vertex `expected` at next round `found`: keys unsorted \
+                            or repeated, an empty entry, or a pending tag outside \
+                            {`found` - 1, `found`}";
+                return Err(mismatch(what, v as u64, r));
             }
         }
         let mut in_flight = vec![0; m];
@@ -915,47 +915,27 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
             let what = "packets in flight";
             return Err(mismatch(what, queued as u64, cp.cur_in_flight as u64));
         }
-        let live: usize = round_pop.values().sum();
-        let frontier = round_pop.keys().copied().min().unwrap_or(u64::MAX);
-        if (cp.live, cp.frontier) != (live, frontier)
-            || round_pop != cp.round_pop.into_iter().collect()
+        engine.live = window.iter().sum();
+        (engine.round_pop, engine.frontier) = (window.into(), first);
+        engine.settle_frontier();
+        if (cp.live, cp.frontier) != (engine.live, engine.frontier)
+            || cp.round_pop != engine.round_pop_listing()
         {
             let what = "live vertices, or the rounds they are in";
-            return Err(mismatch(what, live as u64, cp.live as u64));
+            return Err(mismatch(what, engine.live as u64, cp.live as u64));
         }
 
-        engine.vx = cp
-            .vx
-            .into_iter()
-            .map(|x| VertexSim {
-                halted: x.halted,
-                crashed: x.crashed,
-                next_round: x.next_round,
-                completion: x.completion,
-                pending: x.pending.into_iter().collect(),
-                late: x.late.into_iter().collect(),
-                nbr_final_tag: x.nbr_final_tag.into_iter().collect(),
-            })
-            .collect();
         for p in cp.queue {
             let slot = engine.packets.len();
             engine.heap.push(Reverse((p.time, p.seq_key, slot)));
-            engine.packets.push(Some(Packet {
-                src: p.src,
-                dst: p.dst,
-                tag: p.tag,
-                payload: p.payload,
-                halt: p.halt,
-                notice: p.notice,
-            }));
+            engine.packets.push(Some(p));
         }
         engine.submitted = cp.round as usize;
         engine.per_round.resize_with(engine.submitted, Vec::new);
         engine.per_round.extend(cp.pending_rounds);
-        engine.states = cp.states;
+        (engine.states, engine.vx) = (cp.states, cp.vx);
         engine.seq = cp.seq;
         engine.meter = RoundMeter::from_parts(cp.meter);
-        (engine.round_pop, engine.live, engine.frontier) = (round_pop, live, frontier);
         engine.makespan = cp.makespan;
         (engine.in_flight, engine.edge_peak) = (in_flight, cp.edge_peak);
         engine.cur_in_flight = cp.cur_in_flight;
@@ -1012,8 +992,8 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         self.stats.stale_slipped += self
             .vx
             .iter()
-            .flat_map(|x| x.late.values())
-            .map(|msgs| msgs.len() as u64)
+            .flat_map(|x| &x.late)
+            .map(|(_, msgs)| msgs.len() as u64)
             .sum::<u64>();
         let completion: Vec<u64> = self.vx.iter().map(|x| x.completion).collect();
         let crashed: Vec<bool> = self.vx.iter().map(|x| x.crashed).collect();
@@ -1034,28 +1014,28 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         })
     }
 
-    fn arrive(&mut self, packet: Packet<P::Msg>, touched: &mut Vec<usize>) {
+    fn arrive(&mut self, packet: PacketCheckpoint<P::Msg>, touched: &mut Vec<usize>) {
+        let x = &mut self.vx[packet.dst];
         if packet.notice {
             // Failure-detector verdict: stop waiting for the crashed sender
             // past its final executed round. Not a network packet — no
             // congestion accounting, nothing enters any inbox.
-            if !self.vx[packet.dst].gone() {
-                self.vx[packet.dst]
-                    .nbr_final_tag
-                    .insert(packet.src, packet.tag);
+            if !x.gone() {
+                *sorted::entry(&mut x.nbr_final_tag, packet.src) = packet.tag;
                 touched.push(packet.dst);
             }
             return;
         }
-        let e = self.edge_index[&ekey(packet.src, packet.dst)];
+        let e = self
+            .edge(packet.src, packet.dst)
+            .expect("packets follow edges");
         self.in_flight[e] -= 1;
         self.cur_in_flight -= 1;
+        let x = &mut self.vx[packet.dst];
         if packet.halt {
-            self.vx[packet.dst]
-                .nbr_final_tag
-                .insert(packet.src, packet.tag);
+            *sorted::entry(&mut x.nbr_final_tag, packet.src) = packet.tag;
         }
-        if self.vx[packet.dst].gone() {
+        if x.gone() {
             // The synchronous engine likewise never reads mail addressed to a
             // halted vertex. Slipped/duplicated copies in the payload go
             // stale here, not into a late buffer, so they are counted now —
@@ -1069,27 +1049,35 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
             return;
         }
         if packet.tag >= 1 {
+            // Adjacent vertices' rounds never drift by more than one, so a
+            // live receiver's buffered tags are its next round and the one
+            // below: `pending` never holds more than two.
+            debug_assert!(
+                (x.next_round - 1..=x.next_round).contains(&packet.tag),
+                "tag {} reached vertex {} at next round {}: synchronizer skew broken",
+                packet.tag,
+                packet.dst,
+                x.next_round
+            );
             // Split the payload: on-time messages join the tag's synchronous
-            // inbox; slipped ones wait for their later target round. The
-            // packet itself is always registered — the skeleton is the ready
-            // pulse the synchronizer counts, faults only touch the payload.
+            // inbox; slipped ones wait for their later target round, in
+            // `(src, tag, idx)` replay order. The packet itself is always
+            // registered — the skeleton is the ready pulse the synchronizer
+            // counts, faults only touch the payload.
             let mut on_time = Vec::with_capacity(packet.payload.len());
             for (idx, (msg, words, slip)) in packet.payload.into_iter().enumerate() {
                 if slip == 0 {
                     on_time.push((msg, words));
                 } else {
-                    self.vx[packet.dst]
-                        .late
-                        .entry(packet.tag + 1 + slip)
-                        .or_default()
-                        .push((packet.src, packet.tag, idx, msg));
+                    let late = sorted::entry(&mut x.late, packet.tag + 1 + slip);
+                    let key = (packet.src, packet.tag, idx);
+                    let at = late.partition_point(|&(s, t, i, _)| (s, t, i) < key);
+                    late.insert(at, (packet.src, packet.tag, idx, msg));
                 }
             }
-            self.vx[packet.dst]
-                .pending
-                .entry(packet.tag)
-                .or_default()
-                .push((packet.src, on_time));
+            let bucket = sorted::entry(&mut x.pending, packet.tag);
+            let at = bucket.partition_point(|&(src, _)| src < packet.src);
+            bucket.insert(at, (packet.src, on_time));
         }
         // Even a tag-0 halt announcement can unblock the receiver (it stops
         // waiting for that neighbor), so the vertex is always re-examined.
@@ -1134,46 +1122,49 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
                 time: now,
             });
         }
-        self.leave_round(v, r, true);
+        self.leave_round(r, true);
         let delay = self.hook.detection_delay().max(1);
         let g = self.g;
         for &u in g.neighbors(v) {
             self.stats.crash_notices += 1;
-            self.enqueue(
-                Packet {
-                    src: v,
-                    dst: u,
-                    tag: r - 1,
-                    payload: Vec::new(),
-                    halt: false,
-                    notice: true,
-                },
-                now + delay,
-            );
+            self.enqueue(PacketCheckpoint {
+                time: now + delay,
+                seq_key: 0,
+                src: v,
+                dst: u,
+                tag: r - 1,
+                payload: Vec::new(),
+                halt: false,
+                notice: true,
+            });
         }
     }
 
     /// Frontier bookkeeping for a vertex leaving round `r`'s live population,
-    /// either for round `r + 1` or (halt/crash) for good. The frontier only
-    /// ever advances, so the catch-up walk is amortized over the whole run.
-    fn leave_round(&mut self, _v: usize, r: u64, gone: bool) {
-        if let Some(pop) = self.round_pop.get_mut(&r) {
-            *pop -= 1;
-            if *pop == 0 {
-                self.round_pop.remove(&r);
-            }
-        }
+    /// either for round `r + 1` or (halt/crash) for good.
+    fn leave_round(&mut self, r: u64, gone: bool) {
+        let i = (r - self.frontier) as usize;
+        self.round_pop[i] -= 1;
         if gone {
             self.live -= 1;
         } else {
-            *self.round_pop.entry(r + 1).or_insert(0) += 1;
-        }
-        if self.live == 0 {
-            self.frontier = u64::MAX;
-        } else {
-            while !self.round_pop.contains_key(&self.frontier) {
-                self.frontier += 1;
+            if i + 1 == self.round_pop.len() {
+                self.round_pop.push_back(0);
             }
+            self.round_pop[i + 1] += 1;
+        }
+        self.settle_frontier();
+    }
+
+    /// Moves the frontier past emptied rounds. It only ever advances, so the
+    /// walk is amortized over the whole run.
+    fn settle_frontier(&mut self) {
+        while self.round_pop.front() == Some(&0) {
+            self.round_pop.pop_front();
+            self.frontier += 1;
+        }
+        if self.round_pop.is_empty() {
+            self.frontier = u64::MAX;
         }
     }
 
@@ -1182,27 +1173,27 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
     /// (round 1 needs nothing — its synchronous inbox is empty).
     ///
     /// Counting suffices: every vertex sends exactly one packet per tag, so
-    /// `pending[need].len()` is the number of distinct neighbors heard from,
+    /// the bucket's length is the number of distinct neighbors heard from,
     /// and a neighbor whose final tag is below `need` never sent one — the
     /// two sets are disjoint and must jointly cover the neighborhood.
     fn ready(&self, v: usize) -> bool {
-        let r = self.vx[v].next_round;
-        if r == 1 {
+        let vx = &self.vx[v];
+        if vx.next_round == 1 {
             return true;
         }
-        let need = r - 1;
-        let vx = &self.vx[v];
-        let heard = vx.pending.get(&need).map_or(0, Vec::len);
+        let need = vx.next_round - 1;
+        let heard = sorted::get(&vx.pending, &need).map_or(0, Vec::len);
         let excused = vx
             .nbr_final_tag
-            .values()
-            .filter(|&&last| last < need)
+            .iter()
+            .filter(|&&(_, last)| last < need)
             .count();
         heard + excused == self.g.degree(v)
     }
 
     fn execute_round(&mut self, v: usize, now: u64) -> Result<(), RuntimeError> {
-        let r = self.vx[v].next_round;
+        let x = &mut self.vx[v];
+        let r = x.next_round;
         if r > self.max_rounds {
             return Err(RuntimeError::RoundLimit {
                 limit: self.max_rounds,
@@ -1210,8 +1201,7 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         }
         // The synchronous inbox for round r: tag r-1 payloads, flattened in
         // increasing sender order (the synchronous executor's commit order).
-        let mut buffered = self.vx[v].pending.remove(&(r - 1)).unwrap_or_default();
-        buffered.sort_unstable_by_key(|&(src, _)| src);
+        let buffered = sorted::take(&mut x.pending, &(r - 1)).unwrap_or_default();
         let mut inbox: Vec<Envelope<P::Msg>> = buffered
             .into_iter()
             .flat_map(|(src, payload)| {
@@ -1221,11 +1211,10 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
             })
             .collect();
         // Messages the fault hook slipped to this round join after the
-        // regular, sender-sorted ones, in a deterministic replay order
+        // regular, sender-sorted ones, in their deterministic replay order
         // (sender, original round, send index) that no event-queue
         // tie-breaking can perturb.
-        if let Some(mut late) = self.vx[v].late.remove(&r) {
-            late.sort_unstable_by_key(|&(src, tag, idx, _)| (src, tag, idx));
+        if let Some(late) = sorted::take(&mut x.late, &r) {
             self.stats.slipped_delivered += late.len() as u64;
             inbox.extend(
                 late.into_iter()
@@ -1262,18 +1251,21 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         }
         self.per_round[(r - 1) as usize].extend(driver::to_messages(v, &out.sends.msgs));
 
-        // Group this round's sends by destination, preserving send order,
-        // with the fault hook ruling on every message *after* it was metered
-        // (the sender pays for lost messages; only delivery changes). The
+        // Group this round's sends by neighbor, preserving send order, with
+        // the fault hook ruling on every message *after* it was metered (the
+        // sender pays for lost messages; only delivery changes). The
         // per-edge send index keys the hook's random stream.
-        let mut by_nbr: HashMap<usize, Vec<(P::Msg, usize, u64)>> = HashMap::new();
-        let mut sent_to: HashMap<usize, usize> = HashMap::new();
+        let g = self.g;
+        let neighbors = g.neighbors(v);
+        let mut outgoing = std::mem::take(&mut self.outgoing);
+        outgoing.resize_with(neighbors.len(), Vec::new);
+        self.sent.resize(neighbors.len(), 0);
         let seed = self.config.seed;
         for (dst, msg, words) in out.sends.msgs {
-            let counter = sent_to.entry(dst).or_insert(0);
-            let index = *counter;
-            *counter += 1;
-            let entry = by_nbr.entry(dst).or_default();
+            let slot = neighbors.binary_search(&dst).expect("sends follow edges");
+            let entry = &mut outgoing[slot];
+            let index = self.sent[slot];
+            self.sent[slot] += 1;
             let fate = self.hook.message_fate(seed, v, dst, r, index);
             if O::ENABLED {
                 let kind = match fate {
@@ -1306,72 +1298,78 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
             }
         }
 
-        self.vx[v].halted = out.halted;
-        self.vx[v].next_round = r + 1;
-        self.vx[v].completion = now;
-        self.leave_round(v, r, out.halted);
+        let x = &mut self.vx[v];
+        (x.halted, x.next_round, x.completion) = (out.halted, r + 1, now);
+        self.leave_round(r, out.halted);
 
         // The synchronizer pulse: one packet per neighbor, tagged with this
         // round, carrying the payload for that edge and the halt flag.
-        let g = self.g;
-        for &u in g.neighbors(v) {
-            let payload = by_nbr.remove(&u).unwrap_or_default();
-            self.send_packet(
-                Packet {
-                    src: v,
-                    dst: u,
-                    tag: r,
-                    payload,
-                    halt: out.halted,
-                    notice: false,
-                },
-                now,
-            );
+        self.sent.clear();
+        for (payload, &u) in outgoing.drain(..).zip(neighbors) {
+            self.send_packet(v, u, r, payload, out.halted, now);
         }
+        self.outgoing = outgoing;
         Ok(())
     }
 
-    fn send_packet(&mut self, packet: Packet<P::Msg>, now: u64) {
-        let delay = self
-            .config
-            .latency
-            .sample(self.config.seed, packet.src, packet.dst, packet.tag)
-            .max(1);
+    /// Sends a synchronizer packet along the edge `src → dst` at tick `now`:
+    /// samples the link latency and does the congestion accounting.
+    fn send_packet(
+        &mut self,
+        src: usize,
+        dst: usize,
+        tag: u64,
+        payload: Vec<(P::Msg, usize, u64)>,
+        halt: bool,
+        now: u64,
+    ) {
+        let delay = self.config.latency.sample(self.config.seed, src, dst, tag);
         if O::ENABLED {
             self.observer.event(&Event::Pulse {
                 time: now,
-                src: packet.src,
-                dst: packet.dst,
-                payload: packet.payload.len(),
-                halt: packet.halt,
+                src,
+                dst,
+                payload: payload.len(),
+                halt,
             });
         }
         self.stats.packets += 1;
-        if packet.payload.is_empty() {
+        if payload.is_empty() {
             self.stats.pure_pulses += 1;
         } else {
             self.stats.payload_packets += 1;
         }
-        let e = self.edge_index[&ekey(packet.src, packet.dst)];
+        let e = self.edge(src, dst).expect("packets follow edges");
         self.in_flight[e] += 1;
         self.cur_in_flight += 1;
         // Arrivals of a tick are processed before its sends, so these peaks
         // are independent of equal-time event ordering.
         self.edge_peak[e] = self.edge_peak[e].max(self.in_flight[e]);
         self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.cur_in_flight);
-        self.enqueue(packet, now + delay);
+        self.enqueue(PacketCheckpoint {
+            time: now + delay.max(1),
+            seq_key: 0,
+            src,
+            dst,
+            tag,
+            payload,
+            halt,
+            notice: false,
+        });
     }
 
-    /// Schedules `packet` for arrival at `when` (no latency sampling, no
-    /// congestion accounting — [`Engine::send_packet`] layers those on top;
-    /// crash notices use this directly).
-    fn enqueue(&mut self, packet: Packet<P::Msg>, when: u64) {
-        let seq = match self.config.tie_break {
+    /// Schedules `packet` for arrival at its `time`, stamping its sequence
+    /// key over the placeholder (no latency sampling, no congestion accounting —
+    /// [`Engine::send_packet`] layers those on top; crash notices use this
+    /// directly).
+    fn enqueue(&mut self, mut packet: PacketCheckpoint<P::Msg>) {
+        packet.seq_key = match self.config.tie_break {
             TieBreak::InsertionOrder => self.seq,
             TieBreak::ReverseInsertion => u64::MAX - self.seq,
         };
         self.seq += 1;
-        let idx = match self.free_slots.pop() {
+        let (time, seq) = (packet.time, packet.seq_key);
+        let slot = match self.free_slots.pop() {
             Some(slot) => {
                 self.packets[slot] = Some(packet);
                 slot
@@ -1381,7 +1379,7 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
                 self.packets.len() - 1
             }
         };
-        self.heap.push(Reverse((when, seq, idx)));
+        self.heap.push(Reverse((time, seq, slot)));
     }
 }
 

@@ -20,7 +20,7 @@ use mfd_core::programs::{BfsProgram, ColeVishkinProgram};
 use mfd_faults::{FaultModel, Reliable};
 use mfd_graph::properties::splitmix64;
 use mfd_graph::{generators, Graph};
-use mfd_replay::{Journal, Snapshot};
+use mfd_replay::{to_bytes, Journal, Snapshot};
 use mfd_routing::programs::TreeGatherProgram;
 use mfd_runtime::{Executor, ExecutorConfig, NodeProgram, SessionEngine, ShardedExecutor};
 use mfd_sim::{FaultOutcome, LatencyModel, NoFaults, SimConfig, SimEngine, Simulator};
@@ -117,9 +117,28 @@ where
     prop_assert_eq!(&bytes, &decoded.to_bytes());
 }
 
+/// A session opened from a decoded journal checkpoint captures, before it
+/// steps, exactly the bytes it was opened from: the engine holds its state
+/// in checkpoint form and adopts a restored checkpoint as it is.
+fn reopened_checkpoint_is_its_payload<E, P>(engine: &E, g: &Graph, program: &P, journal: &Journal)
+where
+    E: SessionEngine<P>,
+    E::Checkpoint: Snapshot,
+    P: NodeProgram,
+    P::State: Clone,
+{
+    for cp in &journal.checkpoints {
+        let decoded = journal.decode_checkpoint(cp).unwrap();
+        let mut sink = NullSink;
+        let session = engine.open(g, program, Some(decoded), &mut sink).unwrap();
+        let captured = to_bytes(&E::checkpoint(&session));
+        prop_assert_eq!(captured, cp.payload.clone(), "@{}", cp.round);
+    }
+}
+
 /// Every checkpoint of a journal, decoded and resumed, lands on the
-/// uninterrupted run's chain, states and counts. Returns the uninterrupted
-/// run and the resumed ones.
+/// uninterrupted run's chain, states and counts, and reopened captures its
+/// own bytes. Returns the uninterrupted run and the resumed ones.
 fn every_checkpoint_resumes<E>(
     engine: &E,
     g: &Graph,
@@ -130,6 +149,7 @@ where
     E::Checkpoint: Snapshot,
 {
     let full = journal(engine, g, probe, 2, "prop").unwrap();
+    reopened_checkpoint_is_its_payload(engine, g, probe, &full.journal);
     let mut resumed = Vec::new();
     for cp in &full.journal.checkpoints {
         let r = resume(engine, g, probe, &full.journal, cp.round).unwrap();
@@ -323,8 +343,10 @@ fn faulted_reliable_probe_journal_resumes_bit_identically() {
         "the run must be long enough to checkpoint more than once"
     );
 
-    // The journal survives a byte round-trip and still resumes.
+    // The journal survives a byte round-trip, reopens to its own bytes and
+    // still resumes.
     let reloaded = Journal::from_bytes(&full.journal.to_bytes()).unwrap();
+    reopened_checkpoint_is_its_payload(&sim, &g, &wrapped, &reloaded);
     for cp in &reloaded.checkpoints {
         let r = resume(&sim, &g, &wrapped, &reloaded, cp.round).unwrap();
         assert_eq!(r.from_round, cp.round);

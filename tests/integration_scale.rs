@@ -536,13 +536,16 @@ fn hostile_checkpoints_are_refused_with_a_typed_error() {
 }
 
 /// The event engine's twin of the test above: a `SimCheckpoint` is decoded
-/// from bytes just the same, and `Simulator::restore` follows its indices
+/// from bytes just the same, and `SimEngine`'s `open` follows its indices
 /// into the graph's edge list and trusts its counters — so one that does not
 /// fit is a typed error too, never a panic (or an allocation, or a hang).
+/// The engine adopts a checkpoint's sorted lists as its own state, so lists
+/// out of that form are refused as well.
 #[test]
 fn hostile_sim_checkpoints_are_refused_with_a_typed_error() {
     use mfd_sim::{
         LatencyModel, NoFaults, PacketCheckpoint, SimCheckpoint, SimConfig, SimEngine, Simulator,
+        VertexCheckpoint,
     };
 
     let g = generators::triangulated_grid(8, 8);
@@ -639,5 +642,63 @@ fn hostile_sim_checkpoints_are_refused_with_a_typed_error() {
     assert_eq!(refused(&g, cp, &sim).0, "a live vertex's next round");
     let mut cp = checkpoint.clone();
     cp.round_pop.clear();
+    assert!(refused(&g, cp, &sim).0.starts_with("live vertices"));
+    // A live vertex ahead of every reconstructed round.
+    let mut cp = checkpoint.clone();
+    cp.vx[0].next_round = checkpoint.round + checkpoint.pending_rounds.len() as u64 + 2;
+    assert_eq!(refused(&g, cp, &sim).0, "a live vertex's next round");
+
+    // A vertex's buffers out of the engine's form, every forged sender a
+    // neighbour: unsorted or repeated keys, a pending bucket naming one
+    // sender twice, a pending tag outside the window, empty entries.
+    let v = 0;
+    let (u0, u1) = (g.neighbors(v)[0], g.neighbors(v)[1]);
+    let r = checkpoint.vx[v].next_round;
+    let bucket = |senders: &[usize]| senders.iter().map(|&u| (u, Vec::new())).collect();
+    let forged = |forge: &dyn Fn(&mut VertexCheckpoint<u64>)| {
+        let mut cp = checkpoint.clone();
+        forge(&mut cp.vx[v]);
+        cp
+    };
+    let forgeries = [
+        forged(&|x| x.pending = vec![(r, bucket(&[u0])), (r - 1, bucket(&[u0]))]),
+        forged(&|x| x.pending = vec![(r, bucket(&[u0])), (r, bucket(&[u1]))]),
+        forged(&|x| x.pending = vec![(r, bucket(&[u1, u0]))]),
+        forged(&|x| x.pending = vec![(r, bucket(&[u0, u0]))]),
+        forged(&|x| x.pending = vec![(r + 1, bucket(&[u0]))]),
+        forged(&|x| x.pending = vec![(r - 2, bucket(&[u0]))]),
+        forged(&|x| x.pending = vec![(r, Vec::new())]),
+        forged(&|x| x.late = vec![(r + 2, vec![(u0, r, 0, 7)]), (r + 1, vec![(u0, r, 1, 7)])]),
+        forged(&|x| x.late = vec![(r + 1, vec![(u0, r, 0, 7)]), (r + 1, vec![(u0, r, 1, 7)])]),
+        forged(&|x| x.late = vec![(r + 1, vec![(u0, r, 0, 7), (u0, r, 0, 7)])]),
+        forged(&|x| x.late = vec![(r + 1, Vec::new())]),
+        forged(&|x| x.nbr_final_tag = vec![(u1, 0), (u0, 0)]),
+        forged(&|x| x.nbr_final_tag = vec![(u0, 0), (u0, 0)]),
+    ];
+    for (i, cp) in forgeries.into_iter().enumerate() {
+        let (what, vertex, next_round) = refused(&g, cp, &sim);
+        assert!(what.starts_with("buffers of vertex"), "forgery {i}: {what}");
+        assert_eq!((vertex, next_round), (v as u64, r), "forgery {i}");
+    }
+
+    // Round populations out of order, or one round listed twice, at a cut
+    // where the skewed links spread the live vertices over two rounds.
+    let mut sink = NullSink;
+    let mut session = sim.open(&g, &probe, None, &mut sink).unwrap();
+    let checkpoint = loop {
+        session
+            .step()
+            .unwrap()
+            .expect("the probe reaches a skewed cut");
+        let cp = session.checkpoint();
+        if cp.round_pop.len() >= 2 {
+            break cp;
+        }
+    };
+    let mut cp = checkpoint.clone();
+    cp.round_pop.reverse();
+    assert!(refused(&g, cp, &sim).0.starts_with("live vertices"));
+    let mut cp = checkpoint.clone();
+    cp.round_pop.insert(0, cp.round_pop[0]);
     assert!(refused(&g, cp, &sim).0.starts_with("live vertices"));
 }
