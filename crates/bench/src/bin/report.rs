@@ -1295,8 +1295,8 @@ fn replay_report() {
         let labels = ["sim-skewed", "iid-loss-0.2+reliable"];
         let [full, resumed] = row(&mut rows, name, g, labels, &lossy, &Reliable::new(probe));
         assert_eq!(
-            Reliable::inner_states(&resumed.states),
-            Reliable::inner_states(&full.states)
+            Reliable::<DivergenceProbe>::inner_states(&resumed.states),
+            Reliable::<DivergenceProbe>::inner_states(&full.states)
         );
     }
     rows.print(

@@ -15,8 +15,11 @@ use std::process::{Command, Output};
 
 use mfd_bench::replay::journal;
 use mfd_bench::trace::DivergenceProbe;
+use mfd_faults::{Frame, ReliableState};
 use mfd_graph::generators;
+use mfd_replay::Journal;
 use mfd_runtime::ExecutorConfig;
+use mfd_sim::SimCheckpoint;
 use mfd_trace::Fnv1a;
 
 fn run(bin: &str, args: &[&str]) -> Output {
@@ -220,7 +223,33 @@ fn journals_record_reproducibly_and_resume_bit_identically() {
     };
     refused(&["resume", "--journal", &exec, "--at", "7"]);
     refused(&["resume", "--journal", &sim]);
+    let args = ["resume", "--journal", &faulted, "--graph", "tri-grid-8x8"];
+    assert!(fails(replay, &args, 1).contains("checkpoint does not match"));
+
+    // A faulted checkpoint whose vertex state does not fit its vertex — the
+    // hub's send windows one short of its degree — is refused before the
+    // adapter's first step would index past them.
+    let (forged, round) = hub_tx_truncated(&faulted);
+    let stderr = fails(replay, &["resume", "--journal", &forged, "--at", &round], 1);
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("program state"), "{stderr}");
     std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// Decodes the first checkpoint of the faulted journal at `path`, drops one
+/// of vertex 0's send windows, and writes the re-encoded journal next to it;
+/// returns the forged journal's path and the checkpoint's round.
+fn hub_tx_truncated(path: &str) -> (String, String) {
+    type Faulted = SimCheckpoint<ReliableState<u64, u64>, Frame<u64>>;
+    let mut journal = Journal::from_bytes(&std::fs::read(path).unwrap()).unwrap();
+    let first = &mut journal.checkpoints[0];
+    let mut checkpoint: Faulted = mfd_replay::from_bytes(&first.payload).unwrap();
+    checkpoint.states[0].tx.pop();
+    first.payload = mfd_replay::to_bytes(&checkpoint);
+    let round = first.round.to_string();
+    let forged = path.replace(".mfdj", "-forged.mfdj");
+    std::fs::write(&forged, journal.to_bytes()).unwrap();
+    (forged, round)
 }
 
 #[test]

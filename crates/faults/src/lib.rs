@@ -21,7 +21,14 @@
 //!    α-synchronizer pulses — a lossy network becomes reliable again, the
 //!    wrapped program's trajectory is exactly its loss-free one, and the
 //!    retransmit/ack overhead is reported next to the usual round/message
-//!    accounting.
+//!    accounting. Its per-vertex [`ReliableState`] is plain data and its own
+//!    checkpoint (`mfd-replay` encodes it field by field), and its
+//!    [`mfd_runtime::NodeProgram::fits`] refuses a restored state whose
+//!    send/receive windows do not fit the vertex — one per neighbor, each
+//!    with `acked <= tx_next <= sent.len()`, `delivered <= prefix` and no
+//!    pending key below `delivered` — or that counts more payload frames
+//!    than frames, so a forged faulted checkpoint is a typed error, not a
+//!    panic.
 //!
 //! 3. **Experiments** ([`experiments`], [`election`]): the §2 gather
 //!    strategies measured raw vs. recovered under each fault model
@@ -50,6 +57,4 @@ pub use experiments::{
     crash_and_regather, gather_raw, gather_recovered, CrashRegather, FaultImpact,
 };
 pub use models::{FaultModel, LossModel};
-pub use reliable::{
-    EdgeRxParts, EdgeTxParts, Frame, Reliable, ReliableParts, ReliableState, ReliableStats,
-};
+pub use reliable::{EdgeRx, EdgeTx, Frame, Reliable, ReliableState, ReliableStats};

@@ -36,15 +36,26 @@
 //!
 //! **Peer-crash cutoff.** A live peer frames every physical round, so total
 //! silence is a verdict the transport can act on: a neighbor that has sent
-//! nothing for `peer_cutoff` rounds while its edge is still unsettled is
-//! presumed crash-stopped and *excused* — retransmissions to it cease (the
-//! adapter used to retransmit to a dead peer forever), its round boundary is
-//! waived from the inbox gate, and the close handshake no longer waits for
-//! its acks or fin. Under pure loss a false verdict needs `peer_cutoff`
-//! consecutive frame losses (probability `p^cutoff` per edge — negligible at
-//! the default of 24), so loss recovery is unaffected while crash
-//! experiments can finally run *through* the adapter: losses are repaired,
-//! crashes surface to the inner program as the permanent silence they are.
+//! nothing for `PEER_CUTOFF` (24) rounds while its edge is still unsettled
+//! is presumed crash-stopped and *excused* — retransmissions to it cease,
+//! its round boundary is waived from the inbox gate, and the close handshake
+//! no longer waits for its acks or fin. Under pure loss a false verdict
+//! needs 24 consecutive frame losses (probability `p^24` per edge), so loss
+//! recovery is unaffected while crash experiments run *through* the
+//! adapter: losses are repaired, crashes surface to the inner program as the
+//! permanent silence they are.
+//!
+//! **The state is its own checkpoint.** [`ReliableState`] and its per-edge
+//! [`EdgeTx`] / [`EdgeRx`] windows are plain data with public fields, so
+//! `mfd-replay` encodes them as they are and a resumed run continues
+//! ARQ-state-for-ARQ-state. A checkpoint decoded from bytes is outside
+//! input: [`Reliable`]'s [`NodeProgram::fits`] refuses a state with a window
+//! count other than the vertex's degree, a window with `acked > tx_next`,
+//! `tx_next > sent.len()`, `delivered > prefix` or a pending key below
+//! `delivered`, or more payload frames than frames — then the wrapped
+//! program's own `fits` judges its state — and both engines' `open` answer
+//! that with a typed `CheckpointMismatch` instead of a panic at the first
+//! step.
 //!
 //! Overhead is measured, not hidden: [`Reliable::stats`] aggregates frames,
 //! fresh vs. retransmitted payload and ack-only pulses from the final
@@ -90,55 +101,66 @@ impl<M: RuntimeMessage> RuntimeMessage for Frame<M> {
 }
 
 /// Per-edge sender state.
-#[derive(Clone, Hash)]
-struct EdgeTx<M> {
+#[derive(Debug, Clone, PartialEq, Hash)]
+pub struct EdgeTx<M> {
     /// Every message ever queued on this edge: `sent[seq] = (round, msg)`.
-    sent: Vec<(u64, M)>,
+    pub sent: Vec<(u64, M)>,
     /// Peer's cumulative in-order ack.
-    acked: u64,
+    pub acked: u64,
     /// First never-transmitted sequence number.
-    tx_next: u64,
+    pub tx_next: u64,
     /// Physical round of the last ack advance (retransmission backoff).
-    last_progress: u64,
+    pub last_progress: u64,
 }
 
 /// Per-edge receiver state.
-#[derive(Clone, Hash)]
-struct EdgeRx<M> {
+#[derive(Debug, Clone, PartialEq, Hash)]
+pub struct EdgeRx<M> {
     /// Received, not yet delivered: `seq -> (inner round, msg)`.
-    pending: BTreeMap<u64, (u64, M)>,
+    pub pending: BTreeMap<u64, (u64, M)>,
     /// Sequence numbers `0..prefix` have all been received.
-    prefix: u64,
+    pub prefix: u64,
     /// Sequence numbers `0..delivered` were handed to the inner program.
-    delivered: u64,
+    pub delivered: u64,
     /// Peer's announced boundary, max-merged over all frames seen.
-    peer_round: u64,
+    pub peer_round: u64,
     /// Cumulative count at that boundary.
-    peer_cum: u64,
+    pub peer_cum: u64,
     /// Peer announced its boundary as final.
-    peer_fin: bool,
+    pub peer_fin: bool,
     /// Last physical round a frame arrived from the peer (0 = never).
-    last_heard: u64,
+    pub last_heard: u64,
     /// Peer presumed crash-stopped (the silence cutoff fired): excused from
     /// the gate and the close handshake, no longer framed.
-    dead: bool,
+    pub dead: bool,
 }
 
-/// State of one vertex of [`Reliable<P>`]: the wrapped program's state plus
-/// the transport machinery.
-pub struct ReliableState<P: NodeProgram> {
+/// State of one vertex of [`Reliable<P>`] (`S = P::State`, `M = P::Msg`):
+/// the wrapped program's state plus the transport machinery, as plain data.
+///
+/// It is its own checkpoint: `mfd-replay` encodes these fields in
+/// declaration order, and the derived `Hash` visits them in the same order,
+/// so digest chains over wrapped runs discriminate transport-level
+/// divergence too, not just the inner trajectory — a resumed run matches
+/// ARQ-state-for-ARQ-state. A state decoded from bytes is checked by
+/// [`NodeProgram::fits`] before an engine adopts it.
+#[derive(Debug, Clone, PartialEq, Hash)]
+pub struct ReliableState<S, M> {
     /// The wrapped program's state, advanced exactly as on a loss-free
     /// network.
-    pub inner: P::State,
+    pub inner: S,
     /// Completed inner rounds.
     pub inner_round: u64,
     /// Whether the wrapped program has halted.
     pub inner_halted: bool,
-    tx: Vec<EdgeTx<P::Msg>>,
-    rx: Vec<EdgeRx<P::Msg>>,
+    /// Per-edge sender state, in sorted-adjacency slot order.
+    pub tx: Vec<EdgeTx<M>>,
+    /// Per-edge receiver state, in sorted-adjacency slot order.
+    pub rx: Vec<EdgeRx<M>>,
     /// Physical round at which the linger close expires.
-    close_at: Option<u64>,
-    done: bool,
+    pub close_at: Option<u64>,
+    /// The close handshake finished; the vertex halts.
+    pub done: bool,
     /// Frames sent (one per edge per physical round until halting).
     pub frames_sent: u64,
     /// Frames that carried at least one payload message.
@@ -152,226 +174,10 @@ pub struct ReliableState<P: NodeProgram> {
     /// Neighbors this vertex excused as crash-stopped (silence cutoff).
     pub peers_excused: u64,
     /// Transport events recorded during the run (only with
-    /// [`Reliable::with_trace`]): `(round, kind, peer, count)` with kinds
-    /// [`TRACE_RETRANSMIT`], [`TRACE_EXCUSE`], [`TRACE_CLOSE`]. Drained into
-    /// a sink by [`Reliable::drain_trace`].
-    trace_log: Vec<(u64, u8, usize, u64)>,
-}
-
-impl<P: NodeProgram> Clone for ReliableState<P>
-where
-    P::State: Clone,
-{
-    fn clone(&self) -> Self {
-        ReliableState {
-            inner: self.inner.clone(),
-            inner_round: self.inner_round,
-            inner_halted: self.inner_halted,
-            tx: self.tx.clone(),
-            rx: self.rx.clone(),
-            close_at: self.close_at,
-            done: self.done,
-            frames_sent: self.frames_sent,
-            payload_frames: self.payload_frames,
-            fresh_sent: self.fresh_sent,
-            retransmitted: self.retransmitted,
-            delivered_inner: self.delivered_inner,
-            peers_excused: self.peers_excused,
-            trace_log: self.trace_log.clone(),
-        }
-    }
-}
-
-/// Digest-traceability: a [`ReliableState`] hashes every field — the inner
-/// program's state *and* the full transport machinery — so digest chains
-/// over wrapped runs discriminate transport-level divergence too, not just
-/// the inner trajectory. Checkpoint/resume equality is therefore the strong
-/// claim: the resumed run matches ARQ-state-for-ARQ-state.
-impl<P: NodeProgram> std::hash::Hash for ReliableState<P>
-where
-    P::State: std::hash::Hash,
-    P::Msg: std::hash::Hash,
-{
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.inner.hash(state);
-        self.inner_round.hash(state);
-        self.inner_halted.hash(state);
-        self.tx.hash(state);
-        self.rx.hash(state);
-        self.close_at.hash(state);
-        self.done.hash(state);
-        self.frames_sent.hash(state);
-        self.payload_frames.hash(state);
-        self.fresh_sent.hash(state);
-        self.retransmitted.hash(state);
-        self.delivered_inner.hash(state);
-        self.peers_excused.hash(state);
-        self.trace_log.hash(state);
-    }
-}
-
-/// One edge's send window as plain data (every field public), one leg of
-/// [`ReliableState::to_parts`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct EdgeTxParts<M> {
-    /// Every message ever queued on this edge: `sent[seq] = (round, msg)`.
-    pub sent: Vec<(u64, M)>,
-    /// Peer's cumulative in-order ack.
-    pub acked: u64,
-    /// First never-transmitted sequence number.
-    pub tx_next: u64,
-    /// Physical round of the last ack advance.
-    pub last_progress: u64,
-}
-
-/// One edge's receive window as plain data, one leg of
-/// [`ReliableState::to_parts`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct EdgeRxParts<M> {
-    /// Received-but-undelivered messages, `(seq, (inner round, msg))`,
-    /// sorted by sequence number (the canonical order of the underlying
-    /// B-tree, so equal states encode to equal bytes).
-    pub pending: Vec<(u64, (u64, M))>,
-    /// Sequence numbers `0..prefix` have all been received.
-    pub prefix: u64,
-    /// Sequence numbers `0..delivered` were handed to the inner program.
-    pub delivered: u64,
-    /// Peer's announced boundary.
-    pub peer_round: u64,
-    /// Cumulative count at that boundary.
-    pub peer_cum: u64,
-    /// Peer announced its boundary as final.
-    pub peer_fin: bool,
-    /// Last physical round a frame arrived (0 = never).
-    pub last_heard: u64,
-    /// Peer presumed crash-stopped.
-    pub dead: bool,
-}
-
-/// A [`ReliableState`] as plain data — every private transport field made
-/// public, maps flattened to sorted vectors — so checkpoint codecs
-/// (`mfd-replay`) outside this crate can encode and rebuild it.
-/// [`ReliableState::from_parts`] ∘ [`ReliableState::to_parts`] is the
-/// identity on run behavior: a resumed run continues exactly as the
-/// original would have.
-pub struct ReliableParts<P: NodeProgram> {
-    /// The wrapped program's state.
-    pub inner: P::State,
-    /// Completed inner rounds.
-    pub inner_round: u64,
-    /// Whether the wrapped program has halted.
-    pub inner_halted: bool,
-    /// Per-edge sender state, in sorted-adjacency slot order.
-    pub tx: Vec<EdgeTxParts<P::Msg>>,
-    /// Per-edge receiver state, in sorted-adjacency slot order.
-    pub rx: Vec<EdgeRxParts<P::Msg>>,
-    /// Physical round at which the linger close expires.
-    pub close_at: Option<u64>,
-    /// The close handshake finished; the vertex halts.
-    pub done: bool,
-    /// Frames sent.
-    pub frames_sent: u64,
-    /// Frames that carried payload.
-    pub payload_frames: u64,
-    /// First-time payload transmissions.
-    pub fresh_sent: u64,
-    /// Retransmitted payload entries.
-    pub retransmitted: u64,
-    /// Messages handed to the inner program.
-    pub delivered_inner: u64,
-    /// Neighbors excused as crash-stopped.
-    pub peers_excused: u64,
-    /// Recorded transport events (`(round, kind, peer, count)`).
+    /// [`Reliable::with_trace`]): `(round, kind, peer, count)`, kind 0 a
+    /// retransmission burst, 1 an excusal, 2 the close. Drained into a sink
+    /// by [`Reliable::drain_trace`].
     pub trace_log: Vec<(u64, u8, usize, u64)>,
-}
-
-impl<P: NodeProgram> ReliableState<P> {
-    /// Captures this vertex's complete transport state as plain data.
-    pub fn to_parts(&self) -> ReliableParts<P>
-    where
-        P::State: Clone,
-    {
-        ReliableParts {
-            inner: self.inner.clone(),
-            inner_round: self.inner_round,
-            inner_halted: self.inner_halted,
-            tx: self
-                .tx
-                .iter()
-                .map(|t| EdgeTxParts {
-                    sent: t.sent.clone(),
-                    acked: t.acked,
-                    tx_next: t.tx_next,
-                    last_progress: t.last_progress,
-                })
-                .collect(),
-            rx: self
-                .rx
-                .iter()
-                .map(|x| EdgeRxParts {
-                    pending: x.pending.iter().map(|(&s, p)| (s, p.clone())).collect(),
-                    prefix: x.prefix,
-                    delivered: x.delivered,
-                    peer_round: x.peer_round,
-                    peer_cum: x.peer_cum,
-                    peer_fin: x.peer_fin,
-                    last_heard: x.last_heard,
-                    dead: x.dead,
-                })
-                .collect(),
-            close_at: self.close_at,
-            done: self.done,
-            frames_sent: self.frames_sent,
-            payload_frames: self.payload_frames,
-            fresh_sent: self.fresh_sent,
-            retransmitted: self.retransmitted,
-            delivered_inner: self.delivered_inner,
-            peers_excused: self.peers_excused,
-            trace_log: self.trace_log.clone(),
-        }
-    }
-
-    /// Rebuilds the transport state captured by [`ReliableState::to_parts`].
-    pub fn from_parts(parts: ReliableParts<P>) -> Self {
-        ReliableState {
-            inner: parts.inner,
-            inner_round: parts.inner_round,
-            inner_halted: parts.inner_halted,
-            tx: parts
-                .tx
-                .into_iter()
-                .map(|t| EdgeTx {
-                    sent: t.sent,
-                    acked: t.acked,
-                    tx_next: t.tx_next,
-                    last_progress: t.last_progress,
-                })
-                .collect(),
-            rx: parts
-                .rx
-                .into_iter()
-                .map(|x| EdgeRx {
-                    pending: x.pending.into_iter().collect(),
-                    prefix: x.prefix,
-                    delivered: x.delivered,
-                    peer_round: x.peer_round,
-                    peer_cum: x.peer_cum,
-                    peer_fin: x.peer_fin,
-                    last_heard: x.last_heard,
-                    dead: x.dead,
-                })
-                .collect(),
-            close_at: parts.close_at,
-            done: parts.done,
-            frames_sent: parts.frames_sent,
-            payload_frames: parts.payload_frames,
-            fresh_sent: parts.fresh_sent,
-            retransmitted: parts.retransmitted,
-            delivered_inner: parts.delivered_inner,
-            peers_excused: parts.peers_excused,
-            trace_log: parts.trace_log,
-        }
-    }
 }
 
 /// [`ReliableState::trace_log`] kind: a timeout retransmission burst.
@@ -423,7 +229,6 @@ impl ReliableStats {
 #[derive(Debug, Clone)]
 pub struct Reliable<P> {
     inner: P,
-    peer_cutoff: u64,
     trace: bool,
 }
 
@@ -433,6 +238,11 @@ const TIMEOUT: u64 = 4;
 
 /// Physical rounds a vertex keeps framing after its close condition holds.
 const LINGER: u64 = 8;
+
+/// Physical rounds of total silence on an unsettled edge after which the
+/// peer is presumed crash-stopped (a false verdict under loss `p` has
+/// probability `p^PEER_CUTOFF` per edge).
+const PEER_CUTOFF: u64 = 24;
 
 /// Payload words per frame (a frame carries at least one entry regardless).
 const MAX_FRAME_WORDS: usize = 1;
@@ -445,12 +255,11 @@ const CATCHUP_ROUNDS: u64 = 64;
 const BUDGET_FACTOR: u64 = 8;
 
 impl<P: NodeProgram> Reliable<P> {
-    /// Wraps `inner` with the fixed transport (timeout 4, linger 8, one
-    /// payload word per frame) and a peer cutoff of 24.
+    /// Wraps `inner` with the fixed transport (timeout 4, linger 8, peer
+    /// cutoff 24, one payload word per frame).
     pub fn new(inner: P) -> Self {
         Reliable {
             inner,
-            peer_cutoff: 24,
             trace: false,
         }
     }
@@ -463,28 +272,18 @@ impl<P: NodeProgram> Reliable<P> {
         self
     }
 
-    /// Sets the peer-crash cutoff: physical rounds of total silence on an
-    /// unsettled edge after which the peer is presumed crash-stopped
-    /// (clamped ≥ 2; a false verdict under loss `p` has probability
-    /// `p^cutoff` per edge, so larger values trade detection latency for
-    /// robustness at extreme loss rates).
-    pub fn with_peer_cutoff(mut self, cutoff: u64) -> Self {
-        self.peer_cutoff = cutoff.max(2);
-        self
-    }
-
     /// The wrapped program.
     pub fn inner(&self) -> &P {
         &self.inner
     }
 
     /// Borrows the wrapped program's states out of a run's final states.
-    pub fn inner_states(states: &[ReliableState<P>]) -> Vec<&P::State> {
+    pub fn inner_states(states: &[ReliableState<P::State, P::Msg>]) -> Vec<&P::State> {
         states.iter().map(|s| &s.inner).collect()
     }
 
     /// Clones the wrapped program's states out of a run's final states.
-    pub fn inner_states_cloned(states: &[ReliableState<P>]) -> Vec<P::State>
+    pub fn inner_states_cloned(states: &[ReliableState<P::State, P::Msg>]) -> Vec<P::State>
     where
         P::State: Clone,
     {
@@ -492,7 +291,7 @@ impl<P: NodeProgram> Reliable<P> {
     }
 
     /// Aggregates the transport statistics of a run.
-    pub fn stats(states: &[ReliableState<P>]) -> ReliableStats {
+    pub fn stats(states: &[ReliableState<P::State, P::Msg>]) -> ReliableStats {
         let mut out = ReliableStats::default();
         for s in states {
             out.frames += s.frames_sent;
@@ -513,7 +312,7 @@ impl<P: NodeProgram> Reliable<P> {
     /// the run and serialized deterministically here, after it.
     ///
     /// Without `with_trace` the logs are empty and this is a no-op.
-    pub fn drain_trace(states: &[ReliableState<P>], sink: &mut dyn TraceSink) {
+    pub fn drain_trace(states: &[ReliableState<P::State, P::Msg>], sink: &mut dyn TraceSink) {
         let mut log: Vec<(u64, usize, u8, usize, u64)> = states
             .iter()
             .enumerate()
@@ -555,7 +354,7 @@ impl<P: NodeProgram> Reliable<P> {
     /// that boundary has been received. Excused (presumed-crashed) peers are
     /// waived — the inner program sees from them exactly the permanent
     /// silence a real crash produces.
-    fn gate(state: &ReliableState<P>, k: u64) -> bool {
+    fn gate(state: &ReliableState<P::State, P::Msg>, k: u64) -> bool {
         state.rx.iter().all(|rx| {
             rx.dead || ((rx.peer_fin || rx.peer_round >= k - 1) && rx.prefix >= rx.peer_cum)
         })
@@ -563,10 +362,10 @@ impl<P: NodeProgram> Reliable<P> {
 }
 
 impl<P: NodeProgram> NodeProgram for Reliable<P> {
-    type State = ReliableState<P>;
+    type State = ReliableState<P::State, P::Msg>;
     type Msg = Frame<P::Msg>;
 
-    fn init(&self, ctx: &NodeCtx) -> ReliableState<P> {
+    fn init(&self, ctx: &NodeCtx) -> Self::State {
         let inner = self.inner.init(ctx);
         let inner_halted = self.inner.halted(ctx, &inner);
         let deg = ctx.degree();
@@ -611,7 +410,7 @@ impl<P: NodeProgram> NodeProgram for Reliable<P> {
     fn round(
         &self,
         ctx: &NodeCtx,
-        state: &mut ReliableState<P>,
+        state: &mut Self::State,
         inbox: &[Envelope<Frame<P::Msg>>],
         out: &mut Outbox<'_, Frame<P::Msg>>,
     ) {
@@ -644,7 +443,7 @@ impl<P: NodeProgram> NodeProgram for Reliable<P> {
         }
 
         // 1b. Peer-crash cutoff: a live peer frames every round, so total
-        //     silence for `peer_cutoff` rounds on an edge that is not
+        //     silence for `PEER_CUTOFF` rounds on an edge that is not
         //     settled (fin seen, boundary received, everything acked — then
         //     silence is a normal close) is a crash verdict. The peer is
         //     excused: no more frames, no more waiting.
@@ -653,7 +452,7 @@ impl<P: NodeProgram> NodeProgram for Reliable<P> {
             let tx = &state.tx[i];
             let settled =
                 rx.peer_fin && rx.prefix >= rx.peer_cum && tx.acked == tx.sent.len() as u64;
-            if !rx.dead && !settled && r.saturating_sub(rx.last_heard) >= self.peer_cutoff {
+            if !rx.dead && !settled && r.saturating_sub(rx.last_heard) >= PEER_CUTOFF {
                 state.rx[i].dead = true;
                 state.peers_excused += 1;
                 if self.trace {
@@ -815,14 +614,39 @@ impl<P: NodeProgram> NodeProgram for Reliable<P> {
         }
     }
 
-    fn halted(&self, _ctx: &NodeCtx, state: &ReliableState<P>) -> bool {
+    fn halted(&self, _ctx: &NodeCtx, state: &Self::State) -> bool {
         state.done
     }
 
     fn round_budget_hint(&self) -> Option<u64> {
         self.inner
             .round_budget_hint()
-            .map(|h| h.saturating_mul(BUDGET_FACTOR) + LINGER + self.peer_cutoff + 512)
+            .map(|h| h.saturating_mul(BUDGET_FACTOR) + LINGER + PEER_CUTOFF + 512)
+    }
+
+    /// A restored state fits its vertex when every index and subtraction
+    /// `round` and [`Reliable::stats`] make on it stays in range — one send
+    /// and one receive window per neighbor, `tx_next <= sent.len()` (a
+    /// retransmission reads `sent[acked..tx_next]`), `payload_frames <=
+    /// frames_sent` (`stats` subtracts them) — and every window is in the
+    /// order a run keeps it: `acked <= tx_next`, `delivered <= prefix`, no
+    /// pending key below `delivered`. The wrapped program's own `fits` judges
+    /// its state.
+    fn fits(&self, ctx: &NodeCtx, state: &Self::State) -> bool {
+        let windows = state.tx.iter().zip(&state.rx).all(|(tx, rx)| {
+            let first_pending = rx.pending.first_key_value().map(|(&seq, _)| seq);
+            tx.acked <= tx.tx_next
+                && tx.tx_next <= tx.sent.len() as u64
+                && rx.delivered <= rx.prefix
+                && first_pending.is_none_or(|seq| seq >= rx.delivered)
+        });
+        state.tx.len() == ctx.degree()
+            && state.rx.len() == ctx.degree()
+            && windows
+            && state.payload_frames <= state.frames_sent
+            && self
+                .inner
+                .fits(&ctx.at_round(state.inner_round), &state.inner)
     }
 }
 
@@ -839,12 +663,12 @@ where
         self.inner.total_messages()
     }
 
-    fn per_vertex_delivered(&self, states: &[ReliableState<P>]) -> Vec<usize> {
+    fn per_vertex_delivered(&self, states: &[Self::State]) -> Vec<usize> {
         let inner = Self::inner_states_cloned(states);
         self.inner.per_vertex_delivered(&inner)
     }
 
-    fn leader_received(&self, states: &[ReliableState<P>]) -> u64 {
+    fn leader_received(&self, states: &[Self::State]) -> u64 {
         let inner = Self::inner_states_cloned(states);
         self.inner.leader_received(&inner)
     }
@@ -1002,7 +826,7 @@ mod tests {
             .with_detection_delay(2);
         let sim = Simulator::new(SimConfig::default());
         let run = sim
-            .run_with_faults(&g, &Reliable::new(Chatter).with_peer_cutoff(12), &model)
+            .run_with_faults(&g, &Reliable::new(Chatter), &model)
             .unwrap();
         assert_eq!(run.outcome, FaultOutcome::Completed);
         assert!(run.crashed[crashed]);
@@ -1012,7 +836,7 @@ mod tests {
         assert_eq!(stats.excused, 3);
         // And the verdict is reproducible bit-for-bit.
         let again = sim
-            .run_with_faults(&g, &Reliable::new(Chatter).with_peer_cutoff(12), &model)
+            .run_with_faults(&g, &Reliable::new(Chatter), &model)
             .unwrap();
         assert_eq!(
             Reliable::<Chatter>::stats(&again.run.states).excused,
@@ -1062,14 +886,6 @@ mod tests {
         assert!(checkpoints.len() >= 2, "run too short to checkpoint");
 
         for cp in checkpoints {
-            // Exercise the public parts API exactly as an external codec
-            // would: flatten every vertex state to plain data and rebuild.
-            let mut cp = cp;
-            cp.states = cp
-                .states
-                .iter()
-                .map(|s| ReliableState::from_parts(s.to_parts()))
-                .collect();
             let mut session = sim.open(&g, &program, Some(cp), &mut sink).unwrap();
             while session.step().unwrap().is_some() {}
             let resumed = session.finish().unwrap();

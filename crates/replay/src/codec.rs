@@ -17,15 +17,18 @@
 //!   UTF-8 bytes. Tuples and structs are their fields in declaration order,
 //!   nothing else — no tags, no padding.
 //! * `Option<T>` is a `0`/`1` presence byte, then the value if present.
-//! * Map-shaped state never encodes as a map: checkpoint types flatten every
-//!   `HashMap`/`BTreeMap` to a **sorted** `Vec` before they get here (see
-//!   `SimCheckpoint`, `ReliableParts`), which is what makes encoding a pure
-//!   function of the state rather than of its history.
+//! * `BTreeMap<K, V>` is exactly the bytes of its entries as a `Vec<(K, V)>`
+//!   in key order, and decoding refuses keys that are not strictly
+//!   increasing, so bytes that decode re-encode to themselves. `HashMap` has
+//!   no impl: its order is history, so map-shaped state is a `BTreeMap` or a
+//!   sorted `Vec` (`SimCheckpoint`), which makes encoding a pure function of
+//!   the state.
 //!
 //! Decoding is strict: truncated input, an invalid byte, an oversized
 //! length, or trailing bytes after the value are all errors, never silently
 //! accepted — a journal either round-trips exactly or is rejected.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A decode failure (see [`Snapshot::decode`]).
@@ -304,6 +307,29 @@ impl<T: Snapshot> Snapshot for Vec<T> {
             out.push(T::decode(r)?);
         }
         Ok(out)
+    }
+}
+
+/// Exactly the bytes of its entries as a `Vec<(K, V)>`, in key order.
+impl<K: Snapshot + Ord, V: Snapshot> Snapshot for BTreeMap<K, V> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.len().encode(out);
+        for (key, value) in self {
+            key.encode(out);
+            value.encode(out);
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let at = r.pos();
+        let entries = Vec::<(K, V)>::decode(r)?;
+        if entries.windows(2).any(|w| w[0].0 >= w[1].0) {
+            return Err(CodecError::Invalid {
+                what: "map keys (not strictly increasing)",
+                at,
+            });
+        }
+        Ok(entries.into_iter().collect())
     }
 }
 
@@ -624,7 +650,7 @@ impl<M: Snapshot> Snapshot for mfd_faults::Frame<M> {
     }
 }
 
-impl<M: Snapshot> Snapshot for mfd_faults::EdgeTxParts<M> {
+impl<M: Snapshot> Snapshot for mfd_faults::EdgeTx<M> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.sent.encode(out);
         self.acked.encode(out);
@@ -633,7 +659,7 @@ impl<M: Snapshot> Snapshot for mfd_faults::EdgeTxParts<M> {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(mfd_faults::EdgeTxParts {
+        Ok(mfd_faults::EdgeTx {
             sent: Vec::decode(r)?,
             acked: u64::decode(r)?,
             tx_next: u64::decode(r)?,
@@ -642,7 +668,7 @@ impl<M: Snapshot> Snapshot for mfd_faults::EdgeTxParts<M> {
     }
 }
 
-impl<M: Snapshot> Snapshot for mfd_faults::EdgeRxParts<M> {
+impl<M: Snapshot> Snapshot for mfd_faults::EdgeRx<M> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.pending.encode(out);
         self.prefix.encode(out);
@@ -655,8 +681,8 @@ impl<M: Snapshot> Snapshot for mfd_faults::EdgeRxParts<M> {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(mfd_faults::EdgeRxParts {
-            pending: Vec::decode(r)?,
+        Ok(mfd_faults::EdgeRx {
+            pending: BTreeMap::decode(r)?,
             prefix: u64::decode(r)?,
             delivered: u64::decode(r)?,
             peer_round: u64::decode(r)?,
@@ -668,12 +694,7 @@ impl<M: Snapshot> Snapshot for mfd_faults::EdgeRxParts<M> {
     }
 }
 
-impl<P> Snapshot for mfd_faults::ReliableParts<P>
-where
-    P: mfd_runtime::NodeProgram,
-    P::State: Snapshot,
-    P::Msg: Snapshot,
-{
+impl<S: Snapshot, M: Snapshot> Snapshot for mfd_faults::ReliableState<S, M> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.inner.encode(out);
         self.inner_round.encode(out);
@@ -692,8 +713,8 @@ where
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(mfd_faults::ReliableParts {
-            inner: P::State::decode(r)?,
+        Ok(mfd_faults::ReliableState {
+            inner: S::decode(r)?,
             inner_round: u64::decode(r)?,
             inner_halted: bool::decode(r)?,
             tx: Vec::decode(r)?,
@@ -708,27 +729,6 @@ where
             peers_excused: u64::decode(r)?,
             trace_log: Vec::decode(r)?,
         })
-    }
-}
-
-/// A [`mfd_faults::ReliableState`] encodes as its
-/// [`mfd_faults::ReliableParts`] — the private ARQ machinery flattened to
-/// plain, sorted data — so checkpoints of `Reliable<P>` runs journal like
-/// any other program state.
-impl<P> Snapshot for mfd_faults::ReliableState<P>
-where
-    P: mfd_runtime::NodeProgram,
-    P::State: Snapshot + Clone,
-    P::Msg: Snapshot,
-{
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.to_parts().encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(mfd_faults::ReliableState::from_parts(
-            mfd_faults::ReliableParts::<P>::decode(r)?,
-        ))
     }
 }
 
@@ -815,6 +815,28 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn maps_are_their_sorted_entries_and_decode_only_canonical_bytes() {
+        type Pending = BTreeMap<u64, (u64, u64)>;
+        let map: Pending = [(3, (1, 30)), (1, (0, 10)), (2, (0, 20))].into();
+        round_trip(map.clone());
+        let entries: Vec<(u64, (u64, u64))> = map.clone().into_iter().collect();
+        assert_eq!(to_bytes(&map), to_bytes(&entries));
+        // An unsorted key, and a repeated one: `collect` would reorder the
+        // first and drop an entry of the second, so neither re-encodes.
+        let unsorted = vec![(2u64, (0u64, 20u64)), (1, (0, 10))];
+        let repeated = vec![(1u64, (0u64, 10u64)), (1, (0, 11))];
+        for forged in [unsorted, repeated] {
+            assert_eq!(
+                from_bytes::<Pending>(&to_bytes(&forged)),
+                Err(CodecError::Invalid {
+                    what: "map keys (not strictly increasing)",
+                    at: 0,
+                })
+            );
+        }
     }
 
     #[test]

@@ -69,9 +69,11 @@ pub enum RuntimeError {
     CheckpointMismatch {
         /// Which property of the checkpoint is wrong.
         what: &'static str,
-        /// What the restoring run requires (non-neighbour mail: the receiver).
+        /// What the restoring run requires (non-neighbour mail: the receiver;
+        /// a `"program state"` that does not fit: its vertex).
         expected: u64,
-        /// What the checkpoint carries (non-neighbour mail: the sender).
+        /// What the checkpoint carries (non-neighbour mail: the sender; a
+        /// `"program state"`: its vertex's degree).
         found: u64,
     },
 }

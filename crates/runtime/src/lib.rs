@@ -121,7 +121,7 @@ pub use driver::VertexRound;
 pub use executor::{Execution, Executor, ExecutorConfig, RuntimeError};
 pub use profile::{NoProfiler, Profiler, RoundSample, PHASES, PHASE_NAMES};
 pub use program::{Envelope, NodeCtx, NodeProgram, NodeRng, Outbox, RuntimeMessage, SendBuf};
-pub use session::SessionEngine;
+pub use session::{check_fits, SessionEngine};
 pub use sharded::{
     ArenaStats, ExecCheckpoint, Session, ShardedConfig, ShardedExecution, ShardedExecutor,
 };

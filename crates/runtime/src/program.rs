@@ -363,6 +363,23 @@ pub trait NodeProgram: Sync {
         let _ = (ctx, state);
         false
     }
+
+    /// Whether `state`, restored from a checkpoint, fits the vertex `ctx`
+    /// describes: every index and subtraction [`NodeProgram::round`] will
+    /// make on it stays in range.
+    ///
+    /// A checkpoint decoded from bytes is outside input, so both engines'
+    /// [`crate::SessionEngine::open`] ask this of every vertex before they
+    /// adopt a checkpoint, and answer `false` with
+    /// [`crate::RuntimeError::CheckpointMismatch`] (`what: "program state"`)
+    /// instead of panicking at the first step. A program whose state is
+    /// shaped by its vertex — per-neighbor arrays, cursors into its own
+    /// buffers — overrides this; `ctx.round` is the checkpoint's round. The
+    /// default (`true`) suits states any value of which a round can take.
+    fn fits(&self, ctx: &NodeCtx, state: &Self::State) -> bool {
+        let _ = (ctx, state);
+        true
+    }
 }
 
 #[cfg(test)]

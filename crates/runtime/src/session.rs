@@ -4,7 +4,7 @@ use mfd_congest::RoundMeter;
 use mfd_graph::Graph;
 use mfd_trace::{EngineKind, RunObserver};
 
-use crate::{NodeProgram, RuntimeError};
+use crate::{NodeCtx, NodeProgram, RuntimeError};
 
 /// An engine whose runs of `P` can be held at a round boundary (on the event
 /// engine: a consistent cut), then stepped, checkpointed and finished — the
@@ -86,4 +86,35 @@ pub trait SessionEngine<P: NodeProgram> {
 
     /// A finished run's final vertex states and the meter that accounted it.
     fn outcome(run: &Self::Run) -> (&[P::State], &RoundMeter);
+}
+
+/// Asks [`NodeProgram::fits`] of every vertex state a checkpoint carries
+/// (`states` in vertex order, one per vertex of `g`), with contexts at the
+/// checkpoint's `round`: the check both engines' [`SessionEngine::open`]
+/// make before they adopt a checkpoint.
+///
+/// # Errors
+///
+/// [`RuntimeError::CheckpointMismatch`] with `what: "program state"`, naming
+/// the first vertex whose state does not fit (`expected`) and its degree in
+/// `g` (`found`).
+pub fn check_fits<P: NodeProgram>(
+    g: &Graph,
+    program: &P,
+    round: u64,
+    seed: u64,
+    states: &[P::State],
+) -> Result<(), RuntimeError> {
+    let unfit = |v: usize| {
+        let ctx = NodeCtx::new(v, g.n(), round, g.neighbors(v), seed);
+        !program.fits(&ctx, &states[v])
+    };
+    match (0..g.n()).find(|&v| unfit(v)) {
+        Some(v) => Err(RuntimeError::CheckpointMismatch {
+            what: "program state",
+            expected: v as u64,
+            found: g.degree(v) as u64,
+        }),
+        None => Ok(()),
+    }
 }

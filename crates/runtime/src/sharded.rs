@@ -108,7 +108,7 @@ use crate::profile::{
     PHASE_SCAN, PHASE_STEP,
 };
 use crate::program::{Envelope, NodeCtx, NodeProgram, SendBuf};
-use crate::session::SessionEngine;
+use crate::session::{check_fits, SessionEngine};
 
 /// Configuration for a [`ShardedExecutor`].
 #[derive(Debug, Clone)]
@@ -864,6 +864,7 @@ where
                 return Err(mismatch(what, n as u64, len as u64));
             }
         }
+        check_fits(g, program, round, config.seed, &cp.states)?;
         for (v, mailbox) in cp.inbox.iter().enumerate() {
             let neighbors = g.neighbors(v);
             if let Some(env) = mailbox

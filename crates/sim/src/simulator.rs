@@ -43,8 +43,8 @@ use mfd_congest::{Message, MeterParts, RoundMeter};
 use mfd_graph::Graph;
 use mfd_runtime::driver::{self, VertexRound};
 use mfd_runtime::{
-    Envelope, Execution, Executor, ExecutorConfig, NodeCtx, NodeProgram, RuntimeError, SendBuf,
-    SessionEngine,
+    check_fits, Envelope, Execution, Executor, ExecutorConfig, NodeCtx, NodeProgram, RuntimeError,
+    SendBuf, SessionEngine,
 };
 use mfd_trace::{EngineKind, Event, FateKind, NullSink, RunObserver};
 
@@ -850,6 +850,7 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
                 return Err(mismatch(what, expected as u64, found as u64));
             }
         }
+        check_fits(g, program, cp.round, config.seed, &cp.states)?;
         if cp.round > engine.max_rounds {
             let what = "round exceeds the round budget";
             return Err(mismatch(what, engine.max_rounds, cp.round));

@@ -469,16 +469,7 @@ fn hostile_checkpoints_are_refused_with_a_typed_error() {
     let probe = mfd_bench::trace::DivergenceProbe::clean(12);
     let exec = engine((3, 4));
     let refused = |g: &Graph, cp: ExecCheckpoint<u64, u64>, exec: &ShardedExecutor| {
-        let mut sink = NullSink;
-        match exec.open(g, &probe, Some(cp), &mut sink) {
-            Err(RuntimeError::CheckpointMismatch {
-                what,
-                expected,
-                found,
-            }) => (what, expected, found),
-            Err(other) => panic!("expected a CheckpointMismatch, got {other}"),
-            Ok(_) => panic!("a hostile checkpoint was accepted"),
-        }
+        refusal(exec, g, &probe, cp)
     };
     // The intact checkpoint is accepted.
     let mut sink = NullSink;
@@ -533,6 +524,8 @@ fn hostile_checkpoints_are_refused_with_a_typed_error() {
             ..
         })
     ));
+    // Program states that do not fit their vertex.
+    unfit_reliable_states_are_refused(&exec, |cp| &mut cp.states);
 }
 
 /// The event engine's twin of the test above: a `SimCheckpoint` is decoded
@@ -564,16 +557,7 @@ fn hostile_sim_checkpoints_are_refused_with_a_typed_error() {
     assert!(!checkpoint.queue.is_empty(), "nothing in flight to forge");
 
     let refused = |g: &Graph, cp: SimCheckpoint<u64, u64>, sim: &SimEngine<NoFaults>| {
-        let mut sink = NullSink;
-        match sim.open(g, &probe, Some(cp), &mut sink) {
-            Err(RuntimeError::CheckpointMismatch {
-                what,
-                expected,
-                found,
-            }) => (what, expected, found),
-            Err(other) => panic!("expected a CheckpointMismatch, got {other}"),
-            Ok(_) => panic!("a hostile checkpoint was accepted"),
-        }
+        refusal(sim, g, &probe, cp)
     };
     // The intact checkpoint is accepted.
     assert!(sim
@@ -620,7 +604,7 @@ fn hostile_sim_checkpoints_are_refused_with_a_typed_error() {
     assert_eq!((expected, found), (14, u64::MAX));
     let tight = SimConfig {
         max_rounds: 3,
-        ..config
+        ..config.clone()
     };
     let tight = SimEngine(Simulator::new(tight), NoFaults);
     let (_, expected, found) = refused(&g, checkpoint.clone(), &tight);
@@ -701,4 +685,100 @@ fn hostile_sim_checkpoints_are_refused_with_a_typed_error() {
     let mut cp = checkpoint.clone();
     cp.round_pop.insert(0, cp.round_pop[0]);
     assert!(refused(&g, cp, &sim).0.starts_with("live vertices"));
+
+    // Program states that do not fit their vertex, in a faulted run.
+    let lossy = SimEngine(
+        Simulator::new(config),
+        mfd_faults::FaultModel::iid_loss(0.2),
+    );
+    unfit_reliable_states_are_refused(&lossy, |cp| &mut cp.states);
+}
+
+/// What `engine`'s `open` refuses `cp` with, as `(what, expected, found)`.
+fn refusal<P: NodeProgram, E: SessionEngine<P>>(
+    engine: &E,
+    g: &Graph,
+    program: &P,
+    cp: E::Checkpoint,
+) -> (&'static str, u64, u64) {
+    let mut sink = NullSink;
+    let refused = engine.open(g, program, Some(cp), &mut sink).err();
+    match refused {
+        Some(RuntimeError::CheckpointMismatch {
+            what,
+            expected,
+            found,
+        }) => (what, expected, found),
+        Some(other) => panic!("expected a CheckpointMismatch, got {other}"),
+        None => panic!("a hostile checkpoint was accepted"),
+    }
+}
+
+/// A vertex state of `Reliable<DivergenceProbe>`.
+type ReliableProbeState = mfd_faults::ReliableState<u64, u64>;
+
+/// `Reliable<probe>` cut after round 6 on the 8x8 grid, then vertex 0's
+/// state forged eight ways: each is refused by `engine`'s `open` as a
+/// program state that does not fit vertex 0 (`Reliable`'s `fits`), before
+/// the first step. The first four would index out of range in the adapter's
+/// round, or underflow in `Reliable::stats`: one send or receive window
+/// short of the degree, a retransmission window past the messages sent, more
+/// payload frames than frames. The last four break an order every run keeps
+/// — one window too many, an ack past what was sent, deliveries past the
+/// received prefix, a pending message below the delivered count — and would
+/// run on silently, or wedge.
+fn unfit_reliable_states_are_refused<E>(
+    engine: &E,
+    states: fn(&mut E::Checkpoint) -> &mut Vec<ReliableProbeState>,
+) where
+    E: SessionEngine<mfd_faults::Reliable<mfd_bench::trace::DivergenceProbe>>,
+    E::Checkpoint: Clone,
+{
+    let g = generators::triangulated_grid(8, 8);
+    let program = mfd_faults::Reliable::new(mfd_bench::trace::DivergenceProbe::clean(12));
+    let mut sink = NullSink;
+    let mut session = engine.open(&g, &program, None, &mut sink).unwrap();
+    while E::step(&mut session)
+        .unwrap()
+        .expect("the probe runs past round 6")
+        < 6
+    {}
+    let mut checkpoint = E::checkpoint(&session);
+    drop(session);
+    assert!(engine
+        .open(&g, &program, Some(checkpoint.clone()), &mut sink)
+        .is_ok());
+
+    let v = 0;
+    let intact = &states(&mut checkpoint)[v];
+    assert!(!intact.done, "vertex {v} has halted; nothing steps it");
+    let e = intact.rx.iter().position(|rx| rx.delivered > 0);
+    let e = e.expect("vertex 0 had mail delivered by round 6");
+    let forged = |forge: &dyn Fn(&mut ReliableProbeState)| {
+        let mut cp = checkpoint.clone();
+        forge(&mut states(&mut cp)[v]);
+        cp
+    };
+    let forgeries = [
+        forged(&|s| drop(s.tx.pop())),
+        forged(&|s| drop(s.rx.pop())),
+        forged(&|s| {
+            let tx = &mut s.tx[0];
+            (tx.acked, tx.last_progress) = (tx.sent.len() as u64 + 100, 0);
+            tx.tx_next = tx.acked + 1;
+        }),
+        forged(&|s| s.payload_frames = s.frames_sent + (1 << 40)),
+        forged(&|s| s.tx.push(s.tx[0].clone())),
+        forged(&|s| s.tx[0].acked = s.tx[0].tx_next + 1),
+        forged(&|s| s.rx[e].delivered = s.rx[e].prefix + 1),
+        forged(&|s| {
+            let below = s.rx[e].delivered - 1;
+            s.rx[e].pending.insert(below, (1, 7));
+        }),
+    ];
+    for (i, cp) in forgeries.into_iter().enumerate() {
+        let verdict = refusal(engine, &g, &program, cp);
+        let degree = g.degree(v) as u64;
+        assert_eq!(verdict, ("program state", v as u64, degree), "forgery {i}");
+    }
 }
