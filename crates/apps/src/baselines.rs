@@ -6,12 +6,6 @@
 //! * [`two_approx_vertex_cover`], greedy MIS / matching (see [`crate::solvers`]) —
 //!   the classic distributed heuristics whose quality the (1 ± ε) algorithms are
 //!   measured against.
-//! * [`local_model_gather_rounds`] — the cost model of the LOCAL-model algorithm of
-//!   Czygrinow–Hańćkowiak–Wawrzyniak: brute-force information gathering inside a
-//!   cluster of diameter D costs D rounds with unbounded messages, but in CONGEST the
-//!   same gathering costs at least `vol(S)/Δ` rounds through the leader's edges; the
-//!   helper reports both so the benchmark can show the LOCAL/CONGEST gap the paper
-//!   closes.
 
 use mfd_congest::RoundMeter;
 use mfd_core::clustering::Clustering;
@@ -96,27 +90,6 @@ pub fn two_approx_vertex_cover(g: &Graph) -> Vec<usize> {
     cover
 }
 
-/// Round-cost comparison for gathering a cluster's topology to its leader:
-/// `(local_rounds, congest_rounds)` where the LOCAL model needs only the diameter
-/// (unbounded messages) and CONGEST needs at least `vol(S)/deg(leader)` rounds to
-/// squeeze the topology through the leader's incident edges.
-pub fn local_model_gather_rounds(g: &Graph, members: &[usize]) -> (u64, u64) {
-    if members.len() <= 1 {
-        return (0, 0);
-    }
-    let mask = {
-        let mut m = vec![false; g.n()];
-        for &v in members {
-            m[v] = true;
-        }
-        m
-    };
-    let diameter = g.induced_diameter(&mask).unwrap_or(members.len()) as u64;
-    let volume: u64 = members.iter().map(|&v| g.degree(v) as u64).sum();
-    let leader_degree = members.iter().map(|&v| g.degree(v)).max().unwrap_or(1) as u64;
-    (diameter, diameter + volume / leader_degree.max(1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,14 +139,5 @@ mod tests {
         let g = generators::random_apollonian(80, 2);
         let cover = two_approx_vertex_cover(&g);
         assert!(crate::solvers::is_vertex_cover(&g, &cover));
-    }
-
-    #[test]
-    fn local_vs_congest_gather_gap_shows_up_on_stars() {
-        let g = generators::star(100);
-        let members: Vec<usize> = (0..100).collect();
-        let (local, congest) = local_model_gather_rounds(&g, &members);
-        assert!(local <= 2);
-        assert!(congest >= local);
     }
 }

@@ -22,23 +22,17 @@ pub struct MatchingConfig {
     pub epsilon: f64,
     /// Arboricity bound (3 for planar families).
     pub alpha: usize,
-    /// Whether to apply the matching sparsifier first.
-    pub use_sparsifier: bool,
-    /// Lower bound on the decomposition parameter ε* (guards against degenerate,
-    /// overly fine decompositions on tiny ε).
-    pub min_epsilon_star: f64,
 }
+
+/// Lower bound on the decomposition parameter ε* (guards against degenerate, overly
+/// fine decompositions on tiny ε).
+const MIN_EPSILON_STAR: f64 = 0.01;
 
 impl MatchingConfig {
     /// Default configuration for a given ε.
     pub fn new(epsilon: f64) -> Self {
         assert!(epsilon > 0.0 && epsilon < 1.0);
-        MatchingConfig {
-            epsilon,
-            alpha: 3,
-            use_sparsifier: true,
-            min_epsilon_star: 0.01,
-        }
+        MatchingConfig { epsilon, alpha: 3 }
     }
 }
 
@@ -72,17 +66,13 @@ pub struct MatchingResult {
 /// ```
 pub fn approximate_maximum_matching(g: &Graph, config: &MatchingConfig) -> MatchingResult {
     let mut extra = RoundMeter::new();
-    let working: Graph = if config.use_sparsifier {
-        extra.charge_rounds(1);
-        extra.charge_messages(2 * g.m() as u64);
-        let d = sparsifier::cover_threshold(config.alpha, config.epsilon);
-        sparsifier::matching_sparsifier(g, d)
-    } else {
-        g.clone()
-    };
+    extra.charge_rounds(1);
+    extra.charge_messages(2 * g.m() as u64);
+    let d = sparsifier::cover_threshold(config.alpha, config.epsilon);
+    let working = sparsifier::matching_sparsifier(g, d);
 
     let delta = working.max_degree().max(1) as f64;
-    let eps_star = (config.epsilon / (2.0 * delta - 1.0)).max(config.min_epsilon_star);
+    let eps_star = (config.epsilon / (2.0 * delta - 1.0)).max(MIN_EPSILON_STAR);
     let (decomposition, meter) = build_edt(&working, &EdtConfig::new(eps_star.min(0.9)));
 
     let mut matching = Vec::new();
@@ -150,17 +140,5 @@ mod tests {
             // Should also beat the greedy 1/2-approximation in the typical case.
             assert!(r.matching.len() * 2 >= greedy_matching(&g).len());
         }
-    }
-
-    #[test]
-    fn sparsifier_toggle_is_respected() {
-        let g = generators::random_apollonian(80, 1);
-        let mut config = MatchingConfig::new(0.3);
-        config.use_sparsifier = false;
-        let a = approximate_maximum_matching(&g, &config);
-        config.use_sparsifier = true;
-        let b = approximate_maximum_matching(&g, &config);
-        assert!(is_matching(&g, &a.matching));
-        assert!(is_matching(&g, &b.matching));
     }
 }

@@ -24,12 +24,6 @@ pub struct MisConfig {
     pub alpha: usize,
     /// Whether to apply the bounded-degree sparsifier first.
     pub use_sparsifier: bool,
-    /// Node budget for the exact per-cluster solver.
-    pub solver_budget: usize,
-    /// Scale factor applied to the decomposition parameter ε* (1.0 = the paper's
-    /// ε/(α(2α−1)); larger values trade approximation quality for faster, coarser
-    /// decompositions — used by the ablation benchmarks).
-    pub epsilon_star_scale: f64,
 }
 
 impl MisConfig {
@@ -40,15 +34,13 @@ impl MisConfig {
             epsilon,
             alpha: 3,
             use_sparsifier: true,
-            solver_budget: solvers::DEFAULT_MIS_NODE_BUDGET,
-            epsilon_star_scale: 1.0,
         }
     }
 
-    /// The decomposition parameter ε* = ε / (α(2α−1)), scaled.
-    pub fn epsilon_star(&self) -> f64 {
+    /// The decomposition parameter ε* = ε / (α(2α−1)).
+    pub(crate) fn epsilon_star(&self) -> f64 {
         let a = self.alpha as f64;
-        (self.epsilon / (a * (2.0 * a - 1.0)) * self.epsilon_star_scale).clamp(1e-4, 0.9)
+        (self.epsilon / (a * (2.0 * a - 1.0))).clamp(1e-4, 0.9)
     }
 }
 
@@ -118,7 +110,7 @@ pub fn approximate_mis(g: &Graph, config: &MisConfig) -> MisResult {
         }
         let (sub, map) = working.induced_subgraph(members);
         let MisSolution { vertices, exact } =
-            solvers::maximum_independent_set(&sub, config.solver_budget);
+            solvers::maximum_independent_set(&sub, solvers::DEFAULT_MIS_NODE_BUDGET);
         all_exact &= exact;
         for &local in &vertices {
             independent[map[local]] = true;

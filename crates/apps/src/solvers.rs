@@ -325,7 +325,7 @@ pub fn matching_edges(partner: &[usize]) -> Vec<(usize, usize)> {
 }
 
 /// Greedy maximal matching (the classic 1/2-approximation baseline).
-pub fn greedy_matching(g: &Graph) -> Vec<(usize, usize)> {
+pub(crate) fn greedy_matching(g: &Graph) -> Vec<(usize, usize)> {
     let mut used = vec![false; g.n()];
     let mut result = Vec::new();
     for (u, v) in g.edges() {
@@ -355,7 +355,7 @@ pub struct CutSolution {
 /// Maximum cut: exact by enumeration for at most [`MAX_EXACT_CUT_VERTICES`] vertices,
 /// otherwise single-flip local search from a deterministic start (which guarantees at
 /// least half of the edges are cut).
-pub fn maximum_cut(g: &Graph) -> CutSolution {
+pub(crate) fn maximum_cut(g: &Graph) -> CutSolution {
     let n = g.n();
     if n == 0 {
         return CutSolution {

@@ -32,18 +32,18 @@ pub struct VertexSparsifier {
 }
 
 /// Degree threshold for the MIS sparsifier: `⌈c·α²/ε⌉`.
-pub fn mis_threshold(alpha: usize, epsilon: f64) -> usize {
+pub(crate) fn mis_threshold(alpha: usize, epsilon: f64) -> usize {
     (((alpha * alpha) as f64) / epsilon).ceil() as usize + 1
 }
 
 /// Degree threshold for the vertex-cover / matching sparsifiers: `⌈c·α/ε⌉`.
-pub fn cover_threshold(alpha: usize, epsilon: f64) -> usize {
+pub(crate) fn cover_threshold(alpha: usize, epsilon: f64) -> usize {
     ((alpha as f64) / epsilon).ceil() as usize + 1
 }
 
 /// Builds the low-degree vertex sparsifier `G^d_low`: vertices of degree ≥ `threshold`
 /// are removed (their incident edges disappear).
-pub fn low_degree_sparsifier(g: &Graph, threshold: usize) -> VertexSparsifier {
+pub(crate) fn low_degree_sparsifier(g: &Graph, threshold: usize) -> VertexSparsifier {
     let n = g.n();
     let high: Vec<usize> = (0..n).filter(|&v| g.degree(v) >= threshold).collect();
     let is_high: Vec<bool> = (0..n).map(|v| g.degree(v) >= threshold).collect();
@@ -58,7 +58,7 @@ pub fn low_degree_sparsifier(g: &Graph, threshold: usize) -> VertexSparsifier {
 /// Builds the matching sparsifier `G_d`: every vertex marks its first
 /// `min(deg, threshold)` incident edges; only edges marked by both endpoints remain.
 /// The result has maximum degree ≤ `threshold`.
-pub fn matching_sparsifier(g: &Graph, threshold: usize) -> Graph {
+pub(crate) fn matching_sparsifier(g: &Graph, threshold: usize) -> Graph {
     let n = g.n();
     let mut marked: Vec<std::collections::HashSet<usize>> = vec![Default::default(); n];
     for (v, marks) in marked.iter_mut().enumerate() {

@@ -22,25 +22,16 @@ pub struct VertexCoverConfig {
     pub epsilon: f64,
     /// Arboricity bound (3 for planar families).
     pub alpha: usize,
-    /// Whether to apply the sparsifier first.
-    pub use_sparsifier: bool,
-    /// Node budget for the per-cluster exact solver.
-    pub solver_budget: usize,
-    /// Lower bound on the decomposition parameter ε*.
-    pub min_epsilon_star: f64,
 }
+
+/// Lower bound on the decomposition parameter ε*.
+const MIN_EPSILON_STAR: f64 = 0.01;
 
 impl VertexCoverConfig {
     /// Default configuration for a given ε.
     pub fn new(epsilon: f64) -> Self {
         assert!(epsilon > 0.0 && epsilon < 1.0);
-        VertexCoverConfig {
-            epsilon,
-            alpha: 3,
-            use_sparsifier: true,
-            solver_budget: solvers::DEFAULT_MIS_NODE_BUDGET,
-            min_epsilon_star: 0.01,
-        }
+        VertexCoverConfig { epsilon, alpha: 3 }
     }
 }
 
@@ -78,21 +69,17 @@ pub fn approximate_vertex_cover(g: &Graph, config: &VertexCoverConfig) -> Vertex
     let mut extra = RoundMeter::new();
     let mut cover_mask = vec![false; g.n()];
 
-    let working: Graph = if config.use_sparsifier {
-        extra.charge_rounds(1);
-        extra.charge_messages(2 * g.m() as u64);
-        let threshold = sparsifier::cover_threshold(config.alpha, config.epsilon);
-        let s = sparsifier::low_degree_sparsifier(g, threshold);
-        for &v in &s.high_vertices {
-            cover_mask[v] = true;
-        }
-        s.low_subgraph
-    } else {
-        g.clone()
-    };
+    extra.charge_rounds(1);
+    extra.charge_messages(2 * g.m() as u64);
+    let threshold = sparsifier::cover_threshold(config.alpha, config.epsilon);
+    let s = sparsifier::low_degree_sparsifier(g, threshold);
+    for &v in &s.high_vertices {
+        cover_mask[v] = true;
+    }
+    let working = s.low_subgraph;
 
     let delta = working.max_degree().max(1) as f64;
-    let eps_star = (config.epsilon / (2.0 * delta - 1.0)).max(config.min_epsilon_star);
+    let eps_star = (config.epsilon / (2.0 * delta - 1.0)).max(MIN_EPSILON_STAR);
     let (decomposition, meter) = build_edt(&working, &EdtConfig::new(eps_star.min(0.9)));
 
     for c in 0..decomposition.clustering.num_clusters() {
@@ -104,7 +91,7 @@ pub fn approximate_vertex_cover(g: &Graph, config: &VertexCoverConfig) -> Vertex
         if sub.m() == 0 {
             continue;
         }
-        let mis = solvers::maximum_independent_set(&sub, config.solver_budget);
+        let mis = solvers::maximum_independent_set(&sub, solvers::DEFAULT_MIS_NODE_BUDGET);
         let in_mis: std::collections::HashSet<usize> = mis.vertices.iter().copied().collect();
         for local in 0..sub.n() {
             if !in_mis.contains(&local) && sub.degree(local) > 0 {

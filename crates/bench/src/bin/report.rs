@@ -26,9 +26,7 @@ use mfd_bench::trace::chain;
 use mfd_bench::{acceptance_families, f3, Table};
 use mfd_congest::RoundMeter;
 use mfd_core::edt::{build_edt, build_edt_traced, build_edt_with, EdtConfig};
-use mfd_core::expander::{
-    min_cluster_conductance, minor_free_expander_decomposition, ExpanderParams,
-};
+use mfd_core::expander::{min_cluster_conductance, minor_free_expander_decomposition};
 use mfd_core::ldd::{chop_ldd, measure_ldd, region_growing_ldd};
 use mfd_core::overlap::{overlap_expander_decomposition, OverlapParams};
 use mfd_core::programs::{BfsProgram, ColeVishkinProgram, VoronoiLddProgram};
@@ -38,7 +36,7 @@ use mfd_graph::properties::splitmix64;
 use mfd_graph::{gen, Graph};
 use mfd_routing::backend::{Executed, Metered};
 use mfd_routing::gather::{gather_to_leader, GatherStrategy};
-use mfd_routing::load_balance::{LoadBalanceParams, LoadBalancePlan};
+use mfd_routing::load_balance::LoadBalancePlan;
 use mfd_routing::programs::{
     execute_gather, GatherProgram, LoadBalanceProgram, TreeGatherProgram, WalkScheduleProgram,
 };
@@ -316,7 +314,7 @@ fn expander_report() {
         ("apollonian-400", generators::random_apollonian(400, 9)),
     ] {
         for eps in [0.5, 0.3] {
-            let d = minor_free_expander_decomposition(&g, eps, &ExpanderParams::default());
+            let d = minor_free_expander_decomposition(&g, eps);
             let phi = min_cluster_conductance(&g, &d.clustering, 80);
             table.row(vec![
                 name.to_string(),
@@ -380,10 +378,7 @@ fn routing_report() {
         let leader = (0..g.n()).max_by_key(|&v| g.degree(v)).unwrap();
         for (label, strategy) in [
             ("tree pipeline", GatherStrategy::TreePipeline),
-            (
-                "load balance (L2.2)",
-                GatherStrategy::LoadBalance(LoadBalanceParams::default()),
-            ),
+            ("load balance (L2.2)", GatherStrategy::LoadBalance),
             (
                 "walk schedule (L2.5)",
                 GatherStrategy::WalkSchedule(WalkParams::default()),
@@ -509,10 +504,7 @@ fn ablations_report() {
     );
     for (label, strategy) in [
         ("tree pipeline", GatherStrategy::TreePipeline),
-        (
-            "load balance",
-            GatherStrategy::LoadBalance(LoadBalanceParams::default()),
-        ),
+        ("load balance", GatherStrategy::LoadBalance),
         (
             "walk schedule",
             GatherStrategy::WalkSchedule(WalkParams::default()),
@@ -772,7 +764,7 @@ fn gather_report() {
         let tree = TreeGatherProgram::new(g, leader);
         run_gather_engines(g, &tree, name, f, charged.rounds, &mut rows);
 
-        let plan = LoadBalancePlan::new(g, &LoadBalanceParams::default());
+        let plan = LoadBalancePlan::new(g);
         let mut meter = RoundMeter::new();
         let charged = mfd_routing::load_balance::load_balance_gather_with_plan(
             g, leader, f, &plan, &mut meter,
@@ -912,7 +904,7 @@ fn faults_report() {
     for (name, g) in &families {
         let leader = mfd_bench::acceptance_leader(g);
         let tree = TreeGatherProgram::new(g, leader);
-        let plan = LoadBalancePlan::new(g, &LoadBalanceParams::default());
+        let plan = LoadBalancePlan::new(g);
         let lb = LoadBalanceProgram::new(g, leader, f, &plan);
         let walk_plan = mfd_routing::walks::plan_walk_schedule(g, leader, walk_f, &walk_params);
         let walk = WalkScheduleProgram::new(g, &walk_plan);

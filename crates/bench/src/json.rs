@@ -46,7 +46,7 @@ impl Value {
     }
 
     /// This value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
             _ => None,
@@ -54,7 +54,7 @@ impl Value {
     }
 
     /// This value as an array slice.
-    pub fn as_arr(&self) -> Option<&[Value]> {
+    pub(crate) fn as_arr(&self) -> Option<&[Value]> {
         match self {
             Value::Arr(items) => Some(items),
             _ => None,

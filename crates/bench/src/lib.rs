@@ -147,7 +147,7 @@ impl Table {
     }
 
     /// Renders the table as markdown.
-    pub fn to_markdown(&self) -> String {
+    pub(crate) fn to_markdown(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("\n### {}\n\n", self.title));
         out.push_str(&format!("| {} |\n", self.header.join(" | ")));

@@ -43,7 +43,7 @@ impl Algo {
     }
 
     /// Evenly spaced LDD centers for a graph of `n` vertices.
-    pub fn centers(k: usize, n: usize) -> Vec<usize> {
+    pub(crate) fn centers(k: usize, n: usize) -> Vec<usize> {
         (0..k).map(|i| (i * n) / k).collect()
     }
 }
@@ -119,7 +119,7 @@ fn verify_consistency(run: &ProfiledRun, label: &str) {
 /// Runs `program` on the sharded executor twice — profiled and plain — and
 /// asserts the profiled run changed nothing: bit-identical states, meter
 /// statistics, arena high-water marks, and digest chains.
-pub fn profile_sharded<P>(
+pub(crate) fn profile_sharded<P>(
     g: &Graph,
     program: &P,
     shards: usize,

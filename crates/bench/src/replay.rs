@@ -50,7 +50,7 @@ impl RunSpec {
     /// # Errors
     ///
     /// A one-line message for a label `replay record` did not write.
-    pub fn parse(label: &str) -> Result<RunSpec, String> {
+    pub(crate) fn parse(label: &str) -> Result<RunSpec, String> {
         let fields = || {
             let mut parts = label.split(';');
             let graph = parts.next()?.to_string();

@@ -16,7 +16,7 @@
 //! * [`primitives`] — the standard building blocks used by the decomposition layer:
 //!   BFS-tree construction inside a cluster, convergecast / broadcast along the tree,
 //!   pipelined upcast and downcast of `deg(v)` messages per vertex (the "direct"
-//!   information-gathering baseline), and leader election.
+//!   information-gathering baseline).
 //!
 //! Parallel composition across clusters follows the paper's convention: routines
 //! executed in parallel on vertex-disjoint clusters cost the **maximum** of their

@@ -35,13 +35,8 @@ impl BfsTree {
     }
 
     /// Number of vertices in the tree.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.members.len()
-    }
-
-    /// Returns `true` if the tree is empty.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
     }
 }
 
@@ -280,33 +275,6 @@ pub fn downcast_pipeline(
     upcast_pipeline(g, tree, counts, meter)
 }
 
-/// Elects the maximum-degree vertex of the masked region as leader, starting from an
-/// arbitrary member `start`: builds a BFS tree, convergecasts the argmax of degrees,
-/// and broadcasts the winner. Returns the leader and the BFS tree (rooted at
-/// `start`).
-pub fn elect_max_degree_leader(
-    g: &Graph,
-    mask: Option<&[bool]>,
-    start: usize,
-    meter: &mut RoundMeter,
-) -> (usize, BfsTree) {
-    let tree = build_bfs_tree(g, mask, start, meter);
-    let degrees: Vec<u64> = (0..g.n()).map(|v| g.degree(v) as u64).collect();
-    let (leader, _) = convergecast_argmax(g, &tree, &degrees, meter);
-    broadcast_words(g, &tree, 1, meter);
-    (leader, tree)
-}
-
-/// Cost (in rounds, charged on `meter`) of gathering the full topology of the masked
-/// region to the root of `tree`: every member `v` upcasts `deg(v)` edge descriptors.
-/// Returns the number of edge descriptors received by the root.
-pub fn gather_topology(g: &Graph, tree: &BfsTree, meter: &mut RoundMeter) -> u64 {
-    let counts: Vec<usize> = (0..g.n())
-        .map(|v| if tree.contains(v) { g.degree(v) } else { 0 })
-        .collect();
-    upcast_pipeline(g, tree, &counts, meter)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,16 +353,6 @@ mod tests {
         let delivered = upcast_pipeline(&g, &tree, &counts, &mut meter);
         assert_eq!(delivered, 9);
         assert_eq!(meter.rounds() - before, 1);
-    }
-
-    #[test]
-    fn leader_election_returns_max_degree_vertex() {
-        let g = generators::wheel(12);
-        let mut meter = RoundMeter::new();
-        let (leader, tree) = elect_max_degree_leader(&g, None, 5, &mut meter);
-        assert_eq!(leader, 0);
-        assert_eq!(tree.root, 5);
-        assert!(meter.rounds() > 0);
     }
 
     /// The full-scan simulation the worklist [`upcast_pipeline`] replaced: every
@@ -486,7 +444,9 @@ mod tests {
         let g = generators::cycle(6);
         let mut meter = RoundMeter::new();
         let tree = build_bfs_tree(&g, None, 0, &mut meter);
-        let received = gather_topology(&g, &tree, &mut meter);
+        // Gathering the topology upcasts one descriptor per incident edge.
+        let counts: Vec<usize> = g.vertices().map(|v| g.degree(v)).collect();
+        let received = upcast_pipeline(&g, &tree, &counts, &mut meter);
         assert_eq!(received, 2 * g.m() as u64);
     }
 }

@@ -87,7 +87,12 @@ impl ClusterRoundProgram {
     ///
     /// Panics if `leaders` or `words` are not one-per-cluster, or a leader
     /// lies outside its cluster.
-    pub fn new(g: &Graph, clustering: &Clustering, leaders: &[usize], words: &[u64]) -> Self {
+    pub(crate) fn new(
+        g: &Graph,
+        clustering: &Clustering,
+        leaders: &[usize],
+        words: &[u64],
+    ) -> Self {
         let k = clustering.num_clusters();
         assert_eq!(leaders.len(), k, "one leader per cluster required");
         assert_eq!(words.len(), k, "one word per cluster required");
@@ -146,7 +151,7 @@ impl ClusterRoundProgram {
     }
 
     /// The round in which every vertex has halted: `2E + 2`.
-    pub fn total_rounds(&self) -> u64 {
+    pub(crate) fn total_rounds(&self) -> u64 {
         2 * self.max_depth + 2
     }
 

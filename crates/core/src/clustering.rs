@@ -28,7 +28,7 @@ pub struct Clustering {
 
 impl Clustering {
     /// The trivial clustering where every vertex is its own cluster.
-    pub fn singletons(g: &Graph) -> Self {
+    pub(crate) fn singletons(g: &Graph) -> Self {
         let cluster_of: Vec<usize> = (0..g.n()).collect();
         let members: Vec<Vec<usize>> = (0..g.n()).map(|v| vec![v]).collect();
         Clustering {
@@ -68,11 +68,6 @@ impl Clustering {
         self.members.len()
     }
 
-    /// Number of vertices.
-    pub fn num_vertices(&self) -> usize {
-        self.cluster_of.len()
-    }
-
     /// Cluster index of vertex `v`.
     pub fn cluster_of(&self, v: usize) -> usize {
         self.cluster_of[v]
@@ -93,15 +88,6 @@ impl Clustering {
         self.members.iter().map(|m| m.as_slice())
     }
 
-    /// Membership mask for cluster `c`.
-    pub fn mask(&self, c: usize) -> Vec<bool> {
-        let mut mask = vec![false; self.cluster_of.len()];
-        for &v in &self.members[c] {
-            mask[v] = true;
-        }
-        mask
-    }
-
     /// Number of edges of `g` whose endpoints lie in different clusters.
     pub fn inter_cluster_edges(&self, g: &Graph) -> usize {
         g.inter_cluster_edges(&self.cluster_of)
@@ -118,7 +104,7 @@ impl Clustering {
 
     /// Weighted cluster graph: one vertex per cluster, edge weights = number of
     /// crossing edges.
-    pub fn cluster_graph(&self, g: &Graph) -> WeightedGraph {
+    pub(crate) fn cluster_graph(&self, g: &Graph) -> WeightedGraph {
         g.quotient(&self.cluster_of)
     }
 
@@ -130,7 +116,7 @@ impl Clustering {
     /// test and a shared distance scratch (reset through a touched list), so
     /// the total cost is `Σ_c |c|·(|c| + vol(c))` instead of `O(n²)` — the
     /// difference between seconds and hours on million-vertex graphs.
-    pub fn cluster_diameters(&self, g: &Graph) -> Vec<Option<usize>> {
+    pub(crate) fn cluster_diameters(&self, g: &Graph) -> Vec<Option<usize>> {
         let n = self.cluster_of.len();
         let mut dist = vec![usize::MAX; n];
         let mut touched: Vec<usize> = Vec::new();
@@ -188,7 +174,7 @@ impl Clustering {
     /// # Panics
     ///
     /// Panics if `group_of.len() != num_clusters()`.
-    pub fn merge_groups(&self, group_of: &[usize]) -> Clustering {
+    pub(crate) fn merge_groups(&self, group_of: &[usize]) -> Clustering {
         assert_eq!(group_of.len(), self.num_clusters());
         let labels: Vec<usize> = self.cluster_of.iter().map(|&c| group_of[c]).collect();
         let mut remap: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
@@ -211,7 +197,7 @@ impl Clustering {
     /// Refines this clustering by a per-vertex sub-label: two vertices stay in the
     /// same cluster only if they were together before **and** share the same
     /// sub-label.
-    pub fn refine(&self, g: &Graph, sub_label: &[usize]) -> Clustering {
+    pub(crate) fn refine(&self, g: &Graph, sub_label: &[usize]) -> Clustering {
         assert_eq!(sub_label.len(), self.cluster_of.len());
         let mut remap: std::collections::HashMap<(usize, usize), usize> =
             std::collections::HashMap::new();
@@ -257,7 +243,7 @@ pub(crate) fn max_diameter(diameters: &[Option<usize>]) -> Option<usize> {
 /// Labels each vertex with the index of its connected component *within its cluster*
 /// (component indices are local to the cluster). Returns (labels, number of
 /// components overall).
-pub fn component_labels_within(g: &Graph, cluster_of: &[usize]) -> (Vec<usize>, usize) {
+pub(crate) fn component_labels_within(g: &Graph, cluster_of: &[usize]) -> (Vec<usize>, usize) {
     let n = g.n();
     let mut label = vec![usize::MAX; n];
     let mut count = 0usize;
@@ -348,17 +334,6 @@ mod tests {
         assert_eq!(wg.weight(0, 1), 2);
     }
 
-    #[test]
-    fn masks_and_members_agree() {
-        let g = generators::cycle(8);
-        let c = Clustering::from_labels(&g, vec![0, 0, 0, 0, 1, 1, 1, 1]);
-        let mask = c.mask(0);
-        assert_eq!(mask.iter().filter(|&&b| b).count(), 4);
-        for &v in c.members(0) {
-            assert!(mask[v]);
-        }
-    }
-
     /// The shared-scratch `cluster_diameters` pass must agree exactly with the
     /// mask-based `Graph::induced_diameter` it replaced on the hot path,
     /// including the `None` of a disconnected cluster.
@@ -375,11 +350,8 @@ mod tests {
             let diameters = c.cluster_diameters(&g);
             assert_eq!(diameters.len(), c.num_clusters());
             for (cluster, &diam) in diameters.iter().enumerate() {
-                assert_eq!(
-                    diam,
-                    g.induced_diameter(&c.mask(cluster)),
-                    "cluster {cluster}"
-                );
+                let mask: Vec<bool> = g.vertices().map(|v| c.cluster_of(v) == cluster).collect();
+                assert_eq!(diam, g.induced_diameter(&mask), "cluster {cluster}");
             }
             let expected = diameters
                 .iter()

@@ -27,7 +27,7 @@ pub struct ForestColoring {
 /// implementation below and the message-passing port in
 /// [`crate::programs::ColeVishkinProgram`], so the two stay step-for-step
 /// equivalent by construction.
-pub fn cv_step(own: u64, reference: u64) -> u64 {
+pub(crate) fn cv_step(own: u64, reference: u64) -> u64 {
     debug_assert_ne!(own, reference, "colouring must stay proper");
     let diff = own ^ reference;
     let i = diff.trailing_zeros() as u64;
@@ -35,19 +35,19 @@ pub fn cv_step(own: u64, reference: u64) -> u64 {
 }
 
 /// Artificial parent colour a root compares against (differs in bit 0).
-pub fn cv_root_reference(own: u64) -> u64 {
+pub(crate) fn cv_root_reference(own: u64) -> u64 {
     own ^ 1
 }
 
 /// Shift-down rule for roots: rotate within `{0, 1, 2}`.
-pub fn cv_root_shift(color: u64) -> u64 {
+pub(crate) fn cv_root_shift(color: u64) -> u64 {
     (color + 1) % 3
 }
 
 /// Recolouring rule for the shift-down/eliminate phase: the first colour in
 /// `{0, 1, 2}` that clashes with neither the (shifted) parent colour
 /// (`u64::MAX` for roots) nor the uniform colour of the children.
-pub fn cv_eliminate_pick(parent_color: u64, child_color: u64) -> u64 {
+pub(crate) fn cv_eliminate_pick(parent_color: u64, child_color: u64) -> u64 {
     (0..3u64)
         .find(|&c| c != parent_color && c != child_color)
         .expect("three colours always leave one free")
@@ -75,7 +75,7 @@ pub fn cv_schedule_len() -> u64 {
 /// of exactly `schedule` Cole–Vishkin reduction iterations (then the usual
 /// three shift-down/eliminate phases).
 ///
-/// Unlike [`color_rooted_forest`], which stops reducing as soon as the global
+/// Unlike `color_rooted_forest`, which stops reducing as soon as the global
 /// maximum colour drops below 6 (a data-dependent condition no real vertex
 /// can evaluate locally), this variant runs the input-independent schedule a
 /// distributed execution uses — it is the centralized reference the runtime
@@ -156,7 +156,7 @@ pub fn color_rooted_forest_scheduled(
 ///
 /// Panics if `parent` and `id` have different lengths, or if identifiers are not
 /// distinct between a node and its parent.
-pub fn color_rooted_forest(parent: &[usize], id: &[u64]) -> ForestColoring {
+pub(crate) fn color_rooted_forest(parent: &[usize], id: &[u64]) -> ForestColoring {
     assert_eq!(parent.len(), id.len());
     let n = parent.len();
     if n == 0 {

@@ -86,13 +86,14 @@ pub struct EdtConfig {
     pub diameter_slack: usize,
     /// Gathering strategy used by the final routing algorithm `A`.
     pub routing_gather: GatherStrategy,
-    /// Gathering strategy used during construction (topology / weight gathers).
-    pub construction_gather: GatherStrategy,
-    /// Failure fraction `f` handed to the expander gatherers.
-    pub failure_fraction: f64,
-    /// Maximum number of merge iterations.
-    pub max_iterations: usize,
 }
+
+/// Failure fraction `f` handed to the expander gatherers.
+const FAILURE_FRACTION: f64 = 0.05;
+/// Maximum number of merge iterations.
+const MAX_ITERATIONS: usize = 80;
+/// Gathering strategy of the construction's topology / weight gathers.
+const CONSTRUCTION_GATHER: GatherStrategy = GatherStrategy::TreePipeline;
 
 impl EdtConfig {
     /// Default configuration for a given ε: planar-grade constants, tree-pipeline
@@ -105,9 +106,6 @@ impl EdtConfig {
             chop_depth: 3,
             diameter_slack: 6,
             routing_gather: GatherStrategy::TreePipeline,
-            construction_gather: GatherStrategy::TreePipeline,
-            failure_fraction: 0.05,
-            max_iterations: 80,
         }
     }
 
@@ -129,7 +127,7 @@ impl EdtConfig {
 /// boundary (1), and the foreign aggregate converges back (≤ `D + 1`) —
 /// exactly what [`ClusterRoundProgram`]'s `2E + 2 ≤ 2(D + 1)` schedule
 /// executes.
-pub fn cluster_round_charge(max_diam: u64) -> u64 {
+pub(crate) fn cluster_round_charge(max_diam: u64) -> u64 {
     2 * (max_diam + 1)
 }
 
@@ -343,7 +341,7 @@ pub fn build_edt_traced<B: EdtBackend>(
         // ---- Phase 1 + 2: merging with interleaved diameter control. ----
         loop {
             let fraction = clustering.edge_fraction(g);
-            if fraction <= merge_target || iterations >= config.max_iterations {
+            if fraction <= merge_target || iterations >= MAX_ITERATIONS {
                 break;
             }
             iterations += 1;
@@ -448,7 +446,7 @@ pub fn build_edt_traced<B: EdtBackend>(
     }
     let reports = backend.gather_all_traced(
         &jobs,
-        config.failure_fraction,
+        FAILURE_FRACTION,
         &config.routing_gather,
         &mut meter,
         sink,
@@ -522,12 +520,7 @@ fn merge_step<B: EdtBackend>(
             jobs.push(GatherJob { cluster, leader });
         }
     }
-    backend.gather_all(
-        &jobs,
-        config.failure_fraction,
-        &config.construction_gather,
-        meter,
-    );
+    backend.gather_all(&jobs, FAILURE_FRACTION, &CONSTRUCTION_GATHER, meter);
 
     let wg = clustering.cluster_graph(g);
     let hs = heavy_stars(&wg);
@@ -604,12 +597,7 @@ fn refine_step<B: EdtBackend>(
         }
         jobs.push(GatherJob { cluster, leader });
     }
-    backend.gather_all(
-        &jobs,
-        config.failure_fraction,
-        &config.construction_gather,
-        meter,
-    );
+    backend.gather_all(&jobs, FAILURE_FRACTION, &CONSTRUCTION_GATHER, meter);
     clustering.refine(g, &sub_label).split_into_components(g)
 }
 
@@ -617,7 +605,6 @@ fn refine_step<B: EdtBackend>(
 mod tests {
     use super::*;
     use mfd_graph::generators;
-    use mfd_routing::load_balance::LoadBalanceParams;
     use mfd_routing::walks::WalkParams;
 
     fn check(g: &Graph, eps: f64) -> (EdtDecomposition, RoundMeter) {
@@ -769,7 +756,7 @@ mod tests {
         let g = generators::triangulated_grid(8, 8);
         for strategy in [
             GatherStrategy::TreePipeline,
-            GatherStrategy::LoadBalance(LoadBalanceParams::default()),
+            GatherStrategy::LoadBalance,
             GatherStrategy::WalkSchedule(WalkParams::default()),
         ] {
             let config = EdtConfig::new(0.3).with_routing_gather(strategy);

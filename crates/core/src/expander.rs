@@ -30,43 +30,15 @@ pub struct ExpanderDecomposition {
     pub edge_fraction: f64,
 }
 
-/// Parameters of the recursive sparse-cut decomposition.
-#[derive(Debug, Clone)]
-pub struct ExpanderParams {
-    /// Sweep-cut power-iteration count.
-    pub sweep_iterations: usize,
-    /// Maximum recursion depth (defensive bound; `2·log2(m)` by default).
-    pub max_depth: usize,
-}
+/// Sweep-cut power-iteration count.
+const SWEEP_ITERATIONS: usize = 80;
+/// Maximum recursion depth of the sparse-cut search (a defensive bound).
+const MAX_DEPTH: usize = 64;
 
-impl Default for ExpanderParams {
-    fn default() -> Self {
-        ExpanderParams {
-            sweep_iterations: 80,
-            max_depth: 64,
-        }
-    }
-}
-
-/// Fact 3.1: an `(ε, φ)` expander decomposition with `φ = ε / (4·log₂ m)`, computed
-/// by recursively removing cuts of conductance below `φ` (found by sweep cuts, or by
-/// exact enumeration for very small pieces).
-pub fn expander_decomposition(
-    g: &Graph,
-    epsilon: f64,
-    params: &ExpanderParams,
-) -> ExpanderDecomposition {
-    let m = g.m().max(2) as f64;
-    let phi = epsilon / (4.0 * m.log2());
-    expander_decomposition_with_phi(g, phi, params)
-}
-
-/// Recursive sparse-cut decomposition with an explicit conductance threshold `phi`.
-pub fn expander_decomposition_with_phi(
-    g: &Graph,
-    phi: f64,
-    params: &ExpanderParams,
-) -> ExpanderDecomposition {
+/// Recursive sparse-cut decomposition with an explicit conductance threshold `phi`
+/// (Fact 3.1 takes `φ = ε / (4·log₂ m)`): recursively removes cuts of conductance
+/// below `φ`, found by sweep cuts, or by exact enumeration for very small pieces.
+fn expander_decomposition_with_phi(g: &Graph, phi: f64) -> ExpanderDecomposition {
     let n = g.n();
     let mut labels = vec![0usize; n];
     let mut next_label = 1usize;
@@ -87,11 +59,11 @@ pub fn expander_decomposition_with_phi(
             }
             continue;
         }
-        let cut_mask = find_sparse_cut(&sub, phi, params);
+        let cut_mask = find_sparse_cut(&sub, phi);
         let Some(mask) = cut_mask else {
             continue; // This piece is (certified-by-search) a φ-expander.
         };
-        if depth >= params.max_depth {
+        if depth >= MAX_DEPTH {
             continue;
         }
         let side_a: Vec<usize> = members
@@ -129,7 +101,7 @@ pub fn expander_decomposition_with_phi(
 
 /// Looks for a cut of conductance below `phi`; `None` means the search found none
 /// (the graph is treated as a φ-expander).
-fn find_sparse_cut(g: &Graph, phi: f64, params: &ExpanderParams) -> Option<Vec<bool>> {
+fn find_sparse_cut(g: &Graph, phi: f64) -> Option<Vec<bool>> {
     if g.n() < 2 || g.m() == 0 {
         return None;
     }
@@ -153,7 +125,7 @@ fn find_sparse_cut(g: &Graph, phi: f64, params: &ExpanderParams) -> Option<Vec<b
         }
         return if best < phi { best_mask } else { None };
     }
-    let cut = spectral_sweep_cut(g, params.sweep_iterations)?;
+    let cut = spectral_sweep_cut(g, SWEEP_ITERATIONS)?;
     if cut.conductance < phi {
         Some(cut.mask)
     } else {
@@ -165,11 +137,7 @@ fn find_sparse_cut(g: &Graph, phi: f64, params: &ExpanderParams) -> Option<Vec<b
 /// low-diameter decomposition with parameter ε/3, then two rounds of expander
 /// refinement inside every cluster — achieving conductance
 /// `Ω(ε / (log 1/ε + log Δ))` independent of n.
-pub fn minor_free_expander_decomposition(
-    g: &Graph,
-    epsilon: f64,
-    params: &ExpanderParams,
-) -> ExpanderDecomposition {
+pub fn minor_free_expander_decomposition(g: &Graph, epsilon: f64) -> ExpanderDecomposition {
     assert!(epsilon > 0.0 && epsilon < 1.0);
     let delta = g.max_degree().max(2) as f64;
     let phi_target = (epsilon / 3.0) / (4.0 * ((1.0 / epsilon).log2() + delta.log2()).max(1.0));
@@ -189,7 +157,7 @@ pub fn minor_free_expander_decomposition(
                 continue;
             }
             let (sub, map) = g.induced_subgraph(&members);
-            let inner = expander_decomposition_with_phi(&sub, phi_target, params);
+            let inner = expander_decomposition_with_phi(&sub, phi_target);
             for (i, &orig) in map.iter().enumerate() {
                 let inner_cluster = inner.clustering.cluster_of(i);
                 if inner_cluster != 0 {
@@ -242,6 +210,12 @@ mod tests {
     use super::*;
     use mfd_graph::generators;
 
+    /// Fact 3.1's threshold `φ = ε / (4·log₂ m)`.
+    fn fact_3_1(g: &Graph, epsilon: f64) -> ExpanderDecomposition {
+        let m = g.m().max(2) as f64;
+        expander_decomposition_with_phi(g, epsilon / (4.0 * m.log2()))
+    }
+
     #[test]
     fn fact_3_1_respects_the_edge_budget() {
         for g in [
@@ -250,7 +224,7 @@ mod tests {
             generators::hypercube(6),
         ] {
             let eps = 0.4;
-            let d = expander_decomposition(&g, eps, &ExpanderParams::default());
+            let d = fact_3_1(&g, eps);
             assert!(
                 d.edge_fraction <= eps + 0.25,
                 "fraction {}",
@@ -265,7 +239,7 @@ mod tests {
         // A hypercube has conductance 1/d, far above the tiny phi target for
         // moderate epsilon, so the decomposition should keep it whole.
         let g = generators::hypercube(6);
-        let d = expander_decomposition_with_phi(&g, 0.01, &ExpanderParams::default());
+        let d = expander_decomposition_with_phi(&g, 0.01);
         assert_eq!(d.clustering.num_clusters(), 1);
         assert!((d.edge_fraction - 0.0).abs() < 1e-12);
     }
@@ -274,7 +248,7 @@ mod tests {
     fn barbell_is_split_at_the_bottleneck() {
         let k = generators::complete(8);
         let g = Graph::from_edges(16, k.disjoint_union(&k).edges().chain([(0, 8)]));
-        let d = expander_decomposition_with_phi(&g, 0.05, &ExpanderParams::default());
+        let d = expander_decomposition_with_phi(&g, 0.05);
         assert!(d.clustering.num_clusters() >= 2);
         assert_eq!(d.clustering.inter_cluster_edges(&g), 1);
     }
@@ -282,7 +256,7 @@ mod tests {
     #[test]
     fn produced_clusters_have_decent_conductance() {
         let g = generators::triangulated_grid(9, 9);
-        let d = expander_decomposition(&g, 0.5, &ExpanderParams::default());
+        let d = fact_3_1(&g, 0.5);
         let phi = min_cluster_conductance(&g, &d.clustering, 80);
         // The sweep-based certification is heuristic; still, no produced cluster
         // should have conductance an order of magnitude below the target.
@@ -298,7 +272,7 @@ mod tests {
     fn observation_3_1_keeps_edge_budget_on_minor_free_graphs() {
         let g = generators::random_apollonian(200, 11);
         let eps = 0.45;
-        let d = minor_free_expander_decomposition(&g, eps, &ExpanderParams::default());
+        let d = minor_free_expander_decomposition(&g, eps);
         assert!(d.edge_fraction <= eps + 0.3, "fraction {}", d.edge_fraction);
         assert!(d.clustering.all_clusters_connected(&g));
         assert!(d.phi_target > 0.0);

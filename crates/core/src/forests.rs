@@ -35,30 +35,7 @@ pub struct ForestDecomposition {
     pub threshold: usize,
 }
 
-impl ForestDecomposition {
-    /// Maximum out-degree of the computed orientation.
-    pub fn max_out_degree(&self) -> usize {
-        let mut out = std::collections::HashMap::new();
-        for &(u, _) in &self.oriented_edges {
-            *out.entry(u).or_insert(0usize) += 1;
-        }
-        out.values().copied().max().unwrap_or(0)
-    }
-
-    /// Partitions the oriented edges into `max_out_degree()` forests: the `i`-th
-    /// out-edge of every vertex goes to forest `i`.
-    pub fn forests(&self) -> Vec<Vec<(usize, usize)>> {
-        let classes = self.max_out_degree().max(1);
-        let mut next_class = std::collections::HashMap::new();
-        let mut forests = vec![Vec::new(); classes];
-        for &(u, v) in &self.oriented_edges {
-            let c = next_class.entry(u).or_insert(0usize);
-            forests[*c % classes].push((u, v));
-            *c += 1;
-        }
-        forests
-    }
-}
+impl ForestDecomposition {}
 
 /// Runs the Barenboim–Elkin peeling with arboricity bound `alpha0`, charging one
 /// CONGEST round per peeling iteration on `meter` (each iteration only requires every
@@ -66,7 +43,7 @@ impl ForestDecomposition {
 ///
 /// `max_iterations` caps the peeling (the paper uses O(log n)); vertices still alive
 /// afterwards cause `rejected = true`.
-pub fn forest_decomposition(
+pub(crate) fn forest_decomposition(
     g: &Graph,
     alpha0: usize,
     max_iterations: usize,
@@ -146,6 +123,15 @@ mod tests {
     use super::*;
     use mfd_graph::{generators, recognition};
 
+    /// Maximum out-degree of the computed orientation.
+    fn max_out_degree(fd: &ForestDecomposition) -> usize {
+        let mut out = vec![0; fd.partition_index.len()];
+        for &(u, _) in &fd.oriented_edges {
+            out[u] += 1;
+        }
+        out.into_iter().max().unwrap_or(0)
+    }
+
     #[test]
     fn planar_graphs_are_fully_peeled() {
         for g in [
@@ -158,7 +144,7 @@ mod tests {
             assert!(!fd.rejected);
             assert!(fd.unoriented_edges.is_empty());
             assert_eq!(fd.oriented_edges.len(), g.m());
-            assert!(fd.max_out_degree() <= fd.threshold);
+            assert!(max_out_degree(&fd) <= fd.threshold);
             assert!(meter.rounds() as usize >= fd.iterations);
         }
     }
@@ -168,12 +154,23 @@ mod tests {
         let g = generators::random_apollonian(100, 9);
         let mut meter = RoundMeter::new();
         let fd = forest_decomposition_default(&g, 3, &mut meter);
-        for forest in fd.forests() {
-            let f = Graph::from_edges(g.n(), forest.iter().copied());
-            assert!(recognition::is_forest(&f));
+        // Every edge points from the earlier-peeled endpoint to the later one
+        // (ties by identifier): a topological order, so no directed cycle.
+        let rank = |v: usize| (fd.partition_index[v], v);
+        assert!(fd.oriented_edges.iter().all(|&(u, v)| rank(u) < rank(v)));
+        assert_eq!(fd.oriented_edges.len(), g.m());
+        // Acyclic with out-degree ≤ d splits into d forests: the i-th out-edge
+        // of every vertex goes to forest i.
+        let d = max_out_degree(&fd);
+        let mut next = vec![0; g.n()];
+        let mut forests = vec![Vec::new(); d];
+        for &(u, v) in &fd.oriented_edges {
+            forests[next[u]].push((u, v));
+            next[u] += 1;
         }
-        let total: usize = fd.forests().iter().map(Vec::len).sum();
-        assert_eq!(total, g.m());
+        for forest in forests {
+            assert!(recognition::is_forest(&Graph::from_edges(g.n(), forest)));
+        }
     }
 
     #[test]

@@ -50,32 +50,8 @@ pub struct HeavyStars {
     pub cluster_graph_rounds: u64,
 }
 
-impl HeavyStars {
-    /// Fraction of the edge weight captured by the stars (1.0 for an edgeless cluster
-    /// graph).
-    pub fn captured_fraction(&self) -> f64 {
-        if self.total_weight == 0 {
-            1.0
-        } else {
-            self.captured_weight as f64 / self.total_weight as f64
-        }
-    }
-
-    /// Group assignment derived from the stars: `group_of[c]` maps every cluster to
-    /// the cluster it merges into (its star center, or itself when not in a star).
-    pub fn group_assignment(&self, num_clusters: usize) -> Vec<usize> {
-        let mut group: Vec<usize> = (0..num_clusters).collect();
-        for star in &self.stars {
-            for &leaf in &star.leaves {
-                group[leaf] = star.center;
-            }
-        }
-        group
-    }
-}
-
 /// Runs the heavy-stars algorithm on a weighted cluster graph.
-pub fn heavy_stars(cluster_graph: &WeightedGraph) -> HeavyStars {
+pub(crate) fn heavy_stars(cluster_graph: &WeightedGraph) -> HeavyStars {
     let k = cluster_graph.n();
     let total_weight = cluster_graph.total_weight();
     if k == 0 || cluster_graph.edge_count() == 0 {
@@ -301,6 +277,16 @@ mod tests {
         g.quotient(labels)
     }
 
+    /// Fraction of the edge weight captured by the stars (1.0 for an edgeless
+    /// cluster graph).
+    fn captured_fraction(hs: &HeavyStars) -> f64 {
+        if hs.total_weight == 0 {
+            1.0
+        } else {
+            hs.captured_weight as f64 / hs.total_weight as f64
+        }
+    }
+
     fn assert_vertex_disjoint(stars: &[Star]) {
         let mut seen = std::collections::HashSet::new();
         for s in stars {
@@ -319,9 +305,9 @@ mod tests {
         let hs = heavy_stars(&wg);
         assert_vertex_disjoint(&hs.stars);
         assert!(
-            hs.captured_fraction() >= 1.0 / 24.0,
+            captured_fraction(&hs) >= 1.0 / 24.0,
             "fraction {}",
-            hs.captured_fraction()
+            captured_fraction(&hs)
         );
         assert!(hs.captured_weight > 0);
     }
@@ -339,9 +325,9 @@ mod tests {
             assert_vertex_disjoint(&hs.stars);
             // Arboricity of a planar cluster graph is ≤ 3, so 1/(8·3) is guaranteed.
             assert!(
-                hs.captured_fraction() >= 1.0 / 24.0,
+                captured_fraction(&hs) >= 1.0 / 24.0,
                 "fraction {}",
-                hs.captured_fraction()
+                captured_fraction(&hs)
             );
         }
     }
@@ -363,28 +349,19 @@ mod tests {
     }
 
     #[test]
-    fn group_assignment_merges_leaves_into_centers() {
-        let g = generators::cycle(12);
-        let labels: Vec<usize> = (0..12).collect();
-        let wg = cluster_graph_of(&g, &labels);
-        let hs = heavy_stars(&wg);
-        let group = hs.group_assignment(12);
-        for s in &hs.stars {
-            for &l in &s.leaves {
-                assert_eq!(group[l], s.center);
-            }
-            assert_eq!(group[s.center], s.center);
-        }
-    }
-
-    #[test]
     fn merging_stars_strictly_reduces_inter_cluster_edges() {
         let g = generators::triangulated_grid(10, 10);
         let clustering = crate::Clustering::singletons(&g);
         let wg = clustering.cluster_graph(&g);
         let before = clustering.inter_cluster_edges(&g);
         let hs = heavy_stars(&wg);
-        let merged = clustering.merge_groups(&hs.group_assignment(clustering.num_clusters()));
+        let mut group: Vec<usize> = (0..clustering.num_clusters()).collect();
+        for s in &hs.stars {
+            for &l in &s.leaves {
+                group[l] = s.center;
+            }
+        }
+        let merged = clustering.merge_groups(&group);
         let after = merged.inter_cluster_edges(&g);
         assert!(after < before);
         assert!(
@@ -401,6 +378,6 @@ mod tests {
         let wg1 = WeightedGraph::new(3);
         let hs1 = heavy_stars(&wg1);
         assert!(hs1.stars.is_empty());
-        assert!((hs1.captured_fraction() - 1.0).abs() < 1e-12);
+        assert!((captured_fraction(&hs1) - 1.0).abs() < 1e-12);
     }
 }

@@ -339,7 +339,7 @@ mod tests {
                 .map(|members| members.iter().copied().min().unwrap())
                 .collect();
             let c = voronoi_ldd(&g, &centers);
-            assert_eq!(c.num_vertices(), g.n());
+            assert_eq!(c.labels().len(), g.n());
             assert!(c.all_clusters_connected(&g));
             assert_eq!(c.num_clusters(), centers.len());
         }

@@ -69,18 +69,6 @@ pub struct OverlapDecomposition {
 }
 
 impl OverlapDecomposition {
-    /// The partition as a [`Clustering`].
-    pub fn clustering(&self, g: &Graph) -> Clustering {
-        let mut labels = vec![usize::MAX; g.n()];
-        for (i, c) in self.clusters.iter().enumerate() {
-            for &v in &c.members {
-                labels[v] = i;
-            }
-        }
-        debug_assert!(labels.iter().all(|&l| l != usize::MAX));
-        Clustering::from_labels(g, labels)
-    }
-
     /// Checks the structural invariants: the members form a partition, every
     /// associated subgraph contains its cluster's induced subgraph, and the overlap
     /// matches the recorded value.
@@ -129,18 +117,16 @@ impl OverlapDecomposition {
 pub struct OverlapParams {
     /// Arboricity upper bound `α` for the (minor-free) input family.
     pub alpha: usize,
-    /// Maximum number of merge iterations.
-    pub max_iterations: usize,
 }
 
 impl Default for OverlapParams {
     fn default() -> Self {
-        OverlapParams {
-            alpha: 3,
-            max_iterations: 64,
-        }
+        OverlapParams { alpha: 3 }
     }
 }
+
+/// Maximum number of merge iterations.
+const MAX_ITERATIONS: usize = 64;
 
 /// Computes an `(ε, φ, c)` expander decomposition with overlaps by iterating the
 /// four-step merge of Lemma 4.4 until at most an `ε` fraction of the edges cross
@@ -160,7 +146,7 @@ pub fn overlap_expander_decomposition(
     loop {
         let clustering = clustering_of(g, &clusters);
         let fraction = clustering.edge_fraction(g);
-        if fraction <= epsilon || iterations >= params.max_iterations || g.m() == 0 {
+        if fraction <= epsilon || iterations >= MAX_ITERATIONS || g.m() == 0 {
             let overlap = measured_overlap(g, &clusters);
             return OverlapDecomposition {
                 clusters,

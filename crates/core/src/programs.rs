@@ -85,7 +85,7 @@ impl ColeVishkinProgram {
     }
 
     /// Rounds this program takes to termination: `schedule + 7`.
-    pub fn total_rounds(&self) -> u64 {
+    pub(crate) fn total_rounds(&self) -> u64 {
         self.schedule + 7
     }
 }

@@ -39,14 +39,14 @@ fn pack(epoch: u64, candidate: usize) -> u64 {
 }
 
 /// Unpacks a belief word into `(epoch, candidate)`.
-pub fn unpack(belief: u64) -> (u64, usize) {
+pub(crate) fn unpack(belief: u64) -> (u64, usize) {
     (belief >> 32, (belief & 0xFFFF_FFFF) as usize)
 }
 
 /// Per-vertex state of [`ReElectionProgram`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ElectionState {
-    /// Current `(epoch, candidate)` belief, packed ([`unpack`]).
+    /// Current `(epoch, candidate)` belief, packed (`unpack`).
     pub belief: u64,
     /// Neighbors this vertex has personally seen die (k missed heartbeats).
     pub dead: Vec<usize>,
@@ -57,12 +57,12 @@ pub struct ElectionState {
 
 impl ElectionState {
     /// The currently believed leader.
-    pub fn candidate(&self) -> usize {
+    pub(crate) fn candidate(&self) -> usize {
         unpack(self.belief).1
     }
 
     /// The election epoch of the belief (0 = the initial leader).
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         unpack(self.belief).0
     }
 }
@@ -88,21 +88,12 @@ impl ReElectionProgram {
     /// Builds the protocol with the default detector and a horizon derived
     /// from the cluster size: `crash_round + n + 16 + threshold` covers
     /// detection plus any flood.
-    pub fn new(initial_leader: usize, n: usize, crash_round: u64) -> Self {
+    pub(crate) fn new(initial_leader: usize, n: usize, crash_round: u64) -> Self {
         ReElectionProgram {
             initial_leader,
             horizon: crash_round + n as u64 + 16 + DEFAULT_MISSED_THRESHOLD as u64,
             missed_threshold: DEFAULT_MISSED_THRESHOLD,
         }
-    }
-
-    /// Sets the missed-heartbeat threshold (clamped ≥ 1), adjusting the
-    /// horizon by the detection-latency difference.
-    pub fn with_missed_threshold(mut self, k: u32) -> Self {
-        let k = k.max(1);
-        self.horizon = (self.horizon + k as u64).saturating_sub(self.missed_threshold as u64);
-        self.missed_threshold = k;
-        self
     }
 }
 
@@ -255,7 +246,8 @@ mod tests {
         // Regression guard for the old semantics: with k = 1 a single
         // missing heartbeat is an immediate verdict.
         let g = generators::cycle(8);
-        let program = ReElectionProgram::new(7, g.n(), 4).with_missed_threshold(1);
+        let mut program = ReElectionProgram::new(7, g.n(), 4);
+        program.missed_threshold = 1;
         let model = FaultModel::none().with_crash(2, 4);
         let run = Simulator::new(SimConfig::default())
             .run_with_faults(&g, &program, &model)

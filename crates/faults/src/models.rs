@@ -150,7 +150,7 @@ impl FaultModel {
     }
 
     /// Sets the failure-detector delay, in ticks.
-    pub fn with_detection_delay(mut self, ticks: u64) -> Self {
+    pub(crate) fn with_detection_delay(mut self, ticks: u64) -> Self {
         self.detection_delay = ticks;
         self
     }

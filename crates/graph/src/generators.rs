@@ -100,25 +100,12 @@ pub fn torus_grid(rows: usize, cols: usize) -> Graph {
     Graph::from_edges(rows * cols, edges)
 }
 
-/// Complete binary tree with the given number of vertices.
-pub fn binary_tree(n: usize) -> Graph {
-    Graph::from_edges(n, (1..n).map(|i| (i, (i - 1) / 2)))
-}
-
 /// Uniformly random labelled tree on `n` vertices via a random attachment process
 /// (each new vertex attaches to a uniformly random earlier vertex).
 pub fn random_tree(n: usize, seed: u64) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
     let edges: Vec<(usize, usize)> = (1..n).map(|v| (v, rng.gen_range(0..v))).collect();
     Graph::from_edges(n, edges)
-}
-
-/// Caterpillar tree: a path of `spine` vertices with `legs` leaves hanging off each
-/// spine vertex.
-pub fn caterpillar(spine: usize, legs: usize) -> Graph {
-    let spine_edges = (1..spine).map(|i| (i - 1, i));
-    let leg_edges = (0..spine * legs).map(|l| (l / legs, spine + l));
-    Graph::from_edges(spine + spine * legs, spine_edges.chain(leg_edges))
 }
 
 /// Random Apollonian network (stacked triangulation) on `n >= 3` vertices: start from
@@ -140,15 +127,6 @@ pub fn random_apollonian(n: usize, seed: u64) -> Graph {
         faces.push([a, c, v]);
     }
     Graph::from_edges(n, edges)
-}
-
-/// Fan graph: a path on `1..n` plus a hub (vertex 0) adjacent to every path vertex.
-/// Fans are maximal outerplanar, hence planar, K4-minor-free and 2-degenerate, with a
-/// single high-degree hub.
-pub fn fan(n: usize) -> Graph {
-    assert!(n >= 2);
-    let spokes = (1..n).map(|i| (0, i));
-    Graph::from_edges(n, spokes.chain((2..n).map(|i| (i - 1, i))))
 }
 
 /// Random maximal outerplanar graph: a cycle on `n` vertices plus a random
@@ -320,7 +298,7 @@ pub fn with_random_chords(base: &Graph, chords: usize, seed: u64) -> Graph {
 /// Adds an apex vertex adjacent to every vertex of `base`. For planar `base` the
 /// result is K6-minor-free but generally not planar; its maximum degree is `n`, so
 /// apex graphs exercise the "unbounded Δ, still minor-free" regime.
-pub fn apex(base: &Graph) -> Graph {
+pub(crate) fn apex(base: &Graph) -> Graph {
     let n = base.n();
     Graph::from_edges(n + 1, base.edges().chain((0..n).map(|v| (n, v))))
 }
@@ -364,9 +342,7 @@ mod tests {
 
     #[test]
     fn trees_are_forests() {
-        assert!(is_forest(&binary_tree(31)));
         assert!(is_forest(&random_tree(50, 7)));
-        assert!(is_forest(&caterpillar(10, 3)));
         assert_eq!(random_tree(50, 7).m(), 49);
         assert!(random_tree(50, 7).is_connected());
     }

@@ -127,11 +127,6 @@ impl Graph {
         self.vertices().map(|v| self.degree(v)).max().unwrap_or(0)
     }
 
-    /// Minimum degree of the graph (0 for the empty graph).
-    pub fn min_degree(&self) -> usize {
-        self.vertices().map(|v| self.degree(v)).min().unwrap_or(0)
-    }
-
     /// Neighbours of vertex `v`, in increasing order.
     pub fn neighbors(&self, v: usize) -> &[usize] {
         &self.targets[self.offsets[v]..self.offsets[v + 1]]
@@ -168,7 +163,7 @@ impl Graph {
 
     /// Volume of a vertex set: the sum of degrees (in the whole graph) of vertices
     /// where `mask[v]` is true.
-    pub fn volume(&self, mask: &[bool]) -> usize {
+    pub(crate) fn volume(&self, mask: &[bool]) -> usize {
         mask.iter()
             .enumerate()
             .filter(|&(_, &inside)| inside)
@@ -177,18 +172,13 @@ impl Graph {
     }
 
     /// Volume of the whole graph, `2m`.
-    pub fn total_volume(&self) -> usize {
+    pub(crate) fn total_volume(&self) -> usize {
         self.targets.len()
     }
 
     /// Number of edges with exactly one endpoint in the masked set, `|∂(S)|`.
-    pub fn cut_size(&self, mask: &[bool]) -> usize {
+    pub(crate) fn cut_size(&self, mask: &[bool]) -> usize {
         self.edges().filter(|&(u, v)| mask[u] != mask[v]).count()
-    }
-
-    /// Number of edges with both endpoints in the masked set.
-    pub fn internal_edges(&self, mask: &[bool]) -> usize {
-        self.edges().filter(|&(u, v)| mask[u] && mask[v]).count()
     }
 
     /// Conductance Φ(S) of a cut given by a membership mask, as defined in the paper:
@@ -200,19 +190,6 @@ impl Graph {
         let vol_s = self.volume(mask);
         let vol_rest = self.total_volume() - vol_s;
         let denom = vol_s.min(vol_rest) as f64;
-        if denom == 0.0 {
-            f64::INFINITY
-        } else {
-            cut / denom
-        }
-    }
-
-    /// Sparsity Ψ(S) (edge expansion) of a cut given by a membership mask:
-    /// `|∂(S)| / min(|S|, |V \ S|)`.
-    pub fn sparsity_of_cut(&self, mask: &[bool]) -> f64 {
-        let cut = self.cut_size(mask) as f64;
-        let size_s = mask.iter().filter(|&&b| b).count();
-        let denom = size_s.min(self.n() - size_s) as f64;
         if denom == 0.0 {
             f64::INFINITY
         } else {
@@ -247,7 +224,7 @@ impl Graph {
 
     /// Eccentricity of `src`: maximum finite BFS distance from `src`.
     /// Returns `None` if the graph has vertices unreachable from `src`.
-    pub fn eccentricity(&self, src: usize) -> Option<usize> {
+    pub(crate) fn eccentricity(&self, src: usize) -> Option<usize> {
         let dist = self.bfs_distances(src);
         if dist.contains(&usize::MAX) {
             None
@@ -291,7 +268,7 @@ impl Graph {
 
     /// Connected components; returns for each vertex its component index, and the
     /// number of components.
-    pub fn connected_components(&self) -> (Vec<usize>, usize) {
+    pub(crate) fn connected_components(&self) -> (Vec<usize>, usize) {
         let mut comp = vec![usize::MAX; self.n()];
         let mut count = 0;
         for start in self.vertices() {
@@ -432,23 +409,6 @@ impl Graph {
         }
         Graph::from_edges(next, edges)
     }
-
-    /// Checks whether `cluster_of` is a valid partition labelling: indices in range
-    /// `0..k` with every label in `0..k` used at least once.
-    pub fn is_valid_partition(&self, cluster_of: &[usize]) -> bool {
-        if cluster_of.len() != self.n() {
-            return false;
-        }
-        let k = match cluster_of.iter().copied().max() {
-            Some(x) => x + 1,
-            None => return true,
-        };
-        let mut seen = vec![false; k];
-        for &c in cluster_of {
-            seen[c] = true;
-        }
-        seen.into_iter().all(|b| b)
-    }
 }
 
 #[cfg(test)]
@@ -484,7 +444,6 @@ mod tests {
         assert_eq!(g.degree(0), 1);
         assert_eq!(g.degree(1), 2);
         assert_eq!(g.max_degree(), 2);
-        assert_eq!(g.min_degree(), 1);
         let edges: Vec<_> = g.edges().collect();
         assert_eq!(edges, vec![(0, 1), (1, 2), (2, 3)]);
     }
@@ -515,9 +474,7 @@ mod tests {
         let mask = vec![true, true, false, false];
         assert_eq!(g.volume(&mask), 4);
         assert_eq!(g.cut_size(&mask), 2);
-        assert_eq!(g.internal_edges(&mask), 1);
         assert!((g.conductance_of_cut(&mask) - 0.5).abs() < 1e-12);
-        assert!((g.sparsity_of_cut(&mask) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -619,13 +576,5 @@ mod tests {
         let p = path4();
         let shifted = p.edges().map(|(u, v)| (u + 4, v + 4));
         assert_eq!(g, Graph::from_edges(8, p.edges().chain(shifted)));
-    }
-
-    #[test]
-    fn partition_validation() {
-        let g = path4();
-        assert!(g.is_valid_partition(&[0, 0, 1, 1]));
-        assert!(!g.is_valid_partition(&[0, 0, 2, 2]));
-        assert!(!g.is_valid_partition(&[0, 1]));
     }
 }

@@ -6,8 +6,8 @@
 //! * [`Graph`] — the one graph type every layer reads: a simple undirected
 //!   graph in compressed sparse row form (one flat neighbour array, each row
 //!   sorted and deduplicated), with the common structural queries (degrees,
-//!   BFS, diameter, connectivity, volumes, cuts, conductance and sparsity of
-//!   cuts), induced subgraphs and quotient (cluster) graphs. It is built from
+//!   BFS, diameter, connectivity, volumes, cuts, conductance of cuts),
+//!   induced subgraphs and quotient (cluster) graphs. It is built from
 //!   an edge list ([`Graph::from_edges`]) and never mutated afterwards.
 //! * [`gen`] — streaming O(m) generators (R-MAT, power-law, large
 //!   triangulated meshes) for million-vertex runs.
@@ -20,13 +20,13 @@
 //!   bounded-treewidth families (k-trees, series–parallel), trees and forests, and
 //!   non-minor-free controls (hypercubes, random graphs, planar graphs with random
 //!   chords) used by the property-testing experiments.
-//! * [`properties`] — degeneracy / arboricity bounds, conductance and sparsity,
+//! * [`properties`] — degeneracy (an arboricity bound), conductance,
 //!   spectral sweep cuts, brute-force conductance for small graphs.
 //! * [`planarity`] — an exact planarity test (biconnected decomposition + Demoucron
 //!   face embedding) used both by the property-testing application and by the test
 //!   suite to validate the planar generators.
 //! * [`recognition`] — recognizers for additive minor-closed properties (forests,
-//!   treewidth ≤ 2 / series–parallel, linear forests, cactus graphs) used as
+//!   treewidth ≤ 2 / series–parallel, outerplanar graphs) used as
 //!   plug-in properties for the distributed property tester.
 //!
 //! # Example

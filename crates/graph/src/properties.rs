@@ -1,4 +1,4 @@
-//! Structural measures: degeneracy, arboricity bounds, forest partitions,
+//! Structural measures: degeneracy (an upper bound on the arboricity),
 //! conductance (exact for small graphs, spectral sweep cuts for larger ones).
 //!
 //! These are the quantities the paper's analysis revolves around: arboricity α of
@@ -25,7 +25,7 @@ pub struct DegeneracyOrdering {
 /// Computes a degeneracy ordering by repeatedly removing a minimum-degree vertex.
 ///
 /// Runs in O(n + m) with bucket queues.
-pub fn degeneracy_ordering(g: &Graph) -> DegeneracyOrdering {
+pub(crate) fn degeneracy_ordering(g: &Graph) -> DegeneracyOrdering {
     let n = g.n();
     let mut deg: Vec<usize> = (0..n).map(|v| g.degree(v)).collect();
     let max_deg = g.max_degree();
@@ -85,46 +85,6 @@ pub fn degeneracy_ordering(g: &Graph) -> DegeneracyOrdering {
 /// degree ≤ `d`).
 pub fn degeneracy(g: &Graph) -> usize {
     degeneracy_ordering(g).degeneracy
-}
-
-/// Upper bound on the arboricity: `degeneracy(G)` (arboricity ≤ degeneracy), and also
-/// a certificate via [`forest_partition`].
-pub fn arboricity_upper_bound(g: &Graph) -> usize {
-    degeneracy(g)
-}
-
-/// Nash–Williams style lower bound on the arboricity from global density:
-/// `ceil(m / (n - 1))` (the true arboricity maximizes this over subgraphs).
-pub fn arboricity_density_lower_bound(g: &Graph) -> usize {
-    if g.n() <= 1 {
-        return 0;
-    }
-    g.m().div_ceil(g.n() - 1)
-}
-
-/// Partitions the edge set into at most `degeneracy(G)` forests, using the acyclic
-/// orientation induced by a degeneracy ordering (each vertex orients its ≤ d edges
-/// towards later vertices and spreads them over the d classes).
-///
-/// Returns the forests as edge lists. The union of the returned lists is exactly the
-/// edge set, and each list is acyclic — this is the centralized analogue of the
-/// Barenboim–Elkin forest decomposition used for error detection (§6.2).
-pub fn forest_partition(g: &Graph) -> Vec<Vec<(usize, usize)>> {
-    let ord = degeneracy_ordering(g);
-    let d = ord.degeneracy.max(1);
-    let mut forests: Vec<Vec<(usize, usize)>> = vec![Vec::new(); d];
-    for v in g.vertices() {
-        let mut class = 0usize;
-        for &u in g.neighbors(v) {
-            // Orient v -> u when u comes later in the peel order; v has at most d such
-            // neighbors, so each class receives at most one out-edge of v.
-            if ord.position[u] > ord.position[v] {
-                forests[class % d].push((v, u));
-                class += 1;
-            }
-        }
-    }
-    forests
 }
 
 /// Exact conductance Φ(G): the minimum over all non-trivial cuts, by exhaustive
@@ -289,7 +249,7 @@ mod tests {
         assert_eq!(degeneracy(&generators::cycle(10)), 2);
         assert_eq!(degeneracy(&generators::complete(5)), 4);
         assert_eq!(degeneracy(&generators::star(10)), 1);
-        assert_eq!(degeneracy(&generators::binary_tree(31)), 1);
+        assert_eq!(degeneracy(&generators::random_tree(31, 2)), 1);
         // Maximal planar graphs have degeneracy ≤ 5.
         assert!(degeneracy(&generators::random_apollonian(100, 3)) <= 5);
         // Grids have degeneracy 2.
@@ -311,31 +271,14 @@ mod tests {
     }
 
     #[test]
-    fn forest_partition_covers_all_edges_and_is_acyclic() {
-        for g in [
-            generators::grid(5, 7),
-            generators::random_apollonian(60, 4),
-            generators::wheel(20),
-        ] {
-            let forests = forest_partition(&g);
-            let total: usize = forests.iter().map(Vec::len).sum();
-            assert_eq!(total, g.m());
-            for forest in &forests {
-                let f = Graph::from_edges(g.n(), forest.iter().copied());
-                assert_eq!(f.m(), forest.len(), "forest partition produced duplicates");
-                assert!(crate::recognition::is_forest(&f));
-            }
-        }
-    }
-
-    #[test]
     fn arboricity_bounds_bracket_each_other() {
         for g in [
             generators::grid(6, 6),
             generators::random_apollonian(60, 5),
             generators::complete(6),
         ] {
-            assert!(arboricity_density_lower_bound(&g) <= arboricity_upper_bound(&g).max(1));
+            // Nash–Williams' density bound ⌈m / (n − 1)⌉ ≤ arboricity ≤ degeneracy.
+            assert!(g.m().div_ceil(g.n() - 1) <= degeneracy(&g).max(1));
         }
     }
 

@@ -6,15 +6,12 @@
 //! this module provides such oracles for several classic properties:
 //!
 //! * forests (acyclic graphs),
-//! * linear forests (disjoint unions of paths),
-//! * cactus graphs (every edge on at most one cycle),
 //! * graphs of treewidth ≤ 2 (series–parallel-reducible graphs),
 //! * planar graphs (see [`crate::planarity`]).
 //!
 //! All of these are additive and minor-closed.
 
 use crate::graph::Graph;
-use crate::planarity::biconnected_components;
 
 /// Returns `true` if the graph is a forest (contains no cycle).
 pub fn is_forest(g: &Graph) -> bool {
@@ -22,31 +19,6 @@ pub fn is_forest(g: &Graph) -> bool {
     // A forest with `c` components has exactly n - c edges; any extra edge closes a
     // cycle.
     g.m() + components == g.n()
-}
-
-/// Returns `true` if the graph is a linear forest: a disjoint union of simple paths
-/// (equivalently, a forest with maximum degree ≤ 2).
-pub fn is_linear_forest(g: &Graph) -> bool {
-    g.max_degree() <= 2 && is_forest(g)
-}
-
-/// Returns `true` if the graph is a cactus: every edge lies on at most one cycle
-/// (equivalently, every biconnected component is a single edge or a cycle).
-pub fn is_cactus(g: &Graph) -> bool {
-    for component in biconnected_components(g) {
-        if component.len() <= 1 {
-            continue;
-        }
-        // Count distinct vertices in this block; a block that is a cycle has exactly
-        // as many edges as vertices.
-        let mut verts: Vec<usize> = component.iter().flat_map(|&(u, v)| [u, v]).collect();
-        verts.sort_unstable();
-        verts.dedup();
-        if component.len() != verts.len() {
-            return false;
-        }
-    }
-    true
 }
 
 /// Returns `true` if the graph has treewidth at most 2 (equivalently, it contains no
@@ -117,42 +89,13 @@ mod tests {
     #[test]
     fn forests_recognized() {
         assert!(is_forest(&generators::path(10)));
-        assert!(is_forest(&generators::binary_tree(15)));
+        assert!(is_forest(&generators::random_tree(15, 2)));
         assert!(is_forest(
             &generators::random_tree(40, 1).disjoint_union(&generators::path(5))
         ));
         assert!(!is_forest(&generators::cycle(5)));
         assert!(!is_forest(&generators::grid(3, 3)));
         assert!(is_forest(&Graph::new(7)));
-    }
-
-    #[test]
-    fn linear_forests_recognized() {
-        assert!(is_linear_forest(&generators::path(10)));
-        assert!(is_linear_forest(
-            &generators::path(4).disjoint_union(&generators::path(3))
-        ));
-        assert!(!is_linear_forest(&generators::star(5)));
-        assert!(!is_linear_forest(&generators::cycle(5)));
-    }
-
-    #[test]
-    fn cactus_recognized() {
-        // A single cycle is a cactus.
-        assert!(is_cactus(&generators::cycle(6)));
-        // Two cycles sharing one vertex form a cactus.
-        let g = generators::cycle(4);
-        let two = g.disjoint_union(&g);
-        // Joined by a bridge edge: still a cactus.
-        assert!(is_cactus(&Graph::from_edges(
-            8,
-            two.edges().chain([(0, 4)])
-        )));
-        // Two cycles sharing an edge (theta graph) are not a cactus.
-        let theta = Graph::from_edges(4, g.edges().chain([(0, 2)]));
-        assert!(!is_cactus(&theta));
-        // Trees are cacti.
-        assert!(is_cactus(&generators::random_tree(30, 5)));
     }
 
     #[test]
@@ -175,7 +118,8 @@ mod tests {
     fn outerplanar_families() {
         assert!(is_outerplanar(&generators::cycle(8)));
         assert!(is_outerplanar(&generators::random_outerplanar(15, 4)));
-        assert!(is_outerplanar(&generators::fan(10)));
+        // A fan: a hub over a path.
+        assert!(is_outerplanar(&generators::apex(&generators::path(9))));
         assert!(!is_outerplanar(&generators::complete(4)));
         assert!(!is_outerplanar(&generators::complete_bipartite(2, 3)));
         assert!(!is_outerplanar(&generators::grid(3, 3)));
@@ -187,8 +131,6 @@ mod tests {
         let b = generators::cycle(7);
         let u = a.disjoint_union(&b);
         assert!(has_treewidth_at_most_2(&u));
-        assert!(is_cactus(
-            &generators::cycle(4).disjoint_union(&generators::cycle(5))
-        ));
+        assert!(is_outerplanar(&u));
     }
 }

@@ -21,7 +21,6 @@ use std::collections::HashMap;
 /// wg.add_weight(0, 1, 2);
 /// wg.add_weight(1, 0, 3);
 /// assert_eq!(wg.weight(0, 1), 5);
-/// assert_eq!(wg.weighted_degree(1), 5);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WeightedGraph {
@@ -78,29 +77,9 @@ impl WeightedGraph {
         *self.weights.get(&Self::key(u, v)).unwrap_or(&0)
     }
 
-    /// Neighbors of `u` connected by positive-weight edges.
-    pub fn neighbors(&self, u: usize) -> &[usize] {
-        &self.adjacency[u]
-    }
-
-    /// Sum of weights of edges incident to `u`.
-    pub fn weighted_degree(&self, u: usize) -> u64 {
-        self.adjacency[u].iter().map(|&v| self.weight(u, v)).sum()
-    }
-
-    /// Number of distinct neighbors of `u`.
-    pub fn degree(&self, u: usize) -> usize {
-        self.adjacency[u].len()
-    }
-
     /// Total weight over all edges.
     pub fn total_weight(&self) -> u64 {
         self.weights.values().sum()
-    }
-
-    /// Iterator over `(u, v, weight)` triples with `u < v`.
-    pub fn edges(&self) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
-        self.weights.iter().map(|(&(u, v), &w)| (u, v, w))
     }
 
     /// The neighbor of `u` maximizing the edge weight, ties broken by the smallest
@@ -145,7 +124,6 @@ mod tests {
         wg.add_weight(0, 0, 5);
         wg.add_weight(0, 1, 0);
         assert_eq!(wg.edge_count(), 0);
-        assert_eq!(wg.degree(0), 0);
     }
 
     #[test]
@@ -156,14 +134,5 @@ mod tests {
         wg.add_weight(0, 2, 4);
         assert_eq!(wg.heaviest_neighbor(0), Some((1, 5)));
         assert_eq!(wg.heaviest_neighbor(2), Some((0, 4)));
-    }
-
-    #[test]
-    fn weighted_degree_sums_incident_weights() {
-        let mut wg = WeightedGraph::new(3);
-        wg.add_weight(0, 1, 2);
-        wg.add_weight(1, 2, 3);
-        assert_eq!(wg.weighted_degree(1), 5);
-        assert_eq!(wg.degree(1), 2);
     }
 }

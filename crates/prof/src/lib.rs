@@ -23,7 +23,7 @@
 //! On top of the raw series: time [`Profile::attribution`] (how much of the
 //! run's wall time lands in named phases — the remainder is reported, never
 //! hidden), rayon occupancy and imbalance per phase, a
-//! [`Profile::straggler_report`] naming the top-k culprit shards with their
+//! `Profile::straggler_report` naming the top-k culprit shards with their
 //! frontier and traffic shares, a wall-clock Chrome-trace exporter
 //! ([`chrome_profile`], one track per shard), and a perf-regression
 //! localizer ([`first_regression`]) that binary-searches two per-round cost
@@ -127,7 +127,7 @@ pub struct Culprit {
 }
 
 /// The straggler report: per-phase balance statistics plus the top-k
-/// culprit shards of one phase (see [`Profile::straggler_report`]).
+/// culprit shards of one phase (see `Profile::straggler_report`).
 #[derive(Debug, Clone, Default)]
 pub struct StragglerReport {
     /// Aggregates for every phase, in [`PHASE_NAMES`] order.
@@ -187,7 +187,7 @@ impl Profile {
     /// Per-shard busy time of one parallel phase summed over rounds
     /// (all zeros for the sequential phases, which have no per-shard
     /// decomposition).
-    pub fn shard_busy_totals(&self, phase: usize) -> Vec<u64> {
+    pub(crate) fn shard_busy_totals(&self, phase: usize) -> Vec<u64> {
         let mut totals = vec![0u64; self.shards];
         for r in &self.rounds {
             let series = match phase {
@@ -318,23 +318,6 @@ impl Profile {
             .collect()
     }
 
-    /// Per-worker busy time for one parallel phase, derived from the
-    /// per-shard busy times and the deterministic shard→worker assignment
-    /// (rayon's parallel-over-shards pass splits the shard range into
-    /// `ceil(shards / threads)`-sized contiguous chunks, one per worker).
-    /// This is the occupancy decomposition: how much busy time each worker
-    /// slot carried at the phase boundaries.
-    pub fn worker_busy_ns(&self, phase: usize) -> Vec<u64> {
-        let threads = self.threads.max(1);
-        let per_shard = self.shard_busy_totals(phase);
-        let chunk = self.shards.div_ceil(threads).max(1);
-        let mut workers = vec![0u64; threads];
-        for (shard, &busy) in per_shard.iter().enumerate() {
-            workers[(shard / chunk).min(threads - 1)] += busy;
-        }
-        workers
-    }
-
     /// Aggregate [`PhaseStats`] for one phase.
     pub fn phase_stats(&self, phase: usize) -> PhaseStats {
         let wall_ns = self.phase_wall_totals()[phase];
@@ -378,7 +361,7 @@ impl Profile {
     /// its frontier and traffic shares — so a straggler can be read as
     /// "overloaded frontier", "traffic hot spot", or neither (pure compute
     /// skew).
-    pub fn straggler_report(&self, k: usize) -> StragglerReport {
+    pub(crate) fn straggler_report(&self, k: usize) -> StragglerReport {
         let mut phases = [PhaseStats::default(); PHASES];
         for (p, slot) in phases.iter_mut().enumerate() {
             *slot = self.phase_stats(p);
@@ -592,17 +575,6 @@ mod tests {
         assert!(summary.contains("commit_frac 0.306"));
         // An empty profile divides by nothing.
         assert_eq!(Profile::new().commit_frac(), 0.0);
-    }
-
-    #[test]
-    fn worker_busy_respects_contiguous_chunk_assignment() {
-        let mut p = sample_profile();
-        // 2 shards on 1 worker: everything lands on worker 0.
-        p.threads = 1;
-        assert_eq!(p.worker_busy_ns(PHASE_STEP), vec![9_000]);
-        // 2 shards on 2 workers: chunk = 1, one shard each.
-        p.threads = 2;
-        assert_eq!(p.worker_busy_ns(PHASE_STEP), vec![6_000, 3_000]);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub enum CodecError {
         /// Offset of the offending bytes.
         at: usize,
     },
-    /// The value decoded but bytes remained (see [`Reader::finish`]).
+    /// The value decoded but bytes remained (see `Reader::finish`).
     Trailing {
         /// Leftover byte count.
         remaining: usize,
@@ -85,22 +85,22 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// A reader at the start of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
     /// Current offset into the input.
-    pub fn pos(&self) -> usize {
+    pub(crate) fn pos(&self) -> usize {
         self.pos
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Consumes exactly `n` bytes.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::Truncated {
                 wanted: n - self.remaining(),
@@ -114,7 +114,7 @@ impl<'a> Reader<'a> {
 
     /// Asserts the input is fully consumed (a whole-value decode must end
     /// exactly at the end of its bytes).
-    pub fn finish(&self) -> Result<(), CodecError> {
+    pub(crate) fn finish(&self) -> Result<(), CodecError> {
         if self.remaining() == 0 {
             Ok(())
         } else {

@@ -286,36 +286,6 @@ impl Journal {
         self.checkpoints.iter().rev().find(|c| c.round <= round)
     }
 
-    /// Compacts the journal in place: drops every checkpoint superseded as
-    /// a resume point for rounds at or after `from_round` — that is, keeps
-    /// the latest checkpoint at or below `from_round` (the anchor
-    /// [`Journal::checkpoint_at`] would pick) plus everything after it.
-    ///
-    /// The digest-head chain is kept in full, so a compacted journal still
-    /// verifies every surviving stamp against the complete chain, still
-    /// serializes canonically ([`Journal::to_bytes`] of a compacted journal
-    /// loads and re-verifies like any other), and still answers
-    /// [`Journal::checkpoint_at`] identically for every round `>=
-    /// from_round`. Only time travel *before* the surviving anchor loses
-    /// resolution: it replays from round 0 instead of a nearer checkpoint.
-    ///
-    /// Checkpoints dominate journal size (full engine state plus the
-    /// sink's per-vertex digest vector); the chain is 8 bytes a round.
-    /// Compacting with `from_round = rounds()` keeps only the latest
-    /// checkpoint — the minimal journal that can still resume the run's
-    /// tail and audit the whole chain.
-    ///
-    /// Returns the number of checkpoints dropped.
-    pub fn compact(&mut self, from_round: u64) -> usize {
-        let keep_from = self
-            .checkpoints
-            .iter()
-            .rposition(|c| c.round <= from_round)
-            .unwrap_or(0);
-        self.checkpoints.drain(..keep_from);
-        keep_from
-    }
-
     /// Decodes a checkpoint's engine state
     /// (`ExecCheckpoint`/`SimCheckpoint`, matching the header's engine).
     ///
@@ -552,47 +522,6 @@ mod tests {
             resumed.round_sealed(EngineKind::Executor, r);
         }
         assert_eq!(resumed.chain(), full.chain());
-    }
-
-    #[test]
-    fn compaction_drops_superseded_checkpoints_and_keeps_the_chain() {
-        let (journal, _) = build(9); // checkpoints at rounds 2, 4, 6, 8
-        let full_heads = journal.heads.clone();
-
-        // Compact for resuming at round 5: the anchor (round 4) and
-        // everything after it survive; round 2 is superseded.
-        let mut mid = journal.clone();
-        assert_eq!(mid.compact(5), 1);
-        let rounds: Vec<u64> = mid.checkpoints.iter().map(|c| c.round).collect();
-        assert_eq!(rounds, [4, 6, 8]);
-        assert_eq!(mid.heads, full_heads, "the chain is kept in full");
-        assert_eq!(mid.checkpoint_at(5).unwrap().round, 4);
-        assert_eq!(mid.checkpoint_at(7).unwrap().round, 6);
-        assert_eq!(mid.checkpoint_at(3), None, "earlier resolution is gone");
-        mid.verify()
-            .expect("surviving stamps still verify against the full chain");
-
-        // The compacted journal round-trips byte-identically, and loading
-        // re-verifies it (from_bytes always does).
-        let bytes = mid.to_bytes();
-        assert!(bytes.len() < journal.to_bytes().len());
-        let back = Journal::from_bytes(&bytes).expect("compacted journal loads");
-        assert_eq!(back, mid);
-        assert_eq!(back.to_bytes(), bytes);
-
-        // Compacting past the end keeps only the latest checkpoint; a
-        // second compaction is a no-op.
-        let mut tail = journal.clone();
-        assert_eq!(tail.compact(u64::MAX), 3);
-        assert_eq!(tail.checkpoints.len(), 1);
-        assert_eq!(tail.checkpoints[0].round, 8);
-        assert_eq!(tail.compact(u64::MAX), 0);
-        tail.verify().expect("latest-only journal verifies");
-
-        // Compacting below the first checkpoint drops nothing.
-        let mut noop = journal;
-        assert_eq!(noop.compact(1), 0);
-        assert_eq!(noop.checkpoints.len(), 4);
     }
 
     #[test]

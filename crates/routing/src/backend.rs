@@ -23,7 +23,7 @@
 //!   discrete-event engine they run one after the other. Rounds and messages
 //!   come from the engines' meters, and every cluster's executed round count
 //!   is asserted `≤` the metered charge of the program that ran
-//!   ([`crate::programs::SelectedGather::charged_rounds`]). That check is
+//!   (`crate::programs::SelectedGather::charged_rounds`). That check is
 //!   the differential contract that demotes the charged path from product
 //!   to cross-checked upper bound; it is not an option and cannot be
 //!   switched off.
@@ -290,7 +290,6 @@ impl GatherBackend for Executed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::load_balance::LoadBalanceParams;
     use crate::walks::WalkParams;
     use mfd_graph::generators;
     use mfd_sim::LatencyModel;
@@ -323,7 +322,7 @@ mod tests {
     fn executed_backend_is_engine_invariant_in_rounds() {
         let g = generators::wheel(24);
         let leader = leader_of(&g);
-        let strategy = GatherStrategy::LoadBalance(LoadBalanceParams::default());
+        let strategy = GatherStrategy::LoadBalance;
         let mut m1 = RoundMeter::new();
         let sync = Executed::default().gather(&g, leader, 0.1, &strategy, &mut m1);
         let mut m2 = RoundMeter::new();
@@ -429,7 +428,7 @@ mod tests {
             let cluster = Graph::new(n);
             for strategy in [
                 GatherStrategy::TreePipeline,
-                GatherStrategy::LoadBalance(LoadBalanceParams::default()),
+                GatherStrategy::LoadBalance,
                 GatherStrategy::WalkSchedule(WalkParams::default()),
             ] {
                 for (name, backend) in backends {

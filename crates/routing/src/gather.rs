@@ -15,7 +15,7 @@
 use mfd_congest::{primitives, RoundMeter};
 use mfd_graph::Graph;
 
-use crate::load_balance::{load_balance_gather, LoadBalanceParams};
+use crate::load_balance::load_balance_gather;
 use crate::walks::{execute_walk_gather, plan_walk_schedule, WalkParams};
 
 /// Strategy used to gather `deg(v)` messages from every cluster vertex to the leader.
@@ -25,7 +25,7 @@ pub enum GatherStrategy {
     #[default]
     TreePipeline,
     /// Expander-split load balancing (Lemma 2.2).
-    LoadBalance(LoadBalanceParams),
+    LoadBalance,
     /// Derandomized random-walk schedule (Lemma 2.5).
     WalkSchedule(WalkParams),
 }
@@ -66,8 +66,8 @@ pub fn gather_to_leader(
     }
     match strategy {
         GatherStrategy::TreePipeline => tree_gather(cluster, leader, meter),
-        GatherStrategy::LoadBalance(params) => {
-            let report = load_balance_gather(cluster, leader, f, params, meter);
+        GatherStrategy::LoadBalance => {
+            let report = load_balance_gather(cluster, leader, f, meter);
             GatherReport {
                 rounds: report.rounds,
                 delivered_fraction: report.delivered_fraction,
@@ -170,7 +170,7 @@ mod tests {
         let g = generators::complete(7);
         for strategy in [
             GatherStrategy::TreePipeline,
-            GatherStrategy::LoadBalance(LoadBalanceParams::default()),
+            GatherStrategy::LoadBalance,
             GatherStrategy::WalkSchedule(WalkParams::default()),
         ] {
             let mut meter = RoundMeter::new();

@@ -9,10 +9,10 @@
 //! Phases repeat on the undelivered messages until a `1 − f` fraction has been
 //! delivered.
 //!
-//! The implementation follows the paper's structure but uses configurable (and by
-//! default much smaller) token counts and step budgets than the worst-case constants
-//! of Lemma 2.2; delivery is *checked*, not assumed, and the reported round counts are
-//! the rounds actually simulated. See docs/ARCHITECTURE.md ("mfd-routing", Invariants).
+//! The implementation follows the paper's structure but uses much smaller token
+//! counts and step budgets than the worst-case constants of Lemma 2.2; delivery is
+//! *checked*, not assumed, and the reported round counts are the rounds actually
+//! simulated. See docs/ARCHITECTURE.md ("mfd-routing", Invariants).
 
 use mfd_congest::RoundMeter;
 use mfd_graph::properties::spectral_sweep_cut;
@@ -20,46 +20,17 @@ use mfd_graph::Graph;
 
 use crate::split::ExpanderSplit;
 
-/// Tunable parameters for the load-balancing gatherer.
-#[derive(Debug, Clone)]
-pub struct LoadBalanceParams {
-    /// Tokens created per undelivered message at the start of each phase.
-    /// `0` selects an automatic value `≈ 4·(2Δ⋄+1)/φ̂` (capped).
-    pub tokens_per_message: usize,
-    /// Balancing steps per phase. `0` selects `≈ 4·tokens/φ̂` (capped).
-    pub steps_per_phase: usize,
-    /// Maximum number of phases before giving up.
-    pub max_phases: usize,
-    /// Optional conductance hint; if `None`, a spectral estimate of the cluster's
-    /// conductance is used.
-    pub phi_hint: Option<f64>,
-    /// Hard cap applied to the automatic token count.
-    pub max_tokens_per_message: usize,
-    /// Hard cap applied to the automatic step budget.
-    pub max_steps_per_phase: usize,
-    /// Whether to charge the reverse run that tells each vertex which of its messages
-    /// were delivered (needed by the decomposition algorithms).
-    pub charge_reverse: bool,
-}
-
-impl Default for LoadBalanceParams {
-    fn default() -> Self {
-        LoadBalanceParams {
-            tokens_per_message: 0,
-            steps_per_phase: 0,
-            max_phases: 48,
-            phi_hint: None,
-            max_tokens_per_message: 1024,
-            max_steps_per_phase: 20_000,
-            charge_reverse: true,
-        }
-    }
-}
+/// Maximum number of phases before the gatherer gives up.
+pub(crate) const MAX_PHASES: usize = 48;
+/// Hard cap on the tokens created per undelivered message.
+const MAX_TOKENS_PER_MESSAGE: usize = 1024;
+/// Hard cap on the balancing steps per phase.
+const MAX_STEPS_PER_PHASE: usize = 20_000;
 
 /// A fully sized load-balancing run: everything the gatherer derives from the
 /// cluster topology, computed **once** and reused.
 ///
-/// Both the metered simulation ([`load_balance_gather`]) and the executed
+/// Both the metered simulation ([`load_balance_gather_with_plan`]) and the executed
 /// [`crate::programs::LoadBalanceProgram`] run from the same plan, so their
 /// token counts, thresholds and step schedules cannot drift apart — and the
 /// (comparatively expensive) spectral conductance estimate runs exactly once
@@ -78,42 +49,27 @@ pub struct LoadBalancePlan {
     pub tokens_per_message: usize,
     /// Balancing steps per phase.
     pub steps_per_phase: usize,
-    /// Maximum number of phases before giving up.
-    pub max_phases: usize,
-    /// Whether the reverse notification run is charged.
-    pub charge_reverse: bool,
 }
 
 impl LoadBalancePlan {
-    /// Sizes a load-balancing run for `cluster` under `params`.
-    pub fn new(cluster: &Graph, params: &LoadBalanceParams) -> Self {
+    /// Sizes a load-balancing run for `cluster`: a spectral estimate of its
+    /// conductance φ̂ gives `≈ 4·(2Δ⋄+1)/φ̂` tokens per message and
+    /// `≈ 4·tokens/φ̂` steps per phase, both capped.
+    pub fn new(cluster: &Graph) -> Self {
         let split = ExpanderSplit::build(cluster);
         let delta_split = split.max_degree().max(1);
         let threshold = 2 * delta_split + 1;
-        let phi = params
-            .phi_hint
-            .unwrap_or_else(|| estimate_conductance(cluster))
-            .clamp(1e-3, 1.0);
-        let tokens_per_message = if params.tokens_per_message > 0 {
-            params.tokens_per_message
-        } else {
-            ((4.0 * threshold as f64 / phi).ceil() as usize)
-                .clamp(threshold + 1, params.max_tokens_per_message)
-        };
-        let steps_per_phase = if params.steps_per_phase > 0 {
-            params.steps_per_phase
-        } else {
-            ((4.0 * tokens_per_message as f64 / phi).ceil() as usize)
-                .clamp(16, params.max_steps_per_phase)
-        };
+        let phi = estimate_conductance(cluster);
+        let tokens_per_message = ((4.0 * threshold as f64 / phi).ceil() as usize)
+            .clamp(threshold + 1, MAX_TOKENS_PER_MESSAGE);
+        let steps_per_phase = ((4.0 * tokens_per_message as f64 / phi).ceil() as usize)
+            .clamp(16, MAX_STEPS_PER_PHASE);
         LoadBalancePlan {
             split,
             phi,
             threshold,
             tokens_per_message,
             steps_per_phase,
-            max_phases: params.max_phases,
-            charge_reverse: params.charge_reverse,
         }
     }
 }
@@ -144,20 +100,20 @@ pub struct LoadBalanceReport {
 /// sink `v*` (normally the maximum-degree vertex); `f` is the tolerated failure
 /// fraction. Rounds are charged on `meter`: one CONGEST round per balancing step (the
 /// balancing rule moves at most one token per split edge per step, and gadget-internal
-/// moves are free), plus the reverse notification run if requested.
-pub fn load_balance_gather(
+/// moves are free), plus the reverse run that tells every vertex which of its
+/// messages were delivered (needed by the decomposition algorithms).
+pub(crate) fn load_balance_gather(
     cluster: &Graph,
     target: usize,
     f: f64,
-    params: &LoadBalanceParams,
     meter: &mut RoundMeter,
 ) -> LoadBalanceReport {
-    let plan = LoadBalancePlan::new(cluster, params);
+    let plan = LoadBalancePlan::new(cluster);
     load_balance_gather_with_plan(cluster, target, f, &plan, meter)
 }
 
 /// Runs the load-balancing gatherer from a pre-computed [`LoadBalancePlan`]
-/// (the memoized form of [`load_balance_gather`]: call sites that gather from
+/// (the memoized form of `load_balance_gather`: call sites that gather from
 /// the same cluster repeatedly, or compare the metered run against the
 /// executed [`crate::programs::LoadBalanceProgram`], plan once and reuse).
 pub fn load_balance_gather_with_plan(
@@ -200,7 +156,7 @@ pub fn load_balance_gather_with_plan(
     let rounds_before = meter.rounds();
     let mut phases = 0usize;
 
-    while phases < plan.max_phases {
+    while phases < MAX_PHASES {
         let undelivered: Vec<usize> = (0..ports).filter(|&p| !delivered[p]).collect();
         let remaining = undelivered.len();
         if remaining == 0 {
@@ -282,12 +238,10 @@ pub fn load_balance_gather_with_plan(
         }
     }
 
+    // Running the schedule in reverse tells every vertex which of its messages
+    // arrived; it costs the same number of rounds.
     let forward_rounds = meter.rounds() - rounds_before;
-    if plan.charge_reverse {
-        // Running the schedule in reverse tells every vertex which of its messages
-        // arrived; it costs the same number of rounds.
-        meter.charge_rounds(forward_rounds);
-    }
+    meter.charge_rounds(forward_rounds);
 
     let mut per_vertex_delivered = vec![0usize; cluster.n()];
     let mut delivered_count = 0usize;
@@ -319,7 +273,7 @@ pub fn load_balance_gather_with_plan(
 /// Cheap conductance estimate used only for sizing token/step budgets: the
 /// conductance of the best spectral sweep cut (an upper bound on Φ(G), within a
 /// quadratic factor by Cheeger's inequality).
-pub fn estimate_conductance(g: &Graph) -> f64 {
+fn estimate_conductance(g: &Graph) -> f64 {
     if g.n() < 2 || g.m() == 0 {
         return 1.0;
     }
@@ -338,7 +292,7 @@ mod tests {
     fn gathers_everything_on_a_clique() {
         let g = generators::complete(8);
         let mut meter = RoundMeter::new();
-        let report = load_balance_gather(&g, 0, 0.0, &LoadBalanceParams::default(), &mut meter);
+        let report = load_balance_gather(&g, 0, 0.0, &mut meter);
         assert_eq!(report.total_messages, 2 * g.m());
         assert!(
             report.delivered_fraction > 0.99,
@@ -354,8 +308,7 @@ mod tests {
         let g = generators::hypercube(4);
         let target = 0;
         let mut meter = RoundMeter::new();
-        let report =
-            load_balance_gather(&g, target, 0.1, &LoadBalanceParams::default(), &mut meter);
+        let report = load_balance_gather(&g, target, 0.1, &mut meter);
         assert!(
             report.delivered_fraction >= 0.9,
             "fraction {}",
@@ -367,34 +320,18 @@ mod tests {
     fn target_vertex_messages_count_as_delivered() {
         let g = generators::star(6);
         let mut meter = RoundMeter::new();
-        let report = load_balance_gather(&g, 0, 0.5, &LoadBalanceParams::default(), &mut meter);
+        let report = load_balance_gather(&g, 0, 0.5, &mut meter);
         // The hub owns half of all messages, so at least half are delivered for free.
         assert!(report.delivered_fraction >= 0.5);
         assert_eq!(report.per_vertex_delivered[0], 5);
     }
 
     #[test]
-    fn reverse_run_doubles_the_rounds() {
-        let g = generators::complete(6);
-        let mut fwd = RoundMeter::new();
-        let mut both = RoundMeter::new();
-        let mut params = LoadBalanceParams {
-            charge_reverse: false,
-            ..Default::default()
-        };
-        let a = load_balance_gather(&g, 0, 0.0, &params, &mut fwd);
-        params.charge_reverse = true;
-        let b = load_balance_gather(&g, 0, 0.0, &params, &mut both);
-        assert_eq!(2 * a.rounds, b.rounds);
-    }
-
-    #[test]
     fn planning_is_pure_and_memoized() {
         let g = generators::hypercube(4);
-        let params = LoadBalanceParams::default();
         // Same input → same plan: the planner holds no hidden state.
-        let a = LoadBalancePlan::new(&g, &params);
-        let b = LoadBalancePlan::new(&g, &params);
+        let a = LoadBalancePlan::new(&g);
+        let b = LoadBalancePlan::new(&g);
         assert_eq!(a, b);
         assert!(a.tokens_per_message > a.threshold);
         assert!(a.steps_per_phase >= 16);
@@ -402,7 +339,7 @@ mod tests {
         // the gather call.
         let mut m1 = RoundMeter::new();
         let mut m2 = RoundMeter::new();
-        let r1 = load_balance_gather(&g, 0, 0.1, &params, &mut m1);
+        let r1 = load_balance_gather(&g, 0, 0.1, &mut m1);
         let r2 = load_balance_gather_with_plan(&g, 0, 0.1, &a, &mut m2);
         assert_eq!(r1.rounds, r2.rounds);
         assert_eq!(r1.delivered, r2.delivered);
@@ -413,7 +350,7 @@ mod tests {
     fn empty_cluster_is_trivially_done() {
         let g = Graph::new(3);
         let mut meter = RoundMeter::new();
-        let report = load_balance_gather(&g, 0, 0.1, &LoadBalanceParams::default(), &mut meter);
+        let report = load_balance_gather(&g, 0, 0.1, &mut meter);
         assert_eq!(report.total_messages, 0);
         assert!((report.delivered_fraction - 1.0).abs() < 1e-12);
         assert_eq!(report.rounds, 0);

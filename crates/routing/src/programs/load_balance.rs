@@ -30,7 +30,7 @@
 use mfd_graph::Graph;
 use mfd_runtime::{Envelope, NodeCtx, NodeProgram, Outbox, RuntimeMessage};
 
-use crate::load_balance::LoadBalancePlan;
+use crate::load_balance::{LoadBalancePlan, MAX_PHASES};
 
 use super::GatherProgram;
 
@@ -91,7 +91,7 @@ pub struct LoadBalanceState {
 }
 
 /// The Lemma 2.2 load-balancing gatherer as a real message-passing program;
-/// executed counterpart of [`crate::load_balance::load_balance_gather`],
+/// executed counterpart of [`crate::load_balance::load_balance_gather_with_plan`],
 /// sized by the same [`LoadBalancePlan`].
 #[derive(Debug, Clone)]
 pub struct LoadBalanceProgram {
@@ -169,7 +169,7 @@ impl LoadBalanceProgram {
             }
         }
         let steps = plan.steps_per_phase as u64;
-        let max_reseeds = plan.max_phases.min(6) as u32;
+        let max_reseeds = MAX_PHASES.min(6) as u32;
         LoadBalanceProgram {
             target,
             f,
@@ -466,13 +466,13 @@ impl GatherProgram for LoadBalanceProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::load_balance::{load_balance_gather_with_plan, LoadBalanceParams};
+    use crate::load_balance::load_balance_gather_with_plan;
     use mfd_congest::RoundMeter;
     use mfd_graph::generators;
     use mfd_runtime::ExecutorConfig;
 
     fn run(g: &Graph, target: usize, f: f64) -> super::super::ExecutedGather {
-        let plan = LoadBalancePlan::new(g, &LoadBalanceParams::default());
+        let plan = LoadBalancePlan::new(g);
         let program = LoadBalanceProgram::new(g, target, f, &plan);
         super::super::execute_gather(g, &program, &ExecutorConfig::default())
             .unwrap()
@@ -506,7 +506,7 @@ mod tests {
             generators::wheel(32),
         ] {
             let f = 0.1;
-            let plan = LoadBalancePlan::new(&g, &LoadBalanceParams::default());
+            let plan = LoadBalancePlan::new(&g);
             let mut meter = RoundMeter::new();
             let charged = load_balance_gather_with_plan(&g, 0, f, &plan, &mut meter);
             let report = run(&g, 0, f);

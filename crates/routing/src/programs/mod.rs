@@ -12,7 +12,7 @@
 //!   construction by flooding, pipelined convergecast of `deg(v)` unit
 //!   messages per vertex with in-band termination detection, and a pipelined
 //!   echo that distributes the answers back down the tree.
-//! * [`LoadBalanceProgram`] ⇔ [`crate::load_balance::load_balance_gather`] —
+//! * [`LoadBalanceProgram`] ⇔ [`crate::load_balance::load_balance_gather_with_plan`] —
 //!   the Lemma 2.2 token balancing on the expander split, with per-edge load
 //!   gossip packed into the same O(log n)-bit message that carries a moving
 //!   token, sized by the shared [`crate::load_balance::LoadBalancePlan`].
@@ -30,7 +30,7 @@
 //! and the `report gather` benchmark section, is:
 //!
 //! * **rounds**: executed ≤ charged. The metered bound includes the reverse
-//!   notification run (`charge_reverse`, on by default); the executed
+//!   notification run (always charged); the executed
 //!   programs overlap their phases (tokens start flowing while the BFS wave
 //!   is still spreading, answers are echoed while the gather is still
 //!   draining) and terminate by in-band detection, so they land well inside
@@ -55,7 +55,7 @@ use mfd_runtime::{
 use mfd_trace::NullSink;
 
 use crate::gather::{tree_gather, GatherStrategy};
-use crate::load_balance::{load_balance_gather_with_plan, LoadBalanceParams, LoadBalancePlan};
+use crate::load_balance::{load_balance_gather_with_plan, LoadBalancePlan};
 use crate::walks::{execute_walk_gather, plan_walk_schedule, WalkParams, WalkPlan};
 
 mod load_balance;
@@ -180,12 +180,12 @@ pub(crate) fn assert_plan_matches(cluster: &Graph, split: &crate::split::Expande
 /// Conductance below which a grid-like cluster's token balancer end-game is
 /// known to be reseed-window sensitive (φ ≲ 0.07 — the tri-grid-10x10
 /// overrun the ROADMAP documents, whose sweep-cut estimate sits at ≈ 0.073);
-/// [`select_gather_program`] routes such clusters to the tree pipeline. The
+/// `select_gather_program` routes such clusters to the tree pipeline. The
 /// nearest keep-the-balancer families are comfortably above (tri-grid-8x8
 /// ≈ 0.093, hypercube-6 ≈ 0.31).
 pub const TREE_ROUTE_PHI: f64 = 0.08;
 
-/// The executed gather program [`select_gather_program`] or
+/// The executed gather program `select_gather_program` or
 /// [`select_strategy_program`] chose for one cluster, together with the plan
 /// that sized it.
 ///
@@ -193,9 +193,9 @@ pub const TREE_ROUTE_PHI: f64 = 0.08;
 /// clusters — each routed to whichever strategy fits it — is a list of
 /// selections, and each cluster run dispatches **once**, outside the
 /// program, to a run of the concrete program on either engine
-/// ([`SelectedGather::run_on`]). The
+/// (`SelectedGather::run_on`). The
 /// carried plan is what the metered oracle of the same cluster replays
-/// ([`SelectedGather::charged_rounds`]): planning is deterministic but not
+/// (`SelectedGather::charged_rounds`): planning is deterministic but not
 /// free (spectral estimates, walk seed search), so nothing plans twice.
 #[derive(Debug, Clone)]
 pub enum SelectedGather {
@@ -243,7 +243,7 @@ impl SelectedGather {
     /// # Errors
     ///
     /// Propagates any [`RuntimeError`] from the engine.
-    pub fn run_on<E>(
+    pub(crate) fn run_on<E>(
         &self,
         engine: &E,
         cluster: &Graph,
@@ -297,7 +297,7 @@ impl SelectedGather {
     /// the requested strategy (conductance-routed the balancer to the tree,
     /// or fell back from an unplannable walk schedule), this is the metered
     /// cost of what actually runs, replayed from the carried plan.
-    pub fn charged_rounds(&self, cluster: &Graph, leader: usize, f: f64) -> u64 {
+    pub(crate) fn charged_rounds(&self, cluster: &Graph, leader: usize, f: f64) -> u64 {
         let mut oracle = RoundMeter::new();
         match self {
             SelectedGather::Tree(_) | SelectedGather::WalkFallbackTree(_) => {
@@ -333,18 +333,13 @@ fn conductance_estimate(cluster: &Graph) -> f64 {
 /// # Panics
 ///
 /// Panics if `leader` is out of range.
-pub fn select_gather_program(
-    cluster: &Graph,
-    leader: usize,
-    f: f64,
-    params: &LoadBalanceParams,
-) -> SelectedGather {
+pub(crate) fn select_gather_program(cluster: &Graph, leader: usize, f: f64) -> SelectedGather {
     assert!(leader < cluster.n(), "leader out of range");
     let hub_degree = cluster.degree(leader).pow(2) > cluster.n();
     if !hub_degree && conductance_estimate(cluster) < TREE_ROUTE_PHI {
         SelectedGather::Tree(TreeGatherProgram::new(cluster, leader))
     } else {
-        let plan = Box::new(LoadBalancePlan::new(cluster, params));
+        let plan = Box::new(LoadBalancePlan::new(cluster));
         let program = Box::new(LoadBalanceProgram::new(cluster, leader, f, &plan));
         SelectedGather::LoadBalance { program, plan }
     }
@@ -357,7 +352,7 @@ pub fn select_gather_program(
 /// * a cluster without edges has nothing to gather → the (free)
 ///   [`TreeGatherProgram`], whatever the strategy;
 /// * [`GatherStrategy::TreePipeline`] → [`TreeGatherProgram`];
-/// * [`GatherStrategy::LoadBalance`] → [`select_gather_program`]'s
+/// * [`GatherStrategy::LoadBalance`] → `select_gather_program`'s
 ///   conductance/leader-degree routing between the balancer and the tree;
 /// * [`GatherStrategy::WalkSchedule`] → [`WalkScheduleProgram`] when the
 ///   plan meets the failure budget, the tree pipeline otherwise (the same
@@ -380,7 +375,7 @@ pub fn select_strategy_program(
         GatherStrategy::TreePipeline => {
             SelectedGather::Tree(TreeGatherProgram::new(cluster, leader))
         }
-        GatherStrategy::LoadBalance(params) => select_gather_program(cluster, leader, f, params),
+        GatherStrategy::LoadBalance => select_gather_program(cluster, leader, f),
         GatherStrategy::WalkSchedule(params) => {
             let plan = Box::new(plan_walk_schedule(cluster, leader, f, params));
             if plan.good_fraction < 1.0 - f {
@@ -433,7 +428,7 @@ mod tests {
         for (rows, cols) in [(10, 10), (12, 12)] {
             let g = generators::triangulated_grid(rows, cols);
             let leader = (0..g.n()).max_by_key(|&v| g.degree(v)).unwrap();
-            let sel = select_gather_program(&g, leader, 0.1, &LoadBalanceParams::default());
+            let sel = select_gather_program(&g, leader, 0.1);
             assert_eq!(sel.strategy_name(), "tree-pipeline", "{rows}x{cols}");
             let mut meter = RoundMeter::new();
             let charged = crate::gather::tree_gather(&g, leader, &mut meter);
@@ -459,7 +454,7 @@ mod tests {
         ] {
             let leader = (0..g.n()).max_by_key(|&v| g.degree(v)).unwrap();
             let f = 0.1;
-            let sel = select_gather_program(&g, leader, f, &LoadBalanceParams::default());
+            let sel = select_gather_program(&g, leader, f);
             assert_eq!(sel.strategy_name(), "load-balance", "{name}");
             let report = run(&sel, &g);
             assert!(
@@ -477,7 +472,6 @@ mod tests {
     #[test]
     fn the_selection_carries_the_plan_it_was_sized_by() {
         let f = 0.1;
-        let lb = LoadBalanceParams::default();
         let walk = WalkParams {
             max_seed_tries: 6,
             max_walks_per_message: 16,
@@ -499,7 +493,7 @@ mod tests {
             let tree_charge = rounds(&|m| drop(tree_gather(&g, leader, m)));
             for strategy in [
                 GatherStrategy::TreePipeline,
-                GatherStrategy::LoadBalance(lb.clone()),
+                GatherStrategy::LoadBalance,
                 GatherStrategy::WalkSchedule(walk.clone()),
             ] {
                 let selected = select_strategy_program(&g, leader, f, &strategy);
@@ -511,15 +505,15 @@ mod tests {
                         assert_eq!(charged, tree_charge, "{name}");
                     }
                     SelectedGather::LoadBalance { program, mut plan } => {
-                        assert_eq!(*plan, LoadBalancePlan::new(&g, &lb), "{name}");
+                        assert_eq!(*plan, LoadBalancePlan::new(&g), "{name}");
                         let direct = |m: &mut _| {
                             drop(load_balance_gather_with_plan(&g, leader, f, &plan, m))
                         };
                         assert_eq!(charged, rounds(&direct), "{name}");
-                        // Without the reverse run the charge halves.
-                        plan.charge_reverse = false;
+                        // One balancing step per phase moves the charge.
+                        plan.steps_per_phase = 1;
                         let tampered = SelectedGather::LoadBalance { program, plan };
-                        assert_eq!(2 * tampered.charged_rounds(&g, leader, f), charged);
+                        assert_ne!(tampered.charged_rounds(&g, leader, f), charged, "{name}");
                     }
                     SelectedGather::Walk {
                         program,

@@ -91,14 +91,14 @@ impl ExpanderSplit {
     }
 
     /// Ports belonging to original vertex `v`.
-    pub fn ports(&self, v: usize, g: &Graph) -> std::ops::Range<usize> {
+    pub(crate) fn ports(&self, v: usize, g: &Graph) -> std::ops::Range<usize> {
         let start = self.port_offset[v];
         start..start + g.degree(v).max(1)
     }
 
     /// Returns `true` if the split edge `{x, y}` is internal to a gadget (and
     /// therefore free to use in the CONGEST simulation).
-    pub fn is_internal(&self, x: usize, y: usize) -> bool {
+    pub(crate) fn is_internal(&self, x: usize, y: usize) -> bool {
         self.owner[x] == self.owner[y]
     }
 

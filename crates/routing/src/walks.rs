@@ -38,8 +38,6 @@ pub struct WalkParams {
     pub max_walks_per_message: usize,
     /// Cap applied to the automatic `τ`.
     pub max_steps: usize,
-    /// Whether to charge the reverse run notifying vertices of delivered messages.
-    pub charge_reverse: bool,
 }
 
 impl Default for WalkParams {
@@ -51,7 +49,6 @@ impl Default for WalkParams {
             max_seed_tries: 24,
             max_walks_per_message: 48,
             max_steps: 2048,
-            charge_reverse: true,
         }
     }
 }
@@ -114,7 +111,7 @@ pub struct WalkGatherReport {
 /// Estimates the mixing time of the lazy random walk on `g` from the spectral gap of
 /// the normalized adjacency operator (power iteration). Returns a value in
 /// `[4, cap]`.
-pub fn estimate_mixing_time(g: &Graph, cap: usize) -> usize {
+pub(crate) fn estimate_mixing_time(g: &Graph, cap: usize) -> usize {
     let n = g.n();
     if n < 2 || g.m() == 0 {
         return 4;
@@ -365,9 +362,8 @@ pub fn execute_walk_gather(
     let split = &plan.split;
     meter
         .charge_messages((plan.good.iter().filter(|&&g| g).count() as u64) * schedule.steps as u64);
-    if params.charge_reverse {
-        meter.charge_rounds(exec_rounds);
-    }
+    // The reverse run notifies every vertex of its delivered messages.
+    meter.charge_rounds(exec_rounds);
 
     let mut per_vertex_delivered = vec![0usize; cluster.n()];
     let mut delivered_count = 0usize;
@@ -397,106 +393,6 @@ pub fn execute_walk_gather(
         per_vertex_delivered,
         total_messages,
     }
-}
-
-/// Plans a single schedule that works for several disjoint clusters at once
-/// (Lemma 2.6): the same seed is checked against every cluster and the overall good
-/// fraction is the fraction over all messages of all clusters.
-pub fn plan_common_schedule(
-    clusters: &[(Graph, usize)],
-    f: f64,
-    params: &WalkParams,
-) -> Vec<WalkPlan> {
-    if clusters.is_empty() {
-        return Vec::new();
-    }
-    let splits: Vec<ExpanderSplit> = clusters
-        .iter()
-        .map(|(g, _)| ExpanderSplit::build(g))
-        .collect();
-    let tau = if params.steps > 0 {
-        params.steps
-    } else {
-        splits
-            .iter()
-            .map(|s| estimate_mixing_time(&s.split, params.max_steps))
-            .max()
-            .unwrap_or(4)
-    };
-    let r = if params.walks_per_message > 0 {
-        params.walks_per_message
-    } else {
-        clusters
-            .iter()
-            .zip(&splits)
-            .map(|((g, target), s)| {
-                let delta = g.degree(*target).max(1);
-                let base = (s.num_ports() as f64 / delta as f64)
-                    * (1.0 / f.max(1e-6)).ln().max(1.0)
-                    + (tau as f64).log2().max(1.0);
-                (base.ceil() as usize).clamp(2, params.max_walks_per_message)
-            })
-            .max()
-            .unwrap_or(2)
-    };
-    // (seed, per-cluster (good-mask, fraction) pairs, overall good fraction)
-    type SeedAttempt = (u64, Vec<(Vec<bool>, f64)>, f64);
-    let mut best: Option<SeedAttempt> = None;
-    for try_idx in 0..params.max_seed_tries.max(1) {
-        let seed = splitmix64(0xbeef_0000 + try_idx as u64);
-        let mut per_cluster = Vec::with_capacity(clusters.len());
-        let mut good_total = 0usize;
-        let mut msg_total = 0usize;
-        for ((g, target), s) in clusters.iter().zip(&splits) {
-            let (good, _) = evaluate_seed(g, s, *target, seed, r, tau, params.congestion_factor);
-            let goods = good.iter().filter(|&&b| b).count();
-            good_total += goods;
-            msg_total += 2 * g.m();
-            per_cluster.push((good, 0.0));
-        }
-        let fraction = if msg_total == 0 {
-            1.0
-        } else {
-            good_total as f64 / msg_total as f64
-        };
-        let better = best.as_ref().is_none_or(|(_, _, bf)| fraction > *bf);
-        if better {
-            best = Some((seed, per_cluster, fraction));
-        }
-        if fraction >= 1.0 - f {
-            break;
-        }
-    }
-    let (seed, per_cluster, _) = best.expect("at least one seed tried");
-    clusters
-        .iter()
-        .zip(splits)
-        .zip(per_cluster)
-        .map(|(((g, target), s), (good, _))| {
-            let goods = good.iter().filter(|&&b| b).count();
-            let total = 2 * g.m();
-            let log_d = (s.max_degree().max(2) as f64).log2().ceil() as u64 + 1;
-            let k_bits = log_d * 2 * r as u64 * tau as u64;
-            let id_bits = (g.n().max(2) as f64).log2().ceil() as u64;
-            WalkPlan {
-                schedule: WalkSchedule {
-                    seed,
-                    walks_per_message: r,
-                    steps: tau,
-                    target: *target,
-                    schedule_words: (k_bits * id_bits).div_ceil(64).max(1),
-                },
-                split: s,
-                good_fraction: if total == 0 {
-                    1.0
-                } else {
-                    goods as f64 / total as f64
-                },
-                good,
-                seeds_tried: 1,
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -550,21 +446,6 @@ mod tests {
         let count = report.delivered.iter().filter(|&&d| d).count();
         assert_eq!(sum, count);
         assert!(report.per_vertex_delivered[0] >= g.degree(0));
-    }
-
-    #[test]
-    fn common_schedule_covers_multiple_clusters() {
-        let clusters = vec![
-            (generators::complete(6), 0usize),
-            (generators::hypercube(3), 0usize),
-            (generators::wheel(8), 0usize),
-        ];
-        let plans = plan_common_schedule(&clusters, 0.2, &WalkParams::default());
-        assert_eq!(plans.len(), 3);
-        let seed = plans[0].schedule.seed;
-        assert!(plans.iter().all(|p| p.schedule.seed == seed));
-        let avg: f64 = plans.iter().map(|p| p.good_fraction).sum::<f64>() / 3.0;
-        assert!(avg >= 0.6, "avg goodness {avg}");
     }
 
     #[test]

@@ -139,11 +139,6 @@ impl Executor {
         Executor { config, pool }
     }
 
-    /// The configuration this executor runs with.
-    pub fn config(&self) -> &ExecutorConfig {
-        &self.config
-    }
-
     /// Runs `program` on every vertex of `g` until all vertices halt.
     ///
     /// # Errors

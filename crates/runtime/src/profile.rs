@@ -122,7 +122,7 @@ pub struct RoundSample {
 impl RoundSample {
     /// Clears every series and resets the scalars, keeping allocations (the
     /// engines pool one sample across rounds).
-    pub fn reset(&mut self, round: u64) {
+    pub(crate) fn reset(&mut self, round: u64) {
         self.round = round;
         self.start_ns = 0;
         self.wall_ns = 0;

@@ -159,7 +159,7 @@ pub struct SendBuf<M> {
     /// Position of each message's destination in the sender's neighbor slice,
     /// aligned with `msgs` — the index [`Outbox::send`] / [`Outbox::broadcast`]
     /// resolved anyway, kept so per-edge accounting downstream need not search
-    /// for it again. Filled only by a buffer from [`SendBuf::with_slots`]; a
+    /// for it again. Filled only by a buffer from `SendBuf::with_slots`; a
     /// second allocation per step is a measurable cost to an engine that
     /// cannot recycle it.
     pub slots: Vec<usize>,
@@ -177,7 +177,7 @@ impl<M> SendBuf<M> {
     }
 
     /// An empty buffer that also records each message's neighbor slot.
-    pub fn with_slots() -> Self {
+    pub(crate) fn with_slots() -> Self {
         SendBuf {
             keep_slots: true,
             ..Self::new()
@@ -253,16 +253,6 @@ impl<'a, M: RuntimeMessage> Outbox<'a, M> {
         if self.buf.keep_slots {
             self.buf.slots.extend(0..self.neighbors.len());
         }
-    }
-
-    /// Number of messages queued this round.
-    pub fn len(&self) -> usize {
-        self.buf.msgs.len()
-    }
-
-    /// Returns `true` if nothing has been queued.
-    pub fn is_empty(&self) -> bool {
-        self.buf.msgs.is_empty()
     }
 
     /// The first model violation recorded at send time, if any.
@@ -374,8 +364,11 @@ pub trait NodeProgram: Sync {
     /// [`crate::RuntimeError::CheckpointMismatch`] (`what: "program state"`)
     /// instead of panicking at the first step. A program whose state is
     /// shaped by its vertex — per-neighbor arrays, cursors into its own
-    /// buffers — overrides this; `ctx.round` is the checkpoint's round. The
-    /// default (`true`) suits states any value of which a round can take.
+    /// buffers — overrides this. `ctx.round` bounds the rounds any vertex has
+    /// run: the checkpoint's round on the synchronous engine, the furthest
+    /// round a vertex has reached on the event engine, whose vertices run
+    /// ahead of the sealed rounds. The default (`true`) suits states any
+    /// value of which a round can take.
     fn fits(&self, ctx: &NodeCtx, state: &Self::State) -> bool {
         let _ = (ctx, state);
         true

@@ -89,9 +89,9 @@ pub trait SessionEngine<P: NodeProgram> {
 }
 
 /// Asks [`NodeProgram::fits`] of every vertex state a checkpoint carries
-/// (`states` in vertex order, one per vertex of `g`), with contexts at the
-/// checkpoint's `round`: the check both engines' [`SessionEngine::open`]
-/// make before they adopt a checkpoint.
+/// (`states` in vertex order, one per vertex of `g`), with contexts at
+/// `round` — the furthest round any of them has run: the check both engines'
+/// [`SessionEngine::open`] make before they adopt a checkpoint.
 ///
 /// # Errors
 ///

@@ -246,11 +246,6 @@ impl ShardedExecutor {
         ShardedExecutor { config, pool }
     }
 
-    /// The configuration this executor runs with.
-    pub fn config(&self) -> &ShardedConfig {
-        &self.config
-    }
-
     /// Runs `program` on every vertex of `g` until all vertices halt.
     ///
     /// # Errors

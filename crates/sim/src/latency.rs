@@ -65,7 +65,7 @@ impl LatencyModel {
     ///
     /// Panics if a `Uniform` model has `hi < lo` or a `HeavyTail` model has a
     /// non-positive `alpha`.
-    pub fn sample(&self, seed: u64, src: usize, dst: usize, round: u64) -> u64 {
+    pub(crate) fn sample(&self, seed: u64, src: usize, dst: usize, round: u64) -> u64 {
         match self {
             LatencyModel::Fixed(d) => (*d).max(1),
             LatencyModel::PerEdge(weights) => weights.weight(src, dst).max(1),

@@ -225,23 +225,15 @@ impl DigestSink {
     /// sealed head against `reference` (a chain from an earlier run or a
     /// journal), recording the first diverging round the moment it seals —
     /// online divergence detection, no second full run and no post-hoc
-    /// binary search. Poll [`DigestSink::first_mismatch`] during the run
-    /// (sinks observe but cannot abort an engine) or ask
-    /// [`DigestSink::reference_verdict`] afterwards, which also covers the
-    /// one case the stream cannot see: a run that stops short of the
-    /// reference chain.
+    /// binary search. Ask [`DigestSink::reference_verdict`] after the run
+    /// (sinks observe but cannot abort an engine); it also covers the one
+    /// case the stream cannot see: a run that stops short of the reference
+    /// chain.
     pub fn with_reference(reference: Vec<u64>) -> Self {
         DigestSink {
             reference: Some(reference),
             ..DigestSink::default()
         }
-    }
-
-    /// The first online disagreement with the reference chain, if any seal
-    /// has produced one so far (always `None` without
-    /// [`DigestSink::with_reference`]).
-    pub fn first_mismatch(&self) -> Option<ChainMismatch> {
-        self.first_mismatch
     }
 
     /// The verify-mode verdict after the run: the first diverging round
@@ -479,16 +471,16 @@ mod tests {
             let v1 = if r >= 3 { 999 } else { 200 + r };
             feed(&mut run, r, &[(0, 100 + r), (1, v1)]);
             if r < 3 {
-                assert_eq!(run.first_mismatch(), None, "round {r}");
+                assert_eq!(run.first_mismatch, None, "round {r}");
             }
         }
-        let m = run.first_mismatch().expect("divergence must be flagged");
+        let m = run.first_mismatch.expect("divergence must be flagged");
         assert_eq!(m.round, 3);
         assert_eq!(m.expected, Some(reference.chain()[3]));
         assert!(m.got.is_some() && m.got != m.expected);
         assert_eq!(run.reference_verdict(), Some(m));
         // Only the FIRST mismatch is recorded; later seals don't overwrite.
-        assert_eq!(run.first_mismatch().unwrap().round, 3);
+        assert_eq!(run.first_mismatch.unwrap().round, 3);
     }
 
     #[test]
@@ -558,7 +550,7 @@ mod tests {
         for r in 0..8 {
             feed(&mut long, r, &[(0, 7 * r + 1)]);
         }
-        let m = long.first_mismatch().unwrap();
+        let m = long.first_mismatch.unwrap();
         assert_eq!((m.round, m.expected), (5, None));
         assert!(m.got.is_some());
         assert_eq!(
@@ -572,7 +564,7 @@ mod tests {
         for r in 0..3 {
             feed(&mut short, r, &[(0, 7 * r + 1)]);
         }
-        assert_eq!(short.first_mismatch(), None);
+        assert_eq!(short.first_mismatch, None);
         let v = short.reference_verdict().unwrap();
         assert_eq!((v.round, v.got), (3, None));
         assert_eq!(v.expected, Some(reference.chain()[3]));

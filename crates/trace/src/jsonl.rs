@@ -101,7 +101,7 @@ impl<W: Write> TraceSink for JsonlSink<W> {
 }
 
 /// Renders one [`Event`] as a single-line JSON object (stable field order).
-pub fn event_json(event: &Event) -> String {
+pub(crate) fn event_json(event: &Event) -> String {
     let kind = event.kind();
     match *event {
         Event::RoundOpen {

@@ -122,7 +122,7 @@ pub enum FateKind {
 
 impl FateKind {
     /// Stable lowercase name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             FateKind::Drop => "drop",
             FateKind::Duplicate => "duplicate",
@@ -241,7 +241,7 @@ pub enum Event {
 
 impl Event {
     /// Stable kind name (the grouping key of metrics and JSON logs).
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Event::RoundOpen { .. } => "round_open",
             Event::VertexStep { .. } => "vertex_step",

@@ -35,7 +35,7 @@ pub struct SpanMetrics {
 /// timing-independent (see the crate docs' determinism contract).
 #[derive(Debug, Default)]
 pub struct MetricsSink {
-    /// Event counts keyed by [`Event::kind`].
+    /// Event counts keyed by `Event::kind`.
     pub events_by_kind: BTreeMap<&'static str, u64>,
     /// Program messages sent (summed over vertex steps).
     pub messages: u64,

@@ -11,9 +11,7 @@
 use mfd_congest::RoundMeter;
 use mfd_graph::generators;
 use mfd_graph::Graph;
-use mfd_routing::load_balance::{
-    load_balance_gather_with_plan, LoadBalanceParams, LoadBalancePlan,
-};
+use mfd_routing::load_balance::{load_balance_gather_with_plan, LoadBalancePlan};
 use mfd_routing::programs::{
     execute_gather, GatherProgram, LoadBalanceProgram, TreeGatherProgram, WalkScheduleProgram,
 };
@@ -80,7 +78,7 @@ fn main() {
         );
 
         let f = 0.1;
-        let plan = LoadBalancePlan::new(&g, &LoadBalanceParams::default());
+        let plan = LoadBalancePlan::new(&g);
         let mut meter = RoundMeter::new();
         let charged = load_balance_gather_with_plan(&g, leader, f, &plan, &mut meter);
         show(

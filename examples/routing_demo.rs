@@ -11,7 +11,6 @@ use mfd_congest::RoundMeter;
 use mfd_graph::generators;
 use mfd_graph::Graph;
 use mfd_routing::gather::{gather_to_leader, GatherStrategy};
-use mfd_routing::load_balance::LoadBalanceParams;
 use mfd_routing::walks::WalkParams;
 
 fn run_all(name: &str, g: &Graph, leader: usize) {
@@ -23,10 +22,7 @@ fn run_all(name: &str, g: &Graph, leader: usize) {
     );
     let strategies: Vec<(&str, GatherStrategy)> = vec![
         ("tree pipeline", GatherStrategy::TreePipeline),
-        (
-            "load balancing (Lemma 2.2)",
-            GatherStrategy::LoadBalance(LoadBalanceParams::default()),
-        ),
+        ("load balancing (Lemma 2.2)", GatherStrategy::LoadBalance),
         (
             "walk schedule (Lemma 2.5)",
             GatherStrategy::WalkSchedule(WalkParams::default()),

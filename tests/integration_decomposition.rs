@@ -4,9 +4,7 @@
 
 use mfd_congest::RoundMeter;
 use mfd_core::edt::{build_edt, build_edt_with, EdtConfig};
-use mfd_core::expander::{
-    min_cluster_conductance, minor_free_expander_decomposition, ExpanderParams,
-};
+use mfd_core::expander::{min_cluster_conductance, minor_free_expander_decomposition};
 use mfd_core::ldd::{chop_ldd, measure_ldd};
 use mfd_core::overlap::{overlap_expander_decomposition, OverlapParams};
 use mfd_graph::{generators, planarity, Graph};
@@ -125,7 +123,7 @@ fn ldd_and_overlap_and_expander_decompositions_compose() {
     assert!(overlap.check_invariants(&g));
 
     // Observation 3.1 expander decomposition.
-    let exp = minor_free_expander_decomposition(&g, 0.5, &ExpanderParams::default());
+    let exp = minor_free_expander_decomposition(&g, 0.5);
     assert!(exp.clustering.all_clusters_connected(&g));
     let phi = min_cluster_conductance(&g, &exp.clustering, 60);
     assert!(phi > 0.0);

@@ -19,7 +19,7 @@ use mfd_core::programs::{BfsProgram, ColeVishkinProgram};
 use mfd_faults::{crash_and_regather, FaultModel, Reliable};
 use mfd_graph::properties::splitmix64;
 use mfd_graph::{generators, Graph};
-use mfd_routing::load_balance::{LoadBalanceParams, LoadBalancePlan};
+use mfd_routing::load_balance::LoadBalancePlan;
 use mfd_routing::programs::{
     GatherProgram, LoadBalanceProgram, TreeGatherProgram, WalkScheduleProgram,
 };
@@ -179,7 +179,7 @@ fn zero_fault_identity_holds_for_all_gather_programs_on_acceptance_families() {
         let leader = acceptance_leader(&g);
         let config = SimConfig::default();
         assert_zero_fault_identity(&g, &TreeGatherProgram::new(&g, leader), &config);
-        let plan = LoadBalancePlan::new(&g, &LoadBalanceParams::default());
+        let plan = LoadBalancePlan::new(&g);
         assert_zero_fault_identity(
             &g,
             &LoadBalanceProgram::new(&g, leader, 0.1, &plan),
@@ -280,7 +280,7 @@ fn reliable_adapter_restores_load_balance_at_loss_up_to_020() {
         ),
     ] {
         let leader = acceptance_leader(&g);
-        let plan = LoadBalancePlan::new(&g, &LoadBalanceParams::default());
+        let plan = LoadBalancePlan::new(&g);
         let program = LoadBalanceProgram::new(&g, leader, 0.1, &plan);
         for &loss in losses {
             assert_recovery(name, &g, &program, loss);

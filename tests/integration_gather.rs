@@ -7,7 +7,7 @@ use mfd_graph::{generators, Graph};
 use mfd_prof::Profile;
 use mfd_routing::backend::{Executed, GatherBackend, GatherJob};
 use mfd_routing::gather::{gather_to_leader, tree_gather, GatherStrategy};
-use mfd_routing::load_balance::{LoadBalanceParams, LoadBalancePlan};
+use mfd_routing::load_balance::LoadBalancePlan;
 use mfd_routing::programs::{
     execute_gather, select_strategy_program, GatherProgram, LoadBalanceProgram, SelectedGather,
     TreeGatherProgram, TreeGatherState, TreeMsg, WalkScheduleProgram,
@@ -68,7 +68,7 @@ fn tree_program_matches_both_engines_bit_for_bit() {
 fn load_balance_program_matches_both_engines_bit_for_bit() {
     for (name, g) in acceptance_families() {
         let leader = max_degree_vertex(&g);
-        let plan = LoadBalancePlan::new(&g, &LoadBalanceParams::default());
+        let plan = LoadBalancePlan::new(&g);
         let program = LoadBalanceProgram::new(&g, leader, 0.1, &plan);
         let (sync, sim) = run_both(
             &g,
@@ -160,7 +160,7 @@ fn executed_rounds_within_charged_bound_on_acceptance_families() {
 
         // Load balance: same plan, executed delivery within the failure
         // budget whenever the metered run met it.
-        let plan = LoadBalancePlan::new(&g, &LoadBalanceParams::default());
+        let plan = LoadBalancePlan::new(&g);
         let mut meter = RoundMeter::new();
         let charged = mfd_routing::load_balance::load_balance_gather_with_plan(
             &g, leader, f, &plan, &mut meter,
@@ -262,7 +262,7 @@ fn cluster_runner_matches_per_cluster_executor_runs_on_heterogeneous_batches() {
     let mut names: Vec<&str> = Vec::new();
     for strategy in [
         // Routes the grid to the tree, keeps the rest on the balancer.
-        GatherStrategy::LoadBalance(LoadBalanceParams::default()),
+        GatherStrategy::LoadBalance,
         // The 64-spoke wheel's plan misses the failure budget under the test
         // caps (the fallback); the 32-spoke one's does not.
         GatherStrategy::WalkSchedule(test_walk_params()),
@@ -438,9 +438,8 @@ fn exact_tree_quiescence_changes_only_the_vertex_steps() {
 #[test]
 fn planners_are_pure() {
     let g = generators::random_apollonian(48, 7);
-    let lb_params = LoadBalanceParams::default();
-    let a = LoadBalancePlan::new(&g, &lb_params);
-    let b = LoadBalancePlan::new(&g, &lb_params);
+    let a = LoadBalancePlan::new(&g);
+    let b = LoadBalancePlan::new(&g);
     assert_eq!(a, b);
 
     let wp = test_walk_params();
@@ -502,7 +501,7 @@ proptest! {
         let g = generators::random_apollonian(n, seed);
         let leader = max_degree_vertex(&g);
         let f = 0.2;
-        let plan = LoadBalancePlan::new(&g, &LoadBalanceParams::default());
+        let plan = LoadBalancePlan::new(&g);
         let mut meter = RoundMeter::new();
         let charged = mfd_routing::load_balance::load_balance_gather_with_plan(
             &g, leader, f, &plan, &mut meter,

@@ -5,7 +5,6 @@
 use mfd_congest::{primitives, Message, RoundMeter};
 use mfd_graph::{generators, Graph};
 use mfd_routing::gather::{gather_to_leader, GatherStrategy};
-use mfd_routing::load_balance::LoadBalanceParams;
 use mfd_routing::split::ExpanderSplit;
 use mfd_routing::walks::{plan_walk_schedule, WalkParams};
 use proptest::prelude::*;
@@ -17,10 +16,7 @@ fn every_strategy_delivers_on_minor_free_expanders() {
     let g = generators::wheel(96);
     for (strategy, floor) in [
         (GatherStrategy::TreePipeline, 1.0),
-        (
-            GatherStrategy::LoadBalance(LoadBalanceParams::default()),
-            0.9,
-        ),
+        (GatherStrategy::LoadBalance, 0.9),
         (GatherStrategy::WalkSchedule(WalkParams::default()), 0.8),
     ] {
         let mut meter = RoundMeter::new();

@@ -717,16 +717,19 @@ fn refusal<P: NodeProgram, E: SessionEngine<P>>(
 /// A vertex state of `Reliable<DivergenceProbe>`.
 type ReliableProbeState = mfd_faults::ReliableState<u64, u64>;
 
-/// `Reliable<probe>` cut after round 6 on the 8x8 grid, then vertex 0's
-/// state forged eight ways: each is refused by `engine`'s `open` as a
-/// program state that does not fit vertex 0 (`Reliable`'s `fits`), before
-/// the first step. The first four would index out of range in the adapter's
-/// round, or underflow in `Reliable::stats`: one send or receive window
-/// short of the degree, a retransmission window past the messages sent, more
-/// payload frames than frames. The last four break an order every run keeps
-/// — one window too many, an ack past what was sent, deliveries past the
-/// received prefix, a pending message below the delivered count — and would
-/// run on silently, or wedge.
+/// `Reliable<probe>` on the 8x8 grid: every cut of the run reopens, to the
+/// last round. The cut after round 6 then has vertex 0's state forged ten
+/// ways: each is refused by `engine`'s `open` as a program state that does
+/// not fit vertex 0 (`Reliable`'s `fits`), before the first step. The first
+/// four would index out of range in the adapter's round, or underflow in
+/// `Reliable::stats`: one send or receive window short of the degree, a
+/// retransmission window past the messages sent, more payload frames than
+/// frames. The next four break an order every run keeps — one window too
+/// many, an ack past what was sent, deliveries past the received prefix, a
+/// pending message below the delivered count — and would run on silently, or
+/// wedge. The last two hold counters no run of six rounds reaches, at
+/// `u64::MAX`: the next round's `frames_sent + 1` or `inner_round + 1` would
+/// overflow.
 fn unfit_reliable_states_are_refused<E>(
     engine: &E,
     states: fn(&mut E::Checkpoint) -> &mut Vec<ReliableProbeState>,
@@ -736,18 +739,23 @@ fn unfit_reliable_states_are_refused<E>(
 {
     let g = generators::triangulated_grid(8, 8);
     let program = mfd_faults::Reliable::new(mfd_bench::trace::DivergenceProbe::clean(12));
-    let mut sink = NullSink;
+    let (mut sink, mut reopened) = (NullSink, NullSink);
     let mut session = engine.open(&g, &program, None, &mut sink).unwrap();
-    while E::step(&mut session)
-        .unwrap()
-        .expect("the probe runs past round 6")
-        < 6
-    {}
-    let mut checkpoint = E::checkpoint(&session);
+    let mut at_6 = None;
+    while let Some(round) = E::step(&mut session).unwrap() {
+        let cp = E::checkpoint(&session);
+        let reopen = engine.open(&g, &program, Some(cp.clone()), &mut reopened);
+        assert!(
+            reopen.is_ok(),
+            "the cut after round {round} was refused: {:?}",
+            reopen.err()
+        );
+        if round >= 6 && at_6.is_none() {
+            at_6 = Some(cp);
+        }
+    }
     drop(session);
-    assert!(engine
-        .open(&g, &program, Some(checkpoint.clone()), &mut sink)
-        .is_ok());
+    let mut checkpoint = at_6.expect("the probe runs past round 6");
 
     let v = 0;
     let intact = &states(&mut checkpoint)[v];
@@ -775,6 +783,8 @@ fn unfit_reliable_states_are_refused<E>(
             let below = s.rx[e].delivered - 1;
             s.rx[e].pending.insert(below, (1, 7));
         }),
+        forged(&|s| (s.frames_sent, s.payload_frames) = (u64::MAX, u64::MAX)),
+        forged(&|s| s.inner_round = u64::MAX),
     ];
     for (i, cp) in forgeries.into_iter().enumerate() {
         let verdict = refusal(engine, &g, &program, cp);

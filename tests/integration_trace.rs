@@ -13,7 +13,7 @@ use mfd_core::programs::{BfsProgram, ColeVishkinProgram, VoronoiLddProgram};
 use mfd_faults::{FaultModel, Reliable};
 use mfd_graph::properties::splitmix64;
 use mfd_graph::{generators, Graph};
-use mfd_routing::load_balance::{LoadBalanceParams, LoadBalancePlan};
+use mfd_routing::load_balance::LoadBalancePlan;
 use mfd_routing::programs::{LoadBalanceProgram, TreeGatherProgram};
 use mfd_runtime::{Executor, ExecutorConfig};
 use mfd_sim::{LatencyModel, NoFaults, SimConfig, Simulator};
@@ -147,7 +147,7 @@ fn null_sink_runs_gathers_bit_identical_to_untraced_runs() {
         let sim = Simulator::new(SimConfig::matching(&cfg, LatencyModel::Fixed(1)));
 
         let tree = TreeGatherProgram::new(&g, leader);
-        let plan = LoadBalancePlan::new(&g, &LoadBalanceParams::default());
+        let plan = LoadBalancePlan::new(&g);
         let lb = LoadBalanceProgram::new(&g, leader, 0.1, &plan);
 
         macro_rules! check {
