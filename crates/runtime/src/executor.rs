@@ -76,6 +76,14 @@ pub enum RuntimeError {
         /// `"program state"`: its vertex's degree).
         found: u64,
     },
+    /// An event engine's packet would arrive past the last tick a `u64`
+    /// holds.
+    ClockOverflow {
+        /// The tick the packet was sent at.
+        now: u64,
+        /// Its delay in ticks.
+        delay: u64,
+    },
 }
 
 impl fmt::Display for RuntimeError {
@@ -92,6 +100,10 @@ impl fmt::Display for RuntimeError {
             } => write!(
                 f,
                 "checkpoint does not match this run: {what} (expected {expected}, found {found})"
+            ),
+            RuntimeError::ClockOverflow { now, delay } => write!(
+                f,
+                "simulated clock overflow: a packet sent at tick {now} with delay {delay}"
             ),
         }
     }

@@ -22,8 +22,10 @@
 //!   initialization announces itself with a tag-0 pulse), so neighbors stop
 //!   waiting for rounds it will never run.
 //!
-//! Events are packet arrivals, ordered by a binary heap keyed on
-//! `(time, seq)`. All arrivals at one tick are buffered before any vertex
+//! Events are packet arrivals in a calendar queue (R. Brown, CACM 1988): one
+//! bucket per arrival tick, taken whole and processed in `seq` order — every
+//! delay is at least one tick, so nothing sent during a tick lands in its
+//! bucket. All arrivals at one tick are buffered before any vertex
 //! executes, so results do not depend on how equal-time events are ordered —
 //! [`TieBreak`] exists to let tests *prove* that. Latencies are pure
 //! functions of `(seed, edge, round)`, making whole runs bit-for-bit
@@ -32,12 +34,11 @@
 //! # State layout
 //!
 //! The engine's state is its checkpoint: [`VertexCheckpoint`]s of sorted
-//! vectors, an arena of [`PacketCheckpoint`]s and a window of per-round live
-//! counts from the frontier — no hash map anywhere. Capturing clones them;
-//! restoring checks them and adopts them as they are.
+//! vectors, the calendar's buckets of [`PacketCheckpoint`]s and a window of
+//! per-round live counts from the frontier — no hash map anywhere. Capturing
+//! clones them, buckets in delivery order; restoring checks and adopts them.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use mfd_congest::{Message, MeterParts, RoundMeter};
 use mfd_graph::Graph;
@@ -123,9 +124,9 @@ impl SimConfig {
 pub struct PacketCheckpoint<M> {
     /// Scheduled arrival tick.
     pub time: u64,
-    /// The heap ordering key as stored — already transformed per the run's
-    /// [`TieBreak`], so a resume under the *same* tie-break replays the
-    /// exact event order.
+    /// The order of the packet among its tick's arrivals, as stored —
+    /// already transformed per the run's [`TieBreak`], so a resume under the
+    /// *same* tie-break replays the exact event order.
     pub seq_key: u64,
     /// Sending vertex.
     pub src: usize,
@@ -194,7 +195,8 @@ pub struct VertexCheckpoint<M> {
 /// input and answers [`RuntimeError::CheckpointMismatch`] instead of
 /// panicking: per-vertex lists that are not `n` long or per-edge lists that
 /// are not `m` long, a `round` past the round budget, a queued packet or a
-/// buffered sender that is not on an edge of the graph, a live vertex's next
+/// buffered sender that is not on an edge of the graph, a queued packet
+/// whose tag its live receiver never reads, a live vertex's next
 /// round outside `round + 1 ..= round + pending_rounds.len() + 1`, vertex
 /// lists out of [`VertexCheckpoint`]'s form (keys unsorted or repeated, an
 /// empty pending bucket or late list, a pending tag outside the window), and
@@ -212,7 +214,8 @@ pub struct SimCheckpoint<S, M> {
     pub states: Vec<S>,
     /// Every vertex's synchronizer state.
     pub vx: Vec<VertexCheckpoint<M>>,
-    /// In-flight packets, sorted by `(time, seq_key)` (heap order).
+    /// In-flight packets, sorted by `(time, seq_key)`: the order the engine
+    /// delivers them in.
     pub queue: Vec<PacketCheckpoint<M>>,
     /// The packet sequence counter.
     pub seq: u64,
@@ -259,8 +262,10 @@ impl Simulator {
     /// # Errors
     ///
     /// [`RuntimeError::Model`] if the program violates the CONGEST model
-    /// (non-edge send, or a reconstructed round over the bandwidth cap), and
-    /// [`RuntimeError::RoundLimit`] if any vertex exceeds the round budget.
+    /// (non-edge send, or a reconstructed round over the bandwidth cap),
+    /// [`RuntimeError::RoundLimit`] if any vertex exceeds the round budget,
+    /// and [`RuntimeError::ClockOverflow`] if a latency would carry a packet
+    /// past the last tick.
     pub fn run<P: NodeProgram>(
         &self,
         g: &Graph,
@@ -309,7 +314,7 @@ impl Simulator {
     ///
     /// [`RuntimeError::Model`] if the program violates the CONGEST model
     /// (faults never excuse a violation — they act strictly after the meter
-    /// has validated the round's sends).
+    /// has validated the round's sends), and [`RuntimeError::ClockOverflow`].
     pub fn run_with_faults<P: NodeProgram, F: FaultHook>(
         &self,
         g: &Graph,
@@ -374,7 +379,10 @@ impl<P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> SimSession<'_, P, F
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::Model`] on a CONGEST violation; it ends the session.
+    /// [`RuntimeError::Model`] on a CONGEST violation,
+    /// [`RuntimeError::ClockOverflow`] on an arrival past the last tick, and
+    /// [`RuntimeError::CheckpointMismatch`] if the queue drains while vertices
+    /// wait (a checkpoint that lost a packet). Each ends the session.
     pub fn step(&mut self) -> Result<Option<u64>, RuntimeError> {
         let sealed = self.engine.submitted;
         while self.wedged.is_none() {
@@ -397,11 +405,6 @@ impl<P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> SimSession<'_, P, F
         P::State: Clone,
     {
         self.engine.checkpoint()
-    }
-
-    /// The observer (a journal stamps checkpoints with its digest head).
-    pub(crate) fn observer(&self) -> &O {
-        self.engine.observer
     }
 
     /// Ends the session: flushes the rounds still unsubmitted to the meter
@@ -493,7 +496,7 @@ impl<P: NodeProgram, F: FaultHook> SessionEngine<P> for SimEngine<F> {
     }
 
     fn observer<'s, O: RunObserver<P::State>>(session: &'s SimSession<'_, P, F, O>) -> &'s O {
-        session.observer()
+        session.engine.observer
     }
 
     fn finish<O: RunObserver<P::State>>(
@@ -562,19 +565,16 @@ struct Engine<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> {
     /// Effective round budget: the configured cap, tightened by the
     /// program's [`NodeProgram::round_budget_hint`].
     max_rounds: u64,
-    n: usize,
     states: Vec<P::State>,
     /// Every vertex's synchronizer state, in the form a checkpoint carries
     /// it (see [`VertexCheckpoint`] for the invariants kept).
     vx: Vec<VertexCheckpoint<P::Msg>>,
-    /// Min-heap of `(arrival time, seq, packet arena index)`. `seq` is
-    /// unique per packet, so the arena index never decides ordering.
-    heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    /// Packet arena, each packet stamped with its heap key; delivered slots
-    /// are recycled through `free_slots`, so the arena stays at
-    /// peak-in-flight size rather than growing with every packet ever sent.
-    packets: Vec<Option<PacketCheckpoint<P::Msg>>>,
-    free_slots: Vec<usize>,
+    /// The calendar queue: in-flight packets by arrival tick, inline, each
+    /// bucket in filing order; sorted by `seq_key`, a bucket is in delivery
+    /// order under either [`TieBreak`], restored packets included.
+    calendar: BTreeMap<u64, Vec<PacketCheckpoint<P::Msg>>>,
+    /// Delivered buckets, emptied with their capacity kept, for later ticks.
+    spare: Vec<Vec<PacketCheckpoint<P::Msg>>>,
     seq: u64,
     /// Reconstructed synchronous rounds: `per_round[r - 1]` holds every
     /// program message sent while some vertex executed its local round `r`.
@@ -645,14 +645,10 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
             max_rounds: config
                 .max_rounds
                 .min(program.round_budget_hint().unwrap_or(u64::MAX)),
-            n: g.n(),
             states: Vec::new(),
             vx: Vec::new(),
-            // Tick 0 puts a packet on every directed edge: reserving those 2m
-            // slots spares each run a realloc ladder that moves its peak RSS.
-            heap: BinaryHeap::with_capacity(2 * g.m()),
-            packets: Vec::with_capacity(2 * g.m()),
-            free_slots: Vec::with_capacity(2 * g.m()),
+            calendar: BTreeMap::new(),
+            spare: Vec::new(),
             seq: 0,
             per_round: Vec::new(),
             submitted: 0,
@@ -680,7 +676,7 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         observer: &'a mut O,
     ) -> Self {
         let mut engine = Self::assemble(g, program, config, hook, observer);
-        let (n, seed) = (engine.n, config.seed);
+        let (n, seed) = (g.n(), config.seed);
         let ctx = |v| NodeCtx::new(v, n, 0, g.neighbors(v), seed);
         let states: Vec<P::State> = (0..n).map(|v| program.init(&ctx(v))).collect();
         let vx: Vec<VertexCheckpoint<P::Msg>> = (0..n)
@@ -713,15 +709,15 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
     /// other vertex executes round 1 (whose synchronous inbox is empty by
     /// definition, so it needs no incoming packets).
     fn start(&mut self) -> Result<(), RuntimeError> {
-        for v in 0..self.n {
+        for v in 0..self.g.n() {
             if self.vx[v].halted {
                 let g = self.g;
                 for &u in g.neighbors(v) {
-                    self.send_packet(v, u, 0, Vec::new(), true, 0);
+                    self.send_packet(v, u, 0, Vec::new(), true, 0)?;
                 }
             }
         }
-        for v in 0..self.n {
+        for v in 0..self.g.n() {
             if !self.vx[v].halted {
                 self.try_advance(v, 0)?;
             }
@@ -734,25 +730,22 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
     /// can no longer grow. Returns `false` once the queue is empty (the run
     /// is over, nothing processed): the synchronizer invariant (a vertex
     /// waiting on some neighbor always has that neighbor's packet in flight
-    /// or pending) guarantees that only happens once every vertex has halted.
+    /// or pending) guarantees that only happens once every vertex has halted
+    /// — unless a restored checkpoint dropped a packet, a typed error.
     fn tick(&mut self) -> Result<bool, RuntimeError> {
-        let Some(&Reverse((now, _, _))) = self.heap.peek() else {
-            debug_assert!(
-                self.vx.iter().all(VertexCheckpoint::gone),
-                "event queue drained with live vertices — synchronizer invariant broken"
-            );
+        let Some((now, mut bucket)) = self.calendar.pop_first() else {
+            if self.live > 0 {
+                let what = "live vertices when the event queue drained";
+                return Err(mismatch(what, 0, self.live as u64));
+            }
             return Ok(false);
         };
+        bucket.sort_unstable_by_key(|p| p.seq_key);
         let mut touched: Vec<usize> = Vec::new();
-        while let Some(&Reverse((t, _, idx))) = self.heap.peek() {
-            if t != now {
-                break;
-            }
-            self.heap.pop();
-            let packet = self.packets[idx].take().expect("packet delivered twice");
-            self.free_slots.push(idx);
+        for packet in bucket.drain(..) {
             self.arrive(packet, &mut touched);
         }
+        self.spare.push(bucket);
         touched.sort_unstable();
         touched.dedup();
         if self.config.tie_break == TieBreak::ReverseInsertion {
@@ -789,13 +782,12 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
     where
         P::State: Clone,
     {
-        let mut entries: Vec<(u64, u64, usize)> =
-            self.heap.iter().map(|&Reverse(entry)| entry).collect();
-        entries.sort_unstable();
-        let queue = entries
-            .into_iter()
-            .map(|(.., idx)| self.packets[idx].clone().expect("heap slot vacated"))
-            .collect();
+        let mut queue = Vec::new();
+        for bucket in self.calendar.values() {
+            let at = queue.len();
+            queue.extend_from_slice(bucket);
+            queue[at..].sort_unstable_by_key(|p: &PacketCheckpoint<P::Msg>| p.seq_key);
+        }
         SimCheckpoint {
             round: self.submitted as u64,
             states: self.states.clone(),
@@ -829,12 +821,7 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         cp: SimCheckpoint<P::State, P::Msg>,
     ) -> Result<Self, RuntimeError> {
         let mut engine = Self::assemble(g, program, config, hook, observer);
-        let (n, m) = (engine.n, engine.in_flight.len());
-        let mismatch = |what, expected: u64, found: u64| RuntimeError::CheckpointMismatch {
-            what,
-            expected,
-            found,
-        };
+        let (n, m) = (g.n(), g.m());
         for (what, expected, found) in [
             ("states length", n, cp.states.len()),
             ("vx length", n, cp.vx.len()),
@@ -904,6 +891,17 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         for p in &cp.queue {
             let e = edge_of(p.src, p.dst)?;
             in_flight[e] += usize::from(!p.notice);
+            // A live receiver reads round packets of `pending`'s window only.
+            let x = &cp.vx[p.dst];
+            if !p.notice
+                && p.tag >= 1
+                && !x.gone()
+                && !(x.next_round - 1..=x.next_round).contains(&p.tag)
+            {
+                let what = "a queued packet's tag outside its live receiver's \
+                            {next round `expected` - 1, `expected`}";
+                return Err(mismatch(what, x.next_round, p.tag));
+            }
         }
         if let Some(e) = (0..m).find(|&e| in_flight[e] != cp.in_flight[e]) {
             let what = "in-flight packets on an edge";
@@ -925,9 +923,7 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         }
 
         for p in cp.queue {
-            let slot = engine.packets.len();
-            engine.heap.push(Reverse((p.time, p.seq_key, slot)));
-            engine.packets.push(Some(p));
+            engine.calendar.entry(p.time).or_default().push(p);
         }
         engine.submitted = cp.round as usize;
         engine.per_round.resize_with(engine.submitted, Vec::new);
@@ -955,35 +951,25 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
                 .round(self.g, &msgs)
                 .map_err(RuntimeError::Model)?;
             self.submitted += 1;
-            self.seal_submitted_round();
+            // The round's bucket is final, so its digests can be folded.
+            if O::ENABLED {
+                let round = self.submitted as u64;
+                self.observer.event(&Event::RoundClose {
+                    engine: EngineKind::Sim,
+                    round,
+                    messages: self.meter.messages(),
+                });
+                self.observer.round_sealed(EngineKind::Sim, round);
+            }
         }
         Ok(())
     }
 
-    /// Observer bookkeeping for the most recently metered round: its message
-    /// bucket is final, so its digests can be folded.
-    fn seal_submitted_round(&mut self) {
-        if O::ENABLED {
-            let round = self.submitted as u64;
-            self.observer.event(&Event::RoundClose {
-                engine: EngineKind::Sim,
-                round,
-                messages: self.meter.messages(),
-            });
-            self.observer.round_sealed(EngineKind::Sim, round);
-        }
-    }
-
     fn finish(mut self, outcome: FaultOutcome) -> Result<FaultedRun<P::State>, RuntimeError> {
-        // Flush the rounds still unsubmitted when the last vertices halted.
-        for i in self.submitted..self.per_round.len() {
-            let msgs = std::mem::take(&mut self.per_round[i]);
-            self.meter
-                .round(self.g, &msgs)
-                .map_err(RuntimeError::Model)?;
-            self.submitted = i + 1;
-            self.seal_submitted_round();
-        }
+        // Flush the rounds still unsubmitted when the last vertices halted
+        // (or starved): every one of them is final now.
+        self.frontier = u64::MAX;
+        self.pump_meter()?;
         let meter = self.meter;
         self.stats.payload_messages = meter.messages();
         // Slipped messages whose target round never executed (the receiver
@@ -1095,8 +1081,7 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
             }
             if let Some(r) = self.hook.crash_round(v) {
                 if self.vx[v].next_round >= r {
-                    self.crash(v, now);
-                    return Ok(());
+                    return self.crash(v, now);
                 }
             }
             if !self.ready(v) {
@@ -1109,7 +1094,7 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
     /// Crash-stops `v` just before its next local round: it sends nothing
     /// ever again, and `detection_delay` ticks later each neighbor's failure
     /// detector fires and stops waiting for it.
-    fn crash(&mut self, v: usize, now: u64) {
+    fn crash(&mut self, v: usize, now: u64) -> Result<(), RuntimeError> {
         let r = self.vx[v].next_round;
         self.vx[v].crashed = true;
         self.vx[v].completion = now;
@@ -1122,12 +1107,12 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
             });
         }
         self.leave_round(r, true);
-        let delay = self.hook.detection_delay().max(1);
+        let time = arrival(now, self.hook.detection_delay())?;
         let g = self.g;
         for &u in g.neighbors(v) {
             self.stats.crash_notices += 1;
             self.enqueue(PacketCheckpoint {
-                time: now + delay,
+                time,
                 seq_key: 0,
                 src: v,
                 dst: u,
@@ -1137,6 +1122,7 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
                 notice: true,
             });
         }
+        Ok(())
     }
 
     /// Frontier bookkeeping for a vertex leaving round `r`'s live population,
@@ -1221,7 +1207,7 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
             );
         }
 
-        let ctx = NodeCtx::new(v, self.n, r, self.g.neighbors(v), self.config.seed);
+        let ctx = NodeCtx::new(v, self.g.n(), r, self.g.neighbors(v), self.config.seed);
         let out: VertexRound<P::Msg> = driver::step_vertex(
             self.program,
             &ctx,
@@ -1305,7 +1291,7 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         // round, carrying the payload for that edge and the halt flag.
         self.sent.clear();
         for (payload, &u) in outgoing.drain(..).zip(neighbors) {
-            self.send_packet(v, u, r, payload, out.halted, now);
+            self.send_packet(v, u, r, payload, out.halted, now)?;
         }
         self.outgoing = outgoing;
         Ok(())
@@ -1321,8 +1307,9 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         payload: Vec<(P::Msg, usize, u64)>,
         halt: bool,
         now: u64,
-    ) {
+    ) -> Result<(), RuntimeError> {
         let delay = self.config.latency.sample(self.config.seed, src, dst, tag);
+        let time = arrival(now, delay)?;
         if O::ENABLED {
             self.observer.event(&Event::Pulse {
                 time: now,
@@ -1346,7 +1333,7 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         self.edge_peak[e] = self.edge_peak[e].max(self.in_flight[e]);
         self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.cur_in_flight);
         self.enqueue(PacketCheckpoint {
-            time: now + delay.max(1),
+            time,
             seq_key: 0,
             src,
             dst,
@@ -1355,31 +1342,43 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
             halt,
             notice: false,
         });
+        Ok(())
     }
 
-    /// Schedules `packet` for arrival at its `time`, stamping its sequence
-    /// key over the placeholder (no latency sampling, no congestion accounting —
-    /// [`Engine::send_packet`] layers those on top; crash notices use this
-    /// directly).
+    /// Files `packet` in the bucket of its arrival `time`, stamping its
+    /// sequence key over the placeholder (no latency sampling, no congestion
+    /// accounting — [`Engine::send_packet`] layers those on top; crash
+    /// notices use this directly). A new bucket holds one packet per directed
+    /// edge (tick 0's sends; any tick's under a fixed latency): grown by
+    /// doubling, buckets would move the peak RSS.
     fn enqueue(&mut self, mut packet: PacketCheckpoint<P::Msg>) {
         packet.seq_key = match self.config.tie_break {
             TieBreak::InsertionOrder => self.seq,
             TieBreak::ReverseInsertion => u64::MAX - self.seq,
         };
         self.seq += 1;
-        let (time, seq) = (packet.time, packet.seq_key);
-        let slot = match self.free_slots.pop() {
-            Some(slot) => {
-                self.packets[slot] = Some(packet);
-                slot
-            }
-            None => {
-                self.packets.push(Some(packet));
-                self.packets.len() - 1
-            }
-        };
-        self.heap.push(Reverse((time, seq, slot)));
+        let (spare, directed) = (&mut self.spare, 2 * self.g.m());
+        self.calendar
+            .entry(packet.time)
+            .or_insert_with(|| spare.pop().unwrap_or_else(|| Vec::with_capacity(directed)))
+            .push(packet);
     }
+}
+
+/// A checkpoint that does not fit the run.
+fn mismatch(what: &'static str, expected: u64, found: u64) -> RuntimeError {
+    RuntimeError::CheckpointMismatch {
+        what,
+        expected,
+        found,
+    }
+}
+
+/// The arrival tick of a packet sent at `now`: at least one tick later.
+fn arrival(now: u64, delay: u64) -> Result<u64, RuntimeError> {
+    let delay = delay.max(1);
+    now.checked_add(delay)
+        .ok_or(RuntimeError::ClockOverflow { now, delay })
 }
 
 /// The paired results of a synchronous execution and a simulation of the
@@ -1772,7 +1771,8 @@ mod tests {
     }
 
     /// Steps a fresh session to the end, checkpointing after every step; the
-    /// stepped run must itself end in `states`.
+    /// stepped run must itself end in `states`, and every cut list its queue
+    /// in delivery order.
     fn checkpoint_every_step<P, F>(
         engine: &SimEngine<F>,
         g: &Graph,
@@ -1790,6 +1790,8 @@ mod tests {
         while let Some(round) = session.step().unwrap() {
             let cp = session.checkpoint();
             assert_eq!(cp.round, round);
+            let order = |p: &PacketCheckpoint<P::Msg>| (p.time, p.seq_key);
+            assert!(cp.queue.windows(2).all(|w| order(&w[0]) < order(&w[1])));
             checkpoints.push(cp);
         }
         assert!(!checkpoints.is_empty());
@@ -1797,18 +1799,33 @@ mod tests {
         checkpoints
     }
 
-    /// Restores `checkpoint` and steps it to the end.
-    fn resume<P: NodeProgram, F: FaultHook>(
+    /// Restores checkpoint `at` of `cuts`, an uninterrupted run's, and steps
+    /// it to the end. Every later cut must equal the uninterrupted run's at
+    /// the same round, field for field: queue order and `seq_key` included.
+    fn resume<P, F>(
         engine: &SimEngine<F>,
         g: &Graph,
         program: &P,
-        checkpoint: SimCheckpoint<P::State, P::Msg>,
-    ) -> FaultedRun<P::State> {
+        cuts: &[SimCheckpoint<P::State, P::Msg>],
+        at: usize,
+    ) -> FaultedRun<P::State>
+    where
+        P: NodeProgram,
+        P::State: Clone + std::fmt::Debug,
+        P::Msg: std::fmt::Debug,
+        F: FaultHook,
+    {
         let mut sink = NullSink;
         let mut session = engine
-            .open(g, program, Some(checkpoint), &mut sink)
+            .open(g, program, Some(cuts[at].clone()), &mut sink)
             .unwrap();
-        while session.step().unwrap().is_some() {}
+        let mut later = cuts[at + 1..].iter();
+        while let Some(round) = session.step().unwrap() {
+            let cut = later.next().expect("the resumed run cuts no more often");
+            assert_eq!(round, cut.round);
+            assert_eq!(format!("{:?}", session.checkpoint()), format!("{cut:?}"));
+        }
+        assert!(later.next().is_none(), "the resumed run cut less often");
         session.finish().unwrap()
     }
 
@@ -1836,8 +1853,9 @@ mod tests {
             for sim in both_tie_breaks(latency) {
                 let full = sim.run(&g, &Census).unwrap();
                 let engine = SimEngine(sim, NoFaults);
-                for cp in checkpoint_every_step(&engine, &g, &Census, &full.states) {
-                    let resumed = resume(&engine, &g, &Census, cp);
+                let cuts = checkpoint_every_step(&engine, &g, &Census, &full.states);
+                for at in 0..cuts.len() {
+                    let resumed = resume(&engine, &g, &Census, &cuts, at);
                     assert_eq!(resumed.outcome, FaultOutcome::Completed);
                     let resumed = resumed.run;
                     assert_eq!(resumed.states, full.states);
@@ -1888,8 +1906,9 @@ mod tests {
         for sim in both_tie_breaks(LatencyModel::Uniform { lo: 1, hi: 4 }) {
             let full = sim.run_with_faults(&g, &Census, &hook).unwrap();
             let engine = SimEngine(sim, hook.clone());
-            for cp in checkpoint_every_step(&engine, &g, &Census, &full.run.states) {
-                let resumed = resume(&engine, &g, &Census, cp);
+            let cuts = checkpoint_every_step(&engine, &g, &Census, &full.run.states);
+            for at in 0..cuts.len() {
+                let resumed = resume(&engine, &g, &Census, &cuts, at);
                 assert_eq!(resumed.outcome, full.outcome);
                 assert_eq!(resumed.crashed, full.crashed);
                 assert_eq!(resumed.run.states, full.run.states);

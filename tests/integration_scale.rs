@@ -632,6 +632,58 @@ fn hostile_sim_checkpoints_are_refused_with_a_typed_error() {
     cp.vx[0].next_round = checkpoint.round + checkpoint.pending_rounds.len() as u64 + 2;
     assert_eq!(refused(&g, cp, &sim).0, "a live vertex's next round");
 
+    // In-flight round packets that the receiver would never read, or that
+    // the clock cannot take past. A tag beyond the receiver's window would
+    // break the synchronizer's skew, and be buffered under a tag no round
+    // reads.
+    let at = checkpoint
+        .queue
+        .iter()
+        .position(|p| p.tag >= 1 && !checkpoint.vx[p.dst].halted)
+        .expect("a round packet to a live receiver is in flight");
+    let (dst, tag) = (checkpoint.queue[at].dst, checkpoint.queue[at].tag);
+    let mut cp = checkpoint.clone();
+    cp.queue[at].tag += 5;
+    let (what, expected, found) = refused(&g, cp, &sim);
+    assert!(what.starts_with("a queued packet's tag"), "{what}");
+    assert_eq!((expected, found), (checkpoint.vx[dst].next_round, tag + 5));
+    // Opened, these two run into the end of the event queue: one arrives at
+    // the last tick and its receiver's next sends overflow the clock; the
+    // other never arrives, and its receiver waits on it forever.
+    let stepped = |cp: SimCheckpoint<u64, u64>| {
+        let mut sink = NullSink;
+        let mut session = sim.open(&g, &probe, Some(cp), &mut sink).unwrap();
+        loop {
+            match session.step() {
+                Ok(Some(_)) => {}
+                Ok(None) => panic!("a forged run completed"),
+                Err(e) => break e,
+            }
+        }
+    };
+    let mut cp = checkpoint.clone();
+    cp.queue[at].time = u64::MAX;
+    assert!(
+        matches!(
+            stepped(cp),
+            RuntimeError::ClockOverflow { now: u64::MAX, .. }
+        ),
+        "the clock overflowed without a typed error"
+    );
+    let mut cp = checkpoint.clone();
+    let lost = cp.queue.remove(at);
+    let ends = (lost.src.min(lost.dst), lost.src.max(lost.dst));
+    let e = g.edges().position(|edge| edge == ends).unwrap();
+    (cp.in_flight[e], cp.cur_in_flight) = (cp.in_flight[e] - 1, cp.cur_in_flight - 1);
+    assert!(sim.open(&g, &probe, Some(cp.clone()), &mut sink).is_ok());
+    match stepped(cp) {
+        RuntimeError::CheckpointMismatch { what, expected, .. } => {
+            assert!(what.starts_with("live vertices when"), "{what}");
+            assert_eq!(expected, 0);
+        }
+        other => panic!("expected a CheckpointMismatch, got {other}"),
+    }
+
     // A vertex's buffers out of the engine's form, every forged sender a
     // neighbour: unsorted or repeated keys, a pending bucket naming one
     // sender twice, a pending tag outside the window, empty entries.
