@@ -205,8 +205,13 @@ impl RoundMeter {
         Self::validate(g, msgs, self.capacity_words).1
     }
 
-    /// Shared validation: returns the largest per-edge load observed (over the
-    /// prefix of edges inspected before any error) and the verdict.
+    /// Shared validation: returns the largest per-edge load (0 after a
+    /// non-edge) and the verdict.
+    ///
+    /// An overcommitted round names the same edge on every engine and in
+    /// every process: the smallest overcommitted source's edge it sent on
+    /// first, which is the edge the sharded engine meets first. `msgs` lists
+    /// each source's sends in send order; how sources interleave is free.
     fn validate(
         g: &Graph,
         msgs: &[Message],
@@ -225,22 +230,25 @@ impl RoundMeter {
             }
             *per_edge.entry((m.src, m.dst)).or_insert(0) += m.words;
         }
-        let mut max_on_edge = 0;
-        for (&(src, dst), &words) in &per_edge {
-            max_on_edge = max_on_edge.max(words);
-            if words > capacity_words {
-                return (
-                    max_on_edge,
-                    Err(CongestError::BandwidthExceeded {
-                        src,
-                        dst,
-                        words,
-                        capacity: capacity_words,
-                    }),
-                );
-            }
+        let max_on_edge = per_edge.values().copied().max().unwrap_or(0);
+        if max_on_edge <= capacity_words {
+            return (max_on_edge, Ok(()));
         }
-        (max_on_edge, Ok(()))
+        let load = |m: &&Message| per_edge[&(m.src, m.dst)];
+        let first = msgs
+            .iter()
+            .filter(|m| load(m) > capacity_words)
+            .min_by_key(|m| m.src)
+            .expect("some edge is overcommitted");
+        (
+            max_on_edge,
+            Err(CongestError::BandwidthExceeded {
+                src: first.src,
+                dst: first.dst,
+                words: load(&first),
+                capacity: capacity_words,
+            }),
+        )
     }
 
     /// Records one synchronous round whose messages were already validated

@@ -105,32 +105,12 @@ fn find_sparse_cut(g: &Graph, phi: f64) -> Option<Vec<bool>> {
     if g.n() < 2 || g.m() == 0 {
         return None;
     }
-    if g.n() <= max_exact_conductance_vertices().min(14) {
-        // Exact: enumerate all cuts.
-        let mut best_mask: Option<Vec<bool>> = None;
-        let mut best = f64::INFINITY;
-        let n = g.n();
-        for bits in 1u64..(1u64 << (n - 1)) {
-            let mut mask = vec![false; n];
-            for v in 0..(n - 1) {
-                if bits >> v & 1 == 1 {
-                    mask[v + 1] = true;
-                }
-            }
-            let c = g.conductance_of_cut(&mask);
-            if c < best {
-                best = c;
-                best_mask = Some(mask);
-            }
-        }
-        return if best < phi { best_mask } else { None };
-    }
-    let cut = spectral_sweep_cut(g, SWEEP_ITERATIONS)?;
-    if cut.conductance < phi {
-        Some(cut.mask)
+    let cut = if g.n() <= max_exact_conductance_vertices().min(14) {
+        conductance_exact(g)?
     } else {
-        None
-    }
+        spectral_sweep_cut(g, SWEEP_ITERATIONS)?
+    };
+    (cut.conductance < phi).then_some(cut.mask)
 }
 
 /// Observation 3.1: the three-step composition for H-minor-free graphs —
@@ -194,7 +174,7 @@ pub fn min_cluster_conductance(g: &Graph, clustering: &Clustering, sweep_iterati
             continue;
         }
         let phi = if sub.n() <= max_exact_conductance_vertices() {
-            conductance_exact(&sub).unwrap_or(f64::INFINITY)
+            conductance_exact(&sub).map_or(f64::INFINITY, |c| c.conductance)
         } else {
             spectral_sweep_cut(&sub, sweep_iterations)
                 .map(|c| c.conductance)

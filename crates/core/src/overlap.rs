@@ -409,7 +409,7 @@ mod tests {
             let sub = Graph::from_edges(verts.len(), edges);
             assert!(sub.is_connected(), "associated subgraph must be connected");
             let phi = if sub.n() <= max_exact_conductance_vertices() {
-                conductance_exact(&sub).unwrap_or(1.0)
+                conductance_exact(&sub).map_or(1.0, |c| c.conductance)
             } else {
                 spectral_sweep_cut(&sub, 60)
                     .map(|c| c.conductance)

@@ -87,31 +87,32 @@ pub fn degeneracy(g: &Graph) -> usize {
     degeneracy_ordering(g).degeneracy
 }
 
-/// Exact conductance Φ(G): the minimum over all non-trivial cuts, by exhaustive
-/// enumeration. Only valid for small graphs.
+/// Exact conductance Φ(G) and a cut attaining it: the minimum over all
+/// non-trivial cuts, by exhaustive enumeration. Only valid for small graphs.
+///
+/// Vertex 0 stays outside S, which halves the work; subsets are tried in
+/// increasing bit order and the first one of least conductance wins.
 ///
 /// Returns `None` if the graph has fewer than 2 vertices or more than
 /// `max_exact_conductance_vertices()` vertices.
-pub fn conductance_exact(g: &Graph) -> Option<f64> {
+pub fn conductance_exact(g: &Graph) -> Option<SweepCut> {
     let n = g.n();
     if n < 2 || n > max_exact_conductance_vertices() {
         return None;
     }
-    let mut best = f64::INFINITY;
-    // Enumerate subsets 1 .. 2^(n-1) - ... fix vertex 0 outside S to halve the work.
-    for bits in 1u64..(1u64 << (n - 1)) {
-        let mut mask = vec![false; n];
-        for v in 0..(n - 1) {
-            if bits >> v & 1 == 1 {
-                mask[v + 1] = true;
+    (1u64..(1u64 << (n - 1)))
+        .map(|bits| {
+            let mask: Vec<bool> = (0..n).map(|v| v > 0 && bits >> (v - 1) & 1 == 1).collect();
+            let conductance = g.conductance_of_cut(&mask);
+            SweepCut { mask, conductance }
+        })
+        .reduce(|best, cut| {
+            if cut.conductance < best.conductance {
+                cut
+            } else {
+                best
             }
-        }
-        let phi = g.conductance_of_cut(&mask);
-        if phi < best {
-            best = phi;
-        }
-    }
-    Some(best)
+        })
 }
 
 /// Maximum number of vertices for which [`conductance_exact`] will run.
@@ -119,7 +120,7 @@ pub fn max_exact_conductance_vertices() -> usize {
     18
 }
 
-/// Result of a spectral sweep-cut computation.
+/// A cut found by a sweep or by exact enumeration.
 #[derive(Debug, Clone)]
 pub struct SweepCut {
     /// Membership mask of the side S of the cut.
@@ -287,12 +288,13 @@ mod tests {
         // Complete graph K4: the worst cut is a balanced bipartition:
         // Φ = 4 / min(6, 6) = 2/3.
         let k4 = generators::complete(4);
-        let phi = conductance_exact(&k4).unwrap();
+        let phi = conductance_exact(&k4).unwrap().conductance;
         assert!((phi - 2.0 / 3.0).abs() < 1e-9);
         // Path on 4 vertices: cutting in the middle gives 1 / min(3, 3) = 1/3.
         let p4 = generators::path(4);
-        let phi = conductance_exact(&p4).unwrap();
-        assert!((phi - 1.0 / 3.0).abs() < 1e-9);
+        let cut = conductance_exact(&p4).unwrap();
+        assert!((cut.conductance - 1.0 / 3.0).abs() < 1e-9);
+        assert_eq!(cut.mask, [false, false, true, true]);
         // Too-large graphs refuse.
         assert!(conductance_exact(&generators::grid(6, 6)).is_none());
     }

@@ -15,7 +15,10 @@
 //! * `bool` is one byte, `0` or `1`; any other value is a decode error.
 //! * `Vec<T>` and `String` are a `u64` length followed by the elements /
 //!   UTF-8 bytes. Tuples and structs are their fields in declaration order,
-//!   nothing else — no tags, no padding.
+//!   nothing else — no tags, no padding. A struct's format is declared once,
+//!   as its field list, with `snapshot_struct!`, which writes both encode and
+//!   decode from it; only formats that are not "fields in order" are written
+//!   out by hand.
 //! * `Option<T>` is a `0`/`1` presence byte, then the value if present.
 //! * `BTreeMap<K, V>` is exactly the bytes of its entries as a `Vec<(K, V)>`
 //!   in key order, and decoding refuses keys that are not strictly
@@ -164,49 +167,107 @@ pub fn from_bytes<T: Snapshot>(bytes: &[u8]) -> Result<T, CodecError> {
 }
 
 // ---------------------------------------------------------------------------
-// Primitives
+// Declared formats: one field list writes both halves
 // ---------------------------------------------------------------------------
 
-impl Snapshot for u8 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(*self);
-    }
+/// Implements [`Snapshot`] for each listed struct as its fields in the order
+/// listed, which must be declaration order: `path<Params> { field, … }`,
+/// every type parameter bounded by `Snapshot`. Encode and decode are written
+/// from the one list, so they cannot drift apart, and the decoding struct
+/// literal makes a field left off the list a compile error.
+macro_rules! snapshot_struct {
+    ($($($seg:ident)::+ $(<$($p:ident),+>)? { $($field:ident),+ $(,)? })+) => {$(
+        impl$(<$($p: $crate::codec::Snapshot),+>)? $crate::codec::Snapshot
+            for $($seg)::+ $(<$($p),+>)?
+        {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $($crate::codec::Snapshot::encode(&self.$field, out);)+
+            }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(r.take(1)?[0])
+            fn decode(
+                r: &mut $crate::codec::Reader<'_>,
+            ) -> Result<Self, $crate::codec::CodecError> {
+                Ok($($seg)::+ { $($field: $crate::codec::Snapshot::decode(r)?),+ })
+            }
+        }
+    )+};
+}
+pub(crate) use snapshot_struct;
+
+/// Fixed-width integers: little-endian, exactly their width.
+macro_rules! snapshot_int {
+    ($($int:ty),+) => {$(
+        impl Snapshot for $int {
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                let bytes = r.take(std::mem::size_of::<$int>())?;
+                Ok(<$int>::from_le_bytes(bytes.try_into().unwrap()))
+            }
+        }
+    )+};
+}
+snapshot_int!(u8, u32, u64, i64);
+
+/// Tuples: their fields in order. Each arity is listed as
+/// `(TypeParam field_index, …)`.
+macro_rules! snapshot_tuple {
+    ($(($($p:ident $i:tt),+))+) => {$(
+        impl<$($p: Snapshot),+> Snapshot for ($($p,)+) {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $(self.$i.encode(out);)+
+            }
+
+            fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                Ok(($($p::decode(r)?,)+))
+            }
+        }
+    )+};
+}
+snapshot_tuple!((A 0, B 1) (A 0, B 1, C 2) (A 0, B 1, C 2, D 3));
+
+snapshot_struct! {
+    mfd_congest::Message { src, dst, words }
+    mfd_congest::meter::PhaseRecord { name, rounds, messages }
+    mfd_congest::MeterParts {
+        rounds, messages, capacity_words, max_words_on_edge, phases, phase_start,
+    }
+    mfd_runtime::Envelope<M> { src, msg }
+    mfd_runtime::ExecCheckpoint<S, M> { round, states, halted, inbox, meter }
+    mfd_sim::PacketCheckpoint<M> { time, seq_key, src, dst, tag, payload, halt, notice }
+    mfd_sim::VertexCheckpoint<M> {
+        halted, crashed, next_round, completion, pending, late, nbr_final_tag,
+    }
+    mfd_sim::SimStats {
+        packets, payload_packets, pure_pulses, payload_messages, dropped_packets,
+        lost_messages, duplicated_messages, slipped_messages, slipped_delivered,
+        stale_slipped, crash_notices, crashed_vertices, peak_in_flight, edges,
+        edge_in_flight_peak,
+    }
+    mfd_sim::SimCheckpoint<S, M> {
+        round, states, vx, queue, seq, pending_rounds, meter, round_pop, live,
+        frontier, makespan, in_flight, edge_peak, cur_in_flight, stats,
+    }
+    mfd_trace::DigestState { engine, heads, current, pending }
+    mfd_faults::Frame<M> { ack, boundary_round, boundary_cum, fin, payload }
+    mfd_faults::EdgeTx<M> { sent, acked, tx_next, last_progress }
+    mfd_faults::EdgeRx<M> {
+        pending, prefix, delivered, peer_round, peer_cum, peer_fin, last_heard, dead,
+    }
+    mfd_faults::ReliableState<S, M> {
+        inner, inner_round, inner_halted, tx, rx, close_at, done, frames_sent,
+        payload_frames, fresh_sent, retransmitted, delivered_inner, peers_excused,
+        trace_log,
     }
 }
 
-impl Snapshot for u32 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
+// ---------------------------------------------------------------------------
+// Hand-written formats: each is something other than "fields in order"
+// ---------------------------------------------------------------------------
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(u32::from_le_bytes(r.take(4)?.try_into().unwrap()))
-    }
-}
-
-impl Snapshot for u64 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(u64::from_le_bytes(r.take(8)?.try_into().unwrap()))
-    }
-}
-
-impl Snapshot for i64 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(i64::from_le_bytes(r.take(8)?.try_into().unwrap()))
-    }
-}
-
+/// Travels as a `u64`, so the bytes do not depend on the host's width.
 impl Snapshot for usize {
     fn encode(&self, out: &mut Vec<u8>) {
         (*self as u64).encode(out);
@@ -222,6 +283,7 @@ impl Snapshot for usize {
     }
 }
 
+/// One byte that must be `0` or `1`.
 impl Snapshot for bool {
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(u8::from(*self));
@@ -237,6 +299,7 @@ impl Snapshot for bool {
     }
 }
 
+/// A length, then bytes that must be UTF-8.
 impl Snapshot for String {
     fn encode(&self, out: &mut Vec<u8>) {
         self.len().encode(out);
@@ -259,6 +322,7 @@ impl Snapshot for String {
     }
 }
 
+/// A presence byte, then the value if present.
 impl<T: Snapshot> Snapshot for Option<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -283,6 +347,7 @@ impl<T: Snapshot> Snapshot for Option<T> {
     }
 }
 
+/// A length, then the elements; the length is checked before allocating.
 impl<T: Snapshot> Snapshot for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.len().encode(out);
@@ -310,7 +375,8 @@ impl<T: Snapshot> Snapshot for Vec<T> {
     }
 }
 
-/// Exactly the bytes of its entries as a `Vec<(K, V)>`, in key order.
+/// Exactly the bytes of its entries as a `Vec<(K, V)>`, in key order; keys
+/// that are not strictly increasing are refused.
 impl<K: Snapshot + Ord, V: Snapshot> Snapshot for BTreeMap<K, V> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.len().encode(out);
@@ -333,264 +399,7 @@ impl<K: Snapshot + Ord, V: Snapshot> Snapshot for BTreeMap<K, V> {
     }
 }
 
-impl<A: Snapshot, B: Snapshot> Snapshot for (A, B) {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-        self.1.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok((A::decode(r)?, B::decode(r)?))
-    }
-}
-
-impl<A: Snapshot, B: Snapshot, C: Snapshot> Snapshot for (A, B, C) {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-        self.1.encode(out);
-        self.2.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok((A::decode(r)?, B::decode(r)?, C::decode(r)?))
-    }
-}
-
-impl<A: Snapshot, B: Snapshot, C: Snapshot, D: Snapshot> Snapshot for (A, B, C, D) {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-        self.1.encode(out);
-        self.2.encode(out);
-        self.3.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok((A::decode(r)?, B::decode(r)?, C::decode(r)?, D::decode(r)?))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Workspace checkpoint types (fields in declaration order, always)
-// ---------------------------------------------------------------------------
-
-impl Snapshot for mfd_congest::Message {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.src.encode(out);
-        self.dst.encode(out);
-        self.words.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(mfd_congest::Message {
-            src: usize::decode(r)?,
-            dst: usize::decode(r)?,
-            words: usize::decode(r)?,
-        })
-    }
-}
-
-impl Snapshot for mfd_congest::meter::PhaseRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.name.encode(out);
-        self.rounds.encode(out);
-        self.messages.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(mfd_congest::meter::PhaseRecord {
-            name: String::decode(r)?,
-            rounds: u64::decode(r)?,
-            messages: u64::decode(r)?,
-        })
-    }
-}
-
-impl Snapshot for mfd_congest::MeterParts {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.rounds.encode(out);
-        self.messages.encode(out);
-        self.capacity_words.encode(out);
-        self.max_words_on_edge.encode(out);
-        self.phases.encode(out);
-        self.phase_start.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(mfd_congest::MeterParts {
-            rounds: u64::decode(r)?,
-            messages: u64::decode(r)?,
-            capacity_words: usize::decode(r)?,
-            max_words_on_edge: usize::decode(r)?,
-            phases: Vec::decode(r)?,
-            phase_start: Option::decode(r)?,
-        })
-    }
-}
-
-impl<M: Snapshot> Snapshot for mfd_runtime::Envelope<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.src.encode(out);
-        self.msg.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(mfd_runtime::Envelope {
-            src: usize::decode(r)?,
-            msg: M::decode(r)?,
-        })
-    }
-}
-
-impl<S: Snapshot, M: Snapshot> Snapshot for mfd_runtime::ExecCheckpoint<S, M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.round.encode(out);
-        self.states.encode(out);
-        self.halted.encode(out);
-        self.inbox.encode(out);
-        self.meter.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(mfd_runtime::ExecCheckpoint {
-            round: u64::decode(r)?,
-            states: Vec::decode(r)?,
-            halted: Vec::decode(r)?,
-            inbox: Vec::decode(r)?,
-            meter: mfd_congest::MeterParts::decode(r)?,
-        })
-    }
-}
-
-impl<M: Snapshot> Snapshot for mfd_sim::PacketCheckpoint<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.time.encode(out);
-        self.seq_key.encode(out);
-        self.src.encode(out);
-        self.dst.encode(out);
-        self.tag.encode(out);
-        self.payload.encode(out);
-        self.halt.encode(out);
-        self.notice.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(mfd_sim::PacketCheckpoint {
-            time: u64::decode(r)?,
-            seq_key: u64::decode(r)?,
-            src: usize::decode(r)?,
-            dst: usize::decode(r)?,
-            tag: u64::decode(r)?,
-            payload: Vec::decode(r)?,
-            halt: bool::decode(r)?,
-            notice: bool::decode(r)?,
-        })
-    }
-}
-
-impl<M: Snapshot> Snapshot for mfd_sim::VertexCheckpoint<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.halted.encode(out);
-        self.crashed.encode(out);
-        self.next_round.encode(out);
-        self.completion.encode(out);
-        self.pending.encode(out);
-        self.late.encode(out);
-        self.nbr_final_tag.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(mfd_sim::VertexCheckpoint {
-            halted: bool::decode(r)?,
-            crashed: bool::decode(r)?,
-            next_round: u64::decode(r)?,
-            completion: u64::decode(r)?,
-            pending: Vec::decode(r)?,
-            late: Vec::decode(r)?,
-            nbr_final_tag: Vec::decode(r)?,
-        })
-    }
-}
-
-impl Snapshot for mfd_sim::SimStats {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.packets.encode(out);
-        self.payload_packets.encode(out);
-        self.pure_pulses.encode(out);
-        self.payload_messages.encode(out);
-        self.dropped_packets.encode(out);
-        self.lost_messages.encode(out);
-        self.duplicated_messages.encode(out);
-        self.slipped_messages.encode(out);
-        self.slipped_delivered.encode(out);
-        self.stale_slipped.encode(out);
-        self.crash_notices.encode(out);
-        self.crashed_vertices.encode(out);
-        self.peak_in_flight.encode(out);
-        self.edges.encode(out);
-        self.edge_in_flight_peak.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(mfd_sim::SimStats {
-            packets: u64::decode(r)?,
-            payload_packets: u64::decode(r)?,
-            pure_pulses: u64::decode(r)?,
-            payload_messages: u64::decode(r)?,
-            dropped_packets: u64::decode(r)?,
-            lost_messages: u64::decode(r)?,
-            duplicated_messages: u64::decode(r)?,
-            slipped_messages: u64::decode(r)?,
-            slipped_delivered: u64::decode(r)?,
-            stale_slipped: u64::decode(r)?,
-            crash_notices: u64::decode(r)?,
-            crashed_vertices: u64::decode(r)?,
-            peak_in_flight: usize::decode(r)?,
-            edges: Vec::decode(r)?,
-            edge_in_flight_peak: Vec::decode(r)?,
-        })
-    }
-}
-
-impl<S: Snapshot, M: Snapshot> Snapshot for mfd_sim::SimCheckpoint<S, M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.round.encode(out);
-        self.states.encode(out);
-        self.vx.encode(out);
-        self.queue.encode(out);
-        self.seq.encode(out);
-        self.pending_rounds.encode(out);
-        self.meter.encode(out);
-        self.round_pop.encode(out);
-        self.live.encode(out);
-        self.frontier.encode(out);
-        self.makespan.encode(out);
-        self.in_flight.encode(out);
-        self.edge_peak.encode(out);
-        self.cur_in_flight.encode(out);
-        self.stats.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(mfd_sim::SimCheckpoint {
-            round: u64::decode(r)?,
-            states: Vec::decode(r)?,
-            vx: Vec::decode(r)?,
-            queue: Vec::decode(r)?,
-            seq: u64::decode(r)?,
-            pending_rounds: Vec::decode(r)?,
-            meter: mfd_congest::MeterParts::decode(r)?,
-            round_pop: Vec::decode(r)?,
-            live: usize::decode(r)?,
-            frontier: u64::decode(r)?,
-            makespan: u64::decode(r)?,
-            in_flight: Vec::decode(r)?,
-            edge_peak: Vec::decode(r)?,
-            cur_in_flight: usize::decode(r)?,
-            stats: mfd_sim::SimStats::decode(r)?,
-        })
-    }
-}
-
+/// An enum: one tag byte per variant.
 impl Snapshot for mfd_trace::EngineKind {
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(match self {
@@ -609,126 +418,6 @@ impl Snapshot for mfd_trace::EngineKind {
                 at,
             }),
         }
-    }
-}
-
-impl Snapshot for mfd_trace::DigestState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.engine.encode(out);
-        self.heads.encode(out);
-        self.current.encode(out);
-        self.pending.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(mfd_trace::DigestState {
-            engine: Option::decode(r)?,
-            heads: Vec::decode(r)?,
-            current: Vec::decode(r)?,
-            pending: Vec::decode(r)?,
-        })
-    }
-}
-
-impl<M: Snapshot> Snapshot for mfd_faults::Frame<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.ack.encode(out);
-        self.boundary_round.encode(out);
-        self.boundary_cum.encode(out);
-        self.fin.encode(out);
-        self.payload.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(mfd_faults::Frame {
-            ack: u64::decode(r)?,
-            boundary_round: u64::decode(r)?,
-            boundary_cum: u64::decode(r)?,
-            fin: bool::decode(r)?,
-            payload: Vec::decode(r)?,
-        })
-    }
-}
-
-impl<M: Snapshot> Snapshot for mfd_faults::EdgeTx<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.sent.encode(out);
-        self.acked.encode(out);
-        self.tx_next.encode(out);
-        self.last_progress.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(mfd_faults::EdgeTx {
-            sent: Vec::decode(r)?,
-            acked: u64::decode(r)?,
-            tx_next: u64::decode(r)?,
-            last_progress: u64::decode(r)?,
-        })
-    }
-}
-
-impl<M: Snapshot> Snapshot for mfd_faults::EdgeRx<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.pending.encode(out);
-        self.prefix.encode(out);
-        self.delivered.encode(out);
-        self.peer_round.encode(out);
-        self.peer_cum.encode(out);
-        self.peer_fin.encode(out);
-        self.last_heard.encode(out);
-        self.dead.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(mfd_faults::EdgeRx {
-            pending: BTreeMap::decode(r)?,
-            prefix: u64::decode(r)?,
-            delivered: u64::decode(r)?,
-            peer_round: u64::decode(r)?,
-            peer_cum: u64::decode(r)?,
-            peer_fin: bool::decode(r)?,
-            last_heard: u64::decode(r)?,
-            dead: bool::decode(r)?,
-        })
-    }
-}
-
-impl<S: Snapshot, M: Snapshot> Snapshot for mfd_faults::ReliableState<S, M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.inner.encode(out);
-        self.inner_round.encode(out);
-        self.inner_halted.encode(out);
-        self.tx.encode(out);
-        self.rx.encode(out);
-        self.close_at.encode(out);
-        self.done.encode(out);
-        self.frames_sent.encode(out);
-        self.payload_frames.encode(out);
-        self.fresh_sent.encode(out);
-        self.retransmitted.encode(out);
-        self.delivered_inner.encode(out);
-        self.peers_excused.encode(out);
-        self.trace_log.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(mfd_faults::ReliableState {
-            inner: S::decode(r)?,
-            inner_round: u64::decode(r)?,
-            inner_halted: bool::decode(r)?,
-            tx: Vec::decode(r)?,
-            rx: Vec::decode(r)?,
-            close_at: Option::decode(r)?,
-            done: bool::decode(r)?,
-            frames_sent: u64::decode(r)?,
-            payload_frames: u64::decode(r)?,
-            fresh_sent: u64::decode(r)?,
-            retransmitted: u64::decode(r)?,
-            delivered_inner: u64::decode(r)?,
-            peers_excused: u64::decode(r)?,
-            trace_log: Vec::decode(r)?,
-        })
     }
 }
 
@@ -815,6 +504,155 @@ mod tests {
                 ..
             })
         ));
+        // Every declared format, with non-default values.
+        strict(&(7u8, 1u32, -2i64));
+        strict(&(1u64, 2usize, String::from("x"), true));
+        strict(&mfd_congest::Message::word(3, 4));
+        strict(&meter());
+        let envelope = mfd_runtime::Envelope { src: 5, msg: 7u64 };
+        strict(&envelope);
+        strict(&mfd_runtime::ExecCheckpoint {
+            round: 3,
+            states: vec![10u64, 11],
+            halted: vec![false, true],
+            inbox: vec![vec![envelope], vec![]],
+            meter: meter(),
+        });
+        strict(&sim_checkpoint(1u64, 7u64));
+        strict(&mfd_trace::DigestState {
+            engine: Some(mfd_trace::EngineKind::Sim),
+            heads: vec![(0, 7), (1, 9)],
+            current: vec![1, 2, 3],
+            pending: vec![(2, vec![(0, 5), (2, 8)])],
+        });
+        let frame = mfd_faults::Frame {
+            ack: 2,
+            boundary_round: 3,
+            boundary_cum: 4,
+            fin: true,
+            payload: vec![(1, 0, 7u64)],
+        };
+        let reliable = mfd_faults::ReliableState {
+            inner: 5u64,
+            inner_round: 2,
+            inner_halted: false,
+            tx: vec![mfd_faults::EdgeTx {
+                sent: vec![(1, 7u64), (2, 8)],
+                acked: 1,
+                tx_next: 3,
+                last_progress: 2,
+            }],
+            rx: vec![mfd_faults::EdgeRx {
+                pending: [(2, (1, 7u64)), (4, (2, 9))].into(),
+                prefix: 1,
+                delivered: 1,
+                peer_round: 2,
+                peer_cum: 3,
+                peer_fin: true,
+                last_heard: 4,
+                dead: false,
+            }],
+            close_at: Some(6),
+            done: false,
+            frames_sent: 7,
+            payload_frames: 3,
+            fresh_sent: 2,
+            retransmitted: 1,
+            delivered_inner: 1,
+            peers_excused: 1,
+            trace_log: vec![(1, 2, 3, 4)],
+        };
+        strict(&frame);
+        strict(&reliable);
+        // A faulted event-engine checkpoint: adapter states, frames in flight.
+        strict(&sim_checkpoint(reliable, frame));
+        strict(&crate::JournalHeader {
+            engine: mfd_trace::EngineKind::Executor,
+            n: 64,
+            seed: 7,
+            every: 4,
+            label: "wheel-64/bfs".into(),
+        });
+    }
+
+    /// encode → decode → encode gives the same bytes, and every strict
+    /// prefix of the encoding is refused with a `CodecError` (a panic fails
+    /// the test).
+    fn strict<T: Snapshot>(value: &T) {
+        let name = std::any::type_name::<T>();
+        let bytes = to_bytes(value);
+        let back: T = from_bytes(&bytes).expect("decode what we encoded");
+        assert_eq!(to_bytes(&back), bytes, "{name}");
+        for cut in 0..bytes.len() {
+            assert!(
+                from_bytes::<T>(&bytes[..cut]).is_err(),
+                "{name}: a {cut}-byte prefix decoded"
+            );
+        }
+    }
+
+    fn meter() -> mfd_congest::MeterParts {
+        mfd_congest::MeterParts {
+            rounds: 12,
+            messages: 340,
+            capacity_words: 1,
+            max_words_on_edge: 3,
+            phases: vec![mfd_congest::meter::PhaseRecord {
+                name: "merge".into(),
+                rounds: 4,
+                messages: 80,
+            }],
+            phase_start: Some(("refine".into(), 12, 340)),
+        }
+    }
+
+    /// A mid-run event-engine checkpoint: queued packets, pending and late
+    /// buffers, one reconstructed round, and counters.
+    fn sim_checkpoint<S: Clone, M: Clone>(state: S, msg: M) -> mfd_sim::SimCheckpoint<S, M> {
+        let vertex = mfd_sim::VertexCheckpoint {
+            halted: false,
+            crashed: true,
+            next_round: 3,
+            completion: 8,
+            pending: vec![(3, vec![(1, vec![(msg.clone(), 1)])])],
+            late: vec![(4, vec![(1, 2, 0, msg.clone())])],
+            nbr_final_tag: vec![(1, 5)],
+        };
+        let packet = mfd_sim::PacketCheckpoint {
+            time: 9,
+            seq_key: 4,
+            src: 0,
+            dst: 1,
+            tag: 2,
+            payload: vec![(msg.clone(), 1, 0), (msg, 1, 2)],
+            halt: true,
+            notice: false,
+        };
+        mfd_sim::SimCheckpoint {
+            round: 2,
+            states: vec![state.clone(), state],
+            vx: vec![vertex.clone(), vertex],
+            queue: vec![packet.clone(), packet],
+            seq: 11,
+            pending_rounds: vec![vec![mfd_congest::Message::word(0, 1)]],
+            meter: meter(),
+            round_pop: vec![(3, 1)],
+            live: 1,
+            frontier: 3,
+            makespan: 9,
+            in_flight: vec![1],
+            edge_peak: vec![2],
+            cur_in_flight: 1,
+            stats: mfd_sim::SimStats {
+                packets: 20,
+                pure_pulses: 6,
+                lost_messages: 1,
+                peak_in_flight: 3,
+                edges: vec![(0, 1)],
+                edge_in_flight_peak: vec![2],
+                ..Default::default()
+            },
+        }
     }
 
     #[test]
@@ -841,18 +679,7 @@ mod tests {
 
     #[test]
     fn meter_parts_round_trip() {
-        round_trip(mfd_congest::MeterParts {
-            rounds: 12,
-            messages: 340,
-            capacity_words: 1,
-            max_words_on_edge: 3,
-            phases: vec![mfd_congest::meter::PhaseRecord {
-                name: "merge".into(),
-                rounds: 4,
-                messages: 80,
-            }],
-            phase_start: Some(("refine".into(), 12, 340)),
-        });
+        round_trip(meter());
     }
 
     #[test]

@@ -38,7 +38,7 @@ use std::fmt;
 
 use mfd_trace::{fnv1a_fold, DigestSink, DigestState, EngineKind, FNV_OFFSET};
 
-use crate::codec::{from_bytes, CodecError, Reader, Snapshot};
+use crate::codec::{from_bytes, snapshot_struct, CodecError, Reader, Snapshot};
 
 /// The journal magic: file format name and version in eight bytes.
 pub const MAGIC: &[u8; 8] = b"MFDJRNL1";
@@ -63,24 +63,8 @@ pub struct JournalHeader {
     pub label: String,
 }
 
-impl Snapshot for JournalHeader {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.engine.encode(out);
-        self.n.encode(out);
-        self.seed.encode(out);
-        self.every.encode(out);
-        self.label.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(JournalHeader {
-            engine: EngineKind::decode(r)?,
-            n: u64::decode(r)?,
-            seed: u64::decode(r)?,
-            every: u64::decode(r)?,
-            label: String::decode(r)?,
-        })
-    }
+snapshot_struct! {
+    JournalHeader { engine, n, seed, every, label }
 }
 
 /// One full-state checkpoint inside a journal.
@@ -99,6 +83,8 @@ pub struct JournalCheckpoint {
     pub payload: Vec<u8>,
 }
 
+/// Hand-written: the payload is copied in bulk after its own length check,
+/// not decoded byte by byte as a `Vec<u8>` (the bytes are the same).
 impl Snapshot for JournalCheckpoint {
     fn encode(&self, out: &mut Vec<u8>) {
         self.round.encode(out);

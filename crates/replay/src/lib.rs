@@ -10,10 +10,10 @@
 //! round-for-round. Three pieces:
 //!
 //! * [`Snapshot`] ([`codec`]): a hand-rolled byte-stable encoding (the
-//!   workspace is offline — no serde) implemented for both engines'
-//!   checkpoint types, program states, and the reliable-delivery adapter's
-//!   flattened transport state. Equal states encode to equal bytes; decodes
-//!   are strict.
+//!   workspace is offline — no serde) declared, one field list per type, for
+//!   both engines' checkpoint types, program states, and the
+//!   reliable-delivery adapter's flattened transport state. Equal states
+//!   encode to equal bytes; decodes are strict.
 //! * [`Journal`] ([`journal`]): the durable artifact — header, one chain
 //!   head per sealed round, periodic full-state checkpoints each stamped
 //!   with the digest head at its round, and an end record. Loading verifies
@@ -34,9 +34,10 @@
 //! vertex order (so independent of the shard/thread layout). Per-vertex
 //! randomness needs **no** capture — `NodeCtx::rng()`
 //! streams are stateless, re-seeded from `(seed, vertex, round)` every
-//! round. The event engine adds the synchronizer: the packet heap (with
-//! tie-break-transformed sequence keys, so the restored heap replays the
-//! exact event order), per-vertex pending/late buffers, the round
+//! round. The event engine adds the synchronizer: the packets in flight,
+//! from the calendar queue's per-tick buckets (with tie-break-transformed
+//! sequence keys, so the restored buckets replay the exact event order),
+//! per-vertex pending/late buffers, the round
 //! population, and congestion counters. Fault models also need no capture:
 //! fates are pure in `(seed, src, dst, round, index)`, so a resumed faulted
 //! run meets exactly the fate sequence the uninterrupted run saw — the

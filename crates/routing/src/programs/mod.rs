@@ -318,8 +318,8 @@ impl SelectedGather {
 /// (an upper bound on φ) otherwise, 1.0 when neither applies.
 fn conductance_estimate(cluster: &Graph) -> f64 {
     properties::conductance_exact(cluster)
-        .or_else(|| properties::spectral_sweep_cut(cluster, 80).map(|c| c.conductance))
-        .unwrap_or(1.0)
+        .or_else(|| properties::spectral_sweep_cut(cluster, 80))
+        .map_or(1.0, |c| c.conductance)
 }
 
 /// Picks the executed gather program for a cluster that would otherwise run

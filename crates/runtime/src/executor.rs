@@ -399,7 +399,7 @@ pub(crate) mod tests {
         );
     }
 
-    /// A program that overloads one edge with two one-word messages.
+    /// A program that overloads three edges with two one-word messages each.
     struct DoubleSender;
 
     impl NodeProgram for DoubleSender {
@@ -415,9 +415,15 @@ pub(crate) mod tests {
             _inbox: &[Envelope<u64>],
             out: &mut Outbox<'_, u64>,
         ) {
-            if ctx.id == 0 {
-                out.send(1, 1);
-                out.send(1, 2);
+            // Vertex 1 overcommits (1, 2) and then (1, 0); vertex 2
+            // overcommits (2, 1).
+            let dsts: &[usize] = match ctx.id {
+                1 => &[2, 2, 0, 0],
+                2 => &[1, 1],
+                _ => &[],
+            };
+            for &dst in dsts {
+                out.send(dst, 1);
             }
         }
 
@@ -431,10 +437,16 @@ pub(crate) mod tests {
         let g = generators::path(3);
         let exec = Executor::new(ExecutorConfig::default());
         let err = exec.run(&g, &DoubleSender).unwrap_err();
-        assert!(matches!(
+        // The smallest overcommitted source's first-sent edge, in every run.
+        assert_eq!(
             err,
-            RuntimeError::Model(CongestError::BandwidthExceeded { .. })
-        ));
+            RuntimeError::Model(CongestError::BandwidthExceeded {
+                src: 1,
+                dst: 2,
+                words: 2,
+                capacity: 1,
+            })
+        );
         // With two words of capacity the same program is legal.
         let exec = Executor::new(ExecutorConfig {
             capacity_words: 2,

@@ -159,28 +159,16 @@ pub struct SendBuf<M> {
     /// Position of each message's destination in the sender's neighbor slice,
     /// aligned with `msgs` — the index [`Outbox::send`] / [`Outbox::broadcast`]
     /// resolved anyway, kept so per-edge accounting downstream need not search
-    /// for it again. Filled only by a buffer from `SendBuf::with_slots`; a
-    /// second allocation per step is a measurable cost to an engine that
-    /// cannot recycle it.
+    /// for it again.
     pub slots: Vec<usize>,
-    keep_slots: bool,
 }
 
 impl<M> SendBuf<M> {
-    /// An empty buffer that records messages only.
+    /// An empty buffer.
     pub fn new() -> Self {
         SendBuf {
             msgs: Vec::new(),
             slots: Vec::new(),
-            keep_slots: false,
-        }
-    }
-
-    /// An empty buffer that also records each message's neighbor slot.
-    pub(crate) fn with_slots() -> Self {
-        SendBuf {
-            keep_slots: true,
-            ..Self::new()
         }
     }
 }
@@ -239,9 +227,7 @@ impl<'a, M: RuntimeMessage> Outbox<'a, M> {
         };
         let words = msg.words();
         self.buf.msgs.push((dst, msg, words));
-        if self.buf.keep_slots {
-            self.buf.slots.push(slot);
-        }
+        self.buf.slots.push(slot);
     }
 
     /// Sends `msg` to every neighbor.
@@ -250,9 +236,7 @@ impl<'a, M: RuntimeMessage> Outbox<'a, M> {
             let words = msg.words();
             self.buf.msgs.push((u, msg.clone(), words));
         }
-        if self.buf.keep_slots {
-            self.buf.slots.extend(0..self.neighbors.len());
-        }
+        self.buf.slots.extend(0..self.neighbors.len());
     }
 
     /// The first model violation recorded at send time, if any.

@@ -798,7 +798,7 @@ where
                     incoming: Vec::new(),
                     scratch: Vec::new(),
                     touched: Vec::new(),
-                    sends: SendBuf::with_slots(),
+                    sends: SendBuf::new(),
                     meta: Vec::new(),
                     digests: Vec::new(),
                     busy_ns: 0,

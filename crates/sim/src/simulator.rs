@@ -614,6 +614,8 @@ struct Engine<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> {
     /// messages were sent to it. Empty between rounds.
     outgoing: Vec<Vec<(P::Msg, usize, u64)>>,
     sent: Vec<usize>,
+    /// The send buffer every vertex step fills, handed back and recycled.
+    sends: SendBuf<P::Msg>,
     stats: SimStats,
 }
 
@@ -664,6 +666,7 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
             cur_in_flight: 0,
             outgoing: Vec::new(),
             sent: Vec::new(),
+            sends: SendBuf::new(),
             stats: SimStats::default(),
         }
     }
@@ -1213,7 +1216,7 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
             &ctx,
             &mut self.states[v],
             &inbox,
-            SendBuf::new(),
+            std::mem::take(&mut self.sends),
         );
         if let Some(err) = out.violation {
             return Err(RuntimeError::Model(err));
@@ -1246,8 +1249,8 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
         outgoing.resize_with(neighbors.len(), Vec::new);
         self.sent.resize(neighbors.len(), 0);
         let seed = self.config.seed;
-        for (dst, msg, words) in out.sends.msgs {
-            let slot = neighbors.binary_search(&dst).expect("sends follow edges");
+        let mut sends = out.sends;
+        for ((dst, msg, words), &slot) in sends.msgs.drain(..).zip(&sends.slots) {
             let entry = &mut outgoing[slot];
             let index = self.sent[slot];
             self.sent[slot] += 1;
@@ -1282,6 +1285,8 @@ impl<'a, P: NodeProgram, F: FaultHook, O: RunObserver<P::State>> Engine<'a, P, F
                 }
             }
         }
+
+        self.sends = sends;
 
         let x = &mut self.vx[v];
         (x.halted, x.next_round, x.completion) = (out.halted, r + 1, now);
@@ -1418,6 +1423,7 @@ pub fn run_both<P: NodeProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mfd_congest::CongestError;
     use mfd_graph::generators;
     use mfd_runtime::Outbox;
 
@@ -1684,9 +1690,15 @@ mod tests {
                 _inbox: &[Envelope<u64>],
                 out: &mut Outbox<'_, u64>,
             ) {
-                if ctx.id == 0 {
-                    out.send(1, 1);
-                    out.send(1, 2);
+                // Vertex 1 overcommits (1, 2) and then (1, 0); vertex 2
+                // overcommits (2, 1).
+                let dsts: &[usize] = match ctx.id {
+                    1 => &[2, 2, 0, 0],
+                    2 => &[1, 1],
+                    _ => &[],
+                };
+                for &dst in dsts {
+                    out.send(dst, 1);
                 }
             }
             fn halted(&self, ctx: &NodeCtx, _state: &()) -> bool {
@@ -1697,7 +1709,16 @@ mod tests {
         let err = Simulator::new(SimConfig::default())
             .run(&g, &DoubleSender)
             .unwrap_err();
-        assert!(matches!(err, RuntimeError::Model(_)), "{err}");
+        // The smallest overcommitted source's first-sent edge, in every run.
+        assert_eq!(
+            err,
+            RuntimeError::Model(CongestError::BandwidthExceeded {
+                src: 1,
+                dst: 2,
+                words: 2,
+                capacity: 1,
+            })
+        );
         // With two words of per-edge capacity the same program is legal.
         let ok = Simulator::new(SimConfig {
             capacity_words: 2,

@@ -18,6 +18,7 @@ use mfd_runtime::{
     run_each, Envelope, Executor, ExecutorConfig, NodeCtx, NodeProgram, Outbox, RuntimeError,
     ShardedConfig, ShardedExecutor,
 };
+use mfd_sim::{SimConfig, Simulator};
 use mfd_trace::DigestSink;
 use proptest::prelude::*;
 
@@ -213,25 +214,47 @@ proptest! {
 
     /// The executor accepts a scripted round exactly when the meter accepts
     /// the same message multiset — it can never smuggle a round past the
-    /// CONGEST model — and the reference stepper reaches the same verdict.
+    /// CONGEST model — and the reference stepper and the event engine at
+    /// `Fixed(1)` reach the same verdict. Several sends per round, mostly
+    /// along edges, overcommit several edges at once: every engine must name
+    /// the same one, in every process.
     #[test]
     fn executor_never_accepts_a_round_the_meter_would_reject(
         n in 3usize..24,
         extra in 0usize..30,
         seed in 0u64..500,
-        src in 0usize..24,
-        dst in 0usize..24,
-        copies in 1usize..4,
+        count in 1usize..8,
+        script in 0u64..1_000_000,
     ) {
         let g = generators::random_gnm(n, n + extra, seed);
-        let src = src % n;
-        let dst = dst % n;
-        let sends = vec![(src, dst, copies)];
-        let msgs: Vec<Message> = (0..copies).map(|_| Message::word(src, dst)).collect();
+        let mut x = script;
+        let mut draw = |bound: usize| {
+            x = splitmix64(x);
+            (x % bound as u64) as usize
+        };
+        let sends: Vec<(usize, usize, usize)> = (0..count)
+            .map(|_| {
+                let src = draw(n);
+                let row = g.neighbors(src);
+                let dst = if row.is_empty() || draw(4) == 0 {
+                    draw(n)
+                } else {
+                    row[draw(row.len())]
+                };
+                (src, dst, 1 + draw(3))
+            })
+            .collect();
+        // The round as the engines submit it: by sender, each in send order.
+        let msgs: Vec<Message> = (0..n)
+            .flat_map(|v| sends.iter().filter(move |s| s.0 == v))
+            .flat_map(|&(src, dst, copies)| (0..copies).map(move |_| Message::word(src, dst)))
+            .collect();
         let verdict = RoundMeter::new().check_round(&g, &msgs);
         let program = ScriptedSender { sends };
         let result = executor().run(&g, &program).map(|_| ());
         prop_assert_eq!(&result, &reference().run(&g, &program).map(|_| ()));
+        let simulated = Simulator::new(SimConfig::default()).run(&g, &program);
+        prop_assert_eq!(&result, &simulated.map(|_| ()));
         prop_assert_eq!(verdict.is_ok(), result.is_ok(),
             "meter verdict {:?} vs executor {:?}", verdict, result);
         if let Err(RuntimeError::Model(e)) = result {
