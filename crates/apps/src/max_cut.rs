@@ -1,30 +1,14 @@
 //! (1 − ε)-approximate maximum cut (paper Corollary 6.3).
 //!
-//! The simplest application of the (ε, D, T)-decomposition: build the decomposition
-//! with parameter ε/2, let every cluster leader compute a maximum cut of its cluster
-//! locally, and take the union of the per-cluster sides. Since OPT ≥ m/2, ignoring
+//! The simplest application of the (ε, D, T)-decomposition: the shared
+//! decompose → solve → announce pipeline (`crate::decompose_and_solve`) runs with
+//! ε* = ε/2, every cluster leader computing a maximum cut of its cluster locally,
+//! and the union of the per-cluster sides is returned. Since OPT ≥ m/2, ignoring
 //! the ≤ (ε/2)·m inter-cluster edges costs at most an ε fraction of OPT.
 
-use mfd_congest::RoundMeter;
-use mfd_core::edt::{build_edt, EdtConfig};
 use mfd_graph::Graph;
 
-use crate::solvers;
-
-/// Configuration for [`approximate_max_cut`].
-#[derive(Debug, Clone)]
-pub struct MaxCutConfig {
-    /// Approximation parameter ε.
-    pub epsilon: f64,
-}
-
-impl MaxCutConfig {
-    /// Default configuration for a given ε.
-    pub fn new(epsilon: f64) -> Self {
-        assert!(epsilon > 0.0 && epsilon < 1.0);
-        MaxCutConfig { epsilon }
-    }
-}
+use crate::{decompose_and_solve, solvers};
 
 /// Result of the distributed approximate max-cut computation.
 #[derive(Debug, Clone)]
@@ -35,10 +19,6 @@ pub struct MaxCutResult {
     pub cut_edges: usize,
     /// Total rounds.
     pub rounds: u64,
-    /// Rounds spent building the decomposition.
-    pub construction_rounds: u64,
-    /// Rounds spent on routing.
-    pub routing_rounds: u64,
     /// Number of clusters.
     pub clusters: usize,
     /// Whether every cluster's cut was computed exactly.
@@ -50,43 +30,32 @@ pub struct MaxCutResult {
 /// # Example
 ///
 /// ```
-/// use mfd_apps::max_cut::{approximate_max_cut, MaxCutConfig};
+/// use mfd_apps::max_cut::approximate_max_cut;
 /// use mfd_graph::generators;
 ///
 /// let g = generators::grid(6, 6);
-/// let r = approximate_max_cut(&g, &MaxCutConfig::new(0.3));
+/// let r = approximate_max_cut(&g, 0.3);
 /// assert!(r.cut_edges * 2 >= g.m());
 /// ```
-pub fn approximate_max_cut(g: &Graph, config: &MaxCutConfig) -> MaxCutResult {
-    let eps_star = (config.epsilon / 2.0).clamp(1e-4, 0.9);
-    let (decomposition, meter) = build_edt(g, &EdtConfig::new(eps_star));
-    let mut extra = RoundMeter::new();
-
+pub fn approximate_max_cut(g: &Graph, epsilon: f64) -> MaxCutResult {
+    assert!(epsilon > 0.0 && epsilon < 1.0);
     let mut side = vec![false; g.n()];
     let mut all_exact = true;
-    for c in 0..decomposition.clustering.num_clusters() {
-        let members = decomposition.clustering.members(c);
-        if members.len() < 2 {
-            continue;
-        }
-        let (sub, map) = g.induced_subgraph(members);
-        let cut = solvers::maximum_cut(&sub);
+    let eps_star = (epsilon / 2.0).clamp(1e-4, 0.9);
+    let (rounds, clusters) = decompose_and_solve(g, eps_star, |sub, map| {
+        let cut = solvers::maximum_cut(sub);
         all_exact &= cut.exact;
         for (local, &s) in cut.side.iter().enumerate() {
             side[map[local]] = s;
         }
-    }
-    // Announce sides: one more routing execution.
-    extra.charge_rounds(decomposition.routing_rounds);
+    });
 
     let cut_edges = g.edges().filter(|&(u, v)| side[u] != side[v]).count();
     MaxCutResult {
         side,
         cut_edges,
-        rounds: meter.rounds() + extra.rounds(),
-        construction_rounds: decomposition.construction_rounds,
-        routing_rounds: decomposition.routing_rounds + extra.rounds(),
-        clusters: decomposition.clustering.num_clusters(),
+        rounds,
+        clusters,
         all_clusters_exact: all_exact,
     }
 }
@@ -103,7 +72,7 @@ mod tests {
             generators::random_apollonian(100, 3),
             generators::wheel(40),
         ] {
-            let r = approximate_max_cut(&g, &MaxCutConfig::new(0.3));
+            let r = approximate_max_cut(&g, 0.3);
             assert!(
                 r.cut_edges * 2 >= g.m(),
                 "cut {} of {} edges",
@@ -121,7 +90,7 @@ mod tests {
         // on bipartite pieces finds the full cut).
         let g = generators::grid(10, 10);
         let eps = 0.25;
-        let r = approximate_max_cut(&g, &MaxCutConfig::new(eps));
+        let r = approximate_max_cut(&g, eps);
         assert!(
             r.cut_edges as f64 >= (1.0 - eps) * g.m() as f64,
             "cut {} of {}",
@@ -133,7 +102,7 @@ mod tests {
     #[test]
     fn trees_are_cut_completely_or_nearly() {
         let g = generators::random_tree(150, 5);
-        let r = approximate_max_cut(&g, &MaxCutConfig::new(0.2));
+        let r = approximate_max_cut(&g, 0.2);
         assert!(r.cut_edges as f64 >= 0.8 * g.m() as f64);
     }
 }

@@ -1,27 +1,23 @@
 //! (1 − ε)-approximate maximum independent set (paper Corollary 6.5).
 //!
 //! Pipeline: Solomon's MIS sparsifier bounds the maximum degree by `O(α²/ε)` in one
-//! round; an (ε*, D, T)-decomposition of the sparsified graph is built; every cluster
-//! leader gathers its cluster topology, solves MIS exactly (budget-guarded branch and
-//! bound), and announces the solution; finally, one endpoint of every violated
-//! inter-cluster edge is dropped. Since a bounded-arboricity graph has
-//! OPT ≥ m/(α(2α−1)), dropping the ≤ ε*·m inter-cluster edges costs only an O(ε)
-//! fraction of OPT.
+//! round; the shared decompose → solve → announce pipeline
+//! (`crate::decompose_and_solve`) runs on the sparsified graph with
+//! ε* = ε/(α(2α−1)), every cluster leader solving MIS exactly (budget-guarded
+//! branch and bound); finally, one endpoint of every violated inter-cluster edge is
+//! dropped. Since a bounded-arboricity graph has OPT ≥ m/(α(2α−1)), dropping the
+//! ≤ ε*·m inter-cluster edges costs only an O(ε) fraction of OPT.
 
-use mfd_congest::RoundMeter;
-use mfd_core::edt::{build_edt, EdtConfig};
 use mfd_graph::Graph;
 
 use crate::solvers::{self, MisSolution};
-use crate::sparsifier;
+use crate::{decompose_and_solve, sparsifier, ALPHA};
 
 /// Configuration for [`approximate_mis`].
 #[derive(Debug, Clone)]
 pub struct MisConfig {
     /// Approximation parameter ε.
     pub epsilon: f64,
-    /// Arboricity bound of the input family (3 for planar).
-    pub alpha: usize,
     /// Whether to apply the bounded-degree sparsifier first.
     pub use_sparsifier: bool,
 }
@@ -32,15 +28,8 @@ impl MisConfig {
         assert!(epsilon > 0.0 && epsilon < 1.0);
         MisConfig {
             epsilon,
-            alpha: 3,
             use_sparsifier: true,
         }
-    }
-
-    /// The decomposition parameter ε* = ε / (α(2α−1)).
-    pub(crate) fn epsilon_star(&self) -> f64 {
-        let a = self.alpha as f64;
-        (self.epsilon / (a * (2.0 * a - 1.0))).clamp(1e-4, 0.9)
     }
 }
 
@@ -49,18 +38,12 @@ impl MisConfig {
 pub struct MisResult {
     /// The independent set found.
     pub independent_set: Vec<usize>,
-    /// Total rounds (sparsifier + decomposition construction + routing).
+    /// Total rounds (sparsifier + decomposition + announcement + repair).
     pub rounds: u64,
-    /// Rounds spent building the decomposition.
-    pub construction_rounds: u64,
-    /// Rounds spent on routing (topology gather + answer distribution).
-    pub routing_rounds: u64,
     /// Number of clusters of the decomposition.
     pub clusters: usize,
     /// Whether every per-cluster sub-problem was solved provably optimally.
     pub all_clusters_exact: bool,
-    /// Number of vertices dropped when repairing inter-cluster conflicts.
-    pub repaired_conflicts: usize,
 }
 
 /// Computes a (1 − O(ε))-approximate maximum independent set.
@@ -77,74 +60,48 @@ pub struct MisResult {
 /// assert!(is_independent_set(&g, &result.independent_set));
 /// ```
 pub fn approximate_mis(g: &Graph, config: &MisConfig) -> MisResult {
-    let mut extra = RoundMeter::new();
-
     // One-round bounded-degree sparsifier (Solomon). High-degree vertices are
     // excluded from the independent set entirely (that is the reduction's contract).
-    let mut excluded = vec![false; g.n()];
-    let working: Graph = if config.use_sparsifier {
-        extra.charge_rounds(1);
-        extra.charge_messages(2 * g.m() as u64);
-        let threshold = sparsifier::mis_threshold(config.alpha, config.epsilon);
-        let s = sparsifier::low_degree_sparsifier(g, threshold);
-        for &v in &s.high_vertices {
-            excluded[v] = true;
-        }
-        s.low_subgraph
+    let (working, excluded) = if config.use_sparsifier {
+        let s = sparsifier::low_degree_sparsifier(g, sparsifier::mis_threshold(config.epsilon));
+        (s.low_subgraph, s.high_vertices)
     } else {
-        g.clone()
+        (g.clone(), Vec::new())
     };
 
-    // Decomposition of the working graph.
-    let edt_config = EdtConfig::new(config.epsilon_star());
-    let (decomposition, meter) = build_edt(&working, &edt_config);
-
-    // Per-cluster exact MIS (leader-local computation). One extra routing execution
-    // distributes the answers; charge T again.
+    let a = ALPHA as f64;
+    let eps_star = (config.epsilon / (a * (2.0 * a - 1.0))).clamp(1e-4, 0.9);
     let mut independent = vec![false; g.n()];
     let mut all_exact = true;
-    for c in 0..decomposition.clustering.num_clusters() {
-        let members = decomposition.clustering.members(c);
-        if members.is_empty() {
-            continue;
-        }
-        let (sub, map) = working.induced_subgraph(members);
+    let (rounds, clusters) = decompose_and_solve(&working, eps_star, |sub, map| {
         let MisSolution { vertices, exact } =
-            solvers::maximum_independent_set(&sub, solvers::DEFAULT_MIS_NODE_BUDGET);
+            solvers::maximum_independent_set(sub, solvers::DEFAULT_MIS_NODE_BUDGET);
         all_exact &= exact;
         for &local in &vertices {
             independent[map[local]] = true;
         }
-    }
-    extra.charge_rounds(decomposition.routing_rounds);
-    for v in 0..g.n() {
-        if excluded[v] {
-            independent[v] = false;
-        }
+    });
+    for &v in &excluded {
+        independent[v] = false;
     }
 
     // Repair: drop one endpoint of every violated inter-cluster edge (one round).
     // Checked against the *original* graph so the output is unconditionally valid.
-    let mut repaired = 0usize;
     for (u, v) in g.edges() {
         if independent[u] && independent[v] {
             independent[v.max(u)] = false;
-            repaired += 1;
         }
     }
-    extra.charge_rounds(1);
 
     let independent_set: Vec<usize> = (0..g.n()).filter(|&v| independent[v]).collect();
     debug_assert!(solvers::is_independent_set(g, &independent_set));
 
     MisResult {
         independent_set,
-        rounds: meter.rounds() + extra.rounds(),
-        construction_rounds: decomposition.construction_rounds,
-        routing_rounds: decomposition.routing_rounds + extra.rounds(),
-        clusters: decomposition.clustering.num_clusters(),
+        // The sparsifier's round (if any), the pipeline, the repair round.
+        rounds: u64::from(config.use_sparsifier) + rounds + 1,
+        clusters,
         all_clusters_exact: all_exact,
-        repaired_conflicts: repaired,
     }
 }
 

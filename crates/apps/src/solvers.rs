@@ -7,7 +7,7 @@
 //! bound with degree reductions and an explicit node budget (exact for the cluster
 //! sizes the decompositions produce; if the budget is ever exhausted, a greedy +
 //! local-search completion is used and the caller is told); maximum cut is exact up
-//! to [`MAX_EXACT_CUT_VERTICES`] vertices and local-search beyond.
+//! to `MAX_EXACT_CUT_VERTICES` vertices and local-search beyond.
 
 use mfd_graph::Graph;
 
@@ -339,7 +339,7 @@ pub(crate) fn greedy_matching(g: &Graph) -> Vec<(usize, usize)> {
 }
 
 /// Maximum number of vertices for which max cut is solved exactly.
-pub const MAX_EXACT_CUT_VERTICES: usize = 20;
+pub(crate) const MAX_EXACT_CUT_VERTICES: usize = 20;
 
 /// Max-cut result.
 #[derive(Debug, Clone)]

@@ -13,32 +13,32 @@
 //!   to a (1−ε) factor.
 //!
 //! Each reduction costs one CONGEST round (vertices tell neighbours whether they are
-//! high-degree / which incident edges they marked), charged on the meter by the
+//! high-degree / which incident edges they marked), added to the round count by the
 //! calling application.
 
 use mfd_graph::Graph;
 
+use crate::ALPHA;
+
 /// Output of a vertex sparsifier: the low-degree subgraph plus the removed
 /// high-degree vertices.
 #[derive(Debug, Clone)]
-pub struct VertexSparsifier {
+pub(crate) struct VertexSparsifier {
     /// The subgraph induced by the low-degree vertices (same vertex indexing as the
     /// original graph; high-degree vertices are isolated in it).
     pub low_subgraph: Graph,
     /// The high-degree vertices that were removed.
     pub high_vertices: Vec<usize>,
-    /// The degree threshold used.
-    pub threshold: usize,
 }
 
 /// Degree threshold for the MIS sparsifier: `⌈c·α²/ε⌉`.
-pub(crate) fn mis_threshold(alpha: usize, epsilon: f64) -> usize {
-    (((alpha * alpha) as f64) / epsilon).ceil() as usize + 1
+pub(crate) fn mis_threshold(epsilon: f64) -> usize {
+    (((ALPHA * ALPHA) as f64) / epsilon).ceil() as usize + 1
 }
 
 /// Degree threshold for the vertex-cover / matching sparsifiers: `⌈c·α/ε⌉`.
-pub(crate) fn cover_threshold(alpha: usize, epsilon: f64) -> usize {
-    ((alpha as f64) / epsilon).ceil() as usize + 1
+pub(crate) fn cover_threshold(epsilon: f64) -> usize {
+    ((ALPHA as f64) / epsilon).ceil() as usize + 1
 }
 
 /// Builds the low-degree vertex sparsifier `G^d_low`: vertices of degree ≥ `threshold`
@@ -51,7 +51,6 @@ pub(crate) fn low_degree_sparsifier(g: &Graph, threshold: usize) -> VertexSparsi
     VertexSparsifier {
         low_subgraph: Graph::from_edges(n, low),
         high_vertices: high,
-        threshold,
     }
 }
 
@@ -93,9 +92,8 @@ mod tests {
     #[test]
     fn matching_sparsifier_bounds_degree_and_preserves_matching_size() {
         let g = generators::random_apollonian(150, 5);
-        let alpha = 3;
         let eps = 0.2;
-        let d = cover_threshold(alpha, eps);
+        let d = cover_threshold(eps);
         let sparse = matching_sparsifier(&g, d);
         assert!(sparse.max_degree() <= d);
         let full = solvers::matching_edges(&solvers::maximum_matching(&g)).len();
@@ -110,7 +108,7 @@ mod tests {
     fn mis_sparsifier_preserves_independent_set_size() {
         let g = generators::random_apollonian(120, 11);
         let eps = 0.25;
-        let d = mis_threshold(3, eps);
+        let d = mis_threshold(eps);
         let s = low_degree_sparsifier(&g, d);
         let full = solvers::maximum_independent_set(&g, solvers::DEFAULT_MIS_NODE_BUDGET)
             .vertices
@@ -128,7 +126,7 @@ mod tests {
     #[test]
     fn vertex_cover_sparsifier_is_sound() {
         let g = generators::random_apollonian(100, 2);
-        let d = cover_threshold(3, 0.25);
+        let d = cover_threshold(0.25);
         let s = low_degree_sparsifier(&g, d);
         // high vertices + a cover of the low part always form a cover of G.
         let low_cover: Vec<usize> = {
@@ -145,8 +143,8 @@ mod tests {
 
     #[test]
     fn thresholds_scale_with_one_over_epsilon() {
-        assert!(mis_threshold(3, 0.1) > mis_threshold(3, 0.5));
-        assert!(cover_threshold(3, 0.05) > cover_threshold(3, 0.2));
-        assert!(mis_threshold(3, 0.2) >= cover_threshold(3, 0.2));
+        assert!(mis_threshold(0.1) > mis_threshold(0.5));
+        assert!(cover_threshold(0.05) > cover_threshold(0.2));
+        assert!(mis_threshold(0.2) >= cover_threshold(0.2));
     }
 }

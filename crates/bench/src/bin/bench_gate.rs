@@ -14,7 +14,8 @@
 //!
 //! A series present in a bench file but missing from the baselines is
 //! reported as new and passes (add it with `--update`); a baseline series
-//! missing from every bench file fails, so benchmarks cannot silently
+//! missing from every bench file fails, and so does a gated column its
+//! baseline has and its current row lacks, so benchmarks cannot silently
 //! disappear.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -126,20 +127,8 @@ fn main() -> ExitCode {
             failures += 1;
             continue;
         };
-        for (i, (metric, rule)) in RULES.iter().enumerate() {
-            let (Some(was), Some(is)) = (base[i], now[i]) else {
-                continue;
-            };
-            match *rule {
-                Rule::GrowBy(factor) if is > was * factor => eprintln!(
-                    "FAIL {key}: {metric} regressed {was} -> {is} (> {:.0}%)",
-                    (factor - 1.0) * 100.0
-                ),
-                Rule::DropBy(slack) if is < was - slack => {
-                    eprintln!("FAIL {key}: {metric} dropped {was} -> {is} (> {slack} absolute)")
-                }
-                _ => continue,
-            }
+        for failure in compare(key, base, now) {
+            eprintln!("{failure}");
             failures += 1;
         }
     }
@@ -163,6 +152,34 @@ fn main() -> ExitCode {
         );
         ExitCode::SUCCESS
     }
+}
+
+/// The failures of one series against its baseline, one line each: a gated
+/// column that moved past its [`Rule`], or one the baseline has and the
+/// current row lacks (absent or null) — a metric that vanished is not a
+/// metric that held.
+fn compare(key: &str, base: &Metrics, now: &Metrics) -> Vec<String> {
+    let mut failures = Vec::new();
+    for ((metric, rule), (was, is)) in RULES.iter().zip(base.iter().zip(now)) {
+        let Some(was) = *was else { continue };
+        let Some(is) = *is else {
+            failures.push(format!(
+                "FAIL {key}: {metric} disappeared from the bench output"
+            ));
+            continue;
+        };
+        match *rule {
+            Rule::GrowBy(factor) if is > was * factor => failures.push(format!(
+                "FAIL {key}: {metric} regressed {was} -> {is} (> {:.0}%)",
+                (factor - 1.0) * 100.0
+            )),
+            Rule::DropBy(slack) if is < was - slack => failures.push(format!(
+                "FAIL {key}: {metric} dropped {was} -> {is} (> {slack} absolute)"
+            )),
+            _ => {}
+        }
+    }
+    failures
 }
 
 /// Reads the [`RULES`] columns of one series or baseline entry. `rounds` and
@@ -344,6 +361,38 @@ mod tests {
                 Some(expected)
             );
         }
+    }
+
+    #[test]
+    fn a_gated_column_the_current_row_lacks_fails() {
+        let base = [Some(10.0), Some(100.0), Some(1.0), None, None];
+        let fail = "FAIL demo|graph=g: delivered disappeared from the bench output";
+        // The header no longer lists `delivered`, or the row carries `null`:
+        // either way `collect_series` reads `None`.
+        let gated =
+            "\"metrics\": {\"id\": [\"graph\"], \"gated\": [\"rounds\", \"messages\"], \"exact\": []},";
+        let row = "{\"graph\":\"g\",\"rounds\":10,\"messages\":100}";
+        let undeclared = collect("undeclared-delivered.json", &file(gated, row)).unwrap();
+        let gated = "\"metrics\": {\"id\": [\"graph\"], \"gated\": [\"rounds\", \"messages\", \"delivered\"], \"exact\": []},";
+        let row = "{\"graph\":\"g\",\"rounds\":10,\"messages\":100,\"delivered\":null}";
+        let null = collect("null-delivered.json", &file(gated, row)).unwrap();
+        for current in [undeclared, null] {
+            assert_eq!(
+                compare("demo|graph=g", &base, &current["demo|graph=g"]),
+                [fail]
+            );
+        }
+
+        let held = [Some(10.0), Some(100.0), Some(1.0), None, None];
+        assert!(compare("demo|graph=g", &base, &held).is_empty());
+        let dropped = [Some(10.0), Some(100.0), Some(0.5), None, None];
+        assert_eq!(
+            compare("demo|graph=g", &base, &dropped),
+            ["FAIL demo|graph=g: delivered dropped 1 -> 0.5 (> 0.05 absolute)"]
+        );
+        // A column only the current row reports stays ungated.
+        let extra = [Some(10.0), Some(100.0), Some(1.0), Some(3.0), None];
+        assert!(compare("demo|graph=g", &base, &extra).is_empty());
     }
 
     #[test]

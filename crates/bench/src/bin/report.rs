@@ -14,12 +14,12 @@
 //! it gates on.
 
 use mfd_apps::baselines;
-use mfd_apps::matching::{approximate_maximum_matching, MatchingConfig};
-use mfd_apps::max_cut::{approximate_max_cut, MaxCutConfig};
+use mfd_apps::matching::approximate_maximum_matching;
+use mfd_apps::max_cut::approximate_max_cut;
 use mfd_apps::mis::{approximate_mis, MisConfig};
 use mfd_apps::property_testing::{test_property, Planarity};
 use mfd_apps::solvers;
-use mfd_apps::vertex_cover::{approximate_vertex_cover, VertexCoverConfig};
+use mfd_apps::vertex_cover::approximate_vertex_cover;
 use mfd_bench::profiling::{profile_sharded_algo, Algo};
 use mfd_bench::series::{Cell, Role::*, Series};
 use mfd_bench::trace::chain;
@@ -416,7 +416,7 @@ fn applications_report() {
             format!("greedy {greedy_mis}, n/4 = {}", g.n() / 4),
             mis.rounds.to_string(),
         ]);
-        let m = approximate_maximum_matching(&g, &MatchingConfig::new(eps));
+        let m = approximate_maximum_matching(&g, eps);
         table.row(vec![
             "max matching".into(),
             f3(eps),
@@ -424,7 +424,7 @@ fn applications_report() {
             format!("blossom optimum {exact_matching}"),
             m.rounds.to_string(),
         ]);
-        let vc = approximate_vertex_cover(&g, &VertexCoverConfig::new(eps));
+        let vc = approximate_vertex_cover(&g, eps);
         table.row(vec![
             "min vertex cover".into(),
             f3(eps),
@@ -432,7 +432,7 @@ fn applications_report() {
             format!("2-approx {}", baselines::two_approx_vertex_cover(&g).len()),
             vc.rounds.to_string(),
         ]);
-        let cut = approximate_max_cut(&g, &MaxCutConfig::new(eps));
+        let cut = approximate_max_cut(&g, eps);
         table.row(vec![
             "max cut".into(),
             f3(eps),

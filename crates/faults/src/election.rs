@@ -82,7 +82,7 @@ pub struct ReElectionProgram {
 }
 
 /// Default missed-heartbeat window: silence must persist for three rounds.
-pub const DEFAULT_MISSED_THRESHOLD: u32 = 3;
+pub(crate) const DEFAULT_MISSED_THRESHOLD: u32 = 3;
 
 impl ReElectionProgram {
     /// Builds the protocol with the default detector and a horizon derived

@@ -183,7 +183,7 @@ pub(crate) fn assert_plan_matches(cluster: &Graph, split: &crate::split::Expande
 /// `select_gather_program` routes such clusters to the tree pipeline. The
 /// nearest keep-the-balancer families are comfortably above (tri-grid-8x8
 /// ≈ 0.093, hypercube-6 ≈ 0.31).
-pub const TREE_ROUTE_PHI: f64 = 0.08;
+pub(crate) const TREE_ROUTE_PHI: f64 = 0.08;
 
 /// The executed gather program `select_gather_program` or
 /// [`select_strategy_program`] chose for one cluster, together with the plan
@@ -323,7 +323,7 @@ fn conductance_estimate(cluster: &Graph) -> f64 {
 }
 
 /// Picks the executed gather program for a cluster that would otherwise run
-/// the load balancer: low-conductance (φ ≲ [`TREE_ROUTE_PHI`]) clusters
+/// the load balancer: low-conductance (φ ≲ `TREE_ROUTE_PHI`) clusters
 /// whose leader has no hub degree (`deg(leader)² ≤ n`) are routed to
 /// [`TreeGatherProgram`] — on such grid-like clusters the balancer's
 /// end-game is reseed-window sensitive while the tree pipeline is both

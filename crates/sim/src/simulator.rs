@@ -1386,14 +1386,10 @@ fn arrival(now: u64, delay: u64) -> Result<u64, RuntimeError> {
         .ok_or(RuntimeError::ClockOverflow { now, delay })
 }
 
-/// The paired results of a synchronous execution and a simulation of the
-/// same program: `(executor run, simulator run)`.
-pub type EnginePair<S> = (Execution<S>, SimExecution<S>);
-
 /// Runs `program` under both engines — the synchronous [`Executor`] and this
 /// crate's [`Simulator`] with the given latency model — from one shared
-/// configuration, so the pair is directly comparable (identical seeds, round
-/// budgets and bandwidth caps).
+/// configuration, so the pair `(executor run, simulator run)` is directly
+/// comparable (identical seeds, round budgets and bandwidth caps).
 ///
 /// With [`LatencyModel::Fixed`]`(1)` the two final state vectors are
 /// bit-for-bit identical for any program whose
@@ -1409,12 +1405,12 @@ pub type EnginePair<S> = (Execution<S>, SimExecution<S>);
 /// # Errors
 ///
 /// Propagates the first engine failure (synchronous first).
-pub fn run_both<P: NodeProgram>(
+pub fn run_both<S, P: NodeProgram<State = S>>(
     g: &Graph,
     program: &P,
     exec_config: &ExecutorConfig,
     latency: LatencyModel,
-) -> Result<EnginePair<P::State>, RuntimeError> {
+) -> Result<(Execution<S>, SimExecution<S>), RuntimeError> {
     let sync = Executor::new(exec_config.clone()).run(g, program)?;
     let sim = Simulator::new(SimConfig::matching(exec_config, latency)).run(g, program)?;
     Ok((sync, sim))

@@ -2,15 +2,15 @@
 //! and validity of MIS / matching / vertex cover / max cut, and correctness of the
 //! property tester, on the paper's graph families.
 
-use mfd_apps::matching::{approximate_maximum_matching, MatchingConfig};
-use mfd_apps::max_cut::{approximate_max_cut, MaxCutConfig};
+use mfd_apps::matching::approximate_maximum_matching;
+use mfd_apps::max_cut::approximate_max_cut;
 use mfd_apps::mis::{approximate_mis, MisConfig};
 use mfd_apps::property_testing::{
     test_property, Forests, MinorClosedProperty, Outerplanarity, Planarity, RejectReason,
     TreewidthAtMostTwo,
 };
 use mfd_apps::solvers;
-use mfd_apps::vertex_cover::{approximate_vertex_cover, VertexCoverConfig};
+use mfd_apps::vertex_cover::approximate_vertex_cover;
 use mfd_graph::{generators, Graph};
 
 #[test]
@@ -21,13 +21,13 @@ fn all_applications_produce_valid_outputs_on_one_planar_network() {
     let mis = approximate_mis(&g, &MisConfig::new(eps));
     assert!(solvers::is_independent_set(&g, &mis.independent_set));
 
-    let matching = approximate_maximum_matching(&g, &MatchingConfig::new(eps));
+    let matching = approximate_maximum_matching(&g, eps);
     assert!(solvers::is_matching(&g, &matching.matching));
 
-    let cover = approximate_vertex_cover(&g, &VertexCoverConfig::new(eps));
+    let cover = approximate_vertex_cover(&g, eps);
     assert!(solvers::is_vertex_cover(&g, &cover.cover));
 
-    let cut = approximate_max_cut(&g, &MaxCutConfig::new(eps));
+    let cut = approximate_max_cut(&g, eps);
     assert!(cut.cut_edges * 2 >= g.m());
 
     // Complementarity sanity: MIS + VC roughly partition the vertex set.
@@ -53,9 +53,7 @@ fn mis_quality_against_exact_optimum_on_a_small_planar_graph() {
 fn matching_quality_against_blossom_optimum() {
     let g = generators::triangulated_grid(9, 9);
     let opt = solvers::matching_edges(&solvers::maximum_matching(&g)).len();
-    let approx = approximate_maximum_matching(&g, &MatchingConfig::new(0.2))
-        .matching
-        .len();
+    let approx = approximate_maximum_matching(&g, 0.2).matching.len();
     assert!(
         approx as f64 >= (1.0 - 0.4) * opt as f64,
         "approx {approx} opt {opt}"
@@ -65,7 +63,7 @@ fn matching_quality_against_blossom_optimum() {
 #[test]
 fn max_cut_on_bipartite_planar_graphs_is_nearly_perfect() {
     let g = generators::grid(12, 12);
-    let r = approximate_max_cut(&g, &MaxCutConfig::new(0.2));
+    let r = approximate_max_cut(&g, 0.2);
     assert!(r.cut_edges as f64 >= 0.8 * g.m() as f64);
 }
 
@@ -106,10 +104,8 @@ fn property_tester_on_disjoint_unions_uses_additivity() {
 fn approximation_rounds_do_not_explode_with_size() {
     let small = generators::triangulated_grid(8, 8);
     let large = generators::triangulated_grid(16, 16);
-    let rs = approximate_max_cut(&small, &MaxCutConfig::new(0.3))
-        .rounds
-        .max(1);
-    let rl = approximate_max_cut(&large, &MaxCutConfig::new(0.3)).rounds;
+    let rs = approximate_max_cut(&small, 0.3).rounds.max(1);
+    let rl = approximate_max_cut(&large, 0.3).rounds;
     let n_ratio = (large.n() as f64) / (small.n() as f64);
     assert!(
         (rl as f64) < n_ratio * (rs as f64) * 2.0,
@@ -159,19 +155,19 @@ fn mis_row(g: &Graph, eps: f64, use_sparsifier: bool) -> String {
 }
 
 fn matching_row(g: &Graph, eps: f64) -> String {
-    let r = approximate_maximum_matching(g, &MatchingConfig::new(eps));
+    let r = approximate_maximum_matching(g, eps);
     let edges = r.matching.iter().flat_map(|&(u, v)| [u as u64, v as u64]);
     app_row(r.matching.len(), edges, r.rounds, r.clusters, None)
 }
 
 fn vertex_cover_row(g: &Graph, eps: f64) -> String {
-    let r = approximate_vertex_cover(g, &VertexCoverConfig::new(eps));
+    let r = approximate_vertex_cover(g, eps);
     let cover = r.cover.iter().map(|&v| v as u64);
     app_row(r.cover.len(), cover, r.rounds, r.clusters, None)
 }
 
 fn max_cut_row(g: &Graph, eps: f64) -> String {
-    let r = approximate_max_cut(g, &MaxCutConfig::new(eps));
+    let r = approximate_max_cut(g, eps);
     let side = r.side.iter().map(|&s| u64::from(s));
     app_row(
         r.cut_edges,
