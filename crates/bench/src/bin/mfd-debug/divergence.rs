@@ -1,108 +1,53 @@
-//! Divergence hunter: runs two digest-journaled executions and
-//! binary-searches the first round where their state histories part ways.
+//! `mfd-debug divergence`, the divergence hunter: runs two digest-journaled
+//! executions and binary-searches the first round where their state
+//! histories part ways.
 //!
-//! Usage:
 //! ```text
-//! cargo run --release -p mfd-bench --bin divergence                 # executor vs sim
-//! cargo run --release -p mfd-bench --bin divergence -- --self      # same run twice
-//! cargo run --release -p mfd-bench --bin divergence -- --inject 5:3 # corrupt v3 at round 5
-//! cargo run --release -p mfd-bench --bin divergence -- --rounds 32 --graph wheel-64
-//! cargo run --release -p mfd-bench --bin divergence -- --against run.mfdj # vs a journal
-//! cargo run --release -p mfd-bench --bin divergence -- --json       # machine output
+//! mfd-debug divergence                              # executor vs sim
+//! mfd-debug divergence --self                       # same run twice
+//! mfd-debug divergence --inject 5:3                 # corrupt v3 at round 5
+//! mfd-debug divergence --rounds 32 --graph wheel-64
+//! mfd-debug divergence --against run.mfdj           # vs a journal
+//! mfd-debug divergence --json                       # machine output
 //! ```
 //!
-//! Every mode runs [`mfd_bench::trace::DivergenceProbe`] through
-//! [`mfd_bench::trace::chain`], one runner for any
-//! [`mfd_runtime::SessionEngine`], with a [`mfd_trace::DigestSink`]
-//! journaling one chained digest per round (round
+//! Every mode runs [`mfd_bench::trace::DivergenceProbe`] (default: 16 rounds
+//! on `tri-grid-8x8`) through [`mfd_bench::trace::chain`] with a
+//! [`mfd_trace::DigestSink`] journaling one chained digest per round (round
 //! 0 is the initial configuration), compares the chains with the O(log r)
 //! search of [`mfd_trace::first_divergence`], and — when they differ —
 //! localizes the culprit vertices from the per-round snapshots. Two runs
 //! whose common prefix agrees but that sealed different round counts
 //! diverge at the shorter chain's end (a run that halted or wedged early
 //! first observably differs at the first round only one of them executed).
-//! `--self` and the default cross-engine comparison must print
-//! `no divergence`; the test suite runs them as a determinism smoke test.
-//! `--inject R:V`
-//! deliberately corrupts vertex `V` at round `R` in the second run,
+//! `--self` (which takes no `--inject` or `--against`) and the default
+//! cross-engine comparison must print `no divergence`. `--inject R:V`
+//! corrupts vertex `V` at round `R` (in `1..=rounds`) in the second run,
 //! demonstrating that the hunter pinpoints exactly that round and vertex.
 //!
 //! `--against <journal>` compares **online** instead: the probe runs on the
 //! journal's engine with a verify-mode sink streaming every sealed head
 //! against the journal's chain (see `mfd-replay`), flagging the first
 //! diverging round the moment it seals — no second run, no post-hoc search.
-//! The journal comes from `replay record`, and its label sets the probe's
-//! graph and rounds unless `--graph` / `--rounds` say otherwise; a `faulted`
-//! journal, which records `Reliable<probe>`, is refused.
+//! The journal's label sets the probe's graph and rounds unless `--graph` /
+//! `--rounds` say otherwise; a `faulted` journal, which records
+//! `Reliable<probe>`, is refused.
 //!
 //! `--json` emits one line of machine-readable verdict with stable field
 //! order — `round`, `vertices`, `engines`, then the sealed-round counts —
 //! for scripting; `round` and `vertices` are `null` when the runs agree.
-//!
 //! The exit code is the verdict: 0 when the runs agree (or, under
-//! `--inject`, when the injected divergence is found), 1 otherwise and for a
-//! journal that does not load or fit, 2 for a malformed command line (an
-//! unknown `--graph` family included) — one `error: …` line on stderr, never
-//! a panic.
+//! `--inject`, when the injected divergence is found), 1 otherwise.
 
-use mfd_bench::replay::{self, RunSpec};
+use mfd_bench::replay;
 use mfd_bench::trace::{chain, DivergenceProbe};
-use mfd_bench::Exit;
 use mfd_graph::Graph;
 use mfd_replay::Journal;
-use mfd_runtime::{ExecutorConfig, SessionEngine};
+use mfd_runtime::{ExecutorConfig, NodeProgram, SessionEngine};
 use mfd_sim::{LatencyModel, NoFaults};
-use mfd_trace::{first_divergence, DigestSink, EngineKind};
+use mfd_trace::{first_divergence, DigestSink};
 
-struct Options {
-    rounds: Option<u64>,
-    graph: Option<String>,
-    self_compare: bool,
-    inject: Option<(u64, usize)>,
-    against: Option<String>,
-    json: bool,
-}
-
-fn parse_args() -> Options {
-    let mut opts = Options {
-        rounds: None,
-        graph: None,
-        self_compare: false,
-        inject: None,
-        against: None,
-        json: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut take = || {
-            args.next()
-                .unwrap_or_else(|| Exit::Usage.fail(format!("{arg} requires an argument")))
-        };
-        match arg.as_str() {
-            "--self" => opts.self_compare = true,
-            "--json" => opts.json = true,
-            "--rounds" => {
-                opts.rounds =
-                    Some(take().parse().unwrap_or_else(|_| {
-                        Exit::Usage.fail("--rounds requires an integer argument")
-                    }));
-            }
-            "--graph" => opts.graph = Some(take()),
-            "--against" => opts.against = Some(take()),
-            "--inject" => {
-                let spec = take();
-                let parsed = spec
-                    .split_once(':')
-                    .and_then(|(r, v)| Some((r.parse().ok()?, v.parse().ok()?)));
-                opts.inject = Some(parsed.unwrap_or_else(|| {
-                    Exit::Usage.fail(format!("--inject takes ROUND:VERTEX, not {spec:?}"))
-                }));
-            }
-            other => Exit::Usage.fail(format!("unknown argument {other:?} (see the module docs)")),
-        }
-    }
-    opts
-}
+use crate::cli::{self, on_engine, Exit, Flags};
 
 /// The comparison's outcome, shared by the human and `--json` renderings.
 struct Verdict {
@@ -118,15 +63,8 @@ impl Verdict {
     /// sealed-round counts, final heads.
     fn json(&self) -> String {
         let round = self.round.map_or("null".to_string(), |r| r.to_string());
-        let vertices = self.vertices.as_ref().map_or("null".to_string(), |vs| {
-            format!(
-                "[{}]",
-                vs.iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            )
-        });
+        let vertices = self.vertices.as_ref();
+        let vertices = vertices.map_or("null".to_string(), |vs| format!("{vs:?}").replace(' ', ""));
         format!(
             "{{\"schema\": \"mfd-bench/divergence/v1\", \"round\": {round}, \"vertices\": {vertices}, \
              \"engines\": [\"{}\", \"{}\"], \"sealed\": [{}, {}], \"heads\": [\"{:016x}\", \"{:016x}\"]}}",
@@ -183,6 +121,19 @@ fn compare(label_a: &str, a: &DigestSink, label_b: &str, b: &DigestSink) -> Verd
     }
 }
 
+/// Runs `program` on `engine` into `sink`; a run that fails — one past its
+/// round budget — is bad data.
+fn run_into<E, P>(engine: &E, g: &Graph, program: &P, sink: &mut DigestSink)
+where
+    E: SessionEngine<P>,
+    P: NodeProgram,
+    P::State: std::hash::Hash,
+{
+    if let Err(e) = chain(engine, g, program, sink) {
+        Exit::Data.fail(format!("the probe run failed: {e}"));
+    }
+}
+
 /// A snapshot-journaling digest chain of `probe` on `engine`.
 fn snapshots<E: SessionEngine<DivergenceProbe>>(
     engine: &E,
@@ -190,31 +141,18 @@ fn snapshots<E: SessionEngine<DivergenceProbe>>(
     probe: &DivergenceProbe,
 ) -> DigestSink {
     let mut sink = DigestSink::with_snapshots();
-    chain(engine, g, probe, &mut sink).expect("probe is model-compliant");
+    run_into(engine, g, probe, &mut sink);
     sink
 }
 
-/// The `--against` journal and the run its label describes; a journal that
-/// does not load, or that does not record the plain probe, is bad data.
-fn against(path: &str) -> (Journal, RunSpec) {
-    let (journal, spec) = replay::load(path).unwrap_or_else(|e| Exit::Data.fail(e));
-    if spec.loss.is_some() {
-        Exit::Data.fail(format!(
-            "journal {path:?} is faulted: it records Reliable<probe>, not the probe \
-             --against runs (faulted journals support verify/resume only)"
-        ));
-    }
-    (journal, spec)
-}
-
-/// Streams a fresh probe run on the journal's engine against the journal's
-/// chain (online detection).
-fn compare_against<E: SessionEngine<DivergenceProbe>>(
-    engine: &E,
-    journal: &Journal,
-    g: &Graph,
-    probe: &DivergenceProbe,
-) -> Verdict {
+/// Streams a fresh run of `program` on `engine` — the journal's — against the
+/// journal's chain (online detection).
+fn compare_against<E, P>(engine: &E, journal: &Journal, g: &Graph, program: &P) -> Verdict
+where
+    E: SessionEngine<P>,
+    P: NodeProgram,
+    P::State: std::hash::Hash,
+{
     if journal.header.n != g.n() as u64 {
         Exit::Data.fail(format!(
             "journal was recorded on a {}-vertex graph, probe runs on {} (match --graph)",
@@ -223,7 +161,7 @@ fn compare_against<E: SessionEngine<DivergenceProbe>>(
         ));
     }
     let mut sink = DigestSink::with_reference(journal.chain().to_vec());
-    chain(engine, g, probe, &mut sink).expect("probe is model-compliant");
+    run_into(engine, g, program, &mut sink);
     let verdict = sink.reference_verdict();
     Verdict {
         engines: (
@@ -240,22 +178,45 @@ fn compare_against<E: SessionEngine<DivergenceProbe>>(
     }
 }
 
-fn main() {
-    let opts = parse_args();
-    let journal = opts.against.as_deref().map(against);
+pub(crate) fn main(args: &[String]) {
+    let usage =
+        "--self --json --rounds <n> --graph <spec> --against <journal> --inject <round>:<vertex>";
+    let flags = Flags::parse("divergence", usage, args);
+    let (self_compare, json) = (flags.has("--self"), flags.has("--json"));
+    let inject: Option<(u64, usize)> = flags.pair("--inject", "<round>:<vertex>");
+    let rounds = flags.rounds();
+    if self_compare && (inject.is_some() || flags.has("--against")) {
+        Exit::Usage
+            .fail("--self runs one clean probe twice; it takes neither --inject nor --against");
+    }
+    // A journal that does not load, or records `Reliable<probe>`, is bad data.
+    let journal = flags.text("--against").map(|path| {
+        let (journal, spec) = replay::load(path).unwrap_or_else(|e| Exit::Data.fail(e));
+        if spec.loss.is_some() {
+            Exit::Data.fail(format!(
+                "journal {path:?} is faulted: it records Reliable<probe>, not the probe \
+                 --against runs (faulted journals support verify/resume only)"
+            ));
+        }
+        (journal, spec)
+    });
     let spec = journal.as_ref().map(|(_, spec)| spec);
-    // An unknown family is bad data in a journal label, bad usage in `--graph`.
-    let (graph, unknown) = match (opts.graph.as_deref(), spec) {
+    // An unknown graph is bad data in a journal label, bad usage in `--graph`.
+    let (graph, unknown) = match (flags.text("--graph"), spec) {
         (None, Some(spec)) => (spec.graph.as_str(), Exit::Data),
         (flag, _) => (flag.unwrap_or("tri-grid-8x8"), Exit::Usage),
     };
-    let g = mfd_bench::acceptance_family(graph).unwrap_or_else(|e| unknown.fail(e));
-    let rounds = opts.rounds.or(spec.map(|s| s.rounds)).unwrap_or(16);
-    let cfg = ExecutorConfig::default();
-    let exec = mfd_bench::sync_executor(&cfg);
-    let sim = mfd_bench::sim_engine(&cfg, LatencyModel::Fixed(1), NoFaults);
+    let g = cli::graph(graph, unknown);
+    let rounds = rounds.or(spec.map(|s| s.rounds)).unwrap_or(16);
+    if let Some((round, vertex)) = inject.filter(|&(r, v)| v >= g.n() || r < 1 || r > rounds) {
+        Exit::Usage.fail(format!(
+            "--inject {round}:{vertex} outside rounds 1..={rounds} and vertices 0..{}",
+            g.n()
+        ));
+    }
     let clean = DivergenceProbe::clean(rounds);
-    if !opts.json {
+    let probe = inject.map_or(clean, |(r, v)| DivergenceProbe::perturbed(rounds, r, v));
+    if !json {
         println!(
             "divergence probe on {graph} (n={}, m={}), {rounds} rounds",
             g.n(),
@@ -263,45 +224,36 @@ fn main() {
         );
     }
 
+    let cfg = ExecutorConfig::default();
+    let exec = mfd_bench::sync_executor(&cfg);
     let verdict = if let Some((journal, _)) = &journal {
-        let probe = match opts.inject {
-            Some((round, vertex)) => DivergenceProbe::perturbed(rounds, round, vertex),
-            None => clean,
-        };
-        match journal.header.engine {
-            EngineKind::Executor => compare_against(&exec, journal, &g, &probe),
-            EngineKind::Sim => compare_against(&sim, journal, &g, &probe),
-        }
-    } else if opts.self_compare {
+        on_engine!(journal.header.engine, None, probe, |engine, program| {
+            compare_against(engine, journal, &g, program)
+        })
+    } else if self_compare {
         // Same engine, same seed, twice: the determinism smoke test.
         let a = snapshots(&exec, &g, &clean);
         let b = snapshots(&exec, &g, &clean);
         compare("run A", &a, "run B", &b)
-    } else if let Some((round, vertex)) = opts.inject {
-        if vertex >= g.n() || round < 1 || round > rounds {
-            Exit::Usage.fail(format!(
-                "--inject {round}:{vertex} outside rounds 1..={rounds} and vertices 0..{}",
-                g.n()
-            ));
-        }
-        let probe = DivergenceProbe::perturbed(rounds, round, vertex);
+    } else if let Some((round, vertex)) = inject {
         let a = snapshots(&exec, &g, &clean);
         let b = snapshots(&exec, &g, &probe);
-        if !opts.json {
+        if !json {
             println!("injected: vertex {vertex} corrupted at round {round} in run B");
         }
         compare("clean", &a, "injected", &b)
     } else {
         // The cross-engine differential: synchronous executor vs the
         // discrete-event engine at unit latency.
+        let sim = mfd_bench::sim_engine(&cfg, LatencyModel::Fixed(1), NoFaults);
         let a = snapshots(&exec, &g, &clean);
         let b = snapshots(&sim, &g, &clean);
         compare("executor", &a, "sim(fixed-1)", &b)
     };
 
-    verdict.print(opts.json);
+    verdict.print(json);
 
-    match (opts.inject.is_some(), verdict.round.is_some()) {
+    match (inject.is_some(), verdict.round.is_some()) {
         (true, false) => Exit::Data.fail("an injected divergence must be found"),
         (false, true) => Exit::Data.fail("the runs diverge"),
         _ => {}

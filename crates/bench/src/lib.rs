@@ -1,5 +1,5 @@
-//! Shared helpers for the `report`, `replay`, `divergence` and `profile`
-//! binaries: the acceptance families every gated claim is pinned on, and
+//! Shared helpers for the `report` and `mfd-debug` binaries: the acceptance
+//! families every gated claim is pinned on, the graph-spec resolver, and
 //! markdown table formatting.
 //!
 //! Every experiment of the README's "Benchmarks and reports" section is a
@@ -9,7 +9,7 @@
 //! A guided tour of this crate's role in the workspace lives in
 //! `docs/ARCHITECTURE.md` (section "mfd-bench").
 
-use mfd_graph::{generators, Graph};
+use mfd_graph::{gen, generators, Graph};
 use mfd_routing::walks::WalkParams;
 use mfd_runtime::{ExecutorConfig, ShardedConfig, ShardedExecutor};
 use mfd_sim::{LatencyModel, SimConfig, SimEngine, Simulator};
@@ -44,34 +44,62 @@ pub fn acceptance_families() -> Vec<(&'static str, Graph)> {
     ]
 }
 
-/// The acceptance family called `name`; the error lists the valid names.
-pub fn acceptance_family(name: &str) -> Result<Graph, String> {
-    let families = acceptance_families();
-    let names: Vec<&str> = families.iter().map(|(n, _)| *n).collect();
-    let valid = names.join(", ");
-    families
-        .into_iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, g)| g)
-        .ok_or_else(|| format!("unknown graph family {name:?}; valid families: {valid}"))
-}
+/// The forms of graph spec [`parse_graph`] accepts, as its error lists them.
+const GRAPH_SPECS: &str = "tri-grid-<r>x<c>, mesh-<r>x<c>, wheel-<n>, hypercube-<d>, \
+                           rmat-<scale>-ef<ef>, power-law-2^<k>";
 
-/// How a command-line run that cannot go on ends, as its exit code.
-#[derive(Debug, Clone, Copy)]
-pub enum Exit {
-    /// Input data that does not load or fit (a corrupt or truncated
-    /// journal, an unparsable label, a checkpoint for another graph), or a
-    /// run that fails the check it was asked for.
-    Data = 1,
-    /// A malformed command line.
-    Usage = 2,
-}
-
-impl Exit {
-    /// Prints `error: {msg}` to stderr and exits with this code.
-    pub fn fail(self, msg: impl std::fmt::Display) -> ! {
-        eprintln!("error: {msg}");
-        std::process::exit(self as i32)
+/// Resolves a graph spec: `tri-grid-<r>x<c>`, `wheel-<n>` and
+/// `hypercube-<d>` are the [`generators`] families — so the
+/// [`acceptance_families`]' names resolve to their graphs — and
+/// `mesh-<r>x<c>`, `rmat-<scale>-ef<ef>` and `power-law-2^<k>` the streaming
+/// [`gen`] families of the `scale` section, with its seeds.
+///
+/// # Errors
+///
+/// A one-line message naming `spec` for a spec of no accepted form (listing
+/// the forms), one whose size overflows, and one with no vertices.
+pub fn parse_graph(spec: &str) -> Result<Graph, String> {
+    const SEED: u64 = 0x6d6664;
+    let num = |s: &str| s.parse::<usize>().ok();
+    let dims = |s: &str| {
+        s.split_once('x')
+            .and_then(|(r, c)| Some((num(r)?, num(c)?)))
+    };
+    let pow2 = |k: usize| 1usize.checked_shl(u32::try_from(k).ok()?);
+    let rmat = |s: &str| {
+        s.split_once("-ef")
+            .and_then(|(s, e)| Some((num(s)?, num(e)?)))
+    };
+    // `None` when the spec's vertex or edge count overflows.
+    let graph = if let Some((r, c)) = spec.strip_prefix("tri-grid-").and_then(dims) {
+        r.checked_mul(c)
+            .map(|_| generators::triangulated_grid(r, c))
+    } else if let Some((r, c)) = spec.strip_prefix("mesh-").and_then(dims) {
+        r.checked_mul(c).map(|_| gen::mesh(r, c))
+    } else if let Some(n) = spec.strip_prefix("wheel-").and_then(num) {
+        if n < 4 {
+            return Err(format!(
+                "graph spec {spec:?}: a wheel has at least 4 vertices"
+            ));
+        }
+        Some(generators::wheel(n))
+    } else if let Some(d) = spec.strip_prefix("hypercube-").and_then(num) {
+        pow2(d).map(|_| generators::hypercube(d))
+    } else if let Some((scale, ef)) = spec.strip_prefix("rmat-").and_then(rmat) {
+        let edges = pow2(scale).and_then(|n| n.checked_mul(ef));
+        edges.map(|_| gen::rmat(scale as u32, ef, SEED))
+    } else if let Some(k) = spec.strip_prefix("power-law-2^").and_then(num) {
+        let sizes = pow2(k).and_then(|n| Some((n, n.checked_mul(4)?)));
+        sizes.map(|(n, m)| gen::power_law(n, m, 2.5, SEED))
+    } else {
+        return Err(format!(
+            "unknown graph spec {spec:?}; accepted forms: {GRAPH_SPECS}"
+        ));
+    };
+    match graph {
+        None => Err(format!("graph spec {spec:?} is too large to build")),
+        Some(g) if g.n() == 0 => Err(format!("graph spec {spec:?} has no vertices")),
+        Some(g) => Ok(g),
     }
 }
 
@@ -189,9 +217,36 @@ mod tests {
     fn families_are_nonempty_and_connected() {
         for (name, g) in acceptance_families() {
             assert!(g.n() > 0 && g.is_connected(), "{name}");
-            assert_eq!(acceptance_family(name).unwrap().m(), g.m(), "{name}");
+            assert_eq!(parse_graph(name), Ok(g), "{name}");
         }
-        let err = acceptance_family("k5").unwrap_err();
-        assert!(err.contains("\"k5\"") && err.contains("tri-grid-8x8, wheel-64, hypercube-6"));
+        let err = parse_graph("k5").unwrap_err();
+        assert!(err.contains("\"k5\"") && err.contains(GRAPH_SPECS), "{err}");
+    }
+
+    #[test]
+    fn graph_specs_parse_and_reject() {
+        for spec in ["mesh-8x9", "rmat-6-ef4", "power-law-2^8", "tri-grid-5x5"] {
+            assert!(parse_graph(spec).is_ok(), "{spec}");
+        }
+        assert_eq!(parse_graph("wheel-12").unwrap().n(), 12);
+        assert_eq!(parse_graph("hypercube-3").unwrap().m(), 12);
+        for spec in ["mesh-8", "banana", "tri-grid-5", "wheel-x", "rmat-6"] {
+            assert!(parse_graph(spec).unwrap_err().contains("accepted forms"));
+        }
+        // Degenerate and overflowing sizes are errors, never a panic or a
+        // wrapped shift.
+        for spec in [
+            "mesh-0x0",
+            "tri-grid-0x3",
+            "wheel-3",
+            "power-law-2^64",
+            "power-law-2^63",
+            "hypercube-64",
+            "rmat-64-ef1",
+            "mesh-4294967296x4294967296",
+        ] {
+            let err = parse_graph(spec).unwrap_err();
+            assert!(err.contains(&format!("{spec:?}")), "{err}");
+        }
     }
 }

@@ -1,9 +1,10 @@
 //! Shared profiled-workload runner for the `report --section profile`
-//! section and the `profile` binary.
+//! section and `mfd-debug profile`.
 //!
-//! One definition of the profiled workloads (graph specs, algorithms, the
-//! run-and-verify harness, the per-round CSV format) so the CI-gated
-//! `BENCH_profile.json` rows, the interactive `profile` subcommands, and
+//! One definition of the profiled workloads (algorithms, the run-and-verify
+//! harness, the per-round CSV format; graph specs are
+//! [`crate::parse_graph`]'s) so the CI-gated `BENCH_profile.json` rows, the
+//! interactive `mfd-debug profile` subcommands, and
 //! the localizer's CSV series can never drift onto different
 //! configurations.
 //!
@@ -16,7 +17,7 @@
 use std::hash::Hash;
 
 use mfd_core::programs::{BfsProgram, VoronoiLddProgram};
-use mfd_graph::{gen, generators, Graph};
+use mfd_graph::Graph;
 use mfd_prof::Profile;
 use mfd_runtime::profile::{PHASES, PHASE_NAMES};
 use mfd_runtime::{NodeProgram, ShardedConfig, ShardedExecutor};
@@ -46,34 +47,6 @@ impl Algo {
     pub(crate) fn centers(k: usize, n: usize) -> Vec<usize> {
         (0..k).map(|i| (i * n) / k).collect()
     }
-}
-
-/// Parses a graph spec: `mesh-<r>x<c>`, `rmat-<scale>-ef<ef>` or
-/// `power-law-2^<k>` — the streaming-generator families of the `scale`
-/// section, with the same seeds — or `tri-grid-<r>x<c>`, the
-/// [`generators::triangulated_grid`] family.
-pub fn parse_graph(spec: &str) -> Option<Graph> {
-    if let Some(dims) = spec.strip_prefix("tri-grid-") {
-        let (r, c) = dims.split_once('x')?;
-        return Some(generators::triangulated_grid(
-            r.parse().ok()?,
-            c.parse().ok()?,
-        ));
-    }
-    if let Some(dims) = spec.strip_prefix("mesh-") {
-        let (r, c) = dims.split_once('x')?;
-        return Some(gen::mesh(r.parse().ok()?, c.parse().ok()?));
-    }
-    if let Some(rest) = spec.strip_prefix("rmat-") {
-        let (scale, ef) = rest.split_once("-ef")?;
-        return Some(gen::rmat(scale.parse().ok()?, ef.parse().ok()?, 0x6d6664));
-    }
-    if let Some(k) = spec.strip_prefix("power-law-2^") {
-        let k: u32 = k.parse().ok()?;
-        let n = 1usize << k;
-        return Some(gen::power_law(n, 4 * n, 2.5, 0x6d6664));
-    }
-    None
 }
 
 /// A profiled, verified run: the wall-clock [`Profile`] plus the
@@ -191,7 +164,7 @@ pub fn profile_sharded_algo(
 }
 
 /// Renders a profile's per-round phase walls as CSV — the series format
-/// `profile localize` consumes. Columns: `round`, one `<phase>_ns` per
+/// `mfd-debug profile localize` consumes. Columns: `round`, one `<phase>_ns` per
 /// [`PHASE_NAMES`] entry, `wall_ns`.
 pub fn rounds_csv(profile: &Profile) -> String {
     let mut out = String::from("round");
@@ -246,17 +219,11 @@ pub fn csv_phase_series(rows: &[Vec<u64>], phase: usize) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mfd_graph::gen;
     use mfd_runtime::profile::PHASE_STEP;
 
     #[test]
     fn specs_parse_and_reject() {
-        assert!(parse_graph("mesh-8x9").is_some());
-        assert!(parse_graph("rmat-6-ef4").is_some());
-        assert!(parse_graph("power-law-2^8").is_some());
-        assert!(parse_graph("mesh-8").is_none());
-        assert!(parse_graph("banana").is_none());
-        assert!(parse_graph("tri-grid-5x5").is_some());
-        assert!(parse_graph("tri-grid-5").is_none());
         assert_eq!(Algo::parse("bfs"), Some(Algo::Bfs));
         assert_eq!(Algo::parse("ldd-64"), Some(Algo::Ldd(64)));
         assert_eq!(Algo::parse("ldd-0"), None);

@@ -1,7 +1,7 @@
 //! Shared plumbing for the replay surface: journaled runs of the
 //! [`DivergenceProbe`](crate::trace::DivergenceProbe) family, journal-driven
-//! resumes and time travel, and the label a `replay record` journal carries —
-//! used by the `replay` and `divergence` bins, the `report --section replay`
+//! resumes and time travel, and the label a `mfd-debug replay record` journal
+//! carries — used by `mfd-debug`, the `report --section replay`
 //! rows and the repo-level integration tests. One definition, so the
 //! CI-gated resume-equality assertions and the test suite exercise the same
 //! machinery.
@@ -21,12 +21,12 @@ use mfd_replay::{Journal, JournalError, JournalHeader, Snapshot};
 use mfd_runtime::{NodeProgram, RuntimeError, SessionEngine};
 use mfd_trace::{DigestSink, NullSink};
 
-/// The run a `replay record` journal's label describes:
+/// The run a `mfd-debug replay record` journal's label describes:
 /// `<graph>;rounds=<N>;mode=<clean|faulted:P>`, so every later reader
 /// reconstructs the run from the journal alone.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
-    /// The acceptance family the run was recorded on.
+    /// The graph the run was recorded on, as a [`crate::parse_graph`] spec.
     pub graph: String,
     /// The probe's round count.
     pub rounds: u64,
@@ -36,7 +36,7 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// The label `replay record` writes.
+    /// The label `mfd-debug replay record` writes.
     pub fn label(&self) -> String {
         let mode = match self.loss {
             None => "clean".to_string(),
@@ -49,7 +49,7 @@ impl RunSpec {
     ///
     /// # Errors
     ///
-    /// A one-line message for a label `replay record` did not write.
+    /// A one-line message for a label `mfd-debug replay record` did not write.
     pub(crate) fn parse(label: &str) -> Result<RunSpec, String> {
         let fields = || {
             let mut parts = label.split(';');
@@ -71,13 +71,13 @@ impl RunSpec {
     }
 }
 
-/// Reads and verifies the `replay record` journal at `path`, and parses the
+/// Reads and verifies the `mfd-debug replay record` journal at `path`, and parses the
 /// run its label describes.
 ///
 /// # Errors
 ///
 /// A one-line message when the file cannot be read, does not load, or
-/// carries a label `replay record` did not write.
+/// carries a label `mfd-debug replay record` did not write.
 pub fn load(path: &str) -> Result<(Journal, RunSpec), String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read journal {path:?}: {e}"))?;
     let journal =

@@ -1,6 +1,6 @@
 //! Shared plumbing for the trace surface: the divergence probe program and
 //! [`chain`], the one digest-chain runner for any [`SessionEngine`], used by
-//! the `divergence` bin, the `report --section trace` rows and the
+//! `mfd-debug divergence`, the `report --section trace` rows and the
 //! repo-level integration tests. One definition, so the CI-gated chains and
 //! the test suite can never drift onto different instrumentation.
 
@@ -73,7 +73,7 @@ impl NodeProgram for DivergenceProbe {
     }
 
     fn round_budget_hint(&self) -> Option<u64> {
-        Some(self.rounds + 2)
+        Some(self.rounds.saturating_add(2))
     }
 }
 

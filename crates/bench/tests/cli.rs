@@ -1,13 +1,15 @@
-//! The `replay`, `divergence` and `profile` bins fail closed on input from
-//! outside the program: a truncated journal, a label they did not write, an
-//! unknown graph family, a malformed number or an output file that cannot be
+//! `mfd-debug`'s `replay`, `divergence` and `profile` commands fail closed on
+//! input from outside the program: a truncated journal, a label they did not
+//! write, an unknown or degenerate graph spec, a flag the subcommand does not
+//! read, a missing value, a malformed number, a `--rounds` past the round
+//! budget, an `--inject` outside the run or an output file that cannot be
 //! written is one `error: …` line and a non-zero exit (2 for usage, 1 for
 //! data), never a panic.
 //!
 //! The success paths of `replay` and `divergence` run here too: the
 //! determinism and injection hunts, journals recorded twice byte for byte,
 //! resumes on every engine, time travel, online comparison against a
-//! journal, and the journal bytes `replay record` writes, pinned.
+//! journal, and the journal bytes `mfd-debug replay record` writes, pinned.
 
 use std::hash::Hasher;
 use std::path::{Path, PathBuf};
@@ -22,16 +24,18 @@ use mfd_runtime::ExecutorConfig;
 use mfd_sim::SimCheckpoint;
 use mfd_trace::Fnv1a;
 
-fn run(bin: &str, args: &[&str]) -> Output {
-    Command::new(bin)
+/// Runs `mfd-debug <cmd> <args>`.
+fn run(cmd: &str, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_mfd-debug"))
+        .arg(cmd)
         .args(args)
         .output()
         .expect("the bin starts")
 }
 
 /// Asserts `args` exit 0 and returns stdout.
-fn succeeds(bin: &str, args: &[&str]) -> String {
-    let out = run(bin, args);
+fn succeeds(cmd: &str, args: &[&str]) -> String {
+    let out = run(cmd, args);
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(out.status.success(), "{args:?}: {out:?}");
     stdout
@@ -46,7 +50,7 @@ fn record(dir: &Path, name: &str, args: &[&str]) -> String {
         .chain(args)
         .copied()
         .collect();
-    succeeds(env!("CARGO_BIN_EXE_replay"), &args);
+    succeeds("replay", &args);
     path
 }
 
@@ -57,8 +61,8 @@ const FAULTED: &[&str] = &[
 ];
 
 /// Asserts `args` exit with `code`, saying `error:` and never `panicked`.
-fn fails(bin: &str, args: &[&str], code: i32) -> String {
-    let out = run(bin, args);
+fn fails(cmd: &str, args: &[&str], code: i32) -> String {
+    let out = run(cmd, args);
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
     assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
@@ -77,7 +81,7 @@ fn scratch(name: &str) -> PathBuf {
 /// Every subcommand that reads `journal`, and `divergence --against` it.
 fn all_readers_fail(journal: &Path, code: i32) {
     let j = journal.to_str().unwrap();
-    let replay = env!("CARGO_BIN_EXE_replay");
+    let replay = "replay";
     fails(replay, &["verify", "--journal", j], code);
     fails(replay, &["resume", "--journal", j], code);
     fails(replay, &["dump", "--journal", j, "--round", "6"], code);
@@ -86,7 +90,7 @@ fn all_readers_fail(journal: &Path, code: i32) {
         &["diff", "--journal", j, "--round", "6", "--round-b", "7"],
         code,
     );
-    fails(env!("CARGO_BIN_EXE_divergence"), &["--against", j], code);
+    fails("divergence", &["--against", j], code);
 }
 
 #[test]
@@ -94,7 +98,7 @@ fn truncated_journals_are_errors_not_panics() {
     let dir = scratch("truncated");
     let whole = dir.join("run.mfdj");
     let out = run(
-        env!("CARGO_BIN_EXE_replay"),
+        "replay",
         &["record", "--out", whole.to_str().unwrap(), "--every", "4"],
     );
     assert!(out.status.success(), "{out:?}");
@@ -116,7 +120,7 @@ fn a_label_the_bins_did_not_write_is_bad_data() {
     let run = journal(&exec, &g, &DivergenceProbe::clean(8), 4, "?").unwrap();
     let path = dir.join("label.mfdj");
     std::fs::write(&path, run.journal.to_bytes()).unwrap();
-    let replay = env!("CARGO_BIN_EXE_replay");
+    let replay = "replay";
     let p = path.to_str().unwrap();
     for sub in ["verify", "resume"] {
         assert!(fails(replay, &[sub, "--journal", p], 1).contains("label"));
@@ -126,30 +130,150 @@ fn a_label_the_bins_did_not_write_is_bad_data() {
 
 #[test]
 fn an_unknown_family_is_a_usage_error_naming_the_valid_ones() {
-    let replay = env!("CARGO_BIN_EXE_replay");
-    let divergence = env!("CARGO_BIN_EXE_divergence");
-    for (bin, args) in [
+    for (cmd, args) in [
         (
-            replay,
+            "replay",
             &["record", "--out", "never.mfdj", "--graph", "k5"][..],
         ),
         (
-            replay,
+            "replay",
             &["resume", "--journal", "never.mfdj", "--graph", "k5"],
         ),
-        (divergence, &["--graph", "k5"]),
+        ("divergence", &["--graph", "k5"]),
+        ("profile", &["summary", "--graph", "k5"]),
     ] {
-        let stderr = fails(bin, args, 2);
-        assert!(
-            stderr.contains("tri-grid-8x8, wheel-64, hypercube-6"),
-            "{stderr}"
-        );
+        let stderr = fails(cmd, args, 2);
+        assert!(stderr.contains("\"k5\""), "{stderr}");
+        for form in [
+            "tri-grid-<r>x<c>",
+            "mesh-<r>x<c>",
+            "wheel-<n>",
+            "hypercube-<d>",
+            "rmat-<scale>-ef<ef>",
+            "power-law-2^<k>",
+        ] {
+            assert!(stderr.contains(form), "{form}: {stderr}");
+        }
     }
+}
+
+/// Every subcommand: its command prefix, a flag it reads that takes a value,
+/// and one that takes a number. The prefix carries what the subcommand
+/// requires, so the number is the first thing found wrong.
+const SUBCOMMANDS: &[(&str, &[&str], &str, &str)] = &[
+    ("replay", &["record"], "--out", "--rounds"),
+    ("replay", &["verify"], "--journal", "--journal"),
+    (
+        "replay",
+        &["resume", "--journal", "never.mfdj"],
+        "--graph",
+        "--at",
+    ),
+    (
+        "replay",
+        &["dump", "--journal", "never.mfdj"],
+        "--journal",
+        "--round",
+    ),
+    (
+        "replay",
+        &["diff", "--journal", "never.mfdj", "--round", "6"],
+        "--journal-b",
+        "--round-b",
+    ),
+    ("divergence", &[], "--graph", "--rounds"),
+    ("profile", &["summary"], "--graph", "--shards"),
+    ("profile", &["rounds"], "--out", "--threads"),
+    ("profile", &["matrix"], "--algo", "--shards"),
+    ("profile", &["chrome"], "--out", "--threads"),
+    ("profile", &["localize"], "--base", "--threshold"),
+];
+
+/// One `error:` line, exit 2 and no panic for a flag the subcommand does not
+/// read, a flag without its value, and a non-number where a number goes
+/// (`replay verify` reads no number).
+#[test]
+fn every_subcommand_rejects_a_malformed_command_line_in_one_line() {
+    for &(cmd, prefix, valued, numeric) in SUBCOMMANDS {
+        let mut cases = vec![
+            ([prefix, &["--no-such-flag"]].concat(), "--no-such-flag"),
+            ([prefix, &[valued]].concat(), valued),
+        ];
+        if numeric != valued {
+            cases.push(([prefix, &[numeric, "many"]].concat(), numeric));
+        }
+        for (args, named) in cases {
+            let stderr = fails(cmd, &args, 2);
+            assert_eq!(stderr.lines().count(), 1, "{cmd} {args:?}: {stderr}");
+            assert!(stderr.contains(named), "{cmd} {args:?}: {stderr}");
+        }
+    }
+    for (cmd, args) in [
+        ("replay", &[][..]),
+        ("profile", &[]),
+        ("replay", &["undo"]),
+        ("profile", &["flame"]),
+    ] {
+        assert_eq!(fails(cmd, args, 2).lines().count(), 1, "{cmd} {args:?}");
+    }
+}
+
+/// Graph specs with no vertices, or whose size overflows, are usage errors:
+/// they used to panic (`center out of range`) or run a wrapped 1-vertex graph.
+#[test]
+fn degenerate_graph_specs_are_usage_errors() {
+    for spec in ["mesh-0x0", "tri-grid-0x3", "power-law-2^64", "wheel-3"] {
+        let stderr = fails("profile", &["summary", "--graph", spec], 2);
+        assert!(stderr.contains(&format!("{spec:?}")), "{stderr}");
+    }
+    assert!(fails("divergence", &["--graph", "mesh-0x0"], 2).contains("no vertices"));
+}
+
+/// `--rounds` past the engines' round budget is a usage error naming the
+/// budget — not a wrapped budget hint's panic, nor a clean recording
+/// reported as a wedged faulted one.
+#[test]
+fn rounds_past_the_budget_are_usage_errors() {
+    for (cmd, args) in [
+        ("divergence", &["--rounds", "18446744073709551615"][..]),
+        (
+            "replay",
+            &["record", "--out", "never.mfdj", "--rounds", "2000000"],
+        ),
+    ] {
+        let stderr = fails(cmd, args, 2);
+        assert!(stderr.contains("round budget of 1000000"), "{stderr}");
+    }
+}
+
+/// An `--inject` outside the run, or one a mode would ignore, is a usage
+/// error in every mode rather than a missed injection.
+#[test]
+fn injections_outside_the_run_are_usage_errors() {
+    let dir = scratch("inject");
+    let exec = record(&dir, "exec", &["--every", "4"]);
+    for args in [
+        &["--against", &exec, "--inject", "99:999"][..],
+        &["--against", &exec, "--inject", "5:64"],
+        &["--inject", "17:3"],
+        &["--inject", "0:3"],
+        &["--self", "--inject", "3:2"],
+        &["--self", "--against", &exec],
+    ] {
+        let stderr = fails("divergence", args, 2);
+        assert!(stderr.contains("--"), "{args:?}: {stderr}");
+    }
+    let workload = ["--graph", "mesh-8x8", "--algo", "bfs", "--shards", "2"];
+    for inject in [&["--inject", "500:4"][..], &["--self", "--inject", "1:4"]] {
+        let args = [&["localize"][..], &workload, inject].concat();
+        assert!(fails("profile", &args, 2).contains("--inject"), "{args:?}");
+    }
+    std::fs::remove_dir_all(dir).unwrap();
 }
 
 #[test]
 fn profile_rejects_malformed_numbers_as_usage_errors() {
-    let profile = env!("CARGO_BIN_EXE_profile");
+    let profile = "profile";
     for args in [
         &["summary", "--shards", "many"][..],
         &["summary", "--threads", "-1"],
@@ -179,14 +303,14 @@ fn profile_reports_an_unwritable_output_as_bad_data() {
         "--out",
         out.to_str().unwrap(),
     ];
-    let stderr = fails(env!("CARGO_BIN_EXE_profile"), &args, 1);
+    let stderr = fails("profile", &args, 1);
     assert!(stderr.contains("cannot write"), "{stderr}");
     std::fs::remove_dir_all(dir).unwrap();
 }
 
 #[test]
 fn divergence_hunts_agree_on_clean_runs_and_pinpoint_an_injection() {
-    let divergence = env!("CARGO_BIN_EXE_divergence");
+    let divergence = "divergence";
     for args in [&["--self"][..], &[]] {
         assert!(
             succeeds(divergence, args).contains("no divergence"),
@@ -200,7 +324,7 @@ fn divergence_hunts_agree_on_clean_runs_and_pinpoint_an_injection() {
 #[test]
 fn journals_record_reproducibly_and_resume_bit_identically() {
     let dir = scratch("resume");
-    let replay = env!("CARGO_BIN_EXE_replay");
+    let replay = "replay";
     let exec = record(&dir, "exec", &["--engine", "executor", "--every", "4"]);
     let sim = record(&dir, "sim", &["--engine", "sim", "--every", "4"]);
     let again = record(&dir, "sim-again", &["--engine", "sim", "--every", "4"]);
@@ -255,8 +379,8 @@ fn hub_tx_truncated(path: &str) -> (String, String) {
 #[test]
 fn time_travel_and_online_comparison_reach_every_round() {
     let dir = scratch("travel");
-    let replay = env!("CARGO_BIN_EXE_replay");
-    let divergence = env!("CARGO_BIN_EXE_divergence");
+    let replay = "replay";
+    let divergence = "divergence";
     let exec = record(&dir, "exec", &["--engine", "executor", "--every", "4"]);
     let sim = record(&dir, "sim", &["--engine", "sim", "--every", "4"]);
 
@@ -282,8 +406,8 @@ fn time_travel_and_online_comparison_reach_every_round() {
 #[test]
 fn against_runs_what_the_journal_label_describes() {
     let dir = scratch("against");
-    let replay = env!("CARGO_BIN_EXE_replay");
-    let divergence = env!("CARGO_BIN_EXE_divergence");
+    let replay = "replay";
+    let divergence = "divergence";
     let short = record(&dir, "short", &["--rounds", "12"]);
     let wheel = record(&dir, "wheel", &["--graph", "wheel-64"]);
     for journal in [&short, &wheel] {

@@ -110,8 +110,8 @@
 //! The repo-level suites (`tests/integration_replay.rs`) prove the stronger
 //! property with proptest: kill at a *random* round, resume, and the
 //! continuation is bit-for-bit the uninterrupted run — on both engines,
-//! including under fault injection with the reliable-delivery adapter. The
-//! `replay` binary in `mfd-bench` exposes the same machinery as a
+//! including under fault injection with the reliable-delivery adapter.
+//! `mfd-bench`'s `mfd-debug replay` exposes the same machinery as a
 //! time-travel debugger (run-to-round, dump, diff, verify), and
 //! `report --section replay` gates it in CI.
 //!
