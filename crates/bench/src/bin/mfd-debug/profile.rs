@@ -20,14 +20,16 @@
 //! `step`; `wall` for the whole round), written by `rounds`, for the first
 //! round whose cost ratio exceeds a threshold — `--threshold` (default
 //! 1.25), or calibrated from two same-build series with `--calibrate` — the
-//! `first_divergence` of wall clocks; see `docs/PROFILING.md`. `--self` and
+//! `first_divergence` of wall clocks; see `docs/PROFILING.md`. It names the
+//! round by the CSV's `round` column. `--self` and
 //! `--inject <round>:<factor>` are self-tests on two runs of the workload
 //! instead: the first calibrates from them and expects no regression, the
-//! second injects a synthetic slowdown from a round the workload runs and
-//! expects the localizer to name that round.
+//! second injects a synthetic slowdown from a round the workload runs
+//! (`1..=rounds`) and expects the localizer to name that round.
 
 use mfd_bench::profiling::{
-    csv_phase_series, parse_rounds_csv, profile_sharded_algo, rounds_csv, Algo, ProfiledRun,
+    csv_phase_series, parse_rounds_csv, profile_sharded_algo, rounds_csv, Algo, CsvRound,
+    ProfiledRun,
 };
 use mfd_graph::Graph;
 use mfd_prof::{calibrate_threshold, chrome_profile, first_regression};
@@ -120,11 +122,10 @@ fn phase_column(name: &str) -> usize {
     }
 }
 
-fn load_series(path: &str, phase: usize) -> Vec<u64> {
+fn load_rows(path: &str) -> Vec<CsvRound> {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| Exit::Data.fail(format!("cannot read {path}: {e}")));
-    let rows = parse_rounds_csv(&text).unwrap_or_else(|e| Exit::Data.fail(format!("{path}: {e}")));
-    csv_phase_series(&rows, phase)
+    parse_rounds_csv(&text).unwrap_or_else(|e| Exit::Data.fail(format!("{path}: {e}")))
 }
 
 fn emit(out: Option<&str>, text: &str) {
@@ -142,27 +143,28 @@ fn localize(flags: &Flags, workload: &Workload) {
     let phase_name = flags.text("--phase").unwrap_or("step");
     let phase = phase_column(phase_name);
     let threshold = flags.num("--threshold").unwrap_or(1.25);
-    let inject: Option<(usize, u64)> = flags.pair("--inject", "<round>:<factor>");
+    let inject: Option<(u64, u64)> = flags.pair("--inject", "<round>:<factor>");
     let self_test = flags.has("--self");
     if self_test && inject.is_some() {
         Exit::Usage.fail("--self and --inject are two different self-tests; give one");
     }
+    if inject.is_some_and(|(onset, _)| onset == 0) {
+        Exit::Usage.fail("--inject round 0 is the initial configuration: rounds start at 1");
+    }
 
+    let series = |rows: &[CsvRound]| csv_phase_series(rows, phase);
     let (base, cur, threshold) = if self_test || inject.is_some() {
-        let series = || {
-            let rows = parse_rounds_csv(&rounds_csv(&workload.run().profile));
-            csv_phase_series(&rows.expect("own CSV parses"), phase)
-        };
-        let a = series();
-        if let Some((onset, _)) = inject.filter(|&(onset, _)| onset >= a.len()) {
+        let run = || parse_rounds_csv(&rounds_csv(&workload.run().profile)).expect("own CSV");
+        let a = run();
+        if let Some((onset, _)) = inject.filter(|&(onset, _)| onset > a.len() as u64) {
             Exit::Usage.fail(format!(
                 "--inject round {onset} is past the workload's {} rounds",
                 a.len()
             ));
         }
         // Two runs of the same build calibrate the noise threshold.
-        let b = series();
-        let threshold = calibrate_threshold(&a, &b);
+        let b = run();
+        let threshold = calibrate_threshold(&series(&a), &series(&b));
         match inject {
             // `--self`: the threshold must classify the two runs as noise.
             None => (a, b, threshold),
@@ -174,14 +176,11 @@ fn localize(flags: &Flags, workload: &Workload) {
             // the threshold so the self-test stays meaningful.
             Some((onset, factor)) => {
                 let factor = factor.max((threshold * 2.0).ceil() as u64);
-                let slowed = |(i, &v): (usize, &u64)| {
-                    if i >= onset {
-                        v.max(1).saturating_mul(factor).saturating_add(1_000_000)
-                    } else {
-                        v
-                    }
-                };
-                let cur = a.iter().enumerate().map(slowed).collect();
+                let mut cur = a.clone();
+                for (_, walls) in cur.iter_mut().filter(|(round, _)| *round >= onset) {
+                    let v = walls[phase].max(1);
+                    walls[phase] = v.saturating_mul(factor).saturating_add(1_000_000);
+                }
                 (a, cur, threshold)
             }
         }
@@ -190,13 +189,16 @@ fn localize(flags: &Flags, workload: &Workload) {
             Exit::Usage.fail("profile localize needs --base and --cur, --self, or --inject")
         };
         let threshold = match flags.values("--calibrate") {
-            Some([a, b]) => calibrate_threshold(&load_series(a, phase), &load_series(b, phase)),
+            Some([a, b]) => calibrate_threshold(&series(&load_rows(a)), &series(&load_rows(b))),
             _ => threshold,
         };
-        (load_series(base, phase), load_series(cur, phase), threshold)
+        (load_rows(base), load_rows(cur), threshold)
     };
 
-    let found = first_regression(&base, &cur, threshold);
+    // The localizer returns a row index, which the longer CSV always has
+    // (the shorter one's end included); the round is that row's.
+    let longer = if base.len() >= cur.len() { &base } else { &cur };
+    let found = first_regression(&series(&base), &series(&cur), threshold).map(|i| longer[i].0);
     let injected = inject.map_or(String::new(), |(onset, _)| format!("injected at {onset}, "));
     match found {
         Some(round) => println!(

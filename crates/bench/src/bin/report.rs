@@ -1676,10 +1676,12 @@ fn profile_row(
 ///
 /// Every run is verified in-process: the profiled execution's states,
 /// meters and digest chains are asserted bit-identical to an unprofiled
-/// run (perturbation-freedom), the traffic matrix is asserted to account
-/// the router exactly, digest heads are asserted thread-invariant, and at
-/// least 95% of every run's wall time must be attributed to named phases
-/// (the remainder is printed as `other ms`, never hidden).
+/// run (perturbation-freedom), the profile's rounds and traffic are
+/// asserted to account the run's rounds and messages exactly, digest heads
+/// are asserted thread-invariant, and at least 95% of every run's wall time
+/// must be attributed to named phases (the remainder is printed as
+/// `other ms`, never hidden). The per-shard rows' `received` and `messages`
+/// are the column and row sums of the recorded traffic.
 fn profile_report() {
     let mut rows = Series::new("profile");
     // One shard's breakdown of the widest sweep run — the per-shard rows

@@ -66,32 +66,10 @@ pub struct ProfiledRun {
     pub elapsed_ms: f64,
 }
 
-fn verify_consistency(run: &ProfiledRun, label: &str) {
-    let p = &run.profile;
-    assert_eq!(p.round_count(), run.rounds, "{label}: profile round count");
-    assert_eq!(p.messages(), run.messages, "{label}: profile message count");
-    // The traffic matrix must account the router exactly: row sums are the
-    // per-shard send counts, column sums the per-shard receive counts.
-    let matrix = p.traffic_totals();
-    let sent = p.sent_totals();
-    let delivered = p.delivered_totals();
-    let k = p.shards;
-    for s in 0..k {
-        let row: u64 = (0..k).map(|d| matrix[s * k + d]).sum();
-        let col: u64 = (0..k).map(|src| matrix[src * k + s]).sum();
-        assert_eq!(row, sent[s], "{label}: traffic row sum, shard {s}");
-        assert_eq!(col, delivered[s], "{label}: traffic column sum, shard {s}");
-    }
-    assert_eq!(
-        sent.iter().sum::<u64>(),
-        run.messages,
-        "{label}: traffic total"
-    );
-}
-
 /// Runs `program` on the sharded executor twice — profiled and plain — and
 /// asserts the profiled run changed nothing: bit-identical states, meter
-/// statistics, arena high-water marks, and digest chains.
+/// statistics, arena high-water marks, and digest chains. The profile's
+/// rounds and traffic must account the run's rounds and messages exactly.
 pub(crate) fn profile_sharded<P>(
     g: &Graph,
     program: &P,
@@ -134,15 +112,19 @@ where
         "{label}: profiled digest chain differs"
     );
 
-    let out = ProfiledRun {
+    assert_eq!(profile.round_count(), run.rounds, "{label}: profile rounds");
+    assert_eq!(
+        profile.messages(),
+        run.messages,
+        "{label}: profile messages"
+    );
+    ProfiledRun {
         profile,
         digest_head: sink.head(),
         rounds: run.rounds,
         messages: run.messages,
         elapsed_ms,
-    };
-    verify_consistency(&out, label);
-    out
+    }
 }
 
 /// Dispatches a parsed [`Algo`] onto the sharded runner.
@@ -182,29 +164,35 @@ pub fn rounds_csv(profile: &Profile) -> String {
     out
 }
 
-/// Parses [`rounds_csv`] output back into per-round rows of
-/// `[phase walls.., wall]` (`PHASES + 1` columns, round column dropped).
+/// One row of a [`rounds_csv`]: the round it describes, and its
+/// `[phase walls.., wall]` cells (`PHASES + 1` of them).
+pub type CsvRound = (u64, Vec<u64>);
+
+/// Parses [`rounds_csv`] output back into per-round rows.
 ///
 /// # Errors
 ///
 /// A human-readable message naming the offending line.
-pub fn parse_rounds_csv(text: &str) -> Result<Vec<Vec<u64>>, String> {
+pub fn parse_rounds_csv(text: &str) -> Result<Vec<CsvRound>, String> {
     let mut rows = Vec::new();
     for (i, line) in text.lines().enumerate().skip(1) {
         if line.trim().is_empty() {
             continue;
         }
-        let cells: Vec<&str> = line.split(',').collect();
+        let at = i + 1;
+        let cells: Vec<&str> = line.split(',').map(str::trim).collect();
         if cells.len() != PHASES + 2 {
+            let got = cells.len();
             return Err(format!(
-                "line {}: expected {} columns, got {}",
-                i + 1,
-                PHASES + 2,
-                cells.len()
+                "line {at}: expected {} columns, got {got}",
+                PHASES + 2
             ));
         }
-        let row: Result<Vec<u64>, _> = cells[1..].iter().map(|c| c.trim().parse()).collect();
-        rows.push(row.map_err(|e| format!("line {}: {e}", i + 1))?);
+        let round = cells[0]
+            .parse()
+            .map_err(|_| format!("line {at}: round {:?} is not a number", cells[0]))?;
+        let walls: Result<Vec<u64>, _> = cells[1..].iter().map(|c| c.parse()).collect();
+        rows.push((round, walls.map_err(|e| format!("line {at}: {e}"))?));
     }
     Ok(rows)
 }
@@ -212,8 +200,8 @@ pub fn parse_rounds_csv(text: &str) -> Result<Vec<Vec<u64>>, String> {
 /// Extracts one phase's per-round series from [`parse_rounds_csv`] rows.
 /// `phase` is an index into [`PHASE_NAMES`], or `PHASES` for the total
 /// round wall.
-pub fn csv_phase_series(rows: &[Vec<u64>], phase: usize) -> Vec<u64> {
-    rows.iter().map(|r| r[phase]).collect()
+pub fn csv_phase_series(rows: &[CsvRound], phase: usize) -> Vec<u64> {
+    rows.iter().map(|(_, walls)| walls[phase]).collect()
 }
 
 #[cfg(test)]
@@ -230,16 +218,12 @@ mod tests {
         assert_eq!(Algo::parse("dfs"), None);
     }
 
-    /// The satellite unit test: the recorded traffic matrix's row and
-    /// column sums equal the router's per-shard send and receive counts
-    /// exactly, on a real sharded run.
+    /// The recorded traffic, densified, and its row and column sums account
+    /// every message of a real sharded run exactly.
     #[test]
     fn traffic_matrix_sums_match_router_counts_exactly() {
         let g = gen::mesh(24, 24);
         let run = profile_sharded_algo(&g, Algo::Ldd(8), 5, 2, "test-mesh-24");
-        // `verify_consistency` inside already asserted row/column sums; pin
-        // the headline numbers here too so the test fails readably if the
-        // runner stops verifying.
         let p = &run.profile;
         let matrix = p.traffic_totals();
         assert_eq!(matrix.len(), 25);
@@ -256,10 +240,15 @@ mod tests {
         let csv = rounds_csv(&run.profile);
         let rows = parse_rounds_csv(&csv).expect("own output parses");
         assert_eq!(rows.len() as u64, run.rounds);
+        let rounds: Vec<u64> = rows.iter().map(|&(round, _)| round).collect();
+        assert_eq!(rounds, (1..=run.rounds).collect::<Vec<_>>());
         assert_eq!(
             csv_phase_series(&rows, PHASE_STEP),
             run.profile.phase_series(PHASE_STEP)
         );
         assert!(parse_rounds_csv("round,bad\n1,2\n").is_err());
+        let unnumbered = csv.replacen("\n1,", "\none,", 1);
+        let err = parse_rounds_csv(&unnumbered).unwrap_err();
+        assert_eq!(err, "line 2: round \"one\" is not a number");
     }
 }

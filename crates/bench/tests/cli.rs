@@ -308,6 +308,99 @@ fn profile_reports_an_unwritable_output_as_bad_data() {
     std::fs::remove_dir_all(dir).unwrap();
 }
 
+/// `localize` names a regression by the round column of the CSVs, not by
+/// its row index: a copy of a run's rounds slowed from round 7 on localizes
+/// at round 7.
+#[test]
+fn localize_reports_the_csv_round_of_a_crafted_regression() {
+    let dir = scratch("localize");
+    let base = dir.join("base.csv");
+    let base = base.to_str().unwrap();
+    let workload = [
+        "--graph",
+        "mesh-20x20",
+        "--algo",
+        "bfs",
+        "--shards",
+        "2",
+        "--threads",
+        "1",
+    ];
+    succeeds(
+        "profile",
+        &[&["rounds", "--out", base][..], &workload].concat(),
+    );
+    // The header, then rounds 1..=20: every column of rounds >= 7 slowed
+    // tenfold plus 1 ms.
+    let text = std::fs::read_to_string(base).unwrap();
+    assert!(text.lines().nth(20).unwrap().starts_with("20,"), "{text}");
+    let mut slowed = String::new();
+    for line in text.lines() {
+        let cells: Vec<&str> = line.split(',').collect();
+        match cells[0].parse::<u64>() {
+            Ok(round) if round >= 7 => {
+                let walls = cells[1..].iter().map(|c| c.parse::<u64>().unwrap());
+                let walls: Vec<String> = walls.map(|w| (w * 10 + 1_000_000).to_string()).collect();
+                slowed.push_str(&format!("{round},{}\n", walls.join(",")));
+            }
+            _ => slowed.push_str(&format!("{line}\n")),
+        }
+    }
+    let cur = dir.join("cur.csv");
+    std::fs::write(&cur, slowed).unwrap();
+    let args = [
+        "localize",
+        "--base",
+        base,
+        "--cur",
+        cur.to_str().unwrap(),
+        "--phase",
+        "wall",
+        "--threshold",
+        "2",
+    ];
+    let stdout = succeeds("profile", &[&args[..], &workload].concat());
+    assert!(stdout.contains("regression at round 7 "), "{stdout}");
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// `--inject` takes a round the workload runs, and rounds start at 1.
+#[test]
+fn localize_refuses_an_injection_at_round_zero() {
+    let args = [
+        "localize", "--inject", "0:3", "--graph", "mesh-8x8", "--algo", "bfs", "--shards", "2",
+    ];
+    let stderr = fails("profile", &args, 2);
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("--inject"), "{stderr}");
+}
+
+/// The wall-clock Chrome trace, whose per-shard args derive from the
+/// recorded traffic, is one well-formed JSON document with events in it.
+#[test]
+fn profile_chrome_writes_a_parsable_trace() {
+    let dir = scratch("chrome");
+    let out = dir.join("trace.json");
+    let args = [
+        "chrome",
+        "--graph",
+        "mesh-16x16",
+        "--algo",
+        "ldd-4",
+        "--shards",
+        "4",
+        "--out",
+        out.to_str().unwrap(),
+    ];
+    succeeds("profile", &args);
+    let doc = mfd_bench::json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
+    match doc.get("traceEvents") {
+        Some(mfd_bench::json::Value::Arr(events)) => assert!(!events.is_empty()),
+        other => panic!("traceEvents is {other:?}"),
+    }
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
 #[test]
 fn divergence_hunts_agree_on_clean_runs_and_pinpoint_an_injection() {
     let divergence = "divergence";

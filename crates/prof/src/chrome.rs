@@ -10,18 +10,16 @@
 //! Track layout (`pid` 0 throughout):
 //!
 //! * `tid = 0..shards` — one track per shard, carrying that shard's busy
-//!   spans (`scan`/`step`/`deliver`) of every round, placed at the owning
-//!   phase's start offset.
+//!   spans of every phase with a per-shard series (`scan`/`step`/`deliver`),
+//!   placed at the owning phase's start offset.
 //! * `tid = shards` — the engine track: `init`, one `round N` umbrella span
 //!   per round, and the sequential phases (`route`/`exchange`/`commit`)
 //!   that run while the shard tracks are idle.
 
-use mfd_runtime::profile::{
-    PHASE_COMMIT, PHASE_DELIVER, PHASE_EXCHANGE, PHASE_ROUTE, PHASE_SCAN, PHASE_STEP,
-};
+use mfd_runtime::profile::{PHASE_NAMES, PHASE_SCAN, PHASE_STEP};
 use mfd_trace::jsonl::{chrome_complete_event, chrome_document, chrome_metadata_event};
 
-use crate::Profile;
+use crate::{tally, Profile};
 
 /// Nanosecond offset → trace microseconds (the trace-event time unit),
 /// keeping sub-microsecond precision.
@@ -59,6 +57,8 @@ pub fn chrome_profile(profile: &Profile) -> String {
         ));
     }
     for r in &profile.rounds {
+        let sent = tally(profile.shards, r.traffic.iter().map(|&(s, _, c)| (s, c)));
+        let delivered = tally(profile.shards, r.traffic.iter().map(|&(_, d, c)| (d, c)));
         events.push(chrome_complete_event(
             &format!("round {}", r.round),
             0,
@@ -68,57 +68,38 @@ pub fn chrome_profile(profile: &Profile) -> String {
             &format!(
                 "{{\"frontier\":{},\"messages\":{}}}",
                 r.frontier.iter().map(|&f| f as u64).sum::<u64>(),
-                r.sent.iter().sum::<u64>(),
+                sent.iter().sum::<u64>(),
             ),
         ));
-        for (phase, name) in [
-            (PHASE_ROUTE, "route"),
-            (PHASE_EXCHANGE, "exchange"),
-            (PHASE_COMMIT, "commit"),
-        ] {
-            if r.phase_wall_ns[phase] > 0 {
-                events.push(chrome_complete_event(
-                    name,
-                    0,
-                    engine_tid,
-                    us(r.phase_start_ns[phase]),
-                    us(r.phase_wall_ns[phase]),
-                    "{}",
-                ));
-            }
-        }
-        for (phase, name, series) in [
-            (PHASE_SCAN, "scan", &r.shard_scan_ns),
-            (PHASE_STEP, "step", &r.shard_step_ns),
-            (PHASE_DELIVER, "deliver", &r.shard_deliver_ns),
-        ] {
-            for (shard, &busy) in series.iter().enumerate() {
-                if busy == 0 {
-                    continue;
+        for (phase, name) in PHASE_NAMES.into_iter().enumerate() {
+            let (start, busy) = (us(r.phase_start_ns[phase]), &r.shard_busy_ns[phase]);
+            if busy.is_empty() {
+                // A sequential phase runs on the engine track.
+                if r.phase_wall_ns[phase] > 0 {
+                    let wall = us(r.phase_wall_ns[phase]);
+                    events.push(chrome_complete_event(
+                        name, 0, engine_tid, start, wall, "{}",
+                    ));
                 }
+                continue;
+            }
+            for (shard, &ns) in busy.iter().enumerate().filter(|&(_, &ns)| ns > 0) {
                 // Busy spans are placed at the parallel phase's start: the
                 // engine records how long each shard was busy, not when its
                 // worker picked it up, so spans on one track may overlap
                 // the phase window rather than tile it.
-                let args = match phase {
-                    PHASE_SCAN => format!(
-                        "{{\"frontier\":{}}}",
-                        r.frontier.get(shard).copied().unwrap_or(0)
-                    ),
-                    PHASE_STEP => {
-                        format!("{{\"sent\":{}}}", r.sent.get(shard).copied().unwrap_or(0))
-                    }
-                    _ => format!(
-                        "{{\"delivered\":{}}}",
-                        r.delivered.get(shard).copied().unwrap_or(0)
-                    ),
+                let (key, count) = match phase {
+                    PHASE_SCAN => ("frontier", r.frontier.get(shard).map_or(0, |&f| f as u64)),
+                    PHASE_STEP => ("sent", sent[shard]),
+                    _ => ("delivered", delivered[shard]),
                 };
+                let args = format!("{{\"{key}\":{count}}}");
                 events.push(chrome_complete_event(
                     name,
                     0,
                     shard as u64,
-                    us(r.phase_start_ns[phase]),
-                    us(busy),
+                    start,
+                    us(ns),
                     &args,
                 ));
             }
@@ -130,7 +111,7 @@ pub fn chrome_profile(profile: &Profile) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mfd_runtime::profile::{Profiler, RoundSample};
+    use mfd_runtime::profile::{Profiler, RoundSample, PHASE_DELIVER};
 
     #[test]
     fn exporter_emits_one_track_per_shard_plus_engine() {
@@ -140,16 +121,13 @@ mod tests {
             round: 1,
             start_ns: 500,
             wall_ns: 4_000,
-            shard_scan_ns: vec![100, 200],
-            shard_step_ns: vec![1_000, 900],
-            shard_deliver_ns: vec![50, 0],
             frontier: vec![3, 4],
-            sent: vec![5, 6],
-            delivered: vec![6, 5],
-            route_slots: vec![5, 6],
-            traffic: vec![2, 3, 4, 2],
+            traffic: vec![(0, 0, 2), (0, 1, 3), (1, 0, 4), (1, 1, 2)],
             ..RoundSample::default()
         };
+        r.shard_busy_ns[PHASE_SCAN] = vec![100, 200];
+        r.shard_busy_ns[PHASE_STEP] = vec![1_000, 900];
+        r.shard_busy_ns[PHASE_DELIVER] = vec![50, 0];
         r.phase_start_ns = [500, 800, 2_000, 2_100, 2_200, 2_400];
         r.phase_wall_ns = [300, 1_100, 80, 90, 100, 1_500];
         p.record_round(&r);
@@ -172,6 +150,11 @@ mod tests {
         assert!(!doc.contains("\"name\":\"deliver\",\"ph\":\"X\",\"pid\":0,\"tid\":1"));
         // Timestamps are microseconds: 2_400 ns commit start renders as 2.4.
         assert!(doc.contains("\"ts\":2.4"));
+        // The message counts derive from the traffic: shard 0 sent 2 + 3 and
+        // received 2 + 4, of 11 in all.
+        assert!(doc.contains("\"tid\":0,\"ts\":0.8,\"dur\":1,\"args\":{\"sent\":5}"));
+        assert!(doc.contains("\"tid\":0,\"ts\":2.2,\"dur\":0.05,\"args\":{\"delivered\":6}"));
+        assert!(doc.contains("\"messages\":11}"));
         // Deterministic given the same profile.
         assert_eq!(doc, chrome_profile(&p));
     }

@@ -4,21 +4,20 @@
 //! the deterministic record. This crate records *where the wall-clock time
 //! went* — and is built so the two can never contaminate each other: a
 //! [`Profile`] attaches to [`mfd_runtime::ShardedExecutor::run_profiled`]
-//! through the read-only [`Profiler`] hooks, which fire outside the sequential commit points, so a
-//! profiled run is **bit-identical** to an unprofiled one — same states,
-//! same meter, same digest chain (pinned by the `integration_prof`
-//! proptests).
+//! through the read-only [`Profiler`] hooks, which fire at the engine's
+//! sequential points and only read there, so a profiled run is
+//! **bit-identical** to an unprofiled one — same states, same meter, same
+//! digest chain (pinned by the `integration_prof` proptests).
 //!
-//! What a [`Profile`] holds, per executed round:
+//! What a [`Profile`] holds, per executed round, each fact once:
 //!
 //! * wall-clock **phase timings** (`scan`/`step`/`route`/`exchange`/
 //!   `deliver`/`commit`) in fixed slots,
 //! * per-shard **busy times** inside the three parallel phases,
-//! * the **shard→shard traffic matrix** read from the router's destination
-//!   buckets,
-//! * per-shard **frontier sizes** and the per-round **arena series**
-//!   (route-bucket and mailbox occupancy — the series behind
-//!   [`mfd_runtime::ArenaStats`]'s high-water marks).
+//! * the **shard→shard traffic**, one entry per shard pair that talked,
+//!   read from the router's destination buckets — per-shard sent and
+//!   received counts are its row and column sums,
+//! * per-shard **frontier sizes**.
 //!
 //! On top of the raw series: time [`Profile::attribution`] (how much of the
 //! run's wall time lands in named phases — the remainder is reported, never
@@ -143,6 +142,15 @@ pub struct StragglerReport {
     pub culprits: Vec<Culprit>,
 }
 
+/// `len` counters, with each `(index, count)` added to its counter.
+pub(crate) fn tally(len: usize, counts: impl Iterator<Item = (usize, u64)>) -> Vec<u64> {
+    let mut totals = vec![0u64; len];
+    for (index, count) in counts {
+        totals[index] += count;
+    }
+    totals
+}
+
 fn share(part: u64, whole: u64) -> f64 {
     if whole == 0 {
         0.0
@@ -162,9 +170,14 @@ impl Profile {
         self.rounds.len() as u64
     }
 
+    /// Every traffic entry of the run, round after round.
+    fn traffic(&self) -> impl Iterator<Item = &(usize, usize, u64)> {
+        self.rounds.iter().flat_map(|r| &r.traffic)
+    }
+
     /// Total messages across the run (sum of the traffic matrix).
     pub fn messages(&self) -> u64 {
-        self.rounds.iter().map(|r| r.sent.iter().sum::<u64>()).sum()
+        self.traffic().map(|&(_, _, count)| count).sum()
     }
 
     /// Per-phase wall time summed over rounds, in [`PHASE_NAMES`] order.
@@ -190,13 +203,7 @@ impl Profile {
     pub(crate) fn shard_busy_totals(&self, phase: usize) -> Vec<u64> {
         let mut totals = vec![0u64; self.shards];
         for r in &self.rounds {
-            let series = match phase {
-                PHASE_SCAN => &r.shard_scan_ns,
-                PHASE_STEP => &r.shard_step_ns,
-                PHASE_DELIVER => &r.shard_deliver_ns,
-                _ => continue,
-            };
-            for (t, &ns) in totals.iter_mut().zip(series) {
+            for (t, &ns) in totals.iter_mut().zip(&r.shard_busy_ns[phase]) {
                 *t += ns;
             }
         }
@@ -268,54 +275,31 @@ impl Profile {
     /// Per-shard sent-message totals (row sums of the summed traffic
     /// matrix).
     pub fn sent_totals(&self) -> Vec<u64> {
-        let mut totals = vec![0u64; self.shards];
-        for r in &self.rounds {
-            for (t, &s) in totals.iter_mut().zip(&r.sent) {
-                *t += s;
-            }
-        }
-        totals
+        tally(
+            self.shards,
+            self.traffic().map(|&(src, _, count)| (src, count)),
+        )
     }
 
     /// Per-shard received-message totals (column sums of the summed traffic
-    /// matrix).
+    /// matrix): what each shard's mailboxes held after delivery, summed
+    /// over rounds.
     pub fn delivered_totals(&self) -> Vec<u64> {
-        let mut totals = vec![0u64; self.shards];
-        for r in &self.rounds {
-            for (t, &d) in totals.iter_mut().zip(&r.delivered) {
-                *t += d as u64;
-            }
-        }
-        totals
+        tally(
+            self.shards,
+            self.traffic().map(|&(_, dst, count)| (dst, count)),
+        )
     }
 
-    /// The shard→shard traffic matrix summed over rounds, row-major
-    /// (`[src * shards + dst]`). Row sums equal [`Profile::sent_totals`],
-    /// column sums equal [`Profile::delivered_totals`] — exactly, by
-    /// construction of the router (unit-tested in `mfd-bench`).
+    /// The shard→shard traffic matrix summed over rounds, dense and
+    /// row-major (`[src * shards + dst]`).
     pub fn traffic_totals(&self) -> Vec<u64> {
-        let mut totals = vec![0u64; self.shards * self.shards];
-        for r in &self.rounds {
-            for (t, &c) in totals.iter_mut().zip(&r.traffic) {
-                *t += c;
-            }
-        }
-        totals
-    }
-
-    /// The per-round arena series behind [`mfd_runtime::ArenaStats`]'s
-    /// high-water marks: `(route slots staged, mailbox slots resident)` per
-    /// round. The high-water marks are the element-wise maxima of these.
-    pub fn arena_series(&self) -> Vec<(usize, usize)> {
-        self.rounds
-            .iter()
-            .map(|r| {
-                (
-                    r.route_slots.iter().sum::<usize>(),
-                    r.delivered.iter().sum::<usize>(),
-                )
-            })
-            .collect()
+        let k = self.shards;
+        tally(
+            k * k,
+            self.traffic()
+                .map(|&(src, dst, count)| (src * k + dst, count)),
+        )
     }
 
     /// Aggregate [`PhaseStats`] for one phase.
@@ -464,32 +448,28 @@ mod tests {
             round: 1,
             start_ns: 1_000,
             wall_ns: 10_000,
-            shard_scan_ns: vec![100, 300],
-            shard_step_ns: vec![4_000, 1_000],
-            shard_deliver_ns: vec![200, 200],
             frontier: vec![10, 2],
-            sent: vec![7, 3],
-            delivered: vec![4, 6],
-            route_slots: vec![7, 3],
-            traffic: vec![3, 4, 1, 2], // rows: [3,4], [1,2]
+            // Dense rows: [3, 4], [1, 2].
+            traffic: vec![(0, 0, 3), (0, 1, 4), (1, 0, 1), (1, 1, 2)],
             ..RoundSample::default()
         };
+        r1.shard_busy_ns[PHASE_SCAN] = vec![100, 300];
+        r1.shard_busy_ns[PHASE_STEP] = vec![4_000, 1_000];
+        r1.shard_busy_ns[PHASE_DELIVER] = vec![200, 200];
         r1.phase_wall_ns = [400, 4_100, 50, 60, 250, 3_000];
         r1.seal_ns = 500;
         let mut r2 = RoundSample {
             round: 2,
             start_ns: 11_000,
             wall_ns: 8_000,
-            shard_scan_ns: vec![100, 100],
-            shard_step_ns: vec![2_000, 2_000],
-            shard_deliver_ns: vec![100, 300],
             frontier: vec![5, 5],
-            sent: vec![2, 8],
-            delivered: vec![5, 5],
-            route_slots: vec![2, 8],
-            traffic: vec![1, 1, 4, 4],
+            // Dense rows: [1, 1], [4, 4], in sweep order.
+            traffic: vec![(0, 1, 1), (0, 0, 1), (1, 0, 4), (1, 1, 4)],
             ..RoundSample::default()
         };
+        r2.shard_busy_ns[PHASE_SCAN] = vec![100, 100];
+        r2.shard_busy_ns[PHASE_STEP] = vec![2_000, 2_000];
+        r2.shard_busy_ns[PHASE_DELIVER] = vec![100, 300];
         r2.phase_wall_ns = [250, 2_200, 40, 50, 350, 2_500];
         r2.seal_ns = 300;
         p.record_round(&r1);
@@ -517,17 +497,10 @@ mod tests {
         let p = sample_profile();
         let m = p.traffic_totals();
         assert_eq!(m, vec![4, 5, 5, 6]);
-        let sent = p.sent_totals();
-        let delivered = p.delivered_totals();
-        for s in 0..2 {
-            let row: u64 = (0..2).map(|d| m[s * 2 + d]).sum();
-            let col: u64 = (0..2).map(|src| m[src * 2 + s]).sum();
-            assert_eq!(row, sent[s], "row sum = shard {s} sent");
-            assert_eq!(col, delivered[s], "col sum = shard {s} received");
-        }
+        assert_eq!(p.sent_totals(), vec![9, 11], "row sums");
+        assert_eq!(p.delivered_totals(), vec![9, 11], "column sums");
         assert_eq!(p.frontier_total(), 22);
         assert_eq!(p.frontier_totals(), vec![15, 7]);
-        assert_eq!(p.arena_series(), vec![(10, 10), (10, 10)]);
     }
 
     #[test]

@@ -119,7 +119,7 @@ pub mod sharded;
 pub use cluster::run_each;
 pub use driver::VertexRound;
 pub use executor::{Execution, Executor, ExecutorConfig, RuntimeError};
-pub use profile::{NoProfiler, Profiler, RoundSample, PHASES, PHASE_NAMES};
+pub use profile::{Profiler, RoundSample, PHASES, PHASE_NAMES};
 pub use program::{Envelope, NodeCtx, NodeProgram, NodeRng, Outbox, RuntimeMessage, SendBuf};
 pub use session::{check_fits, SessionEngine};
 pub use sharded::{

@@ -18,14 +18,13 @@
 //!   event stream, digest chain, meter, and final states are bit-identical
 //!   to an unprofiled run's. The `profile` integration proptests pin this.
 //!
-//! Like [`mfd_trace::RunObserver`], the trait carries a monomorphization
-//! switch: [`NoProfiler`] sets [`Profiler::ENABLED`] to `false`, and every
-//! hook site is guarded by that constant, so the unprofiled instantiation
-//! compiles back to the bare loop — `run_traced` *is* `run_profiled` with
-//! the no-op profiler.
-//!
-//! The recorder that turns these samples into straggler reports, traffic
-//! matrices, Chrome traces, and regression localization lives in `mfd-prof`.
+//! A run takes its profiler as an optional `&mut dyn Profiler`. The hooks
+//! fire once a round and once at either end of the run, never per vertex,
+//! so dynamic dispatch costs nothing measurable, and an unprofiled run reads
+//! no clock at all. The trait is only the seam that keeps the recorder —
+//! which turns these samples into straggler reports, traffic matrices,
+//! Chrome traces, and regression localization — in `mfd-prof`, a crate this
+//! one cannot name.
 
 /// Number of named phases in a [`RoundSample`].
 pub const PHASES: usize = 6;
@@ -70,7 +69,8 @@ pub const PHASE_COMMIT: usize = 5;
 /// All `*_ns` fields are wall-clock nanoseconds; `start_ns` and
 /// `phase_start_ns` are offsets from the run's start, so a recorder can
 /// reconstruct the real timeline (the Chrome exporter in `mfd-prof` does).
-/// The per-shard vectors are indexed by shard.
+/// Each fact is recorded once: a shard's sent and received counts are the
+/// sums of its `traffic` entries as source and as destination.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoundSample {
     /// The sealed round this sample describes (rounds start at 1; round 0,
@@ -93,30 +93,18 @@ pub struct RoundSample {
     /// the series lumpy by design). A sub-span of the commit phase wall;
     /// 0 when tracing is disabled.
     pub seal_ns: u64,
-    /// Per-shard busy time inside the frontier scan.
-    pub shard_scan_ns: Vec<u64>,
-    /// Per-shard busy time inside the sweep.
-    pub shard_step_ns: Vec<u64>,
-    /// Per-shard busy time inside delivery.
-    pub shard_deliver_ns: Vec<u64>,
+    /// Per-shard busy time of each phase, indexed by `PHASE_*` and then by
+    /// shard. Only the parallel phases (`scan`, `step`, `deliver`) have a
+    /// per-shard series; the sequential phases' stay empty.
+    pub shard_busy_ns: [Vec<u64>; PHASES],
     /// Per-shard active-frontier size this round (deterministic).
     pub frontier: Vec<usize>,
-    /// Per-shard messages sent this round (deterministic; row sums of
-    /// `traffic`).
-    pub sent: Vec<u64>,
-    /// Per-shard envelopes resident in the readable mailboxes after
-    /// delivery (deterministic; column sums of `traffic`, and the per-round
-    /// series behind [`crate::ArenaStats::mailbox_slots_hwm`]).
-    pub delivered: Vec<usize>,
-    /// Per-shard envelopes staged in the route buckets after the sweep
-    /// (deterministic; the per-round series behind
-    /// [`crate::ArenaStats::route_slots_hwm`]).
-    pub route_slots: Vec<usize>,
-    /// The shard→shard traffic matrix, row-major (`traffic[src * shards +
-    /// dst]` = envelopes sent from shard `src` to shard `dst` this round),
-    /// read from the router's destination buckets at the sequential point
-    /// (deterministic).
-    pub traffic: Vec<u64>,
+    /// The round's shard→shard traffic, sparse: one `(src, dst, envelopes)`
+    /// entry per route bucket the sweep pushed into, read from the router's
+    /// buckets at the sequential point — ascending `src`, and within a
+    /// source in the order its sweep first pushed into each bucket
+    /// (deterministic). A shard pair that did not talk has no entry.
+    pub traffic: Vec<(usize, usize, u64)>,
 }
 
 impl RoundSample {
@@ -129,75 +117,32 @@ impl RoundSample {
         self.phase_start_ns = [0; PHASES];
         self.phase_wall_ns = [0; PHASES];
         self.seal_ns = 0;
-        self.shard_scan_ns.clear();
-        self.shard_step_ns.clear();
-        self.shard_deliver_ns.clear();
+        for series in &mut self.shard_busy_ns {
+            series.clear();
+        }
         self.frontier.clear();
-        self.sent.clear();
-        self.delivered.clear();
-        self.route_slots.clear();
         self.traffic.clear();
     }
 }
 
 /// A wall-clock profiler attached to a run via
-/// [`crate::ShardedExecutor::run_profiled`].
-///
-/// All methods are no-op by default, and every call site is guarded by
-/// [`Profiler::ENABLED`], so the [`NoProfiler`] instantiation compiles to
-/// the unprofiled loop. Implementations must not panic: a profiler observes
-/// the run, it never steers it.
+/// [`crate::ShardedExecutor::run_profiled`]. Implementations must not panic:
+/// a profiler observes the run, it never steers it.
 pub trait Profiler {
-    /// Monomorphization switch: `false` const-folds every hook site away.
-    const ENABLED: bool = true;
-
     /// Called once before the first round: shard count, effective worker
     /// thread count, and the wall time of initialization (state init plus
     /// the round-0 digest seal).
-    fn begin(&mut self, shards: usize, threads: usize, init_ns: u64) {
-        let _ = (shards, threads, init_ns);
-    }
+    fn begin(&mut self, shards: usize, threads: usize, init_ns: u64);
 
     /// Called at the end of every executed round's sequential tail with the
     /// complete sample. The sample's buffers are pooled — copy what you
     /// keep.
-    fn record_round(&mut self, sample: &RoundSample) {
-        let _ = sample;
-    }
+    fn record_round(&mut self, sample: &RoundSample);
 
     /// Called when the run completes normally, with the total wall time
     /// from the start of initialization (not called on a model violation or
     /// round-limit abort).
-    fn finish(&mut self, total_ns: u64) {
-        let _ = total_ns;
-    }
-}
-
-/// The disabled profiler: [`Profiler::ENABLED`] is `false`, so profiled
-/// entry points instantiated with it compile to the unprofiled loop.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoProfiler;
-
-impl Profiler for NoProfiler {
-    const ENABLED: bool = false;
-}
-
-/// The engine owns its profiler by value: `run_profiled` lends the caller's,
-/// a [`crate::Session`] carries a [`NoProfiler`] of its own.
-impl<T: Profiler> Profiler for &mut T {
-    const ENABLED: bool = T::ENABLED;
-
-    fn begin(&mut self, shards: usize, threads: usize, init_ns: u64) {
-        (**self).begin(shards, threads, init_ns);
-    }
-
-    fn record_round(&mut self, sample: &RoundSample) {
-        (**self).record_round(sample);
-    }
-
-    fn finish(&mut self, total_ns: u64) {
-        (**self).finish(total_ns);
-    }
+    fn finish(&mut self, total_ns: u64);
 }
 
 #[cfg(test)]
@@ -208,16 +153,17 @@ mod tests {
     fn sample_reset_keeps_allocations_and_clears_series() {
         let mut s = RoundSample {
             round: 3,
-            shard_scan_ns: vec![1, 2],
             frontier: vec![5; 8],
-            traffic: vec![7; 64],
+            traffic: vec![(0, 1, 7); 64],
             ..RoundSample::default()
         };
+        s.shard_busy_ns[PHASE_SCAN] = vec![1, 2];
         s.phase_wall_ns[PHASE_STEP] = 9;
         let cap = s.traffic.capacity();
         s.reset(4);
         assert_eq!(s.round, 4);
         assert!(s.frontier.is_empty() && s.traffic.is_empty());
+        assert!(s.shard_busy_ns[PHASE_SCAN].is_empty());
         assert_eq!(s.phase_wall_ns, [0; PHASES]);
         assert!(s.traffic.capacity() >= cap, "reset must keep allocations");
     }
@@ -230,15 +176,5 @@ mod tests {
         assert_eq!(PHASE_NAMES[PHASE_EXCHANGE], "exchange");
         assert_eq!(PHASE_NAMES[PHASE_DELIVER], "deliver");
         assert_eq!(PHASE_NAMES[PHASE_COMMIT], "commit");
-    }
-
-    #[test]
-    fn no_profiler_is_disabled() {
-        const { assert!(!NoProfiler::ENABLED) }
-        // The default methods are callable no-ops.
-        let mut p = NoProfiler;
-        p.begin(4, 2, 10);
-        p.record_round(&RoundSample::default());
-        p.finish(99);
     }
 }

@@ -104,8 +104,8 @@ use rayon::prelude::*;
 use crate::driver;
 use crate::executor::{ExecutorConfig, RuntimeError};
 use crate::profile::{
-    NoProfiler, Profiler, RoundSample, PHASE_COMMIT, PHASE_DELIVER, PHASE_EXCHANGE, PHASE_ROUTE,
-    PHASE_SCAN, PHASE_STEP,
+    Profiler, RoundSample, PHASE_COMMIT, PHASE_DELIVER, PHASE_EXCHANGE, PHASE_ROUTE, PHASE_SCAN,
+    PHASE_STEP,
 };
 use crate::program::{Envelope, NodeCtx, NodeProgram, SendBuf};
 use crate::session::{check_fits, SessionEngine};
@@ -279,7 +279,7 @@ impl ShardedExecutor {
         program: &P,
         observer: &mut O,
     ) -> Result<ShardedExecution<P::State>, RuntimeError> {
-        self.run_profiled(g, program, observer, &mut NoProfiler)
+        self.run_with(g, program, observer, None)
     }
 
     /// [`ShardedExecutor::run_traced`] with a wall-clock [`Profiler`]
@@ -291,25 +291,28 @@ impl ShardedExecutor {
     /// structural field is copied at the sequential points where observer
     /// hooks already fire, and wall clocks are read around the deterministic
     /// work, never inside it, so a profiled run is bit-identical to an
-    /// unprofiled one (states, meter, digest chain). With [`NoProfiler`]
-    /// this *is* [`ShardedExecutor::run_traced`]: every hook site is guarded
-    /// by the monomorphized [`Profiler::ENABLED`] constant.
+    /// unprofiled one (states, meter, digest chain).
     ///
     /// # Errors
     ///
     /// Exactly as [`ShardedExecutor::run`].
-    pub fn run_profiled<P, O, PR>(
+    pub fn run_profiled<P: NodeProgram, O: RunObserver<P::State>>(
         &self,
         g: &Graph,
         program: &P,
         observer: &mut O,
-        profiler: &mut PR,
-    ) -> Result<ShardedExecution<P::State>, RuntimeError>
-    where
-        P: NodeProgram,
-        O: RunObserver<P::State>,
-        PR: Profiler,
-    {
+        profiler: &mut dyn Profiler,
+    ) -> Result<ShardedExecution<P::State>, RuntimeError> {
+        self.run_with(g, program, observer, Some(profiler))
+    }
+
+    fn run_with<'a, P: NodeProgram, O: RunObserver<P::State>>(
+        &self,
+        g: &'a Graph,
+        program: &'a P,
+        observer: &'a mut O,
+        profiler: Option<&'a mut dyn Profiler>,
+    ) -> Result<ShardedExecution<P::State>, RuntimeError> {
         self.install(|| {
             let mut engine = ShardedEngine::fresh(&self.config, g, program, observer, profiler);
             engine.drive()?;
@@ -329,7 +332,7 @@ impl ShardedExecutor {
 /// time travel and kill-and-resume compose from its four methods.
 pub struct Session<'a, P: NodeProgram, O> {
     exec: &'a ShardedExecutor,
-    engine: ShardedEngine<'a, P, O, NoProfiler>,
+    engine: ShardedEngine<'a, P, O>,
 }
 
 impl<P: NodeProgram, O: RunObserver<P::State>> Session<'_, P, O> {
@@ -399,10 +402,8 @@ impl<P: NodeProgram> SessionEngine<P> for ShardedExecutor {
     ) -> Result<Session<'a, P, O>, RuntimeError> {
         let config = &self.config;
         let engine = self.install(|| match from {
-            Some(cp) => ShardedEngine::restored(config, g, program, observer, NoProfiler, cp),
-            None => Ok(ShardedEngine::fresh(
-                config, g, program, observer, NoProfiler,
-            )),
+            Some(cp) => ShardedEngine::restored(config, g, program, observer, cp),
+            None => Ok(ShardedEngine::fresh(config, g, program, observer, None)),
         })?;
         Ok(Session { exec: self, engine })
     }
@@ -732,15 +733,28 @@ impl<S: Send + Sync, M: Send + Sync> ShardState<S, M> {
     }
 }
 
-struct ShardedEngine<'a, P: NodeProgram, O, PR> {
+/// A profiled run's recording state: the caller's profiler, the run's
+/// wall-clock origin, and the pooled sample of the round in progress.
+struct Recorder<'a> {
+    profiler: &'a mut dyn Profiler,
+    start: Instant,
+    sample: RoundSample,
+}
+
+impl Recorder<'_> {
+    /// Wall-clock offset from the run's start, in nanoseconds: every offset
+    /// and total the profiler receives is one.
+    fn now(&self) -> u64 {
+        self.start.elapsed().as_nanos() as u64
+    }
+}
+
+struct ShardedEngine<'a, P: NodeProgram, O> {
     program: &'a P,
     job: Job<'a>,
     observer: &'a mut O,
-    profiler: PR,
-    /// Wall-clock origin of the run; all profile offsets are relative to it.
-    run_start: Instant,
-    /// Pooled per-round profile sample (only populated when `PR::ENABLED`).
-    sample: RoundSample,
+    /// Present in a profiled run only; an unprofiled run reads no clock.
+    recorder: Option<Recorder<'a>>,
     max_rounds: u64,
     shards: Vec<ShardState<P::State, P::Msg>>,
     meter: RoundMeter,
@@ -748,11 +762,10 @@ struct ShardedEngine<'a, P: NodeProgram, O, PR> {
     round: u64,
 }
 
-impl<'a, P, O, PR> ShardedEngine<'a, P, O, PR>
+impl<'a, P, O> ShardedEngine<'a, P, O>
 where
     P: NodeProgram,
     O: RunObserver<P::State>,
-    PR: Profiler,
 {
     /// The engine at round 0 with its vertices split into `config.shards`
     /// contiguous ranges (at least one) whose per-vertex state the caller
@@ -762,7 +775,7 @@ where
         g: &'a Graph,
         program: &'a P,
         observer: &'a mut O,
-        profiler: PR,
+        profiler: Option<&'a mut dyn Profiler>,
     ) -> Self {
         let n = g.n();
         let num_shards = config.shards.max(1);
@@ -818,9 +831,11 @@ where
                 chunk,
             },
             observer,
-            profiler,
-            run_start: Instant::now(),
-            sample: RoundSample::default(),
+            recorder: profiler.map(|profiler| Recorder {
+                profiler,
+                start: Instant::now(),
+                sample: RoundSample::default(),
+            }),
             max_rounds: config
                 .max_rounds
                 .min(program.round_budget_hint().unwrap_or(u64::MAX)),
@@ -838,7 +853,6 @@ where
         g: &'a Graph,
         program: &'a P,
         observer: &'a mut O,
-        profiler: PR,
         cp: ExecCheckpoint<P::State, P::Msg>,
     ) -> Result<Self, RuntimeError> {
         let (n, round) = (g.n(), cp.round);
@@ -870,7 +884,7 @@ where
                 return Err(mismatch(what, v as u64, env.src as u64));
             }
         }
-        let mut engine = Self::assemble(config, g, program, observer, profiler);
+        let mut engine = Self::assemble(config, g, program, observer, None);
         let job = engine.job;
         (engine.meter, engine.round) = (RoundMeter::from_parts(cp.meter), round);
         if round > engine.max_rounds {
@@ -912,14 +926,14 @@ where
         g: &'a Graph,
         program: &'a P,
         observer: &'a mut O,
-        profiler: PR,
+        profiler: Option<&'a mut dyn Profiler>,
     ) -> Self {
         let mut engine = Self::assemble(config, g, program, observer, profiler);
         let job = engine.job;
         let want_digests = O::ENABLED && engine.observer.wants_digests();
         // Parallel init of states, halted flags and the round-1 wake set (no
         // mail yet: the live non-quiescent vertices), shard by shard.
-        engine.par_shards(|shard| {
+        engine.par_shards(None, |shard| {
             let vertices = shard.start..shard.end;
             shard.states = vertices
                 .clone()
@@ -951,12 +965,12 @@ where
             }
             engine.observer.round_sealed(EngineKind::Executor, 0);
         }
-        if PR::ENABLED {
+        if let Some(rec) = &mut engine.recorder {
             // The effective worker count: the installed pool's size, or all
             // available threads when no dedicated pool was built.
             let threads = rayon::current_num_threads().max(1);
-            let init_ns = engine.offset_ns();
-            engine.profiler.begin(engine.shards.len(), threads, init_ns);
+            let init_ns = rec.now();
+            rec.profiler.begin(engine.shards.len(), threads, init_ns);
         }
         engine
     }
@@ -964,40 +978,61 @@ where
     /// Steps to the end and reports the total wall time to the profiler.
     fn drive(&mut self) -> Result<(), RuntimeError> {
         while self.step()? {}
-        if PR::ENABLED {
-            let total = self.offset_ns();
-            self.profiler.finish(total);
+        if let Some(rec) = &mut self.recorder {
+            let total = rec.now();
+            rec.profiler.finish(total);
         }
         Ok(())
     }
 
-    /// Wall-clock offset from the run's start, in nanoseconds.
-    fn offset_ns(&self) -> u64 {
-        self.run_start.elapsed().as_nanos() as u64
-    }
-
-    /// Runs `pass` on every shard in parallel; a profiled run stamps each
-    /// shard's busy time into the shard itself, so no state is shared.
-    fn par_shards(&mut self, pass: impl Fn(&mut ShardState<P::State, P::Msg>) + Sync) {
+    /// Runs `pass` on every shard in parallel. A profiled run stamps each
+    /// shard's busy time into the shard itself, so no state is shared, and
+    /// then copies the stamps into the round's sample as `phase`'s series.
+    fn par_shards(
+        &mut self,
+        phase: Option<usize>,
+        pass: impl Fn(&mut ShardState<P::State, P::Msg>) + Sync,
+    ) {
+        let timed = self.recorder.is_some();
         let _: Vec<()> = self
             .shards
             .par_iter_mut()
             .enumerate()
             .map(|(_, shard)| {
-                let busy = PR::ENABLED.then(Instant::now);
+                let busy = timed.then(Instant::now);
                 pass(shard);
                 shard.busy_ns = busy.map_or(0, |b| b.elapsed().as_nanos() as u64);
             })
             .collect();
+        if let (Some(rec), Some(phase)) = (&mut self.recorder, phase) {
+            let busy = self.shards.iter().map(|shard| shard.busy_ns);
+            rec.sample.shard_busy_ns[phase].extend(busy);
+        }
     }
 
-    /// In a profiled run, closes phase `ended` and opens `started` at the same
-    /// instant.
-    fn next_phase(&mut self, ended: usize, started: usize) {
-        if PR::ENABLED {
-            let now = self.offset_ns();
-            self.sample.phase_wall_ns[ended] = now - self.sample.phase_start_ns[ended];
-            self.sample.phase_start_ns[started] = now;
+    /// The one place a profiled round's phase boundaries are stamped: closes
+    /// phase `ended` and opens `started` at the same instant (either may be
+    /// `None`). The round opens with its scan and closes with its exchange;
+    /// closing the exchange hands the round's sample to the profiler.
+    fn phase(&mut self, ended: Option<usize>, started: Option<usize>) {
+        let Some(rec) = &mut self.recorder else {
+            return;
+        };
+        let now = rec.now();
+        let sample = &mut rec.sample;
+        if started == Some(PHASE_SCAN) {
+            sample.reset(self.round + 1);
+            sample.start_ns = now;
+        }
+        if let Some(p) = ended {
+            sample.phase_wall_ns[p] = now - sample.phase_start_ns[p];
+        }
+        if let Some(p) = started {
+            sample.phase_start_ns[p] = now;
+        }
+        if ended == Some(PHASE_EXCHANGE) {
+            sample.wall_ns = now - sample.start_ns;
+            rec.profiler.record_round(sample);
         }
     }
 
@@ -1007,16 +1042,11 @@ where
     fn step(&mut self) -> Result<bool, RuntimeError> {
         let round = self.round + 1;
         let (program, job) = (self.program, self.job);
-        if PR::ENABLED {
-            self.sample.reset(round);
-            let now = self.offset_ns();
-            self.sample.start_ns = now;
-            self.sample.phase_start_ns[PHASE_SCAN] = now;
-        }
         // Scan (parallel over shards): each shard drains its wake set into
         // its active list. Debug builds check it against the full scan, so the
         // test suite checks `quiescent`'s round-stability on every run.
-        self.par_shards(|shard| {
+        self.phase(None, Some(PHASE_SCAN));
+        self.par_shards(Some(PHASE_SCAN), |shard| {
             shard.scan();
             debug_assert!(
                 shard
@@ -1030,13 +1060,10 @@ where
                 shard.active
             );
         });
-        if PR::ENABLED {
-            self.sample.phase_wall_ns[PHASE_SCAN] =
-                self.offset_ns() - self.sample.phase_start_ns[PHASE_SCAN];
-            for shard in &self.shards {
-                self.sample.shard_scan_ns.push(shard.busy_ns);
-                self.sample.frontier.push(shard.active.len());
-            }
+        self.phase(Some(PHASE_SCAN), None);
+        if let Some(rec) = &mut self.recorder {
+            let frontier = self.shards.iter().map(|shard| shard.active.len());
+            rec.sample.frontier.extend(frontier);
         }
         // Done when nothing is scheduled: every vertex has halted (only live
         // vertices are ever woken), or the fixpoint — live vertices remain
@@ -1065,31 +1092,22 @@ where
         let want_digests = O::ENABLED && self.observer.wants_digests();
         let digest_of: Option<fn(&P::State) -> u64> =
             want_digests.then_some(O::state_digest as fn(&P::State) -> u64);
-        if PR::ENABLED {
-            self.sample.phase_start_ns[PHASE_STEP] = self.offset_ns();
-        }
-        self.par_shards(|shard| shard.sweep(program, job, round, O::ENABLED, digest_of));
+        self.phase(None, Some(PHASE_STEP));
+        self.par_shards(Some(PHASE_STEP), |shard| {
+            shard.sweep(program, job, round, O::ENABLED, digest_of);
+        });
 
         // Sequential resolution, in vertex order by construction (shards are
         // ascending vertex ranges): non-edge sends first, then bandwidth —
         // the same precedence as the reference stepper.
-        self.next_phase(PHASE_STEP, PHASE_COMMIT);
-        if PR::ENABLED {
-            // Structural per-shard series, read at this sequential point
-            // while the route buckets are still populated: sent counts, the
-            // staged route-slot series, and the shard→shard traffic matrix
-            // straight from the router's destination buckets.
-            let num_shards = self.shards.len();
-            for shard in &self.shards {
-                self.sample.shard_step_ns.push(shard.busy_ns);
-                self.sample.sent.push(shard.msgs);
-                self.sample.route_slots.push(shard.msgs as usize);
-            }
-            self.sample.traffic.resize(num_shards * num_shards, 0);
+        self.phase(Some(PHASE_STEP), Some(PHASE_COMMIT));
+        if let Some(rec) = &mut self.recorder {
+            // The shard→shard traffic, read while the route buckets are still
+            // populated: one entry per bucket the sweep pushed into.
             for (src, shard) in self.shards.iter().enumerate() {
-                for &dst in &shard.out_touched {
-                    self.sample.traffic[src * num_shards + dst] = shard.out[dst].1.len() as u64;
-                }
+                let buckets = shard.out_touched.iter();
+                let sent = buckets.map(|&dst| (src, dst, shard.out[dst].1.len() as u64));
+                rec.sample.traffic.extend(sent);
             }
         }
         if let Some(err) = self.shards.iter().find_map(|s| s.send_violation.clone()) {
@@ -1131,16 +1149,18 @@ where
                 round,
                 messages: self.meter.messages(),
             });
-            let seal_start = PR::ENABLED.then(Instant::now);
+            let sealing = self.recorder.is_some().then(Instant::now);
             self.observer.round_sealed(EngineKind::Executor, round);
-            self.sample.seal_ns = seal_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
+            if let (Some(rec), Some(sealing)) = (&mut self.recorder, sealing) {
+                rec.sample.seal_ns = sealing.elapsed().as_nanos() as u64;
+            }
         }
 
         // Exchange, sparse: hand each bucket the sweep pushed into to its
         // destination (pointer moves; ascending source shard, so in sender
         // order), deliver in parallel, then return the emptied buckets to
         // their owners for reuse. Buckets that stayed empty are never touched.
-        self.next_phase(PHASE_COMMIT, PHASE_ROUTE);
+        self.phase(Some(PHASE_COMMIT), Some(PHASE_ROUTE));
         for s in 0..self.shards.len() {
             let mut touched = std::mem::take(&mut self.shards[s].out_touched);
             for d in touched.drain(..) {
@@ -1149,17 +1169,11 @@ where
             }
             self.shards[s].out_touched = touched;
         }
-        self.next_phase(PHASE_ROUTE, PHASE_DELIVER);
-        self.par_shards(ShardState::deliver);
+        self.phase(Some(PHASE_ROUTE), Some(PHASE_DELIVER));
+        self.par_shards(Some(PHASE_DELIVER), ShardState::deliver);
         let mailbox_slots: usize = self.shards.iter().map(|s| s.arena.len()).sum();
         self.arena.mailbox_slots_hwm = self.arena.mailbox_slots_hwm.max(mailbox_slots);
-        self.next_phase(PHASE_DELIVER, PHASE_EXCHANGE);
-        if PR::ENABLED {
-            for shard in &self.shards {
-                self.sample.delivered.push(shard.arena.len());
-                self.sample.shard_deliver_ns.push(shard.busy_ns);
-            }
-        }
+        self.phase(Some(PHASE_DELIVER), Some(PHASE_EXCHANGE));
         for d in 0..self.shards.len() {
             let mut incoming = std::mem::take(&mut self.shards[d].incoming);
             for (s, bucket) in incoming.drain(..) {
@@ -1167,13 +1181,7 @@ where
             }
             self.shards[d].incoming = incoming;
         }
-        if PR::ENABLED {
-            let now = self.offset_ns();
-            self.sample.phase_wall_ns[PHASE_EXCHANGE] =
-                now - self.sample.phase_start_ns[PHASE_EXCHANGE];
-            self.sample.wall_ns = now - self.sample.start_ns;
-            self.profiler.record_round(&self.sample);
-        }
+        self.phase(Some(PHASE_EXCHANGE), None);
         Ok(true)
     }
 

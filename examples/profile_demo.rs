@@ -47,8 +47,8 @@ fn main() {
         "the overlay must attribute at least 95% of wall time"
     );
 
-    // 3. The traffic matrix: who talks to whom, exactly (row sums are the
-    //    router's per-shard send counts — asserted in the harness).
+    // 3. The traffic matrix: who talks to whom, exactly (its total is the
+    //    run's message count — asserted in the harness).
     let matrix = run.profile.traffic_totals();
     let sent = run.profile.sent_totals();
     let k = run.profile.shards;
@@ -73,32 +73,36 @@ fn main() {
     //    clear the noise floor) — on a noisy machine the threshold is
     //    loose, and a slowdown below it is indistinguishable from jitter
     //    by design.
-    let series = |r: &mfd_bench::profiling::ProfiledRun| {
-        let rows = parse_rounds_csv(&rounds_csv(&r.profile)).expect("own CSV parses");
-        csv_phase_series(&rows, PHASE_STEP)
+    let rows = |r: &mfd_bench::profiling::ProfiledRun| {
+        parse_rounds_csv(&rounds_csv(&r.profile)).expect("own CSV parses")
     };
-    let base = series(&run);
-    let twin = series(&profile_sharded_algo(
-        &g,
-        Algo::Ldd(64),
-        16,
-        0,
-        "profile_demo_twin",
-    ));
+    let base_rows = rows(&run);
+    let base = csv_phase_series(&base_rows, PHASE_STEP);
+    let twin = csv_phase_series(
+        &rows(&profile_sharded_algo(
+            &g,
+            Algo::Ldd(64),
+            16,
+            0,
+            "profile_demo_twin",
+        )),
+        PHASE_STEP,
+    );
     let threshold = calibrate_threshold(&base, &twin);
     let factor = (threshold * 2.0).ceil() as u64;
-    let slowed: Vec<u64> = base
+    let slowed: Vec<u64> = base_rows
         .iter()
-        .enumerate()
-        .map(|(i, &v)| {
-            if i >= 5 {
+        .zip(&base)
+        .map(|(&(round, _), &v)| {
+            if round >= 5 {
                 v.max(1) * factor + 1_000_000
             } else {
                 v
             }
         })
         .collect();
-    let onset = first_regression(&base, &slowed, threshold);
+    // The localizer returns an index into the series; the CSV names its round.
+    let onset = first_regression(&base, &slowed, threshold).map(|i| base_rows[i].0);
     println!(
         "\nlocalize: calibrated threshold {threshold:.3}; injected {factor}x+1ms slowdown \
          from round 5 localized at {onset:?}"
