@@ -1710,7 +1710,7 @@ fn profile_report() {
         // floor would measure the box, not the code. What is
         // machine-independent: (a) at 1 thread the sweep's busy time must
         // cover its wall (occupancy ≈ 1), and (b) commit — just hook delivery
-        // plus the deferred fold, with per-vertex digests computed inside the
+        // plus the batched chain fold, with per-vertex digests computed inside the
         // sweep — must stay cheap per stepped vertex, in absolute terms: a
         // share of the round wall tightens whenever another phase gets faster.
         if threads == 1 {

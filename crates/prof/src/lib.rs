@@ -232,10 +232,10 @@ impl Profile {
     }
 
     /// Wall time inside `round_sealed` summed over rounds — the sequential
-    /// digest-chain fold (for deferring sinks: the per-round snapshot plus
-    /// whichever rounds absorbed a batched parallel flush, so the per-round
-    /// series is lumpy but the total is meaningful). A sub-span of the
-    /// commit wall; 0 when tracing is disabled.
+    /// digest-chain fold (for a `DigestSink`: each round's delta plus
+    /// whichever rounds ran a sweep folding up to four queued rounds, so the
+    /// per-round series is lumpy but the total is meaningful). A sub-span of
+    /// the commit wall; 0 when tracing is disabled.
     pub fn seal_ns_total(&self) -> u64 {
         self.rounds.iter().map(|r| r.seal_ns).sum()
     }

@@ -45,8 +45,8 @@ pub const PHASES: usize = 6;
 /// * `commit` — the sequential resolution point: violation scan, meter seal,
 ///   and the delivery of every observer hook of the round. Per-vertex
 ///   digests are *computed* inside the parallel sweep (`step`); commit only
-///   delivers the precomputed values and runs the (cheap, possibly deferred)
-///   chain fold, whose wall time is broken out in
+///   delivers the precomputed values and seals the round (the sink's
+///   chain fold, possibly batched across rounds), whose wall time is broken out in
 ///   [`RoundSample::seal_ns`].
 pub const PHASE_NAMES: [&str; PHASES] = ["scan", "step", "route", "exchange", "deliver", "commit"];
 
@@ -87,11 +87,11 @@ pub struct RoundSample {
     /// wall time (slowest worker); for sequential phases it equals the
     /// phase's busy time.
     pub phase_wall_ns: [u64; PHASES],
-    /// Wall time spent inside the observer's `round_sealed` hook — the
-    /// sequential digest-chain fold (or, for a deferring sink, the snapshot
-    /// plus any batched parallel flush that fell on this round, which makes
-    /// the series lumpy by design). A sub-span of the commit phase wall;
-    /// 0 when tracing is disabled.
+    /// Wall time spent inside the observer's `round_sealed` hook — for a
+    /// `DigestSink`, the round's delta plus, on every fourth round or so, one
+    /// sequential sweep folding the queued rounds' chains together, which
+    /// makes the series lumpy by design. A sub-span of the commit phase
+    /// wall; 0 when tracing is disabled.
     pub seal_ns: u64,
     /// Per-shard busy time of each phase, indexed by `PHASE_*` and then by
     /// shard. Only the parallel phases (`scan`, `step`, `deliver`) have a

@@ -1,9 +1,7 @@
 //! [`DigestSink`]: a per-round journal of the whole network's state.
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::collections::BTreeMap;
-
-use rayon::prelude::*;
 
 use crate::{fnv1a_fold, EngineKind, TraceSink, FNV_OFFSET};
 
@@ -66,26 +64,33 @@ pub struct ChainMismatch {
 /// [`crate::divergence`] search needs: equal heads at round `r` ⇒ equal
 /// state history through `r`.
 ///
+/// A seal applies every pending round up to the sealed one. Duplicate
+/// reports resolve by two fixed rules: within one round, the *larger*
+/// digest of a vertex wins (the round's reports apply in `(vertex, digest)`
+/// order); across the pending rounds one seal covers, the later round's
+/// report wins.
+///
 /// One sink instance journals one run (the engine tag is recorded from the
 /// first seal; feeding two engines into one instance is a usage error and
 /// panics).
 ///
-/// # Deferred folding (large runs)
+/// # Batched folding
 ///
-/// FNV-1a chaining is strictly sequential *within* one fold, but each
-/// round's fold over the full current vector is independent of every other
-/// round's — only the final head chaining (one `fnv1a_fold` per round) has
-/// to run in order. Above `DEFERRED_MIN_VERTICES` (16384) the sink therefore
-/// snapshots the current vector at each seal and folds a batch of snapshots
-/// in parallel (rayon over rounds) before chaining the results sequentially.
-/// The chain *values* are bit-identical to eager folding — the definition of
-/// the chain is unchanged, only when the per-round folds execute moved — and
-/// every accessor flushes first, so the deferral is unobservable. Verify
-/// mode and snapshot logging need the head at every seal and stay eager.
+/// A round digest is one byte-wise FNV-1a chain over the whole vector, a
+/// long dependent multiply chain. So a seal only queues the round's reports
+/// as a delta (sorted, one entry per vertex), and a flush folds up to
+/// `BATCH` (4) queued rounds in one sweep over the single per-vertex vector:
+/// their chains run interleaved, a vertex no queued round touched feeds the
+/// same word to every chain, each delta is applied in place as the sweep
+/// passes it, and each chain stops at its own round's vector length. The
+/// round digests then chain in seal order. The values are bit-identical to
+/// folding each round at its seal, and every accessor flushes first. A flush
+/// also runs once the queued entries reach the vector's length, bounding the
+/// queue by twice the vector's bytes. Verify mode and snapshot logging need
+/// every seal's head and flush each round alone.
 #[derive(Debug, Default)]
 pub struct DigestSink {
     engine: Option<EngineKind>,
-    current: Vec<u64>,
     pending: BTreeMap<u64, Vec<(usize, u64)>>,
     snapshots: bool,
     /// Per-round copies of the per-vertex digest vector (only with
@@ -94,70 +99,91 @@ pub struct DigestSink {
     pub snapshot_log: Vec<Vec<u64>>,
     reference: Option<Vec<u64>>,
     first_mismatch: Option<ChainMismatch>,
-    /// The chain itself plus the deferred-fold queue, behind a `RefCell`
-    /// because read accessors (`head`, `chain`, `export`, …) take `&self`
-    /// but must flush pending folds first.
+    /// The chain, the per-vertex vector and the queue of unfolded rounds,
+    /// behind a `RefCell` because read accessors (`head`, `chain`, `export`,
+    /// …) take `&self` but must flush the queue first.
     chain_state: RefCell<ChainState>,
 }
 
-/// Vertex count below which seals fold eagerly: deferral exists to
-/// parallelize million-element folds, and below this size the snapshot copy
-/// costs more than the fold.
-const DEFERRED_MIN_VERTICES: usize = 1 << 14;
-
-/// Cap on memory held by deferred snapshots (bounds the batch size on huge
-/// graphs; a 10⁷-vertex run defers at most 4 rounds under this cap).
-const DEFERRED_MAX_BYTES: usize = 256 << 20;
+/// Sealed rounds folded per sweep: four interleaved chains keep the
+/// multiplier busy where one chain waits on its own latency.
+const BATCH: usize = 4;
 
 #[derive(Debug, Default)]
 struct ChainState {
     /// `(round, chain head after that round)` in seal order.
     heads: Vec<(u64, u64)>,
-    /// Sealed rounds whose full-vector folds are postponed:
-    /// `(round, snapshot of `current` at that seal)`, in seal order.
-    deferred: Vec<(u64, Vec<u64>)>,
-    /// Retired snapshot buffers, reused so a steady-state deferred seal is
-    /// one memcpy, not an allocation.
-    spare: Vec<Vec<u64>>,
+    /// Carried-forward per-vertex digests as of the last folded round.
+    current: Vec<u64>,
+    /// Sealed rounds not folded yet, in seal order: `(round, vector length
+    /// at the seal, delta)`.
+    queue: Vec<(u64, usize, Delta)>,
 }
+
+/// One seal's reports: a `(vertex, digest)` per vertex it set, by vertex.
+type Delta = Vec<(usize, u64)>;
 
 impl ChainState {
     fn head(&self) -> u64 {
         self.heads.last().map_or(FNV_OFFSET, |&(_, head)| head)
     }
 
-    /// The batch size that triggers a flush: one snapshot fold per worker,
-    /// memory-capped.
-    fn flush_batch(n: usize) -> usize {
-        let by_memory = (DEFERRED_MAX_BYTES / (8 * n.max(1))).max(1);
-        rayon::current_num_threads().max(1).min(by_memory)
+    /// The per-vertex vector's length as of the last seal.
+    fn sealed_len(&self) -> usize {
+        self.queue.last().map_or(self.current.len(), |q| q.1)
     }
 
-    /// Folds every deferred snapshot (in parallel across rounds) and chains
-    /// the results sequentially in seal order.
+    /// Folds every queued round in one sweep over `current` (see
+    /// [`DigestSink`], "Batched folding") and chains the round digests in
+    /// seal order.
     fn flush(&mut self) {
-        if self.deferred.is_empty() {
+        if self.queue.is_empty() {
             return;
         }
-        let ChainState {
-            heads,
-            deferred,
-            spare,
-        } = self;
-        let round_digests: Vec<u64> = deferred
-            .par_iter()
-            .map(|(_, snapshot)| {
-                snapshot
-                    .iter()
-                    .fold(FNV_OFFSET, |acc, &d| fnv1a_fold(acc, d))
-            })
-            .collect();
-        let mut head = heads.last().map_or(FNV_OFFSET, |&(_, h)| h);
-        for ((round, mut snapshot), round_digest) in deferred.drain(..).zip(round_digests) {
-            head = fnv1a_fold(head, round_digest);
-            heads.push((round, head));
-            snapshot.clear();
-            spare.push(snapshot);
+        let end = self.sealed_len();
+        self.current.resize(end, 0);
+        let mut digests = [FNV_OFFSET; BATCH];
+        let mut cursors = [0usize; BATCH];
+        let mut at = 0;
+        while at < end {
+            // Lengths never shrink in seal order, so the chains covering
+            // `at` are a suffix. Up to the next vertex a queued round touched
+            // or the next chain's length, every covering chain folds the
+            // carried-forward words (all chains fold; the rest are restored).
+            let first = self.queue.partition_point(|&(_, len, _)| len <= at);
+            let next = self
+                .queue
+                .iter()
+                .zip(&cursors)
+                .filter_map(|((_, _, delta), &c)| delta.get(c).map(|&(v, _)| v))
+                .fold(self.queue[first].1, usize::min);
+            let mut chains = digests;
+            for &word in &self.current[at..next] {
+                for chain in &mut chains {
+                    *chain = fnv1a_fold(*chain, word);
+                }
+            }
+            digests[first..].copy_from_slice(&chains[first..]);
+            if next == end {
+                break;
+            }
+            let mut word = self.current[next];
+            for (k, (_, len, delta)) in self.queue.iter().enumerate() {
+                if let Some(&(_, d)) = delta.get(cursors[k]).filter(|&&(v, _)| v == next) {
+                    word = d;
+                    cursors[k] += 1;
+                }
+                if next < *len {
+                    digests[k] = fnv1a_fold(digests[k], word);
+                }
+            }
+            self.current[next] = word;
+            at = next + 1;
+        }
+        let mut head = self.head();
+        for ((round, _, _), digest) in self.queue.drain(..).zip(digests) {
+            head = fnv1a_fold(head, digest);
+            self.heads.push((round, head));
         }
     }
 }
@@ -177,48 +203,39 @@ impl DigestSink {
         }
     }
 
-    /// Folds any deferred rounds into the chain (no-op in eager mode).
-    fn flush(&self) {
+    /// The chain state with every queued round folded in.
+    fn flushed(&self) -> Ref<'_, ChainState> {
         self.chain_state.borrow_mut().flush();
+        self.chain_state.borrow()
     }
 
     /// The chain head after the last sealed round (the run's digest), or the
     /// FNV offset basis for an empty run.
     pub fn head(&self) -> u64 {
-        self.flush();
-        self.chain_state.borrow().head()
+        self.flushed().head()
     }
 
     /// `(round, chain head after that round)` per sealed round, in seal
     /// order.
     pub fn heads(&self) -> Vec<(u64, u64)> {
-        self.flush();
-        self.chain_state.borrow().heads.clone()
+        self.flushed().heads.clone()
     }
 
     /// The chain entry of one sealed round: `(round, head)` at chain index
     /// `index` (engines seal every round, so index equals round).
     pub fn head_at(&self, index: usize) -> Option<(u64, u64)> {
-        self.flush();
-        self.chain_state.borrow().heads.get(index).copied()
+        self.flushed().heads.get(index).copied()
     }
 
     /// Sealed rounds so far (the chain's length).
     pub fn sealed_rounds(&self) -> usize {
-        self.flush();
-        self.chain_state.borrow().heads.len()
+        self.flushed().heads.len()
     }
 
     /// The head sequence alone, in seal order — the input to
     /// [`crate::first_divergence`].
     pub fn chain(&self) -> Vec<u64> {
-        self.flush();
-        self.chain_state
-            .borrow()
-            .heads
-            .iter()
-            .map(|&(_, head)| head)
-            .collect()
+        self.flushed().heads.iter().map(|&(_, head)| head).collect()
     }
 
     /// A sink in **verify mode**: it journals as usual *and* streams every
@@ -261,10 +278,11 @@ impl DigestSink {
     /// The optional snapshot log is diagnostic output, not chaining state —
     /// it is not exported, and a restored sink starts a fresh (empty) log.
     pub fn export(&self) -> DigestState {
+        let chain = self.flushed();
         DigestState {
             engine: self.engine,
-            heads: self.heads(),
-            current: self.current.clone(),
+            heads: chain.heads.clone(),
+            current: chain.current.clone(),
             pending: self
                 .pending
                 .iter()
@@ -283,11 +301,11 @@ impl DigestSink {
     pub fn restore(state: DigestState) -> Self {
         DigestSink {
             engine: state.engine,
-            current: state.current,
             pending: state.pending.into_iter().collect(),
             chain_state: RefCell::new(ChainState {
                 heads: state.heads,
-                ..ChainState::default()
+                current: state.current,
+                queue: Vec::new(),
             }),
             ..DigestSink::default()
         }
@@ -327,61 +345,42 @@ impl TraceSink for DigestSink {
             engine,
             "one DigestSink journals one run"
         );
-        // Engines seal in increasing round order; fold every pending round
-        // up to and including this one (a round with no touched vertices
-        // still seals, carrying every digest forward).
-        let stale: Vec<u64> = self.pending.range(..=round).map(|(&r, _)| r).collect();
-        for r in stale {
-            if let Some(mut touched) = self.pending.remove(&r) {
-                touched.sort_unstable();
-                for (vertex, digest) in touched {
-                    if vertex >= self.current.len() {
-                        self.current.resize(vertex + 1, 0);
-                    }
-                    self.current[vertex] = digest;
-                }
+        // Engines seal in increasing round order; every pending round up to
+        // and including this one joins its delta (a round with no touched
+        // vertices still seals, carrying every digest forward). Reports apply
+        // rounds in order, each in `(vertex, digest)` order; reversed, the
+        // stable sort by vertex puts each vertex's last report first.
+        let mut delta = Vec::new();
+        while let Some(entry) = self.pending.first_entry().filter(|e| *e.key() <= round) {
+            let mut touched = entry.remove();
+            touched.sort_unstable();
+            touched.splice(0..0, delta);
+            delta = touched;
+        }
+        delta.reverse();
+        delta.sort_by_key(|&(vertex, _)| vertex);
+        delta.dedup_by_key(|&mut (vertex, _)| vertex);
+        let chain = self.chain_state.get_mut();
+        let len = chain.sealed_len().max(delta.last().map_or(0, |d| d.0 + 1));
+        chain.queue.push((round, len, delta));
+        let queued: usize = chain.queue.iter().map(|(_, _, delta)| delta.len()).sum();
+        let eager = self.reference.is_some() || self.snapshots;
+        if eager || chain.queue.len() == BATCH || queued >= len {
+            chain.flush();
+        }
+        if let (Some(reference), None) = (&self.reference, self.first_mismatch) {
+            let index = chain.heads.len() - 1;
+            let (expected, head) = (reference.get(index).copied(), chain.head());
+            if expected != Some(head) {
+                self.first_mismatch = Some(ChainMismatch {
+                    round: index as u64,
+                    expected,
+                    got: Some(head),
+                });
             }
         }
-        // Verify mode and snapshot logging need the head (or the vector) at
-        // every seal; small runs fold cheaper than they copy. Everything
-        // else defers the expensive full-vector fold and batches it in
-        // parallel across rounds — same chain values, off the sequential
-        // commit path.
-        let eager = self.reference.is_some()
-            || self.snapshots
-            || self.current.len() < DEFERRED_MIN_VERTICES;
-        let chain = self.chain_state.get_mut();
-        if eager {
-            chain.flush();
-            let round_digest = self
-                .current
-                .iter()
-                .fold(FNV_OFFSET, |acc, &d| fnv1a_fold(acc, d));
-            let head = fnv1a_fold(chain.head(), round_digest);
-            if let Some(reference) = &self.reference {
-                if self.first_mismatch.is_none() {
-                    let index = chain.heads.len();
-                    let expected = reference.get(index).copied();
-                    if expected != Some(head) {
-                        self.first_mismatch = Some(ChainMismatch {
-                            round: index as u64,
-                            expected,
-                            got: Some(head),
-                        });
-                    }
-                }
-            }
-            chain.heads.push((round, head));
-            if self.snapshots {
-                self.snapshot_log.push(self.current.clone());
-            }
-        } else {
-            let mut snapshot = chain.spare.pop().unwrap_or_default();
-            snapshot.extend_from_slice(&self.current);
-            chain.deferred.push((round, snapshot));
-            if chain.deferred.len() >= ChainState::flush_batch(self.current.len()) {
-                chain.flush();
-            }
+        if self.snapshots {
+            self.snapshot_log.push(chain.current.clone());
         }
     }
 }
@@ -485,57 +484,95 @@ mod tests {
 
     #[test]
     fn deferred_folding_matches_eager_chain_exactly() {
-        // Above DEFERRED_MIN_VERTICES a plain sink defers its folds; a
-        // snapshot sink is forced eager. Same digests in => the chains must
-        // be bit-identical, including when accessors flush mid-run.
-        let n = DEFERRED_MIN_VERTICES + 17;
-        let mut deferred = DigestSink::new();
+        // A plain sink queues sparse rounds and folds them four per sweep; a
+        // snapshot sink folds every round at its seal. Same digests in =>
+        // the chains must be bit-identical, including when accessors flush a
+        // part-filled batch mid-run.
+        let n = 5_000;
+        let mut batched = DigestSink::new();
         let mut eager = DigestSink::with_snapshots();
-        for round in 0..7u64 {
-            for v in 0..n {
+        for round in 0..11u64 {
+            // Round 0 reports every vertex; later rounds a sparse stride.
+            let stride = if round == 0 { 1 } else { 7 + round as usize };
+            for v in (round as usize % 5..n).step_by(stride) {
                 let d = (v as u64).wrapping_mul(0x9e37) ^ round;
-                deferred.vertex_digest(EngineKind::Executor, round, v, d);
+                batched.vertex_digest(EngineKind::Executor, round, v, d);
                 eager.vertex_digest(EngineKind::Executor, round, v, d);
             }
-            deferred.round_sealed(EngineKind::Executor, round);
+            batched.round_sealed(EngineKind::Executor, round);
             eager.round_sealed(EngineKind::Executor, round);
-            if round == 3 {
+            if round == 2 {
+                assert!(!batched.chain_state.borrow().queue.is_empty());
                 // A mid-run read must flush and agree with the eager chain.
-                assert_eq!(deferred.head(), eager.head(), "mid-run flush");
+                assert_eq!(batched.head(), eager.head(), "mid-run flush");
             }
         }
-        assert_eq!(deferred.heads(), eager.heads());
-        assert_eq!(deferred.chain(), eager.chain());
-        assert_eq!(deferred.head(), eager.head());
-        assert_eq!(deferred.sealed_rounds(), 7);
+        assert_eq!(batched.heads(), eager.heads());
+        assert_eq!(batched.chain(), eager.chain());
+        assert_eq!(batched.head(), eager.head());
+        assert_eq!(batched.sealed_rounds(), 11);
         // Export (used by checkpoints) flushes too, and round-trips.
-        let state = deferred.export();
+        let state = batched.export();
         assert_eq!(state.heads, eager.heads());
+        assert_eq!(&state.current, eager.snapshot_log.last().unwrap());
         assert_eq!(DigestSink::restore(state.clone()).export(), state);
     }
 
     #[test]
     fn deferred_sink_grows_into_deferral_seamlessly() {
-        // The current vector starts tiny (eager) and crosses the threshold
-        // mid-run (deferred): the chain must stay coherent across the mode
-        // switch.
+        // The vector grows inside one batch: each queued round's chain must
+        // stop at its own round's length, and the zero padding must read as
+        // zero until a later round writes it.
         let mut growing = DigestSink::new();
-        let mut small = DigestSink::with_snapshots();
-        for round in 0..4u64 {
-            let n = if round < 2 {
-                8
-            } else {
-                DEFERRED_MIN_VERTICES + 3
-            };
-            for v in 0..n {
-                let d = ((v as u64) ^ (round << 32)) | 1;
-                growing.vertex_digest(EngineKind::Executor, round, v, d);
-                small.vertex_digest(EngineKind::Executor, round, v, d);
-            }
-            growing.round_sealed(EngineKind::Executor, round);
-            small.round_sealed(EngineKind::Executor, round);
-        }
-        assert_eq!(growing.heads(), small.heads());
+        let mut eager = DigestSink::with_snapshots();
+        let mut feed_both = |round: u64, digests: &[(usize, u64)]| {
+            feed(&mut growing, round, digests);
+            feed(&mut eager, round, digests);
+        };
+        feed_both(0, &(0..64).map(|v| (v, v as u64 | 1)).collect::<Vec<_>>());
+        feed_both(1, &[(3, 30)]);
+        feed_both(2, &[(5, 50), (70, 700)]);
+        feed_both(3, &[(66, 660)]);
+        feed_both(4, &[(200, 2000), (1, 10)]);
+        feed_both(5, &[]);
+        feed_both(6, &[(65, 650), (300, 3000)]);
+        assert_eq!(growing.export().current.len(), 301);
+        assert_eq!(growing.heads(), eager.heads());
+    }
+
+    #[test]
+    fn duplicate_reports_resolve_by_the_pinned_rules() {
+        // Within one round the larger digest wins, whatever the order the
+        // reports arrived in; across pending rounds one seal covers, the
+        // later round's report wins.
+        let expect = |current: &[u64]| {
+            let mut sink = DigestSink::new();
+            feed(
+                &mut sink,
+                0,
+                &current.iter().copied().enumerate().collect::<Vec<_>>(),
+            );
+            sink.head()
+        };
+        let mut sink = DigestSink::new();
+        feed(&mut sink, 0, &[(0, 9), (1, 4), (0, 3), (1, 8)]);
+        assert_eq!(sink.export().current, vec![9, 8]);
+        assert_eq!(sink.head(), expect(&[9, 8]));
+
+        let mut sink = DigestSink::new();
+        sink.vertex_digest(EngineKind::Sim, 1, 0, 100);
+        sink.vertex_digest(EngineKind::Sim, 0, 0, 200);
+        sink.vertex_digest(EngineKind::Sim, 0, 1, 5);
+        sink.vertex_digest(EngineKind::Sim, 1, 1, 2);
+        sink.round_sealed(EngineKind::Sim, 1);
+        assert_eq!(sink.export().current, vec![100, 2]);
+        assert_eq!(sink.heads().len(), 1);
+        let mut one = DigestSink::new();
+        one.vertex_digest(EngineKind::Sim, 1, 0, 100);
+        one.vertex_digest(EngineKind::Sim, 1, 1, 2);
+        one.round_sealed(EngineKind::Sim, 1);
+        assert_eq!(sink.head(), one.head());
+        assert_eq!(one.head(), expect(&[100, 2]));
     }
 
     #[test]
@@ -575,5 +612,105 @@ mod tests {
             feed(&mut exact, r, &[(0, 7 * r + 1)]);
         }
         assert_eq!(exact.reference_verdict(), None);
+    }
+
+    /// The frozen chain definition, folded eagerly: a seal applies every
+    /// pending round up to it (rounds in order, each in `(vertex, digest)`
+    /// order), folds the whole vector and chains the result onto the head.
+    #[derive(Default)]
+    struct EagerChain {
+        current: Vec<u64>,
+        pending: BTreeMap<u64, Vec<(usize, u64)>>,
+        heads: Vec<(u64, u64)>,
+    }
+
+    impl EagerChain {
+        fn seal(&mut self, round: u64) {
+            let due: Vec<u64> = self.pending.range(..=round).map(|(&r, _)| r).collect();
+            for r in due {
+                let mut touched = self.pending.remove(&r).unwrap();
+                touched.sort_unstable();
+                for (vertex, digest) in touched {
+                    if vertex >= self.current.len() {
+                        self.current.resize(vertex + 1, 0);
+                    }
+                    self.current[vertex] = digest;
+                }
+            }
+            let digest = self
+                .current
+                .iter()
+                .fold(FNV_OFFSET, |h, &d| fnv1a_fold(h, d));
+            let head = self.heads.last().map_or(FNV_OFFSET, |&(_, h)| h);
+            self.heads.push((round, fnv1a_fold(head, digest)));
+        }
+    }
+
+    /// SplitMix64: the stream generator of the differential property.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Random report streams — sparse and dense rounds, a vector that
+        /// grows inside a batch, duplicate reports for one `(round,
+        /// vertex)`, reports ahead of the sealed round and seals that skip
+        /// rounds (the event engine's case) — fold to the eager chain, with
+        /// accessor reads and export→restore at random seals.
+        #[test]
+        fn batched_sink_matches_the_eager_definition(seed in 0u64..u64::MAX) {
+            let mut rng = seed;
+            let mut sink = if next(&mut rng).is_multiple_of(4) {
+                DigestSink::with_snapshots()
+            } else {
+                DigestSink::new()
+            };
+            let mut eager = EagerChain::default();
+            let mut width = 1 + (next(&mut rng) % 48) as usize;
+            let mut round = 0u64;
+            for _ in 0..(1 + next(&mut rng) % 14) {
+                if next(&mut rng).is_multiple_of(5) {
+                    width += (next(&mut rng) % 40) as usize;
+                }
+                let reports = match next(&mut rng) % 3 {
+                    0 => width + width / 2,
+                    _ => (next(&mut rng) % 6) as usize,
+                };
+                for _ in 0..reports {
+                    let r = round + next(&mut rng) % 3;
+                    let vertex = (next(&mut rng) % width as u64) as usize;
+                    let digest = next(&mut rng) % 4;
+                    sink.vertex_digest(EngineKind::Sim, r, vertex, digest);
+                    eager.pending.entry(r).or_default().push((vertex, digest));
+                }
+                sink.round_sealed(EngineKind::Sim, round);
+                eager.seal(round);
+                if sink.snapshots {
+                    proptest::prop_assert_eq!(sink.snapshot_log.last(), Some(&eager.current));
+                }
+                match next(&mut rng) % 6 {
+                    0 => proptest::prop_assert_eq!(sink.head(), eager.heads.last().unwrap().1),
+                    1 => proptest::prop_assert_eq!(sink.heads(), eager.heads.clone()),
+                    2 => {
+                        let index = (next(&mut rng) % (eager.heads.len() as u64 + 1)) as usize;
+                        proptest::prop_assert_eq!(sink.head_at(index), eager.heads.get(index).copied());
+                    }
+                    3 => {
+                        let state = sink.export();
+                        proptest::prop_assert_eq!(&state.current, &eager.current);
+                        sink = DigestSink::restore(state);
+                    }
+                    _ => {}
+                }
+                round += 1 + next(&mut rng) % 2;
+            }
+            proptest::prop_assert_eq!(sink.heads(), eager.heads);
+        }
     }
 }

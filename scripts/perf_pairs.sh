@@ -12,12 +12,13 @@
 # the change is the working tree as it stands. Both build offline. Every run's
 # output check must pass, and every run is printed, not only the summary.
 # Counts are exact: the script exits 1, naming the pair, as soon as base and
-# change disagree on congest_rounds, messages or the state checksum note (a
-# change that alters a graph but keeps its counts still fails).
+# change disagree on congest_rounds, messages, the state checksum note or, on
+# a workload that prints one, the digest head note (a change that alters a
+# graph but keeps its counts still fails).
 # (ROADMAP item 1's `perf ab` is what replaces this.)
 set -euo pipefail
 
-[ $# -ge 1 ] || { sed -n '2,17p' "$0"; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,18p' "$0"; exit 2; }
 cd "$(git rev-parse --show-toplevel)"
 base_rev=$(git rev-parse --verify --short "$1^{commit}")
 shift
@@ -45,9 +46,10 @@ declare -A bin=([base]="$base_dir/perf/target/release/perf" [change]="perf/targe
 runs=$(mktemp)
 trap 'rm -f "$runs"' EXIT
 # One run: appends "workload side pair metric value" lines to $runs, the
-# end-to-end metrics and the run's "state checksum" note.
+# end-to-end metrics, the run's "state checksum" note and its "digest head"
+# note if it prints one.
 run_one() { # workload side pair seed
-    local out json checksum
+    local out json checksum head
     out=$("${bin[$2]}" --workload "$1" --seed "$4" --seconds "$seconds" --trace 0)
     json=$(tail -n 1 <<<"$out")
     checksum=$(sed -n 's/.*note: state checksum \([0-9a-f]*\).*/\1/p' <<<"$out")
@@ -62,13 +64,16 @@ run_one() { # workload side pair seed
         echo "$1 $2 $3 ${m% *} $value" >>"$runs"
     done
     echo "$1 $2 $3 checksum $checksum" >>"$runs"
+    head=$(sed -n 's/.*note: digest head \([0-9a-f]*\).*/\1/p' <<<"$out")
+    [ -z "$head" ] || echo "$1 $2 $3 digest_head $head" >>"$runs"
     echo "run $1 pair $3 seed $4 $2: $(grep "^$1 $2 $3 " "$runs" | awk '{printf "%s=%s ", $4, $5}')"
 }
 
-# The counts and state checksums of a pair's two runs must be identical.
+# The counts, state checksums and digest heads of a pair's two runs must be
+# identical (a head one side printed and the other did not differs too).
 check_counts() { # workload pair
     local m base change
-    for m in congest_rounds messages checksum; do
+    for m in congest_rounds messages checksum digest_head; do
         base=$(awk -v k="$1 base $2 $m" '$1 " " $2 " " $3 " " $4 == k { print $5 }' "$runs")
         change=$(awk -v k="$1 change $2 $m" '$1 " " $2 " " $3 " " $4 == k { print $5 }' "$runs")
         if [ "$base" != "$change" ]; then

@@ -1,19 +1,21 @@
 //! Parallel-commit acceptance: the restructured commit phase — per-vertex
-//! digests computed inside the parallel sweep, full-vector folds deferred
-//! and batched by the sink — must be *invisible* in every observable value.
+//! digests computed inside the parallel sweep, round digests folded by the
+//! sink in sweeps of up to four queued rounds — must be *invisible* in every
+//! observable value.
 //!
-//! Four properties are pinned here, deliberately at and above the sink's
-//! deferral threshold (`DEFERRED_MIN_VERTICES` = 16384) so the batched fold
-//! path actually engages, not just the small-run eager path:
+//! Four properties are pinned here on a graph of 17 000 vertices, whose BFS
+//! rounds touch few enough vertices that the sink queues several of them per
+//! sweep (a round whose delta reaches the vector's length folds alone):
 //!
 //! 1. Sharded runs are bit-identical to the reference stepper — states,
 //!    rounds, messages, meters, arena high-water marks, and chained digest
 //!    heads — whatever the shard and thread counts.
-//! 2. The deferred sink (`DigestSink::new`) and the eager snapshot-keeping
-//!    sink (`DigestSink::with_snapshots`) fold to the same chain on real
-//!    engine runs.
-//! 3. A run killed at a checkpoint and resumed crosses the deferral
-//!    boundary bit-identically: same final states, same chain head.
+//! 2. The batching sink (`DigestSink::new`) and the snapshot-keeping sink
+//!    (`DigestSink::with_snapshots`), which folds every round at its seal,
+//!    fold to the same chain on real engine runs.
+//! 3. A run killed at a checkpoint — its export flushing a part-filled
+//!    batch — and resumed is bit-identical: same final states, same chain
+//!    head.
 //! 4. `Reliable<P>` under i.i.d. loss keeps a deterministic, sink-mode-
 //!    independent digest chain (the ARQ wrapper's states flow through the
 //!    same commit path as everything else).
@@ -27,15 +29,15 @@ use mfd_sim::{LatencyModel, SimConfig, SimEngine, Simulator};
 use mfd_trace::DigestSink;
 use proptest::prelude::*;
 
-/// A power-law graph big enough that every round-0 digest batch (all `n`
-/// vertices) crosses `DEFERRED_MIN_VERTICES` = 16384, and BFS floods the
-/// giant component in a handful of rounds — the test pays for folds, not
-/// for diameter.
+/// A power-law graph of 17 000 vertices: round 0 reports every vertex and
+/// folds alone, and BFS floods the giant component in a handful of rounds
+/// whose deltas the sink batches — the test pays for folds, not for
+/// diameter.
 fn deferral_scale_graph() -> mfd_graph::Graph {
     gen::power_law(17_000, 51_000, 2.5, 0xC0117)
 }
 
-/// Sharded runs at and above the deferral threshold are bit-identical to
+/// Sharded runs whose digest rounds fold in batches are bit-identical to
 /// the unsharded engine across shard and thread counts: states, round and
 /// message accounting, meters, arena high-water marks, and the chained
 /// digest heads all agree.
@@ -84,9 +86,9 @@ fn deferral_scale_runs_are_identical_across_threads_and_shards() {
     }
 }
 
-/// The deferred batched fold and the eager snapshot fold produce the same
-/// chain on real engine runs — unsharded and sharded — at a scale where
-/// deferral actually engages.
+/// The batched fold and the snapshot sink's fold at every seal produce the
+/// same chain on real engine runs — unsharded and sharded — on a graph
+/// whose rounds actually queue into batches.
 #[test]
 fn deferred_and_eager_sinks_fold_the_same_chain_on_engine_runs() {
     let g = deferral_scale_graph();
@@ -114,9 +116,10 @@ fn deferred_and_eager_sinks_fold_the_same_chain_on_engine_runs() {
     assert_eq!(deferred.heads(), eager.heads(), "sharded");
 }
 
-/// Kill-and-resume crosses the deferral boundary bit-identically: every
-/// checkpoint of a deferral-scale run resumes to the uninterrupted run's
-/// final states and chain head under the parallel-commit path.
+/// Kill-and-resume is bit-identical across a part-filled batch: every
+/// checkpoint of the run (its export flushes the queued rounds) resumes to
+/// the uninterrupted run's final states and chain head under the
+/// parallel-commit path.
 #[test]
 fn resumed_runs_cross_the_deferral_boundary_bit_identically() {
     let g = deferral_scale_graph();
