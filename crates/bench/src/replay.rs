@@ -130,7 +130,9 @@ where
     let mut session = engine.open(g, program, None, &mut sink)?;
     while let Some(round) = E::step(&mut session)? {
         if round >= next {
-            journal.record(round, E::observer(&session), &E::checkpoint(&session));
+            journal
+                .record(round, E::observer(&session), &E::checkpoint(&session))
+                .expect("a stepped round is sealed and past the last checkpoint");
             next = round + every;
         }
     }

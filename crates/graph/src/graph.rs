@@ -54,35 +54,56 @@ impl Graph {
         }
     }
 
-    /// Builds a graph with `n` vertices from an edge list in two O(m) passes
-    /// (degree count, then fill) plus a per-row sort. Self-loops and
+    /// Builds a graph with `n` vertices from an edge list. Self-loops and
     /// duplicate edges (in either orientation) are dropped.
+    ///
+    /// The build draws the edges once, keeping each non-loop edge as one
+    /// `(u32, u32)` pair in a scratch list (m × 8 bytes, the only transient
+    /// the size of the graph). Two passes over that list count the degrees
+    /// and then place both arcs of every edge, filling each row from its end;
+    /// the list is dropped and each row is sorted and compacted in place.
     ///
     /// # Panics
     ///
-    /// Panics if an endpoint is `>= n`.
+    /// Panics if `n > 2³²` (checked before anything is allocated), or if an
+    /// endpoint is `>= n`.
     pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Self {
-        let mut arcs: Vec<(usize, usize)> = Vec::new();
-        for (u, v) in edges {
+        assert!(n as u64 <= 1 << 32, "a graph has at most 2^32 vertices");
+        let edges = edges.into_iter();
+        let mut list: Vec<(u32, u32)> = Vec::with_capacity(edges.size_hint().0);
+        // `for_each`, not `for`: internal iteration lets a nested `flat_map`
+        // (`gen::mesh`) run as plain loops; driven by `next`, it made the
+        // whole build 1.6× slower.
+        edges.for_each(|(u, v)| {
             assert!(u < n && v < n, "edge endpoint out of range");
             if u != v {
-                arcs.push((u, v));
-                arcs.push((v, u));
+                list.push((u as u32, v as u32));
             }
-        }
+        });
+        // Inclusive prefix sums of the degrees: `offsets[v]` starts as the
+        // end of row `v` and is decremented once per arc placed, so it ends
+        // as the row's start, with `offsets[n]` the total.
         let mut offsets = vec![0usize; n + 1];
-        for &(u, _) in &arcs {
-            offsets[u + 1] += 1;
+        for &(u, v) in &list {
+            offsets[u as usize] += 1;
+            offsets[v as usize] += 1;
         }
-        for v in 0..n {
-            offsets[v + 1] += offsets[v];
+        let mut sum = 0;
+        for offset in &mut offsets {
+            sum += *offset;
+            *offset = sum;
         }
-        let mut cursor = offsets.clone();
-        let mut targets = vec![0usize; arcs.len()];
-        for (u, v) in arcs {
-            targets[cursor[u]] = v;
-            cursor[u] += 1;
+        let mut targets = vec![0usize; 2 * list.len()];
+        // Back to front, so each row ends up in arrival order: a generator
+        // that emits every row in increasing order leaves nothing to sort.
+        for &(u, v) in list.iter().rev() {
+            let (u, v) = (u as usize, v as usize);
+            offsets[u] -= 1;
+            targets[offsets[u]] = v;
+            offsets[v] -= 1;
+            targets[offsets[v]] = u;
         }
+        drop(list);
         // Sort each row, then compact duplicates in place. `write` trails the
         // read cursor, so compaction is a single O(2m) sweep.
         let mut write = 0usize;
@@ -436,6 +457,36 @@ mod tests {
     #[should_panic(expected = "edge endpoint out of range")]
     fn out_of_range_endpoint_panics() {
         Graph::from_edges(2, [(0, 2)]);
+    }
+
+    #[test]
+    fn from_edges_builds_empty_and_loop_only_graphs_edgeless() {
+        let empty = Graph::from_edges(0, []);
+        assert_eq!((empty.n(), empty.m()), (0, 0));
+        assert_eq!(empty.offsets(), &[0]);
+        assert_eq!(empty, Graph::new(0));
+        let loops = Graph::from_edges(3, [(0, 0), (2, 2), (1, 1), (2, 2)]);
+        assert_eq!(loops, Graph::new(3));
+    }
+
+    #[test]
+    fn from_edges_sorts_a_hub_row_and_keeps_a_trailing_isolated_vertex() {
+        // Vertex 0's arcs arrive out of order and from both ends, one twice;
+        // vertex 6 has no edge at all.
+        let g = Graph::from_edges(7, [(0, 4), (2, 0), (0, 5), (1, 0), (3, 0), (0, 2), (4, 5)]);
+        assert_eq!(g.neighbors(0), &[1, 2, 3, 4, 5]);
+        assert_eq!(g.neighbors(4), &[0, 5]);
+        assert_eq!(g.neighbors(6), &[] as &[usize]);
+        assert_eq!(g.offsets(), &[0, 5, 6, 7, 8, 10, 12, 12]);
+        assert_eq!(g.m(), 6);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "a graph has at most 2^32 vertices")]
+    fn more_than_two_to_the_thirty_two_vertices_panics_before_allocating() {
+        // The offsets alone would be 32 GiB: the check must come first.
+        Graph::from_edges((1 << 32) + 1, []);
     }
 
     #[test]

@@ -154,6 +154,26 @@ pub enum JournalError {
         /// Rounds and final head per the chain.
         chain: (u64, u64),
     },
+    /// [`Journal::record`] got a round the sink has not sealed yet.
+    Unsealed {
+        /// The checkpoint's round.
+        round: u64,
+    },
+    /// [`Journal::record`] found the sink's chain entry at a round's index
+    /// labelled with another round: the engine did not seal every round.
+    ChainIndex {
+        /// The checkpoint's round.
+        round: u64,
+        /// The round the chain entry at that index carries.
+        index: u64,
+    },
+    /// [`Journal::record`] got a round not past the last checkpoint's.
+    OutOfOrder {
+        /// The checkpoint's round.
+        round: u64,
+        /// The last journaled checkpoint's round.
+        last: u64,
+    },
 }
 
 impl fmt::Display for JournalError {
@@ -178,6 +198,17 @@ impl fmt::Display for JournalError {
                 f,
                 "end record claims {} rounds / head {:#018x}, chain has {} / {:#018x}",
                 end.0, end.1, chain.0, chain.1
+            ),
+            JournalError::Unsealed { round } => {
+                write!(f, "checkpoint at round {round} before the sink sealed it")
+            }
+            JournalError::ChainIndex { round, index } => write!(
+                f,
+                "checkpoint at round {round}: the chain entry there is round {index}"
+            ),
+            JournalError::OutOfOrder { round, last } => write!(
+                f,
+                "checkpoint at round {round} after one at round {last}: rounds must increase"
             ),
         }
     }
@@ -219,28 +250,37 @@ impl Journal {
     /// after the round sealed with the sink at that instant — a session's
     /// `observer()`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// If the sink has not sealed `round` yet, or checkpoints arrive out of
-    /// round order — both are driver bugs, not data corruption.
-    pub fn record<C: Snapshot>(&mut self, round: u64, sink: &DigestSink, checkpoint: &C) {
-        let entry = sink
+    /// [`JournalError::Unsealed`] if the sink has not sealed `round` yet,
+    /// [`JournalError::ChainIndex`] if its chain entry there carries another
+    /// round, and [`JournalError::OutOfOrder`] if `round` is not past the
+    /// last checkpoint's. The journal is left unchanged.
+    pub fn record<C: Snapshot>(
+        &mut self,
+        round: u64,
+        sink: &DigestSink,
+        checkpoint: &C,
+    ) -> Result<(), JournalError> {
+        let (index, head) = sink
             .head_at(round as usize)
-            .unwrap_or_else(|| panic!("checkpoint at round {round} before the sink sealed it"));
-        assert_eq!(
-            entry.0, round,
-            "digest chain index must equal round (engines seal every round)"
-        );
-        assert!(
-            self.checkpoints.last().is_none_or(|c| c.round < round),
-            "checkpoints must arrive in increasing round order"
-        );
+            .ok_or(JournalError::Unsealed { round })?;
+        if index != round {
+            return Err(JournalError::ChainIndex { round, index });
+        }
+        if let Some(last) = self.checkpoints.last().filter(|c| c.round >= round) {
+            return Err(JournalError::OutOfOrder {
+                round,
+                last: last.round,
+            });
+        }
         self.checkpoints.push(JournalCheckpoint {
             round,
-            head: entry.1,
+            head,
             digests: sink.export(),
             payload: crate::codec::to_bytes(checkpoint),
         });
+        Ok(())
     }
 
     /// Finishes the journal after the run: copies the sink's full chain in
@@ -468,7 +508,9 @@ mod tests {
             }
             sink.round_sealed(EngineKind::Executor, r);
             if r > 0 && r % 2 == 0 {
-                journal.record(r, &sink, &(r, vec![1u64, 2, 3]));
+                journal
+                    .record(r, &sink, &(r, vec![1u64, 2, 3]))
+                    .expect("round r is sealed and past the last checkpoint");
             }
         }
         journal.seal(&sink).expect("freshly built journals verify");
@@ -562,15 +604,36 @@ mod tests {
     }
 
     #[test]
-    fn record_panics_on_unsealed_rounds() {
+    fn record_refuses_unsealed_and_out_of_order_rounds() {
         let mut sink = DigestSink::new();
-        sink.vertex_digest(EngineKind::Executor, 0, 0, 1);
-        sink.round_sealed(EngineKind::Executor, 0);
+        for r in 0..2 {
+            sink.vertex_digest(EngineKind::Executor, r, 0, 1);
+            sink.round_sealed(EngineKind::Executor, r);
+        }
         let mut journal = Journal::new(header());
-        journal.record(0, &sink, &1u64); // fine: round 0 is sealed
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            journal.record(3, &sink, &1u64)
-        }));
-        assert!(result.is_err(), "recording an unsealed round must panic");
+        assert_eq!(journal.record(1, &sink, &1u64), Ok(()));
+        assert_eq!(
+            journal.record(3, &sink, &1u64),
+            Err(JournalError::Unsealed { round: 3 })
+        );
+        assert_eq!(
+            journal.record(1, &sink, &1u64),
+            Err(JournalError::OutOfOrder { round: 1, last: 1 })
+        );
+        assert_eq!(
+            journal.record(0, &sink, &1u64),
+            Err(JournalError::OutOfOrder { round: 0, last: 1 })
+        );
+        // A sink whose chain skips a round: its second entry is round 2.
+        let mut skipping = DigestSink::new();
+        for r in [0, 2] {
+            skipping.vertex_digest(EngineKind::Executor, r, 0, 1);
+            skipping.round_sealed(EngineKind::Executor, r);
+        }
+        assert_eq!(
+            Journal::new(header()).record(1, &skipping, &1u64),
+            Err(JournalError::ChainIndex { round: 1, index: 2 })
+        );
+        assert_eq!(journal.checkpoints.len(), 1, "refusals change nothing");
     }
 }

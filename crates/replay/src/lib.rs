@@ -84,7 +84,7 @@
 //! let mut session = exec.open(&g, &Gossip, None, &mut sink).unwrap();
 //! while let Some(round) = session.step().unwrap() {
 //!     if round % 2 == 0 {
-//!         journal.record(round, session.observer(), &session.checkpoint());
+//!         journal.record(round, session.observer(), &session.checkpoint()).unwrap();
 //!     }
 //! }
 //! let full = session.finish();

@@ -3,7 +3,10 @@
 # perf/README.md says why the box needs it), as a script: build a base revision and the working tree once each, run PAIRS
 # pairs per workload — the two runs of a pair back to back, sharing a seed,
 # the side that goes first alternating — and print, per workload and
-# end-to-end metric, both medians with quartiles and the pairs the change won.
+# end-to-end metric, both medians with quartiles, the pairs the change won and
+# BENCHMARK.json's bound for the metric: a ratio of medians worse than the bound
+# is marked REGRESSED, one better by more than the bound CLEARS (the bar a
+# claimed gain has to clear).
 #
 #   scripts/perf_pairs.sh <base-rev> [workload…]        # default: every workload
 #   PAIRS=10 SECONDS_PER_RUN=10 SEED=1 scripts/perf_pairs.sh HEAD~1 ldd_mesh bfs_mesh
@@ -18,7 +21,7 @@
 # (ROADMAP item 1's `perf ab` is what replaces this.)
 set -euo pipefail
 
-[ $# -ge 1 ] || { sed -n '2,18p' "$0"; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,21p' "$0"; exit 2; }
 cd "$(git rev-parse --show-toplevel)"
 base_rev=$(git rev-parse --verify --short "$1^{commit}")
 shift
@@ -30,8 +33,8 @@ if [ $# -gt 0 ]; then
 else
     mapfile -t workloads < <(sed -n '/"workloads"/,/\]/s/.*{"name": "\([a-z0-9_]*\)".*/\1/p' BENCHMARK.json)
 fi
-# "name better" per end-to-end metric, as BENCHMARK.json declares them.
-mapfile -t metrics < <(sed -n '/"end_to_end"/,/\]/s/.*"name": "\([a-z_]*\)".*"better": "\([a-z]*\)".*/\1 \2/p' BENCHMARK.json)
+# "name better bound" per end-to-end metric, as BENCHMARK.json declares them.
+mapfile -t metrics < <(sed -n '/"end_to_end"/,/\]/s/.*"name": "\([a-z_]*\)".*"better": "\([a-z]*\)".*"bound": \([0-9.]*\).*/\1 \2 \3/p' BENCHMARK.json)
 
 base_dir=.bench_build/$base_rev
 if [ ! -d "$base_dir" ]; then
@@ -60,8 +63,8 @@ run_one() { # workload side pair seed
     [ -n "$checksum" ] || { echo "$1 ($2, pair $3): no state checksum note" >&2; exit 1; }
     local m value
     for m in "${metrics[@]}"; do
-        value=$(sed -E 's/.*"'"${m% *}"'": \{"value": ([^,}]+).*/\1/' <<<"$json")
-        echo "$1 $2 $3 ${m% *} $value" >>"$runs"
+        value=$(sed -E 's/.*"'"${m%% *}"'": \{"value": ([^,}]+).*/\1/' <<<"$json")
+        echo "$1 $2 $3 ${m%% *} $value" >>"$runs"
     done
     echo "$1 $2 $3 checksum $checksum" >>"$runs"
     head=$(sed -n 's/.*note: digest head \([0-9a-f]*\).*/\1/p' <<<"$out")
@@ -95,11 +98,12 @@ done
 
 echo
 echo "base $base_rev vs working tree: $pairs pairs, $seconds s per run, seeds $((seed0 + 1))..$((seed0 + pairs))"
-printf '%-16s %-15s %12s %25s %12s %25s %7s %6s\n' \
-    workload metric base_median '[q1, q3]' change_median '[q1, q3]' ratio wins
+printf '%-16s %-15s %12s %25s %12s %25s %7s %6s %6s %s\n' \
+    workload metric base_median '[q1, q3]' change_median '[q1, q3]' ratio wins bound verdict
 for w in "${workloads[@]}"; do
     for m in "${metrics[@]}"; do
-        awk -v w="$w" -v m="${m% *}" -v better="${m#* }" '
+        read -r name better bound <<<"$m"
+        awk -v w="$w" -v m="$name" -v better="$better" -v bound="$bound" '
             function quantile(v, n, q,    h, lo) {   # linear interpolation on sorted v[1..n]
                 h = 1 + (n - 1) * q; lo = int(h)
                 return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
@@ -116,10 +120,14 @@ for w in "${workloads[@]}"; do
                 }
                 sorted(b, sb, n); sorted(c, sc, n)
                 bm = quantile(sb, n, 0.5); cm = quantile(sc, n, 0.5)
-                printf "%-16s %-15s %12.6g %25s %12.6g %25s %7s %3d/%d%s\n", w, m,
+                # The change in the better direction, as a fraction of the base median.
+                gain = bm ? (better == "lower" ? bm - cm : cm - bm) / bm : 0
+                verdict = gain < -bound ? "REGRESSED" : gain > bound ? "CLEARS" : ""
+                printf "%-16s %-15s %12.6g %25s %12.6g %25s %7s %3d/%d%s %6s %s\n", w, m,
                     bm, sprintf("[%.6g, %.6g]", quantile(sb, n, 0.25), quantile(sb, n, 0.75)),
                     cm, sprintf("[%.6g, %.6g]", quantile(sc, n, 0.25), quantile(sc, n, 0.75)),
-                    bm ? sprintf("%.3f", cm / bm) : "-", wins, n - ties, ties ? " (" ties " tied)" : ""
+                    bm ? sprintf("%.3f", cm / bm) : "-", wins, n - ties, ties ? " (" ties " tied)" : "",
+                    bound, verdict
             }' "$runs"
     done
 done

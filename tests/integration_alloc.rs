@@ -1,4 +1,5 @@
-//! Allocation regression guard for the sharded engine's message path.
+//! Allocation regression guards for the sharded engine's message path and
+//! for the CSR build.
 //!
 //! Mailboxes are one flat arena per shard and every pass writes its results
 //! into the shards, so the heap allocations of a run are a per-shard constant
@@ -8,38 +9,62 @@
 //! and twice the rounds may allocate only what the extra doublings explain.
 //! (With a `Vec` per vertex mailbox the count was ≥ n.)
 //!
-//! This file holds a single test: the counter is per thread, but one test
-//! per process keeps the numbers free of harness noise.
+//! The same allocator tracks live heap bytes and their high-water mark, which
+//! pins the build's transient memory: `Graph::from_edges` may hold at most
+//! one compact edge list beside the graph it returns.
+//!
+//! Every counter is per thread, and each test measures only what its own
+//! thread allocates between two reads, so the tests share a process without
+//! seeing one another.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mfd_core::programs::VoronoiLddProgram;
-use mfd_graph::gen;
+use mfd_graph::{gen, Graph};
 use mfd_runtime::{ShardedConfig, ShardedExecutor};
 
 thread_local! {
     /// Allocations (fresh and regrown) made by this thread.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Heap bytes this thread allocated minus those it freed (negative when
+    /// it frees what another thread allocated).
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// High-water mark of `LIVE` since `assert_build_peak` last reset it.
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+/// Moves `LIVE` by `grow` bytes, counting `transient` more toward the peak:
+/// a `realloc` may hold the old block beside the new one while it copies.
+fn track(grow: isize, transient: isize) {
+    let live = LIVE.with(|l| {
+        l.set(l.get() + grow);
+        l.get()
+    });
+    PEAK.with(|p| p.set(p.get().max(live + transient)));
 }
 
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds `GlobalAlloc`'s contract; the counter is a const-initialised
-// thread-local `Cell` without a destructor, so touching it never allocates.
+// upholds `GlobalAlloc`'s contract; the counters are const-initialised
+// thread-local `Cell`s without a destructor, so touching them never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        track(layout.size() as isize, 0);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as isize), 0);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        let old = layout.size() as isize;
+        track(new_size as isize - old, old);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -84,4 +109,30 @@ fn a_run_allocates_per_shard_and_per_round_never_per_vertex() {
         small < 4096 && large < 4096,
         "{small} allocations on 4 096 vertices, {large} on 16 384"
     );
+}
+
+/// Asserts that `build` peaks at most 2.5 times the bytes of the graph it
+/// returns, counting this thread's live heap bytes above what was live when
+/// it started. An m × 8-byte edge list (up to twice that while it doubles)
+/// beside the graph fits; 2m arcs of 16 bytes each do not.
+fn assert_build_peak(name: &str, build: impl FnOnce() -> Graph) {
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(base));
+    let g = build();
+    let peak = (PEAK.with(Cell::get) - base) as usize;
+    // What the graph itself holds: `offsets` (n + 1) and `targets` (2m).
+    let own = std::mem::size_of::<usize>() * (g.n() + 1 + 2 * g.m());
+    assert!(
+        2 * peak <= 5 * own,
+        "{name}: the build peaked at {peak} bytes, {:.2}x the graph's {own}",
+        peak as f64 / own as f64
+    );
+}
+
+#[test]
+fn a_build_peaks_below_two_and_a_half_times_its_graph() {
+    assert_build_peak("gen::mesh(300, 300)", || gen::mesh(300, 300));
+    assert_build_peak("gen::power_law(1 << 14, 1 << 16, 2.5, 0x9A)", || {
+        gen::power_law(1 << 14, 1 << 16, 2.5, 0x9A)
+    });
 }
