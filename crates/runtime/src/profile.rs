@@ -40,8 +40,9 @@ pub const PHASES: usize = 6;
 /// * `exchange` — sequential return of the drained buckets to their owning
 ///   shards for next-round reuse (pointer moves, the same buckets).
 /// * `deliver` — parallel replacement of each shard's mailbox arena by its
-///   incoming buckets, scattered in place into per-vertex ranges (waking
-///   their vertices) (per-shard busy times).
+///   incoming envelopes, put into per-vertex ranges (waking their vertices):
+///   scattered from two or more buckets, or a lone bucket adopted and
+///   permuted in place (per-shard busy times).
 /// * `commit` — the sequential resolution point: violation scan, meter seal,
 ///   and the delivery of every observer hook of the round. Per-vertex
 ///   digests are *computed* inside the parallel sweep (`step`); commit only

@@ -11,25 +11,27 @@
 //! `Vec<Envelope>` of everything readable this round, grouped by destination,
 //! plus a `(start, len)` span per local vertex; an inbox is a slice of it.
 //!
-//! Outgoing sends are routed exchange-style: the sweep appends each send to a
-//! struct-of-arrays bucket per destination shard and notes which buckets it
+//! Outgoing sends are routed exchange-style: the sweep pushes each send, as one
+//! [`Envelope`] whose `src` carries the shard-local destination in its high
+//! half, into a bucket per destination shard and notes which buckets it
 //! pushed into. The **exchange is sparse** — only those buckets change hands,
 //! so a round costs nothing for the shard pairs that did not talk. Delivery
-//! concatenates the buckets addressed to a shard **in ascending source-shard
-//! order** into its arena (the sweep has finished reading the old mail, so
-//! there is no second buffer), counts envelopes per destination, gives every
-//! destination a contiguous range and moves each envelope into its range by a
-//! *stable* counting scatter, in place. Because shards are ascending vertex
-//! ranges and every shard commits its vertices in ascending order, each
-//! mailbox holds its messages in ascending sender order, one sender's in send
-//! order — exactly the inbox ordering the reference stepper's sequential
-//! commit produces. Arena, bucket and send `Vec`s are pooled across rounds
-//! (cleared, never dropped) and nothing is allocated per vertex, so a
-//! steady-state round allocates nothing; [`ArenaStats`] reports the pools'
-//! high-water marks as a peak-memory proxy (bytes per vertex and per
-//! resident message: docs/ARCHITECTURE.md). Spans and bucket destinations
-//! are `u32`: a layout that could overflow them is refused with a panic
-//! before anything runs (see [`ShardedExecutor::run`]).
+//! counts the envelopes addressed to a shard per destination, gives every
+//! destination a contiguous range of the arena and puts each envelope in its
+//! range with `src` unpacked: two or more buckets are *scattered*, straight
+//! from the buckets in ascending source-shard order; a lone bucket (every
+//! round of a one-shard run) is adopted and permuted in place (the sweep has
+//! finished reading the old mail, so neither needs a second buffer). Because
+//! shards are ascending vertex ranges and every shard commits its vertices in
+//! ascending order, each mailbox holds its messages in ascending sender
+//! order, one sender's in send order — exactly the inbox ordering the
+//! reference stepper's sequential commit produces. Arena, bucket and send
+//! `Vec`s are pooled across rounds (cleared, never dropped) and nothing is
+//! allocated per vertex, so a steady-state round allocates nothing;
+//! [`ArenaStats`] reports the pools' high-water marks as a peak-memory proxy
+//! (bytes per vertex and per resident message: docs/ARCHITECTURE.md). Spans
+//! and packed destinations are `u32`: a layout that could overflow them is
+//! refused with a panic before anything runs (see [`ShardedExecutor::run`]).
 //!
 //! # Scheduling: a round costs O(frontier + messages)
 //!
@@ -449,10 +451,29 @@ fn wake_vertex(wake: &mut [u64], local: usize) {
     wake[local / 64] |= 1 << (local % 64);
 }
 
-/// One transfer bucket, struct-of-arrays in send order — each envelope's
-/// index within the destination shard, and the envelopes — so delivery
-/// appends both halves to the destination's arena with two copies.
-type Bucket<M> = (Vec<u32>, Vec<Envelope<M>>);
+/// One transfer bucket: the envelopes one shard sent another this round, in
+/// send order, each `src` packed with its destination's shard-local index
+/// ([`pack`]). Delivery unpacks every one before the sweep reads the arena,
+/// so no program, observer or checkpoint sees a packed word.
+type Bucket<M> = Vec<Envelope<M>>;
+
+// A packed `src` holds two 32-bit halves.
+const _: () = assert!(usize::BITS == 64, "packed ids need a 64-bit usize");
+
+/// The low half of a packed `src`: the sender.
+const SENDER: usize = u32::MAX as usize;
+
+/// An envelope's `src` in transit: shard-local destination `local` in the high
+/// half, sender `src` in the low half. Both fit: `assemble` refuses a shard
+/// wider than `u32::MAX` and `Graph::from_edges` refuses `n > 2³²`.
+fn pack(local: usize, src: usize) -> usize {
+    (local << 32) | src
+}
+
+/// The high half of a packed `src`.
+fn high(packed: usize) -> usize {
+    packed >> 32
+}
 
 /// One local vertex's mailbox: `arena[start..start + len]`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -496,9 +517,6 @@ struct ShardState<S, M> {
     /// Local indices whose span is non-empty, in first-envelope order: the
     /// only spans the next delivery has to reset.
     filled: Vec<u32>,
-    /// Delivery scratch aligned with `arena`: each envelope's destination,
-    /// then its final position in the arena.
-    pos: Vec<u32>,
     /// The wake set, one bit per local vertex: exactly the vertices the next
     /// round schedules (see [`wake_vertex`] for who sets a bit).
     wake: Vec<u64>,
@@ -539,7 +557,7 @@ struct ShardState<S, M> {
     bw_violation: Option<CongestError>,
 }
 
-impl<S: Send + Sync, M: Send + Sync> ShardState<S, M> {
+impl<S: Send + Sync, M: Clone + Send + Sync> ShardState<S, M> {
     /// Drains the wake set into this round's active list (ascending local
     /// index, by word and bit order).
     fn scan(&mut self) {
@@ -628,20 +646,31 @@ impl<S: Send + Sync, M: Send + Sync> ShardState<S, M> {
                     self.digests.push(digest(&self.states[local]));
                 }
             }
-            // Per-edge bandwidth: each directed edge (v, dst) is loaded only
-            // by sends from this vertex, so a local accumulator over the
-            // neighbor slice accounts it exactly.
+            // One pass over the sends routes each into its destination
+            // shard's bucket and loads its directed edge. Each edge (v, dst)
+            // is loaded only by sends from this vertex, so a local
+            // accumulator over the neighbor slice accounts it exactly; the
+            // loads are checked once every send is counted.
             if self.scratch.len() < neighbors.len() {
                 self.scratch.resize(neighbors.len(), 0);
             }
             self.touched.clear();
             self.msgs += sends.msgs.len() as u64;
             debug_assert_eq!(sends.slots.len(), sends.msgs.len());
-            for (&(_, _, words), &idx) in sends.msgs.iter().zip(&sends.slots) {
+            for ((dst, msg, words), &idx) in sends.msgs.drain(..).zip(&sends.slots) {
                 if self.scratch[idx] == 0 {
                     self.touched.push(idx);
                 }
                 self.scratch[idx] += words;
+                let (shard, local) = (dst / job.chunk, dst % job.chunk);
+                let bucket = &mut self.out[shard];
+                if bucket.is_empty() {
+                    self.out_touched.push(shard);
+                }
+                bucket.push(Envelope {
+                    src: pack(local, v),
+                    msg,
+                });
             }
             for &idx in &self.touched {
                 let load = self.scratch[idx];
@@ -656,78 +685,123 @@ impl<S: Send + Sync, M: Send + Sync> ShardState<S, M> {
                     });
                 }
             }
-            for (dst, msg, _) in sends.msgs.drain(..) {
-                let (shard, index) = (dst / job.chunk, dst % job.chunk);
-                let (dsts, envs) = &mut self.out[shard];
-                if dsts.is_empty() {
-                    self.out_touched.push(shard);
-                }
-                // `assemble` checked that a shard's width fits.
-                dsts.push(index as u32);
-                envs.push(Envelope { src: v, msg });
-            }
             self.sends = sends;
         }
     }
 
-    /// Replaces the mail the last round read with the staged buckets: appends
-    /// them to the arena (ascending source shard, so ascending sender), counts
-    /// per destination — noting each mailbox it makes non-empty and waking its
-    /// vertex unless halted (mail to a halted vertex is resident, counted, and
-    /// dropped by the next delivery) — and moves every envelope into its
-    /// destination's range by a stable counting scatter, in place.
+    /// Replaces the mail the last round read with the staged buckets. It
+    /// counts the envelopes per destination — noting each mailbox it makes
+    /// non-empty and waking its vertex unless halted (mail to a halted vertex
+    /// is resident, counted, and dropped by the next delivery) — gives every
+    /// mailbox a contiguous range of the arena in first-envelope order, and
+    /// puts every envelope in its range with `src` unpacked, by one of two
+    /// kernels chosen by how many buckets arrived:
+    ///
+    /// - two or more are scattered: each envelope moves straight from its
+    ///   bucket into its slot;
+    /// - a lone one (every round of a one-shard run) is adopted, not copied —
+    ///   the two buffers trade places, so such a run keeps one buffer the
+    ///   size of its busiest round — and permuted in place.
+    ///
+    /// Buckets arrive in ascending source shard and each holds its sends in
+    /// sweep order, so either way a mailbox holds ascending senders, one
+    /// sender's mail in send order.
     fn deliver(&mut self) {
         for local in self.filled.drain(..) {
             self.spans[local as usize] = Span::default();
         }
-        self.arena.clear();
-        self.pos.clear();
-        if let [(_, (dsts, envs))] = self.incoming.as_mut_slice() {
-            // A lone bucket (every round of a one-shard run) is adopted, not
-            // copied: the two buffers trade places.
-            std::mem::swap(&mut self.arena, envs);
-            std::mem::swap(&mut self.pos, dsts);
-        } else {
-            for (_, (dsts, envs)) in self.incoming.iter_mut() {
-                self.arena.append(envs);
-                self.pos.append(dsts);
-            }
-        }
+        let total: usize = self.incoming.iter().map(|(_, bucket)| bucket.len()).sum();
         // Every span's start and length is at most this.
-        u32::try_from(self.arena.len()).expect(ARENA_LIMIT);
-        for &local in &self.pos {
-            let span = &mut self.spans[local as usize];
-            if span.len == 0 {
-                self.filled.push(local);
-                if !self.halted[local as usize] {
-                    wake_vertex(&mut self.wake, local as usize);
-                }
-            }
-            span.len += 1;
+        u32::try_from(total).expect(ARENA_LIMIT);
+        let lone = self.incoming.len() == 1;
+        if lone {
+            self.arena.clear();
+            std::mem::swap(&mut self.arena, &mut self.incoming[0].1);
         }
-        // Park each span's cursor at the end of its range; the backwards pass
-        // walks it to the start, so equal destinations keep their order.
+        let Self {
+            spans,
+            filled,
+            wake,
+            halted,
+            ..
+        } = self;
+        let mut count = |envs: &[Envelope<M>]| {
+            for env in envs {
+                let local = high(env.src);
+                let span = &mut spans[local];
+                if span.len == 0 {
+                    // `assemble` checked that a shard's width fits.
+                    filled.push(local as u32);
+                    if !halted[local] {
+                        wake_vertex(wake, local);
+                    }
+                }
+                span.len += 1;
+            }
+        };
+        if lone {
+            count(&self.arena);
+        } else {
+            for (_, bucket) in &self.incoming {
+                count(bucket);
+            }
+        }
+        // Park each span's cursor at the end of its range; both kernels walk
+        // the envelopes backwards and move it to the start, so equal
+        // destinations keep their order.
         let mut end = 0;
         for &local in &self.filled {
             let span = &mut self.spans[local as usize];
             end += span.len;
             span.start = end;
         }
-        for p in self.pos.iter_mut().rev() {
-            let span = &mut self.spans[*p as usize];
-            span.start -= 1;
-            *p = span.start;
+        if lone {
+            self.permute();
+        } else {
+            self.scatter(total);
         }
-        // Apply the permutation by following its cycles: every swap puts one
-        // envelope in its final place.
+    }
+
+    /// The lone-bucket kernel: writes each envelope's final position into the
+    /// high half of its own `src`, then applies that permutation by following
+    /// its cycles — every swap puts one envelope in its final place — and
+    /// clears each high half once its envelope is there.
+    fn permute(&mut self) {
+        for env in self.arena.iter_mut().rev() {
+            let span = &mut self.spans[high(env.src)];
+            span.start -= 1;
+            env.src = pack(span.start as usize, env.src & SENDER);
+        }
         for i in 0..self.arena.len() {
             loop {
-                let j = self.pos[i] as usize;
+                let j = high(self.arena[i].src);
                 if j == i {
                     break;
                 }
                 self.arena.swap(i, j);
-                self.pos.swap(i, j);
+            }
+            // Positions below `i` hold their own envelopes, so no later swap
+            // moves this one.
+            self.arena[i].src &= SENDER;
+        }
+    }
+
+    /// The kernel for two or more buckets: moves every envelope straight from
+    /// its bucket into its slot. The arena keeps last round's envelopes as
+    /// the slots' placeholders, padded by one clone if this round's mail is
+    /// more, and each is dropped as its slot is written.
+    fn scatter(&mut self, total: usize) {
+        match self.incoming.first() {
+            // Only buckets the sweep pushed into are exchanged.
+            Some((_, bucket)) => self.arena.resize(total, bucket[0].clone()),
+            None => self.arena.clear(),
+        }
+        for (_, bucket) in self.incoming.iter_mut().rev() {
+            for mut env in bucket.drain(..).rev() {
+                let span = &mut self.spans[high(env.src)];
+                span.start -= 1;
+                env.src &= SENDER;
+                self.arena[span.start as usize] = env;
             }
         }
     }
@@ -803,7 +877,6 @@ where
                     arena: Vec::new(),
                     spans: vec![Span::default(); end - start],
                     filled: Vec::new(),
-                    pos: Vec::new(),
                     wake: vec![0; (end - start).div_ceil(64)],
                     active: Vec::new(),
                     out: (0..num_shards).map(|_| Bucket::default()).collect(),
@@ -1106,7 +1179,7 @@ where
             // populated: one entry per bucket the sweep pushed into.
             for (src, shard) in self.shards.iter().enumerate() {
                 let buckets = shard.out_touched.iter();
-                let sent = buckets.map(|&dst| (src, dst, shard.out[dst].1.len() as u64));
+                let sent = buckets.map(|&dst| (src, dst, shard.out[dst].len() as u64));
                 rec.sample.traffic.extend(sent);
             }
         }
@@ -1185,10 +1258,14 @@ where
         Ok(true)
     }
 
+    /// Ends the run. Each shard's states are taken out and the shard, with
+    /// its message pools, dropped before the states are concatenated, so the
+    /// copy never sits beside the pools.
     fn finish(self) -> ShardedExecution<P::State> {
+        let parts: Vec<Vec<P::State>> = self.shards.into_iter().map(|s| s.states).collect();
         let mut states = Vec::with_capacity(self.job.g.n());
-        for shard in self.shards {
-            states.extend(shard.states);
+        for part in parts {
+            states.extend(part);
         }
         ShardedExecution {
             rounds: self.meter.rounds(),

@@ -13,7 +13,9 @@
 #   scripts/loc.sh
 set -euo pipefail
 
-cd "$(git rev-parse --show-toplevel)"
+# The repository root is this script's parent directory, so the count also
+# works in an export without `.git` (`git archive`), from any directory.
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 count() {
     awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"

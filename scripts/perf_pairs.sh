@@ -18,10 +18,18 @@
 # change disagree on congest_rounds, messages, the state checksum note or, on
 # a workload that prints one, the digest head note (a change that alters a
 # graph but keeps its counts still fails).
+#
+# Every summary row is also appended, as one JSON line, to the tracked ledger
+# benches/perf_ledger.jsonl: the base and change revs (the change is HEAD,
+# marked "dirty" when the tree has uncommitted changes), the machine (nproc,
+# CPU model, rustc), the protocol (pairs, seconds, seeds), both medians with
+# their quartiles, the ratio, the wins and the exact counts of the first pair.
+# Building perf/ may rewrite perf/Cargo.lock; the script puts the tracked file
+# back, so a run leaves the tree as it found it apart from the ledger.
 # (ROADMAP item 1's `perf ab` is what replaces this.)
 set -euo pipefail
 
-[ $# -ge 1 ] || { sed -n '2,21p' "$0"; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,30p' "$0"; exit 2; }
 cd "$(git rev-parse --show-toplevel)"
 base_rev=$(git rev-parse --verify --short "$1^{commit}")
 shift
@@ -41,13 +49,16 @@ if [ ! -d "$base_dir" ]; then
     mkdir -p "$base_dir"
     git archive "$base_rev" | tar -x -C "$base_dir"
 fi
+tmp=$(mktemp -d)
+runs=$tmp/runs
+cp perf/Cargo.lock "$tmp/Cargo.lock"
+trap 'cp "$tmp/Cargo.lock" perf/Cargo.lock; rm -rf "$tmp"' EXIT
 echo "building base $base_rev and the working tree (release, offline)…" >&2
 cargo build --release --quiet --offline --manifest-path "$base_dir/perf/Cargo.toml"
 cargo build --release --quiet --offline --manifest-path perf/Cargo.toml
+cp "$tmp/Cargo.lock" perf/Cargo.lock
 declare -A bin=([base]="$base_dir/perf/target/release/perf" [change]="perf/target/release/perf")
-
-runs=$(mktemp)
-trap 'rm -f "$runs"' EXIT
+touch "$runs"
 # One run: appends "workload side pair metric value" lines to $runs, the
 # end-to-end metrics, the run's "state checksum" note and its "digest head"
 # note if it prints one.
@@ -96,6 +107,12 @@ for w in "${workloads[@]}"; do
     done
 done
 
+change_rev=$(git rev-parse --short HEAD)
+dirty=false
+[ -z "$(git status --porcelain --untracked-files=no)" ] || dirty=true
+cpu=$(awk -F': *' '/^model name/ { gsub(/["\\]/, "", $2); print $2; exit }' /proc/cpuinfo)
+rustc_v=$(rustc -V)
+ledger=benches/perf_ledger.jsonl
 echo
 echo "base $base_rev vs working tree: $pairs pairs, $seconds s per run, seeds $((seed0 + 1))..$((seed0 + pairs))"
 printf '%-16s %-15s %12s %25s %12s %25s %7s %6s %6s %s\n' \
@@ -103,7 +120,10 @@ printf '%-16s %-15s %12s %25s %12s %25s %7s %6s %6s %s\n' \
 for w in "${workloads[@]}"; do
     for m in "${metrics[@]}"; do
         read -r name better bound <<<"$m"
-        awk -v w="$w" -v m="$name" -v better="$better" -v bound="$bound" '
+        awk -v w="$w" -v m="$name" -v better="$better" -v bound="$bound" -v ledger="$ledger" \
+            -v base_rev="$base_rev" -v change_rev="$change_rev" -v dirty="$dirty" \
+            -v nproc="$(nproc)" -v cpu="$cpu" -v rustc_v="$rustc_v" -v pairs="$pairs" \
+            -v seconds="$seconds" -v seed_lo=$((seed0 + 1)) -v seed_hi=$((seed0 + pairs)) '
             function quantile(v, n, q,    h, lo) {   # linear interpolation on sorted v[1..n]
                 h = 1 + (n - 1) * q; lo = int(h)
                 return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
@@ -113,6 +133,9 @@ for w in "${workloads[@]}"; do
                 for (i = 2; i <= n; i++) { t = dst[i]; for (j = i - 1; j >= 1 && dst[j] > t; j--) dst[j + 1] = dst[j]; dst[j + 1] = t }
             }
             $1 == w && $4 == m { if ($2 == "base") b[$3] = $5; else c[$3] = $5; if ($3 > n) n = $3 }
+            # The exact counts, equal on both sides of every pair (check_counts).
+            $1 == w && $2 == "base" && $3 == 1 && $4 ~ /^(congest_rounds|messages)$/ { exact = exact sprintf(", \"%s\": %s", $4, $5) }
+            $1 == w && $2 == "base" && $3 == 1 && $4 ~ /^(checksum|digest_head)$/ { exact = exact sprintf(", \"%s\": \"%s\"", $4, $5) }
             END {
                 for (i = 1; i <= n; i++) {
                     if (better == "lower" ? c[i] < b[i] : c[i] > b[i]) wins++
@@ -128,6 +151,17 @@ for w in "${workloads[@]}"; do
                     cm, sprintf("[%.6g, %.6g]", quantile(sc, n, 0.25), quantile(sc, n, 0.75)),
                     bm ? sprintf("%.3f", cm / bm) : "-", wins, n - ties, ties ? " (" ties " tied)" : "",
                     bound, verdict
+                printf "{\"workload\": \"%s\", \"metric\": \"%s\", \"better\": \"%s\", " \
+                    "\"base\": {\"rev\": \"%s\", \"median\": %.10g, \"q1\": %.10g, \"q3\": %.10g}, " \
+                    "\"change\": {\"rev\": \"%s\", \"dirty\": %s, \"median\": %.10g, \"q1\": %.10g, \"q3\": %.10g}, " \
+                    "\"ratio\": %s, \"wins\": %d, \"ties\": %d, " \
+                    "\"machine\": {\"nproc\": %d, \"cpu\": \"%s\", \"rustc\": \"%s\"}, " \
+                    "\"protocol\": {\"pairs\": %d, \"seconds\": %s, \"seeds\": [%d, %d]}, " \
+                    "\"exact\": {%s}}\n",
+                    w, m, better, base_rev, bm, quantile(sb, n, 0.25), quantile(sb, n, 0.75),
+                    change_rev, dirty, cm, quantile(sc, n, 0.25), quantile(sc, n, 0.75),
+                    bm ? sprintf("%.6f", cm / bm) : "null", wins, ties, nproc, cpu, rustc_v,
+                    n, seconds, seed_lo, seed_hi, substr(exact, 3) >> ledger
             }' "$runs"
     done
 done

@@ -10,8 +10,12 @@
 //! (With a `Vec` per vertex mailbox the count was ≥ n.)
 //!
 //! The same allocator tracks live heap bytes and their high-water mark, which
-//! pins the build's transient memory: `Graph::from_edges` may hold at most
-//! one compact edge list beside the graph it returns.
+//! pins two peaks. The build's transient memory: `Graph::from_edges` may hold
+//! at most one compact edge list beside the graph it returns. And a run's: a
+//! message in flight is one envelope, held once in its route bucket and once
+//! in its mailbox arena, so a BFS run peaks at its states (twice, while
+//! `finish` concatenates them) plus a few envelopes per message of its
+//! busiest round, at 64 shards (delivery by scatter) and at one (in place).
 //!
 //! Every counter is per thread, and each test measures only what its own
 //! thread allocates between two reads, so the tests share a process without
@@ -20,9 +24,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mfd_core::programs::VoronoiLddProgram;
+use mfd_core::programs::{BfsProgram, BfsState, VoronoiLddProgram};
 use mfd_graph::{gen, Graph};
-use mfd_runtime::{ShardedConfig, ShardedExecutor};
+use mfd_runtime::{Envelope, ShardedConfig, ShardedExecutor};
 
 thread_local! {
     /// Allocations (fresh and regrown) made by this thread.
@@ -30,7 +34,7 @@ thread_local! {
     /// Heap bytes this thread allocated minus those it freed (negative when
     /// it frees what another thread allocated).
     static LIVE: Cell<isize> = const { Cell::new(0) };
-    /// High-water mark of `LIVE` since `assert_build_peak` last reset it.
+    /// High-water mark of `LIVE` since `peak_above` last reset it.
     static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
@@ -111,15 +115,20 @@ fn a_run_allocates_per_shard_and_per_round_never_per_vertex() {
     );
 }
 
-/// Asserts that `build` peaks at most 2.5 times the bytes of the graph it
-/// returns, counting this thread's live heap bytes above what was live when
-/// it started. An m × 8-byte edge list (up to twice that while it doubles)
-/// beside the graph fits; 2m arcs of 16 bytes each do not.
-fn assert_build_peak(name: &str, build: impl FnOnce() -> Graph) {
+/// Runs `f` and returns what it returned with this thread's live-heap peak
+/// while it ran, in bytes above what was live when it started.
+fn peak_above<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let base = LIVE.with(Cell::get);
     PEAK.with(|p| p.set(base));
-    let g = build();
-    let peak = (PEAK.with(Cell::get) - base) as usize;
+    let out = f();
+    (out, (PEAK.with(Cell::get) - base) as usize)
+}
+
+/// Asserts that `build` peaks at most 2.5 times the bytes of the graph it
+/// returns. An m × 8-byte edge list (up to twice that while it doubles)
+/// beside the graph fits; 2m arcs of 16 bytes each do not.
+fn assert_build_peak(name: &str, build: impl FnOnce() -> Graph) {
+    let (g, peak) = peak_above(build);
     // What the graph itself holds: `offsets` (n + 1) and `targets` (2m).
     let own = std::mem::size_of::<usize>() * (g.n() + 1 + 2 * g.m());
     assert!(
@@ -135,4 +144,30 @@ fn a_build_peaks_below_two_and_a_half_times_its_graph() {
     assert_build_peak("gen::power_law(1 << 14, 1 << 16, 2.5, 0x9A)", || {
         gen::power_law(1 << 14, 1 << 16, 2.5, 0x9A)
     });
+}
+
+/// Asserts that one BFS run from vertex 0 on `g` at `shards` shards (one
+/// thread) peaks at most at its states twice plus 3.5 envelopes per message
+/// of its busiest round: one in a route bucket, one in a mailbox arena, and
+/// the slack of their doublings. A side array per message (a destination
+/// index beside each bucketed envelope, a position beside each arena slot)
+/// or states copied while the pools are still held do not fit.
+fn assert_run_peak(g: &Graph, shards: usize) {
+    let exec = ShardedExecutor::new(ShardedConfig::with_shards_threads(shards, 1));
+    let (run, peak) = peak_above(|| exec.run(g, &BfsProgram { root: 0 }).expect("bfs runs"));
+    let states = 2 * g.n() * std::mem::size_of::<BfsState>();
+    let envelopes = run.arena.route_slots_hwm * std::mem::size_of::<Envelope<u64>>();
+    assert!(
+        2 * peak <= 2 * states + 7 * envelopes,
+        "{shards} shards: the run peaked at {peak} bytes, its states twice plus {:.2}x the \
+         {envelopes} bytes of its busiest round's envelopes",
+        (peak as f64 - states as f64) / envelopes as f64
+    );
+}
+
+#[test]
+fn a_run_peaks_at_its_states_and_two_envelopes_per_message() {
+    let g = gen::power_law(1 << 14, 1 << 16, 2.5, 0x9A);
+    assert_run_peak(&g, 64);
+    assert_run_peak(&g, 1);
 }
