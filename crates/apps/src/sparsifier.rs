@@ -59,15 +59,10 @@ pub(crate) fn low_degree_sparsifier(g: &Graph, threshold: usize) -> VertexSparsi
 /// The result has maximum degree ≤ `threshold`.
 pub(crate) fn matching_sparsifier(g: &Graph, threshold: usize) -> Graph {
     let n = g.n();
-    let mut marked: Vec<std::collections::HashSet<usize>> = vec![Default::default(); n];
-    for (v, marks) in marked.iter_mut().enumerate() {
-        for &u in g.neighbors(v).iter().take(threshold) {
-            marks.insert(u);
-        }
-    }
-    let both = g
-        .edges()
-        .filter(|&(u, v)| marked[u].contains(&v) && marked[v].contains(&u));
+    // `u` marked `v` when `v` is among the first `threshold` entries of
+    // `u`'s sorted row.
+    let marked = |u: usize, v: usize| g.neighbors(u).partition_point(|&w| w < v) < threshold;
+    let both = g.edges().filter(|&(u, v)| marked(u, v) && marked(v, u));
     Graph::from_edges(n, both)
 }
 

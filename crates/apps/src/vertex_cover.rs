@@ -49,9 +49,12 @@ pub fn approximate_vertex_cover(g: &Graph, epsilon: f64) -> VertexCoverResult {
     let eps_star = degree_epsilon_star(&working, epsilon);
     let (rounds, clusters) = decompose_and_solve(&working, eps_star, |sub, map| {
         let mis = solvers::maximum_independent_set(sub, solvers::DEFAULT_MIS_NODE_BUDGET);
-        let in_mis: std::collections::HashSet<usize> = mis.vertices.iter().copied().collect();
+        let mut in_mis = vec![false; sub.n()];
+        for &v in &mis.vertices {
+            in_mis[v] = true;
+        }
         for local in 0..sub.n() {
-            if !in_mis.contains(&local) && sub.degree(local) > 0 {
+            if !in_mis[local] && sub.degree(local) > 0 {
                 cover_mask[map[local]] = true;
             }
         }

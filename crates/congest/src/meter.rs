@@ -1,6 +1,5 @@
 //! Round and bandwidth accounting for CONGEST simulations.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use mfd_graph::Graph;
@@ -217,35 +216,41 @@ impl RoundMeter {
         msgs: &[Message],
         capacity_words: usize,
     ) -> (usize, Result<(), CongestError>) {
-        let mut per_edge: HashMap<(usize, usize), usize> = HashMap::new();
-        for m in msgs {
-            if !g.has_edge(m.src, m.dst) {
-                return (
-                    0,
-                    Err(CongestError::NotAnEdge {
-                        src: m.src,
-                        dst: m.dst,
-                    }),
-                );
+        if let Some(m) = msgs.iter().find(|m| !g.has_edge(m.src, m.dst)) {
+            return (
+                0,
+                Err(CongestError::NotAnEdge {
+                    src: m.src,
+                    dst: m.dst,
+                }),
+            );
+        }
+        // Message indices sorted by (src, dst, index): each directed edge's
+        // messages form one run, headed by the first one sent on it.
+        let mut order: Vec<usize> = (0..msgs.len()).collect();
+        order.sort_unstable_by_key(|&i| (msgs[i].src, msgs[i].dst, i));
+        let same_edge =
+            |&a: &usize, &b: &usize| (msgs[a].src, msgs[a].dst) == (msgs[b].src, msgs[b].dst);
+        let mut max_on_edge = 0;
+        // (index of the head message, load) of the overcommitted edge to name.
+        let mut first: Option<(usize, usize)> = None;
+        for run in order.chunk_by(same_edge) {
+            let load: usize = run.iter().map(|&i| msgs[i].words).sum();
+            max_on_edge = max_on_edge.max(load);
+            let head = (msgs[run[0]].src, run[0]);
+            if load > capacity_words && first.is_none_or(|(f, _)| head < (msgs[f].src, f)) {
+                first = Some((run[0], load));
             }
-            *per_edge.entry((m.src, m.dst)).or_insert(0) += m.words;
         }
-        let max_on_edge = per_edge.values().copied().max().unwrap_or(0);
-        if max_on_edge <= capacity_words {
+        let Some((i, load)) = first else {
             return (max_on_edge, Ok(()));
-        }
-        let load = |m: &&Message| per_edge[&(m.src, m.dst)];
-        let first = msgs
-            .iter()
-            .filter(|m| load(m) > capacity_words)
-            .min_by_key(|m| m.src)
-            .expect("some edge is overcommitted");
+        };
         (
             max_on_edge,
             Err(CongestError::BandwidthExceeded {
-                src: first.src,
-                dst: first.dst,
-                words: load(&first),
+                src: msgs[i].src,
+                dst: msgs[i].dst,
+                words: load,
                 capacity: capacity_words,
             }),
         )

@@ -45,17 +45,37 @@ impl Clustering {
     /// Panics if `labels.len() != g.n()`.
     pub fn from_labels(g: &Graph, labels: Vec<usize>) -> Self {
         assert_eq!(labels.len(), g.n(), "one label per vertex required");
-        let mut remap: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-        let mut cluster_of = vec![0usize; g.n()];
-        for (v, &l) in labels.iter().enumerate() {
-            let next = remap.len();
-            let id = *remap.entry(l).or_insert(next);
-            cluster_of[v] = id;
+        Clustering::from_keys(labels)
+    }
+
+    /// The clustering whose cluster ids are `keys` compacted to `0..k` in
+    /// order of first appearance: vertex 0's key gets 0, the first key unlike
+    /// it 1, and so on.
+    ///
+    /// Sorting `(key, vertex)` pairs puts each key's first appearance at the
+    /// front of its group, so the scratch is one pair per vertex whatever the
+    /// keys' values (`usize::MAX` included).
+    fn from_keys<K: Ord>(keys: impl IntoIterator<Item = K>) -> Self {
+        let mut sorted: Vec<(K, usize)> = keys.into_iter().zip(0..).collect();
+        sorted.sort_unstable();
+        // cluster_of[v] first holds the vertex where v's key first appears,
+        // which is never after v; one pass in vertex order then numbers them.
+        let mut cluster_of = vec![0usize; sorted.len()];
+        for group in sorted.chunk_by(|a, b| a.0 == b.0) {
+            for &(_, v) in group {
+                cluster_of[v] = group[0].1;
+            }
         }
-        let k = remap.len();
-        let mut members = vec![Vec::new(); k];
-        for (v, &c) in cluster_of.iter().enumerate() {
-            members[c].push(v);
+        let mut members: Vec<Vec<usize>> = Vec::new();
+        for v in 0..cluster_of.len() {
+            let first = cluster_of[v];
+            cluster_of[v] = if first == v {
+                members.push(Vec::new());
+                members.len() - 1
+            } else {
+                cluster_of[first]
+            };
+            members[cluster_of[v]].push(v);
         }
         Clustering {
             cluster_of,
@@ -176,46 +196,22 @@ impl Clustering {
     /// Panics if `group_of.len() != num_clusters()`.
     pub(crate) fn merge_groups(&self, group_of: &[usize]) -> Clustering {
         assert_eq!(group_of.len(), self.num_clusters());
-        let labels: Vec<usize> = self.cluster_of.iter().map(|&c| group_of[c]).collect();
-        let mut remap: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-        let mut cluster_of = vec![0usize; labels.len()];
-        for (v, &l) in labels.iter().enumerate() {
-            let next = remap.len();
-            cluster_of[v] = *remap.entry(l).or_insert(next);
-        }
-        let k = remap.len();
-        let mut members = vec![Vec::new(); k];
-        for (v, &c) in cluster_of.iter().enumerate() {
-            members[c].push(v);
-        }
-        Clustering {
-            cluster_of,
-            members,
-        }
+        Clustering::from_keys(self.cluster_of.iter().map(|&c| group_of[c]))
     }
 
     /// Refines this clustering by a per-vertex sub-label: two vertices stay in the
     /// same cluster only if they were together before **and** share the same
     /// sub-label.
-    pub(crate) fn refine(&self, g: &Graph, sub_label: &[usize]) -> Clustering {
+    pub(crate) fn refine(&self, sub_label: &[usize]) -> Clustering {
         assert_eq!(sub_label.len(), self.cluster_of.len());
-        let mut remap: std::collections::HashMap<(usize, usize), usize> =
-            std::collections::HashMap::new();
-        let labels: Vec<usize> = (0..self.cluster_of.len())
-            .map(|v| {
-                let key = (self.cluster_of[v], sub_label[v]);
-                let next = remap.len();
-                *remap.entry(key).or_insert(next)
-            })
-            .collect();
-        Clustering::from_labels(g, labels)
+        Clustering::from_keys(self.cluster_of.iter().zip(sub_label))
     }
 
     /// Splits every cluster into the connected components it induces in `g`,
     /// guaranteeing that all clusters are connected afterwards.
     pub fn split_into_components(&self, g: &Graph) -> Clustering {
         let (comp, _) = component_labels_within(g, &self.cluster_of);
-        self.refine(g, &comp)
+        self.refine(&comp)
     }
 
     /// Validates this clustering as an (ε, D) low-diameter decomposition: at most
@@ -288,9 +284,30 @@ mod tests {
         let g = generators::path(5);
         let c = Clustering::from_labels(&g, vec![7, 7, 3, 3, 9]);
         assert_eq!(c.num_clusters(), 3);
-        assert_eq!(c.cluster_of(0), c.cluster_of(1));
-        assert_ne!(c.cluster_of(1), c.cluster_of(2));
-        assert_eq!(c.members(c.cluster_of(4)), &[4]);
+        assert_eq!(c.labels(), &[0, 0, 1, 1, 2]);
+        assert_eq!(c.members(2), &[4]);
+        // Ids follow first appearance whatever the labels' values: labels
+        // at or past n, and usize::MAX, allocate nothing in their proportion.
+        let g = generators::path(7);
+        let c = Clustering::from_labels(&g, vec![usize::MAX, 12, 0, usize::MAX, 7, 12, 0]);
+        assert_eq!(c.labels(), &[0, 1, 2, 0, 3, 1, 2]);
+        assert_eq!(c.members(0), &[0, 3]);
+    }
+
+    #[test]
+    fn refine_numbers_pair_keys_by_first_appearance() {
+        // Pairs (cluster, sub-label) interleave: (0,5) (1,5) (0,4) (0,5) (1,5) (1,4).
+        let g = generators::path(6);
+        let c = Clustering::from_labels(&g, vec![0, 1, 0, 0, 1, 1]);
+        let refined = c.refine(&[5, 5, 4, 5, 5, 4]);
+        assert_eq!(refined.labels(), &[0, 1, 2, 0, 1, 3]);
+        assert_eq!(refined.members(1), &[1, 4]);
+        // merge_groups numbers the same way: clusters 0 and 2 join under
+        // group 9, clusters 1 and 3 under group 2.
+        assert_eq!(
+            refined.merge_groups(&[9, 2, 9, 2]).labels(),
+            &[0, 1, 0, 0, 1, 1]
+        );
     }
 
     #[test]

@@ -598,7 +598,7 @@ fn refine_step<B: EdtBackend>(
         jobs.push(GatherJob { cluster, leader });
     }
     backend.gather_all(&jobs, FAILURE_FRACTION, &CONSTRUCTION_GATHER, meter);
-    clustering.refine(g, &sub_label).split_into_components(g)
+    clustering.refine(&sub_label).split_into_components(g)
 }
 
 #[cfg(test)]

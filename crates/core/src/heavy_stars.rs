@@ -225,10 +225,10 @@ fn stars_from_shallow_forest<W: Fn(usize, usize) -> u64>(
         depth[u] = d;
         root[u] = cur;
     }
-    // Per tree, weight of edges from odd depth to even depth vs even to odd.
-    use std::collections::HashMap;
-    let mut odd_w: HashMap<usize, u64> = HashMap::new();
-    let mut even_w: HashMap<usize, u64> = HashMap::new();
+    // Per tree (indexed by root), weight of edges from odd depth to even depth
+    // vs even to odd.
+    let mut odd_w = vec![0u64; k];
+    let mut even_w = vec![0u64; k];
     for u in 0..k {
         let p = marked_parent[u];
         if p == usize::MAX {
@@ -236,36 +236,33 @@ fn stars_from_shallow_forest<W: Fn(usize, usize) -> u64>(
         }
         let w = weight(u, p);
         if depth[u] % 2 == 1 {
-            *odd_w.entry(root[u]).or_insert(0) += w;
+            odd_w[root[u]] += w;
         } else {
-            *even_w.entry(root[u]).or_insert(0) += w;
+            even_w[root[u]] += w;
         }
     }
     // Build stars: if odd levels win, stars are centered at even-depth vertices with
     // their odd-depth children; otherwise centered at odd-depth vertices with their
-    // even-depth children.
-    let mut leaves_of: HashMap<usize, Vec<usize>> = HashMap::new();
+    // even-depth children. Leaves arrive in increasing order, and the stars come
+    // out in centre order.
+    let mut leaves_of: Vec<Vec<usize>> = vec![Vec::new(); k];
     for u in 0..k {
         let p = marked_parent[u];
         if p == usize::MAX {
             continue;
         }
-        let r = root[u];
-        let take_odd = odd_w.get(&r).copied().unwrap_or(0) >= even_w.get(&r).copied().unwrap_or(0);
+        let take_odd = odd_w[root[u]] >= even_w[root[u]];
         let child_is_odd = depth[u] % 2 == 1;
         if take_odd == child_is_odd {
-            leaves_of.entry(p).or_default().push(u);
+            leaves_of[p].push(u);
         }
     }
-    let mut stars: Vec<Star> = leaves_of
+    leaves_of
         .into_iter()
-        .map(|(center, mut leaves)| {
-            leaves.sort_unstable();
-            Star { center, leaves }
-        })
-        .collect();
-    stars.sort_by_key(|s| s.center);
-    stars
+        .enumerate()
+        .filter(|(_, leaves)| !leaves.is_empty())
+        .map(|(center, leaves)| Star { center, leaves })
+        .collect()
 }
 
 #[cfg(test)]
@@ -288,7 +285,7 @@ mod tests {
     }
 
     fn assert_vertex_disjoint(stars: &[Star]) {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for s in stars {
             assert!(seen.insert(s.center), "center {} reused", s.center);
             for &l in &s.leaves {
@@ -372,10 +369,10 @@ mod tests {
 
     #[test]
     fn empty_and_single_cluster_graphs() {
-        let wg = WeightedGraph::new(0);
+        let wg = WeightedGraph::from_edges(0, []);
         let hs = heavy_stars(&wg);
         assert!(hs.stars.is_empty());
-        let wg1 = WeightedGraph::new(3);
+        let wg1 = WeightedGraph::from_edges(3, []);
         let hs1 = heavy_stars(&wg1);
         assert!(hs1.stars.is_empty());
         assert!((captured_fraction(&hs1) - 1.0).abs() < 1e-12);

@@ -42,7 +42,7 @@ pub fn chop_ldd(g: &Graph, epsilon: f64, depth: usize) -> Clustering {
                 sub_label[v] = bands[i];
             }
         }
-        clustering = clustering.refine(g, &sub_label);
+        clustering = clustering.refine(&sub_label);
     }
     clustering.split_into_components(g)
 }

@@ -73,33 +73,39 @@ impl OverlapDecomposition {
     /// associated subgraph contains its cluster's induced subgraph, and the overlap
     /// matches the recorded value.
     pub fn check_invariants(&self, g: &Graph) -> bool {
-        let mut owner = vec![0usize; g.n()];
-        for c in &self.clusters {
+        let mut member_of = vec![usize::MAX; g.n()];
+        for (ci, c) in self.clusters.iter().enumerate() {
             for &v in &c.members {
-                owner[v] += 1;
+                if member_of[v] != usize::MAX {
+                    return false;
+                }
+                member_of[v] = ci;
             }
         }
-        if owner.iter().any(|&x| x != 1) {
+        if member_of.contains(&usize::MAX) {
             return false;
         }
-        for c in &self.clusters {
-            let vset: std::collections::HashSet<usize> =
-                c.subgraph_vertices.iter().copied().collect();
-            if !c.members.iter().all(|v| vset.contains(v)) {
-                return false;
+        // in_subgraph[v] == ci: `v` is a vertex of cluster ci's G_S.
+        let mut in_subgraph = vec![usize::MAX; g.n()];
+        for (ci, c) in self.clusters.iter().enumerate() {
+            for &v in &c.subgraph_vertices {
+                in_subgraph[v] = ci;
             }
-            let eset: std::collections::HashSet<(usize, usize)> = c
+            let mut edges: Vec<(usize, usize)> = c
                 .subgraph_edges
                 .iter()
-                .map(|&(a, b)| if a < b { (a, b) } else { (b, a) })
+                .map(|&(a, b)| (a.min(b), a.max(b)))
                 .collect();
-            // G[S] ⊆ G_S.
-            for &u in &c.members {
-                for &w in g.neighbors(u) {
-                    if u < w && c.members.contains(&w) && !eset.contains(&(u, w)) {
-                        return false;
-                    }
-                }
+            edges.sort_unstable();
+            // Members inside G_S, and G[S] ⊆ G_S.
+            let inside = |u: usize| {
+                in_subgraph[u] == ci
+                    && g.neighbors(u).iter().all(|&w| {
+                        u > w || member_of[w] != ci || edges.binary_search(&(u, w)).is_ok()
+                    })
+            };
+            if !c.members.iter().all(|&u| inside(u)) {
+                return false;
             }
         }
         let mut counts = vec![0usize; g.n()];
@@ -245,6 +251,13 @@ pub fn overlap_expander_decomposition(
             merged.entry(gidx).or_default().push(i);
         }
         let mut next_clusters: Vec<OverlapCluster> = Vec::new();
+        // owner[v]: the cluster `v` is a member of (the members partition V).
+        let mut owner = vec![0usize; g.n()];
+        for (i, c) in clusters.iter().enumerate() {
+            for &v in &c.members {
+                owner[v] = i;
+            }
+        }
         for (_center, parts) in merged {
             if parts.len() == 1 {
                 next_clusters.push(clusters[parts[0]].clone());
@@ -261,21 +274,12 @@ pub fn overlap_expander_decomposition(
             sub_vertices.sort_unstable();
             sub_vertices.dedup();
             // Add all inter-cluster edges between the star's partition classes.
-            let mut part_of = std::collections::HashMap::new();
-            for &p in &parts {
-                for &v in &clusters[p].members {
-                    part_of.insert(v, p);
-                }
-            }
             for &p in &parts {
                 for &v in &clusters[p].members {
                     for &w in g.neighbors(v) {
-                        if v < w {
-                            if let Some(&q) = part_of.get(&w) {
-                                if q != p {
-                                    sub_edges.push((v, w));
-                                }
-                            }
+                        let q = owner[w];
+                        if v < w && q != p && group[q] == group[p] {
+                            sub_edges.push((v, w));
                         }
                     }
                 }

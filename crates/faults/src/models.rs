@@ -20,7 +20,7 @@
 //! query order cannot matter.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use mfd_graph::properties::splitmix64;
 use mfd_runtime::NodeRng;
@@ -86,7 +86,7 @@ pub struct FaultModel {
     /// bad-state flag for rounds `1..` (single-threaded interior
     /// mutability; contents are a pure function of the key, and keying by
     /// seed keeps a model reused across differently-seeded runs honest).
-    chains: RefCell<HashMap<(u64, usize, usize), Vec<bool>>>,
+    chains: RefCell<BTreeMap<(u64, usize, usize), Vec<bool>>>,
 }
 
 impl Clone for FaultModel {
@@ -99,7 +99,7 @@ impl Clone for FaultModel {
             crashes: self.crashes.clone(),
             detection_delay: self.detection_delay,
             // The memo is pure derived state; a clone re-derives it.
-            chains: RefCell::new(HashMap::new()),
+            chains: RefCell::new(BTreeMap::new()),
         }
     }
 }

@@ -10,7 +10,7 @@
 //! edges first and builds the graph once with [`Graph::from_edges`]; the ones that
 //! must know which edges are already drawn keep that set themselves.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -264,7 +264,7 @@ pub fn hypercube(d: usize) -> Graph {
 /// Draws uniform vertex pairs and adds each one that is neither a self-loop nor
 /// in `present` yet, until `count` have been added or `100 · count + 1000` pairs
 /// have been drawn.
-fn add_random_edges(n: usize, present: &mut HashSet<(usize, usize)>, count: usize, seed: u64) {
+fn add_random_edges(n: usize, present: &mut BTreeSet<(usize, usize)>, count: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let (mut added, mut attempts) = (0usize, 0usize);
     while added < count && attempts < 100 * count + 1000 {
@@ -279,7 +279,7 @@ fn add_random_edges(n: usize, present: &mut HashSet<(usize, usize)>, count: usiz
 
 /// Erdős–Rényi style random graph with exactly `m` distinct edges (or as many as fit).
 pub fn random_gnm(n: usize, m: usize, seed: u64) -> Graph {
-    let mut edges = HashSet::new();
+    let mut edges = BTreeSet::new();
     add_random_edges(n, &mut edges, m.min(n * n.saturating_sub(1) / 2), seed);
     Graph::from_edges(n, edges)
 }
@@ -290,7 +290,7 @@ pub fn random_gnm(n: usize, m: usize, seed: u64) -> Graph {
 /// pairs, so for a planar base graph a linear number of chords destroys planarity in
 /// a robust (ε-far) way.
 pub fn with_random_chords(base: &Graph, chords: usize, seed: u64) -> Graph {
-    let mut edges: HashSet<(usize, usize)> = base.edges().collect();
+    let mut edges: BTreeSet<(usize, usize)> = base.edges().collect();
     add_random_edges(base.n(), &mut edges, chords, seed);
     Graph::from_edges(base.n(), edges)
 }

@@ -1,7 +1,7 @@
 //! The one graph type: a simple undirected graph in compressed sparse row
 //! form, and the structural queries every layer asks of it.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::weighted::WeightedGraph;
 
@@ -326,51 +326,34 @@ impl Graph {
     ///
     /// Panics if `vertices` contains duplicates or out-of-range indices.
     pub fn induced_subgraph(&self, vertices: &[usize]) -> (Graph, Vec<usize>) {
-        let n = self.n();
-        // Callers like the per-cluster gathers induce one small cluster at a
-        // time; a dense index would cost O(n) per call — O(n·k) per
-        // decomposition iteration — so small vertex sets go through a hash
-        // map instead.
-        let sub = if vertices.len().saturating_mul(8) < n {
-            let mut new_index: HashMap<usize, usize> = HashMap::with_capacity(vertices.len());
-            for (i, &v) in vertices.iter().enumerate() {
-                assert!(v < n, "vertex out of range");
-                assert!(
-                    new_index.insert(v, i).is_none(),
-                    "duplicate vertex in induced_subgraph"
-                );
-            }
-            self.induce(vertices, |w| new_index.get(&w).copied())
-        } else {
-            let mut new_index = vec![usize::MAX; n];
-            for (i, &v) in vertices.iter().enumerate() {
-                assert!(v < n, "vertex out of range");
-                assert!(
-                    new_index[v] == usize::MAX,
-                    "duplicate vertex in induced_subgraph"
-                );
-                new_index[v] = i;
-            }
-            self.induce(vertices, |w| {
-                Some(new_index[w]).filter(|&j| j != usize::MAX)
-            })
+        // Members sorted with their positions, searched once per neighbour:
+        // one small cluster of a large graph costs O(vol · log k), never O(n).
+        let mut position: Vec<(usize, usize)> = vertices.iter().copied().zip(0..).collect();
+        position.sort_unstable();
+        if let Some(&(last, _)) = position.last() {
+            assert!(last < self.n(), "vertex out of range");
+        }
+        for pair in position.windows(2) {
+            assert!(
+                pair[0].0 != pair[1].0,
+                "duplicate vertex in induced_subgraph"
+            );
+        }
+        let new_index = |w: usize| {
+            let i = position.binary_search_by_key(&w, |&(v, _)| v).ok()?;
+            Some(position[i].1)
         };
-        (sub, vertices.to_vec())
-    }
-
-    /// Rows of the subgraph induced on `vertices`, given the original → new
-    /// index lookup. Member order is arbitrary, so each row is re-sorted.
-    fn induce(&self, vertices: &[usize], new_index: impl Fn(usize) -> Option<usize>) -> Graph {
         let mut offsets = Vec::with_capacity(vertices.len() + 1);
         offsets.push(0);
         let mut targets = Vec::new();
         for &v in vertices {
             let row_start = targets.len();
             targets.extend(self.neighbors(v).iter().filter_map(|&w| new_index(w)));
+            // Member order is arbitrary, so each row is re-sorted.
             targets[row_start..].sort_unstable();
             offsets.push(targets.len());
         }
-        Graph { offsets, targets }
+        (Graph { offsets, targets }, vertices.to_vec())
     }
 
     /// Quotient (cluster) graph for a partition of the vertex set.
@@ -381,14 +364,10 @@ impl Graph {
     pub fn quotient(&self, cluster_of: &[usize]) -> WeightedGraph {
         assert_eq!(cluster_of.len(), self.n());
         let k = cluster_of.iter().copied().max().map_or(0, |x| x + 1);
-        let mut wg = WeightedGraph::new(k);
-        for (u, v) in self.edges() {
-            let (cu, cv) = (cluster_of[u], cluster_of[v]);
-            if cu != cv {
-                wg.add_weight(cu, cv, 1);
-            }
-        }
-        wg
+        // An edge inside one cluster is a loop of the quotient, which the
+        // build drops.
+        let crossing = self.edges().map(|(u, v)| (cluster_of[u], cluster_of[v], 1));
+        WeightedGraph::from_edges(k, crossing)
     }
 
     /// Number of inter-cluster edges for a partition (edges whose endpoints lie in
@@ -550,8 +529,8 @@ mod tests {
     #[test]
     fn induced_subgraph_follows_the_graph_numbering_contract() {
         let g = generators::triangulated_grid(6, 6);
-        // Unsorted member lists on the hash-map path (|S|·8 < n) and the
-        // dense one, plus the empty and the full set: vertex `i` of the
+        // Unsorted member lists, small and large against n, plus the empty
+        // and the full set: vertex `i` of the
         // subgraph is `members[i]`, and its edges are exactly the ambient
         // edges between members.
         for members in [
@@ -572,13 +551,15 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "duplicate vertex in induced_subgraph")]
-    fn induced_subgraph_rejects_duplicates_on_the_hash_path() {
-        generators::path(64).induced_subgraph(&[3, 4, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate vertex in induced_subgraph")]
-    fn induced_subgraph_rejects_duplicates_on_the_dense_path() {
+    fn induced_subgraph_rejects_duplicates() {
+        // One lookup serves every size: a short list in a long path is
+        // refused exactly as a list covering a short path is.
+        let short = std::panic::catch_unwind(|| generators::path(64).induced_subgraph(&[3, 4, 3]));
+        let message = short.expect_err("duplicate accepted").downcast::<&str>();
+        assert_eq!(
+            message.ok().as_deref(),
+            Some(&"duplicate vertex in induced_subgraph")
+        );
         generators::path(4).induced_subgraph(&[1, 2, 1]);
     }
 

@@ -13,7 +13,8 @@
 //!   triangulated meshes) for million-vertex runs.
 //! * [`WeightedGraph`] — an edge-weighted graph used for cluster graphs, where the
 //!   weight of an edge between two clusters is the number of original edges crossing
-//!   them.
+//!   them: a [`Graph`]'s sorted rows plus one weight per arc, built once by
+//!   [`WeightedGraph::from_edges`].
 //! * [`generators`] — deterministic and seeded generators for the graph families the
 //!   paper's statements quantify over: planar families (grids, triangulated grids,
 //!   wheels, stacked triangulations / random Apollonian networks, outerplanar),

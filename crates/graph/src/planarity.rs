@@ -13,7 +13,7 @@
 //! the worst case, which is entirely adequate for the cluster sizes and test graphs
 //! handled in this library (thousands of vertices).
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use crate::graph::Graph;
 
@@ -142,7 +142,7 @@ fn demoucron(g: &Graph) -> bool {
     let cycle = find_cycle(g).expect("biconnected graph with m > n must contain a cycle");
 
     let mut embedded_vertex = vec![false; n];
-    let mut embedded_edge: HashSet<(usize, usize)> = HashSet::new();
+    let mut embedded_edge: BTreeSet<(usize, usize)> = BTreeSet::new();
     let norm = |u: usize, v: usize| if u < v { (u, v) } else { (v, u) };
     for &v in &cycle {
         embedded_vertex[v] = true;
@@ -164,7 +164,7 @@ fn demoucron(g: &Graph) -> bool {
         }
 
         // --- Admissible faces per bridge. ---
-        let face_sets: Vec<HashSet<usize>> =
+        let face_sets: Vec<BTreeSet<usize>> =
             faces.iter().map(|f| f.iter().copied().collect()).collect();
         let mut chosen: Option<(usize, usize)> = None; // (bridge index, face index)
         let mut fallback: Option<(usize, usize)> = None;
@@ -245,7 +245,7 @@ struct Bridge {
 fn compute_bridges(
     g: &Graph,
     embedded_vertex: &[bool],
-    embedded_edge: &HashSet<(usize, usize)>,
+    embedded_edge: &BTreeSet<(usize, usize)>,
 ) -> Vec<Bridge> {
     let n = g.n();
     let norm = |u: usize, v: usize| if u < v { (u, v) } else { (v, u) };
@@ -284,23 +284,23 @@ fn compute_bridges(
         }
     }
     let mut comp_vertices: Vec<Vec<usize>> = vec![Vec::new(); num_comps];
-    let mut comp_attach: Vec<HashSet<usize>> = vec![HashSet::new(); num_comps];
+    let mut comp_attach: Vec<Vec<usize>> = vec![Vec::new(); num_comps];
     for v in 0..n {
         if comp_id[v] != usize::MAX {
             comp_vertices[comp_id[v]].push(v);
             for &u in g.neighbors(v) {
                 if embedded_vertex[u] {
-                    comp_attach[comp_id[v]].insert(u);
+                    comp_attach[comp_id[v]].push(u);
                 }
             }
         }
     }
-    for id in 0..num_comps {
-        let mut attachments: Vec<usize> = comp_attach[id].iter().copied().collect();
+    for (mut attachments, component) in comp_attach.into_iter().zip(comp_vertices) {
         attachments.sort_unstable();
+        attachments.dedup();
         bridges.push(Bridge {
             attachments,
-            component: comp_vertices[id].clone(),
+            component,
             chord: None,
         });
     }
@@ -314,14 +314,15 @@ fn bridge_path(g: &Graph, bridge: &Bridge, embedded_vertex: &[bool]) -> Vec<usiz
         return vec![u, v];
     }
     let a = bridge.attachments[0];
-    let in_component: HashSet<usize> = bridge.component.iter().copied().collect();
+    // `component` lists its vertices in increasing order.
+    let in_component = |x: usize| bridge.component.binary_search(&x).is_ok();
     // BFS from `a`, first step into the component, then within the component, until a
     // component vertex with an embedded neighbor different from `a` is found.
-    let mut parent: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
+    let mut parent = vec![usize::MAX; g.n()];
     let mut queue = VecDeque::new();
     for &x in g.neighbors(a) {
-        if in_component.contains(&x) && !parent.contains_key(&x) {
-            parent.insert(x, a);
+        if in_component(x) && parent[x] == usize::MAX {
+            parent[x] = a;
             queue.push_back(x);
         }
     }
@@ -332,20 +333,17 @@ fn bridge_path(g: &Graph, bridge: &Bridge, embedded_vertex: &[bool]) -> Vec<usiz
                 // Reconstruct path a .. x, then append y.
                 let mut path = vec![y, x];
                 let mut cur = x;
-                while let Some(&p) = parent.get(&cur) {
-                    path.push(p);
-                    if p == a {
-                        break;
-                    }
-                    cur = p;
+                while cur != a {
+                    cur = parent[cur];
+                    path.push(cur);
                 }
                 path.reverse();
                 return path;
             }
         }
         for &y in g.neighbors(x) {
-            if in_component.contains(&y) && !parent.contains_key(&y) {
-                parent.insert(y, x);
+            if in_component(y) && parent[y] == usize::MAX {
+                parent[y] = x;
                 queue.push_back(y);
             }
         }
@@ -476,7 +474,7 @@ mod tests {
             let total: usize = blocks.iter().map(Vec::len).sum();
             assert_eq!(total, g.m());
             // Every edge appears exactly once across blocks.
-            let mut seen = HashSet::new();
+            let mut seen = BTreeSet::new();
             for block in &blocks {
                 for &(u, v) in block {
                     let key = if u < v { (u, v) } else { (v, u) };

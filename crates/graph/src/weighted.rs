@@ -1,103 +1,118 @@
 //! Edge-weighted graphs, used for cluster (quotient) graphs.
 //!
 //! In the heavy-stars algorithm (paper §4.1) the cluster graph carries, on each edge
-//! between two clusters, the number of original edges crossing them. This module
-//! provides a small weighted-graph type supporting exactly the operations the
-//! decomposition layer needs: weight accumulation, weighted degree, and iteration.
+//! between two clusters, the number of original edges crossing them. A
+//! [`WeightedGraph`] is a [`Graph`] plus one weight per arc: the rows are the
+//! graph's sorted CSR rows, and the weight of arc `i` of the flat neighbour array
+//! sits at index `i` of a parallel array, so both arcs of an edge carry its weight.
+//! It answers exactly what the decomposition layer asks: edge weights, the total
+//! weight, and each vertex's heaviest neighbour.
 
-use std::collections::HashMap;
+use crate::graph::Graph;
 
-/// An undirected graph on vertices `0..n` with non-negative integer edge weights.
+/// An undirected graph on vertices `0..n` with positive integer edge weights.
 ///
-/// Parallel weight contributions accumulate: calling [`WeightedGraph::add_weight`]
-/// twice on the same pair adds the weights.
+/// Built once by [`WeightedGraph::from_edges`] and never mutated afterwards.
 ///
 /// # Example
 ///
 /// ```
 /// use mfd_graph::WeightedGraph;
 ///
-/// let mut wg = WeightedGraph::new(3);
-/// wg.add_weight(0, 1, 2);
-/// wg.add_weight(1, 0, 3);
-/// assert_eq!(wg.weight(0, 1), 5);
+/// let wg = WeightedGraph::from_edges(3, [(0, 1, 2), (1, 0, 3), (2, 2, 9), (1, 2, 0)]);
+/// assert_eq!(wg.weight(0, 1), 5); // both orientations add up
+/// assert_eq!(wg.edge_count(), 1); // the loop and the zero weight were dropped
+/// assert_eq!(wg.heaviest_neighbor(1), Some((0, 5)));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WeightedGraph {
-    n: usize,
-    weights: HashMap<(usize, usize), u64>,
-    adjacency: Vec<Vec<usize>>,
+    graph: Graph,
+    /// `weights[i]` is the weight of arc `i` of `graph`'s flat neighbour array.
+    weights: Vec<u64>,
 }
 
 impl WeightedGraph {
-    /// Creates an empty weighted graph with `n` vertices.
-    pub fn new(n: usize) -> Self {
-        WeightedGraph {
-            n,
-            weights: HashMap::new(),
-            adjacency: vec![Vec::new(); n],
+    /// Builds a weighted graph with `n` vertices from `(u, v, w)` contributions.
+    /// Contributions to the same pair add up, in either orientation; self-loops
+    /// and zero weights are dropped.
+    ///
+    /// The contributions are drawn once into a scratch list; the rows are
+    /// [`Graph::from_edges`]' and each contribution is then added to both of
+    /// its arcs, found by binary search.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` or `v` is out of range, or if `n > 2³²`.
+    pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (usize, usize, u64)>) -> Self {
+        assert!(n as u64 <= 1 << 32, "a graph has at most 2^32 vertices");
+        let mut list: Vec<(u32, u32, u64)> = Vec::new();
+        for (u, v, w) in edges {
+            assert!(u < n && v < n, "vertex out of range");
+            if u != v && w > 0 {
+                list.push((u as u32, v as u32, w));
+            }
         }
+        let graph = Graph::from_edges(n, list.iter().map(|&(u, v, _)| (u as usize, v as usize)));
+        let mut wg = WeightedGraph {
+            weights: vec![0; 2 * graph.m()],
+            graph,
+        };
+        for (u, v, w) in list {
+            let (u, v) = (u as usize, v as usize);
+            let (uv, vu) = (wg.arc(u, v).unwrap(), wg.arc(v, u).unwrap());
+            wg.weights[uv] += w;
+            wg.weights[vu] += w;
+        }
+        wg
     }
 
     /// Number of vertices.
     pub fn n(&self) -> usize {
-        self.n
+        self.graph.n()
     }
 
     /// Number of edges with positive weight.
     pub fn edge_count(&self) -> usize {
-        self.weights.len()
+        self.graph.m()
     }
 
-    /// Adds `w` to the weight of the edge `{u, v}`. Zero-weight additions on absent
-    /// edges are ignored; self-loops are ignored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` or `v` is out of range.
-    pub fn add_weight(&mut self, u: usize, v: usize, w: u64) {
-        assert!(u < self.n && v < self.n, "vertex out of range");
-        if u == v || w == 0 {
-            return;
-        }
-        let key = Self::key(u, v);
-        let entry = self.weights.entry(key).or_insert(0);
-        if *entry == 0 {
-            self.adjacency[u].push(v);
-            self.adjacency[v].push(u);
-        }
-        *entry += w;
-    }
-
-    /// Weight of the edge `{u, v}` (0 if absent).
+    /// Weight of the edge `{u, v}` (0 if absent), O(log deg u).
     pub fn weight(&self, u: usize, v: usize) -> u64 {
-        if u == v {
-            return 0;
-        }
-        *self.weights.get(&Self::key(u, v)).unwrap_or(&0)
+        self.arc(u, v).map_or(0, |i| self.weights[i])
     }
 
     /// Total weight over all edges.
     pub fn total_weight(&self) -> u64 {
-        self.weights.values().sum()
+        self.graph
+            .vertices()
+            .flat_map(|u| self.row(u).filter(move |&(v, _)| u < v))
+            .map(|(_, w)| w)
+            .sum()
     }
 
     /// The neighbor of `u` maximizing the edge weight, ties broken by the smallest
     /// neighbor index (a deterministic stand-in for the paper's ID-sum tie-breaking).
     /// Returns `None` if `u` has no neighbors.
     pub fn heaviest_neighbor(&self, u: usize) -> Option<(usize, u64)> {
-        self.adjacency[u]
-            .iter()
-            .map(|&v| (v, self.weight(u, v)))
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
+        self.row(u).max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
     }
 
-    fn key(u: usize, v: usize) -> (usize, usize) {
-        if u < v {
-            (u, v)
-        } else {
-            (v, u)
+    /// `u`'s neighbours with their weights, in increasing neighbour order.
+    fn row(&self, u: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let start = self.graph.offsets()[u];
+        let row = self.graph.neighbors(u);
+        row.iter()
+            .copied()
+            .zip(self.weights[start..start + row.len()].iter().copied())
+    }
+
+    /// Index of the arc `u → v` in the flat neighbour array, if the edge exists.
+    fn arc(&self, u: usize, v: usize) -> Option<usize> {
+        if u >= self.n() {
+            return None;
         }
+        let i = self.graph.neighbors(u).binary_search(&v).ok()?;
+        Some(self.graph.offsets()[u] + i)
     }
 }
 
@@ -107,10 +122,7 @@ mod tests {
 
     #[test]
     fn weight_accumulates() {
-        let mut wg = WeightedGraph::new(4);
-        wg.add_weight(0, 1, 1);
-        wg.add_weight(1, 0, 2);
-        wg.add_weight(2, 3, 7);
+        let wg = WeightedGraph::from_edges(4, [(0, 1, 1), (1, 0, 2), (2, 3, 7)]);
         assert_eq!(wg.weight(0, 1), 3);
         assert_eq!(wg.weight(1, 0), 3);
         assert_eq!(wg.weight(0, 2), 0);
@@ -120,18 +132,13 @@ mod tests {
 
     #[test]
     fn self_loops_and_zero_weight_ignored() {
-        let mut wg = WeightedGraph::new(2);
-        wg.add_weight(0, 0, 5);
-        wg.add_weight(0, 1, 0);
+        let wg = WeightedGraph::from_edges(2, [(0, 0, 5), (0, 1, 0)]);
         assert_eq!(wg.edge_count(), 0);
     }
 
     #[test]
     fn heaviest_neighbor_breaks_ties_by_smaller_index() {
-        let mut wg = WeightedGraph::new(4);
-        wg.add_weight(0, 3, 5);
-        wg.add_weight(0, 1, 5);
-        wg.add_weight(0, 2, 4);
+        let wg = WeightedGraph::from_edges(4, [(0, 3, 5), (0, 1, 5), (0, 2, 4)]);
         assert_eq!(wg.heaviest_neighbor(0), Some((1, 5)));
         assert_eq!(wg.heaviest_neighbor(2), Some((0, 4)));
     }

@@ -105,8 +105,7 @@ mod tests {
     fn fixed_and_per_edge_are_deterministic_and_clamped() {
         assert_eq!(LatencyModel::Fixed(0).sample(1, 0, 1, 1), 1);
         assert_eq!(LatencyModel::Fixed(7).sample(1, 0, 1, 1), 7);
-        let mut w = WeightedGraph::new(3);
-        w.add_weight(0, 1, 5);
+        let w = WeightedGraph::from_edges(3, [(0, 1, 5)]);
         let m = LatencyModel::PerEdge(w);
         assert_eq!(m.sample(9, 0, 1, 3), 5);
         assert_eq!(m.sample(9, 1, 0, 3), 5);

@@ -132,8 +132,8 @@
 //! [`mfd_runtime::RuntimeError::CheckpointMismatch`], never a panic.
 //!
 //! The checkpoint types are the engine's own state — capturing is cloning,
-//! restoring is checking and adopting — and the crate holds no hash map (its
-//! `clippy.toml` disallows one), so no state depends on hash order.
+//! restoring is checking and adopting — and the crate holds no hash map (the
+//! workspace `clippy.toml` disallows one), so no state depends on hash order.
 //!
 //! A guided tour of this crate's role in the workspace lives in
 //! `docs/ARCHITECTURE.md` (section "mfd-sim").

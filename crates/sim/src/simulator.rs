@@ -1728,9 +1728,7 @@ mod tests {
     fn per_edge_latency_reads_the_weighted_graph() {
         use mfd_graph::WeightedGraph;
         let g = generators::path(3); // edges {0,1}, {1,2}
-        let mut w = WeightedGraph::new(3);
-        w.add_weight(0, 1, 10);
-        w.add_weight(1, 2, 1);
+        let w = WeightedGraph::from_edges(3, [(0, 1, 10), (1, 2, 1)]);
         let run = Simulator::new(SimConfig::default().with_latency(LatencyModel::PerEdge(w)))
             .run(&g, &Census)
             .unwrap();

@@ -46,14 +46,11 @@ fn main() {
         "  {:<28} {:>6} {:>9} {:>9} {:>10} {:>9}",
         "latency model", "rounds", "makespan", "msgs", "overhead%", "peak/edge"
     );
-    let mut quotient_latency = WeightedGraph::new(g.n());
-    for (u, v) in g.edges() {
-        // A heterogeneous link map: a deterministic hash of the endpoint ids
-        // assigns each edge a speed tier (1..=4 ticks), standing in for a
-        // real topology's mixed link qualities.
-        let tier = 1 + (u + v) % 4;
-        quotient_latency.add_weight(u, v, tier as u64);
-    }
+    // A heterogeneous link map: a deterministic hash of the endpoint ids
+    // assigns each edge a speed tier (1..=4 ticks), standing in for a real
+    // topology's mixed link qualities.
+    let tiers = g.edges().map(|(u, v)| (u, v, 1 + (u + v) as u64 % 4));
+    let quotient_latency = WeightedGraph::from_edges(g.n(), tiers);
     let models: Vec<(&str, LatencyModel)> = vec![
         ("Fixed(1)  — synchronous", LatencyModel::Fixed(1)),
         (

@@ -18,13 +18,14 @@ use mfd_core::programs::{
     run_bfs, run_voronoi_ldd, BfsProgram, ColeVishkinProgram, VoronoiLddProgram,
 };
 use mfd_graph::properties::splitmix64;
-use mfd_graph::{gen, generators, Graph};
+use mfd_graph::{gen, generators, Graph, WeightedGraph};
 use mfd_runtime::{
     Envelope, ExecCheckpoint, Executor, ExecutorConfig, NodeProgram, RuntimeError, SessionEngine,
     ShardedConfig, ShardedExecutor,
 };
 use mfd_trace::{DigestSink, DigestState, NullSink};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Structural validity of a graph's CSR rows: monotone offsets, strictly
 /// ascending neighbor rows (sorted + deduplicated), no self-loops, symmetry,
@@ -108,8 +109,8 @@ proptest! {
 
     /// `Graph::induced_subgraph` numbers vertex `i` of the subgraph
     /// `members[i]` and keeps exactly the ambient edges between members, for
-    /// member lists in any order, on the hash-map path (`8·|S| < n`) and on
-    /// the dense one; it rejects duplicate and out-of-range members.
+    /// member lists in any order, small (`9·|S| ≤ n`) and large against `n`;
+    /// it rejects duplicate and out-of-range members.
     #[test]
     fn induced_subgraph_matches_the_filtered_edge_list(
         n in 2usize..120,
@@ -145,6 +146,82 @@ proptest! {
         };
         prop_assert!(rejected(members[0]), "duplicate member");
         prop_assert!(rejected(n), "out-of-range member");
+    }
+
+    /// `WeightedGraph::from_edges` agrees with a `BTreeMap` fold of the same
+    /// `(u, v, w)` contributions on every pair's weight, the edge count, the
+    /// total weight and every vertex's heaviest neighbour. The contributions
+    /// come in both orientations, repeat, include loops and zero weights,
+    /// and leave the last quarter of the vertices isolated (`n = 0` too).
+    #[test]
+    fn weighted_graph_matches_a_btreemap_fold(
+        n in 0usize..40,
+        len in 0usize..120,
+        seed in 0u64..1000,
+    ) {
+        let span = (n - n / 4).max(1);
+        let contributions: Vec<(usize, usize, u64)> = (0..if n == 0 { 0 } else { len })
+            .map(|i| {
+                let h = splitmix64(seed ^ ((i as u64) << 24));
+                (h as usize % span, (h >> 20) as usize % span, (h >> 40) % 4)
+            })
+            .collect();
+        let wg = WeightedGraph::from_edges(n, contributions.iter().copied());
+        let mut fold: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+        for &(u, v, w) in &contributions {
+            if u != v && w > 0 {
+                *fold.entry((u.min(v), u.max(v))).or_insert(0) += w;
+            }
+        }
+        let expected = |u: usize, v: usize| fold.get(&(u.min(v), u.max(v))).copied().unwrap_or(0);
+        prop_assert_eq!(wg.n(), n);
+        prop_assert_eq!(wg.edge_count(), fold.len());
+        prop_assert_eq!(wg.total_weight(), fold.values().sum::<u64>());
+        for u in 0..n {
+            for v in 0..n {
+                prop_assert_eq!(wg.weight(u, v), expected(u, v), "weight({}, {})", u, v);
+            }
+            // Heaviest by weight, then smallest index.
+            let heaviest = (0..n)
+                .filter(|&v| expected(u, v) > 0)
+                .map(|v| (v, expected(u, v)))
+                .fold(None, |best: Option<(usize, u64)>, c| match best {
+                    Some(b) if b.1 >= c.1 => Some(b),
+                    _ => Some(c),
+                });
+            prop_assert_eq!(wg.heaviest_neighbor(u), heaviest, "heaviest_neighbor({})", u);
+        }
+    }
+
+    /// `Graph::quotient` on a random labeling weighs each pair of clusters by
+    /// a plain count of the edges crossing between them.
+    #[test]
+    fn quotient_counts_the_crossing_edges(
+        n in 1usize..60,
+        k in 1usize..12,
+        seed in 0u64..1000,
+    ) {
+        let g = generators::random_gnm(n, 2 * n, seed);
+        let labels: Vec<usize> = (0..n as u64).map(|v| splitmix64(seed ^ v) as usize % k).collect();
+        let q = g.quotient(&labels);
+        let clusters = labels.iter().max().unwrap() + 1;
+        prop_assert_eq!(q.n(), clusters);
+        let mut pairs = 0;
+        for a in 0..clusters {
+            for b in 0..clusters {
+                let crossing = g
+                    .edges()
+                    .filter(|&(u, v)| {
+                        let (x, y) = (labels[u], labels[v]);
+                        a != b && (x.min(y), x.max(y)) == (a.min(b), a.max(b))
+                    })
+                    .count();
+                prop_assert_eq!(q.weight(a, b), crossing as u64, "weight({}, {})", a, b);
+                pairs += usize::from(a < b && crossing > 0);
+            }
+        }
+        prop_assert_eq!(q.edge_count(), pairs);
+        prop_assert_eq!(q.total_weight(), g.inter_cluster_edges(&labels) as u64);
     }
     /// The sharded executor is bit-identical to the reference stepper on
     /// arbitrary graphs (sparse enough to be disconnected about as often as

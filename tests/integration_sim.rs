@@ -156,10 +156,7 @@ fn disconnected_graphs_agree_on_public_outputs() {
 #[test]
 fn per_edge_latency_orders_completions_along_the_path() {
     let g = generators::path(4);
-    let mut weights = WeightedGraph::new(4);
-    weights.add_weight(0, 1, 1);
-    weights.add_weight(1, 2, 8);
-    weights.add_weight(2, 3, 2);
+    let weights = WeightedGraph::from_edges(4, [(0, 1, 1), (1, 2, 8), (2, 3, 2)]);
     let sim = Simulator::new(SimConfig::default().with_latency(LatencyModel::PerEdge(weights)));
     let run = sim.run(&g, &BfsProgram { root: 0 }).unwrap();
     assert_eq!(
