@@ -36,9 +36,9 @@ impl WeightedGraph {
     /// Contributions to the same pair add up, in either orientation; self-loops
     /// and zero weights are dropped.
     ///
-    /// The contributions are drawn once into a scratch list; the rows are
-    /// [`Graph::from_edges`]' and each contribution is then added to both of
-    /// its arcs, found by binary search.
+    /// The contributions are drawn once into a list, sorted, and merged per
+    /// pair; the rows are [`Graph::from_edges`]', and each pair's weight is
+    /// written to both of its arcs, found by binary search.
     ///
     /// # Panics
     ///
@@ -49,19 +49,26 @@ impl WeightedGraph {
         for (u, v, w) in edges {
             assert!(u < n && v < n, "vertex out of range");
             if u != v && w > 0 {
-                list.push((u as u32, v as u32, w));
+                list.push((u.min(v) as u32, u.max(v) as u32, w));
             }
         }
+        // One entry per pair, so the rows are built without duplicates.
+        list.sort_unstable_by_key(|&(u, v, _)| (u, v));
+        list.dedup_by(|next, kept| {
+            let same = (next.0, next.1) == (kept.0, kept.1);
+            kept.2 += if same { next.2 } else { 0 };
+            same
+        });
         let graph = Graph::from_edges(n, list.iter().map(|&(u, v, _)| (u as usize, v as usize)));
         let mut wg = WeightedGraph {
             weights: vec![0; 2 * graph.m()],
             graph,
         };
         for (u, v, w) in list {
-            let (u, v) = (u as usize, v as usize);
-            let (uv, vu) = (wg.arc(u, v).unwrap(), wg.arc(v, u).unwrap());
-            wg.weights[uv] += w;
-            wg.weights[vu] += w;
+            for (a, b) in [(u, v), (v, u)] {
+                let arc = wg.arc(a as usize, b as usize).unwrap();
+                wg.weights[arc] = w;
+            }
         }
         wg
     }
@@ -83,11 +90,8 @@ impl WeightedGraph {
 
     /// Total weight over all edges.
     pub fn total_weight(&self) -> u64 {
-        self.graph
-            .vertices()
-            .flat_map(|u| self.row(u).filter(move |&(v, _)| u < v))
-            .map(|(_, w)| w)
-            .sum()
+        // Each edge's weight sits on both of its arcs.
+        self.weights.iter().sum::<u64>() / 2
     }
 
     /// The neighbor of `u` maximizing the edge weight, ties broken by the smallest
