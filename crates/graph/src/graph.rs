@@ -549,17 +549,17 @@ mod tests {
         }
     }
 
+    // One lookup serves every size: a short list in a long path is refused
+    // exactly as a list covering a short path is.
     #[test]
     #[should_panic(expected = "duplicate vertex in induced_subgraph")]
-    fn induced_subgraph_rejects_duplicates() {
-        // One lookup serves every size: a short list in a long path is
-        // refused exactly as a list covering a short path is.
-        let short = std::panic::catch_unwind(|| generators::path(64).induced_subgraph(&[3, 4, 3]));
-        let message = short.expect_err("duplicate accepted").downcast::<&str>();
-        assert_eq!(
-            message.ok().as_deref(),
-            Some(&"duplicate vertex in induced_subgraph")
-        );
+    fn induced_subgraph_rejects_duplicates_on_the_hash_path() {
+        generators::path(64).induced_subgraph(&[3, 4, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate vertex in induced_subgraph")]
+    fn induced_subgraph_rejects_duplicates_on_the_dense_path() {
         generators::path(4).induced_subgraph(&[1, 2, 1]);
     }
 
